@@ -8,7 +8,14 @@ from repro.embeddings.adapter import (
     train_query_adapter,
 )
 from repro.embeddings.cache import CachingEmbedder
-from repro.embeddings.concepts import Concept, ConceptLexicon, ConceptOverlap, concept_overlap
+from repro.embeddings.concepts import (
+    Concept,
+    ConceptFingerprint,
+    ConceptLexicon,
+    ConceptOverlap,
+    concept_overlap,
+    fingerprint_cosine,
+)
 from repro.embeddings.model import EmbeddingModel, SyntheticAdaEmbedder, cosine_similarity
 
 __all__ = [
@@ -19,9 +26,11 @@ __all__ = [
     "train_query_adapter",
     "CachingEmbedder",
     "Concept",
+    "ConceptFingerprint",
     "ConceptLexicon",
     "ConceptOverlap",
     "concept_overlap",
+    "fingerprint_cosine",
     "EmbeddingModel",
     "SyntheticAdaEmbedder",
     "cosine_similarity",

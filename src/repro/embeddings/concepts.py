@@ -20,6 +20,20 @@ from repro.text.analyzer import ItalianAnalyzer
 from repro.text.stemmer import stem
 
 
+@dataclass(frozen=True, slots=True)
+class ConceptFingerprint:
+    """The meaning fingerprint of one text, ready for repeated comparison.
+
+    Attributes:
+        weights: concept_id → accumulated weight, in first-seen order (the
+            order :func:`fingerprint_cosine` sums in).
+        norm: Euclidean norm of the weights.
+    """
+
+    weights: dict[str, float]
+    norm: float
+
+
 @dataclass(frozen=True)
 class Concept:
     """One unit of meaning with its alternative surface forms.
@@ -69,6 +83,7 @@ class ConceptLexicon:
             analyzer = ItalianAnalyzer(remove_stopwords=True, apply_stemming=False)
         self._analyzer = analyzer
         self._stem = analyzer.stem_fn if analyzer.stem_fn is not None else stem
+        self._version = 0
         for concept in concepts or []:
             self.add(concept)
 
@@ -77,6 +92,7 @@ class ConceptLexicon:
         if concept.concept_id in self._concepts:
             raise ValueError(f"duplicate concept id: {concept.concept_id}")
         self._concepts[concept.concept_id] = concept
+        self._version += 1
         for form in concept.forms:
             words = self._analyzer.analyze(form.lower())
             if not words:
@@ -99,6 +115,12 @@ class ConceptLexicon:
         return len(self._concepts)
 
     @property
+    def version(self) -> int:
+        """Bumped by every :meth:`add`; fingerprints taken under an older
+        version are stale."""
+        return self._version
+
+    @property
     def concepts(self) -> list[Concept]:
         """All registered concepts, in insertion order."""
         return list(self._concepts.values())
@@ -119,6 +141,11 @@ class ConceptLexicon:
                 weights[concept_id] = weights.get(concept_id, 0.0) + weight
         return weights
 
+    def fingerprint(self, text: str) -> ConceptFingerprint:
+        """:meth:`concepts_in_text` plus the norm, computed once per text."""
+        weights = self.concepts_in_text(text)
+        return ConceptFingerprint(weights, sum(w * w for w in weights.values()) ** 0.5)
+
 
 @dataclass(frozen=True)
 class ConceptOverlap:
@@ -128,15 +155,26 @@ class ConceptOverlap:
     score: float = 0.0
 
 
+def fingerprint_cosine(a: ConceptFingerprint, b: ConceptFingerprint) -> float:
+    """Cosine of two concept fingerprints; 0.0 when either is empty.
+
+    The dot product is summed in *a*'s first-seen concept order, so the
+    result is the same float in every process (a set intersection would
+    iterate in string-hash order and move the last ulp).
+    """
+    weights_b = b.weights
+    if not a.weights or not weights_b:
+        return 0.0
+    dot = sum(w * weights_b[cid] for cid, w in a.weights.items() if cid in weights_b)
+    return dot / (a.norm * b.norm) if a.norm and b.norm else 0.0
+
+
 def concept_overlap(lexicon: ConceptLexicon, a: str, b: str) -> ConceptOverlap:
     """Cosine-style overlap of the concept fingerprints of *a* and *b*."""
-    weights_a = lexicon.concepts_in_text(a)
-    weights_b = lexicon.concepts_in_text(b)
-    if not weights_a or not weights_b:
-        return ConceptOverlap()
-    shared = {cid: min(weights_a[cid], weights_b[cid]) for cid in weights_a.keys() & weights_b.keys()}
-    norm_a = sum(w * w for w in weights_a.values()) ** 0.5
-    norm_b = sum(w * w for w in weights_b.values()) ** 0.5
-    dot = sum(weights_a[cid] * weights_b[cid] for cid in shared)
-    score = dot / (norm_a * norm_b) if norm_a and norm_b else 0.0
-    return ConceptOverlap(shared=shared, score=score)
+    fingerprint_a = lexicon.fingerprint(a)
+    fingerprint_b = lexicon.fingerprint(b)
+    weights_b = fingerprint_b.weights
+    shared = {
+        cid: min(w, weights_b[cid]) for cid, w in fingerprint_a.weights.items() if cid in weights_b
+    }
+    return ConceptOverlap(shared=shared, score=fingerprint_cosine(fingerprint_a, fingerprint_b))

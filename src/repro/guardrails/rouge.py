@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.guardrails.base import GuardrailVerdict
 from repro.search.results import RetrievedChunk
-from repro.text.similarity import rouge_l
+from repro.text.similarity import rouge_l_tokens, rouge_tokens
 
 #: The production threshold from the paper.
 DEFAULT_ROUGE_THRESHOLD = 0.15
@@ -39,7 +39,11 @@ class RougeGuardrail:
         """Max ROUGE-L of *answer* against any context chunk."""
         if not context:
             return 0.0
-        return max(rouge_l(answer, chunk.record.content) for chunk in context)
+        answer_tokens = rouge_tokens(answer)
+        return max(
+            rouge_l_tokens(answer_tokens, rouge_tokens(chunk.record.content)).fmeasure
+            for chunk in context
+        )
 
     def check(
         self, question: str, answer: str, context: list[RetrievedChunk]

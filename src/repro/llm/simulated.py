@@ -31,8 +31,9 @@ import hashlib
 import json
 import random
 import re
+from typing import NamedTuple
 
-from repro.embeddings.concepts import ConceptLexicon, concept_overlap
+from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon, fingerprint_cosine
 from repro.llm.base import (
     RESPONSE_KIND_ANSWER,
     RESPONSE_KIND_CLARIFICATION,
@@ -72,6 +73,13 @@ def _identifier_tokens(text: str) -> set[str]:
         if any(ch.isdigit() for ch in token) or any(ch.isupper() for ch in token[1:]):
             identifiers.add(token.lower())
     return identifiers
+
+
+class _QuestionReading(NamedTuple):
+    """What relevance scoring needs of the question, taken once per answer."""
+
+    fingerprint: ConceptFingerprint
+    identifiers: set[str]
 
 #: Per-language text resources; "it" is the deployment language, "en"
 #: exists for the paper's "adapt to other languages" future work.
@@ -236,11 +244,14 @@ class SimulatedChatLLM:
         except json.JSONDecodeError:
             return self._pack["refusal"], RESPONSE_KIND_REFUSAL
         question = match.group(2).strip()
+        reading = _QuestionReading(
+            self._lexicon.fingerprint(question), _identifier_tokens(question)
+        )
 
         scored = []
         for document in documents:
             passage = f"{document.get('title', '')} {document.get('content', '')}"
-            relevance = self._relevance(question, passage)
+            relevance = self._relevance(reading, passage)
             scored.append((relevance, document))
         scored.sort(key=lambda pair: -pair[0])
 
@@ -255,7 +266,7 @@ class SimulatedChatLLM:
                 return self._hallucinate(question, rng), RESPONSE_KIND_ANSWER
             return self._pack["refusal"], RESPONSE_KIND_REFUSAL
 
-        answer = self._compose_grounded_answer(question, supporting, rng)
+        answer = self._compose_grounded_answer(reading, supporting, rng)
 
         if rng.random() < self._p_off_context * failure_scale:
             return self._hallucinate(question, rng), RESPONSE_KIND_ANSWER
@@ -265,7 +276,7 @@ class SimulatedChatLLM:
             return answer + self._pack["clarification"], RESPONSE_KIND_CLARIFICATION
         return answer, RESPONSE_KIND_ANSWER
 
-    def _relevance(self, question: str, passage: str) -> float:
+    def _relevance(self, reading: _QuestionReading, passage: str) -> float:
         """How strongly the passage supports the question.
 
         Blends concept-level agreement (paraphrase understanding) with
@@ -275,8 +286,8 @@ class SimulatedChatLLM:
         words do not count here, or any shared boilerplate would look like
         support.
         """
-        conceptual = concept_overlap(self._lexicon, question, passage).score
-        question_ids = _identifier_tokens(question)
+        conceptual = fingerprint_cosine(reading.fingerprint, self._lexicon.fingerprint(passage))
+        question_ids = reading.identifiers
         if question_ids:
             passage_ids = _identifier_tokens(passage)
             lexical = len(question_ids & passage_ids) / len(question_ids)
@@ -286,7 +297,7 @@ class SimulatedChatLLM:
 
     def _compose_grounded_answer(
         self,
-        question: str,
+        reading: _QuestionReading,
         supporting: list[tuple[float, dict]],
         rng: random.Random,
     ) -> str:
@@ -295,7 +306,7 @@ class SimulatedChatLLM:
         for relevance, document in supporting[:3]:
             key = document.get("key", "doc1")
             for sentence in sentence_split(document.get("content", "")):
-                sentence_relevance = self._relevance(question, sentence)
+                sentence_relevance = self._relevance(reading, sentence)
                 candidate_sentences.append((sentence_relevance + 0.25 * relevance, sentence, key))
         candidate_sentences.sort(key=lambda triple: -triple[0])
 

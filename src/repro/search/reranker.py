@@ -15,23 +15,53 @@ blends
 Scores are scaled to ``[0, max_score]`` with Azure's 0–4 range as default;
 the final hybrid relevance is ``RRF sum + reranker score``, as the paper
 states.
+
+Each text is analyzed once: the query's fingerprint and term set once per
+:meth:`SemanticReranker.rerank`, a chunk's once per chunk *version* (its
+features are kept in a bounded LRU until its title or content changes).
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from collections import OrderedDict
+from dataclasses import dataclass
 
-from repro.embeddings.concepts import ConceptLexicon, concept_overlap
+from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon, fingerprint_cosine
 from repro.obs import spans
 from repro.obs.trace import RequestContext, null_context
 from repro.search.results import RetrievedChunk
+from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
+
+#: Chunk versions whose features stay resident.  Keyed by ``chunk_id`` and
+#: not by text, so an edited chunk replaces its slot instead of adding one.
+FEATURE_CAPACITY = 8192
 
 
 def _hash_noise(query: str, chunk_id: str) -> float:
     """Deterministic pseudo-noise in [-1, 1) keyed on the (query, chunk) pair."""
     digest = hashlib.blake2b(f"{query}\x00{chunk_id}".encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") / 2**63 - 1.0
+
+
+@dataclass(frozen=True, slots=True)
+class _QueryFeatures:
+    fingerprint: ConceptFingerprint
+    terms: set[str]
+
+
+@dataclass(frozen=True, slots=True)
+class _ChunkFeatures:
+    """What scoring needs of one chunk version; *title* and *content* are
+    the texts the rest was derived from."""
+
+    title: str
+    content: str
+    title_fingerprint: ConceptFingerprint
+    content_fingerprint: ConceptFingerprint
+    content_terms: set[str]
 
 
 class SemanticReranker:
@@ -69,19 +99,60 @@ class SemanticReranker:
         self._lexical_weight = lexical_weight / total
         self._noise = noise
         self._analyzer = analyzer if analyzer is not None else FULL_ANALYZER
+        self._chunk_features: OrderedDict[str, _ChunkFeatures] = OrderedDict()
+        self._features_version = lexicon.version
 
     def score(self, query: str, result: RetrievedChunk) -> float:
         """Semantic relevance of *result* to *query* in [0, max_score]."""
-        title_agreement = concept_overlap(self._lexicon, query, result.record.title).score
-        content_agreement = concept_overlap(self._lexicon, query, result.record.content).score
-        lexical = self._lexical_overlap(query, result.record.content)
+        return self._score(query, self._query_features(query), result.record)
+
+    def _score(self, query: str, features: _QueryFeatures, record: ChunkRecord) -> float:
+        chunk = self._features_of(record)
+        title_agreement = fingerprint_cosine(features.fingerprint, chunk.title_fingerprint)
+        content_agreement = fingerprint_cosine(features.fingerprint, chunk.content_fingerprint)
+        if features.terms:
+            lexical = len(features.terms & chunk.content_terms) / len(features.terms)
+        else:
+            lexical = 0.0
         blended = (
             self._title_weight * title_agreement
             + self._content_weight * content_agreement
             + self._lexical_weight * lexical
         )
         score = self._max_score * min(max(blended, 0.0), 1.0)
-        return max(0.0, score + self._noise * _hash_noise(query, result.record.chunk_id))
+        return max(0.0, score + self._noise * _hash_noise(query, record.chunk_id))
+
+    def _query_features(self, query: str) -> _QueryFeatures:
+        return _QueryFeatures(
+            self._lexicon.fingerprint(query), self._analyzer.analyze_unique(query)
+        )
+
+    def _features_of(self, record: ChunkRecord) -> _ChunkFeatures:
+        """The chunk's features, analyzed on first sight of this version."""
+        cache = self._chunk_features
+        if self._features_version != self._lexicon.version:
+            cache.clear()
+            self._features_version = self._lexicon.version
+        features = cache.get(record.chunk_id)
+        if (
+            features is not None
+            and features.title == record.title
+            and features.content == record.content
+        ):
+            cache.move_to_end(record.chunk_id)
+            return features
+        features = _ChunkFeatures(
+            title=record.title,
+            content=record.content,
+            title_fingerprint=self._lexicon.fingerprint(record.title),
+            content_fingerprint=self._lexicon.fingerprint(record.content),
+            content_terms=set(map(sys.intern, self._analyzer.analyze(record.content))),
+        )
+        cache[record.chunk_id] = features
+        cache.move_to_end(record.chunk_id)
+        if len(cache) > FEATURE_CAPACITY:
+            cache.popitem(last=False)
+        return features
 
     def rerank(
         self,
@@ -102,9 +173,10 @@ class SemanticReranker:
             return self._rerank(query, results)
 
     def _rerank(self, query: str, results: list[RetrievedChunk]) -> list[RetrievedChunk]:
+        features = self._query_features(query)
         rescored = []
         for result in results:
-            reranker_score = self.score(query, result)
+            reranker_score = self._score(query, features, result.record)
             components = dict(result.components)
             components["rerank_adjust"] = reranker_score
             rescored.append(
@@ -116,10 +188,3 @@ class SemanticReranker:
             )
         rescored.sort(key=lambda r: (-r.score, r.record.chunk_id))
         return rescored
-
-    def _lexical_overlap(self, query: str, content: str) -> float:
-        query_terms = self._analyzer.analyze_unique(query)
-        if not query_terms:
-            return 0.0
-        content_terms = self._analyzer.analyze_unique(content)
-        return len(query_terms & content_terms) / len(query_terms)

@@ -3,6 +3,8 @@
 * :func:`rouge_l` — the ROUGE-L F-measure (Lin, 2004) that drives the paper's
   primary hallucination guardrail (Section 6, threshold 0.15).
 * :func:`lcs_length` — longest common subsequence, the core of ROUGE-L.
+* :func:`rouge_tokens` / :func:`rouge_l_tokens` — the same score over
+  pre-analyzed token lists, for one text compared against many.
 * :func:`jaccard` — Jaccard similarity on non-stop terms, used by the UAT
   dataset construction (Section 8) to pick human questions similar to
   frequent log queries.
@@ -18,23 +20,33 @@ from repro.text.analyzer import FULL_ANALYZER, SURFACE_ANALYZER, ItalianAnalyzer
 def lcs_length(a: list[str], b: list[str]) -> int:
     """Length of the longest common subsequence of token lists *a* and *b*.
 
-    Classic O(len(a)*len(b)) dynamic program over two rolling rows.
+    Exact bit-parallel LCS (Allison–Dix, in Hyyrö's add/or/sub form) over
+    Python integers: bit *j* of the row vector is clear when the DP row
+    grows at column *j*, so one row update is ``V = (V + (V & M)) | (V - (V & M))``
+    with *M* the positions of the current token in *b*, and the answer is
+    the number of clear bits.  O(len(a)) big-integer operations instead of
+    O(len(a)·len(b)) comparisons.
     """
     if not a or not b:
         return 0
-    # Keep the shorter sequence in the inner dimension for memory locality.
+    # The shorter sequence sets the width of the integers.
     if len(b) > len(a):
         a, b = b, a
-    previous = [0] * (len(b) + 1)
-    current = [0] * (len(b) + 1)
-    for token_a in a:
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current[j] = previous[j - 1] + 1
-            else:
-                current[j] = max(previous[j], current[j - 1])
-        previous, current = current, previous
-    return previous[len(b)]
+    masks: dict[str, int] = {}
+    bit = 1
+    for token in b:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    row = full
+    for token in a:
+        mask = masks.get(token)
+        if mask is None:
+            continue
+        matched = row & mask
+        row = (row + matched) | (row - matched)
+    # Carries past the top column pile up above ``full`` and never flow back.
+    return len(b) - (row & full).bit_count()
 
 
 @dataclass(frozen=True)
@@ -58,8 +70,20 @@ def rouge_l_score(
     F = ((1+beta^2) P R) / (R + beta^2 P).  Tokenization keeps stop words
     (surface analyzer) because ROUGE is a surface measure.
     """
-    candidate_tokens = [token.lower() for token in analyzer.analyze(candidate)]
-    reference_tokens = [token.lower() for token in analyzer.analyze(reference)]
+    return rouge_l_tokens(
+        rouge_tokens(candidate, analyzer), rouge_tokens(reference, analyzer), beta
+    )
+
+
+def rouge_tokens(text: str, analyzer: ItalianAnalyzer = SURFACE_ANALYZER) -> list[str]:
+    """The token list ROUGE-L compares; analyze a text compared many times once."""
+    return [token.lower() for token in analyzer.analyze(text)]
+
+
+def rouge_l_tokens(
+    candidate_tokens: list[str], reference_tokens: list[str], beta: float = 1.2
+) -> RougeLScore:
+    """:func:`rouge_l_score` over token lists from :func:`rouge_tokens`."""
     if not candidate_tokens or not reference_tokens:
         return RougeLScore(0.0, 0.0, 0.0)
     lcs = lcs_length(candidate_tokens, reference_tokens)

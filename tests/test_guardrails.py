@@ -81,6 +81,14 @@ class TestRougeGuardrail:
         answer = "La quadratura di cassa si esegue ogni sera in filiale [doc2]."
         assert RougeGuardrail().check("q", answer, context).passed
 
+    def test_similarity_is_max_of_pairwise_rouge(self, context):
+        from repro.text.similarity import rouge_l
+
+        for answer in (GROUNDED, HALLUCINATED, ""):
+            assert RougeGuardrail().similarity(answer, context) == max(
+                rouge_l(answer, chunk.record.content) for chunk in context
+            )
+
     def test_empty_context_fires(self):
         assert not RougeGuardrail().check("q", GROUNDED, []).passed
 

@@ -3,8 +3,36 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.text.similarity import jaccard, lcs_length, rouge_l, rouge_l_score
+from repro.text.similarity import (
+    jaccard,
+    lcs_length,
+    rouge_l,
+    rouge_l_score,
+    rouge_l_tokens,
+    rouge_tokens,
+)
+
+
+def lcs_length_dp(a: list[str], b: list[str]) -> int:
+    """The classic O(len(a)*len(b)) dynamic program: the oracle for the
+    bit-parallel :func:`lcs_length`."""
+    previous = [0] * (len(b) + 1)
+    for token_a in a:
+        current = [0] * (len(b) + 1)
+        for j, token_b in enumerate(b, start=1):
+            if token_a == token_b:
+                current[j] = previous[j - 1] + 1
+            else:
+                current[j] = max(previous[j], current[j - 1])
+        previous = current
+    return previous[len(b)]
+
+
+# A small alphabet makes matches, repeats and long common subsequences likely.
+_tokens = st.sampled_from(["a", "b", "c", "d", "il", "la", "carta", "conto"])
 
 
 class TestLcs:
@@ -31,8 +59,34 @@ class TestLcs:
         b = "uno due".split()
         assert lcs_length(a, b) <= len(b)
 
+    @given(st.lists(_tokens, max_size=40), st.lists(_tokens, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dp_oracle(self, a, b):
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 400])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_equals_dp_oracle_across_word_boundaries(self, width, data):
+        b = data.draw(st.lists(_tokens, min_size=width, max_size=width))
+        a = data.draw(st.lists(_tokens, max_size=450))
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+        assert lcs_length(b, a) == lcs_length_dp(b, a)
+
+    @pytest.mark.parametrize("n, m", [(0, 5), (5, 0), (1, 1), (7, 3), (64, 64), (130, 65)])
+    def test_single_repeated_token(self, n, m):
+        assert lcs_length(["x"] * n, ["x"] * m) == min(n, m)
+        assert lcs_length(["x"] * n, ["y"] * m) == 0
+
 
 class TestRougeL:
+    def test_token_form_is_the_same_score(self):
+        candidate = "attivare la carta del cliente"
+        reference = "la carta del cliente va attivata in filiale"
+        assert rouge_l_tokens(rouge_tokens(candidate), rouge_tokens(reference)) == rouge_l_score(
+            candidate, reference
+        )
+
     def test_identical_texts_score_one(self):
         text = "Per attivare la carta accedere al portale."
         assert rouge_l(text, text) == pytest.approx(1.0)
