@@ -1,6 +1,6 @@
 """Profiling overhead + work-determinism benchmark.
 
-Standalone script (not pytest-collected).  Three measurements:
+Standalone script (not pytest-collected).  Two measurements:
 
 1. **Serve overhead** — builds the same deployment twice, once with the
    continuous profiler and capacity monitor enabled
@@ -15,10 +15,6 @@ Standalone script (not pytest-collected).  Three measurements:
    profiled backend and requires the per-question work counts to be
    ``==``-identical across the passes: work units are a pure function of
    the code and the index state, so any difference is a bug, not noise.
-
-3. **MaxScore accounting** — exercises ``Bm25Scorer.top_n`` directly (the
-   pruned top-n path is not on the serve route) and requires its
-   admitted/pruned counters to be identical across two runs.
 
 Usage (CI smoke runs the tiny variant)::
 
@@ -41,8 +37,6 @@ from repro.core.factory import build_uniask_system  # noqa: E402
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig  # noqa: E402
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset  # noqa: E402
 from repro.corpus.vocabulary import build_banking_lexicon  # noqa: E402
-from repro.obs.work import WorkCounters  # noqa: E402
-from repro.search.bm25 import Bm25Scorer  # noqa: E402
 from repro.service.backend import BackendService  # noqa: E402
 
 
@@ -117,30 +111,6 @@ def bench_work_determinism(kb, lexicon, questions, args) -> dict:
     }
 
 
-def bench_maxscore(kb, lexicon, questions, args) -> dict:
-    system, _ = _build(kb, lexicon, args.seed, profiled=True)
-    inverted = system.index.inverted_index("content")
-    scorer = Bm25Scorer(inverted)
-
-    def one_run() -> dict:
-        work = WorkCounters()
-        ranked = 0
-        for question in questions:
-            terms = inverted.analyze_query(question)
-            if terms:
-                ranked += len(scorer.top_n(terms, 10, work=work))
-        counts = work.snapshot()
-        counts["_results"] = ranked
-        return counts
-
-    first = one_run()
-    second = one_run()
-    return {
-        "identical": first == second,
-        "counts": first,
-    }
-
-
 def run(args: argparse.Namespace) -> dict:
     kb = KbGenerator(
         KbGeneratorConfig(num_topics=args.topics, error_families=2, seed=args.seed)
@@ -155,7 +125,6 @@ def run(args: argparse.Namespace) -> dict:
 
     overhead = bench_overhead(kb, lexicon, questions, args)
     work = bench_work_determinism(kb, lexicon, questions, args)
-    maxscore = bench_maxscore(kb, lexicon, questions, args)
 
     result = {
         "config": {
@@ -166,7 +135,6 @@ def run(args: argparse.Namespace) -> dict:
         },
         "overhead": overhead,
         "work": work,
-        "maxscore": maxscore,
     }
 
     print()
@@ -180,7 +148,6 @@ def run(args: argparse.Namespace) -> dict:
     )
     print(f"work    : identical across passes = {work['identical']}")
     print(f"          kinds observed: {', '.join(work['kinds_observed'])}")
-    print(f"maxscore: identical across runs = {maxscore['identical']}")
 
     if overhead["overhead_fraction"] > args.max_overhead:
         raise SystemExit(
@@ -192,8 +159,6 @@ def run(args: argparse.Namespace) -> dict:
             "work counts differ between two passes of the same query set — "
             "the deterministic work-accounting contract is broken"
         )
-    if not maxscore["identical"]:
-        raise SystemExit("MaxScore work counts differ between identical runs")
     if not work["kinds_observed"]:
         raise SystemExit("no work kinds were booked — the instrumentation is dead")
     return result

@@ -86,34 +86,3 @@ class ExactKnnIndex:
         ids = self.ids
         order = np.lexsort((ids, distances))[:k]
         return [(int(ids[i]), float(distances[i])) for i in order]
-
-    def search_batch(self, queries: np.ndarray, k: int) -> list[list[tuple[int, float]]]:
-        """Exact k-NN for several queries against the shared matrix.
-
-        *queries* is ``(q, dim)``.  Each query is ranked with the same
-        tie-break as :meth:`search`; the batch runs the similarity step as
-        one matrix-matrix product, which is exact brute force but — unlike
-        the BM25 kernels — not *bitwise*-contractual against the one-query
-        path (BLAS may reassociate GEMM vs GEMV partial sums).
-        """
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self._dim:
-            raise ValueError(f"expected shape (q, {self._dim}), got {queries.shape}")
-        if k <= 0 or not self._count:
-            return [[] for _ in range(queries.shape[0])]
-        matrix = self.matrix
-        row_norms = np.linalg.norm(matrix, axis=1)
-        query_norms = np.linalg.norm(queries, axis=1)
-        denom = query_norms[:, None] * row_norms[None, :]
-        sims = np.zeros((queries.shape[0], self._count))
-        valid = denom > 1e-12
-        products = queries @ matrix.T
-        sims[valid] = products[valid] / denom[valid]
-        distances = 1.0 - sims
-        k = min(k, self._count)
-        ids = self.ids
-        results: list[list[tuple[int, float]]] = []
-        for row in distances:
-            order = np.lexsort((ids, row))[:k]
-            results.append([(int(ids[i]), float(row[i])) for i in order])
-        return results

@@ -586,11 +586,7 @@ class ClusterSearcher:
         """
         if self.config.mode in ("hybrid", "text"):
             return self._index.generation
-        shard = self._index.shard_index(shard_id)
-        stamp = getattr(shard, "segment_stamp", None)
-        if stamp is not None:
-            return stamp()
-        return shard.generation
+        return self._index.shard_index(shard_id).segment_stamp()
 
     def take_scatter_report(self) -> ScatterReport | None:
         """The report of the most recent :meth:`search`; clears it."""

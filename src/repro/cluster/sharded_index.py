@@ -94,13 +94,6 @@ class _GlobalStatsInverted:
     def analyze_query(self, query: str) -> list[str]:
         return self._local.analyze_query(query)
 
-    # -- kernel forwarding -------------------------------------------------
-
-    @property
-    def kernels_enabled(self) -> bool:
-        """Vectorized scoring availability, decided by the local shard."""
-        return bool(getattr(self._local, "kernels_enabled", False))
-
     def kernel_views(self):
         """The shard-local kernel views.
 
@@ -132,11 +125,6 @@ class _ShardSearchView:
         """The shard this view reads from."""
         return self._shard_id
 
-    @property
-    def kernels_enabled(self) -> bool:
-        """Whether the shard scores with the vectorized kernels."""
-        return bool(getattr(self._shard, "kernels_enabled", False))
-
     def inverted_index(self, field_name: str) -> _GlobalStatsInverted:
         return _GlobalStatsInverted(
             self._cluster, field_name, self._shard.inverted_index(field_name)
@@ -155,11 +143,6 @@ class _ShardSearchView:
         self, field_name: str, query_vector: np.ndarray, k: int
     ) -> list[tuple[int, float]]:
         return self._shard.vector_search(field_name, query_vector, k)
-
-    def vector_search_batch(
-        self, field_name: str, query_vectors: np.ndarray, k: int
-    ) -> list[list[tuple[int, float]]] | None:
-        return self._shard.vector_search_batch(field_name, query_vectors, k)
 
 
 class ShardedSearchIndex:
@@ -406,7 +389,7 @@ class ShardedSearchIndex:
         return rebuilt
 
     def flush(self) -> None:
-        """Seal every shard's write buffer (no-op for monolithic shards)."""
+        """Seal every shard's write buffer."""
         for shard in self._shards.values():
             shard.flush()
 

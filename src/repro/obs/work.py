@@ -3,13 +3,13 @@ long it took.
 
 Timing-based perf gates are inherently noisy — a loaded CI runner turns a
 real regression into flaky red and a fake one into green.  Work units are
-not: the number of postings scanned, documents scored, MaxScore candidates
-pruned, ANN distance evaluations, cache tiers consulted and LLM tokens
-consumed by a given question against a given index state is a pure
-function of the code, so two runs of the same query set must produce
-``==``-identical counts and any drift is a bit-exact diff pointing at the
-exact code path that changed.  This is the same philosophy as the kernels'
-byte-identical score gates, applied to *effort* instead of *results*.
+not: the number of postings scanned, documents scored, ANN distance
+evaluations, cache tiers consulted and LLM tokens consumed by a given
+question against a given index state is a pure function of the code, so
+two runs of the same query set must produce ``==``-identical counts and
+any drift is a bit-exact diff pointing at the exact code path that changed.
+This is the same philosophy as the kernels' byte-identical score gates,
+applied to *effort* instead of *results*.
 
 A :class:`WorkCounters` rides on the request's
 :class:`~repro.obs.trace.RequestContext` (``ctx.work``, None by default);
@@ -31,8 +31,6 @@ __all__ = [
     "WORK_DOCS_SCORED",
     "WORK_LLM_COMPLETION_TOKENS",
     "WORK_LLM_PROMPT_TOKENS",
-    "WORK_MAXSCORE_ADMITTED",
-    "WORK_MAXSCORE_PRUNED",
     "WORK_POSTINGS_SCANNED",
     "WORK_RETRIEVAL_CACHE_HITS",
     "WORK_RETRIEVAL_CACHE_MISSES",
@@ -45,10 +43,8 @@ __all__ = [
 #: source of truth (the module listed), so a count never double-books.
 WORK_POSTINGS_SCANNED = "postings_scanned"  # search.kernels / search.bm25
 WORK_DOCS_SCORED = "docs_scored"  # search.bm25
-WORK_MAXSCORE_ADMITTED = "maxscore_admitted"  # search.bm25 (pruned top-n)
-WORK_MAXSCORE_PRUNED = "maxscore_pruned"  # search.bm25 (pruned top-n)
-WORK_SEGMENTS_TOUCHED = "segments_touched"  # search.fulltext (segment views)
-WORK_ANN_DISTANCE_EVALS = "ann_distance_evals"  # search.index (ANN backends)
+WORK_SEGMENTS_TOUCHED = "segments_touched"  # search.bm25 (kernel views scored)
+WORK_ANN_DISTANCE_EVALS = "ann_distance_evals"  # ann.hnsw / ann.exact
 WORK_CACHE_EXACT_HITS = "cache_exact_hits"  # cache.answer_cache
 WORK_CACHE_EXACT_MISSES = "cache_exact_misses"  # cache.answer_cache
 WORK_CACHE_SEMANTIC_HITS = "cache_semantic_hits"  # cache.answer_cache
@@ -63,8 +59,6 @@ WORK_SCATTER_LEGS = "scatter_legs"  # cluster.router (shard probes)
 ALL_WORK_KINDS = (
     WORK_POSTINGS_SCANNED,
     WORK_DOCS_SCORED,
-    WORK_MAXSCORE_ADMITTED,
-    WORK_MAXSCORE_PRUNED,
     WORK_SEGMENTS_TOUCHED,
     WORK_ANN_DISTANCE_EVALS,
     WORK_CACHE_EXACT_HITS,

@@ -19,21 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.work import (
-    WORK_DOCS_SCORED,
-    WORK_MAXSCORE_ADMITTED,
-    WORK_MAXSCORE_PRUNED,
-    WORK_POSTINGS_SCANNED,
-    WORK_SEGMENTS_TOUCHED,
-)
+from repro.obs.work import WORK_DOCS_SCORED, WORK_POSTINGS_SCANNED, WORK_SEGMENTS_TOUCHED
 from repro.search.inverted import InvertedIndex
 from repro.search.kernels import KernelView
-
-#: Query length (analyzed entries, repeats included) below which pruned
-#: top-k is not attempted.  The MaxScore admission check costs a partial
-#: sort per processed term; with only a handful of terms the single exact
-#: accumulation pass is already cheaper than anything pruning could save.
-PRUNE_MIN_TERMS = 8
 
 
 @dataclass(frozen=True)
@@ -53,46 +41,26 @@ class Bm25Parameters:
 class Bm25Scorer:
     """Scores an analyzed query against one inverted index.
 
-    Two scoring paths coexist:
+    Two formulations of the same arithmetic:
 
-    * the **loop** path (:meth:`score_all` / :meth:`score_all_explained`)
-      walks postings doc-at-a-time in pure Python — the reference
-      implementation, always available;
-    * the **kernel** path (:meth:`score_arrays`, and :meth:`top_n` when
-      kernels are enabled) scores contiguous postings arrays
-      (:mod:`repro.search.kernels`) term-at-a-time with vectorized numpy,
-      bit-identical to the loop path by construction and gated so by the
-      differential tests.
+    * :meth:`score_arrays` — the serving path: contiguous postings arrays
+      (:mod:`repro.search.kernels`) scored term-at-a-time with vectorized
+      numpy;
+    * :meth:`score_all` / :meth:`score_all_explained` — the per-term loop,
+      doc-at-a-time in pure Python.  It serves explain requests (the only
+      path that needs per-term contributions) and is the reference the
+      tests hold :meth:`score_arrays` bit-identical to.
 
     *index* may be a plain :class:`~repro.search.inverted.InvertedIndex`,
     a segmented field view, or a cluster view with global statistics —
     anything exposing the reader surface (``postings`` /
     ``document_length`` / ``document_frequency`` / ``average_length`` /
-    ``__len__``, plus ``kernel_views`` for the kernel path).
-
-    Args:
-        index: the postings reader to score against.
-        parameters: BM25 free parameters.
-        use_kernels: force the kernel path on or off; ``None`` defers to
-            the reader's ``kernels_enabled`` attribute (False when absent).
+    ``__len__`` / ``kernel_views``).
     """
 
-    def __init__(
-        self,
-        index: InvertedIndex,
-        parameters: Bm25Parameters | None = None,
-        use_kernels: bool | None = None,
-    ) -> None:
+    def __init__(self, index: InvertedIndex, parameters: Bm25Parameters | None = None) -> None:
         self._index = index
         self._parameters = parameters or Bm25Parameters()
-        if use_kernels is None:
-            use_kernels = bool(getattr(index, "kernels_enabled", False))
-        self._use_kernels = use_kernels and hasattr(index, "kernel_views")
-
-    @property
-    def kernels_active(self) -> bool:
-        """True when :meth:`top_n` / :meth:`score_arrays` run vectorized."""
-        return self._use_kernels
 
     def idf(self, term: str) -> float:
         """Lucene-style lower-bounded inverse document frequency of *term*."""
@@ -102,13 +70,10 @@ class Bm25Scorer:
         df = self._index.document_frequency(term)
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
-    def score_all(self, query_terms: list[str], work=None) -> dict[int, float]:
-        """BM25 scores of every document matching at least one query term.
-
-        *work* is an optional :class:`~repro.obs.work.WorkCounters`; the
-        loop scorer is the non-kernel source of truth for
-        ``postings_scanned`` and ``docs_scored``.
-        """
+    def _score_loop(
+        self, query_terms: list[str], per_term: dict[int, dict[str, float]] | None, work
+    ) -> dict[int, float]:
+        """The doc-at-a-time loop; fills *per_term* when one is passed."""
         parameters = self._parameters
         average_length = self._index.average_length or 1.0
         scores: dict[int, float] = {}
@@ -125,12 +90,23 @@ class Bm25Scorer:
                 )
                 contribution = idf * tf * (parameters.k1 + 1.0) / (tf + parameters.k1 * length_norm)
                 scores[doc_id] = scores.get(doc_id, 0.0) + contribution
+                if per_term is not None:
+                    breakdown = per_term.setdefault(doc_id, {})
+                    breakdown[term] = breakdown.get(term, 0.0) + contribution
         if work is not None:
             if scanned:
                 work.add(WORK_POSTINGS_SCANNED, scanned)
             if scores:
                 work.add(WORK_DOCS_SCORED, len(scores))
         return scores
+
+    def score_all(self, query_terms: list[str], work=None) -> dict[int, float]:
+        """BM25 scores of every document matching at least one query term.
+
+        *work* is an optional :class:`~repro.obs.work.WorkCounters`; the
+        loop books ``postings_scanned`` and ``docs_scored`` itself.
+        """
+        return self._score_loop(query_terms, None, work)
 
     def score_all_explained(
         self, query_terms: list[str], work=None
@@ -139,49 +115,14 @@ class Bm25Scorer:
 
         Returns ``(scores, per_term)`` where ``per_term[doc_id][term]`` is
         the summed BM25 contribution of *term* to that document (repeated
-        query terms accumulate, exactly as in :meth:`score_all`).  The
-        ``scores`` half is built with the same accumulation order as
-        :meth:`score_all`, so it is bitwise-identical to the non-explained
-        path; the per-term sums equal the total up to floating-point
-        reassociation when a term repeats in the analyzed query.
+        query terms accumulate, exactly as in :meth:`score_all`).  Both
+        run the same loop, so the ``scores`` half is bitwise-identical to
+        the non-explained path; the per-term sums equal the total up to
+        floating-point reassociation when a term repeats in the analyzed
+        query.
         """
-        parameters = self._parameters
-        average_length = self._index.average_length or 1.0
-        scores: dict[int, float] = {}
         per_term: dict[int, dict[str, float]] = {}
-        scanned = 0
-        for term in query_terms:
-            postings = self._index.postings(term)
-            if not postings:
-                continue
-            scanned += len(postings)
-            idf = self.idf(term)
-            for doc_id, tf in postings.items():
-                length_norm = 1.0 - parameters.b + parameters.b * (
-                    self._index.document_length(doc_id) / average_length
-                )
-                contribution = idf * tf * (parameters.k1 + 1.0) / (tf + parameters.k1 * length_norm)
-                scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-                breakdown = per_term.setdefault(doc_id, {})
-                breakdown[term] = breakdown.get(term, 0.0) + contribution
-        if work is not None:
-            if scanned:
-                work.add(WORK_POSTINGS_SCANNED, scanned)
-            if scores:
-                work.add(WORK_DOCS_SCORED, len(scores))
-        return scores, per_term
-
-    def top_n(self, query_terms: list[str], n: int, work=None) -> list[tuple[int, float]]:
-        """The *n* best-scoring documents as ``(doc_id, score)`` pairs."""
-        if n <= 0:
-            return []
-        if self._use_kernels:
-            return self._top_n_kernel(query_terms, n, work=work)
-        scores = self.score_all(query_terms, work=work)
-        ranked = sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ranked[:n]
-
-    # -- kernel path -----------------------------------------------------------
+        return self._score_loop(query_terms, per_term, work), per_term
 
     def _term_sequence(self, query_terms: list[str]) -> list[tuple[str, float]]:
         """The analyzed query as ``(term, idf)`` pairs, repeats preserved."""
@@ -197,7 +138,7 @@ class Bm25Scorer:
     def score_arrays(
         self, query_terms: list[str], work=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel-path equivalent of :meth:`score_all`, as parallel arrays.
+        """Vectorized equivalent of :meth:`score_all`, as parallel arrays.
 
         Returns ``(doc_ids, scores)`` covering every live document matching
         at least one query term.  The id→score mapping is bit-identical to
@@ -206,13 +147,6 @@ class Bm25Scorer:
         operator sequence (see :mod:`repro.search.kernels`).
         """
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        if not self._use_kernels:
-            scores = self.score_all(query_terms, work=work)
-            if not scores:
-                return empty
-            ids = np.fromiter(scores.keys(), dtype=np.int64, count=len(scores))
-            values = np.fromiter(scores.values(), dtype=np.float64, count=len(scores))
-            return ids, values
         views: list[KernelView] = self._index.kernel_views()
         if not views:
             return empty
@@ -238,140 +172,3 @@ class Bm25Scorer:
         if not id_parts:
             return empty
         return np.concatenate(id_parts), np.concatenate(score_parts)
-
-    def _rank_exact(
-        self,
-        views: list[KernelView],
-        sequence: list[tuple[str, float]],
-        n: int,
-        k1: float,
-        b: float,
-        average_length: float,
-        work=None,
-    ) -> list[tuple[int, float]]:
-        """One exact accumulation pass in query order, then select top-*n*.
-
-        Terms are accumulated in analyzed-query order, so the scores come
-        out of the single pass already bit-identical to :meth:`score_all`
-        — no rescore needed.  This is the fast path for the short queries
-        that dominate real traffic.
-        """
-        id_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
-        scored = 0
-        for view in views:
-            acc, touched = view.kernel.accumulate_bm25(
-                sequence, k1, b, average_length, work=work
-            )
-            slots = view.live_slots(np.nonzero(touched)[0])
-            if slots.size:
-                scored += int(slots.size)
-                id_parts.append(view.kernel.doc_ids[slots])
-                score_parts.append(acc[slots])
-        if work is not None and scored:
-            work.add(WORK_DOCS_SCORED, scored)
-        if not id_parts:
-            return []
-        ids = np.concatenate(id_parts)
-        scores = np.concatenate(score_parts)
-        if ids.size > n:
-            # Select before sorting: keep everything scoring at least the
-            # n-th best value (ties included), then tie-break only those.
-            # Exact float comparisons — the survivors and their order are
-            # identical to lexsorting the full candidate set.
-            kth = np.partition(scores, ids.size - n)[ids.size - n]
-            keep = scores >= kth
-            ids, scores = ids[keep], scores[keep]
-        ranked = np.lexsort((ids, -scores))[:n]
-        return [(int(ids[i]), float(scores[i])) for i in ranked]
-
-    def _top_n_kernel(
-        self, query_terms: list[str], n: int, work=None
-    ) -> list[tuple[int, float]]:
-        """Pruned top-*n* over kernel views, bit-identical to the loop path.
-
-        Short queries (fewer than :data:`PRUNE_MIN_TERMS` analyzed entries)
-        take the single-pass :meth:`_rank_exact` path.  Longer ones get
-        MaxScore-style admission: terms are processed in descending
-        upper-bound order; once *n* live documents are on the scoreboard
-        and the unprocessed terms' summed bounds cannot lift an unseen
-        document past the current n-th best partial score, admission stops
-        — no document first matched by a later term can reach the top-n.
-        The surviving candidate set is then *exactly rescored* in
-        analyzed-query order, so every returned score carries the same
-        bits as :meth:`score_all`, and ties break identically.
-        """
-        views: list[KernelView] = self._index.kernel_views()
-        if not views:
-            return []
-        if work is not None:
-            work.add(WORK_SEGMENTS_TOUCHED, len(views))
-        sequence = self._term_sequence(query_terms)
-        k1, b = self._parameters.k1, self._parameters.b
-        average_length = self._index.average_length or 1.0
-        if len(sequence) < PRUNE_MIN_TERMS:
-            return self._rank_exact(views, sequence, n, k1, b, average_length, work=work)
-        bounds = [
-            max(view.kernel.term_bound(term, idf, k1, b, average_length) for view in views)
-            for term, idf in sequence
-        ]
-        order = sorted(range(len(sequence)), key=lambda i: (-bounds[i], i))
-        accs = [np.zeros(len(view.kernel), dtype=np.float64) for view in views]
-        toucheds = [np.zeros(len(view.kernel), dtype=bool) for view in views]
-        stopped_at = len(order)
-        for position, entry_index in enumerate(order):
-            entry = sequence[entry_index]
-            for view, acc, touched in zip(views, accs, toucheds):
-                view.kernel.accumulate_bm25(
-                    [entry], k1, b, average_length, acc=acc, touched=touched, work=work
-                )
-            partials = [
-                acc[touched if view.live is None else (touched & view.live)]
-                for view, acc, touched in zip(views, accs, toucheds)
-            ]
-            live_count = sum(part.size for part in partials)
-            if live_count < n:
-                continue
-            pooled = np.concatenate(partials)
-            theta = float(np.partition(pooled, live_count - n)[live_count - n])
-            remaining = sum(bounds[i] for i in order[position + 1 :])
-            # Deflate theta a hair: partial sums reassociate relative to the
-            # final accumulation order, so an ulp-high theta must not prune.
-            if remaining < theta * (1.0 - 1e-9):
-                stopped_at = position + 1
-                break
-        if work is not None:
-            # Pruned work = the postings the admission stop let us skip:
-            # every posting of every unprocessed term.  Zero when admission
-            # ran the full term list — "pruning stopped firing" is visible
-            # as this counter going to 0.
-            pruned = sum(
-                view.kernel.document_frequency(sequence[entry_index][0])
-                for entry_index in order[stopped_at:]
-                for view in views
-            )
-            if pruned:
-                work.add(WORK_MAXSCORE_PRUNED, pruned)
-        id_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
-        admitted = 0
-        for view, touched in zip(views, toucheds):
-            candidates = touched if view.live is None else (touched & view.live)
-            slots = np.nonzero(candidates)[0]
-            if not slots.size:
-                continue
-            admitted += int(slots.size)
-            acc, _ = view.kernel.accumulate_bm25(
-                sequence, k1, b, average_length, candidate_mask=candidates, work=work
-            )
-            id_parts.append(view.kernel.doc_ids[slots])
-            score_parts.append(acc[slots])
-        if work is not None and admitted:
-            work.add(WORK_MAXSCORE_ADMITTED, admitted)
-            work.add(WORK_DOCS_SCORED, admitted)
-        if not id_parts:
-            return []
-        ids = np.concatenate(id_parts)
-        scores = np.concatenate(score_parts)
-        ranked = np.lexsort((ids, -scores))[:n]
-        return [(int(ids[i]), float(scores[i])) for i in ranked]

@@ -67,25 +67,27 @@ class FullTextSearch:
         work = ctx.work
         with ctx.trace.span(spans.STAGE_FULLTEXT, n=n) as span:
             mark = work.snapshot() if work is not None else None
-            results = self._search(query, n, filters, explain=ctx.explain, work=work)
+            if n <= 0:
+                results = []
+            elif ctx.explain:
+                results = self._search_explained(query, n, filters, work=work)
+            else:
+                results = self._search_kernel(query, n, filters, work=work)
             span.set("results", len(results))
             if work is not None:
                 for kind, units in work.delta(mark).items():
                     span.set(f"work_{kind}", units)
         return results
 
-    def _search(
-        self,
-        query: str,
-        n: int,
-        filters: dict[str, str] | None,
-        explain: bool = False,
-        work=None,
+    def _search_explained(
+        self, query: str, n: int, filters: dict[str, str] | None, work=None
     ) -> list[RetrievedChunk]:
-        if n <= 0:
-            return []
-        if not explain and getattr(self._index, "kernels_enabled", False):
-            return self._search_kernel(query, n, filters, work=work)
+        """The explain request: the per-term loop scorer, field by field.
+
+        Same scores and order as :meth:`_search_kernel` (the tests hold the
+        two bit-identical); the loop is kept because it is the only path
+        that yields each term's contribution.
+        """
         combined: dict[int, float] = {}
         per_field: dict[int, dict[str, float]] = {}
         for field_name in self._fields:
@@ -95,10 +97,7 @@ class FullTextSearch:
                 continue
             scorer = Bm25Scorer(inverted, self._parameters)
             weight = self._profile.weight(field_name)
-            if explain:
-                scores, per_term = scorer.score_all_explained(terms, work=work)
-            else:
-                scores, per_term = scorer.score_all(terms, work=work), {}
+            scores, per_term = scorer.score_all_explained(terms, work=work)
             for internal, score in scores.items():
                 if not self._index.is_live(internal):
                     continue
@@ -107,11 +106,10 @@ class FullTextSearch:
                 combined[internal] = combined.get(internal, 0.0) + weight * score
                 breakdown = per_field.setdefault(internal, {})
                 breakdown[f"bm25_{field_name}"] = score
-                if explain:
-                    # Per-term contributions of this field's BM25 score, raw
-                    # (unweighted), keyed `bm25_<field>:<term>` for explain.
-                    for term, contribution in per_term.get(internal, {}).items():
-                        breakdown[f"bm25_{field_name}:{term}"] = contribution
+                # Per-term contributions of this field's BM25 score, raw
+                # (unweighted), keyed `bm25_<field>:<term>` for explain.
+                for term, contribution in per_term.get(internal, {}).items():
+                    breakdown[f"bm25_{field_name}:{term}"] = contribution
 
         ranked = sorted(combined.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
         return [
@@ -126,11 +124,11 @@ class FullTextSearch:
     def _search_kernel(
         self, query: str, n: int, filters: dict[str, str] | None, work=None
     ) -> list[RetrievedChunk]:
-        """Vectorized multi-field scoring, bit-identical to the loop path.
+        """The serving path: vectorized multi-field scoring.
 
         Per-field kernel scores land in a dense accumulator indexed by
-        internal id, added field-by-field in the same order as the loop
-        path — each document's combined score is therefore the same
+        internal id, added field-by-field in the same order as the explain
+        loop — each document's combined score is therefore the same
         sequence of ``+= weight * score`` additions, hence the same bits.
         Liveness/filter checks move *after* combination (scores of distinct
         documents are independent, so late masking changes nothing), which

@@ -3,12 +3,9 @@
 :class:`SearchIndex` is the in-process equivalent of the Azure AI Search
 index the paper builds (Section 4).  It owns:
 
-* the full-text postings of every *searchable* field — segmented by
-  default (sealed immutable segments + write buffer, see
-  :mod:`repro.search.segment`) so live ingestion never rebuilds what
-  queries are reading, or one monolithic
-  :class:`~repro.search.inverted.InvertedIndex` per field when configured
-  ``segmented=False`` (the differential-gate reference layout);
+* the full-text postings of every *searchable* field — sealed immutable
+  segments plus a write buffer (:mod:`repro.search.segment`), so live
+  ingestion never rebuilds what queries are reading;
 * one ANN index (HNSW by default, exact k-NN optionally) per *vector*
   field, fed by the configured embedding model.  Vector structures stay
   index-level and incremental — HNSW supports live inserts natively, and
@@ -40,7 +37,6 @@ from repro.embeddings.model import EmbeddingModel
 from repro.obs import spans
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import RequestContext
-from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord, IndexSchema, uniask_schema
 from repro.search.segment import IndexConfig, SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
@@ -55,7 +51,7 @@ class SearchIndex:
         ann_backend: ``"hnsw"`` (production) or ``"exact"`` (ground truth).
         hnsw_m / hnsw_ef_construction / hnsw_ef_search: HNSW parameters.
         seed: seed forwarded to HNSW level draws.
-        index_config: kernel/segment layout knobs (defaults on for both).
+        index_config: segment sealing, merge and vacuum knobs.
         registry: metrics registry for the maintenance counters (optional).
     """
 
@@ -96,17 +92,9 @@ class SearchIndex:
         self._generation = 0
 
         self.analyzer = analyzer if analyzer is not None else FULL_ANALYZER
-        self._store: SegmentedTextStore | None = None
-        self._inverted: dict[str, InvertedIndex] = {}
-        if self.config.segmented:
-            self._store = SegmentedTextStore(
-                self.schema.searchable_fields, self.analyzer, self.config
-            )
-        else:
-            self._inverted = {
-                name: InvertedIndex(self.analyzer, use_kernels=self.config.use_kernels)
-                for name in self.schema.searchable_fields
-            }
+        self._store = SegmentedTextStore(
+            self.schema.searchable_fields, self.analyzer, self.config
+        )
         self._vectors: dict[str, HnswIndex | ExactKnnIndex] = {
             name: self._new_ann_index() for name in self.schema.vector_fields
         }
@@ -131,11 +119,6 @@ class SearchIndex:
         )
 
     @property
-    def kernels_enabled(self) -> bool:
-        """Whether the vectorized BM25 scoring path is configured on."""
-        return self.config.use_kernels
-
-    @property
     def generation(self) -> int:
         """Monotonic write counter; bumps on every content-changing write.
 
@@ -149,24 +132,21 @@ class SearchIndex:
 
     @property
     def segment_count(self) -> int:
-        """Number of sealed segments (0 for the monolithic layout)."""
-        return len(self._store.segments) if self._store is not None else 0
+        """Number of sealed segments."""
+        return len(self._store.segments)
 
     @property
     def buffered_count(self) -> int:
-        """Documents in the unsealed write buffer (0 when monolithic)."""
-        return self._store.buffered_count() if self._store is not None else 0
+        """Documents in the unsealed write buffer."""
+        return self._store.buffered_count()
 
-    def segment_stamp(self) -> tuple | int:
+    def segment_stamp(self) -> tuple:
         """Per-segment cache-invalidation stamp.
 
-        Segmented: a tuple of ``(segment_id, epoch)`` pairs plus the buffer
-        write counter — a write invalidates only the component it touched.
-        Monolithic: falls back to the index-wide :attr:`generation`.
+        A tuple of ``(segment_id, epoch)`` pairs plus the buffer write
+        counter — a write invalidates only the component it touched.
         """
-        if self._store is not None:
-            return self._store.segment_stamp()
-        return self._generation
+        return self._store.segment_stamp()
 
     @property
     def tombstone_ratio(self) -> float:
@@ -183,8 +163,8 @@ class SearchIndex:
         Re-adding an existing ``chunk_id`` replaces the previous version.
         ``vectors`` optionally supplies pre-computed embeddings per vector
         field (used when loading a persisted index), bypassing the embedder.
-        The chunk is queryable the moment this method returns: segmented
-        postings land in the write buffer (no rebuild of sealed segments)
+        The chunk is queryable the moment this method returns: postings
+        land in the write buffer (no rebuild of sealed segments)
         and ANN inserts are incremental.
         """
         if record.chunk_id in self._internal_by_chunk:
@@ -197,14 +177,10 @@ class SearchIndex:
         self._internal_by_chunk[record.chunk_id] = internal
         self._internals_by_doc.setdefault(record.doc_id, []).append(internal)
 
-        if self._store is not None:
-            self._store.add(
-                internal, {name: record.value(name) for name in self.schema.searchable_fields}
-            )
-            self._drain_maintenance_ops()
-        else:
-            for name, inverted in self._inverted.items():
-                inverted.add(internal, record.value(name))
+        self._store.add(
+            internal, {name: record.value(name) for name in self.schema.searchable_fields}
+        )
+        self._drain_maintenance_ops()
         for name, ann in self._vectors.items():
             if vectors is not None and name in vectors:
                 vector = np.asarray(vectors[name], dtype=np.float64)
@@ -236,10 +212,9 @@ class SearchIndex:
         return removed
 
     def flush(self) -> None:
-        """Seal the current write buffer (no-op when monolithic or empty)."""
-        if self._store is not None:
-            self._store.flush()
-            self._drain_maintenance_ops()
+        """Seal the current write buffer (no-op when empty)."""
+        self._store.flush()
+        self._drain_maintenance_ops()
 
     def run_maintenance(self, now: float, ctx: RequestContext | None = None) -> dict[str, int]:
         """Background segment maintenance on the simulated clock.
@@ -249,8 +224,6 @@ class SearchIndex:
         returns the op counts performed.  Content-preserving, so neither
         the :attr:`generation` nor cached answers are invalidated.
         """
-        if self._store is None:
-            return {}
         if ctx is not None:
             with ctx.trace.span(spans.STAGE_INDEX_MAINTENANCE) as span:
                 ops = self._store.run_maintenance(now)
@@ -296,9 +269,8 @@ class SearchIndex:
         for internal, record in live.items():
             for name, ann in self._vectors.items():
                 ann.add(internal, self.embedder.embed(record.value(name)))
-        if self._store is not None:
-            self._store.compact_all()
-            self._drain_maintenance_ops()
+        self._store.compact_all()
+        self._drain_maintenance_ops()
         for internal in list(self._deleted):
             self._records.pop(internal, None)
         for doc_id in list(self._internals_by_doc):
@@ -325,9 +297,7 @@ class SearchIndex:
 
     def inverted_index(self, field_name: str):
         """The postings reader of searchable field *field_name*."""
-        if self._store is not None:
-            return self._store.view(field_name)
-        return self._inverted[field_name]
+        return self._store.view(field_name)
 
     def vector_search(
         self, field_name: str, query_vector: np.ndarray, k: int, work=None
@@ -341,27 +311,6 @@ class SearchIndex:
         hits = ann.search(query_vector, fetch, work=work)
         live = [(internal, distance) for internal, distance in hits if internal not in self._deleted]
         return live[:k]
-
-    def vector_search_batch(
-        self, field_name: str, query_vectors: np.ndarray, k: int
-    ) -> list[list[tuple[int, float]]] | None:
-        """Batched :meth:`vector_search` (None when the backend can't batch).
-
-        Only the exact (brute-force) backend supports batching — the whole
-        similarity step collapses into one matrix-matrix product.
-        """
-        ann = self._vectors[field_name]
-        if not hasattr(ann, "search_batch"):
-            return None
-        queries = np.asarray(query_vectors, dtype=np.float64)
-        if k <= 0 or len(ann) == 0:
-            return [[] for _ in range(queries.shape[0])]
-        fetch = k + len(self._deleted)
-        batches = ann.search_batch(queries, fetch)
-        return [
-            [(internal, distance) for internal, distance in hits if internal not in self._deleted][:k]
-            for hits in batches
-        ]
 
     def matches_filters(self, internal: int, filters: dict[str, str] | None) -> bool:
         """Exact-match filter evaluation on filterable fields."""
@@ -385,16 +334,12 @@ class SearchIndex:
         self._deleted.add(internal)
         record = self._records[internal]
         self._internal_by_chunk.pop(record.chunk_id, None)
-        if self._store is not None:
-            self._store.remove(
-                internal, {name: record.value(name) for name in self.schema.searchable_fields}
-            )
-        else:
-            for inverted in self._inverted.values():
-                inverted.remove(internal)
+        self._store.remove(
+            internal, {name: record.value(name) for name in self.schema.searchable_fields}
+        )
 
     def _drain_maintenance_ops(self) -> None:
-        if self._store is None or not self._store.op_counts:
+        if not self._store.op_counts:
             return
         for op, count in self._store.op_counts.items():
             self._maintenance_counter.labels(op).inc(count)

@@ -19,21 +19,20 @@ from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 class InvertedIndex:
     """Postings for one field, keyed by internal integer doc ids.
 
-    With ``use_kernels`` the index additionally exposes a frozen
-    contiguous-array view of its postings (:meth:`kernel_views`) that the
-    BM25 scorer consumes for vectorized scoring.  The kernel is built
-    lazily and dropped on any write: freezing is O(postings), which is
-    exactly the stop-the-world coupling the segmented index
-    (:mod:`repro.search.segment`) exists to remove — there, only the small
-    write buffer ever re-freezes.
+    The index also exposes a frozen contiguous-array view of its postings
+    (:meth:`kernel_views`) that the BM25 scorer consumes for vectorized
+    scoring.  The kernel is built lazily and dropped on any write:
+    freezing is O(postings), which is why :class:`~repro.search.index
+    .SearchIndex` uses this class only as the small write buffer of the
+    segmented store (:mod:`repro.search.segment`) — sealed documents never
+    re-freeze.
     """
 
-    def __init__(self, analyzer: ItalianAnalyzer = FULL_ANALYZER, use_kernels: bool = False) -> None:
+    def __init__(self, analyzer: ItalianAnalyzer = FULL_ANALYZER) -> None:
         self._analyzer = analyzer
         self._postings: dict[str, dict[int, int]] = {}
         self._doc_lengths: dict[int, int] = {}
         self._total_length = 0
-        self.kernels_enabled = use_kernels
         self._kernel: KernelPostings | None = None
 
     def __len__(self) -> int:

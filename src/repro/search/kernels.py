@@ -4,8 +4,7 @@ The pure-Python scorer in :mod:`repro.search.bm25` walks postings
 doc-at-a-time — one dict lookup and a handful of float operations per
 (term, document) pair, all interpreted.  This module stores the same
 postings as contiguous numpy arrays and scores them term-at-a-time with
-vectorized arithmetic, which is where the order-of-magnitude retrieval
-win comes from (see ``benchmarks/bench_kernels.py``).
+vectorized arithmetic — the one scoring path queries are served from.
 
 **Bit-exactness contract.**  The kernel is not "approximately equal" to
 the loop scorer — it is gated *byte-identical* (scores and tie-breaks) by
@@ -38,13 +37,6 @@ import numpy as np
 
 from repro.obs.work import WORK_POSTINGS_SCANNED
 
-#: Multiplicative safety margin applied to floating-point score upper
-#: bounds before they are used to prune documents.  The bound arithmetic
-#: itself rounds, so a raw bound could undershoot the true maximum
-#: contribution by a few ulps; inflating it keeps pruning *safe* (a pruned
-#: document provably cannot reach the top-k) at a negligible recall cost.
-BOUND_SAFETY = 1.0 + 1e-9
-
 
 class KernelPostings:
     """Contiguous postings of one field over one immutable document set.
@@ -61,15 +53,7 @@ class KernelPostings:
     normalization is one gather; ids are materialized only on output.
     """
 
-    __slots__ = (
-        "doc_ids",
-        "lengths",
-        "total_length",
-        "_slots",
-        "_tfs",
-        "_max_tf",
-        "_min_len",
-    )
+    __slots__ = ("doc_ids", "lengths", "total_length", "_slots", "_tfs")
 
     def __init__(
         self,
@@ -83,8 +67,6 @@ class KernelPostings:
         self.total_length = int(lengths.sum()) if lengths.size else 0
         self._slots = slots_by_term
         self._tfs = tfs_by_term
-        self._max_tf: dict[str, float] = {}
-        self._min_len: dict[str, float] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -187,9 +169,6 @@ class KernelPostings:
         k1: float,
         b: float,
         average_length: float,
-        acc: np.ndarray | None = None,
-        touched: np.ndarray | None = None,
-        candidate_mask: np.ndarray | None = None,
         work=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Accumulate BM25 contributions term-at-a-time into slot arrays.
@@ -197,35 +176,26 @@ class KernelPostings:
         *term_idfs* carries the analyzed query terms **in query order**
         (repeats included) with their precomputed idf, so each document's
         additions happen in exactly the order the loop scorer performs
-        them.  With *candidate_mask*, contributions are computed only for
-        member slots of the mask (the exact-rescore pass of the pruned
-        top-k) — restricting an elementwise computation to a subset does
-        not change any retained element's bits.
+        them.
 
         *work* is an optional :class:`~repro.obs.work.WorkCounters`; this
         kernel is the source of truth for ``postings_scanned`` (one unit
-        per (term, posting) pair actually computed, post-mask).  Counters
-        are booked from array sizes outside the float pipeline, so the
-        scores' bits are untouched.
+        per (term, posting) pair computed).  Counters are booked from
+        array sizes outside the float pipeline, so the scores' bits are
+        untouched.
 
-        Returns ``(acc, touched)``.
+        Returns ``(acc, touched)``: the per-slot score sums and the mask
+        of slots at least one term matched.
         """
         n = self.doc_ids.size
-        if acc is None:
-            acc = np.zeros(n, dtype=np.float64)
-        if touched is None:
-            touched = np.zeros(n, dtype=bool)
+        acc = np.zeros(n, dtype=np.float64)
+        touched = np.zeros(n, dtype=bool)
         scanned = 0
         for term, idf in term_idfs:
             arrays = self.term_arrays(term)
             if arrays is None:
                 continue
             slots, tfs = arrays
-            if candidate_mask is not None:
-                keep = candidate_mask[slots]
-                if not keep.any():
-                    continue
-                slots, tfs = slots[keep], tfs[keep]
             scanned += int(slots.size)
             ratio = self.lengths[slots] / average_length
             length_norm = 1.0 - b + b * ratio
@@ -235,28 +205,6 @@ class KernelPostings:
         if work is not None and scanned:
             work.add(WORK_POSTINGS_SCANNED, scanned)
         return acc, touched
-
-    def term_bound(self, term: str, idf: float, k1: float, b: float, average_length: float) -> float:
-        """A safe upper bound on one document's contribution from *term*.
-
-        The contribution is increasing in tf and decreasing in document
-        length, so evaluating it at the term's maximum tf and minimum
-        member length bounds every posting; :data:`BOUND_SAFETY` absorbs
-        the bound arithmetic's own rounding.
-        """
-        arrays = self.term_arrays(term)
-        if arrays is None:
-            return 0.0
-        max_tf = self._max_tf.get(term)
-        if max_tf is None:
-            slots, tfs = arrays
-            max_tf = float(tfs.max())
-            self._max_tf[term] = max_tf
-            self._min_len[term] = float(self.lengths[slots].min())
-        min_len = self._min_len[term]
-        length_norm = 1.0 - b + b * (min_len / average_length)
-        bound = idf * max_tf * (k1 + 1.0) / (max_tf + k1 * length_norm)
-        return bound * BOUND_SAFETY
 
 
 class KernelView:

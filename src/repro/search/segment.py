@@ -1,7 +1,7 @@
 """Lucene-style segmented postings: sealed segments + a write buffer.
 
-The monolithic index couples ingestion to query cost: every upsert mutates
-the one postings structure every query reads, and the kernel layer
+A single mutable postings structure couples ingestion to query cost: every
+upsert mutates what every query reads, and the kernel layer
 (:mod:`repro.search.kernels`) would have to re-freeze the whole collection
 on every write.  The segmented design decouples them the way Lucene does:
 
@@ -23,8 +23,9 @@ on every write.  The segmented design decouples them the way Lucene does:
 document count, per-term document frequencies and total analyzed length.
 Each is kept as an exact integer per segment (raw totals minus the deleted
 ledgers) and summed across segments + buffer, so the one float division
-``total_length / document_count`` sees bit-identical operands to the
-monolithic index — the keystone of the byte-identical differential gate.
+``total_length / document_count`` sees bit-identical operands to one
+never-sealed :class:`~repro.search.inverted.InvertedIndex` over the same
+live documents — the keystone of the byte-identical differential gate.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class IndexConfig:
     """Layout and maintenance knobs of a :class:`~repro.search.index.SearchIndex`.
 
     Attributes:
-        use_kernels: score with the vectorized numpy kernels (bit-identical
-            to the loop scorer; see :mod:`repro.search.kernels`).
-        segmented: segmented postings (live ingestion) vs the monolithic
-            layout (kept for the differential gate).
         flush_threshold: buffered documents that trigger an automatic seal.
         max_segments: merge down to this many segments during maintenance.
         merge_factor: how many of the smallest segments one merge folds.
@@ -58,8 +55,6 @@ class IndexConfig:
             vacuum only rebuilds once this fraction of chunks is dead.
     """
 
-    use_kernels: bool = True
-    segmented: bool = True
     flush_threshold: int = 128
     max_segments: int = 8
     merge_factor: int = 4
@@ -211,12 +206,11 @@ def merge_segments(segment_id: int, segments: list[SealedSegment]) -> SealedSegm
 
 
 class SegmentedTextStore:
-    """All searchable-field postings of one segmented index.
+    """All searchable-field postings of one index.
 
     Owns the sealed segment list, the per-field write buffers, and the
     document→segment map; :class:`~repro.search.index.SearchIndex`
-    delegates every full-text read and write here when configured
-    ``segmented``.
+    delegates every full-text read and write here.
     """
 
     def __init__(
@@ -230,8 +224,7 @@ class SegmentedTextStore:
         self.field_names = tuple(field_names)
         self.segments: list[SealedSegment] = []
         self.buffers: dict[str, InvertedIndex] = {
-            name: InvertedIndex(analyzer, use_kernels=config.use_kernels)
-            for name in self.field_names
+            name: InvertedIndex(analyzer) for name in self.field_names
         }
         self.op_counts: dict[str, int] = {}
         self._segment_by_internal: dict[int, SealedSegment] = {}
@@ -306,8 +299,7 @@ class SegmentedTextStore:
         for internal in segment.doc_ids:
             self._segment_by_internal[int(internal)] = segment
         self.buffers = {
-            name: InvertedIndex(self.analyzer, use_kernels=self.config.use_kernels)
-            for name in self.field_names
+            name: InvertedIndex(self.analyzer) for name in self.field_names
         }
         self._count_op("seal")
         return segment
@@ -402,11 +394,6 @@ class SegmentedFieldView:
         """The analyzer this field indexes and queries with."""
         return self._store.analyzer
 
-    @property
-    def kernels_enabled(self) -> bool:
-        """Whether the vectorized scoring path is configured on."""
-        return self._store.config.use_kernels
-
     def _buffer(self) -> InvertedIndex:
         return self._store.buffers[self._field_name]
 
@@ -438,7 +425,7 @@ class SegmentedFieldView:
         """Mean analyzed length of live documents (0 when empty).
 
         One float division over exact integer aggregates — bit-identical
-        to the monolithic index's ``total / count``.
+        to a single :class:`InvertedIndex`'s ``total / count``.
         """
         documents = len(self)
         if documents == 0:

@@ -71,44 +71,6 @@ class VectorSearch:
             rankings[field_name] = ranking
         return rankings
 
-    def search_by_vectors_batch(
-        self,
-        query_vectors,
-        k: int = 15,
-        filters: dict[str, str] | None = None,
-    ) -> list[dict[str, list[RetrievedChunk]]]:
-        """Per-field rankings for a whole batch of query embeddings.
-
-        Delegates to the index's batched brute-force scan
-        (:meth:`~repro.ann.exact.ExactKnnIndex.search_batch`) when the ANN
-        backend supports it — one matrix-matrix product for the entire
-        batch instead of one matrix-vector product per query — and falls
-        back to per-query search otherwise.  Rankings are exact brute
-        force either way; this is the offline/bench entry point (canary
-        probes, evaluation sweeps), not the ask path.
-        """
-        batched: dict[str, list[list[tuple[int, float]]] | None] = {
-            field_name: self._index.vector_search_batch(
-                field_name, query_vectors, k if not filters else 4 * k
-            )
-            for field_name in self._fields
-        }
-        results: list[dict[str, list[RetrievedChunk]]] = []
-        for position, query_vector in enumerate(query_vectors):
-            rankings: dict[str, list[RetrievedChunk]] = {}
-            for field_name in self._fields:
-                field_hits = batched[field_name]
-                if field_hits is None:
-                    rankings[field_name] = self._search_field(
-                        field_name, query_vector, k, filters
-                    )
-                else:
-                    rankings[field_name] = self._rank_hits(
-                        field_name, field_hits[position], k, filters
-                    )
-            results.append(rankings)
-        return results
-
     def _search_field(
         self,
         field_name: str,
@@ -120,15 +82,6 @@ class VectorSearch:
         # Oversample so that post-hoc filtering can still fill k results.
         fetch = k if not filters else 4 * k
         hits = self._index.vector_search(field_name, query_vector, fetch, work=work)
-        return self._rank_hits(field_name, hits, k, filters)
-
-    def _rank_hits(
-        self,
-        field_name: str,
-        hits: list[tuple[int, float]],
-        k: int,
-        filters: dict[str, str] | None,
-    ) -> list[RetrievedChunk]:
         ranking: list[RetrievedChunk] = []
         for internal, distance in hits:
             if not self._index.matches_filters(internal, filters):

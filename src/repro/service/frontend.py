@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.types import AskRequest
 from repro.core.answer import UniAskAnswer
 from repro.service.backend import BackendService, QueryRecord
 from repro.service.feedback import GranularFeedback
@@ -125,7 +126,7 @@ class FrontendSession:
 
     def search(self, question: str) -> str:
         """Type *question* into the search box; returns the rendered page."""
-        self._last_record = self._backend.query(self._token, question)
+        self._last_record = self._backend.serve(self._token, AskRequest.of(question))
         return render_answer_page(self._last_record.answer)
 
     @property

@@ -1,16 +1,19 @@
-"""Differential gate: kernels and segments change nothing observable.
+"""Differential gate: sealing segments changes nothing observable.
 
-The vectorized kernels and the segmented layout are pure implementation
-moves — the acceptance bar is **byte identity** (``==``, never ``approx``)
-across the full 2×2 grid of ``IndexConfig(use_kernels, segmented)``:
+There is one full-text layout (sealed segments + write buffer) and one
+serving scorer (the vectorized kernels).  The reference the layout is held
+to is the same code with sealing switched off by configuration:
+``flush_threshold=NEVER_SEALED`` keeps every document in the write buffer,
+i.e. one plain :class:`~repro.search.inverted.InvertedIndex` per field.
+The acceptance bar between the two points is **byte identity** (``==``,
+never ``approx``), plain and 3-shard:
 
 * same rendered answer pages, response times and traces;
 * same explain reports, down to the per-term BM25 bits;
 * same dashboard.
 
-The ``/metrics`` exposition is compared on the kernel axis only: the
-segmented layout legitimately counts seal/merge maintenance operations the
-monolithic one never performs.
+The ``/metrics`` exposition is left out: the sealing side legitimately
+counts seal operations the never-sealed side does not perform.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 
 from repro.api import (
     CACHE_BYPASS,
+    AskOptions,
     AskRequest,
     IndexConfig,
     create_backend,
@@ -28,6 +32,8 @@ from repro.cluster.config import ClusterConfig
 from repro.core.config import UniAskConfig
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.vocabulary import build_banking_lexicon
+from repro.obs.trace import RequestContext
+from repro.search.fulltext import FullTextSearch
 from repro.service.frontend import render_answer_page
 from repro.service.monitoring import format_dashboard
 
@@ -38,12 +44,10 @@ QUESTIONS = (
     "Qual e la ricetta della carbonara?",
 )
 
-GRID = [
-    pytest.param(False, False, id="loop-monolithic"),
-    pytest.param(True, False, id="kernel-monolithic"),
-    pytest.param(False, True, id="loop-segmented"),
-    pytest.param(True, True, id="kernel-segmented"),
-]
+#: Forces several sealed segments plus a partial write buffer on this corpus.
+SEALING = 16
+#: A flush threshold no corpus reaches: the buffer is the whole index.
+NEVER_SEALED = 10**9
 
 
 @pytest.fixture(scope="module")
@@ -56,31 +60,31 @@ def banking_lexicon():
     return build_banking_lexicon()
 
 
-def build(tiny_kb, banking_lexicon, use_kernels: bool, segmented: bool, shards: int = 1):
-    # flush_threshold 16 forces several sealed segments plus a partial
-    # write buffer on the segmented side — the layout actually under test.
+def build(tiny_kb, banking_lexicon, flush_threshold: int, shards: int = 1):
     config = UniAskConfig(
         cluster=ClusterConfig(shards=shards),
-        index=IndexConfig(use_kernels=use_kernels, segmented=segmented, flush_threshold=16),
+        index=IndexConfig(flush_threshold=flush_threshold),
     )
     system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=31)
     backend = create_backend(system, tracing=True)
     return system, backend
 
 
-def serve_surface(system, backend, metrics: bool = True) -> str:
-    """Every output surface of a fixed workload, as one comparable blob."""
+def serve_surface(backend, explain: bool = False) -> str:
+    """Every output surface of a fixed workload, as one comparable blob.
+
+    Plain requests are scored by the kernels, ``explain`` ones by the
+    per-term loop — the two readers of a segmented field view.
+    """
     token = backend.login("diff-user")
     lines = []
     for question in QUESTIONS:
-        record = backend.serve(token, question)
+        record = backend.serve(token, AskRequest(question, AskOptions(explain=explain)))
         lines.append(render_answer_page(record.answer))
         lines.append(f"response_time={record.answer.response_time!r}")
         lines.append(f"served_at={record.served_at!r}")
         lines.append(record.trace.format_table())
     lines.append(format_dashboard(backend.metrics.snapshot()))
-    if metrics:
-        lines.append(system.telemetry.render_metrics())
     return "\n".join(lines)
 
 
@@ -96,58 +100,67 @@ def explain_surface(system) -> str:
     return "\n".join(reports)
 
 
-class TestKernelAxis:
-    """Kernels on vs off: identical everything, metrics included."""
-
-    @pytest.mark.parametrize("segmented", [False, True], ids=["monolithic", "segmented"])
-    def test_full_surface_identical(self, tiny_kb, banking_lexicon, segmented):
-        loop = serve_surface(*build(tiny_kb, banking_lexicon, False, segmented))
-        kernel = serve_surface(*build(tiny_kb, banking_lexicon, True, segmented))
-        assert kernel == loop
-
-    def test_sharded_surface_identical(self, tiny_kb, banking_lexicon):
-        loop = serve_surface(*build(tiny_kb, banking_lexicon, False, True, shards=3))
-        kernel = serve_surface(*build(tiny_kb, banking_lexicon, True, True, shards=3))
-        assert kernel == loop
-
-
 class TestSegmentAxis:
-    """Segmented vs monolithic: identical surfaces, maintenance counters aside."""
+    """Sealing vs never-sealed: identical surfaces, maintenance counters aside."""
 
-    @pytest.mark.parametrize("use_kernels", [False, True], ids=["loop", "kernel"])
-    def test_surface_identical_sans_metrics(self, tiny_kb, banking_lexicon, use_kernels):
-        mono = serve_surface(*build(tiny_kb, banking_lexicon, use_kernels, False), metrics=False)
-        seg = serve_surface(*build(tiny_kb, banking_lexicon, use_kernels, True), metrics=False)
-        assert seg == mono
+    def test_layouts_under_test_differ(self, tiny_kb, banking_lexicon):
+        sealing, _ = build(tiny_kb, banking_lexicon, SEALING)
+        buffered, _ = build(tiny_kb, banking_lexicon, NEVER_SEALED)
+        assert sealing.index.segment_count > 1 and sealing.index.buffered_count > 0
+        assert buffered.index.segment_count == 0
+        assert buffered.index.buffered_count == len(buffered.index)
+
+    @pytest.mark.parametrize("explain", [True, False], ids=["loop", "kernel"])
+    def test_surface_identical_sans_metrics(self, tiny_kb, banking_lexicon, explain):
+        buffered = serve_surface(build(tiny_kb, banking_lexicon, NEVER_SEALED)[1], explain)
+        sealing = serve_surface(build(tiny_kb, banking_lexicon, SEALING)[1], explain)
+        assert sealing == buffered
 
     def test_sharded_surface_identical_sans_metrics(self, tiny_kb, banking_lexicon):
-        mono = serve_surface(
-            *build(tiny_kb, banking_lexicon, True, False, shards=3), metrics=False
-        )
-        seg = serve_surface(
-            *build(tiny_kb, banking_lexicon, True, True, shards=3), metrics=False
-        )
-        assert seg == mono
+        buffered = serve_surface(build(tiny_kb, banking_lexicon, NEVER_SEALED, shards=3)[1])
+        sealing = serve_surface(build(tiny_kb, banking_lexicon, SEALING, shards=3)[1])
+        assert sealing == buffered
 
 
 class TestExplainBitExactness:
     def test_explain_reports_identical_across_grid(self, tiny_kb, banking_lexicon):
-        surfaces = {}
-        for use_kernels, segmented in ((False, False), (True, False), (False, True), (True, True)):
-            system, _ = build(tiny_kb, banking_lexicon, use_kernels, segmented)
-            surfaces[(use_kernels, segmented)] = explain_surface(system)
-        baseline = surfaces[(False, False)]
-        assert baseline
-        for key, surface in surfaces.items():
-            assert surface == baseline, f"explain diverged for {key}"
+        # The grid is layout × deployment; identity holds along the layout axis.
+        for shards in (1, 3):
+            buffered, _ = build(tiny_kb, banking_lexicon, NEVER_SEALED, shards=shards)
+            sealing, _ = build(tiny_kb, banking_lexicon, SEALING, shards=shards)
+            baseline = explain_surface(buffered)
+            assert baseline
+            assert explain_surface(sealing) == baseline, f"explain diverged at {shards} shard(s)"
+
+    @pytest.mark.parametrize(
+        "flush_threshold", [SEALING, NEVER_SEALED], ids=["sealing", "buffered"]
+    )
+    def test_explain_totals_equal_served_scores(self, tiny_kb, banking_lexicon, flush_threshold):
+        # The explain request runs the per-term loop, a plain one the
+        # kernels: same chunks, same order, same score bits.
+        system, _ = build(tiny_kb, banking_lexicon, flush_threshold)
+        search = FullTextSearch(system.index)
+        titles = [system.index.record(i).title for i in system.index.live_internals()[::6]]
+        hits = 0
+        for question in (*QUESTIONS, *titles):
+            served = search.search(question, n=20)
+            explained = search.search(question, n=20, ctx=RequestContext(explain=True))
+            hits += len(served)
+            assert [(c.record.chunk_id, c.score) for c in explained] == [
+                (c.record.chunk_id, c.score) for c in served
+            ]
+            for plain, detailed in zip(served, explained):
+                for name, value in plain.components.items():
+                    assert detailed.components[name] == value
+        assert hits > 20
 
 
 class TestDefaultsAreOn:
     def test_default_config_runs_kernels_on_segments(self, tiny_kb, banking_lexicon):
-        config = UniAskConfig()
-        assert config.index.use_kernels and config.index.segmented
-        system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=31)
-        assert system.index.kernels_enabled
-        # The default flush threshold (128) still seals on a corpus this
-        # size; at least one structure (segment or buffer) must be live.
+        system = create_engine(tiny_kb.store(), banking_lexicon, config=UniAskConfig(), seed=31)
+        # Whatever the default threshold leaves sealed or buffered, the field
+        # view the scorer reads covers every live chunk and is kernel-scorable.
         assert system.index.segment_count > 0 or system.index.buffered_count > 0
+        view = system.index.inverted_index("content")
+        assert len(view) == len(system.index)
+        assert view.kernel_views()

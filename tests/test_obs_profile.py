@@ -69,7 +69,7 @@ class TestWorkCounters:
         assert a and a.get("k") == 2
 
     def test_kind_taxonomy_is_unique(self):
-        assert len(set(ALL_WORK_KINDS)) == len(ALL_WORK_KINDS) == 16
+        assert len(set(ALL_WORK_KINDS)) == len(ALL_WORK_KINDS) == 14
 
 
 def _traced_request(clock, retrieval_s=1.0, llm_s=2.0, postings=100):

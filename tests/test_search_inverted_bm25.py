@@ -88,8 +88,8 @@ class TestBm25:
 
     def test_matching_doc_ranks_first(self, index):
         scorer = Bm25Scorer(index)
-        ranked = scorer.top_n(index.analyze_query("bonifico estero"), 3)
-        assert ranked[0][0] == 2
+        scores = scorer.score_all(index.analyze_query("bonifico estero"))
+        assert max(scores, key=scores.get) == 2
 
     def test_more_matched_terms_scores_higher(self, index):
         scorer = Bm25Scorer(index)
@@ -100,13 +100,12 @@ class TestBm25:
         scorer = Bm25Scorer(index)
         assert scorer.score_all(["zzz"]) == {}
 
-    def test_top_n_truncates(self, index):
+    def test_scores_only_matching_docs(self, index):
         scorer = Bm25Scorer(index)
-        assert len(scorer.top_n(index.analyze_query("carta credito"), 1)) == 1
+        assert set(scorer.score_all(index.analyze_query("carta credito"))) == {0, 1}
 
-    def test_top_n_zero(self, index):
-        scorer = Bm25Scorer(index)
-        assert scorer.top_n(index.analyze_query("carta"), 0) == []
+    def test_empty_query_scores_nothing(self, index):
+        assert Bm25Scorer(index).score_all([]) == {}
 
     def test_tf_saturation(self):
         """BM25's tf term saturates: 100 repetitions ≪ 100x one occurrence."""

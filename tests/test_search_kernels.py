@@ -2,9 +2,9 @@
 
 The kernel path (:mod:`repro.search.kernels`) is not gated "approximately
 equal" to the loop scorer — the contract is **byte identity**: every score
-carries the same float bits as :meth:`Bm25Scorer.score_all`, and pruned
-``top_n`` returns the same documents with the same tie order.  Every
-comparison here is ``==``, never ``approx``.
+:meth:`Bm25Scorer.score_arrays` returns carries the same float bits as
+:meth:`Bm25Scorer.score_all`.  Every comparison here is ``==``, never
+``approx``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.search.bm25 import PRUNE_MIN_TERMS, Bm25Parameters, Bm25Scorer
+from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.obs.trace import RequestContext
+from repro.search.bm25 import Bm25Parameters, Bm25Scorer
+from repro.search.fulltext import FullTextSearch
+from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
-from repro.search.kernels import KernelPostings, KernelView
+from repro.search.schema import ChunkRecord
 from repro.search.segment import IndexConfig, SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER
 
@@ -36,16 +40,17 @@ def random_text(rng: random.Random, min_words: int = 3, max_words: int = 40) -> 
     return " ".join(rng.choices(VOCAB, k=rng.randint(min_words, max_words)))
 
 
-def build_pair(seed: int, docs: int = 80) -> tuple[InvertedIndex, InvertedIndex]:
-    """Two indexes with identical contents: loop-only and kernel-enabled."""
+def build_index(seed: int, docs: int = 80) -> InvertedIndex:
     rng = random.Random(seed)
-    loop = InvertedIndex(FULL_ANALYZER, use_kernels=False)
-    kernel = InvertedIndex(FULL_ANALYZER, use_kernels=True)
+    index = InvertedIndex(FULL_ANALYZER)
     for doc_id in range(docs):
-        text = random_text(rng)
-        loop.add(doc_id, text)
-        kernel.add(doc_id, text)
-    return loop, kernel
+        index.add(doc_id, random_text(rng))
+    return index
+
+
+def arrays_as_dict(scorer: Bm25Scorer, terms: list[str]) -> dict[int, float]:
+    ids, scores = scorer.score_arrays(terms)
+    return {int(i): float(s) for i, s in zip(ids, scores)}
 
 
 def random_query_terms(rng: random.Random, index: InvertedIndex) -> list[str]:
@@ -59,90 +64,81 @@ def random_query_terms(rng: random.Random, index: InvertedIndex) -> list[str]:
 
 class TestScoreArrays:
     def test_bitwise_matches_loop_scorer(self):
-        loop, kernel = build_pair(seed=11)
-        loop_scorer = Bm25Scorer(loop)
-        kernel_scorer = Bm25Scorer(kernel)
-        assert not loop_scorer.kernels_active
-        assert kernel_scorer.kernels_active
+        index = build_index(seed=11)
+        scorer = Bm25Scorer(index)
         rng = random.Random(7)
         non_trivial = 0
         for _ in range(50):
-            terms = random_query_terms(rng, loop)
-            expected = loop_scorer.score_all(terms)
-            ids, scores = kernel_scorer.score_arrays(terms)
-            got = {int(i): float(s) for i, s in zip(ids, scores)}
-            assert got == expected  # bit-exact, not approx
+            terms = random_query_terms(rng, index)
+            expected = scorer.score_all(terms)
+            assert arrays_as_dict(scorer, terms) == expected  # bit-exact, not approx
             non_trivial += bool(expected)
         assert non_trivial > 40
 
     def test_empty_query_and_unknown_terms(self):
-        _, kernel = build_pair(seed=3, docs=10)
-        scorer = Bm25Scorer(kernel)
+        scorer = Bm25Scorer(build_index(seed=3, docs=10))
         for terms in ([], ["zzz"], ["zzz", "qqq"]):
             ids, scores = scorer.score_arrays(terms)
             assert ids.size == 0 and scores.size == 0
-            assert scorer.top_n(terms, 5) == []
 
     def test_empty_index(self):
-        scorer = Bm25Scorer(InvertedIndex(FULL_ANALYZER, use_kernels=True))
+        scorer = Bm25Scorer(InvertedIndex(FULL_ANALYZER))
         ids, scores = scorer.score_arrays(["carta"])
-        assert ids.size == 0
-        assert scorer.top_n(["carta"], 3) == []
+        assert ids.size == 0 and scores.size == 0
+
+
+def build_search_index(seed: int, docs: int = 80) -> SearchIndex:
+    """A multi-segment index whose small vocabulary makes score ties common."""
+    rng = random.Random(seed)
+    index = SearchIndex(
+        embedder=SyntheticAdaEmbedder(None, dim=8, seed=1),
+        ann_backend="exact",
+        index_config=IndexConfig(flush_threshold=16),
+    )
+    for i in range(docs):
+        title, content = random_text(rng, 1, 3), random_text(rng, 1, 6)
+        index.add_chunk(ChunkRecord(f"d{i}#0", f"d{i}", title=title, content=content))
+    return index
+
+
+def ranking(search: FullTextSearch, query: str, n: int, explain: bool = False):
+    hits = search.search(query, n=n, ctx=RequestContext(explain=explain))
+    return [(hit.record.chunk_id, hit.score) for hit in hits]
 
 
 class TestTopN:
+    """The served top-n (kernel scores, select, tie-break) vs the explain loop's."""
+
     @pytest.mark.parametrize("n", [1, 3, 10, 1000])
     def test_bitwise_matches_loop_ranking(self, n):
-        loop, kernel = build_pair(seed=29)
-        loop_scorer = Bm25Scorer(loop)
-        kernel_scorer = Bm25Scorer(kernel)
+        index = build_search_index(seed=29)
+        search = FullTextSearch(index)
         rng = random.Random(n)
+        truncated = 0
         for _ in range(40):
-            terms = random_query_terms(rng, loop)
-            assert kernel_scorer.top_n(terms, n) == loop_scorer.top_n(terms, n)
-
-    def test_pruning_keeps_exact_scores_and_ties(self):
-        # Tiny n over a large corpus with a long query engages the MaxScore
-        # admission path; the pruned result must still carry exact scores.
-        loop, kernel = build_pair(seed=5, docs=300)
-        loop_scorer = Bm25Scorer(loop)
-        kernel_scorer = Bm25Scorer(kernel)
-        terms = loop.analyze_query(
-            "carta bonifico prelievo carta commissione estero bancomat "
-            "limite blocco mutuo saldo carta"
-        )
-        assert len(terms) >= PRUNE_MIN_TERMS  # the pruned path, not single-pass
-        for n in (1, 2, 5, 40):
-            assert kernel_scorer.top_n(terms, n) == loop_scorer.top_n(terms, n)
-
-    def test_long_random_queries_exercise_pruned_path(self):
-        loop, kernel = build_pair(seed=59, docs=200)
-        loop_scorer = Bm25Scorer(loop)
-        kernel_scorer = Bm25Scorer(kernel)
-        rng = random.Random(61)
-        for _ in range(25):
-            words = rng.choices(VOCAB, k=rng.randint(PRUNE_MIN_TERMS, 16))
-            terms = loop.analyze_query(" ".join(words))
-            assert kernel_scorer.top_n(terms, 3) == loop_scorer.top_n(terms, 3)
+            query = " ".join(rng.choices(VOCAB, k=rng.randint(1, 6)))
+            served = ranking(search, query, n)
+            assert served == ranking(search, query, n, explain=True)
+            truncated += len(served) == n
+        assert truncated > 30 or n == 1000
 
     def test_nonpositive_n(self):
-        _, kernel = build_pair(seed=1, docs=5)
-        scorer = Bm25Scorer(kernel)
-        assert scorer.top_n(["carta"], 0) == []
-        assert scorer.top_n(["carta"], -1) == []
+        search = FullTextSearch(build_search_index(seed=1, docs=5))
+        assert search.search("carta", n=0) == []
+        assert search.search("carta", n=-1) == []
 
     def test_custom_parameters(self):
-        loop, kernel = build_pair(seed=17)
-        parameters = Bm25Parameters(k1=0.9, b=0.4)
-        loop_scorer = Bm25Scorer(loop, parameters)
-        kernel_scorer = Bm25Scorer(kernel, parameters)
-        terms = loop.analyze_query("carta estero commissione")
-        assert kernel_scorer.top_n(terms, 10) == loop_scorer.top_n(terms, 10)
+        index = build_search_index(seed=17)
+        search = FullTextSearch(index, parameters=Bm25Parameters(k1=0.9, b=0.4))
+        query = "carta estero commissione"
+        served = ranking(search, query, 10)
+        assert served == ranking(search, query, 10, explain=True)
+        assert served != ranking(FullTextSearch(index), query, 10)
 
 
 class TestSegmentedViews:
     def _stores(self, seed: int, docs: int, flush_threshold: int):
-        """A segmented store and a loop-only monolith with the same live docs."""
+        """A segmented store and one plain index rebuilt from its live docs."""
         rng = random.Random(seed)
         config = IndexConfig(flush_threshold=flush_threshold)
         store = SegmentedTextStore(("content",), FULL_ANALYZER, config)
@@ -153,7 +149,7 @@ class TestSegmentedViews:
         dead = rng.sample(range(docs), docs // 4)
         for doc_id in dead:
             assert store.remove(doc_id, {"content": texts[doc_id]})
-        monolith = InvertedIndex(FULL_ANALYZER, use_kernels=False)
+        monolith = InvertedIndex(FULL_ANALYZER)
         for doc_id, text in texts.items():
             if doc_id not in dead:
                 monolith.add(doc_id, text)
@@ -165,14 +161,13 @@ class TestSegmentedViews:
         view, monolith = self._stores(seed=41, docs=90, flush_threshold=16)
         kernel_scorer = Bm25Scorer(view)
         loop_scorer = Bm25Scorer(monolith)
-        assert kernel_scorer.kernels_active
+        assert len(view.kernel_views()) > 2
         rng = random.Random(13)
         for _ in range(40):
             terms = random_query_terms(rng, monolith)
-            assert kernel_scorer.top_n(terms, 10) == loop_scorer.top_n(terms, 10)
-            ids, scores = kernel_scorer.score_arrays(terms)
-            got = {int(i): float(s) for i, s in zip(ids, scores)}
-            assert got == loop_scorer.score_all(terms)
+            expected = loop_scorer.score_all(terms)
+            assert arrays_as_dict(kernel_scorer, terms) == expected
+            assert kernel_scorer.score_all(terms) == expected
 
     def test_view_statistics_are_exact(self):
         view, monolith = self._stores(seed=2, docs=50, flush_threshold=8)
@@ -185,7 +180,7 @@ class TestSegmentedViews:
 
 class TestKernelPostings:
     def test_build_roundtrips_through_to_dicts(self):
-        loop, _ = build_pair(seed=23, docs=20)
+        loop = build_index(seed=23, docs=20)
         kernel = loop.to_kernel()
         lengths, postings = kernel.to_dicts()
         assert lengths == {i: loop.document_length(i) for i in loop.doc_ids()}
@@ -193,7 +188,7 @@ class TestKernelPostings:
             assert postings[term] == loop.postings(term)
 
     def test_live_mask_filters_postings(self):
-        loop, _ = build_pair(seed=23, docs=12)
+        loop = build_index(seed=23, docs=12)
         kernel = loop.to_kernel()
         live = np.ones(len(kernel), dtype=bool)
         live[0] = live[5] = False
@@ -202,47 +197,3 @@ class TestKernelPostings:
             assert 0 not in masked and 5 not in masked
             full = kernel.postings_dict(term)
             assert masked == {d: tf for d, tf in full.items() if d not in (0, 5)}
-
-    def test_term_bound_dominates_every_contribution(self):
-        loop, _ = build_pair(seed=31, docs=60)
-        kernel = loop.to_kernel()
-        scorer = Bm25Scorer(loop)
-        k1, b = 1.2, 0.75
-        average_length = loop.average_length
-        for term in kernel.terms():
-            idf = scorer.idf(term)
-            bound = kernel.term_bound(term, idf, k1, b, average_length)
-            view = KernelView(kernel)
-            acc, touched = kernel.accumulate_bm25([(term, idf)], k1, b, average_length)
-            assert view.live_slots(np.nonzero(touched)[0]).size
-            assert float(acc.max()) <= bound
-
-    def test_candidate_mask_restriction_is_bit_stable(self):
-        # Restricting the rescore to a candidate subset must not change the
-        # retained elements' bits (the pruned top-n correctness keystone).
-        loop, _ = build_pair(seed=47, docs=40)
-        kernel = loop.to_kernel()
-        scorer = Bm25Scorer(loop)
-        terms = loop.analyze_query("carta bonifico carta prelievo")
-        sequence = [(t, scorer.idf(t)) for t in terms]
-        full, touched = kernel.accumulate_bm25(sequence, 1.2, 0.75, loop.average_length)
-        mask = np.zeros(len(kernel), dtype=bool)
-        mask[np.nonzero(touched)[0][::2]] = True
-        partial, _ = kernel.accumulate_bm25(
-            sequence, 1.2, 0.75, loop.average_length, candidate_mask=mask
-        )
-        chosen = np.nonzero(mask & touched)[0]
-        assert partial[chosen].tolist() == full[chosen].tolist()
-
-
-class TestScorerDispatch:
-    def test_defers_to_index_flag(self):
-        assert Bm25Scorer(InvertedIndex(use_kernels=True)).kernels_active
-        assert not Bm25Scorer(InvertedIndex(use_kernels=False)).kernels_active
-
-    def test_explicit_override_wins(self):
-        index = InvertedIndex(use_kernels=True)
-        index.add(0, "carta di credito")
-        assert not Bm25Scorer(index, use_kernels=False).kernels_active
-        forced = Bm25Scorer(InvertedIndex(use_kernels=False), use_kernels=True)
-        assert forced.kernels_active  # the reader exposes kernel_views either way

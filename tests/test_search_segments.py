@@ -18,6 +18,10 @@ from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord
 from repro.search.segment import IndexConfig
 
+#: A flush threshold no test corpus reaches: the write buffer is the whole
+#: index, i.e. one plain ``InvertedIndex`` per field — the monolithic layout.
+NEVER_SEALED = 10**9
+
 
 def _record(doc: str, chunk: int = 0, **kwargs) -> ChunkRecord:
     defaults = dict(
@@ -62,12 +66,11 @@ class TestSealing:
         assert index.segment_count == 1
 
     def test_monolithic_layout_has_no_segments(self):
-        index = build_index(segmented=False)
-        index.add_chunk(_record("a"))
-        index.flush()
+        index = build_index(flush_threshold=NEVER_SEALED)
+        index.add_chunks([_record(f"d{i}") for i in range(300)])
         assert index.segment_count == 0
-        assert index.buffered_count == 0
-        assert index.segment_stamp() == index.generation
+        assert index.buffered_count == 300
+        assert index.segment_stamp() == (("buffer", 300),)
 
 
 class TestGenerationSemantics:
@@ -203,7 +206,7 @@ class TestMaintenanceCounters:
 class TestExactStatistics:
     def test_segmented_stats_match_monolithic(self):
         segmented = build_index(flush_threshold=3)
-        monolithic = build_index(segmented=False)
+        monolithic = build_index(flush_threshold=NEVER_SEALED)
         for index in (segmented, monolithic):
             for i in range(10):
                 index.add_chunk(_record(f"d{i}", content=f"carta {i} bonifico " * (i + 1)))
