@@ -1,19 +1,12 @@
 """Approximate nearest neighbour substrate: HNSW and exact k-NN."""
 
-from repro.ann.distance import (
-    DISTANCES,
-    batch_cosine_distance,
-    cosine_distance,
-    euclidean_distance,
-)
+from repro.ann.distance import batch_cosine_distance, cosine_distance
 from repro.ann.exact import ExactKnnIndex
 from repro.ann.hnsw import HnswIndex
 
 __all__ = [
-    "DISTANCES",
     "batch_cosine_distance",
     "cosine_distance",
-    "euclidean_distance",
     "ExactKnnIndex",
     "HnswIndex",
 ]

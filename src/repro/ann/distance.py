@@ -1,48 +1,47 @@
-"""Distance functions for vector search.
+"""Cosine distance, the one metric of vector search.
 
 All indexed vectors in this library are unit-normalized, so cosine distance
 ``1 - cos(a, b)`` is the canonical metric (it is also what Azure AI Search
-uses by default for ada-002 embeddings).  Euclidean distance is provided for
-completeness and for property tests of the HNSW structure under a true
-metric.
+uses by default for ada-002 embeddings).  The two functions here are the
+reference definitions: :class:`~repro.ann.hnsw.HnswIndex` evaluates
+:func:`cosine_distance` with both norms taken ahead of time, and
+:class:`~repro.ann.exact.ExactKnnIndex` evaluates
+:func:`batch_cosine_distance` with the row norms it keeps; the tests hold
+both to these functions bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-DistanceFn = Callable[[np.ndarray, np.ndarray], float]
+#: A pair whose norms multiply to less than this has no direction to compare:
+#: its distance is 1.0.
+ZERO_NORM = 1e-12
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     """1 - cosine similarity; 1.0 when either vector is (near) zero."""
     norm = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if norm < 1e-12:
+    if norm < ZERO_NORM:
         return 1.0
     return 1.0 - float(np.dot(a, b)) / norm
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Standard L2 distance."""
-    return float(np.linalg.norm(a - b))
+def batch_cosine_distance(
+    query: np.ndarray, matrix: np.ndarray, row_norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Cosine distance from *query* to every row of *matrix* (vectorized).
 
-
-def batch_cosine_distance(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Cosine distance from *query* to every row of *matrix* (vectorized)."""
+    *row_norms* spares the O(n·dim) pass over *matrix* when the caller
+    already holds ``np.linalg.norm(matrix, axis=1)``.
+    """
     if matrix.size == 0:
         return np.zeros(0)
     query_norm = float(np.linalg.norm(query))
-    row_norms = np.linalg.norm(matrix, axis=1)
+    if row_norms is None:
+        row_norms = np.linalg.norm(matrix, axis=1)
     denom = query_norm * row_norms
     sims = np.zeros(matrix.shape[0])
-    valid = denom > 1e-12
+    valid = denom > ZERO_NORM
     sims[valid] = (matrix[valid] @ query) / denom[valid]
     return 1.0 - sims
-
-
-DISTANCES: dict[str, DistanceFn] = {
-    "cosine": cosine_distance,
-    "euclidean": euclidean_distance,
-}

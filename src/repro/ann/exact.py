@@ -5,7 +5,8 @@ exhaustive k-NN yield similar retrieval performance", Section 4).  Vectors
 are kept in one contiguous matrix and scanned with vectorized numpy, which
 is exact by construction.  The matrix grows geometrically in place, so a
 live-ingestion upsert is an O(dim) row write — not an O(n·dim) rebuild —
-and queries always scan a single contiguous block.
+and queries always scan a single contiguous block.  Row norms are kept
+beside the rows, so a query pays one matrix-vector product and no norm pass.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class ExactKnnIndex:
         self._count = 0
         self._ids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._matrix = np.empty((_INITIAL_CAPACITY, dim), dtype=np.float64)
+        self._norms = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
 
     def __len__(self) -> int:
         return self._count
@@ -64,8 +66,16 @@ class ExactKnnIndex:
             grown_ids = np.empty(capacity, dtype=np.int64)
             grown_ids[: self._count] = self._ids[: self._count]
             self._ids = grown_ids
+            grown_norms = np.empty(capacity, dtype=np.float64)
+            grown_norms[: self._count] = self._norms[: self._count]
+            self._norms = grown_norms
         self._ids[self._count] = item_id
         self._matrix[self._count] = np.asarray(vector, dtype=np.float64)
+        # Row-wise, as batch_cosine_distance takes it: the 1-D form of
+        # np.linalg.norm sums through BLAS and can differ in the last bit.
+        self._norms[self._count] = np.linalg.norm(
+            self._matrix[self._count : self._count + 1], axis=1
+        )[0]
         self._count += 1
 
     def search(self, query: np.ndarray, k: int, work=None) -> list[tuple[int, float]]:
@@ -78,7 +88,9 @@ class ExactKnnIndex:
             return []
         if work is not None:
             work.add(WORK_ANN_DISTANCE_EVALS, self._count)
-        distances = batch_cosine_distance(np.asarray(query, dtype=np.float64), self.matrix)
+        distances = batch_cosine_distance(
+            np.asarray(query, dtype=np.float64), self.matrix, self._norms[: self._count]
+        )
         k = min(k, self._count)
         # Ties break on insertion id, which makes the ground truth fully
         # deterministic and lets a sharded deployment merge per-shard

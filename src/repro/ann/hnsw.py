@@ -15,6 +15,13 @@ algorithm Azure AI Search runs for the paper's vector retrieval (Section 4):
   implementation), with re-pruning of affected neighbours.
 
 Determinism: level draws come from a private ``random.Random(seed)``.
+
+Distance is cosine, ``1 - a·b / (|a| |b|)``, and costs one ``np.dot``: a
+node's norm is taken once when it is added and a query's once per search
+(DESIGN.md §17).  The expression is written out at each of the four sites
+that need it — a Python call per pair would add a tenth to the dot it wraps —
+and is :func:`repro.ann.distance.cosine_distance` operand for operand, so the
+two agree to the last bit.
 """
 
 from __future__ import annotations
@@ -25,18 +32,19 @@ import random
 
 import numpy as np
 
-from repro.ann.distance import DISTANCES, DistanceFn
+from repro.ann.distance import ZERO_NORM
 from repro.obs.work import WORK_ANN_DISTANCE_EVALS
 
 
 class _Node:
-    """One element of the graph: vector plus per-layer adjacency."""
+    """One element of the graph: vector, its norm, per-layer adjacency."""
 
-    __slots__ = ("item_id", "vector", "neighbors")
+    __slots__ = ("item_id", "vector", "norm", "neighbors")
 
-    def __init__(self, item_id: int, vector: np.ndarray, level: int) -> None:
+    def __init__(self, item_id: int, vector: np.ndarray, norm: float, level: int) -> None:
         self.item_id = item_id
         self.vector = vector
+        self.norm = norm
         # neighbors[layer] -> list of item ids
         self.neighbors: list[list[int]] = [[] for _ in range(level + 1)]
 
@@ -46,7 +54,7 @@ class _Node:
 
 
 class HnswIndex:
-    """HNSW index over unit vectors.
+    """HNSW index over unit vectors, by cosine distance.
 
     Args:
         dim: vector dimensionality.
@@ -54,7 +62,6 @@ class HnswIndex:
         ef_construction: candidate-list width during insertion.
         ef_search: default candidate-list width during queries (raise for
             better recall, lower for speed); can be overridden per query.
-        metric: ``"cosine"`` (default) or ``"euclidean"``.
         seed: seed for the level generator.
     """
 
@@ -64,21 +71,17 @@ class HnswIndex:
         m: int = 16,
         ef_construction: int = 200,
         ef_search: int = 64,
-        metric: str = "cosine",
         seed: int = 42,
     ) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
         if m < 2:
             raise ValueError("m must be at least 2")
-        if metric not in DISTANCES:
-            raise ValueError(f"unknown metric {metric!r}; choose from {sorted(DISTANCES)}")
         self._dim = dim
         self._m = m
         self._max_m0 = 2 * m
         self._ef_construction = max(ef_construction, m)
         self.ef_search = ef_search
-        self._distance: DistanceFn = DISTANCES[metric]
         self._level_mult = 1.0 / math.log(m)
         self._rng = random.Random(seed)
         self._nodes: dict[int, _Node] = {}
@@ -110,7 +113,8 @@ class HnswIndex:
             raise ValueError(f"duplicate item id: {item_id}")
 
         level = self._draw_level()
-        node = _Node(item_id, np.asarray(vector, dtype=np.float64), level)
+        vector = np.asarray(vector, dtype=np.float64)
+        node = _Node(item_id, vector, float(np.linalg.norm(vector)), level)
         self._nodes[item_id] = node
 
         if self._entry_point is None:
@@ -123,13 +127,15 @@ class HnswIndex:
         # Phase 1: greedy descent through layers above the new node's level.
         current = entry
         for layer in range(top, level, -1):
-            current = self._greedy_closest(node.vector, current, layer)
+            current, _ = self._greedy_closest(vector, node.norm, current, layer)
 
         # Phase 2: connect on each layer from min(level, top) down to 0.
         for layer in range(min(level, top), -1, -1):
-            candidates = self._search_layer(node.vector, [current], self._ef_construction, layer)
+            candidates, _ = self._search_layer(
+                vector, node.norm, [current], self._ef_construction, layer
+            )
             max_degree = self._max_m0 if layer == 0 else self._m
-            selected = self._select_neighbors_heuristic(node.vector, candidates, self._m)
+            selected = self._select_neighbors_heuristic(candidates, self._m)
             node.neighbors[layer] = [cid for _, cid in selected]
             for _, neighbor_id in selected:
                 self._link(neighbor_id, item_id, layer, max_degree)
@@ -144,7 +150,8 @@ class HnswIndex:
     ) -> list[tuple[int, float]]:
         """Return approximately the *k* nearest items to *query*.
 
-        Results are ``(item_id, distance)`` sorted by ascending distance.
+        Results are ``(item_id, distance)`` sorted by ascending distance,
+        equal distances (duplicate vectors) by ascending id.
         ``ef`` overrides the index default candidate width for this query.
         *work* is an optional :class:`~repro.obs.work.WorkCounters`; the
         graph walk is the source of truth for ``ann_distance_evals`` (one
@@ -154,16 +161,19 @@ class HnswIndex:
             return []
         ef = max(ef if ef is not None else self.ef_search, k)
         query = np.asarray(query, dtype=np.float64)
-        evals = [0] if work is not None else None
+        query_norm = float(np.linalg.norm(query))
+        evals = 0
 
         current = self._entry_point
         for layer in range(self._nodes[current].level, 0, -1):
-            current = self._greedy_closest(query, current, layer, evals)
+            current, walked = self._greedy_closest(query, query_norm, current, layer)
+            evals += walked
 
-        candidates = self._search_layer(query, [current], ef, 0, evals)
+        candidates, walked = self._search_layer(query, query_norm, [current], ef, 0)
+        evals += walked
         candidates.sort()
-        if evals is not None and evals[0]:
-            work.add(WORK_ANN_DISTANCE_EVALS, evals[0])
+        if work is not None:
+            work.add(WORK_ANN_DISTANCE_EVALS, evals)
         return [(item_id, distance) for distance, item_id in candidates[:k]]
 
     # -- internals ---------------------------------------------------------
@@ -172,80 +182,117 @@ class HnswIndex:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)
 
     def _greedy_closest(
-        self, query: np.ndarray, start: int, layer: int, evals: list[int] | None = None
-    ) -> int:
-        """Greedy ef=1 descent on one layer: follow improving edges."""
+        self, query: np.ndarray, query_norm: float, start: int, layer: int
+    ) -> tuple[int, int]:
+        """Greedy ef=1 descent on one layer: follow improving edges.
+
+        Returns the closest node reached and the distances evaluated.
+        """
+        nodes = self._nodes
+        dot = np.dot
         current = start
-        current_distance = self._distance(query, self._nodes[current].vector)
-        if evals is not None:
-            evals[0] += 1
+        node = nodes[current]
+        norm = query_norm * node.norm
+        current_distance = (
+            1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+        )
+        evals = 1
         improved = True
         while improved:
             improved = False
-            for neighbor_id in self._nodes[current].neighbors[layer]:
-                distance = self._distance(query, self._nodes[neighbor_id].vector)
-                if evals is not None:
-                    evals[0] += 1
+            for neighbor_id in nodes[current].neighbors[layer]:
+                node = nodes[neighbor_id]
+                norm = query_norm * node.norm
+                distance = (
+                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+                )
+                evals += 1
                 if distance < current_distance:
                     current, current_distance = neighbor_id, distance
                     improved = True
-        return current
+        return current, evals
 
     def _search_layer(
         self,
         query: np.ndarray,
+        query_norm: float,
         entry_points: list[int],
         ef: int,
         layer: int,
-        evals: list[int] | None = None,
-    ) -> list[tuple[float, int]]:
-        """Algorithm 2: best-first search with dynamic list of width *ef*."""
+    ) -> tuple[list[tuple[float, int]], int]:
+        """Algorithm 2: best-first search with dynamic list of width *ef*.
+
+        Returns the ``(distance, id)`` results, unordered, and the distances
+        evaluated.
+        """
+        nodes = self._nodes
+        dot = np.dot
+        heappush, heappop = heapq.heappush, heapq.heappop
         visited = set(entry_points)
         candidates: list[tuple[float, int]] = []  # min-heap by distance
         results: list[tuple[float, int]] = []  # max-heap via negated distance
+        evals = 0
         for point in entry_points:
-            distance = self._distance(query, self._nodes[point].vector)
-            if evals is not None:
-                evals[0] += 1
-            heapq.heappush(candidates, (distance, point))
-            heapq.heappush(results, (-distance, point))
+            node = nodes[point]
+            norm = query_norm * node.norm
+            distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+            evals += 1
+            heappush(candidates, (distance, point))
+            heappush(results, (-distance, point))
 
         while candidates:
-            distance, point = heapq.heappop(candidates)
+            distance, point = heappop(candidates)
             worst = -results[0][0]
             if distance > worst and len(results) >= ef:
                 break
-            for neighbor_id in self._nodes[point].neighbors[layer]:
+            for neighbor_id in nodes[point].neighbors[layer]:
                 if neighbor_id in visited:
                     continue
                 visited.add(neighbor_id)
-                neighbor_distance = self._distance(query, self._nodes[neighbor_id].vector)
-                if evals is not None:
-                    evals[0] += 1
+                node = nodes[neighbor_id]
+                norm = query_norm * node.norm
+                neighbor_distance = (
+                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+                )
+                evals += 1
                 worst = -results[0][0]
                 if len(results) < ef or neighbor_distance < worst:
-                    heapq.heappush(candidates, (neighbor_distance, neighbor_id))
-                    heapq.heappush(results, (-neighbor_distance, neighbor_id))
+                    heappush(candidates, (neighbor_distance, neighbor_id))
+                    heappush(results, (-neighbor_distance, neighbor_id))
                     if len(results) > ef:
-                        heapq.heappop(results)
-        return [(-negated, item_id) for negated, item_id in results]
+                        heappop(results)
+        return [(-negated, item_id) for negated, item_id in results], evals
 
     def _select_neighbors_heuristic(
-        self, query: np.ndarray, candidates: list[tuple[float, int]], m: int
+        self, candidates: list[tuple[float, int]], m: int
     ) -> list[tuple[float, int]]:
-        """Algorithm 4: diversity-preserving neighbour selection."""
+        """Algorithm 4: diversity-preserving neighbour selection.
+
+        *candidates* are ``(distance to the point being linked, id)``.
+        """
+        nodes = self._nodes
+        dot = np.dot
         ordered = sorted(candidates)
         selected: list[tuple[float, int]] = []
+        selected_nodes: list[_Node] = []
         for distance, candidate_id in ordered:
             if len(selected) >= m:
                 break
-            candidate_vector = self._nodes[candidate_id].vector
-            closer_to_selected = any(
-                self._distance(candidate_vector, self._nodes[sel_id].vector) < distance
-                for _, sel_id in selected
-            )
-            if not closer_to_selected:
+            candidate = nodes[candidate_id]
+            # Keep the candidate unless an already selected neighbour is
+            # closer to it than the point is; stop at the first such one.
+            for other in selected_nodes:
+                norm = candidate.norm * other.norm
+                between = (
+                    1.0
+                    if norm < ZERO_NORM
+                    else 1.0 - float(dot(candidate.vector, other.vector)) / norm
+                )
+                if between < distance:
+                    break
+            else:
                 selected.append((distance, candidate_id))
+                selected_nodes.append(candidate)
         # Fall back to plain nearest if the heuristic was too aggressive.
         if len(selected) < m:
             chosen = {sel_id for _, sel_id in selected}
@@ -259,14 +306,21 @@ class HnswIndex:
 
     def _link(self, from_id: int, to_id: int, layer: int, max_degree: int) -> None:
         """Add edge from→to on *layer*, re-pruning if the degree bound breaks."""
-        node = self._nodes[from_id]
-        if to_id in node.neighbors[layer]:
+        nodes = self._nodes
+        node = nodes[from_id]
+        neighbors = node.neighbors[layer]
+        if to_id in neighbors:
             return
-        node.neighbors[layer].append(to_id)
-        if len(node.neighbors[layer]) > max_degree:
-            candidates = [
-                (self._distance(node.vector, self._nodes[nid].vector), nid)
-                for nid in node.neighbors[layer]
-            ]
-            pruned = self._select_neighbors_heuristic(node.vector, candidates, max_degree)
-            node.neighbors[layer] = [nid for _, nid in pruned]
+        neighbors.append(to_id)
+        if len(neighbors) > max_degree:
+            dot = np.dot
+            candidates = []
+            for neighbor_id in neighbors:
+                other = nodes[neighbor_id]
+                norm = node.norm * other.norm
+                distance = (
+                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(node.vector, other.vector)) / norm
+                )
+                candidates.append((distance, neighbor_id))
+            pruned = self._select_neighbors_heuristic(candidates, max_degree)
+            node.neighbors[layer] = [neighbor_id for _, neighbor_id in pruned]

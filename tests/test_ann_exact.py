@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ann.distance import batch_cosine_distance, cosine_distance, euclidean_distance
+from repro.ann.distance import batch_cosine_distance, cosine_distance
 from repro.ann.exact import ExactKnnIndex
 
 
@@ -19,9 +19,6 @@ class TestDistances:
 
     def test_cosine_zero_vector(self):
         assert cosine_distance(np.zeros(2), np.ones(2)) == 1.0
-
-    def test_euclidean(self):
-        assert euclidean_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == pytest.approx(5.0)
 
     def test_batch_matches_scalar(self):
         generator = np.random.default_rng(0)
@@ -67,3 +64,21 @@ class TestExactKnn:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             ExactKnnIndex(dim=0)
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 64, 129])
+    def test_stored_norms_reproduce_the_reference_distances(self, dim):
+        """``search`` reads row norms kept since ``add``; the distances must be
+        ``==`` to what ``batch_cosine_distance`` computes from the rows alone,
+        across matrix growth, for a zero row and for a zero query."""
+        generator = np.random.default_rng(dim)
+        rows = generator.standard_normal((70, dim)) * generator.uniform(1e-3, 1e3, (70, 1))
+        rows[17] = 0.0
+        index = ExactKnnIndex(dim=dim)
+        for item_id, row in enumerate(rows):
+            index.add(item_id, row)
+        for query in (generator.standard_normal(dim), rows[3], np.zeros(dim)):
+            reference = batch_cosine_distance(query, index.matrix)
+            found = dict(index.search(query, len(rows)))
+            assert [found[item_id] for item_id in range(len(rows))] == reference.tolist()
+        assert dict(index.search(rows[3], len(rows)))[17] == 1.0
+        assert {d for _, d in index.search(np.zeros(dim), len(rows))} == {1.0}

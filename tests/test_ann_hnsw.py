@@ -47,10 +47,6 @@ class TestHnswBasics:
         with pytest.raises(ValueError):
             index.add(1, np.ones(4))
 
-    def test_invalid_metric_rejected(self):
-        with pytest.raises(ValueError):
-            HnswIndex(dim=3, metric="manhattan")
-
     def test_len_and_contains(self, populated):
         index, _ = populated
         assert len(index) == 300
@@ -85,6 +81,29 @@ class TestHnswBasics:
         assert build() == build()
 
 
+class TestHnswWork:
+    def test_one_norm_per_vector_and_one_per_query(self, monkeypatch):
+        """A norm never changes once its vector is stored: 300 inserts take
+        300 norms and a search takes the query's, however many distances
+        the graph walk evaluates."""
+        vectors = _unit_rows(300, 24, seed=7)
+        query = _unit_rows(1, 24, seed=8)[0]
+        calls = []
+        norm = np.linalg.norm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return norm(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        index = HnswIndex(dim=24, m=8, ef_construction=80, ef_search=60, seed=1)
+        for i, row in enumerate(vectors):
+            index.add(i, row)
+        assert len(calls) == 300
+        assert len(index.search(query, 10)) == 10
+        assert len(calls) == 301
+
+
 class TestHnswRecall:
     def test_high_recall_against_exact(self, populated):
         """The paper found HNSW ≈ exhaustive k-NN; recall@10 must be high."""
@@ -100,6 +119,33 @@ class TestHnswRecall:
             approx = {i for i, _ in index.search(query, 10)}
             total_recall += len(truth & approx) / 10
         assert total_recall / len(queries) >= 0.9
+
+    def test_recall_at_serving_parameters_across_seeds(self):
+        """ROADMAP item 3: recall@10 against ``ann.exact`` with the parameters
+        ``SearchIndex`` serves with, on tight clusters with exact duplicates
+        (a knowledge base repeats titles) — the data where a graph falls
+        apart if neighbour selection stops favouring diverse edges —
+        averaged over five seeds."""
+        recalls = []
+        for seed in range(5):
+            generator = np.random.default_rng(seed)
+            centres = generator.standard_normal((20, 32))
+            rows = centres[generator.integers(0, 20, 400)]
+            rows = rows + 0.05 * generator.standard_normal((400, 32))
+            rows[300:] = rows[generator.integers(0, 300, 100)]
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            index = HnswIndex(dim=32, m=16, ef_construction=100, ef_search=80, seed=seed)
+            exact = ExactKnnIndex(dim=32)
+            for i, row in enumerate(rows):
+                index.add(i, row)
+                exact.add(i, row)
+            queries = centres[generator.integers(0, 20, 20)]
+            queries = queries + 0.05 * generator.standard_normal((20, 32))
+            for query in queries:
+                truth = {i for i, _ in exact.search(query, 10)}
+                approx = {i for i, _ in index.search(query, 10)}
+                recalls.append(len(truth & approx) / 10)
+        assert sum(recalls) / len(recalls) >= 0.95
 
     def test_higher_ef_not_worse(self, populated):
         index, vectors = populated
