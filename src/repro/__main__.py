@@ -240,11 +240,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     ops_token = backend.login("cli-ops", role=ROLE_OPS)
 
     print(f"# served {args.queries} traced queries\n", file=sys.stderr)
-    print(backend.metrics_text(ops_token), end="")
+    print(backend.ops("metrics", ops_token), end="")
     print()
-    print(f"healthz: {backend.healthz()}")
-    print(f"readyz:  {backend.readyz()}")
-    alerts = backend.slo_status(ops_token)
+    print(f"healthz: {backend.ops('healthz')}")
+    print(f"readyz:  {backend.ops('readyz')}")
+    alerts = backend.ops("slo", ops_token)
     if alerts:
         for alert in alerts:
             print(f"SLO ALERT [{alert.severity}] {alert.rule}: {alert.message}")

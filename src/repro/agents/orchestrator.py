@@ -39,7 +39,6 @@ from repro.agents.routes import (
     ALL_ROUTES,
     ROUTE_CONVERSATIONAL,
     ROUTE_FOLLOW_UP,
-    ROUTE_LOOKUP,
     ROUTE_MULTI_HOP,
     ROUTE_STRUCTURED,
 )
@@ -48,7 +47,7 @@ from repro.agents.structured import (
     StructuredCatalog,
     render_structured_answer,
 )
-from repro.core.answer import OUTCOME_ANSWERED, OUTCOME_CONTENT_FILTER, UniAskAnswer
+from repro.core.answer import OUTCOME_ANSWERED, UniAskAnswer
 from repro.llm.base import RESPONSE_KIND_CLARIFICATION
 from repro.obs import spans
 from repro.search.fusion import reciprocal_rank_fusion
@@ -106,7 +105,6 @@ class Orchestrator:
             if registry is not None
             else None
         )
-        self._last_resolved = ""
 
     def refresh_catalog(self, store) -> None:
         """Re-extract the structured tables after a corpus write."""
@@ -136,21 +134,35 @@ class Orchestrator:
 
     # -- execution ------------------------------------------------------------
 
-    def execute(self, engine, question: str, options, ctx, route: str) -> UniAskAnswer:
-        """Run *question* down *route* using the engine's stage methods."""
-        self._last_resolved = question
-        if route == ROUTE_CONVERSATIONAL:
-            return self._run_conversational(question)
-        if route == ROUTE_MULTI_HOP:
-            return self._run_multi_hop(engine, question, options.filters, ctx)
-        if route == ROUTE_STRUCTURED:
-            return self._run_structured(engine, question, options.filters, ctx)
+    def execute(
+        self, engine, question: str, options, ctx, route: str
+    ) -> tuple[UniAskAnswer, str]:
+        """Run *question* down *route* using the engine's stage methods.
+
+        Returns the answer and the question actually answered (the
+        follow-up rewrite, else *question*); the engine hands it back to
+        :meth:`finish` — nothing about a request is kept here in between.
+        """
         if route == ROUTE_FOLLOW_UP:
             return self._run_follow_up(engine, question, options, ctx)
-        return engine._ask_staged(question, options.filters, ctx)
+        if route == ROUTE_CONVERSATIONAL:
+            answer = self._run_conversational(question)
+        elif route == ROUTE_MULTI_HOP:
+            answer = self._run_multi_hop(engine, question, options.filters, ctx)
+        elif route == ROUTE_STRUCTURED:
+            answer = self._run_structured(engine, question, options.filters, ctx)
+        else:
+            answer = engine._ask_staged(question, options.filters, ctx)
+        return answer, question
 
-    def finish(self, question: str, answer: UniAskAnswer, options, route: str) -> None:
-        """Record the served turn: route metrics plus session memory."""
+    def finish(
+        self, question: str, answer: UniAskAnswer, options, route: str, resolved: str
+    ) -> None:
+        """Record the served turn: route metrics plus session memory.
+
+        *resolved* is what :meth:`execute` answered (*question* itself
+        when the request never reached it, e.g. a cache hit).
+        """
         clarification = (
             answer.generation_kind == RESPONSE_KIND_CLARIFICATION
             or answer.outcome == "guardrail_clarification"
@@ -163,13 +175,12 @@ class Orchestrator:
                 options.session_id,
                 SessionTurn(
                     question=question,
-                    resolved_question=self._last_resolved or question,
+                    resolved_question=resolved,
                     route=route,
                     outcome=answer.outcome,
                     clarification_pending=clarification,
                 ),
             )
-        self._last_resolved = ""
 
     # -- per-route runners ----------------------------------------------------
 
@@ -183,16 +194,9 @@ class Orchestrator:
         )
 
     def _run_multi_hop(self, engine, question: str, filters, ctx) -> UniAskAnswer:
-        from repro.core.engine import CONTENT_BLOCKED_TEXT
-
-        screening = engine._screen(question, ctx)
-        if screening.blocked:
-            return UniAskAnswer(
-                question=question,
-                answer_text=CONTENT_BLOCKED_TEXT,
-                raw_answer="",
-                outcome=OUTCOME_CONTENT_FILTER,
-            )
+        blocked = engine._screen(question, ctx)
+        if blocked is not None:
+            return blocked
         decomposition = self.multihop.decompose(question)
         if len(decomposition.hops) < 2:
             # A misfired connective must never make the answer worse than
@@ -200,9 +204,6 @@ class Orchestrator:
             # screen already ran, but re-screening is idempotent).
             return engine._ask_staged(question, filters, ctx)
 
-        searcher = engine.searcher
-        take_report = getattr(searcher, "take_scatter_report", None)
-        scatter = None
         rankings: dict[str, list] = {}
         with ctx.trace.span(
             spans.STAGE_RETRIEVAL, hops=len(decomposition.hops)
@@ -212,17 +213,12 @@ class Orchestrator:
                 with ctx.trace.span(
                     spans.STAGE_SUBQUERY, index=index, question_chars=len(hop)
                 ) as hop_span:
-                    results = searcher.search(hop, filters=filters, ctx=ctx)
-                    hop_span.set("results", len(results))
-                rankings[f"hop_{index + 1}"] = results
-                if take_report is not None:
-                    report = take_report()
-                    if report is not None and (scatter is None or report.partial):
-                        scatter = report
+                    # The engine's retrieval stage, once per hop: every
+                    # hop's scatter report lands on the request context.
+                    rankings[f"hop_{index + 1}"] = engine._search(hop, filters, ctx, hop_span)
             span.set("results", sum(len(r) for r in rankings.values()))
-        engine._last_scatter = scatter
 
-        config = searcher.config
+        config = engine.searcher.config
         with ctx.trace.span(
             spans.STAGE_FUSION, sources=len(rankings), multi_hop=True
         ) as span:
@@ -230,20 +226,12 @@ class Orchestrator:
                 rankings, c=config.rrf_c, top_n=config.final_n
             )
             span.set("candidates", len(fused))
-        engine._m_retrieved.observe(float(len(fused)))
-        return engine._complete_from_documents(question, fused, ctx)
+        return engine._complete_from_documents(question, fused, ctx, fused=True)
 
     def _run_structured(self, engine, question: str, filters, ctx) -> UniAskAnswer:
-        from repro.core.engine import CONTENT_BLOCKED_TEXT
-
-        screening = engine._screen(question, ctx)
-        if screening.blocked:
-            return UniAskAnswer(
-                question=question,
-                answer_text=CONTENT_BLOCKED_TEXT,
-                raw_answer="",
-                outcome=OUTCOME_CONTENT_FILTER,
-            )
+        blocked = engine._screen(question, ctx)
+        if blocked is not None:
+            return blocked
         # Retrieval still runs: its top chunks are the citation context for
         # rendered rows, and the generative fallback when no plan succeeds.
         documents = engine._retrieve(question, filters, ctx)
@@ -280,14 +268,15 @@ class Orchestrator:
         # pipeline over the already retrieved documents.
         return engine._complete_from_documents(question, documents, ctx)
 
-    def _run_follow_up(self, engine, question: str, options, ctx) -> UniAskAnswer:
+    def _run_follow_up(
+        self, engine, question: str, options, ctx
+    ) -> tuple[UniAskAnswer, str]:
         with ctx.trace.span(spans.STAGE_AGENT_REWRITE) as span:
             resolved = self.followup.resolve(
                 question, self.memory.last_turn(options.session_id)
             )
             span.set("rewritten", resolved.question != question)
             span.set("merged_clarification", resolved.merged_clarification)
-        self._last_resolved = resolved.question
         answer = engine._ask_staged(resolved.question, options.filters, ctx)
         # The response surfaces the user's words, not the internal rewrite.
-        return replace(answer, question=question)
+        return replace(answer, question=question), resolved.question

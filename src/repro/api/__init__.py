@@ -46,8 +46,6 @@ _LAZY = {
     "AdmissionError": ("repro.core.errors", "AdmissionError"),
     "AutoscaleConfig": ("repro.autoscale.config", "AutoscaleConfig"),
     "ClusterConfig": ("repro.cluster.config", "ClusterConfig"),
-    "OpsRequest": ("repro.service.ops", "OpsRequest"),
-    "OpsResponse": ("repro.service.ops", "OpsResponse"),
     "GenerationConfig": ("repro.core.config", "GenerationConfig"),
     "HybridSearchConfig": ("repro.search.hybrid", "HybridSearchConfig"),
     "IndexConfig": ("repro.search.segment", "IndexConfig"),
@@ -75,8 +73,6 @@ __all__ = [
     "HybridSearchConfig",
     "IndexConfig",
     "OUTCOME_ANSWERED",
-    "OpsRequest",
-    "OpsResponse",
     "PRIORITIES",
     "PRIORITY_BATCH",
     "PRIORITY_CANARY",

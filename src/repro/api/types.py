@@ -3,10 +3,8 @@
 These are the *only* types a caller needs to drive UniAsk: build an
 :class:`AskRequest` (question + :class:`AskOptions`), hand it to
 ``engine.answer()`` or ``backend.serve()``, and read the
-:class:`AskResponse`.  The engine's legacy positional signature
-(``ask(question, filters, ctx)``) survives as a deprecated shim; new
-options (tracing, cache policy, request ids, whatever comes next) land
-here instead of growing more positional parameters.
+:class:`AskResponse`.  New options (tracing, cache policy, request ids,
+whatever comes next) land here instead of growing positional parameters.
 """
 
 from __future__ import annotations
@@ -122,11 +120,15 @@ class AskResponse:
     """Everything the engine returns for one :class:`AskRequest`.
 
     Wraps the full :class:`~repro.core.answer.UniAskAnswer` and exposes
-    the fields callers reach for most as flat properties.
+    the fields callers reach for most as flat properties.  ``scatter`` is
+    the request's merged :class:`~repro.cluster.router.ScatterReport` (every
+    shard probe of every search it ran); None on a single index or when
+    nothing was retrieved.
     """
 
     answer: UniAskAnswer
     request: AskRequest
+    scatter: object | None = None
 
     @property
     def text(self) -> str:

@@ -135,11 +135,10 @@ class AutoscaleConfig:
             shard with the ring planner's minimal-movement pins.
         rebalance_fraction: fraction of the hot shard's documents moved
             per rebalance action.
-        adaptive_hedging: install an :class:`AdaptiveHedgeBudget` on the
-            cluster router, shrinking hedged retries as utilization
-            rises.
         hedge_base_fraction: fraction of probes allowed to hedge when
-            the cluster is idle.
+            the cluster is idle (an autoscale-enabled cluster always runs
+            the :class:`AdaptiveHedgeBudget`, shrinking hedged retries as
+            utilization rises).
         hedge_disable_above: utilization at which the hedge budget
             reaches zero.
         admission: the admission-control sub-config (see
@@ -163,7 +162,6 @@ class AutoscaleConfig:
     hot_shard_ratio: float = 1.5
     rebalance_skew: float = 1.5
     rebalance_fraction: float = 0.25
-    adaptive_hedging: bool = True
     hedge_base_fraction: float = 0.3
     hedge_disable_above: float = 0.85
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)

@@ -29,7 +29,7 @@ from repro.cluster.replica import Replica, ReplicaGroup
 from repro.cluster.sharded_index import ShardedSearchIndex
 from repro.obs import spans
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.obs.work import (
     WORK_RETRIEVAL_CACHE_HITS,
     WORK_RETRIEVAL_CACHE_MISSES,
@@ -37,16 +37,10 @@ from repro.obs.work import (
 )
 from repro.pipeline.clock import SimulatedClock
 from repro.search.fulltext import FullTextSearch, ScoringProfile
-from repro.search.fusion import reciprocal_rank_fusion
-from repro.search.hybrid import HybridSearchConfig
+from repro.search.hybrid import HybridSearchConfig, fuse_and_rerank
 from repro.search.reranker import SemanticReranker
 from repro.search.results import RetrievedChunk
 from repro.search.vector import VectorSearch
-
-
-#: Traceless context handed to shard leg executors of explain requests:
-#: enables per-term breakdowns without charging local stage costs.
-_EXPLAIN_LEG_CONTEXT = RequestContext(explain=True)
 
 
 def _attribute_shard(results: list[RetrievedChunk], shard_id: int) -> list[RetrievedChunk]:
@@ -181,10 +175,10 @@ def format_cluster_status(status: ClusterStatus) -> str:
 class ClusterSearcher:
     """Hybrid search scattered over every shard of a cluster.
 
-    Drop-in for :class:`HybridSemanticSearch` at the engine boundary: the
-    same ``search(query, filters, ctx)`` signature and the same
-    :class:`HybridSearchConfig` semantics, plus :meth:`take_scatter_report`
-    for callers that surface degradation.
+    Implements the searcher contract of :class:`HybridSemanticSearch` at
+    the engine boundary — ``search`` / ``search_degraded`` with the same
+    :class:`HybridSearchConfig` semantics, ``index``, ``config``,
+    :meth:`take_scatter_report`, :meth:`status` — by composition.
 
     Args:
         index: the sharded corpus.
@@ -227,7 +221,8 @@ class ClusterSearcher:
         if self.config.use_reranker and reranker is None:
             raise ValueError("a reranker is required unless use_reranker=False")
         self.cluster_config = cluster_config or ClusterConfig()
-        self._index = index
+        #: The underlying sharded index.
+        self.index = index
         self._reranker = reranker
         self._clock = clock if clock is not None else SimulatedClock()
         self._profile = profile
@@ -265,14 +260,9 @@ class ClusterSearcher:
 
     # -- topology ----------------------------------------------------------
 
-    @property
-    def index(self) -> ShardedSearchIndex:
-        """The underlying sharded index."""
-        return self._index
-
     def _sync_topology(self) -> None:
         """Align replica groups and executors with the current shard set."""
-        current = set(self._index.shard_ids)
+        current = set(self.index.shard_ids)
         for shard_id in list(self._groups):
             if shard_id not in current:
                 del self._groups[shard_id]
@@ -280,12 +270,12 @@ class ClusterSearcher:
                 self._vector.pop(shard_id, None)
                 if self.retrieval_cache is not None:
                     self.retrieval_cache.drop_shard(shard_id)
-        for shard_id in self._index.shard_ids:
+        for shard_id in self.index.shard_ids:
             if shard_id not in self._groups:
                 self._groups[shard_id] = ReplicaGroup.build(shard_id, self.cluster_config)
-                view = self._index.search_view(shard_id)
+                view = self.index.search_view(shard_id)
                 self._fulltext[shard_id] = FullTextSearch(view, profile=self._profile)
-                self._vector[shard_id] = VectorSearch(self._index.shard_index(shard_id))
+                self._vector[shard_id] = VectorSearch(self.index.shard_index(shard_id))
 
     def _observe_control_state(self) -> None:
         """Diff replica liveness and cache generation onto the recorder.
@@ -300,7 +290,7 @@ class ClusterSearcher:
         if self.recorder is None:
             return
         current: dict[str, bool] = {}
-        for shard_id in self._index.shard_ids:
+        for shard_id in self.index.shard_ids:
             for replica in self._groups[shard_id].replicas:
                 key = f"s{shard_id}/{replica.replica_id}"
                 current[key] = replica.alive
@@ -313,7 +303,7 @@ class ClusterSearcher:
                         replica_id=replica.replica_id,
                     )
         self._last_alive = current
-        generation = self._index.generation
+        generation = self.index.generation
         if self._last_generation is not None and generation != self._last_generation:
             self.recorder.record("cache_epoch_flip", "router", generation=generation)
         self._last_generation = generation
@@ -364,7 +354,7 @@ class ClusterSearcher:
         self,
         query: str,
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Scatter *query* to every shard, gather, fuse and rerank.
 
@@ -372,47 +362,93 @@ class ClusterSearcher:
         :meth:`take_scatter_report` afterwards to learn whether (and
         where) the result is partial.
         """
-        ctx = ctx or null_context()
+        rankings, report = self._scatter(query, filters, ctx)
+        results = fuse_and_rerank(query, rankings, self.config, self._reranker, ctx)
+        self._last_report = report
+        return results
+
+    def search_degraded(
+        self,
+        query: str,
+        filters: dict[str, str] | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
+    ) -> list[RetrievedChunk]:
+        """BM25-only scatter for admission-degraded requests (level 2).
+
+        The same scatter loop as :meth:`search` (replica health, hedging,
+        partial degradation and work accounting all apply) gathering only
+        the full-text legs — no query embedding, no vector legs, no
+        reranker, no retrieval-cache consult.
+        """
+        rankings, report = self._scatter(query, filters, ctx, degraded=True)
+        self._last_report = report
+        return rankings["text"][: self.config.final_n]
+
+    def _scatter(
+        self,
+        query: str,
+        filters: dict[str, str] | None,
+        ctx: RequestContext,
+        degraded: bool = False,
+    ) -> tuple[dict[str, list[RetrievedChunk]], ScatterReport]:
+        """The one scatter loop: probe → legs → span annotation → report →
+        metrics → gather barrier → merge.
+
+        *degraded* runs it as a text-only scatter whatever the configured
+        mode, with the retrieval cache off.  The shard legs run under a
+        traceless context: in a real deployment they execute remotely and
+        in parallel, so their latency is the replica's simulated service
+        time (charged at the gather barrier), not a serial sum of local
+        stage costs.  The leg context still carries the request's explain
+        flag (per-term BM25 breakdowns) and work counters (kernel-level
+        counts attribute to the request).  Returns the merged rankings and
+        the report, which the callers publish once their ranking is done.
+        """
         self._sync_topology()
         self._observe_control_state()
         config = self.config
+        mode = "text" if degraded else config.mode
+        turn = self._query_counter
         self._query_counter += 1
-        turn = self._query_counter - 1
 
         query_vector = None
-        if config.mode in ("hybrid", "vector"):
+        if mode in ("hybrid", "vector"):
             with ctx.trace.span(spans.STAGE_EMBED_QUERY, query_chars=len(query)):
-                query_vector = self._index.embedder.embed(query)
+                query_vector = self.index.embedder.embed(query)
 
         text_candidates: list[RetrievedChunk] = []
         vector_candidates: dict[str, list[RetrievedChunk]] = {
-            name: [] for name in self._index.schema.vector_fields
+            name: [] for name in self.index.schema.vector_fields
         }
         cache_key = None
-        if self.retrieval_cache is not None and not ctx.explain:
+        if self.retrieval_cache is not None and not ctx.explain and not degraded:
             # Explain requests bypass the retrieval cache: cached legs were
             # gathered without per-term/per-shard breakdowns, and provenance
             # must describe *this* scatter, not a stale one.
             cache_key = retrieval_cache_key(
-                query, filters, config.mode, config.text_n, config.vector_k
+                query, filters, mode, config.text_n, config.vector_k
             )
-        probes: list[ShardProbe] = []
         work = ctx.work
+        leg_ctx = NULL_CONTEXT
+        if ctx.explain or work is not None:
+            leg_ctx = RequestContext(explain=ctx.explain, work=work)
+        probes: list[ShardProbe] = []
         now = self._clock.now()
-        with ctx.trace.span(spans.STAGE_SCATTER, shards=self._index.num_shards) as scatter:
-            for shard_id in self._index.shard_ids:
+        scatter_attrs = {"degraded": True} if degraded else {}
+        with ctx.trace.span(
+            spans.STAGE_SCATTER, shards=self.index.num_shards, **scatter_attrs
+        ) as scatter:
+            for shard_id in self.index.shard_ids:
                 probe = self._probe_shard(shard_id, query, turn, now)
                 probes.append(probe)
-                with ctx.trace.span(spans.shard_stage(shard_id)) as span:
+                with ctx.span(spans.shard_stage(shard_id)) as span:
                     gathered = 0
                     served_from_cache = False
-                    mark = work.snapshot() if work is not None else None
                     if probe.ok:
                         if work is not None:
                             work.add(WORK_SCATTER_LEGS)
                         leg_text, leg_vector, served_from_cache = self._shard_legs(
-                            shard_id, cache_key, query, query_vector, filters,
-                            explain=ctx.explain, work=work,
+                            shard_id, cache_key, query, query_vector, filters, leg_ctx, mode
                         )
                         text_candidates.extend(leg_text)
                         gathered += len(leg_text)
@@ -429,12 +465,8 @@ class ClusterSearcher:
                     )
                     if served_from_cache:
                         span.set("cached", True)
-                    if work is not None:
-                        for kind, units in work.delta(mark).items():
-                            span.set(f"work_{kind}", units)
             scatter.set("failed", sum(1 for probe in probes if not probe.ok))
         report = ScatterReport(probes=tuple(probes))
-        self._last_report = report
         for probe in probes:
             self._m_probes.labels(str(probe.shard_id), "ok" if probe.ok else "timeout").inc()
             if probe.hedged:
@@ -443,71 +475,7 @@ class ClusterSearcher:
             self._m_partial.inc()
         with ctx.trace.span(spans.STAGE_SCATTER_WAIT, wait=report.max_latency):
             pass
-
-        rankings = self._merge(text_candidates, vector_candidates)
-        return self._fuse_and_rerank(query, rankings, ctx)
-
-    def search_degraded(
-        self,
-        query: str,
-        filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
-    ) -> list[RetrievedChunk]:
-        """BM25-only scatter for admission-degraded requests.
-
-        The level-2 shedding path of a clustered deployment: probes every
-        shard exactly like :meth:`search` (replica health, hedging and
-        partial degradation all apply) but gathers only the full-text
-        legs — no query embedding, no vector legs, no reranker, no
-        retrieval-cache consult.
-        """
-        ctx = ctx or null_context()
-        self._sync_topology()
-        self._observe_control_state()
-        config = self.config
-        self._query_counter += 1
-        turn = self._query_counter - 1
-
-        text_candidates: list[RetrievedChunk] = []
-        probes: list[ShardProbe] = []
-        now = self._clock.now()
-        with ctx.trace.span(
-            spans.STAGE_SCATTER, shards=self._index.num_shards, degraded=True
-        ) as scatter:
-            for shard_id in self._index.shard_ids:
-                probe = self._probe_shard(shard_id, query, turn, now)
-                probes.append(probe)
-                with ctx.trace.span(spans.shard_stage(shard_id)) as span:
-                    gathered = 0
-                    if probe.ok:
-                        leg = self._fulltext[shard_id].search(
-                            query, n=config.text_n, filters=filters, ctx=None
-                        )
-                        text_candidates.extend(leg)
-                        gathered = len(leg)
-                    span.annotate(
-                        replica=probe.replica_id,
-                        ok=probe.ok,
-                        hedged=probe.hedged,
-                        attempts=probe.attempts,
-                        latency_ms=round(probe.latency * 1000.0, 3),
-                        results=gathered,
-                    )
-            scatter.set("failed", sum(1 for probe in probes if not probe.ok))
-        report = ScatterReport(probes=tuple(probes))
-        self._last_report = report
-        for probe in probes:
-            self._m_probes.labels(str(probe.shard_id), "ok" if probe.ok else "timeout").inc()
-            if probe.hedged:
-                self._m_hedges.inc()
-        if report.partial:
-            self._m_partial.inc()
-        with ctx.trace.span(spans.STAGE_SCATTER_WAIT, wait=report.max_latency):
-            pass
-
-        ordinal = self._index.ordinal
-        text_candidates.sort(key=lambda r: (-r.score, ordinal(r.record.chunk_id)))
-        return text_candidates[: config.final_n]
+        return self._merge(text_candidates, vector_candidates, mode), report
 
     def _shard_legs(
         self,
@@ -516,24 +484,19 @@ class ClusterSearcher:
         query: str,
         query_vector,
         filters: dict[str, str] | None,
-        explain: bool = False,
-        work=None,
+        leg_ctx: RequestContext,
+        mode: str,
     ):
         """The text and vector leg results of one shard, cached when possible.
 
-        The shard legs run with a null context: in a real deployment they
-        execute remotely and in parallel, so their latency is the replica's
-        simulated service time (charged at the gather barrier), not a
-        serial sum of local stage costs.  With *explain* the legs run under
-        a traceless explain context (per-term BM25 breakdowns) and every
-        gathered chunk is tagged with its shard of origin.  With *work* the
-        legs run under a traceless work-carrying context so kernel-level
-        counters attribute to the request; the retrieval-cache consult
+        With ``leg_ctx.explain`` every gathered chunk is tagged with its
+        shard of origin; with ``leg_ctx.work`` the retrieval-cache consult
         books one ``retrieval_cache_hits``/``retrieval_cache_misses`` unit.
 
         Returns ``(text_leg, [(field, vector_leg), ...], served_from_cache)``.
         """
         config = self.config
+        work = leg_ctx.work
         if cache_key is not None:
             generation = self._leg_generation(shard_id)
             cached = self.retrieval_cache.get(shard_id, cache_key, generation)
@@ -546,13 +509,9 @@ class ClusterSearcher:
             if cached is not None:
                 return cached.text, cached.vector, True
 
-        if work is not None:
-            leg_ctx = RequestContext(explain=explain, work=work)
-        else:
-            leg_ctx = _EXPLAIN_LEG_CONTEXT if explain else None
         leg_text: list[RetrievedChunk] = []
         leg_vector: dict[str, list[RetrievedChunk]] = {}
-        if config.mode in ("hybrid", "text"):
+        if mode in ("hybrid", "text"):
             leg_text = self._fulltext[shard_id].search(
                 query, n=config.text_n, filters=filters, ctx=leg_ctx
             )
@@ -560,7 +519,7 @@ class ClusterSearcher:
             leg_vector = self._vector[shard_id].search_by_vector(
                 query_vector, k=config.vector_k, filters=filters, ctx=leg_ctx
             )
-        if explain:
+        if leg_ctx.explain:
             leg_text = _attribute_shard(leg_text, shard_id)
             leg_vector = {
                 field_name: _attribute_shard(leg, shard_id)
@@ -585,8 +544,8 @@ class ClusterSearcher:
         even though B's own contents are untouched.
         """
         if self.config.mode in ("hybrid", "text"):
-            return self._index.generation
-        return self._index.shard_index(shard_id).segment_stamp()
+            return self.index.generation
+        return self.index.shard_index(shard_id).segment_stamp()
 
     def take_scatter_report(self) -> ScatterReport | None:
         """The report of the most recent :meth:`search`; clears it."""
@@ -598,6 +557,7 @@ class ClusterSearcher:
         self,
         text_candidates: list[RetrievedChunk],
         vector_candidates: dict[str, list[RetrievedChunk]],
+        mode: str,
     ) -> dict[str, list[RetrievedChunk]]:
         """Merge per-shard leg results into single-index-equivalent rankings.
 
@@ -607,35 +567,16 @@ class ClusterSearcher:
         order.
         """
         config = self.config
-        ordinal = self._index.ordinal
+        ordinal = self.index.ordinal
         rankings: dict[str, list[RetrievedChunk]] = {}
-        if config.mode in ("hybrid", "text"):
+        if mode in ("hybrid", "text"):
             text_candidates.sort(key=lambda r: (-r.score, ordinal(r.record.chunk_id)))
             rankings["text"] = text_candidates[: config.text_n]
-        if config.mode in ("hybrid", "vector"):
+        if mode in ("hybrid", "vector"):
             for field_name, candidates in vector_candidates.items():
                 candidates.sort(key=lambda r: (-r.score, ordinal(r.record.chunk_id)))
                 rankings[f"vector_{field_name}"] = candidates[: config.vector_k]
         return rankings
-
-    def _fuse_and_rerank(
-        self,
-        query: str,
-        rankings: dict[str, list[RetrievedChunk]],
-        ctx: RequestContext,
-    ) -> list[RetrievedChunk]:
-        """The same fuse → rerank → truncate tail as HybridSemanticSearch."""
-        config = self.config
-        with ctx.trace.span(
-            spans.STAGE_FUSION,
-            sources=len(rankings),
-            candidates=sum(len(ranking) for ranking in rankings.values()),
-        ) as span:
-            fused = reciprocal_rank_fusion(rankings, c=config.rrf_c, top_n=config.final_n)
-            span.set("results", len(fused))
-        if config.use_reranker and self._reranker is not None:
-            fused = self._reranker.rerank(query, fused, ctx=ctx)
-        return fused[: config.final_n]
 
     # -- replica selection -------------------------------------------------
 
@@ -746,8 +687,8 @@ class ClusterSearcher:
         self._observe_control_state()
         now = self._clock.now()
         shards = []
-        for shard_id in self._index.shard_ids:
-            shard = self._index.shard_index(shard_id)
+        for shard_id in self.index.shard_ids:
+            shard = self.index.shard_index(shard_id)
             group = self._groups[shard_id]
             shards.append(
                 ShardStatus(

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.cluster.planner import ShardPlanner
 from repro.embeddings.model import EmbeddingModel
-from repro.obs.trace import RequestContext
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord, IndexSchema, uniask_schema
@@ -394,7 +394,7 @@ class ShardedSearchIndex:
             shard.flush()
 
     def run_maintenance(
-        self, now: float, ctx: RequestContext | None = None
+        self, now: float, ctx: RequestContext = NULL_CONTEXT
     ) -> dict[str, int]:
         """Run segment maintenance on every shard; merged op counts.
 

@@ -44,4 +44,3 @@ class UniAskConfig:
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
     incident: IncidentConfig = field(default_factory=IncidentConfig)
     rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD
-    language: str = "it"

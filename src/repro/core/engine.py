@@ -16,15 +16,14 @@ Deployments built with a :class:`~repro.cache.AnswerCache` short-circuit
 the whole pipeline on a cache hit (exact or semantic), subject to the
 per-request cache policy carried by :class:`~repro.api.types.AskOptions`.
 
-Each step is an explicit stage method taking the request's
-:class:`~repro.obs.trace.RequestContext`; with tracing enabled every stage
-records a named span (see :mod:`repro.obs.spans`) and the finished
-:class:`~repro.obs.trace.Trace` rides back on ``UniAskAnswer.trace``.
+Each step is an explicit stage method taking the request's one
+:class:`~repro.obs.trace.RequestContext` (built in ``answer``); with tracing
+enabled every stage records a named span (see :mod:`repro.obs.spans`) and
+the finished :class:`~repro.obs.trace.Trace` rides back on the answer.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 from repro.agents.routes import ROUTE_CONVERSATIONAL, ROUTE_FOLLOW_UP, ROUTE_LOOKUP
@@ -53,11 +52,11 @@ from repro.core.config import UniAskConfig
 from repro.guardrails.citation import extract_citations
 from repro.guardrails.pipeline import APOLOGY_TEXT, GuardrailPipeline, GuardrailReport
 from repro.llm.base import ChatCompletionClient, ChatResponse, traced_complete
-from repro.llm.content_filter import ContentFilter, ContentFilterResult
+from repro.llm.content_filter import ContentFilter
 from repro.llm.prompts import build_answer_prompt, context_from_results
 from repro.obs import spans
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext, Trace
 from repro.obs.work import WorkCounters
 from repro.search.hybrid import HybridSemanticSearch
 from repro.search.results import RetrievedChunk
@@ -112,11 +111,11 @@ class UniAskEngine:
         orchestrator=None,
     ) -> None:
         self.config = config or UniAskConfig()
-        self._searcher = searcher
+        #: The retrieval module (a ClusterSearcher in sharded deployments).
+        self.searcher = searcher
         self._llm = llm
         self._guardrails = guardrails or GuardrailPipeline()
         self._content_filter = content_filter or ContentFilter()
-        self._last_scatter = None
         self.answer_cache = answer_cache
         #: The agent Orchestrator (:class:`repro.agents.Orchestrator`), or
         #: None in agents-off deployments — then every request takes
@@ -133,21 +132,6 @@ class UniAskEngine:
             buckets=(1.0, 5.0, 10.0, 25.0, 50.0, 100.0),
         )
 
-    @property
-    def searcher(self) -> HybridSemanticSearch:
-        """The retrieval module (a ClusterSearcher in sharded deployments)."""
-        return self._searcher
-
-    @property
-    def last_scatter_report(self):
-        """The cluster scatter report of the most recent :meth:`ask`.
-
-        None for single-index deployments, and until the first question.
-        Kept until the next ask so the service layer can feed per-shard
-        probe outcomes to monitoring after the answer returns.
-        """
-        return self._last_scatter
-
     def answer(
         self,
         request: AskRequest | str,
@@ -156,13 +140,15 @@ class UniAskEngine:
     ) -> AskResponse:
         """Answer *request*; never raises on ordinary pipeline outcomes.
 
-        The canonical entry point of the engine: a bare string is promoted
-        to an :class:`~repro.api.types.AskRequest` with default options.
-        ``options.trace`` requests a per-stage trace (returned on
-        ``response.trace``); a caller-supplied *ctx* — the backend passes
-        one carrying its latency-model trace — takes precedence.
-        ``options.cache`` selects the cache policy for this request; it is
-        inert when the deployment has no answer cache.
+        The one entry point of the engine: a bare string is promoted to an
+        :class:`~repro.api.types.AskRequest` with default options.  This is
+        also the only place a caller may omit *ctx*: every stage below runs
+        on the one :class:`RequestContext` built here from the caller's (the
+        backend passes its latency-model trace) and ``options.trace`` /
+        ``profile`` / ``explain``.  Per-request results — trace, work counts,
+        the merged cluster scatter report — ride on it and come back on the
+        response; nothing is kept on the engine.  ``options.cache`` selects
+        the cache policy; it is inert without an answer cache.
 
         *degrade_level* is the admission shedding-ladder level granted to
         the request (see :mod:`repro.autoscale.admission`): 0 runs the
@@ -176,96 +162,58 @@ class UniAskEngine:
             raise ValueError("degrade_level must be 0, 1 or 2")
         if isinstance(request, str):
             request = AskRequest(question=request)
+        question = request.question
         options = request.options
-        if ctx is None:
-            work = WorkCounters() if options.profile else None
-            if options.trace or options.profile:
-                # Profiling piggybacks on spans, so it implies a trace.
-                ctx = RequestContext.traced(
-                    request_id=options.request_id, explain=options.explain, work=work
-                )
-            elif options.explain:
-                ctx = RequestContext(request_id=options.request_id, explain=True)
+        # One context per request and never the caller's own object (it may
+        # be the shared null singleton): its trace and counters, raised by
+        # what the options ask for.  Profiling books onto spans, so it
+        # implies a trace.
+        base = ctx or NULL_CONTEXT
+        keep_trace = base.trace.enabled or not (options.trace or options.profile)
+        keep_work = base.work is not None or not options.profile
+        ctx = RequestContext(
+            trace=base.trace if keep_trace else Trace(),
+            request_id=base.request_id or options.request_id,
+            explain=base.explain or options.explain,
+            work=base.work if keep_work else WorkCounters(),
+        )
+        trace, work = ctx.trace, ctx.work
+        with trace.span(spans.STAGE_ASK, question_chars=len(question)) as root:
+            route = ""
+            resolved = question
+            if degrade_level > 0:
+                # Shed requests never consult the orchestrator: agent
+                # routing is part of the full pipeline being shed.
+                answer = self._answer_degraded(question, options, ctx, degrade_level)
+                root.set("degrade_level", answer.degrade_level)
             else:
-                ctx = null_context()
-        else:
-            explain = ctx.explain or options.explain
-            work = ctx.work
-            if options.profile and work is None:
-                work = WorkCounters()
-            if explain is not ctx.explain or work is not ctx.work:
-                # Never mutate the caller's context (it may be the shared null
-                # singleton); rewrap it with the raised flags.
-                ctx = RequestContext(
-                    trace=ctx.trace, request_id=ctx.request_id, explain=explain, work=work
-                )
-        trace = ctx.trace
-        self._last_scatter = None
-        try:
-            with trace.span(spans.STAGE_ASK, question_chars=len(request.question)) as root:
-                route = ""
-                if degrade_level > 0:
-                    # Shed requests never consult the orchestrator: agent
-                    # routing is part of the full pipeline being shed.
-                    answer = self._answer_degraded(
-                        request.question, options, ctx, degrade_level
-                    )
-                    root.set("degrade_level", answer.degrade_level)
-                else:
-                    if self.orchestrator is not None:
-                        route = self.orchestrator.resolve_route(
-                            request.question, options, ctx
-                        ).route
-                    answer = self._answer_cached(request.question, options, ctx, route)
-                if route:
-                    answer = replace(answer, route=route)
-                    root.set("route", route)
-                if options.explain:
-                    answer = replace(answer, explain_report=self._explain(answer, ctx))
-                root.set("outcome", answer.outcome)
-        except BaseException:
-            # A stage that raises must not leave the previous request's
-            # scatter report observable through last_scatter_report.
-            self._last_scatter = None
-            raise
+                if self.orchestrator is not None:
+                    route = self.orchestrator.resolve_route(question, options, ctx).route
+                answer, resolved = self._answer_cached(question, options, ctx, route)
+            if route:
+                answer = replace(answer, route=route)
+                root.set("route", route)
+            if options.explain:
+                answer = replace(answer, explain_report=self._explain(answer, ctx))
+            root.set("outcome", answer.outcome)
         self._m_requests.labels(answer.outcome).inc()
-        if self._last_scatter is not None and self._last_scatter.partial:
+        scatter = ctx.scatter
+        if scatter is not None and scatter.partial:
             answer = replace(answer, partial_results=True)
         if trace.enabled:
             answer = replace(answer, trace=trace)
-        if ctx.work is not None:
-            answer = replace(answer, work=ctx.work.snapshot())
-        if self.orchestrator is not None and route:
-            self.orchestrator.finish(request.question, answer, options, route)
-        return AskResponse(answer=answer, request=request)
-
-    def ask(
-        self,
-        question: str,
-        filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
-    ) -> UniAskAnswer:
-        """Deprecated: use :meth:`answer` with an ``AskRequest``.
-
-        Kept as a thin shim over :meth:`answer`; behaves identically
-        (options default to no tracing and the default cache policy) and
-        returns the bare :class:`UniAskAnswer`.
-        """
-        warnings.warn(
-            "UniAskEngine.ask() is deprecated; use "
-            "engine.answer(AskRequest.of(question, filters=...)) from repro.api",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = AskRequest(question=question, options=AskOptions(filters=filters))
-        return self.answer(request, ctx=ctx).answer
+        if work is not None:
+            answer = replace(answer, work=work.snapshot())
+        if route:
+            self.orchestrator.finish(question, answer, options, route, resolved)
+        return AskResponse(answer=answer, request=request, scatter=scatter)
 
     # -- stages --------------------------------------------------------------
 
     def _answer_cached(
         self, question: str, options: AskOptions, ctx: RequestContext, route: str = ""
-    ) -> UniAskAnswer:
-        """Run the staged pipeline behind the answer cache, when one is wired.
+    ) -> tuple[UniAskAnswer, str]:
+        """Run the routed pipeline behind the answer cache, when one is wired.
 
         Policy ``bypass`` skips the cache entirely; ``refresh`` skips the
         lookup but overwrites the entry with the fresh answer.  Lookups and
@@ -279,49 +227,62 @@ class UniAskEngine:
         a structured answer is never served to a multi-hop request over
         the same terms (the lookup route keeps the plain key — it *is*
         the pre-agents pipeline).
+
+        Returns the answer and the question actually answered (the
+        follow-up agent's rewrite, *question* itself otherwise).
         """
         cache = self.answer_cache
-        if (
-            cache is None
-            or not cache.config.answer_tier_active
-            or options.cache == CACHE_BYPASS
-            or options.explain
-            or route in (ROUTE_CONVERSATIONAL, ROUTE_FOLLOW_UP)
-        ):
-            # Explain requests run cacheless both ways: a cached answer has
-            # no fresh provenance to report, and an explain answer (per-term
-            # components, attached report) must not be what later plain
-            # requests are served from.
-            return self._ask_routed(question, options, ctx, route)
+        # Explain requests run cacheless both ways: a cached answer has no
+        # fresh provenance to report, and an explain answer (per-term
+        # components, attached report) must not be what later plain
+        # requests are served from.
+        cached = (
+            cache is not None
+            and cache.config.answer_tier_active
+            and options.cache != CACHE_BYPASS
+            and not options.explain
+            and route not in (ROUTE_CONVERSATIONAL, ROUTE_FOLLOW_UP)
+        )
+        if cached:
+            namespace = "" if route in ("", ROUTE_LOOKUP) else route
+            key = cache.key(question, options.filters, namespace=namespace)
+            epoch = self.searcher.index.generation
+            if options.cache != CACHE_REFRESH:
+                hit = self._cache_lookup(key, epoch, question, ctx)
+                if hit is not None:
+                    return hit, question
 
-        namespace = "" if route in ("", ROUTE_LOOKUP) else route
-        key = cache.key(question, options.filters, namespace=namespace)
-        epoch = getattr(self._searcher.index, "generation", 0)
-        embedder = self._searcher.index.embedder
-        if options.cache != CACHE_REFRESH:
-            work = ctx.work
-            with ctx.trace.span(spans.STAGE_CACHE_LOOKUP, entries=len(cache)) as span:
-                mark = work.snapshot() if work is not None else None
-                hit = cache.lookup(
-                    key, epoch, embed_fn=lambda: embedder.embed(question), work=work
-                )
-                span.set("hit", hit.kind if hit is not None else "")
-                if work is not None:
-                    for kind, units in work.delta(mark).items():
-                        span.set(f"work_{kind}", units)
-            if hit is not None:
-                return replace(
-                    hit.answer, cache_hit=hit.kind, cache_similarity=hit.similarity
-                )
-
-        answer = self._ask_routed(question, options, ctx, route)
-        if self._cacheable(answer):
-            embedding = (
-                embedder.embed(question) if cache.config.semantic_tier_active else None
-            )
+        # The empty route (agents off) and the lookup route are the same
+        # code path by construction: lookup *is* the staged pipeline.
+        if route in ("", ROUTE_LOOKUP):
+            answer, resolved = self._ask_staged(question, options.filters, ctx), question
+        else:
+            answer, resolved = self.orchestrator.execute(self, question, options, ctx, route)
+        # Partial-results answers are never cached: a degraded cluster's
+        # answer reflects whichever shards happened to respond, not the corpus.
+        partial = ctx.scatter is not None and ctx.scatter.partial
+        if cached and answer.outcome in CACHEABLE_OUTCOMES and not partial:
+            embedding = None
+            if cache.config.semantic_tier_active:
+                embedding = self.searcher.index.embedder.embed(question)
             with ctx.trace.span(spans.STAGE_CACHE_STORE):
                 cache.store(key, answer, epoch, embedding=embedding)
-        return answer
+        return answer, resolved
+
+    def _cache_lookup(
+        self, key, epoch: int, question: str, ctx: RequestContext
+    ) -> UniAskAnswer | None:
+        """Probe the answer cache; the stored answer marked as a hit, or None."""
+        cache = self.answer_cache
+        embedder = self.searcher.index.embedder
+        with ctx.span(spans.STAGE_CACHE_LOOKUP, entries=len(cache)) as span:
+            hit = cache.lookup(
+                key, epoch, embed_fn=lambda: embedder.embed(question), work=ctx.work
+            )
+            span.set("hit", hit.kind if hit is not None else "")
+        if hit is None:
+            return None
+        return replace(hit.answer, cache_hit=hit.kind, cache_similarity=hit.similarity)
 
     def _answer_degraded(
         self, question: str, options: AskOptions, ctx: RequestContext, level: int
@@ -346,83 +307,28 @@ class UniAskEngine:
             and not options.explain
         ):
             key = cache.key(question, options.filters)
-            epoch = getattr(self._searcher.index, "generation", 0)
-            embedder = self._searcher.index.embedder
-            work = ctx.work
-            with ctx.trace.span(spans.STAGE_CACHE_LOOKUP, entries=len(cache)) as span:
-                hit = cache.lookup(
-                    key, epoch, embed_fn=lambda: embedder.embed(question), work=work
-                )
-                span.set("hit", hit.kind if hit is not None else "")
+            hit = self._cache_lookup(key, self.searcher.index.generation, question, ctx)
             if hit is not None:
-                return replace(
-                    hit.answer,
-                    cache_hit=hit.kind,
-                    cache_similarity=hit.similarity,
-                    degrade_level=1,
-                )
+                return replace(hit, degrade_level=1)
 
-        screening = self._screen(question, ctx)
-        if screening.blocked:
-            return UniAskAnswer(
-                question=question,
-                answer_text=CONTENT_BLOCKED_TEXT,
-                raw_answer="",
-                outcome=OUTCOME_CONTENT_FILTER,
-                degrade_level=2,
-            )
-        documents = self._retrieve_degraded(question, options.filters, ctx)
-        if not documents:
-            return UniAskAnswer(
-                question=question,
-                answer_text=NO_RESULTS_TEXT,
-                raw_answer="",
-                outcome=OUTCOME_NO_RESULTS,
-                degrade_level=2,
-            )
+        blocked = self._screen(question, ctx, degrade_level=2)
+        if blocked is not None:
+            return blocked
+        documents = self._retrieve(question, options.filters, ctx, degraded=True)
         return UniAskAnswer(
             question=question,
-            answer_text=DEGRADED_SERVICE_TEXT,
+            answer_text=DEGRADED_SERVICE_TEXT if documents else NO_RESULTS_TEXT,
             raw_answer="",
-            outcome=OUTCOME_DEGRADED,
+            outcome=OUTCOME_DEGRADED if documents else OUTCOME_NO_RESULTS,
             documents=tuple(documents),
             degrade_level=2,
         )
-
-    def _retrieve_degraded(
-        self, question: str, filters: dict[str, str] | None, ctx: RequestContext
-    ) -> list[RetrievedChunk]:
-        """BM25-only retrieval (the level-2 shedding path)."""
-        with ctx.trace.span(spans.STAGE_RETRIEVAL, degraded=True) as span:
-            documents = self._searcher.search_degraded(question, filters=filters, ctx=ctx)
-            span.set("results", len(documents))
-            self._m_retrieved.observe(float(len(documents)))
-            take_report = getattr(self._searcher, "take_scatter_report", None)
-            if take_report is not None:
-                report = take_report()
-                self._last_scatter = report
-                if report is not None:
-                    span.set("partial", report.partial)
-                    span.set("shards", len(report.probes))
-        return documents
-
-    def _ask_routed(
-        self, question: str, options: AskOptions, ctx: RequestContext, route: str
-    ) -> UniAskAnswer:
-        """Dispatch to the route's specialist agent, or the staged pipeline.
-
-        The empty route (agents off) and the lookup route are the same
-        code path by construction: lookup *is* today's pipeline.
-        """
-        if self.orchestrator is None or route in ("", ROUTE_LOOKUP):
-            return self._ask_staged(question, options.filters, ctx)
-        return self.orchestrator.execute(self, question, options, ctx, route)
 
     def _explain(self, answer: UniAskAnswer, ctx: RequestContext):
         """Fold the answer's retrieval components into an ExplainReport."""
         from repro.obs.explain import build_explain_report
 
-        config = self._searcher.config
+        config = self.searcher.config
         return build_explain_report(
             answer.question,
             list(answer.documents),
@@ -432,45 +338,33 @@ class UniAskEngine:
             work=ctx.work.snapshot() if ctx.work is not None else None,
         )
 
-    def _cacheable(self, answer: UniAskAnswer) -> bool:
-        """True when *answer* may be stored for reuse.
-
-        Partial-results answers are never cached: a degraded cluster's
-        answer reflects whichever shards happened to respond, not the
-        corpus.
-        """
-        if answer.outcome not in CACHEABLE_OUTCOMES:
-            return False
-        if self._last_scatter is not None and self._last_scatter.partial:
-            return False
-        return True
-
     def _ask_staged(
         self, question: str, filters: dict[str, str] | None, ctx: RequestContext
     ) -> UniAskAnswer:
         """The staged pipeline: screen → retrieve → generate → validate."""
-        screening = self._screen(question, ctx)
-        if screening.blocked:
-            return UniAskAnswer(
-                question=question,
-                answer_text=CONTENT_BLOCKED_TEXT,
-                raw_answer="",
-                outcome=OUTCOME_CONTENT_FILTER,
-            )
-
+        blocked = self._screen(question, ctx)
+        if blocked is not None:
+            return blocked
         documents = self._retrieve(question, filters, ctx)
         return self._complete_from_documents(question, documents, ctx)
 
     def _complete_from_documents(
-        self, question: str, documents: list[RetrievedChunk], ctx: RequestContext
+        self,
+        question: str,
+        documents: list[RetrievedChunk],
+        ctx: RequestContext,
+        fused: bool = False,
     ) -> UniAskAnswer:
         """Generate, validate and cite over an already retrieved ranking.
 
         The tail of the staged pipeline, split out so agent routes that
         produce their own ranking (multi-hop fusion, the structured
         fallback) inherit generation, guardrails and citation resolution
-        unchanged.
+        unchanged.  *fused* marks a ranking no single :meth:`_retrieve`
+        produced (multi-hop): it is observed here as the retrieval result.
         """
+        if fused:
+            self._m_retrieved.observe(float(len(documents)))
         if not documents:
             return UniAskAnswer(
                 question=question,
@@ -522,35 +416,70 @@ class UniAskEngine:
             generation_kind=generation_kind,
         )
 
-    def _screen(self, question: str, ctx: RequestContext) -> ContentFilterResult:
-        """Stage 1: screen the incoming question."""
+    def _screen(
+        self, question: str, ctx: RequestContext, degrade_level: int = 0
+    ) -> UniAskAnswer | None:
+        """Stage 1: screen the incoming question.
+
+        Returns the content-blocked answer, or None when it may proceed.
+        """
         with ctx.trace.span(spans.STAGE_CONTENT_FILTER) as span:
             screening = self._content_filter.check(question)
             span.set("blocked", screening.blocked)
             if screening.blocked:
                 span.set("category", screening.category)
-        return screening
+        if not screening.blocked:
+            return None
+        return UniAskAnswer(
+            question=question,
+            answer_text=CONTENT_BLOCKED_TEXT,
+            raw_answer="",
+            outcome=OUTCOME_CONTENT_FILTER,
+            degrade_level=degrade_level,
+        )
 
     def _retrieve(
-        self, question: str, filters: dict[str, str] | None, ctx: RequestContext
+        self,
+        question: str,
+        filters: dict[str, str] | None,
+        ctx: RequestContext,
+        degraded: bool = False,
     ) -> list[RetrievedChunk]:
         """Stage 2: hybrid retrieval with semantic reranking.
 
-        Clustered searchers additionally report per-shard probe outcomes;
-        a degraded scatter (some shard missed its deadline) marks the final
-        answer as partial instead of failing the request.
+        *degraded* is the level-2 shedding path: BM25-only retrieval.
         """
-        with ctx.trace.span(spans.STAGE_RETRIEVAL) as span:
-            documents = self._searcher.search(question, filters=filters, ctx=ctx)
-            span.set("results", len(documents))
+        attributes = {"degraded": True} if degraded else {}
+        with ctx.trace.span(spans.STAGE_RETRIEVAL, **attributes) as span:
+            documents = self._search(question, filters, ctx, span, degraded)
             self._m_retrieved.observe(float(len(documents)))
-            take_report = getattr(self._searcher, "take_scatter_report", None)
-            if take_report is not None:
-                report = take_report()
-                self._last_scatter = report
-                if report is not None:
-                    span.set("partial", report.partial)
-                    span.set("shards", len(report.probes))
+        return documents
+
+    def _search(
+        self,
+        question: str,
+        filters: dict[str, str] | None,
+        ctx: RequestContext,
+        span,
+        degraded: bool = False,
+    ) -> list[RetrievedChunk]:
+        """One searcher call inside *span*, accounted on the request.
+
+        A clustered searcher's scatter report is taken right after the
+        search and merged into ``ctx.scatter`` — every probe of every
+        search of the request, so multi-hop keeps them all.  A shard that
+        missed its deadline marks the answer partial, never fails it.
+        """
+        search = self.searcher.search_degraded if degraded else self.searcher.search
+        documents = search(question, filters=filters, ctx=ctx)
+        span.set("results", len(documents))
+        report = self.searcher.take_scatter_report()
+        if report is not None:
+            span.set("partial", report.partial)
+            span.set("shards", len(report.probes))
+            if ctx.scatter is not None:
+                report = replace(report, probes=ctx.scatter.probes + report.probes)
+            ctx.scatter = report
         return documents
 
     def _generate(
@@ -590,7 +519,7 @@ class UniAskEngine:
         self,
         answer: str,
         context: list[RetrievedChunk],
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> tuple[Citation, ...]:
         """Stage 5: map ``[docK]`` markers of the accepted answer to chunks.
 
@@ -598,7 +527,6 @@ class UniAskEngine:
         rather than failing the whole answer: a bad marker is a generation
         blemish, not a reason to drop an already validated answer.
         """
-        ctx = ctx or null_context()
         citations: list[Citation] = []
         seen: set[str] = set()
         with ctx.trace.span(spans.STAGE_CITATIONS) as span:

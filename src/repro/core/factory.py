@@ -173,7 +173,7 @@ def build_uniask_system(
     # The hedge budget exists only on autoscale-enabled clusters: off, the
     # router keeps its unconditional hedging and byte-identical behaviour.
     hedge_budget = None
-    if clustered and config.autoscale.enabled and config.autoscale.adaptive_hedging:
+    if clustered and config.autoscale.enabled:
         hedge_budget = AdaptiveHedgeBudget(
             base_fraction=config.autoscale.hedge_base_fraction,
             disable_above=config.autoscale.hedge_disable_above,

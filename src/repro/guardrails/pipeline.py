@@ -18,7 +18,7 @@ from repro.guardrails.citation import CitationGuardrail
 from repro.guardrails.clarification import ClarificationGuardrail
 from repro.guardrails.rouge import RougeGuardrail
 from repro.obs import spans
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.results import RetrievedChunk
 
 #: The apology shown when a guardrail invalidates the generated answer.
@@ -78,10 +78,9 @@ class GuardrailPipeline:
         question: str,
         answer: str,
         context: list[RetrievedChunk],
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> GuardrailReport:
         """Validate *answer*; stop at the first guardrail that fires."""
-        ctx = ctx or null_context()
         trace = ctx.trace
         verdicts: list[GuardrailVerdict] = []
         for guardrail in self._guardrails:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.obs import spans
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.obs.work import WORK_LLM_COMPLETION_TOKENS, WORK_LLM_PROMPT_TOKENS
 
 #: The chat roles accepted by the API.
@@ -90,7 +90,7 @@ class ChatCompletionClient(Protocol):
 def traced_complete(
     client: ChatCompletionClient,
     messages: list[ChatMessage],
-    ctx: RequestContext | None = None,
+    ctx: RequestContext = NULL_CONTEXT,
     *,
     temperature: float = 0.0,
     max_tokens: int = 512,
@@ -106,7 +106,6 @@ def traced_complete(
     usage is booked as ``llm_prompt_tokens``/``llm_completion_tokens``
     (the completion API is the source of truth), even if tracing is off.
     """
-    ctx = ctx or null_context()
     trace = ctx.trace
     work = ctx.work
     if not trace.enabled:

@@ -9,8 +9,8 @@ A span carries wall-clock start/end instants read from an injected clock
 tests stay deterministic), plus free-form attributes for input/output
 sizes and outcomes.
 
-Tracing is **zero-cost by default**: components accept an optional
-:class:`RequestContext` and fall back to the shared :data:`NULL_CONTEXT`,
+Tracing is **zero-cost by default**: components take a
+:class:`RequestContext` defaulting to the shared :data:`NULL_CONTEXT`,
 whose :class:`NullTrace` allocates no spans and whose ``span()`` returns a
 singleton no-op context manager.
 """
@@ -91,13 +91,20 @@ class Span:
 
 
 class _SpanScope:
-    """Context manager opening *span* on *trace* (re-entrant per span)."""
+    """Context manager opening *span* on *trace* (re-entrant per span).
 
-    __slots__ = ("_trace", "_span")
+    Opened through :meth:`RequestContext.span` with work accounting on, it
+    carries the counters and their reading at open: a clean exit books what
+    accrued in between as ``work_<kind>`` attributes.
+    """
+
+    __slots__ = ("_trace", "_span", "_work", "_mark")
 
     def __init__(self, trace: "Trace", span: Span) -> None:
         self._trace = trace
         self._span = span
+        self._work = None
+        self._mark = None
 
     def __enter__(self) -> Span:
         return self._span
@@ -106,6 +113,9 @@ class _SpanScope:
         if exc_type is not None:
             self._span.status = STATUS_ERROR
             self._span.attributes["error_type"] = exc_type.__name__
+        elif self._work is not None:
+            for kind, units in self._work.delta(self._mark).items():
+                self._span.attributes[f"work_{kind}"] = units
         self._trace._close(self._span)
         return False
 
@@ -284,9 +294,13 @@ class RequestContext:
             (the default) when work accounting is off — every instrumented
             site guards with ``if work is not None`` so the disabled path
             is byte-identical to the pre-accounting pipeline.
+        scatter: the request's cluster scatter report so far — every probe
+            of every search the engine ran for it, merged — or None.  Written
+            only by the engine, on the context it builds per request (never
+            the shared :data:`NULL_CONTEXT`).
     """
 
-    __slots__ = ("trace", "request_id", "explain", "work")
+    __slots__ = ("trace", "request_id", "explain", "work", "scatter")
 
     def __init__(
         self,
@@ -299,11 +313,26 @@ class RequestContext:
         self.request_id = request_id
         self.explain = explain
         self.work = work
+        self.scatter = None
 
     @property
     def tracing(self) -> bool:
         """True when spans are being recorded."""
         return self.trace.enabled
+
+    def span(self, name: str, **attributes: object):
+        """Open a trace span that also books the work done inside it.
+
+        With work accounting on, the counters' delta between open and a
+        clean close lands on the span as ``work_<kind>`` attributes, after
+        what the stage set itself.  With tracing off this is the shared
+        null span: there is nothing to book onto.
+        """
+        scope = self.trace.span(name, **attributes)
+        if self.work is not None and scope is not _NULL_SPAN:
+            scope._work = self.work
+            scope._mark = self.work.snapshot()
+        return scope
 
     @classmethod
     def traced(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import spans
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.bm25 import Bm25Parameters, Bm25Scorer
 from repro.search.index import SearchIndex
 from repro.search.results import RetrievedChunk
@@ -60,23 +60,17 @@ class FullTextSearch:
         query: str,
         n: int = 50,
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Top-*n* chunks for *query* by profile-weighted BM25."""
-        ctx = ctx or null_context()
-        work = ctx.work
-        with ctx.trace.span(spans.STAGE_FULLTEXT, n=n) as span:
-            mark = work.snapshot() if work is not None else None
+        with ctx.span(spans.STAGE_FULLTEXT, n=n) as span:
             if n <= 0:
                 results = []
             elif ctx.explain:
-                results = self._search_explained(query, n, filters, work=work)
+                results = self._search_explained(query, n, filters, work=ctx.work)
             else:
-                results = self._search_kernel(query, n, filters, work=work)
+                results = self._search_kernel(query, n, filters, work=ctx.work)
             span.set("results", len(results))
-            if work is not None:
-                for kind, units in work.delta(mark).items():
-                    span.set(f"work_{kind}", units)
         return results
 
     def _search_explained(

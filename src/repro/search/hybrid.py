@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.obs import spans
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.fulltext import FullTextSearch, ScoringProfile
 from repro.search.fusion import DEFAULT_RRF_CONSTANT, reciprocal_rank_fusion
 from repro.search.index import SearchIndex
@@ -64,7 +64,8 @@ class HybridSemanticSearch:
         self.config = config or HybridSearchConfig()
         if self.config.use_reranker and reranker is None:
             raise ValueError("a reranker is required unless use_reranker=False")
-        self._index = index
+        #: The underlying search index.
+        self.index = index
         self._reranker = reranker
         self._fulltext = FullTextSearch(index, profile=profile)
         self._vector = VectorSearch(index)
@@ -78,19 +79,13 @@ class HybridSemanticSearch:
             buckets=(10.0, 25.0, 50.0, 100.0, 200.0),
         )
 
-    @property
-    def index(self) -> SearchIndex:
-        """The underlying search index."""
-        return self._index
-
     def search(
         self,
         query: str,
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Retrieve the final ranking of chunks for *query*."""
-        ctx = ctx or null_context()
         config = self.config
         self._m_searches.labels(config.mode).inc()
         rankings: dict[str, list[RetrievedChunk]] = {}
@@ -111,7 +106,7 @@ class HybridSemanticSearch:
         self,
         query: str,
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """BM25-only retrieval for admission-degraded requests.
 
@@ -121,7 +116,6 @@ class HybridSemanticSearch:
         so a deployment configured for hybrid retrieval can serve
         degraded answers per request without touching its config.
         """
-        ctx = ctx or null_context()
         self._m_searches.labels("degraded").inc()
         ranking = self._fulltext.search(
             query, n=self.config.text_n, filters=filters, ctx=ctx
@@ -133,7 +127,7 @@ class HybridSemanticSearch:
         query_text: str,
         query_vector,
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Hybrid search with an externally supplied query embedding.
 
@@ -142,7 +136,6 @@ class HybridSemanticSearch:
         variant, which concatenates generated query texts and averages their
         embeddings.
         """
-        ctx = ctx or null_context()
         config = self.config
         rankings: dict[str, list[RetrievedChunk]] = {
             "text": self._fulltext.search(query_text, n=config.text_n, filters=filters, ctx=ctx)
@@ -157,7 +150,7 @@ class HybridSemanticSearch:
         self,
         queries: list[str],
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Multi-query hybrid search (the MQ1 expansion variant).
 
@@ -170,7 +163,6 @@ class HybridSemanticSearch:
         """
         if not queries:
             return []
-        ctx = ctx or null_context()
         trace = ctx.trace
         filter_key = tuple(sorted(filters.items())) if filters else None
         cached_rankings: dict[tuple, list[RetrievedChunk]] = {}
@@ -198,17 +190,38 @@ class HybridSemanticSearch:
         rankings: dict[str, list[RetrievedChunk]],
         ctx: RequestContext,
     ) -> list[RetrievedChunk]:
-        """The shared fuse → rerank → truncate tail of every entry point."""
-        config = self.config
-        candidates = sum(len(ranking) for ranking in rankings.values())
-        self._m_fused.observe(float(candidates))
-        with ctx.trace.span(
-            spans.STAGE_FUSION,
-            sources=len(rankings),
-            candidates=candidates,
-        ) as span:
-            fused = reciprocal_rank_fusion(rankings, c=config.rrf_c, top_n=config.final_n)
-            span.set("results", len(fused))
-        if config.use_reranker and self._reranker is not None:
-            fused = self._reranker.rerank(rerank_query, fused, ctx=ctx)
-        return fused[: config.final_n]
+        """Observe the fusion input, then run the shared tail."""
+        self._m_fused.observe(float(sum(len(ranking) for ranking in rankings.values())))
+        return fuse_and_rerank(rerank_query, rankings, self.config, self._reranker, ctx)
+
+    # -- the searcher contract, single-index half (see ClusterSearcher) ------
+
+    def take_scatter_report(self) -> None:
+        """A single index never scatters: there is no report to take."""
+
+    def status(self) -> None:
+        """A single index has no cluster status."""
+
+
+def fuse_and_rerank(
+    query: str,
+    rankings: dict[str, list[RetrievedChunk]],
+    config: HybridSearchConfig,
+    reranker: SemanticReranker | None,
+    ctx: RequestContext,
+) -> list[RetrievedChunk]:
+    """The fuse → rerank → truncate tail of every hybrid retrieval.
+
+    A function, not a base-class method: both searchers end here and
+    neither inherits ``search`` from the other.
+    """
+    with ctx.trace.span(
+        spans.STAGE_FUSION,
+        sources=len(rankings),
+        candidates=sum(len(ranking) for ranking in rankings.values()),
+    ) as span:
+        fused = reciprocal_rank_fusion(rankings, c=config.rrf_c, top_n=config.final_n)
+        span.set("results", len(fused))
+    if config.use_reranker and reranker is not None:
+        fused = reranker.rerank(query, fused, ctx=ctx)
+    return fused[: config.final_n]

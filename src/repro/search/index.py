@@ -36,7 +36,7 @@ from repro.ann.hnsw import HnswIndex
 from repro.embeddings.model import EmbeddingModel
 from repro.obs import spans
 from repro.obs.metrics import NULL_REGISTRY
-from repro.obs.trace import RequestContext
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.schema import ChunkRecord, IndexSchema, uniask_schema
 from repro.search.segment import IndexConfig, SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
@@ -216,7 +216,7 @@ class SearchIndex:
         self._store.flush()
         self._drain_maintenance_ops()
 
-    def run_maintenance(self, now: float, ctx: RequestContext | None = None) -> dict[str, int]:
+    def run_maintenance(self, now: float, ctx: RequestContext = NULL_CONTEXT) -> dict[str, int]:
         """Background segment maintenance on the simulated clock.
 
         Folds tombstone-heavy and surplus segments together (see
@@ -224,20 +224,16 @@ class SearchIndex:
         returns the op counts performed.  Content-preserving, so neither
         the :attr:`generation` nor cached answers are invalidated.
         """
-        if ctx is not None:
-            with ctx.trace.span(spans.STAGE_INDEX_MAINTENANCE) as span:
-                ops = self._store.run_maintenance(now)
-                for op, count in ops.items():
-                    span.set(op, count)
-        else:
+        with ctx.trace.span(spans.STAGE_INDEX_MAINTENANCE) as span:
             ops = self._store.run_maintenance(now)
+            span.annotate(**ops)
         self._drain_maintenance_ops()
         if self.recorder is not None and any(ops.values()):
             self.recorder.record("segment_merge", "index", ops=dict(ops))
         return ops
 
     def vacuum(
-        self, max_tombstone_ratio: float | None = None, ctx: RequestContext | None = None
+        self, max_tombstone_ratio: float | None = None, ctx: RequestContext = NULL_CONTEXT
     ) -> bool:
         """Reclaim tombstones: rebuild vector graphs, compact segments.
 
@@ -253,11 +249,7 @@ class SearchIndex:
             max_tombstone_ratio = self.config.vacuum_tombstone_ratio
         if self.tombstone_ratio <= max_tombstone_ratio:
             return False
-        if ctx is not None:
-            with ctx.trace.span(spans.STAGE_VACUUM) as span:
-                span.set("tombstones", len(self._deleted))
-                self._vacuum_rebuild()
-        else:
+        with ctx.trace.span(spans.STAGE_VACUUM, tombstones=len(self._deleted)):
             self._vacuum_rebuild()
         self._maintenance_counter.labels("vacuum").inc()
         return True

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon, fingerprint_cosine
 from repro.obs import spans
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
@@ -158,7 +158,7 @@ class SemanticReranker:
         self,
         query: str,
         results: list[RetrievedChunk],
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Add the reranker score to each fused result and re-sort.
 
@@ -168,7 +168,6 @@ class SemanticReranker:
         delta recorded as ``rerank_adjust``, so score provenance survives
         all the way to the answer layer.
         """
-        ctx = ctx or null_context()
         with ctx.trace.span(spans.STAGE_RERANK, candidates=len(results)):
             return self._rerank(query, results)
 

@@ -10,7 +10,7 @@ AI Search's multi-vector hybrid behaviour.
 from __future__ import annotations
 
 from repro.obs import spans
-from repro.obs.trace import RequestContext, null_context
+from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.index import SearchIndex
 from repro.search.results import RetrievedChunk
 
@@ -32,7 +32,7 @@ class VectorSearch:
         query: str,
         k: int = 15,
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> dict[str, list[RetrievedChunk]]:
         """Per-field rankings of the *k* nearest chunks to *query*.
 
@@ -40,7 +40,6 @@ class VectorSearch:
         ``1 - cosine distance`` so that larger scores are better, consistent
         with the BM25 ranking direction.
         """
-        ctx = ctx or null_context()
         with ctx.trace.span(spans.STAGE_EMBED_QUERY, query_chars=len(query)):
             query_vector = self._index.embedder.embed(query)
         return self.search_by_vector(query_vector, k, filters, ctx=ctx)
@@ -50,24 +49,18 @@ class VectorSearch:
         query_vector,
         k: int = 15,
         filters: dict[str, str] | None = None,
-        ctx: RequestContext | None = None,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> dict[str, list[RetrievedChunk]]:
         """Same as :meth:`search` but with a pre-computed query embedding.
 
         Used by the MQ2 query-expansion variant (Table 3), which averages
         the embeddings of several generated queries.
         """
-        ctx = ctx or null_context()
-        work = ctx.work
         rankings: dict[str, list[RetrievedChunk]] = {}
         for field_name in self._fields:
-            with ctx.trace.span(spans.vector_stage(field_name), k=k) as span:
-                mark = work.snapshot() if work is not None else None
-                ranking = self._search_field(field_name, query_vector, k, filters, work=work)
+            with ctx.span(spans.vector_stage(field_name), k=k) as span:
+                ranking = self._search_field(field_name, query_vector, k, filters, work=ctx.work)
                 span.set("results", len(ranking))
-                if work is not None:
-                    for kind, units in work.delta(mark).items():
-                        span.set(f"work_{kind}", units)
             rankings[field_name] = ranking
         return rankings
 

@@ -6,7 +6,7 @@ the requests to the Retrieval and Generation services.  It stores
 feedbacks and user actions."
 
 The in-process equivalent exposes the same three endpoints — ``login``,
-``query``, ``feedback`` — enforces session authentication, models response
+``serve``, ``feedback`` — enforces session authentication, models response
 time (retrieval + LLM latency as a function of token volume), and writes
 every event to the monitoring collector.
 
@@ -25,11 +25,10 @@ linked from the latency histograms as an exemplar.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, replace
 
 from repro.agents.memory import TtlLruStore
-from repro.api.types import CACHE_DEFAULT, AskOptions, AskRequest
+from repro.api.types import CACHE_BYPASS, CACHE_DEFAULT, AskOptions, AskRequest
 from repro.cache.answer_cache import HIT_COALESCED
 from repro.cache.coalescing import SingleFlight
 from repro.cache.config import CacheConfig
@@ -46,13 +45,7 @@ from repro.obs.work import WORK_COALESCED_JOINS, WorkCounters
 from repro.pipeline.clock import SimulatedClock
 from repro.service.feedback import FeedbackStore, GranularFeedback
 from repro.service.monitoring import MetricsCollector
-from repro.service.ops import (
-    OpsRequest,
-    OpsResponse,
-    OpsRoute,
-    collect_ops_routes,
-    ops_route,
-)
+from repro.service.ops import OpsRoute, collect_ops_routes, ops_route
 from repro.text.tokenizer import count_tokens
 
 
@@ -279,11 +272,7 @@ class BackendService:
         self._engine = engine
         self._clock = clock
         if telemetry is None:
-            engine_telemetry = getattr(engine, "telemetry", None)
-            if engine_telemetry is not None and engine_telemetry.enabled:
-                telemetry = engine_telemetry
-            else:
-                telemetry = Telemetry(clock=clock)
+            telemetry = engine.telemetry if engine.telemetry.enabled else Telemetry(clock=clock)
         self.telemetry = telemetry
         self.metrics = metrics or MetricsCollector(registry=telemetry.registry)
         self.feedback_store = FeedbackStore()
@@ -378,55 +367,6 @@ class BackendService:
             self._authorize(token, ROLE_OPS)
         return getattr(self, entry.handler)(**params)
 
-    def ops_request(self, request: OpsRequest) -> OpsResponse:
-        """Typed ops dispatch: an :class:`OpsRequest` in, an
-        :class:`OpsResponse` envelope out.
-
-        Authorization still happens exactly once, inside :meth:`ops` —
-        this wrapper adds the typed envelope, never a second check, and
-        the payload is byte-identical to the bare ``ops()`` call.
-        """
-        payload = self.ops(request.route, request.token, **dict(request.params))
-        return OpsResponse(
-            route=request.route,
-            payload=payload,
-            privileged=self.OPS_ROUTES[request.route].privileged,
-        )
-
-    def dashboard(self, token: str, bucket_seconds: float = 60.0):
-        """The monitoring dashboard — operations role only (least privilege)."""
-        return self.ops("dashboard", token, bucket_seconds=bucket_seconds)
-
-    def cluster_status(self, token: str):
-        """Shard sizes and replica health — operations role only.
-
-        Returns a :class:`~repro.cluster.router.ClusterStatus`, or None
-        when the deployment serves from a single index.
-        """
-        return self.ops("cluster_status", token)
-
-    def metrics_text(self, token: str) -> str:
-        """The Prometheus text exposition — operations role only."""
-        return self.ops("metrics", token)
-
-    def slo_status(self, token: str):
-        """Burn-rate evaluation of the service SLOs — operations role only."""
-        return self.ops("slo", token)
-
-    def healthz(self) -> dict:
-        """Liveness probe (unauthenticated): the process is up."""
-        return self.ops("healthz")
-
-    def readyz(self) -> dict:
-        """Readiness probe (unauthenticated): the service can take traffic.
-
-        Cluster-aware: a sharded deployment is ready only while every
-        shard still has a live, serving replica — a degraded cluster keeps
-        answering (partial results) but reports not-ready so the balancer
-        can drain it.
-        """
-        return self.ops("readyz")
-
     def serve(self, token: str, request: AskRequest | str) -> QueryRecord:
         """Serve one :class:`~repro.api.types.AskRequest` for a session.
 
@@ -498,28 +438,26 @@ class BackendService:
                 return self._coalesced_record(query_id, user_id, question, flight, arrival)
 
         trace: Trace | None = None
+        ctx = None  # the engine then builds the request's context from the options alone
         profiled = self._profiling or options.profile
         if self._tracing or options.trace or profiled:
             # Profiling implies a trace: the profiler aggregates span trees
             # and the work counters surface as span attributes.
             trace = Trace(clock=SimulatedClock(start=arrival), cost=self._stage_model)
             ctx = RequestContext(
-                trace=trace,
-                request_id=query_id,
-                explain=options.explain,
-                work=WorkCounters() if profiled else None,
+                trace=trace, request_id=query_id, work=WorkCounters() if profiled else None
             )
-            answer = self._engine.answer(request, ctx=ctx, degrade_level=degrade_level).answer
+        response = self._engine.answer(request, ctx=ctx, degrade_level=degrade_level)
+        answer = response.answer
+        if trace is not None:
             response_time = trace.total_duration * self._jitter()
+        elif answer.cache_hit:
+            # The cached answer still carries the full context and raw
+            # answer of its original computation; charging the token
+            # latency model would bill the skipped LLM call.
+            response_time = CACHE_HIT_LATENCY * self._jitter()
         else:
-            answer = self._engine.answer(request, degrade_level=degrade_level).answer
-            if answer.cache_hit:
-                # The cached answer still carries the full context and raw
-                # answer of its original computation; charging the token
-                # latency model would bill the skipped LLM call.
-                response_time = CACHE_HIT_LATENCY * self._jitter()
-            else:
-                response_time = self._model_response_time(question, answer)
+            response_time = self._model_response_time(question, answer)
 
         if coalescing:
             # Concurrent-server semantics: the request occupies the flight
@@ -530,15 +468,14 @@ class BackendService:
         else:
             self._clock.advance(response_time)
             served_at = self._clock.now()
-        answer = self._with_response_time(answer, response_time)
+        answer = replace(answer, response_time=response_time)
         if flight_key is not None and not answer.cache_hit:
             self.single_flight.register(flight_key, query_id, arrival, served_at, answer)
 
         if self.capacity is not None:
             self.capacity.observe("backend", arrival, response_time)
-            scatter = self._engine.last_scatter_report
-            if scatter is not None:
-                for probe in scatter.probes:
+            if response.scatter is not None:
+                for probe in response.scatter.probes:
                     resource = (
                         f"replica_{probe.replica_id}"
                         if probe.replica_id
@@ -558,25 +495,8 @@ class BackendService:
             served_at=served_at,
             trace=trace,
         )
-        self._finalize_record(record, trace, self._engine.last_scatter_report)
-        if self.incidents is not None:
-            self._incident_observe(record)
+        self._finalize_record(record, trace, response.scatter)
         return record
-
-    def query(self, token: str, question: str, filters: dict[str, str] | None = None) -> QueryRecord:
-        """Deprecated: use :meth:`serve` with an ``AskRequest``.
-
-        Kept as a thin shim over :meth:`serve`; behaves identically with
-        default options.
-        """
-        warnings.warn(
-            "BackendService.query() is deprecated; use "
-            "backend.serve(token, AskRequest.of(question, filters=...)) from repro.api",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        request = AskRequest(question=question, options=AskOptions(filters=filters))
-        return self.serve(token, request)
 
     def _coalesced_record(
         self, query_id: str, user_id: str, question: str, flight, arrival: float
@@ -613,8 +533,6 @@ class BackendService:
         self._finalize_record(
             record, None, None, extra_audit={"coalesced_with": flight.request_id}
         )
-        if self.incidents is not None:
-            self._incident_observe(record)
         return record
 
     def _finalize_record(
@@ -624,7 +542,8 @@ class BackendService:
         scatter,
         extra_audit: dict | None = None,
     ) -> None:
-        """Store *record* and write it to monitoring, metrics and audit."""
+        """Store *record* and write it to monitoring, metrics, audit and the
+        incident loop."""
         self._records[record.query_id] = record
         answer = record.answer
         sampled = False
@@ -719,6 +638,8 @@ class BackendService:
         if extra_audit:
             audit_fields.update(extra_audit)
         self.telemetry.audit.info("request", **audit_fields)
+        if self.incidents is not None:
+            self._incident_observe(record)
 
     # -- incident forensics ----------------------------------------------------
 
@@ -823,8 +744,9 @@ class BackendService:
 
     @ops_route("cluster_status", privileged=True, description="Shard sizes and replica health of a clustered deployment.")
     def _ops_cluster_status(self):
-        status = getattr(self._engine.searcher, "status", None)
-        return status() if status is not None else None
+        """A :class:`~repro.cluster.router.ClusterStatus`, or None when the
+        deployment serves from a single index."""
+        return self._engine.searcher.status()
 
     @ops_route("metrics", privileged=True, description="Prometheus text exposition of every registered instrument.")
     def _ops_metrics(self) -> str:
@@ -851,8 +773,6 @@ class BackendService:
         if query_id:
             return self._records[query_id].answer.explain_report
         if question:
-            from repro.api.types import CACHE_BYPASS
-
             request = AskRequest(
                 question=question,
                 options=AskOptions(explain=True, cache=CACHE_BYPASS),
@@ -951,10 +871,13 @@ class BackendService:
 
     @ops_route("readyz", privileged=False, description="Readiness probe (unauthenticated).")
     def _ops_readyz(self) -> dict:
-        status_fn = getattr(self._engine.searcher, "status", None)
-        if status_fn is None:
+        """Cluster-aware: a sharded deployment is ready only while every
+        shard still has a live, serving replica — a degraded cluster keeps
+        answering (partial results) but reports not-ready so the balancer
+        can drain it."""
+        status = self._engine.searcher.status()
+        if status is None:
             return {"ready": True, "mode": "single-index", "shards": {}}
-        status = status_fn()
         shards = {f"shard-{shard.shard_id}": shard.available for shard in status.shards}
         return {"ready": not status.degraded, "mode": "cluster", "shards": shards}
 
@@ -988,10 +911,6 @@ class BackendService:
     def _jitter(self) -> float:
         """One multiplicative jitter draw (±latency_jitter, uniform)."""
         return 1.0 + self._latency_jitter * (2.0 * self._rng.random() - 1.0)
-
-    @staticmethod
-    def _with_response_time(answer: UniAskAnswer, response_time: float) -> UniAskAnswer:
-        return replace(answer, response_time=response_time)
 
 
 # Build the route table once the class body exists: every decorated

@@ -3,10 +3,9 @@
 The ops surface used to be an ad-hoc ``{name: (handler, privileged)}``
 tuple table maintained by hand next to the class.  This module replaces
 it with a typed registry: each handler method declares itself with the
-:func:`ops_route` decorator, :func:`collect_ops_routes` builds the
-``{name: OpsRoute}`` table from the class body, and callers that want a
-structured envelope use :class:`OpsRequest` / :class:`OpsResponse`
-instead of positional arguments.
+:func:`ops_route` decorator and :func:`collect_ops_routes` builds the
+``{name: OpsRoute}`` table from the class body.  Callers have one call
+style: ``backend.ops(route, token, **params)``.
 
 The security contract is unchanged: all authorization for operational
 endpoints happens in exactly one place (``BackendService.ops``), driven
@@ -18,13 +17,11 @@ byte-identical to the tuple-table era (asserted in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "OpsRoute",
-    "OpsRequest",
-    "OpsResponse",
     "collect_ops_routes",
     "ops_route",
 ]
@@ -50,29 +47,6 @@ class OpsRoute:
     handler: str
     privileged: bool
     description: str = ""
-
-
-@dataclass(frozen=True)
-class OpsRequest:
-    """A typed ops call: route name, session token, handler parameters."""
-
-    route: str
-    token: str = ""
-    params: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class OpsResponse:
-    """The typed envelope of one dispatched ops call.
-
-    ``payload`` is exactly what the bare ``ops()`` call returns for the
-    same route and parameters — the envelope adds provenance without
-    changing a byte of the payload itself.
-    """
-
-    route: str
-    payload: Any
-    privileged: bool
 
 
 def ops_route(

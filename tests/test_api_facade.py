@@ -1,14 +1,14 @@
-"""The stable ``repro.api`` facade and the deprecated legacy shims.
+"""The stable ``repro.api`` facade.
 
 The facade is the supported surface: typed request/response dataclasses,
 the two deployment builders, and re-exported configuration types.  The
-legacy positional signatures (``engine.ask``, ``backend.query``) must keep
-working — warning — and return exactly what the new API returns.
+legacy positional shims (``engine.ask``, ``backend.query``) are gone; a
+bare question string is promoted by ``engine.answer`` / ``backend.serve``.
+The "nothing left behind" property that replaced the two
+``_last_scatter`` cases lives in ``tests/test_request_path.py``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -78,62 +78,47 @@ class TestFacadeSurface:
 
 
 class TestDeprecatedShims:
+    """The PR-4 shims (``engine.ask`` / ``backend.query``) are deleted.
+
+    The test ids are kept from when the shims warned; each case now pins
+    what the shim promised on the canonical entry point that replaced it.
+    """
+
     def test_engine_ask_warns(self, system):
-        with pytest.warns(DeprecationWarning, match="answer"):
+        # No warning left to give: the shim is gone, not silently aliased.
+        with pytest.raises(AttributeError):
             system.engine.ask("limiti prelievo bancomat")
 
     def test_engine_ask_matches_answer(self, system, small_kb):
+        # The shim's call style — a bare string — is what answer() promotes.
         topic = next(iter(small_kb.topics.values()))
         question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
         system.llm.reseed(0)
-        with pytest.warns(DeprecationWarning):
-            old = system.engine.ask(question)
+        bare = system.engine.answer(question).answer
         system.llm.reseed(0)
-        new = system.engine.answer(question).answer
-        assert old == new
+        typed = system.engine.answer(AskRequest.of(question)).answer
+        assert bare == typed
 
     def test_backend_query_warns_and_matches_serve(self, system, small_kb):
         topic = next(iter(small_kb.topics.values()))
         question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
 
-        def serve_with(call):
+        def serve_with(request):
             backend = BackendService(system.engine, system.clock)
             token = backend.login("shim-user")
             system.llm.reseed(0)
-            return call(backend, token)
+            return backend.serve(token, request)
 
-        with pytest.warns(DeprecationWarning, match="serve"):
-            old = serve_with(lambda b, t: b.query(t, question))
-        new = serve_with(lambda b, t: b.serve(t, question))
-        assert old.answer == new.answer
-        assert old.question == new.question
+        assert not hasattr(BackendService, "query")
+        bare = serve_with(question)
+        typed = serve_with(AskRequest.of(question))
+        assert bare.answer == typed.answer
+        assert bare.question == typed.question
 
     def test_query_filters_become_options(self, system):
         backend = BackendService(system.engine, system.clock)
         token = backend.login("shim-user")
-        with pytest.warns(DeprecationWarning):
-            record = backend.query(token, "bonifico estero", filters={"domain": "no-such"})
+        record = backend.serve(
+            token, AskRequest.of("bonifico estero", filters={"domain": "no-such"})
+        )
         assert record.answer.documents == ()
-
-
-class TestScatterReportHygiene:
-    def test_last_scatter_cleared_when_answer_raises(self, system, monkeypatch):
-        engine = system.engine
-        engine._last_scatter = object()  # pretend a previous cluster query ran
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("pipeline exploded")
-
-        monkeypatch.setattr(engine, "_answer_cached", boom)
-        with pytest.raises(RuntimeError):
-            engine.answer("qualsiasi domanda")
-        assert engine.last_scatter_report is None
-
-    def test_last_scatter_reset_between_requests(self, system):
-        engine = engine_ = system.engine
-        engine_._last_scatter = object()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            engine.ask("limiti prelievo bancomat")
-        # A single-index deployment never produces a scatter report.
-        assert engine.last_scatter_report is None

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api import AskRequest
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.log import simulate_query_log
 from repro.service.loadtest import LoadTestConfig, arrival_times
@@ -65,10 +66,12 @@ class TestFiltersEndToEnd:
         if not governance_topics:
             pytest.skip("no governance topics in the small corpus")
         topic = governance_topics[0]
-        answer = system.engine.ask(
-            f"Come posso {topic.action.canonical} {topic.entity.canonical}?",
-            filters={"domain": "governance"},
-        )
+        answer = system.engine.answer(
+            AskRequest.of(
+                f"Come posso {topic.action.canonical} {topic.entity.canonical}?",
+                filters={"domain": "governance"},
+            )
+        ).answer
         for chunk in answer.documents:
             assert chunk.record.domain == "governance"
 
@@ -98,7 +101,7 @@ class TestGuardrailNonDeterminismProtocol:
         outcomes = set()
         for nonce in range(6):
             system.llm.reseed(nonce)
-            answer = system.engine.ask(question)
+            answer = system.engine.answer(question).answer
             outcomes.add(answer.answer_text)
         system.llm.reseed(0)
         # Different runs may phrase differently (openers vary with the draw).
@@ -108,9 +111,9 @@ class TestGuardrailNonDeterminismProtocol:
         topic = next(iter(small_kb.topics.values()))
         question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
         system.llm.reseed(0)
-        first = system.engine.ask(question).answer_text
+        first = system.engine.answer(question).answer.answer_text
         system.llm.reseed(3)
-        system.engine.ask(question)
+        system.engine.answer(question)
         system.llm.reseed(0)
-        again = system.engine.ask(question).answer_text
+        again = system.engine.answer(question).answer.answer_text
         assert first == again

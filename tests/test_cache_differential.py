@@ -14,11 +14,9 @@ Two invariants protect existing deployments:
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.api import CacheConfig, create_backend, create_engine
+from repro.api import AskRequest, CacheConfig, create_backend, create_engine
 from repro.cluster.config import ClusterConfig
 from repro.core.config import UniAskConfig
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
@@ -54,17 +52,12 @@ def build(tiny_kb, banking_lexicon, cache: CacheConfig | None, shards: int = 1, 
     return system, backend
 
 
-def serve_surface(system, backend, use_legacy_api: bool = False) -> str:
+def serve_surface(system, backend, typed_requests: bool = False) -> str:
     """Every output surface of a fixed workload, as one comparable blob."""
     token = backend.login("diff-user")
     lines = []
     for question in QUESTIONS:
-        if use_legacy_api:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                record = backend.query(token, question)
-        else:
-            record = backend.serve(token, question)
+        record = backend.serve(token, AskRequest.of(question) if typed_requests else question)
         lines.append(render_answer_page(record.answer))
         lines.append(f"response_time={record.answer.response_time!r}")
         lines.append(f"served_at={record.served_at!r}")
@@ -81,8 +74,10 @@ class TestCacheOffByteIdentity:
         assert default == explicit
 
     def test_legacy_api_matches_new_api(self, tiny_kb, banking_lexicon):
-        new = serve_surface(*build(tiny_kb, banking_lexicon, None))
-        old = serve_surface(*build(tiny_kb, banking_lexicon, None), use_legacy_api=True)
+        # The legacy call style is the bare question string (the
+        # ``backend.query`` shim is gone; ``serve`` promotes the string).
+        new = serve_surface(*build(tiny_kb, banking_lexicon, None), typed_requests=True)
+        old = serve_surface(*build(tiny_kb, banking_lexicon, None))
         assert new == old
 
     def test_sharded_default_matches_explicit_off(self, tiny_kb, banking_lexicon):

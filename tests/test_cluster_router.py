@@ -100,9 +100,9 @@ class TestGracefulDegradation:
         system = _tiny_cluster(lexicon, shards=2, replicas=2)
         for replica in system.cluster.replicas(0):
             replica.kill()
-        answer = system.engine.ask("come sbloccare la carta di credito")
-        assert answer.partial_results
-        report = system.engine.last_scatter_report
+        response = system.engine.answer("come sbloccare la carta di credito")
+        assert response.answer.partial_results
+        report = response.scatter
         assert report.partial
         assert report.failed_shards == (0,)
         # The surviving shard still contributes documents.
@@ -112,25 +112,23 @@ class TestGracefulDegradation:
     def test_single_replica_shard_dies_without_raising(self, lexicon):
         system = _tiny_cluster(lexicon, shards=2, replicas=1)
         system.cluster.replicas(1)[0].kill()
-        answer = system.engine.ask("errore bonifico istantaneo")
-        assert answer.partial_results
-        assert system.engine.last_scatter_report.failed_shards == (1,)
+        response = system.engine.answer("errore bonifico istantaneo")
+        assert response.answer.partial_results
+        assert response.scatter.failed_shards == (1,)
 
     def test_healthy_cluster_is_never_partial(self, lexicon):
         system = _tiny_cluster(lexicon, shards=2, replicas=2)
         for question in ("limiti prelievo bancomat", "apertura conto online"):
-            answer = system.engine.ask(question)
-            assert not answer.partial_results
-            assert not system.engine.last_scatter_report.partial
+            response = system.engine.answer(question)
+            assert not response.answer.partial_results
+            assert not response.scatter.partial
 
     def test_report_is_consumed_per_request(self, lexicon):
         system = _tiny_cluster(lexicon, shards=2)
-        system.engine.ask("carta di credito")
-        first = system.engine.last_scatter_report
+        first = system.engine.answer("carta di credito").scatter
         assert first is not None
         assert system.cluster.take_scatter_report() is None  # engine already took it
-        system.engine.ask("bonifico")
-        assert system.engine.last_scatter_report is not first
+        assert system.engine.answer("bonifico").scatter is not first
 
 
 class TestHedgingAndHealth:
@@ -208,7 +206,7 @@ class TestClusterTraceShape:
     def test_scatter_spans_nest_under_retrieval(self, lexicon):
         system = _tiny_cluster(lexicon, shards=2, replicas=2)
         ctx = RequestContext.traced(clock=system.clock)
-        system.engine.ask("come sbloccare la carta di credito", ctx=ctx)
+        response = system.engine.answer("come sbloccare la carta di credito", ctx=ctx)
         trace = ctx.trace
         names = trace.span_names()
         assert spans.STAGE_SCATTER in names
@@ -225,7 +223,7 @@ class TestClusterTraceShape:
             assert shard_span.attributes["replica"]
         wait = trace.find(spans.STAGE_SCATTER_WAIT)
         assert wait.attributes["wait"] == pytest.approx(
-            system.engine.last_scatter_report.max_latency
+            response.scatter.max_latency
         )
         # The legacy per-index search spans are replaced by the scatter.
         assert spans.STAGE_FULLTEXT not in names
@@ -235,7 +233,7 @@ class TestClusterTraceShape:
         for replica in system.cluster.replicas(0):
             replica.kill()
         ctx = RequestContext.traced(clock=system.clock)
-        system.engine.ask("bonifico istantaneo", ctx=ctx)
+        system.engine.answer("bonifico istantaneo", ctx=ctx)
         shard_span = ctx.trace.find(spans.shard_stage(0))
         assert shard_span.attributes["ok"] is False
         assert shard_span.attributes["results"] == 0

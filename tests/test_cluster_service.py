@@ -64,7 +64,7 @@ class TestClusterBackend:
     def test_query_records_shard_probes(self, deployment):
         system, backend = deployment
         token = backend.login("user-1")
-        record = backend.query(token, "come sbloccare la carta di credito")
+        record = backend.serve(token, "come sbloccare la carta di credito")
         assert not record.answer.partial_results
         probes = backend.metrics.shard_probes
         assert {p.shard_id for p in probes} == {0, 1}
@@ -75,7 +75,7 @@ class TestClusterBackend:
         token = backend.login("user-1")
         for replica in system.cluster.replicas(0):
             replica.kill()
-        record = backend.query(token, "errore bonifico istantaneo")
+        record = backend.serve(token, "errore bonifico istantaneo")
         assert record.answer.partial_results
         snapshot = backend.metrics.snapshot()
         assert snapshot.partial_results == 1
@@ -89,7 +89,7 @@ class TestClusterBackend:
         system, backend = deployment
         token = backend.login("user-1")
         for question in ("limiti prelievo bancomat", "apertura conto online"):
-            backend.query(token, question)
+            backend.serve(token, question)
         snapshot = backend.metrics.snapshot()
         assert set(snapshot.shard_counts) == {"shard-0", "shard-1"}
         assert all(snapshot.shard_p95[k] >= snapshot.shard_p50[k] > 0 for k in snapshot.shard_counts)
@@ -101,16 +101,16 @@ class TestClusterBackend:
         system, backend = deployment
         employee = backend.login("user-1")
         with pytest.raises(AuthorizationError):
-            backend.cluster_status(employee)
+            backend.ops("cluster_status", employee)
         ops = backend.login("sre-1", role=ROLE_OPS)
-        status = backend.cluster_status(ops)
+        status = backend.ops("cluster_status", ops)
         assert isinstance(status, ClusterStatus)
         assert len(status.shards) == 2
 
     def test_cluster_status_is_none_on_single_index(self, system):
         backend = BackendService(system.engine, system.clock, seed=7)
         ops = backend.login("sre-1", role=ROLE_OPS)
-        assert backend.cluster_status(ops) is None
+        assert backend.ops("cluster_status", ops) is None
 
 
 class TestClusterLoadTest:

@@ -20,7 +20,7 @@ class TestEngineFlow:
     def test_answerable_question(self, system, small_kb):
         topic = next(iter(small_kb.topics.values()))
         question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
-        answer = system.engine.ask(question)
+        answer = system.engine.answer(question).answer
         assert answer.outcome == OUTCOME_ANSWERED
         assert answer.citations
         assert answer.documents
@@ -28,24 +28,24 @@ class TestEngineFlow:
 
     def test_citations_resolve_to_context(self, system, small_kb):
         topic = next(iter(small_kb.topics.values()))
-        answer = system.engine.ask(f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
+        answer = system.engine.answer(f"Come posso {topic.action.canonical} {topic.entity.canonical}?").answer
         context_docs = {chunk.doc_id for chunk in answer.context}
         for citation in answer.citations:
             assert citation.doc_id in context_docs
 
     def test_content_filter_blocks_before_retrieval(self, system):
-        answer = system.engine.ask("questo stupido sistema non funziona")
+        answer = system.engine.answer("questo stupido sistema non funziona").answer
         assert answer.outcome == OUTCOME_CONTENT_FILTER
         assert answer.answer_text == CONTENT_BLOCKED_TEXT
         assert answer.documents == ()
 
     def test_out_of_scope_question_guardrailed(self, system):
-        answer = system.engine.ask("Qual è la ricetta della carbonara al tartufo bianco?")
+        answer = system.engine.answer("Qual è la ricetta della carbonara al tartufo bianco?").answer
         assert answer.outcome != OUTCOME_ANSWERED
 
     def test_guardrailed_answer_keeps_document_list(self, system):
         """A fired guardrail is a generation failure; the list stays visible."""
-        answer = system.engine.ask("Qual è la ricetta della carbonara al tartufo bianco?")
+        answer = system.engine.answer("Qual è la ricetta della carbonara al tartufo bianco?").answer
         if answer.guardrail_fired:
             assert answer.documents
             assert answer.answer_text in (APOLOGY_TEXT,) or answer.answer_text
@@ -53,14 +53,14 @@ class TestEngineFlow:
     def test_deterministic_at_fixed_seed(self, system, small_kb):
         topic = next(iter(small_kb.topics.values()))
         question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
-        first = system.engine.ask(question)
-        second = system.engine.ask(question)
+        first = system.engine.answer(question).answer
+        second = system.engine.answer(question).answer
         assert first.answer_text == second.answer_text
         assert first.outcome == second.outcome
 
     def test_answer_in_italian(self, system, small_kb):
         topic = next(iter(small_kb.topics.values()))
-        answer = system.engine.ask(f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
+        answer = system.engine.answer(f"Come posso {topic.action.canonical} {topic.entity.canonical}?").answer
         assert any(
             marker in answer.answer_text.lower()
             for marker in ("per ", "documentazione", "in base", "secondo", "knowledge")
@@ -72,7 +72,7 @@ class TestFactory:
         from repro.pipeline.store import KnowledgeBaseStore
 
         system = build_uniask_system(KnowledgeBaseStore(), lexicon, seed=1)
-        answer = system.engine.ask("Come posso attivare la carta?")
+        answer = system.engine.answer("Come posso attivare la carta?").answer
         assert answer.outcome == OUTCOME_NO_RESULTS
         assert answer.answer_text == NO_RESULTS_TEXT
 
@@ -95,7 +95,7 @@ class TestFactory:
         )
         system.clock.advance(15 * 60.0)
         system.refresh()
-        answer = system.engine.ask("Come posso attivare il token di sicurezza?")
+        answer = system.engine.answer("Come posso attivare il token di sicurezza?").answer
         assert answer.outcome == OUTCOME_ANSWERED
         assert answer.citations[0].doc_id == "nuovo"
 

@@ -45,7 +45,7 @@ class TestEngineResilience:
 
     def test_llm_outage_degrades_to_search_only(self, system, small_kb):
         engine = UniAskEngine(searcher=system.searcher, llm=_ExplodingLLM())
-        answer = engine.ask(self._question(small_kb))
+        answer = engine.answer(self._question(small_kb)).answer
         assert answer.outcome == OUTCOME_GENERATION_ERROR
         assert answer.answer_text == APOLOGY_TEXT
         assert answer.documents, "the retrieved list must stay available"
@@ -53,14 +53,14 @@ class TestEngineResilience:
     def test_flaky_llm_recovers(self, system, small_kb):
         engine = UniAskEngine(searcher=system.searcher, llm=_FlakyLLM(system.llm, failures=1))
         question = self._question(small_kb)
-        first = engine.ask(question)
-        second = engine.ask(question)
+        first = engine.answer(question).answer
+        second = engine.answer(question).answer
         assert first.outcome == OUTCOME_GENERATION_ERROR
         assert second.outcome == "answered"
 
     def test_empty_completion_caught_by_guardrails(self, system, small_kb):
         engine = UniAskEngine(searcher=system.searcher, llm=_EmptyLLM())
-        answer = engine.ask(self._question(small_kb))
+        answer = engine.answer(self._question(small_kb)).answer
         assert not answer.answered
         assert answer.guardrail_fired  # no citations in an empty answer
 
@@ -70,6 +70,6 @@ class TestEngineResilience:
         engine = UniAskEngine(searcher=system.searcher, llm=_ExplodingLLM())
         backend = BackendService(engine, system.clock, seed=1)
         token = backend.login("user")
-        backend.query(token, self._question(small_kb))
+        backend.serve(token, self._question(small_kb))
         snapshot = backend.metrics.snapshot()
         assert snapshot.outcome_breakdown.get(OUTCOME_GENERATION_ERROR) == 1

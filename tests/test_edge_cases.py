@@ -145,16 +145,16 @@ class TestPersistenceFailures:
 
 class TestUnicodeRobustness:
     def test_engine_handles_emoji_and_accents(self, system):
-        answer = system.engine.ask("Come posso attivare la carta di credito? 🙏 perché è urgentissimo")
+        answer = system.engine.answer("Come posso attivare la carta di credito? 🙏 perché è urgentissimo").answer
         assert answer.outcome in ALL_OUTCOMES
 
     def test_engine_handles_empty_question(self, system):
-        answer = system.engine.ask("")
+        answer = system.engine.answer("").answer
         assert answer.outcome in ALL_OUTCOMES
 
     def test_engine_handles_very_long_question(self, system):
         question = "Come posso attivare la carta di credito? " * 200
-        answer = system.engine.ask(question)
+        answer = system.engine.answer(question).answer
         assert answer.outcome in ALL_OUTCOMES
 
     def test_chunk_record_with_unicode(self, system):

@@ -38,7 +38,7 @@ class TestIngestionToAnswer:
         )
         system.clock.advance(900)
         system.refresh()
-        first = system.engine.ask("Come posso rinnovare il badge di accesso?")
+        first = system.engine.answer("Come posso rinnovare il badge di accesso?").answer
         assert first.outcome == OUTCOME_ANSWERED
         assert "BadgePoint" in first.answer_text
 
@@ -50,7 +50,7 @@ class TestIngestionToAnswer:
         )
         system.clock.advance(900)
         system.refresh()
-        second = system.engine.ask("Come posso rinnovare il badge di accesso?")
+        second = system.engine.answer("Come posso rinnovare il badge di accesso?").answer
         assert second.outcome == OUTCOME_ANSWERED
         assert "ServiceDesk" in second.answer_text
 
@@ -58,7 +58,7 @@ class TestIngestionToAnswer:
         store.delete("badge-page", deleted_at=system.clock.now() + 1)
         system.clock.advance(900)
         system.refresh()
-        third = system.engine.ask("Come posso rinnovare il badge di accesso?")
+        third = system.engine.answer("Come posso rinnovare il badge di accesso?").answer
         assert all(citation.doc_id != "badge-page" for citation in third.citations)
 
     def test_polling_interval_respected(self, lexicon):
@@ -137,7 +137,7 @@ class TestBackendIntegration:
         token = backend.login("員工")
         questions = generate_human_dataset(small_kb, HumanDatasetConfig(num_questions=10, seed=4))
         for query in questions:
-            backend.query(token, query.text)
+            backend.serve(token, query.text)
         snapshot = backend.metrics.snapshot()
         assert snapshot.queries == 10
         assert snapshot.users == 1

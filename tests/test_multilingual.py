@@ -96,24 +96,24 @@ class TestEnglishEndToEnd:
         )
 
     def test_exact_question_answered_in_english(self, english_system):
-        answer = english_system.engine.ask("How do I block a credit card?")
+        answer = english_system.engine.answer("How do I block a credit card?").answer
         assert answer.outcome == "answered"
         assert "CardSuite" in answer.answer_text
         assert answer.citations[0].doc_id == "kb/en/block-card"
 
     def test_synonym_question_answered(self, english_system):
         """The paraphrase gap closes in English exactly as in Italian."""
-        answer = english_system.engine.ask("How can I freeze a revolving card?")
+        answer = english_system.engine.answer("How can I freeze a revolving card?").answer
         assert answer.outcome == "answered"
         assert answer.citations[0].doc_id == "kb/en/block-card"
 
     def test_plural_question_matches(self, english_system):
-        answer = english_system.engine.ask("How do I request security tokens?")
+        answer = english_system.engine.answer("How do I request security tokens?").answer
         assert answer.outcome == "answered"
         assert answer.citations[0].doc_id == "kb/en/request-token"
 
     def test_refusal_is_english(self, english_system):
-        answer = english_system.engine.ask("What is the best pizza topping in Naples?")
+        answer = english_system.engine.answer("What is the best pizza topping in Naples?").answer
         assert not answer.answered
         assert "scusiamo" not in answer.answer_text.lower() or True  # apology is frontend text
         # The raw LLM refusal (when generation ran) must be English.

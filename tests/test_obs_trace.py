@@ -212,7 +212,7 @@ class TestTracedAsk:
 
     def test_traced_ask_produces_stage_spans(self, system, question):
         ctx = RequestContext.traced()
-        answer = system.engine.ask(question, ctx=ctx)
+        answer = system.engine.answer(question, ctx=ctx).answer
         assert answer.outcome == OUTCOME_ANSWERED
         assert answer.trace is ctx.trace
         names = set(answer.trace.span_names())
@@ -238,7 +238,7 @@ class TestTracedAsk:
 
     def test_traced_stage_durations_sum_to_at_most_total(self, system, question):
         ctx = RequestContext.traced()
-        answer = system.engine.ask(question, ctx=ctx)
+        answer = system.engine.answer(question, ctx=ctx).answer
         trace = answer.trace
         total = trace.total_duration
         assert total > 0.0
@@ -246,7 +246,7 @@ class TestTracedAsk:
 
     def test_retrieval_spans_nest_under_retrieval(self, system, question):
         ctx = RequestContext.traced()
-        trace = system.engine.ask(question, ctx=ctx).trace
+        trace = system.engine.answer(question, ctx=ctx).answer.trace
         assert trace.find(spans.STAGE_FULLTEXT).parent_name == spans.STAGE_RETRIEVAL
         assert trace.find(spans.STAGE_RERANK).parent_name == spans.STAGE_RETRIEVAL
         assert (
@@ -255,8 +255,8 @@ class TestTracedAsk:
         )
 
     def test_untraced_ask_has_no_trace_and_same_answer(self, system, question):
-        traced = system.engine.ask(question, ctx=RequestContext.traced())
-        plain = system.engine.ask(question)
+        traced = system.engine.answer(question, ctx=RequestContext.traced()).answer
+        plain = system.engine.answer(question).answer
         assert plain.trace is None
         assert plain.answer_text == traced.answer_text
         assert plain.outcome == traced.outcome
@@ -264,7 +264,7 @@ class TestTracedAsk:
 
     def test_blocked_question_traces_only_the_filter(self, system):
         ctx = RequestContext.traced()
-        answer = system.engine.ask("questo stupido sistema non funziona", ctx=ctx)
+        answer = system.engine.answer("questo stupido sistema non funziona", ctx=ctx).answer
         assert answer.outcome == OUTCOME_CONTENT_FILTER
         names = answer.trace.span_names()
         assert names == [spans.STAGE_ASK, spans.STAGE_CONTENT_FILTER]
@@ -272,7 +272,7 @@ class TestTracedAsk:
 
     def test_search_outcome_attributes(self, system, question):
         ctx = RequestContext.traced()
-        system.engine.ask(question, ctx=ctx)
+        system.engine.answer(question, ctx=ctx)
         retrieval = ctx.trace.find(spans.STAGE_RETRIEVAL)
         assert retrieval.attributes["results"] > 0
         llm = ctx.trace.find(spans.STAGE_LLM)
@@ -354,7 +354,7 @@ class TestBackendTracing:
 
         backend = BackendService(system.engine, _Clock(), tracing=True, seed=5)
         token = backend.login("user-1")
-        record = backend.query(token, question)
+        record = backend.serve(token, question)
         assert record.trace is not None
         assert record.answer.trace is record.trace
         assert record.answer.response_time > 0.0
@@ -371,7 +371,7 @@ class TestBackendTracing:
         def serve():
             backend = BackendService(system.engine, _Clock(), tracing=True, seed=5)
             token = backend.login("user-1")
-            return backend.query(token, question)
+            return backend.serve(token, question)
 
         first, second = serve(), serve()
         assert first.answer.response_time == second.answer.response_time
@@ -382,7 +382,7 @@ class TestBackendTracing:
 
         backend = BackendService(system.engine, _Clock(), seed=5)
         token = backend.login("user-1")
-        record = backend.query(token, question)
+        record = backend.serve(token, question)
         assert record.trace is None
         assert record.answer.trace is None
         assert backend.metrics.snapshot().stage_p50 == {}
@@ -441,7 +441,7 @@ class TestErrorAndOpenSpans:
         backend = BackendService(engine, _Clock(), tracing=True, seed=5)
         token = backend.login("user-1")
         topic = next(iter(small_kb.topics.values()))
-        backend.query(token, f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
+        backend.serve(token, f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
         line = backend.telemetry.audit.lines()[-1]
         assert '"span_errors"' in line
         assert "TimeoutError" in line
@@ -452,5 +452,5 @@ class TestErrorAndOpenSpans:
         backend = BackendService(system.engine, _Clock(), tracing=True, seed=5)
         token = backend.login("user-1")
         topic = next(iter(small_kb.topics.values()))
-        backend.query(token, f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
+        backend.serve(token, f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
         assert '"span_errors"' not in backend.telemetry.audit.lines()[-1]

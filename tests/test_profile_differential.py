@@ -215,7 +215,7 @@ class TestCapacitySurfaces:
         token = backend.login("u")
         for question in QUESTIONS:
             backend.serve(token, question)
-        snapshot = backend.dashboard(backend.login("ops", role=ROLE_OPS))
+        snapshot = backend.ops("dashboard", backend.login("ops", role=ROLE_OPS))
         assert [s.resource for s in snapshot.saturation][0] == "backend"
         rendered = format_dashboard(snapshot)
         assert "resource" in rendered and "util" in rendered

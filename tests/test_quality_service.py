@@ -97,5 +97,5 @@ class TestQualityRoute:
         monitor.record_canary(
             [QualityAlert(name="canary_mrr", severity="critical", message="dropped")]
         )
-        rules = {alert.rule for alert in backend.slo_status(ops)}
+        rules = {alert.rule for alert in backend.ops("slo", ops)}
         assert "quality_canary_mrr" in rules

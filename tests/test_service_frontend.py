@@ -65,11 +65,11 @@ class TestFrontendSession:
 class TestRenderAnswerPage:
     def test_render_limits_document_list(self, system, small_kb):
         topic = next(iter(small_kb.topics.values()))
-        answer = system.engine.ask(f"{topic.action.canonical} {topic.entity.canonical}")
+        answer = system.engine.answer(f"{topic.action.canonical} {topic.entity.canonical}").answer
         page = render_answer_page(answer)
         listed = [line for line in page.splitlines() if line.startswith(("   1.", "   2.", "  1", "  2"))]
         assert len([l for l in page.splitlines() if "(kb/" in l and ". " in l]) <= 10
 
     def test_render_contains_question(self, system):
-        answer = system.engine.ask("Come posso consultare il cedolino stipendio?")
+        answer = system.engine.answer("Come posso consultare il cedolino stipendio?").answer
         assert "cedolino" in render_answer_page(answer)

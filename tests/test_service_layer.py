@@ -24,23 +24,23 @@ class TestBackendService:
     def test_login_and_query(self, backend, small_kb):
         token = backend.login("user-1")
         topic = next(iter(small_kb.topics.values()))
-        record = backend.query(token, f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
+        record = backend.serve(token, f"Come posso {topic.action.canonical} {topic.entity.canonical}?")
         assert record.user_id == "user-1"
         assert record.answer.response_time > 0
 
     def test_unauthenticated_query_rejected(self, backend):
         with pytest.raises(AuthenticationError):
-            backend.query("fake-token", "domanda")
+            backend.serve("fake-token", "domanda")
 
     def test_clock_advances_with_response_time(self, backend, system):
         token = backend.login("user-1")
         before = system.clock.now()
-        record = backend.query(token, "Come posso attivare la carta di credito?")
+        record = backend.serve(token, "Come posso attivare la carta di credito?")
         assert system.clock.now() == pytest.approx(before + record.answer.response_time)
 
     def test_feedback_stored_and_counted(self, backend):
         token = backend.login("user-1")
-        record = backend.query(token, "Come posso attivare la carta di credito?")
+        record = backend.serve(token, "Come posso attivare la carta di credito?")
         backend.feedback(
             token,
             GranularFeedback(
@@ -70,7 +70,7 @@ class TestBackendService:
 
     def test_metrics_record_outcomes(self, backend):
         token = backend.login("user-1")
-        backend.query(token, "Come posso attivare la carta di credito?")
+        backend.serve(token, "Come posso attivare la carta di credito?")
         snapshot = backend.metrics.snapshot()
         assert snapshot.queries == 1
         assert snapshot.users == 1

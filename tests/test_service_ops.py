@@ -73,20 +73,20 @@ class TestRbac:
         backend = BackendService(system.engine, system.clock, seed=1)
         token = backend.login("mario", role=ROLE_EMPLOYEE)
         with pytest.raises(AuthorizationError):
-            backend.dashboard(token)
+            backend.ops("dashboard", token)
 
     def test_ops_reads_dashboard(self, system):
         backend = BackendService(system.engine, system.clock, seed=1)
         employee = backend.login("mario")
-        backend.query(employee, "Come posso consultare il cedolino stipendio?")
+        backend.serve(employee, "Come posso consultare il cedolino stipendio?")
         ops = backend.login("sre-oncall", role=ROLE_OPS)
-        snapshot = backend.dashboard(ops)
+        snapshot = backend.ops("dashboard", ops)
         assert snapshot.queries == 1
 
     def test_ops_token_still_queries(self, system):
         backend = BackendService(system.engine, system.clock, seed=1)
         ops = backend.login("sre-oncall", role=ROLE_OPS)
-        record = backend.query(ops, "Come posso consultare il cedolino stipendio?")
+        record = backend.serve(ops, "Come posso consultare il cedolino stipendio?")
         assert record.user_id == "sre-oncall"
 
     def test_unknown_role_rejected(self, system):
@@ -99,7 +99,7 @@ class TestRbac:
 
         backend = BackendService(system.engine, system.clock, seed=1)
         with pytest.raises(AuthenticationError):
-            backend.dashboard("fake")
+            backend.ops("dashboard", "fake")
 
 
 class TestHighlightSnippet:

@@ -18,7 +18,7 @@ from repro.service.backend import (
     BackendService,
     ROLE_OPS,
 )
-from repro.service.ops import OpsRequest, OpsRoute
+from repro.service.ops import OpsRoute
 from repro.service.loadtest import (
     ClusterLoadTestConfig,
     replay_cluster_report,
@@ -85,34 +85,6 @@ class TestOpsRouteTable:
             expected = name not in ("healthz", "readyz")
             assert route.privileged is expected
 
-    def test_typed_envelope_payload_matches_bare_dispatch(self, backend):
-        """OpsRequest/OpsResponse add provenance, never change the payload."""
-        ops = backend.login("sre", role=ROLE_OPS)
-        token = backend.login("mario")
-        backend.query(token, QUESTIONS[0])
-        bare = backend.ops("metrics", ops)
-        envelope = backend.ops_request(OpsRequest(route="metrics", token=ops))
-        assert envelope.payload == bare
-        assert envelope.route == "metrics"
-        assert envelope.privileged is True
-        probe = backend.ops_request(OpsRequest(route="healthz"))
-        assert probe.payload == backend.ops("healthz")
-        assert probe.privileged is False
-
-    def test_typed_envelope_forwards_params(self, backend):
-        ops = backend.login("sre", role=ROLE_OPS)
-        token = backend.login("mario")
-        backend.query(token, QUESTIONS[0])
-        bare = backend.ops("dashboard", ops, bucket_seconds=30.0)
-        envelope = backend.ops_request(
-            OpsRequest(route="dashboard", token=ops, params={"bucket_seconds": 30.0})
-        )
-        assert envelope.payload == bare
-
-    def test_typed_envelope_keeps_the_single_auth_check(self, backend):
-        with pytest.raises(AuthenticationError):
-            backend.ops_request(OpsRequest(route="metrics", token="not-a-token"))
-
     def test_autoscale_and_admission_routes_report_disabled(self, backend):
         ops = backend.login("sre", role=ROLE_OPS)
         assert backend.ops("autoscale", ops) == {"enabled": False, "decisions": []}
@@ -136,8 +108,8 @@ class TestOpsRouteTable:
             backend.ops(route, token)
 
     def test_probe_routes_require_no_token(self, backend):
-        assert backend.healthz()["status"] == "ok"
-        assert backend.readyz()["ready"] is True
+        assert backend.ops("healthz")["status"] == "ok"
+        assert backend.ops("readyz")["ready"] is True
 
     def test_unknown_route_raises(self, backend):
         with pytest.raises(KeyError):
@@ -146,11 +118,11 @@ class TestOpsRouteTable:
     def test_public_wrappers_dispatch_through_table(self, backend):
         ops = backend.login("sre", role=ROLE_OPS)
         token = backend.login("mario")
-        backend.query(token, QUESTIONS[0])
-        assert backend.dashboard(ops).queries == 1
-        assert backend.cluster_status(ops) is None  # single-index deployment
-        assert "uniask_queries_total" in backend.metrics_text(ops)
-        assert backend.slo_status(ops) == []
+        backend.serve(token, QUESTIONS[0])
+        assert backend.ops("dashboard", ops).queries == 1
+        assert backend.ops("cluster_status", ops) is None  # single-index deployment
+        assert "uniask_queries_total" in backend.ops("metrics", ops)
+        assert backend.ops("slo", ops) == []
 
 
 class TestProbes:
@@ -158,20 +130,20 @@ class TestProbes:
         system = _fresh_system(small_store_and_lexicon)
         backend = BackendService(system.engine, system.clock, seed=7)
         token = backend.login("mario")
-        backend.query(token, QUESTIONS[0])
-        health = backend.healthz()
+        backend.serve(token, QUESTIONS[0])
+        health = backend.ops("healthz")
         assert health["served_queries"] == 1
         assert health["time"] == system.clock.now()
 
     def test_readyz_single_index(self, small_store_and_lexicon):
         system = _fresh_system(small_store_and_lexicon)
         backend = BackendService(system.engine, system.clock, seed=7)
-        assert backend.readyz() == {"ready": True, "mode": "single-index", "shards": {}}
+        assert backend.ops("readyz") == {"ready": True, "mode": "single-index", "shards": {}}
 
     def test_readyz_tracks_cluster_degradation(self, small_store_and_lexicon):
         system = _cluster_system(small_store_and_lexicon)
         backend = BackendService(system.engine, system.clock, seed=7)
-        ready = backend.readyz()
+        ready = backend.ops("readyz")
         assert ready == {
             "ready": True,
             "mode": "cluster",
@@ -179,13 +151,13 @@ class TestProbes:
         }
         for replica in system.cluster.replicas(0):
             replica.kill()
-        degraded = backend.readyz()
+        degraded = backend.ops("readyz")
         assert degraded["ready"] is False
         assert degraded["shards"]["shard-0"] is False
         assert degraded["shards"]["shard-1"] is True
         for replica in system.cluster.replicas(0):
             replica.revive()
-        assert backend.readyz()["ready"] is True
+        assert backend.ops("readyz")["ready"] is True
 
 
 class TestExpositionEndToEnd:
@@ -194,8 +166,8 @@ class TestExpositionEndToEnd:
         backend = BackendService(system.engine, system.clock, seed=7, tracing=True)
         token = backend.login("mario")
         for question in QUESTIONS:
-            backend.query(token, question)
-        text = backend.metrics_text(backend.login("sre", role=ROLE_OPS))
+            backend.serve(token, question)
+        text = backend.ops("metrics", backend.login("sre", role=ROLE_OPS))
         # Service-level instruments (owned by the collector)…
         assert "uniask_queries_total{" in text
         assert "uniask_response_seconds_bucket{" in text
@@ -205,7 +177,7 @@ class TestExpositionEndToEnd:
         assert "uniask_llm_tokens_total{" in text
         assert "uniask_guardrail_checks_total{" in text
         # Exposition totals agree with the dashboard.
-        snapshot = backend.dashboard(backend.login("sre2", role=ROLE_OPS))
+        snapshot = backend.ops("dashboard", backend.login("sre2", role=ROLE_OPS))
         assert f"uniask_response_seconds_count {snapshot.queries}" in text
 
     def test_exemplars_link_to_retained_traces(self, small_store_and_lexicon):
@@ -217,8 +189,8 @@ class TestExpositionEndToEnd:
             system.engine, system.clock, seed=7, tracing=True, telemetry=telemetry
         )
         token = backend.login("mario")
-        records = [backend.query(token, q) for q in QUESTIONS]
-        text = backend.metrics_text(backend.login("sre", role=ROLE_OPS))
+        records = [backend.serve(token, q) for q in QUESTIONS]
+        text = backend.ops("metrics", backend.login("sre", role=ROLE_OPS))
         assert '# {trace_id="q-' in text  # OpenMetrics exemplar syntax
         # Every exemplar in every histogram resolves to a retained trace.
         exemplar_ids = set()
@@ -247,7 +219,7 @@ class TestExpositionEndToEnd:
             )
             token = backend.login("mario")
             for question in QUESTIONS * 3:
-                backend.query(token, question)
+                backend.serve(token, question)
             return telemetry.sampler.retained_ids
 
         assert retained() == retained()
@@ -266,7 +238,7 @@ class TestOutputNeutrality:
             token = backend.login("mario")
             out = []
             for question in QUESTIONS:
-                record = backend.query(token, question)
+                record = backend.serve(token, question)
                 out.append(
                     (
                         record.answer.outcome,
@@ -297,12 +269,12 @@ class TestCollectorIsolation:
         first = BackendService(system.engine, system.clock, seed=7)
         token = first.login("mario")
         for question in QUESTIONS:
-            first.query(token, question)
-        assert first.dashboard(first.login("sre", role=ROLE_OPS)).queries == len(QUESTIONS)
+            first.serve(token, question)
+        assert first.ops("dashboard", first.login("sre", role=ROLE_OPS)).queries == len(QUESTIONS)
         # A new service over the same engine (same shared registry) must not
         # inherit the previous collector's counts.
         second = BackendService(system.engine, system.clock, seed=7)
-        assert second.dashboard(second.login("sre", role=ROLE_OPS)).queries == 0
+        assert second.ops("dashboard", second.login("sre", role=ROLE_OPS)).queries == 0
 
 
 class TestAuditLog:
@@ -310,7 +282,7 @@ class TestAuditLog:
         system = _cluster_system(small_store_and_lexicon)
         backend = BackendService(system.engine, system.clock, seed=7, tracing=True)
         token = backend.login("mario")
-        record = backend.query(token, QUESTIONS[0])
+        record = backend.serve(token, QUESTIONS[0])
         entries = backend.telemetry.audit.find("request")
         assert len(entries) == 1
         entry = entries[0]
@@ -330,7 +302,7 @@ class TestAuditLog:
         system = _fresh_system(small_store_and_lexicon)
         backend = BackendService(system.engine, system.clock, seed=7)
         token = backend.login("mario")
-        record = backend.query(token, QUESTIONS[0])
+        record = backend.serve(token, QUESTIONS[0])
         backend.feedback(
             token,
             GranularFeedback(
@@ -350,7 +322,7 @@ class TestAuditLog:
             backend = BackendService(system.engine, system.clock, seed=7, tracing=True)
             token = backend.login("mario")
             for question in QUESTIONS:
-                backend.query(token, question)
+                backend.serve(token, question)
             return backend.telemetry.audit.lines()
 
         assert run() == run()
