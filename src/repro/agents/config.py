@@ -19,38 +19,18 @@ class AgentsConfig:
         enabled: master switch for the whole subsystem.  When False no
             orchestrator is constructed, no route metrics are registered
             and every request takes the plain lookup pipeline.
-        max_hops: maximum sub-queries a multi-hop decomposition may fan
-            out into (extra fragments are dropped, never silently run).
-        max_repair_attempts: how many repair strategies the structured
-            Validator may try on a failed plan before falling back to the
-            generative path.
         session_capacity: maximum concurrently remembered sessions (LRU
             beyond).
         session_ttl_seconds: session-memory lifetime on the deployment's
             simulated clock (None disables expiry).
-        session_turns: conversation turns remembered per session (older
-            turns are forgotten first).
-        structured_limit: maximum rows a structured plan returns.
     """
 
     enabled: bool = False
-    max_hops: int = 4
-    max_repair_attempts: int = 3
     session_capacity: int = 1024
     session_ttl_seconds: float | None = 1800.0
-    session_turns: int = 8
-    structured_limit: int = 5
 
     def __post_init__(self) -> None:
-        if self.max_hops < 2:
-            raise ValueError("max_hops must be at least 2")
-        if self.max_repair_attempts < 0:
-            raise ValueError("max_repair_attempts must be non-negative")
         if self.session_capacity <= 0:
             raise ValueError("session_capacity must be positive")
         if self.session_ttl_seconds is not None and self.session_ttl_seconds <= 0:
             raise ValueError("session_ttl_seconds must be positive (or None)")
-        if self.session_turns <= 0:
-            raise ValueError("session_turns must be positive")
-        if self.structured_limit <= 0:
-            raise ValueError("structured_limit must be positive")

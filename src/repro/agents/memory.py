@@ -21,12 +21,16 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Generic, Iterator, TypeVar
+from typing import Generic, TypeVar
 
 from repro.pipeline.clock import SimulatedClock
 
 K = TypeVar("K")
 V = TypeVar("V")
+
+#: Conversation turns remembered per session (older turns are forgotten
+#: first).
+SESSION_TURNS = 8
 
 
 @dataclass
@@ -84,11 +88,6 @@ class TtlLruStore(Generic[K, V]):
     def __setitem__(self, key: K, value: V) -> None:
         """Dict-style insert: exactly :meth:`put`."""
         self.put(key, value)
-
-    def keys(self) -> Iterator[K]:
-        """Live keys, least recently used first."""
-        self._expire_all()
-        return iter(list(self._slots.keys()))
 
     def get(self, key: K, default: V | None = None) -> V | None:
         """Fetch *key*, refreshing its recency; None when absent/expired."""
@@ -186,7 +185,7 @@ class SessionMemory:
         self,
         capacity: int = 1024,
         ttl_seconds: float | None = 1800.0,
-        turns_per_session: int = 8,
+        turns_per_session: int = SESSION_TURNS,
         clock: SimulatedClock | None = None,
     ) -> None:
         if turns_per_session <= 0:

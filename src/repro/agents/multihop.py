@@ -36,6 +36,11 @@ _INOLTRE_RE = re.compile(
 )
 
 
+#: Maximum sub-queries a decomposition may fan out into (extra fragments
+#: are dropped, never silently run).
+MAX_HOPS = 4
+
+
 def _clean(fragment: str) -> str:
     return fragment.strip().strip("?.,;:").strip()
 
@@ -56,11 +61,6 @@ class Decomposition:
 class MultiHopAgent:
     """Splits comparative/conjunctive questions into retrieval hops."""
 
-    def __init__(self, max_hops: int = 4) -> None:
-        if max_hops < 2:
-            raise ValueError("max_hops must be at least 2")
-        self._max_hops = max_hops
-
     def decompose(self, question: str) -> Decomposition:
         """Decompose *question*; fewer than 2 hops means "not multi-hop".
 
@@ -70,10 +70,10 @@ class MultiHopAgent:
         """
         match = _DIFFERENCE_RE.search(question)
         if match:
-            parts = re.split(r"\s+e\s+", match.group("body"), maxsplit=self._max_hops - 1)
+            parts = re.split(r"\s+e\s+", match.group("body"), maxsplit=MAX_HOPS - 1)
             hops = tuple(h for h in (_clean(p) for p in parts) if h)
             if len(hops) >= 2:
-                return Decomposition(hops=hops[: self._max_hops], rule="differenza_tra")
+                return Decomposition(hops=hops[: MAX_HOPS], rule="differenza_tra")
 
         match = _CONFRONTA_RE.match(question.strip())
         if match:

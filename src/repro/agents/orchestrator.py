@@ -80,21 +80,14 @@ class Orchestrator:
         self.memory = SessionMemory(
             capacity=self.config.session_capacity,
             ttl_seconds=self.config.session_ttl_seconds,
-            turns_per_session=self.config.session_turns,
             clock=clock,
         )
         self.conversational = ConversationalAgent()
         self.followup = FollowUpAgent()
-        self.multihop = MultiHopAgent(max_hops=self.config.max_hops)
+        self.multihop = MultiHopAgent()
         self.catalog = catalog
         self.structured: StructuredAgent | None = (
-            StructuredAgent(
-                catalog,
-                max_repair_attempts=self.config.max_repair_attempts,
-                limit=self.config.structured_limit,
-            )
-            if catalog is not None
-            else None
+            StructuredAgent(catalog) if catalog is not None else None
         )
         self._m_routes = (
             registry.counter(
@@ -109,11 +102,7 @@ class Orchestrator:
     def refresh_catalog(self, store) -> None:
         """Re-extract the structured tables after a corpus write."""
         self.catalog = StructuredCatalog.from_store(store)
-        self.structured = StructuredAgent(
-            self.catalog,
-            max_repair_attempts=self.config.max_repair_attempts,
-            limit=self.config.structured_limit,
-        )
+        self.structured = StructuredAgent(self.catalog)
 
     # -- routing --------------------------------------------------------------
 

@@ -52,6 +52,12 @@ OP_CONTAINS = "contains"
 OP_PREFIX = "prefix"
 ALL_OPS = (OP_EQ, OP_CONTAINS, OP_PREFIX)
 
+#: Maximum rows a compiled plan returns.
+STRUCTURED_LIMIT = 5
+#: Repair strategies the :class:`StructuredAgent` may try after the initial
+#: plan fails, before falling back to the generative path.
+MAX_REPAIR_ATTEMPTS = 3
+
 _ERROR_TITLE_RE = re.compile(r"^Errore (ERR-\d+) in (.+)$")
 _PROCEDURE_LEAD_RE = re.compile(
     r"la procedura per (.+?) tramite l'applicativo (.+?), riservata ai (.+?)\.",
@@ -252,9 +258,8 @@ def execute_plan(plan: TablePlan, catalog: StructuredCatalog) -> tuple[tuple[dic
 class StructuredCompiler:
     """Pattern-compiles a question into a :class:`TablePlan`."""
 
-    def __init__(self, catalog: StructuredCatalog, limit: int = 5) -> None:
+    def __init__(self, catalog: StructuredCatalog) -> None:
         self._catalog = catalog
-        self._limit = limit
 
     def compile(self, question: str) -> TablePlan:
         """Compile *question*; raises :class:`PlanError` when no pattern fits."""
@@ -264,7 +269,7 @@ class StructuredCompiler:
             return TablePlan(
                 table=TABLE_ERROR_CODES,
                 predicates=(Predicate("code", OP_EQ, code),),
-                limit=self._limit,
+                limit=STRUCTURED_LIMIT,
             )
 
         lowered = question.lower()
@@ -280,7 +285,7 @@ class StructuredCompiler:
                 table=TABLE_ERROR_CODES,
                 predicates=predicates,
                 aggregate=aggregate,
-                limit=self._limit,
+                limit=STRUCTURED_LIMIT,
             )
         if re.search(r"\bprocedure\b", lowered):
             if system:
@@ -297,7 +302,7 @@ class StructuredCompiler:
                 table=TABLE_PROCEDURES,
                 predicates=predicates,
                 aggregate=aggregate,
-                limit=self._limit,
+                limit=STRUCTURED_LIMIT,
             )
         raise PlanError("no structured pattern matched the question")
 
@@ -325,22 +330,12 @@ class StructuredAgent:
 
     Args:
         catalog: the extracted table catalog.
-        max_repair_attempts: repair strategies tried after the initial
-            plan fails (schema error or empty result).
-        limit: row limit handed to compiled plans.
     """
 
-    def __init__(
-        self,
-        catalog: StructuredCatalog,
-        max_repair_attempts: int = 3,
-        limit: int = 5,
-    ) -> None:
+    def __init__(self, catalog: StructuredCatalog) -> None:
         self.catalog = catalog
         self.validator = PlanValidator(catalog)
-        self.compiler = StructuredCompiler(catalog, limit=limit)
-        self._max_repairs = max_repair_attempts
-        self._limit = limit
+        self.compiler = StructuredCompiler(catalog)
 
     def run(self, question: str) -> StructuredResult:
         """Answer *question* over the catalog, repairing failed plans."""
@@ -352,7 +347,7 @@ class StructuredAgent:
             return StructuredResult(plan=None, attempts=("compile",), error=str(error))
 
         error_text = ""
-        for attempt_no in range(self._max_repairs + 1):
+        for attempt_no in range(MAX_REPAIR_ATTEMPTS + 1):
             if attempt_no > 0:
                 plan, strategy = self._repair(plan, question, error_text, attempt_no)
                 if plan is None:

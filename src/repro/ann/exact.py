@@ -40,11 +40,6 @@ class ExactKnnIndex:
         return self._count
 
     @property
-    def dim(self) -> int:
-        """Vector dimensionality accepted by the index."""
-        return self._dim
-
-    @property
     def matrix(self) -> np.ndarray:
         """The stored vectors as one contiguous ``(n, dim)`` view."""
         return self._matrix[: self._count]

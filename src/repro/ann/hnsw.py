@@ -94,11 +94,6 @@ class HnswIndex:
         return item_id in self._nodes
 
     @property
-    def dim(self) -> int:
-        """Vector dimensionality accepted by the index."""
-        return self._dim
-
-    @property
     def max_level(self) -> int:
         """Top layer of the current entry point (-1 when empty)."""
         if self._entry_point is None:

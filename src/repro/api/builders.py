@@ -69,7 +69,6 @@ def create_backend(system: "UniAskSystem", tracing: bool = False, **kwargs):
         from repro.obs.incident import IncidentManager
 
         kwargs["incidents"] = IncidentManager(
-            config=system.config.incident,
             clock=system.clock,
             recorder=system.recorder,
             audit=system.telemetry.audit,

@@ -55,6 +55,25 @@ DECISION_NAMES = {
 #: Internal resource key of the controller's capacity tracking.
 _RESOURCE = "admission"
 
+# The shedding ladder: pressure (offered load over ``target_load``, 0 = idle,
+# 1 = the deployment's full-quality capacity) at which interactive traffic
+# enters each level.
+#: Pressure at which traffic degrades to answer-cache-only serving (level 1).
+CACHED_ONLY_AT = 0.70
+#: Pressure at which it degrades to BM25-only answers (level 2).
+BM25_ONLY_AT = 0.85
+#: Pressure at which it is rejected outright (level 3).
+REJECT_AT = 1.0
+#: Subtracted from the thresholds for batch traffic, so it sheds earlier.
+BATCH_HEADROOM = 0.15
+#: Subtracted for canary traffic, which sheds first.
+CANARY_HEADROOM = 0.30
+#: Base retry-after of a rejection; scales linearly with the overload past
+#: ``REJECT_AT``.
+RETRY_AFTER_SECONDS = 15.0
+#: EWMA weight of each new full-pipeline latency observation.
+LATENCY_EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class AdmissionDecision:
@@ -119,8 +138,8 @@ class AdmissionController:
         self._full_latency = self.config.full_latency_estimate
         self._headroom = {
             PRIORITY_INTERACTIVE: 0.0,
-            PRIORITY_BATCH: self.config.batch_headroom,
-            PRIORITY_CANARY: self.config.canary_headroom,
+            PRIORITY_BATCH: BATCH_HEADROOM,
+            PRIORITY_CANARY: CANARY_HEADROOM,
         }
         self._decisions = {name: 0 for name in DECISION_NAMES.values()}
         self._shed_total = 0
@@ -146,8 +165,9 @@ class AdmissionController:
         """
         self._capacity.observe(_RESOURCE, arrival, response_time)
         if level == LEVEL_FULL and response_time > 0.0:
-            alpha = self.config.latency_ewma_alpha
-            self._full_latency = (1.0 - alpha) * self._full_latency + alpha * response_time
+            self._full_latency = (
+                1.0 - LATENCY_EWMA_ALPHA
+            ) * self._full_latency + LATENCY_EWMA_ALPHA * response_time
 
     def pressure(self) -> float:
         """Offered load over ``target_load`` (0 = idle, 1 = at capacity)."""
@@ -156,21 +176,15 @@ class AdmissionController:
                 return sample.littles_load / self.config.target_load
         return 0.0
 
-    @property
-    def full_latency_estimate(self) -> float:
-        """The current EWMA estimate of a full-pipeline response."""
-        return self._full_latency
-
     # -- decisions ---------------------------------------------------------
 
     def _pressure_level(self, pressure: float, priority: str) -> int:
         shifted = pressure + self._headroom.get(priority, 0.0)
-        config = self.config
-        if shifted >= config.reject_at:
+        if shifted >= REJECT_AT:
             return LEVEL_REJECT
-        if shifted >= config.bm25_only_at:
+        if shifted >= BM25_ONLY_AT:
             return LEVEL_DEGRADED
-        if shifted >= config.cached_only_at:
+        if shifted >= CACHED_ONLY_AT:
             return LEVEL_CACHED_ONLY
         return LEVEL_FULL
 
@@ -206,8 +220,8 @@ class AdmissionController:
             reason = "pressure"
         retry_after = 0.0
         if level >= LEVEL_REJECT:
-            overload = max(0.0, pressure - self.config.reject_at)
-            retry_after = self.config.retry_after_seconds * (1.0 + overload)
+            overload = max(0.0, pressure - REJECT_AT)
+            retry_after = RETRY_AFTER_SECONDS * (1.0 + overload)
         decision = AdmissionDecision(
             level=level,
             pressure=pressure,
@@ -249,9 +263,9 @@ class AdmissionController:
             "shed_total": self._shed_total,
             "rejected_total": self._rejected_total,
             "ladder": {
-                "cached_only_at": self.config.cached_only_at,
-                "bm25_only_at": self.config.bm25_only_at,
-                "reject_at": self.config.reject_at,
+                "cached_only_at": CACHED_ONLY_AT,
+                "bm25_only_at": BM25_ONLY_AT,
+                "reject_at": REJECT_AT,
             },
             "headroom": dict(self._headroom),
         }

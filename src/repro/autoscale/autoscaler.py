@@ -3,7 +3,7 @@
 The observation side already exists — flight-window capacity tracking
 (:mod:`repro.obs.capacity`) and multi-window SLO burn rates
 (:mod:`repro.obs.slo`).  The :class:`Autoscaler` closes the loop: every
-``evaluate_interval`` simulated seconds it reads offered load per alive
+``EVALUATE_INTERVAL`` simulated seconds it reads offered load per alive
 replica and the latency-SLO burn, then
 
 * **heals** any shard whose every replica is dead before anything else
@@ -39,6 +39,37 @@ __all__ = ["Autoscaler", "ScaleDecision"]
 
 #: Internal resource key of the scaler's capacity tracking.
 _RESOURCE = "cluster"
+
+#: Simulated seconds between control decisions.
+EVALUATE_INTERVAL = 15.0
+#: Offered load per alive replica above which capacity is added.
+TARGET_UTILIZATION = 0.70
+#: Load per replica below which capacity is removed.
+SCALE_DOWN_BELOW = 0.30
+#: The latency SLO objective (fraction of responses within
+#: ``latency_slo_seconds``).
+LATENCY_OBJECTIVE = 0.95
+#: The multi-window pair a burn-rate scale-up requires (both windows must
+#: burn, the standard guard against reacting to a blip).
+BURN_SHORT_SECONDS = 60.0
+BURN_LONG_SECONDS = 300.0
+#: Error-budget burn rate that forces a scale-up regardless of utilization.
+BURN_THRESHOLD = 4.0
+_BURN_WINDOWS = (
+    BurnWindow(
+        short_seconds=BURN_SHORT_SECONDS,
+        long_seconds=BURN_LONG_SECONDS,
+        max_burn_rate=BURN_THRESHOLD,
+        severity="scale-up",
+    ),
+)
+#: How much SLO history the scaler retains (covers the long burn window).
+SAMPLE_HORIZON = 900.0
+#: A shard whose load-per-replica exceeds the cluster mean by this factor
+#: gets the next replica (targeted scaling under skew).
+HOT_SHARD_RATIO = 1.5
+#: Fraction of the hot shard's documents moved per rebalance action.
+REBALANCE_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -104,20 +135,12 @@ class Autoscaler:
         self.config = config or AutoscaleConfig()
         self._cluster = cluster
         self._clock = clock
-        self._capacity = CapacityMonitor(window_seconds=self.config.burn_short_seconds)
+        self._capacity = CapacityMonitor(window_seconds=BURN_SHORT_SECONDS)
         self._slo = SLO(
             name="latency",
-            objective=self.config.latency_objective,
+            objective=LATENCY_OBJECTIVE,
             description=(
                 f"responses within {self.config.latency_slo_seconds:g}s simulated"
-            ),
-        )
-        self._burn_windows = (
-            BurnWindow(
-                short_seconds=self.config.burn_short_seconds,
-                long_seconds=self.config.burn_long_seconds,
-                max_burn_rate=self.config.burn_threshold,
-                severity="scale-up",
             ),
         )
         self._samples: deque[SloSample] = deque()
@@ -152,7 +175,7 @@ class Autoscaler:
         self._capacity.observe(_RESOURCE, arrival, response_time, failed=failed)
         good = not failed and response_time <= self.config.latency_slo_seconds
         self._samples.append(SloSample(timestamp=arrival, good=good))
-        horizon = arrival - self.config.sample_horizon
+        horizon = arrival - SAMPLE_HORIZON
         while self._samples and self._samples[0].timestamp < horizon:
             self._samples.popleft()
 
@@ -161,7 +184,7 @@ class Autoscaler:
     def maybe_evaluate(self, now: float | None = None) -> list[ScaleDecision]:
         """Run :meth:`evaluate` if an interval has elapsed; else no-op."""
         at = self._clock.now() if now is None else now
-        if at - self._last_evaluate < self.config.evaluate_interval:
+        if at - self._last_evaluate < EVALUATE_INTERVAL:
             return []
         return self.evaluate(at)
 
@@ -199,7 +222,7 @@ class Autoscaler:
                 self._g_replicas.labels(str(shard_id)).set(float(alive))
 
         burning = bool(
-            evaluate_burn_rates(self._slo, list(self._samples), at, self._burn_windows)
+            evaluate_burn_rates(self._slo, list(self._samples), at, _BURN_WINDOWS)
         )
         taken: list[ScaleDecision] = []
 
@@ -216,7 +239,7 @@ class Autoscaler:
         # shard with zero alive replicas serves nothing at all, and the
         # heat proxy below cannot see it (no denominator), so without
         # this path a killed shard would stay dark until an operator
-        # noticed.  evaluate_interval still rate-limits the repair.
+        # noticed.  EVALUATE_INTERVAL still rate-limits the repair.
         for shard_id in sorted(
             (sid for sid, alive in shard_alive.items() if alive == 0),
             key=lambda sid: (-shard_chunks[sid], sid),
@@ -232,12 +255,12 @@ class Autoscaler:
         if taken:
             return taken
 
-        want_up = burning or self._utilization > config.target_utilization
+        want_up = burning or self._utilization > TARGET_UTILIZATION
         hot_shards = [
             shard_id
             for shard_id, value in heat.items()
             if mean_heat > 0.0
-            and value > config.hot_shard_ratio * mean_heat
+            and value > HOT_SHARD_RATIO * mean_heat
             and shard_alive[shard_id] < config.max_replicas
         ]
         if (want_up or hot_shards) and at - self._last_scale_up >= config.scale_up_cooldown:
@@ -263,7 +286,7 @@ class Autoscaler:
                 )
         elif (
             not want_up
-            and self._utilization < config.scale_down_below
+            and self._utilization < SCALE_DOWN_BELOW
             and at - self._last_scale_down >= config.scale_down_cooldown
         ):
             candidates = [
@@ -296,7 +319,7 @@ class Autoscaler:
                 and at - self._last_rebalance >= config.scale_up_cooldown
             ):
                 moved = self._cluster.index.rebalance_shard(
-                    hottest, coldest, fraction=config.rebalance_fraction
+                    hottest, coldest, fraction=REBALANCE_FRACTION
                 )
                 if moved:
                     self._last_rebalance = at
@@ -357,7 +380,7 @@ class Autoscaler:
         payload = {
             "enabled": True,
             "utilization": round(self._utilization, 4),
-            "target_utilization": self.config.target_utilization,
+            "target_utilization": TARGET_UTILIZATION,
             "replicas": replicas,
             "total_replicas": sum(replicas.values()),
             "decisions": [d.to_dict() for d in self._decisions[-20:]],

@@ -4,7 +4,7 @@ Hedged retries are a latency tool that turns into a load amplifier
 exactly when the cluster can least afford it: at high utilization every
 hedge is one more probe on an already-saturated replica pool.  The
 budget caps the fraction of probes allowed to hedge and shrinks that cap
-linearly with utilization, reaching zero at ``hedge_disable_above`` —
+linearly with utilization, reaching zero at ``disable_above`` —
 the "hedging budgets" of the tail-at-scale playbook, driven here by the
 autoscaler's utilization estimate.
 
@@ -17,14 +17,19 @@ from __future__ import annotations
 
 __all__ = ["AdaptiveHedgeBudget"]
 
+#: Fraction of probes allowed to hedge when the cluster is idle.
+BASE_FRACTION = 0.3
+#: Utilization at which the hedge budget reaches zero.
+DISABLE_ABOVE = 0.85
+
 
 class AdaptiveHedgeBudget:
     """Caps the hedged fraction of shard probes as utilization rises."""
 
     def __init__(
         self,
-        base_fraction: float = 0.3,
-        disable_above: float = 0.85,
+        base_fraction: float = BASE_FRACTION,
+        disable_above: float = DISABLE_ABOVE,
     ) -> None:
         if not 0.0 <= base_fraction <= 1.0:
             raise ValueError("base_fraction must be in [0, 1]")

@@ -46,6 +46,13 @@ CHAOS_REVIVE = "revive"
 CHAOS_EPOCH_FLIP = "epoch_flip"
 CHAOS_KINDS = (CHAOS_KILL, CHAOS_REVIVE, CHAOS_EPOCH_FLIP)
 
+#: Question-popularity skew of the simulated day.
+ZIPF_EXPONENT = 1.1
+#: Share of the day's requests sent at batch / canary priority (the rest
+#: is interactive).
+BATCH_FRACTION = 0.20
+CANARY_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class ChaosEvent:
@@ -72,9 +79,6 @@ class DiurnalLoadConfig:
     base_rate: float = 1.0  # mean arrivals per second over the day
     amplitude: float = 0.8  # peak swing as a fraction of base_rate
     period_seconds: float = 1800.0  # one full diurnal cycle
-    zipf_exponent: float = 1.1  # question-popularity skew
-    batch_fraction: float = 0.20
-    canary_fraction: float = 0.05
     seed: int = 17
     chaos: tuple[ChaosEvent, ...] = ()
 
@@ -87,12 +91,6 @@ class DiurnalLoadConfig:
             raise ValueError("amplitude must be in [0, 1)")
         if self.period_seconds <= 0:
             raise ValueError("period_seconds must be positive")
-        if self.zipf_exponent <= 0:
-            raise ValueError("zipf_exponent must be positive")
-        if self.batch_fraction < 0 or self.canary_fraction < 0:
-            raise ValueError("priority fractions must be non-negative")
-        if self.batch_fraction + self.canary_fraction >= 1.0:
-            raise ValueError("interactive traffic must keep a positive share")
 
 
 @dataclass(frozen=True)
@@ -183,11 +181,11 @@ class ZipfSampler:
         return self._items[bisect_left(self._cumulative, draw)]
 
 
-def _sample_priority(config: DiurnalLoadConfig, rng: random.Random) -> str:
+def _sample_priority(rng: random.Random) -> str:
     draw = rng.random()
-    if draw < config.canary_fraction:
+    if draw < CANARY_FRACTION:
         return PRIORITY_CANARY
-    if draw < config.canary_fraction + config.batch_fraction:
+    if draw < CANARY_FRACTION + BATCH_FRACTION:
         return PRIORITY_BATCH
     return PRIORITY_INTERACTIVE
 
@@ -256,7 +254,7 @@ def run_diurnal_load(
         raise ValueError("at least one question is required")
 
     rng = random.Random(config.seed)
-    sampler = ZipfSampler(questions, config.zipf_exponent, rng)
+    sampler = ZipfSampler(questions, ZIPF_EXPONENT, rng)
     chaos = sorted(config.chaos, key=lambda event: event.at)
     chaos_cursor = 0
 
@@ -285,7 +283,7 @@ def run_diurnal_load(
         max_pool = max(max_pool, pool)
 
         question = sampler.sample()
-        priority = _sample_priority(config, rng)
+        priority = _sample_priority(rng)
         request = AskRequest(question=question, options=AskOptions(priority=priority))
 
         total += 1

@@ -75,12 +75,6 @@ class AnswerCacheStats:
         """Exact plus semantic hits."""
         return self.hits_exact + self.hits_semantic
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
 
 @dataclass
 class _Entry:

@@ -51,12 +51,6 @@ class RetrievalCacheStats:
     invalidations: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
 
 class ShardRetrievalCache:
     """One bounded LRU of :class:`CachedLegs` per shard.

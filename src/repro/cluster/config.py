@@ -20,27 +20,18 @@ class ClusterConfig:
         replicas: replicas per shard (serving capacity / availability).
         vnodes: virtual nodes per shard on the consistent-hash ring; more
             vnodes → smoother balance, slightly larger ring.
-        shard_deadline: simulated seconds a shard may take before the
-            router gives up on it and degrades to partial results.
-        hedge_fraction: fraction of the deadline after which a hedged
-            retry is sent to a sibling replica (0.5 → hedge at half the
-            deadline, the classic tail-at-scale rule of thumb).
-        replica_base_latency: simulated seconds a healthy replica takes
-            to serve one shard-level search.
-        replica_latency_jitter: relative deterministic per-(replica,
-            query) latency spread in ``[0, jitter]``.
         down_after: consecutive timeouts before a replica is marked down.
         down_cooldown: simulated seconds a marked-down replica is skipped
             (fail-fast) before it is probed again.
+
+    The shard deadline and hedge point are constants of
+    :mod:`repro.cluster.router`, the simulated replica latency of
+    :mod:`repro.cluster.replica`.
     """
 
     shards: int = 1
     replicas: int = 2
     vnodes: int = 64
-    shard_deadline: float = 0.03
-    hedge_fraction: float = 0.5
-    replica_base_latency: float = 0.008
-    replica_latency_jitter: float = 0.25
     down_after: int = 3
     down_cooldown: float = 30.0
 
@@ -51,20 +42,7 @@ class ClusterConfig:
             raise ValueError("replicas must be >= 1")
         if self.vnodes < 1:
             raise ValueError("vnodes must be >= 1")
-        if self.shard_deadline <= 0:
-            raise ValueError("shard_deadline must be positive")
-        if not 0.0 < self.hedge_fraction <= 1.0:
-            raise ValueError("hedge_fraction must lie in (0, 1]")
-        if self.replica_base_latency <= 0:
-            raise ValueError("replica_base_latency must be positive")
-        if self.replica_latency_jitter < 0:
-            raise ValueError("replica_latency_jitter must be non-negative")
         if self.down_after < 1:
             raise ValueError("down_after must be >= 1")
         if self.down_cooldown < 0:
             raise ValueError("down_cooldown must be non-negative")
-
-    @property
-    def hedge_latency(self) -> float:
-        """Simulated seconds after which a hedged retry fires."""
-        return self.hedge_fraction * self.shard_deadline

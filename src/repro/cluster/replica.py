@@ -21,6 +21,12 @@ from dataclasses import dataclass, field
 
 from repro.cluster.config import ClusterConfig
 
+#: Simulated seconds a healthy replica takes to serve one shard-level search.
+REPLICA_BASE_LATENCY = 0.008
+#: Relative deterministic per-(replica, query) latency spread in
+#: ``[0, jitter]``.
+REPLICA_LATENCY_JITTER = 0.25
+
 
 def _unit_noise(replica_id: str, query: str) -> float:
     """Deterministic pseudo-noise in [0, 1) keyed on the (replica, query) pair."""
@@ -50,22 +56,11 @@ class Replica:
     restores a healthy server.
     """
 
-    def __init__(
-        self,
-        replica_id: str,
-        base_latency: float = 0.008,
-        jitter: float = 0.25,
-    ) -> None:
-        if base_latency <= 0:
-            raise ValueError("base_latency must be positive")
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
+    def __init__(self, replica_id: str) -> None:
         self.replica_id = replica_id
         self.alive = True
         self.slow_factor = 1.0
         self.health = ReplicaHealth()
-        self._base_latency = base_latency
-        self._jitter = jitter
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
@@ -75,8 +70,8 @@ class Replica:
 
     def service_time(self, query: str) -> float:
         """Deterministic simulated seconds to serve *query* on this replica."""
-        noise = 1.0 + self._jitter * _unit_noise(self.replica_id, query)
-        return self._base_latency * self.slow_factor * noise
+        noise = 1.0 + REPLICA_LATENCY_JITTER * _unit_noise(self.replica_id, query)
+        return REPLICA_BASE_LATENCY * self.slow_factor * noise
 
     def marked_down(self, now: float) -> bool:
         """True while the health tracker is failing this replica fast."""
@@ -138,24 +133,13 @@ class ReplicaGroup:
         """A fresh group of ``config.replicas`` healthy replicas."""
         return cls(
             shard_id=shard_id,
-            replicas=[
-                Replica(
-                    replica_id=f"s{shard_id}/r{i}",
-                    base_latency=config.replica_base_latency,
-                    jitter=config.replica_latency_jitter,
-                )
-                for i in range(config.replicas)
-            ],
+            replicas=[Replica(f"s{shard_id}/r{i}") for i in range(config.replicas)],
             next_index=config.replicas,
         )
 
-    def add_replica(self, config: ClusterConfig) -> Replica:
+    def add_replica(self) -> Replica:
         """Grow the group by one healthy replica (scale-up)."""
-        replica = Replica(
-            replica_id=f"s{self.shard_id}/r{self.next_index}",
-            base_latency=config.replica_base_latency,
-            jitter=config.replica_latency_jitter,
-        )
+        replica = Replica(f"s{self.shard_id}/r{self.next_index}")
         self.next_index += 1
         self.replicas.append(replica)
         return replica

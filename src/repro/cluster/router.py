@@ -42,6 +42,13 @@ from repro.search.reranker import SemanticReranker
 from repro.search.results import RetrievedChunk
 from repro.search.vector import VectorSearch
 
+#: Simulated seconds a shard may take before the router gives up on it and
+#: degrades to partial results.
+SHARD_DEADLINE = 0.03
+#: Simulated seconds after which a hedged retry goes to a sibling replica:
+#: half the deadline, the classic tail-at-scale rule of thumb.
+HEDGE_LATENCY = 0.5 * SHARD_DEADLINE
+
 
 def _attribute_shard(results: list[RetrievedChunk], shard_id: int) -> list[RetrievedChunk]:
     """Tag each leg result with its shard of origin (explain provenance)."""
@@ -316,7 +323,7 @@ class ClusterSearcher:
     def add_replica(self, shard_id: int) -> str:
         """Scale *shard_id* up by one healthy replica; returns its id."""
         self._sync_topology()
-        replica_id = self._groups[shard_id].add_replica(self.cluster_config).replica_id
+        replica_id = self._groups[shard_id].add_replica().replica_id
         if self.recorder is not None:
             self.recorder.record(
                 "topology_change",
@@ -585,16 +592,14 @@ class ClusterSearcher:
 
         The primary rotates round-robin per query.  Dead and marked-down
         replicas are skipped up front (fail-fast).  When the primary has
-        not answered after ``hedge_latency`` a hedged retry goes to the
+        not answered after ``HEDGE_LATENCY`` a hedged retry goes to the
         next candidate; the shard's latency is then the earlier of the two
-        responses.  A shard that still exceeds ``shard_deadline`` times
+        responses.  A shard that still exceeds ``SHARD_DEADLINE`` times
         out: the query degrades to partial results, and the slow replicas'
         health records take a consecutive-timeout hit (enough hits mark a
         replica down for ``down_cooldown`` simulated seconds).
         """
         config = self.cluster_config
-        deadline = config.shard_deadline
-        hedge_at = config.hedge_latency
         group = self._groups[shard_id]
         candidates = [
             replica
@@ -605,7 +610,7 @@ class ClusterSearcher:
             return ShardProbe(
                 shard_id=shard_id,
                 replica_id="",
-                latency=deadline,
+                latency=SHARD_DEADLINE,
                 ok=False,
                 attempts=0,
                 timed_out=True,
@@ -613,7 +618,7 @@ class ClusterSearcher:
 
         primary = candidates[0]
         primary_latency = primary.service_time(query)
-        if primary_latency <= hedge_at:
+        if primary_latency <= HEDGE_LATENCY:
             primary.record_success()
             return ShardProbe(
                 shard_id=shard_id,
@@ -630,7 +635,7 @@ class ClusterSearcher:
         if sibling is None:
             # Nobody to hedge to: the primary either makes the deadline
             # alone or the shard degrades.
-            if primary_latency <= deadline:
+            if primary_latency <= SHARD_DEADLINE:
                 primary.record_success()
                 return ShardProbe(
                     shard_id=shard_id,
@@ -642,21 +647,21 @@ class ClusterSearcher:
             return ShardProbe(
                 shard_id=shard_id,
                 replica_id="",
-                latency=deadline,
+                latency=SHARD_DEADLINE,
                 ok=False,
                 timed_out=True,
             )
 
         primary.record_hedge()
-        sibling_latency = hedge_at + sibling.service_time(query)
+        sibling_latency = HEDGE_LATENCY + sibling.service_time(query)
         winner, winner_latency = (
             (primary, primary_latency)
             if primary_latency <= sibling_latency
             else (sibling, sibling_latency)
         )
-        if winner_latency <= deadline:
+        if winner_latency <= SHARD_DEADLINE:
             winner.record_success()
-            if primary_latency > deadline:
+            if primary_latency > SHARD_DEADLINE:
                 primary.record_timeout(now, config)
             return ShardProbe(
                 shard_id=shard_id,
@@ -667,12 +672,12 @@ class ClusterSearcher:
                 attempts=2,
             )
         primary.record_timeout(now, config)
-        if sibling_latency > deadline:
+        if sibling_latency > SHARD_DEADLINE:
             sibling.record_timeout(now, config)
         return ShardProbe(
             shard_id=shard_id,
             replica_id="",
-            latency=deadline,
+            latency=SHARD_DEADLINE,
             ok=False,
             hedged=True,
             attempts=2,

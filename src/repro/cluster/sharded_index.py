@@ -37,7 +37,7 @@ import numpy as np
 from repro.cluster.planner import ShardPlanner
 from repro.embeddings.model import EmbeddingModel
 from repro.obs.trace import NULL_CONTEXT, RequestContext
-from repro.search.index import SearchIndex
+from repro.search.index import VACUUM_TOMBSTONE_RATIO, SearchIndex
 from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord, IndexSchema, uniask_schema
 from repro.search.segment import IndexConfig
@@ -115,15 +115,9 @@ class _ShardSearchView:
 
     def __init__(self, cluster: "ShardedSearchIndex", shard_id: int) -> None:
         self._cluster = cluster
-        self._shard_id = shard_id
         self._shard = cluster.shard_index(shard_id)
         self.schema = self._shard.schema
         self.embedder = self._shard.embedder
-
-    @property
-    def shard_id(self) -> int:
-        """The shard this view reads from."""
-        return self._shard_id
 
     def inverted_index(self, field_name: str) -> _GlobalStatsInverted:
         return _GlobalStatsInverted(
@@ -138,11 +132,6 @@ class _ShardSearchView:
 
     def record(self, internal: int) -> ChunkRecord:
         return self._shard.record(internal)
-
-    def vector_search(
-        self, field_name: str, query_vector: np.ndarray, k: int
-    ) -> list[tuple[int, float]]:
-        return self._shard.vector_search(field_name, query_vector, k)
 
 
 class ShardedSearchIndex:
@@ -375,12 +364,9 @@ class ShardedSearchIndex:
             self._generation += 1
         return removed
 
-    def vacuum(self, max_tombstone_ratio: float | None = None) -> bool:
-        """Vacuum every shard; True when any shard rebuilt its graphs.
-
-        ``None`` defers to each shard's configured
-        ``vacuum_tombstone_ratio`` threshold, exactly like a single index.
-        """
+    def vacuum(self, max_tombstone_ratio: float = VACUUM_TOMBSTONE_RATIO) -> bool:
+        """Vacuum every shard past the threshold, exactly like a single
+        index; True when any shard rebuilt its graphs."""
         rebuilt = False
         for shard in self._shards.values():
             rebuilt = shard.vacuum(max_tombstone_ratio) or rebuilt

@@ -127,11 +127,7 @@ def build_uniask_system(
     # deployment stays byte-identical on every surface.
     recorder = None
     if config.incident.enabled:
-        recorder = BlackBoxRecorder(
-            clock=clock,
-            capacity=config.incident.recorder_capacity,
-            registry=registry,
-        )
+        recorder = BlackBoxRecorder(clock=clock, registry=registry)
 
     from repro.text.analyzer import ItalianAnalyzer
 
@@ -174,10 +170,7 @@ def build_uniask_system(
     # router keeps its unconditional hedging and byte-identical behaviour.
     hedge_budget = None
     if clustered and config.autoscale.enabled:
-        hedge_budget = AdaptiveHedgeBudget(
-            base_fraction=config.autoscale.hedge_base_fraction,
-            disable_above=config.autoscale.hedge_disable_above,
-        )
+        hedge_budget = AdaptiveHedgeBudget()
     if clustered:
         searcher = ClusterSearcher(
             index,

@@ -20,11 +20,6 @@ class DatasetSplit:
     validation: list[LabeledQuery]
     test: list[LabeledQuery]
 
-    @property
-    def total(self) -> int:
-        """Total number of queries in both parts."""
-        return len(self.validation) + len(self.test)
-
 
 def split_dataset(
     queries: list[LabeledQuery], validation_fraction: float = 2.0 / 3.0, seed: int = 31

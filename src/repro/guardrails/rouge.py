@@ -30,11 +30,6 @@ class RougeGuardrail:
         """Guardrail identifier."""
         return "rouge"
 
-    @property
-    def threshold(self) -> float:
-        """The ROUGE-L cut-off in force."""
-        return self._threshold
-
     def similarity(self, answer: str, context: list[RetrievedChunk]) -> float:
         """Max ROUGE-L of *answer* against any context chunk."""
         if not context:

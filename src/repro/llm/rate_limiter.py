@@ -56,11 +56,6 @@ class TokenBucketRateLimiter:
             ("decision",),
         )
 
-    @property
-    def capacity(self) -> float:
-        """Bucket capacity in tokens."""
-        return self._capacity
-
     def available(self, now: float) -> float:
         """Tokens available at time *now* (seconds)."""
         self._refill(now)

@@ -43,7 +43,6 @@ import hashlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
-from repro.core.errors import ConfigurationError
 from repro.obs.slo import BurnWindow
 
 __all__ = [
@@ -71,87 +70,59 @@ EVENT_HEDGES_DISABLED = "hedges_disabled"
 EVENT_HEDGES_RESTORED = "hedges_restored"
 
 
+#: Ring size of the flight recorder.
+RECORDER_CAPACITY = 512
+#: Simulated seconds between alert evaluations.
+CHECK_INTERVAL = 15.0
+#: The multi-window pair of the page evaluation (both must burn).  Much
+#: shorter than the SRE-workbook service defaults (5 m/1 h): incident
+#: detection runs inside compressed simulated days (the 30-minute diurnal
+#: chaos run), where an hour-long window could mathematically never trip
+#: mid-run.  They mirror the autoscaler's own 60 s/300 s control windows.
+PAGE_SHORT_SECONDS = 60.0
+PAGE_LONG_SECONDS = 300.0
+#: Error-budget burn rate that pages.
+PAGE_BURN_THRESHOLD = 10.0
+#: The multi-window page rule of incident detection.
+PAGE_BURN_WINDOWS = (
+    BurnWindow(
+        short_seconds=PAGE_SHORT_SECONDS,
+        long_seconds=PAGE_LONG_SECONDS,
+        max_burn_rate=PAGE_BURN_THRESHOLD,
+        severity=PAGE_SEVERITY,
+    ),
+)
+#: Recorder window frozen before the page (and scanned around a request by
+#: :meth:`IncidentManager.diagnose`).
+PRE_WINDOW_SECONDS = 120.0
+#: How far before the page the suspected-cause ranking looks for
+#: control-plane events.
+CAUSE_WINDOW_SECONDS = 300.0
+#: A page matching an incident recovered less than this long ago reopens
+#: it instead of opening a new one.
+DEDUP_WINDOW_SECONDS = 300.0
+#: Per-route rolling baseline size (requests).
+BASELINE_WINDOW = 256
+#: Retained incidents (oldest recovered drop first).
+MAX_INCIDENTS = 64
+#: Bounded per-request contexts kept for :meth:`IncidentManager.diagnose`.
+MAX_TRACKED_REQUESTS = 2048
+#: A request this many times slower than its route baseline is called out
+#: as slow.
+SLOW_RATIO = 1.5
+#: Baselines smaller than this are not trusted.
+MIN_BASELINE = 8
+
+
 @dataclass(frozen=True)
 class IncidentConfig:
-    """Everything tunable about incident forensics.  Off by default.
-
-    The page burn windows are deliberately much shorter than the
-    SRE-workbook service defaults (5 m/1 h): incident detection runs
-    inside compressed simulated days (the 30-minute diurnal chaos run),
-    where an hour-long window could mathematically never trip mid-run.
-    They mirror the autoscaler's own 60 s/300 s control windows.
+    """Incident forensics of one deployment.  Off by default.
 
     Attributes:
         enabled: construct the recorder and manager at all.
-        recorder_capacity: ring size of the flight recorder.
-        check_interval: simulated seconds between alert evaluations.
-        page_short_seconds / page_long_seconds: the multi-window pair of
-            the page evaluation (both must burn).
-        page_burn_threshold: error-budget burn rate that pages.
-        pre_window_seconds: recorder window frozen before the page (and
-            scanned around a request by :meth:`IncidentManager.diagnose`).
-        cause_window_seconds: how far before the page the suspected-cause
-            ranking looks for control-plane events.
-        dedup_window_seconds: a page matching an incident recovered less
-            than this long ago reopens it instead of opening a new one.
-        baseline_window: per-route rolling baseline size (requests).
-        max_incidents: retained incidents (oldest recovered drop first).
-        max_tracked_requests: bounded per-request contexts kept for
-            :meth:`IncidentManager.diagnose`.
-        slow_ratio: a request this many times slower than its route
-            baseline is called out as slow.
-        min_baseline: baselines smaller than this are not trusted.
     """
 
     enabled: bool = False
-    recorder_capacity: int = 512
-    check_interval: float = 15.0
-    page_short_seconds: float = 60.0
-    page_long_seconds: float = 300.0
-    page_burn_threshold: float = 10.0
-    pre_window_seconds: float = 120.0
-    cause_window_seconds: float = 300.0
-    dedup_window_seconds: float = 300.0
-    baseline_window: int = 256
-    max_incidents: int = 64
-    max_tracked_requests: int = 2048
-    slow_ratio: float = 1.5
-    min_baseline: int = 8
-
-    def __post_init__(self) -> None:
-        if self.recorder_capacity < 1:
-            raise ConfigurationError("recorder_capacity must be positive")
-        if self.check_interval <= 0:
-            raise ConfigurationError("check_interval must be positive")
-        if not 0.0 < self.page_short_seconds < self.page_long_seconds:
-            raise ConfigurationError(
-                "page windows must satisfy 0 < short < long"
-            )
-        if self.page_burn_threshold <= 0:
-            raise ConfigurationError("page_burn_threshold must be positive")
-        if self.pre_window_seconds <= 0 or self.cause_window_seconds <= 0:
-            raise ConfigurationError("capture windows must be positive")
-        if self.dedup_window_seconds < 0:
-            raise ConfigurationError("dedup_window_seconds must be non-negative")
-        if self.baseline_window < 1 or self.max_tracked_requests < 1:
-            raise ConfigurationError("baseline and tracking windows must be positive")
-        if self.max_incidents < 1:
-            raise ConfigurationError("max_incidents must be positive")
-        if self.slow_ratio <= 1.0:
-            raise ConfigurationError("slow_ratio must exceed 1.0")
-        if self.min_baseline < 1:
-            raise ConfigurationError("min_baseline must be positive")
-
-    def burn_windows(self) -> tuple[BurnWindow, ...]:
-        """The multi-window page rule of this deployment's incidents."""
-        return (
-            BurnWindow(
-                short_seconds=self.page_short_seconds,
-                long_seconds=self.page_long_seconds,
-                max_burn_rate=self.page_burn_threshold,
-                severity=PAGE_SEVERITY,
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -189,11 +160,9 @@ class BlackBoxRecorder:
     ``uniask_incident_events_total`` exposition.
     """
 
-    def __init__(self, clock, capacity: int = 512, registry=None) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+    def __init__(self, clock, registry=None) -> None:
         self._clock = clock
-        self._events: deque[RecordedEvent] = deque(maxlen=capacity)
+        self._events: deque[RecordedEvent] = deque(maxlen=RECORDER_CAPACITY)
         self._total = 0
         if registry is not None:
             self._m_events = registry.counter(
@@ -322,7 +291,6 @@ class IncidentManager:
     """Opens, deduplicates, captures and diagnoses incidents.
 
     Args:
-        config: the incident parameters (see :class:`IncidentConfig`).
         clock: the deployment's simulated clock.
         recorder: the deployment's :class:`BlackBoxRecorder`.
         audit: optional audit logger; incident opens/recoveries land as
@@ -333,13 +301,11 @@ class IncidentManager:
 
     def __init__(
         self,
-        config: IncidentConfig | None = None,
         clock=None,
         recorder: BlackBoxRecorder | None = None,
         audit=None,
         registry=None,
     ) -> None:
-        self.config = config or IncidentConfig()
         self._clock = clock
         self.recorder = recorder if recorder is not None else BlackBoxRecorder(clock)
         self._audit = audit
@@ -406,11 +372,11 @@ class IncidentManager:
             "utilization": utilization,
         }
         self._requests[record.query_id] = context
-        while len(self._requests) > self.config.max_tracked_requests:
+        while len(self._requests) > MAX_TRACKED_REQUESTS:
             self._requests.popitem(last=False)
         baseline = self._baselines.get(route)
         if baseline is None:
-            baseline = deque(maxlen=self.config.baseline_window)
+            baseline = deque(maxlen=BASELINE_WINDOW)
             self._baselines[route] = baseline
         # Degraded / cache-served requests would drag the full-service
         # baseline down and mask genuinely slow requests; only clean
@@ -425,7 +391,7 @@ class IncidentManager:
 
     def due(self, now: float) -> bool:
         """True when a check interval has elapsed since the last check."""
-        return now - self._last_check >= self.config.check_interval
+        return now - self._last_check >= CHECK_INTERVAL
 
     def check(self, now: float, alerts) -> Incident | None:
         """Evaluate *alerts* (duck-typed: rule/severity/message) at *now*.
@@ -461,7 +427,7 @@ class IncidentManager:
                 incident.count += 1
                 incident.last_seen = now
                 return incident
-            if now - incident.recovered_at <= self.config.dedup_window_seconds:
+            if now - incident.recovered_at <= DEDUP_WINDOW_SECONDS:
                 # The same page flapping back inside the dedup window is
                 # one incident, not a fresh 3 a.m. wake-up.
                 incident.recovered_at = None
@@ -492,10 +458,8 @@ class IncidentManager:
     ) -> Incident:
         self._counter += 1
         # The frozen timeline must contain the evidence behind every ranked
-        # cause, so it spans at least the cause window even when the
-        # configured pre-window is shorter.
-        lookback = max(self.config.pre_window_seconds, self.config.cause_window_seconds)
-        events = self.recorder.window(now - lookback, now)
+        # cause, so it spans the cause window (which covers the pre-window).
+        events = self.recorder.window(now - CAUSE_WINDOW_SECONDS, now)
         causes = self._rank_causes(now)
         capture: dict = {}
         if self._capture_fn is not None:
@@ -536,7 +500,7 @@ class IncidentManager:
         return incident
 
     def _trim(self) -> None:
-        while len(self._incidents) > self.config.max_incidents:
+        while len(self._incidents) > MAX_INCIDENTS:
             for index, incident in enumerate(self._incidents):
                 if not incident.open:
                     del self._incidents[index]
@@ -552,7 +516,7 @@ class IncidentManager:
         page outranks a merge 4 minutes earlier, but even old evidence
         keeps a floor so it is listed, not hidden.
         """
-        window = self.config.cause_window_seconds
+        window = CAUSE_WINDOW_SECONDS
         scores: dict[str, float] = {}
         counts: dict[str, int] = {}
         last_event: dict[str, RecordedEvent] = {}
@@ -592,7 +556,6 @@ class IncidentManager:
         context = self._requests.get(query_id)
         if context is None:
             raise KeyError(f"unknown or evicted query id {query_id!r}")
-        config = self.config
         route = context["route"]
         findings: list[str] = []
         verdict = "normal"
@@ -614,11 +577,11 @@ class IncidentManager:
         baseline_mean = 0.0
         ratio = 0.0
         stage_deltas: list[dict] = []
-        if baseline_n >= config.min_baseline:
+        if baseline_n >= MIN_BASELINE:
             baseline_mean = sum(rt for rt, _ in baseline) / baseline_n
             if baseline_mean > 0.0:
                 ratio = context["response_time"] / baseline_mean
-            if ratio > config.slow_ratio and not context["cache_hit"]:
+            if ratio > SLOW_RATIO and not context["cache_hit"]:
                 if verdict == "normal":
                     verdict = "slow"
                 findings.append(
@@ -635,7 +598,7 @@ class IncidentManager:
         else:
             findings.append(
                 f"route {route} baseline too small to compare "
-                f"({baseline_n} < {config.min_baseline})"
+                f"({baseline_n} < {MIN_BASELINE})"
             )
 
         if context["pressure"] is not None:
@@ -645,7 +608,7 @@ class IncidentManager:
                 f"autoscaler utilization {context['utilization']:.2f} at serve time"
             )
         nearby = self.recorder.window(
-            context["served_at"] - config.pre_window_seconds, context["served_at"]
+            context["served_at"] - PRE_WINDOW_SECONDS, context["served_at"]
         )
         for event in nearby[-5:]:
             findings.append(f"control-plane: {event.format()}")

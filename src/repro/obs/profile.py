@@ -106,7 +106,6 @@ class ContinuousProfiler:
         #: window id -> path -> ProfileNode
         self._windows: dict[int, dict[str, ProfileNode]] = {}
         self._traces_recorded = 0
-        self._spans_recorded = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -114,11 +113,6 @@ class ContinuousProfiler:
     def traces_recorded(self) -> int:
         """Traces folded in since construction (evictions don't subtract)."""
         return self._traces_recorded
-
-    @property
-    def spans_recorded(self) -> int:
-        """Completed spans folded in since construction."""
-        return self._spans_recorded
 
     def record(self, trace: Trace, now: float = 0.0) -> None:
         """Fold one completed *trace* into the window containing *now*."""
@@ -140,7 +134,6 @@ class ContinuousProfiler:
             names.append(span.name)
             path = paths[-1] + "/" + span.name if paths else span.name
             paths.append(path)
-            self._spans_recorded += 1
 
             node = bucket.get(path)
             if node is None:

@@ -53,7 +53,6 @@ __all__ = [
     "CanaryReport",
     "CanaryRunner",
     "CanarySuite",
-    "CanaryThresholds",
     "DriftVerdict",
     "QualityAlert",
     "QualityMonitor",
@@ -671,23 +670,18 @@ class CanaryReport:
         return payload
 
 
-@dataclass(frozen=True)
-class CanaryThresholds:
-    """Per-metric degradation tolerances of the canary alerting.
-
-    Each threshold is the maximum tolerated *absolute drop* (or rise, for
-    the guardrail fire rate) against the frozen baseline run.
-    """
-
-    max_recall_drop: float = 0.15
-    max_mrr_drop: float = 0.15
-    max_guardrail_rise: float = 0.20
-    max_citation_drop: float = 0.25
-    max_groundedness_drop: float = 0.25
-    #: Maximum tolerated *relative* movement (either direction) of a work
-    #: counter against the baseline run.  The pipeline is deterministic, so
-    #: the default of 0.0 flags any change at all.
-    max_work_drift: float = 0.0
+# Degradation tolerances of the canary alerting: each is the maximum
+# tolerated *absolute drop* (or rise, for the guardrail fire rate) against
+# the frozen baseline run.
+MAX_RECALL_DROP = 0.15
+MAX_MRR_DROP = 0.15
+MAX_GUARDRAIL_RISE = 0.20
+MAX_CITATION_DROP = 0.25
+MAX_GROUNDEDNESS_DROP = 0.25
+#: Maximum tolerated *relative* movement (either direction) of a work
+#: counter against the baseline run.  The pipeline is deterministic, so
+#: 0.0 flags any change at all.
+MAX_WORK_DRIFT = 0.0
 
 
 class CanaryRunner:
@@ -696,9 +690,10 @@ class CanaryRunner:
     Probes run cache-bypassed (:data:`~repro.api.types.CACHE_BYPASS`), so
     they always measure the current pipeline — index, retrieval, LLM and
     guardrails — never a cached answer.  The first run freezes the
-    baseline; each later run compares against it with *thresholds* and
-    emits :class:`QualityAlert` values, optionally handing them to a
-    :class:`QualityMonitor` so they surface on the service alert route.
+    baseline; each later run compares against it with the module's
+    degradation tolerances and emits :class:`QualityAlert` values,
+    optionally handing them to a :class:`QualityMonitor` so they surface on
+    the service alert route.
 
     Args:
         engine: the live :class:`~repro.core.engine.UniAskEngine`.
@@ -707,7 +702,6 @@ class CanaryRunner:
         registry: metrics registry for the canary gauges.
         interval: simulated seconds between scheduled runs
             (:meth:`maybe_run`).
-        thresholds: degradation tolerances against the baseline.
         baseline: explicit baseline report (otherwise the first run).
         monitor: quality monitor receiving each run's alerts.
         record_work: serve each probe with profiling enabled and record
@@ -723,7 +717,6 @@ class CanaryRunner:
         judge=None,
         registry: MetricsRegistry | None = None,
         interval: float = 300.0,
-        thresholds: CanaryThresholds | None = None,
         baseline: CanaryReport | None = None,
         monitor: QualityMonitor | None = None,
         record_work: bool = False,
@@ -734,7 +727,6 @@ class CanaryRunner:
         self._suite = suite
         self._judge = judge
         self._interval = interval
-        self.thresholds = thresholds or CanaryThresholds()
         self.baseline = baseline
         self._monitor = monitor
         self._record_work = record_work
@@ -888,7 +880,6 @@ class CanaryRunner:
         baseline = self.baseline
         if baseline is None or baseline is report:
             return []
-        t = self.thresholds
         alerts: list[QualityAlert] = []
 
         def drop(name: str, current: float, reference: float, tolerance: float) -> None:
@@ -904,20 +895,20 @@ class CanaryRunner:
                     )
                 )
 
-        drop("recall_at_4", report.recall_at_4, baseline.recall_at_4, t.max_recall_drop)
-        drop("mrr", report.mrr, baseline.mrr, t.max_mrr_drop)
+        drop("recall_at_4", report.recall_at_4, baseline.recall_at_4, MAX_RECALL_DROP)
+        drop("mrr", report.mrr, baseline.mrr, MAX_MRR_DROP)
         drop(
             "citation_coverage",
             report.citation_coverage,
             baseline.citation_coverage,
-            t.max_citation_drop,
+            MAX_CITATION_DROP,
         )
         if self._judge is not None:
             drop(
                 "groundedness",
                 report.groundedness,
                 baseline.groundedness,
-                t.max_groundedness_drop,
+                MAX_GROUNDEDNESS_DROP,
             )
         if report.work is not None and baseline.work is not None:
             for kind in sorted(set(baseline.work) | set(report.work)):
@@ -925,7 +916,7 @@ class CanaryRunner:
                 current = report.work.get(kind, 0)
                 if current == reference:
                     continue
-                if abs(current - reference) / max(abs(reference), 1) > t.max_work_drift:
+                if abs(current - reference) / max(abs(reference), 1) > MAX_WORK_DRIFT:
                     alerts.append(
                         QualityAlert(
                             name=f"canary_work_{kind}",
@@ -933,11 +924,11 @@ class CanaryRunner:
                             message=(
                                 f"canary work {kind} moved to {current} from "
                                 f"baseline {reference} (tolerance "
-                                f"{t.max_work_drift:.0%} relative)"
+                                f"{MAX_WORK_DRIFT:.0%} relative)"
                             ),
                         )
                     )
-        if report.guardrail_fire_rate - baseline.guardrail_fire_rate > t.max_guardrail_rise:
+        if report.guardrail_fire_rate - baseline.guardrail_fire_rate > MAX_GUARDRAIL_RISE:
             alerts.append(
                 QualityAlert(
                     name="canary_guardrail_fire_rate",
@@ -946,7 +937,7 @@ class CanaryRunner:
                         f"canary guardrail fire rate rose to "
                         f"{report.guardrail_fire_rate:.1%} from baseline "
                         f"{baseline.guardrail_fire_rate:.1%} "
-                        f"(tolerance {t.max_guardrail_rise:.0%})"
+                        f"(tolerance {MAX_GUARDRAIL_RISE:.0%})"
                     ),
                 )
             )

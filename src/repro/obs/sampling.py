@@ -64,11 +64,6 @@ class TraceSampler:
         self.head_sampled = 0
         self.tail_sampled = 0
 
-    @property
-    def rate(self) -> float:
-        """The head-sampling probability."""
-        return self._rate
-
     def offer(self, trace_id: str, trace: Trace, duration: float) -> bool:
         """Decide whether to retain *trace*; returns True when retained.
 

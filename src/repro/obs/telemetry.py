@@ -27,6 +27,12 @@ from repro.obs.sampling import TraceSampler
 
 __all__ = ["NULL_TELEMETRY", "Telemetry", "TelemetryConfig"]
 
+#: Traces slower than this many simulated seconds are always retained
+#: (tail sampling).
+TAIL_LATENCY_SECONDS = 4.0
+#: Retention capacity of the trace sampler.
+RETAINED_TRACES = 256
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
@@ -36,9 +42,6 @@ class TelemetryConfig:
         enabled: master switch; False makes every instrument a shared
             no-op (the benchmark baseline).
         trace_sample_rate: head-sampling probability for request traces.
-        tail_latency_seconds: traces slower than this are always retained
-            (None disables tail sampling).
-        retained_traces: sampler retention capacity.
         sampler_seed: seed of the sampler's private RNG stream.
         audit_path: when set, the audit log is mirrored to this JSONL file.
         audit_retention: in-memory audit ring size; the on-disk JSONL sink
@@ -48,8 +51,6 @@ class TelemetryConfig:
 
     enabled: bool = True
     trace_sample_rate: float = 0.1
-    tail_latency_seconds: float | None = 4.0
-    retained_traces: int = 256
     sampler_seed: int = 1729
     audit_path: str | None = None
     audit_retention: int | None = 10_000
@@ -57,8 +58,6 @@ class TelemetryConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.trace_sample_rate <= 1.0):
             raise ValueError("trace_sample_rate must be in [0, 1]")
-        if self.retained_traces < 1:
-            raise ValueError("retained_traces must be positive")
         if self.audit_retention is not None and self.audit_retention < 1:
             raise ValueError("audit_retention must be positive when set")
 
@@ -72,9 +71,9 @@ class Telemetry:
             self.registry: MetricsRegistry = MetricsRegistry()
             self.sampler = TraceSampler(
                 rate=self.config.trace_sample_rate,
-                tail_latency=self.config.tail_latency_seconds,
+                tail_latency=TAIL_LATENCY_SECONDS,
                 seed=self.config.sampler_seed,
-                capacity=self.config.retained_traces,
+                capacity=RETAINED_TRACES,
                 on_evict=self.registry.drop_exemplars,
             )
             self.audit: AuditLogger = AuditLogger(

@@ -41,6 +41,10 @@ from repro.search.schema import ChunkRecord, IndexSchema, uniask_schema
 from repro.search.segment import IndexConfig, SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 
+#: Default threshold of :meth:`SearchIndex.vacuum`: a no-arg vacuum only
+#: rebuilds once this fraction of chunks is dead.
+VACUUM_TOMBSTONE_RATIO = 0.35
+
 
 class SearchIndex:
     """An updatable hybrid (text + vector) chunk index.
@@ -233,20 +237,19 @@ class SearchIndex:
         return ops
 
     def vacuum(
-        self, max_tombstone_ratio: float | None = None, ctx: RequestContext = NULL_CONTEXT
+        self,
+        max_tombstone_ratio: float = VACUUM_TOMBSTONE_RATIO,
+        ctx: RequestContext = NULL_CONTEXT,
     ) -> bool:
         """Reclaim tombstones: rebuild vector graphs, compact segments.
 
         ``max_tombstone_ratio`` is the trigger threshold: the rebuild runs
-        only when :attr:`tombstone_ratio` exceeds it.  ``None`` (the
-        default) uses ``IndexConfig.vacuum_tombstone_ratio``, so a no-arg
-        vacuum on a clean or lightly-tombstoned index is a cheap no-op;
-        pass ``0.0`` explicitly to force reclamation of any tombstone.
+        only when :attr:`tombstone_ratio` exceeds it, so a no-arg vacuum on
+        a clean or lightly-tombstoned index is a cheap no-op; pass ``0.0``
+        explicitly to force reclamation of any tombstone.
 
         Returns True when a rebuild happened.
         """
-        if max_tombstone_ratio is None:
-            max_tombstone_ratio = self.config.vacuum_tombstone_ratio
         if self.tombstone_ratio <= max_tombstone_ratio:
             return False
         with ctx.trace.span(spans.STAGE_VACUUM, tombstones=len(self._deleted)):

@@ -110,11 +110,6 @@ class InvertedIndex:
 
     # -- kernel access --------------------------------------------------------
 
-    @property
-    def analyzer(self) -> ItalianAnalyzer:
-        """The analyzer this field indexes and queries with."""
-        return self._analyzer
-
     def to_kernel(self, doc_ids=None) -> KernelPostings:
         """Freeze the current postings into contiguous arrays.
 

@@ -103,11 +103,6 @@ class KernelPostings:
     def __len__(self) -> int:
         return int(self.doc_ids.size)
 
-    @property
-    def vocabulary_size(self) -> int:
-        """Number of distinct terms with at least one posting."""
-        return len(self._slots)
-
     def terms(self) -> Iterable[str]:
         """The indexed terms (arbitrary order)."""
         return self._slots.keys()
@@ -123,13 +118,6 @@ class KernelPostings:
         if slots is None:
             return None
         return slots, self._tfs[term]
-
-    def slot_of(self, doc_id: int) -> int:
-        """The slot of *doc_id*; -1 when the document is not a member."""
-        position = int(np.searchsorted(self.doc_ids, doc_id))
-        if position < self.doc_ids.size and int(self.doc_ids[position]) == doc_id:
-            return position
-        return -1
 
     def postings_dict(self, term: str, live: np.ndarray | None = None) -> dict[int, int]:
         """The ``doc_id -> tf`` dict of *term*, masked by *live* slots."""

@@ -50,9 +50,6 @@ class IndexConfig:
         segment_dead_ratio: tombstone fraction above which maintenance
             compacts a segment in place.
         merge_interval: simulated seconds between maintenance sweeps.
-        vacuum_tombstone_ratio: default threshold of
-            :meth:`~repro.search.index.SearchIndex.vacuum` — a no-arg
-            vacuum only rebuilds once this fraction of chunks is dead.
     """
 
     flush_threshold: int = 128
@@ -60,7 +57,6 @@ class IndexConfig:
     merge_factor: int = 4
     segment_dead_ratio: float = 0.25
     merge_interval: float = 900.0
-    vacuum_tombstone_ratio: float = 0.35
 
     def __post_init__(self) -> None:
         if self.flush_threshold < 1:
@@ -71,8 +67,6 @@ class IndexConfig:
             raise ValueError("merge_factor must be at least 2")
         if not 0.0 <= self.segment_dead_ratio <= 1.0:
             raise ValueError("segment_dead_ratio must lie in [0, 1]")
-        if not 0.0 <= self.vacuum_tombstone_ratio <= 1.0:
-            raise ValueError("vacuum_tombstone_ratio must lie in [0, 1]")
 
 
 class SegmentField:
@@ -121,9 +115,6 @@ class SealedSegment:
         self.fields = fields
         self.live = np.ones(doc_ids.size, dtype=bool)
         self.live_count = int(doc_ids.size)
-
-    def __len__(self) -> int:
-        return int(self.doc_ids.size)
 
     @property
     def dead_ratio(self) -> float:
@@ -389,11 +380,6 @@ class SegmentedFieldView:
         self._store = store
         self._field_name = field_name
 
-    @property
-    def analyzer(self) -> ItalianAnalyzer:
-        """The analyzer this field indexes and queries with."""
-        return self._store.analyzer
-
     def _buffer(self) -> InvertedIndex:
         return self._store.buffers[self._field_name]
 
@@ -405,12 +391,6 @@ class SegmentedFieldView:
 
     def __len__(self) -> int:
         return self._store.doc_count()
-
-    def __contains__(self, doc_id: int) -> bool:
-        if doc_id in self._buffer():
-            return True
-        segment = self._store.segment_of(doc_id)
-        return segment is not None
 
     @property
     def total_length(self) -> int:

@@ -22,11 +22,6 @@ class VectorSearch:
         self._index = index
         self._fields = vector_fields or index.schema.vector_fields
 
-    @property
-    def vector_fields(self) -> tuple[str, ...]:
-        """The vector fields this executor queries."""
-        return tuple(self._fields)
-
     def search(
         self,
         query: str,

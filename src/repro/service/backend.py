@@ -38,6 +38,7 @@ from repro.core.engine import UniAskEngine
 from repro.obs import spans
 from repro.obs.audit import AuditLogger, NULL_AUDIT
 from repro.obs.capacity import CapacityMonitor
+from repro.obs.incident import PAGE_BURN_WINDOWS, PAGE_LONG_SECONDS
 from repro.obs.profile import ContinuousProfiler
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import RequestContext, Span, Trace
@@ -648,7 +649,7 @@ class BackendService:
 
         Baselines first (so a page's diagnosis sees the request that
         tripped it), then the page check — rate-limited by the manager's
-        own ``check_interval``, so the alert evaluation cost stays off
+        own ``CHECK_INTERVAL``, so the alert evaluation cost stays off
         the per-request path.
         """
         self.incidents.observe_request(
@@ -663,7 +664,7 @@ class BackendService:
     def _incident_alerts(self, now: float):
         """The page-severity alert evaluation of the incident loop.
 
-        Runs the service SLO burn rates over the incident config's own
+        Runs the service SLO burn rates over the incident module's own
         compressed windows (the workbook defaults are hour-scale — they
         could never page inside a compressed chaos day) plus the quality
         monitor's alerts.  Events older than the long window cannot move
@@ -671,11 +672,9 @@ class BackendService:
         """
         from repro.service.alerting import evaluate_quality_alerts, evaluate_slo_alerts
 
-        horizon = now - self.incidents.config.page_long_seconds
+        horizon = now - PAGE_LONG_SECONDS
         events = [e for e in self.metrics.events if e.timestamp >= horizon]
-        alerts = evaluate_slo_alerts(
-            events, now=now, windows=self.incidents.config.burn_windows()
-        )
+        alerts = evaluate_slo_alerts(events, now=now, windows=PAGE_BURN_WINDOWS)
         alerts.extend(evaluate_quality_alerts(self._quality_monitor))
         return alerts
 
@@ -723,10 +722,6 @@ class BackendService:
         )
 
     # -- accessors ----------------------------------------------------------------
-
-    def record(self, query_id: str) -> QueryRecord:
-        """Fetch one stored query record."""
-        return self._records[query_id]
 
     @property
     def served_queries(self) -> int:

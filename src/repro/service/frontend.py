@@ -119,11 +119,6 @@ class FrontendSession:
         self._token = backend.login(user_id)
         self._last_record: QueryRecord | None = None
 
-    @property
-    def user_id(self) -> str:
-        """The authenticated employee."""
-        return self._user_id
-
     def search(self, question: str) -> str:
         """Type *question* into the search box; returns the rendered page."""
         self._last_record = self._backend.serve(self._token, AskRequest.of(question))

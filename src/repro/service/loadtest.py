@@ -25,6 +25,9 @@ from typing import Iterable
 from repro.llm.rate_limiter import TokenBucketRateLimiter
 from repro.obs.audit import AuditLogger, read_audit_log
 
+#: Token-bucket capacity of the LLM quota under test, in seconds of quota.
+BURST_SECONDS = 15.0
+
 
 @dataclass(frozen=True)
 class LoadTestConfig:
@@ -35,7 +38,6 @@ class LoadTestConfig:
     target_rate: float = 3.0  # users per second at t=duration
     tokens_per_request: int = 7200
     tokens_per_minute: float = 1_045_000.0  # provisioned LLM quota under test
-    burst_seconds: float = 15.0  # bucket capacity in seconds of quota
 
     def __post_init__(self) -> None:
         if self.duration_seconds <= 0:
@@ -108,7 +110,7 @@ def run_load_test(
     config = config or LoadTestConfig()
     limiter = TokenBucketRateLimiter(
         tokens_per_minute=config.tokens_per_minute,
-        burst_tokens=config.tokens_per_minute / 60.0 * config.burst_seconds,
+        burst_tokens=config.tokens_per_minute / 60.0 * BURST_SECONDS,
     )
 
     minutes = int(math.ceil(config.duration_seconds / 60.0))

@@ -68,7 +68,7 @@ class _SampleSeries:
     every later snapshot without new samples) reuses it.  At dashboard
     scale (tens of thousands of events, two percentiles per stage per
     snapshot) this is the difference between one sort and one sort per
-    percentile call — measured by ``benchmarks/bench_telemetry.py``.
+    percentile call.
     """
 
     __slots__ = ("values", "_sorted")

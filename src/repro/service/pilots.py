@@ -78,19 +78,9 @@ class ReleaseReport:
 
 @dataclass(frozen=True)
 class PhaseReport:
-    """One pilot phase: per-release reports plus totals."""
+    """One pilot phase: its per-release reports."""
 
     releases: tuple[ReleaseReport, ...]
-
-    @property
-    def total_feedbacks(self) -> int:
-        """Feedbacks collected across all releases."""
-        return sum(release.feedbacks for release in self.releases)
-
-    @property
-    def total_questions(self) -> int:
-        """Questions asked across all releases."""
-        return sum(release.questions for release in self.releases)
 
 
 def run_release(

@@ -3,7 +3,7 @@
 from repro.text.analyzer import FULL_ANALYZER, SURFACE_ANALYZER, ItalianAnalyzer
 from repro.text.similarity import RougeLScore, jaccard, lcs_length, rouge_l, rouge_l_score
 from repro.text.stemmer import remove_accents, stem, stem_tokens
-from repro.text.stopwords import ITALIAN_STOPWORDS, is_stopword
+from repro.text.stopwords import ITALIAN_STOPWORDS
 from repro.text.tokenizer import (
     DEFAULT_TOKEN_COUNTER,
     TokenCounter,
@@ -25,7 +25,6 @@ __all__ = [
     "stem",
     "stem_tokens",
     "ITALIAN_STOPWORDS",
-    "is_stopword",
     "DEFAULT_TOKEN_COUNTER",
     "TokenCounter",
     "count_tokens",

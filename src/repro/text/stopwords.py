@@ -59,8 +59,3 @@ ITALIAN_STOPWORDS: frozenset[str] = frozenset(
     for block in (_ARTICLES_PREPOSITIONS, _PRONOUNS, _CONNECTIVES, _VERB_FORMS)
     for word in block.split()
 )
-
-
-def is_stopword(token: str) -> bool:
-    """Return True when *token* (already lower-cased) is an Italian stop word."""
-    return token in ITALIAN_STOPWORDS

@@ -34,6 +34,18 @@ def lexicon() -> ConceptLexicon:
 
 
 @pytest.fixture(scope="session")
+def tiny_kb() -> SyntheticKb:
+    """The differential suites' corpus: 12 topics + 2 error families."""
+    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
+
+
+@pytest.fixture(scope="session")
+def banking_lexicon(lexicon: ConceptLexicon) -> ConceptLexicon:
+    """The name the differential suites know the shared lexicon by."""
+    return lexicon
+
+
+@pytest.fixture(scope="session")
 def system(small_kb: SyntheticKb, lexicon: ConceptLexicon) -> UniAskSystem:
     """A fully wired UniAsk deployment over the small corpus (read-only)."""
     return build_uniask_system(small_kb.store(), lexicon, seed=3)

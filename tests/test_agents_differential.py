@@ -6,9 +6,9 @@ strictly additive overlay.
 1. **Agents off ⇒ byte-identical behaviour.**  A default deployment
    (``UniAskConfig()``) produces exactly the surfaces of one with an
    explicit ``AgentsConfig(enabled=False)`` — answer pages, response
-   times, traces, dashboard and the full ``/metrics`` exposition — and
-   none of the agent markers (route fields, agent metrics, agent spans)
-   appear anywhere.
+   times, traces, dashboard and the full ``/metrics`` exposition (held by
+   ``test_layers_differential.py``) — and none of the agent markers
+   (route fields, agent metrics, agent spans) appear anywhere.
 2. **Agents on ⇒ lookup answers unchanged.**  A lookup-routed question
    under the orchestrator produces the same answer text, outcome,
    ranking and citations as the plain pipeline; only the ``route`` field
@@ -17,86 +17,12 @@ strictly additive overlay.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.agents.config import AgentsConfig
-from repro.api import AskOptions, AskRequest, create_backend, create_engine
-from repro.cluster.config import ClusterConfig
-from repro.core.config import UniAskConfig
-from repro.corpus.generator import KbGenerator, KbGeneratorConfig
-from repro.corpus.vocabulary import build_banking_lexicon
-from repro.service.frontend import render_answer_page
-from repro.service.monitoring import format_dashboard
-
-QUESTIONS = (
-    "come sbloccare la carta di credito",
-    "bonifico estero commissioni",
-    "limiti prelievo bancomat",
-    "Qual e la ricetta della carbonara?",
-)
-
-
-@pytest.fixture(scope="module")
-def tiny_kb():
-    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
-
-
-@pytest.fixture(scope="module")
-def banking_lexicon():
-    return build_banking_lexicon()
-
-
-def build(tiny_kb, banking_lexicon, config: UniAskConfig | None = None):
-    system = create_engine(
-        tiny_kb.store(), banking_lexicon, config=config or UniAskConfig(), seed=23
-    )
-    backend = create_backend(system, tracing=True)
-    return system, backend
-
-
-def serve_surface(system, backend, explain: bool = False) -> str:
-    """Every plain output surface of a fixed workload, as one blob."""
-    token = backend.login("diff-user")
-    lines = []
-    for question in QUESTIONS:
-        request = AskRequest(question, AskOptions(explain=explain))
-        record = backend.serve(token, request)
-        lines.append(render_answer_page(record.answer))
-        lines.append(f"response_time={record.answer.response_time!r}")
-        lines.append(f"served_at={record.served_at!r}")
-        lines.append(record.trace.format_table())
-    lines.append(format_dashboard(backend.metrics.snapshot()))
-    lines.append(system.telemetry.render_metrics())
-    return "\n".join(lines)
+from repro.api import AskOptions, AskRequest
+from tests.differential import QUESTIONS, build, serve_surface
 
 
 class TestAgentsOffByteIdentity:
-    def test_default_config_matches_explicit_off(self, tiny_kb, banking_lexicon):
-        default = serve_surface(*build(tiny_kb, banking_lexicon))
-        explicit = serve_surface(
-            *build(
-                tiny_kb,
-                banking_lexicon,
-                UniAskConfig(agents=AgentsConfig(enabled=False)),
-            )
-        )
-        assert default == explicit
-
-    def test_sharded_surfaces_identical(self, tiny_kb, banking_lexicon):
-        default = serve_surface(
-            *build(tiny_kb, banking_lexicon, UniAskConfig(cluster=ClusterConfig(shards=3)))
-        )
-        explicit = serve_surface(
-            *build(
-                tiny_kb,
-                banking_lexicon,
-                UniAskConfig(
-                    cluster=ClusterConfig(shards=3), agents=AgentsConfig(enabled=False)
-                ),
-            )
-        )
-        assert default == explicit
-
     def test_no_agent_markers_on_any_surface(self, tiny_kb, banking_lexicon):
         system, backend = build(tiny_kb, banking_lexicon)
         blob = serve_surface(system, backend)
@@ -121,9 +47,7 @@ class TestAgentsOffByteIdentity:
 class TestAgentsOnLookupUnchanged:
     def test_lookup_answers_identical_apart_from_route(self, tiny_kb, banking_lexicon):
         plain_system, _ = build(tiny_kb, banking_lexicon)
-        agent_system, _ = build(
-            tiny_kb, banking_lexicon, UniAskConfig(agents=AgentsConfig(enabled=True))
-        )
+        agent_system, _ = build(tiny_kb, banking_lexicon, agents=AgentsConfig(enabled=True))
         for question in QUESTIONS:
             plain = plain_system.engine.answer(AskRequest(question)).answer
             routed = agent_system.engine.answer(AskRequest(question)).answer
@@ -140,9 +64,7 @@ class TestAgentsOnLookupUnchanged:
             ]
 
     def test_agents_on_exposes_route_metric(self, tiny_kb, banking_lexicon):
-        system, backend = build(
-            tiny_kb, banking_lexicon, UniAskConfig(agents=AgentsConfig(enabled=True))
-        )
+        system, backend = build(tiny_kb, banking_lexicon, agents=AgentsConfig(enabled=True))
         serve_surface(system, backend)
         exposition = system.telemetry.render_metrics()
         assert 'uniask_agent_route_total{outcome=' in exposition or (

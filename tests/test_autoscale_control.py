@@ -18,7 +18,7 @@ from repro.api import (
     create_engine,
 )
 from repro.autoscale import AdaptiveHedgeBudget, AdmissionConfig, AutoscaleConfig
-from repro.autoscale.autoscaler import Autoscaler
+from repro.autoscale.autoscaler import EVALUATE_INTERVAL, Autoscaler
 from repro.autoscale.loadgen import (
     ChaosEvent,
     DiurnalLoadConfig,
@@ -31,7 +31,7 @@ from repro.cache.config import CacheConfig
 from repro.cluster.config import ClusterConfig
 from repro.core.config import UniAskConfig
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
-from repro.corpus.vocabulary import build_banking_lexicon
+from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
 
 QUESTIONS = [
     "come sbloccare la carta di credito",
@@ -41,16 +41,6 @@ QUESTIONS = [
     "quadratura di cassa",
     "errore T24 in fase di bonifico",
 ]
-
-
-@pytest.fixture(scope="module")
-def tiny_kb():
-    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
-
-
-@pytest.fixture(scope="module")
-def banking_lexicon():
-    return build_banking_lexicon()
 
 
 def _cluster(tiny_kb, banking_lexicon, shards=2, replicas=1, autoscale=None, cache=None):
@@ -164,7 +154,7 @@ class TestAutoscalerScaling:
     def test_maybe_evaluate_honours_interval(self, tiny_kb, banking_lexicon):
         system = _cluster(tiny_kb, banking_lexicon)
         scaler = system.autoscaler
-        interval = system.config.autoscale.evaluate_interval
+        interval = EVALUATE_INTERVAL
         assert scaler.maybe_evaluate(0.0) == []  # first call evaluates, no action
         before = scaler._last_evaluate
         scaler.maybe_evaluate(interval / 2.0)  # inside the interval: no-op
@@ -366,3 +356,63 @@ class TestDiurnalLoadGenerator:
         assert report.min_pool < report.max_pool or report.min_pool == report.max_pool
         assert 0.0 <= report.shed_rate <= 1.0
         assert report.latency_p50 <= report.latency_p95 <= report.latency_p99
+
+    def test_chaos_day_holds_the_slo_only_with_the_control_loop(self, banking_lexicon):
+        """The gate: same chaos day, autoscaler + admission ON vs the fixed pool.
+
+        ON must keep p99 within the latency SLO the loop defends by adding
+        replicas and shedding; OFF (same arrivals, same chaos) must breach
+        it, or the day proves nothing.  All simulated time — deterministic.
+        """
+        seed, slo, day = 2025, 8.0, 1800.0
+        kb = KbGenerator(
+            KbGeneratorConfig(num_topics=36, error_families=3, seed=seed)
+        ).generate()
+        questions = [
+            q.text
+            for q in generate_human_dataset(
+                kb, HumanDatasetConfig(num_questions=60, seed=seed)
+            )
+        ]
+        load = DiurnalLoadConfig(
+            duration_seconds=day,
+            base_rate=1.4,
+            amplitude=0.8,
+            period_seconds=day,
+            seed=seed,
+            chaos=(
+                ChaosEvent(at=0.35 * day, kind="kill", shard_id=0),  # ramp to peak
+                ChaosEvent(at=0.46 * day, kind="kill", shard_id=0),  # correlated:
+                ChaosEvent(at=0.48 * day, kind="kill", shard_id=1),  # both shards hit
+                ChaosEvent(at=0.50 * day, kind="epoch_flip"),  # herd lands at peak
+                ChaosEvent(at=0.60 * day, kind="revive", shard_id=0),
+                ChaosEvent(at=0.62 * day, kind="revive", shard_id=1),
+                ChaosEvent(at=0.75 * day, kind="epoch_flip"),  # herd on the way down
+            ),
+        )
+
+        def play(enabled: bool):
+            config = UniAskConfig(
+                cluster=ClusterConfig(shards=2, replicas=1),
+                cache=CacheConfig(enabled=True),  # the loadgen drives the clock
+                autoscale=AutoscaleConfig(
+                    enabled=enabled,
+                    latency_slo_seconds=slo,
+                    admission=AdmissionConfig(enabled=enabled, target_load=0.9),
+                ),
+            )
+            system = create_engine(kb.store(), banking_lexicon, config=config, seed=seed)
+            backend = create_backend(system, seed=seed)
+            report = run_diurnal_load(
+                backend, system.cluster, system.clock, backend.login("load-user"),
+                questions, load,
+            )
+            return system, report
+
+        on_system, on = play(enabled=True)
+        _, off = play(enabled=False)
+        assert on.unhandled_errors == () and off.unhandled_errors == ()
+        assert on.latency_p99 <= slo < off.latency_p99
+        assert any(d.action == "add_replica" for d in on_system.autoscaler.decisions)
+        assert on.rejected + on.degraded_cached + on.degraded_bm25 > 0
+        assert off.rejected == 0

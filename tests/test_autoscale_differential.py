@@ -7,7 +7,7 @@ strictly additive overlay.
    enables autoscaling or admission produces exactly the surfaces it
    produced before the layer existed, and a default ``UniAskConfig()``
    equals an explicit ``AutoscaleConfig(enabled=False)`` — plain and
-   sharded alike.
+   sharded alike (that case is ``test_layers_differential.py``).
 2. **The shed ladder is well-formed.**  Every degrade level returns a
    complete :class:`~repro.api.types.AskResponse`; rejection raises the
    typed :class:`~repro.core.errors.AdmissionError` with a retry-after.
@@ -40,87 +40,14 @@ from repro.autoscale import (
     LEVEL_REJECT,
 )
 from repro.cache.config import CacheConfig
-from repro.cluster.config import ClusterConfig
 from repro.core.answer import OUTCOME_DEGRADED
 from repro.core.config import UniAskConfig
 from repro.core.errors import AdmissionError
-from repro.corpus.generator import KbGenerator, KbGeneratorConfig
-from repro.corpus.vocabulary import build_banking_lexicon
 from repro.service.frontend import render_answer_page
-from repro.service.monitoring import format_dashboard
-
-QUESTIONS = (
-    "come sbloccare la carta di credito",
-    "bonifico estero commissioni",
-    "limiti prelievo bancomat",
-    "Qual e la ricetta della carbonara?",
-)
-
-
-@pytest.fixture(scope="module")
-def tiny_kb():
-    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
-
-
-@pytest.fixture(scope="module")
-def banking_lexicon():
-    return build_banking_lexicon()
-
-
-def build(tiny_kb, banking_lexicon, shards: int = 1, autoscale=None, **backend_kwargs):
-    config = UniAskConfig(
-        cluster=ClusterConfig(shards=shards),
-        autoscale=autoscale or AutoscaleConfig(),
-    )
-    system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=23)
-    backend = create_backend(system, tracing=True, **backend_kwargs)
-    return system, backend
-
-
-def serve_surface(system, backend) -> str:
-    """Every plain output surface of a fixed workload, as one blob."""
-    token = backend.login("diff-user")
-    lines = []
-    for question in QUESTIONS:
-        record = backend.serve(token, AskRequest(question, AskOptions()))
-        lines.append(render_answer_page(record.answer))
-        lines.append(f"response_time={record.answer.response_time!r}")
-        lines.append(f"served_at={record.served_at!r}")
-        lines.append(f"degrade_level={record.answer.degrade_level!r}")
-    lines.append(format_dashboard(backend.metrics.snapshot()))
-    lines.append(system.telemetry.render_metrics())
-    lines.extend(backend.telemetry.audit.lines())
-    return "\n".join(lines)
+from tests.differential import QUESTIONS, build, serve_surface
 
 
 class TestAutoscaleOffByteIdentity:
-    def test_default_config_matches_explicit_off(self, tiny_kb, banking_lexicon):
-        default = serve_surface(*build(tiny_kb, banking_lexicon))
-        explicit = serve_surface(
-            *build(
-                tiny_kb,
-                banking_lexicon,
-                autoscale=AutoscaleConfig(
-                    enabled=False, admission=AdmissionConfig(enabled=False)
-                ),
-            )
-        )
-        assert default == explicit
-
-    def test_sharded_default_matches_explicit_off(self, tiny_kb, banking_lexicon):
-        default = serve_surface(*build(tiny_kb, banking_lexicon, shards=3))
-        explicit = serve_surface(
-            *build(
-                tiny_kb,
-                banking_lexicon,
-                shards=3,
-                autoscale=AutoscaleConfig(
-                    enabled=False, admission=AdmissionConfig(enabled=False)
-                ),
-            )
-        )
-        assert default == explicit
-
     def test_off_deployment_has_no_qos_wiring(self, tiny_kb, banking_lexicon):
         system, backend = build(tiny_kb, banking_lexicon, shards=3)
         serve_surface(system, backend)

@@ -155,3 +155,22 @@ class TestCoalescingUnderClusterLoad:
         snapshot = backend.metrics.snapshot()
         assert snapshot.cache_served == 1
         assert snapshot.cache_breakdown == {"coalesced": 1}
+
+
+class TestFlightTableBound:
+    def test_completed_flights_are_pruned_past_the_threshold(self):
+        """``_prune`` is the only bound on the flight table: keys never asked
+        again are dropped once the table passes the threshold, live flights
+        stay joinable."""
+        from repro.cache.coalescing import _PRUNE_THRESHOLD, SingleFlight
+
+        table = SingleFlight()
+        for i in range(_PRUNE_THRESHOLD):  # one-second windows, long elapsed
+            table.register((f"q{i}",), f"r{i}", float(i), float(i) + 1.0, answer=None)
+        assert len(table) == _PRUNE_THRESHOLD  # at the bound: nothing pruned yet
+        now = float(_PRUNE_THRESHOLD) + 10.0
+        table.register(("live",), "r-live", now - 0.5, now + 5.0, answer=None)
+        table.register(("newest",), "r-newest", now, now + 5.0, answer=None)
+        assert len(table) == 2
+        assert table.join(("live",), now).request_id == "r-live"
+        assert table.join(("q0",), now) is None

@@ -6,7 +6,8 @@ Two invariants protect existing deployments:
    default config (or an explicit ``CacheConfig(enabled=False)``) produces
    exactly the output surfaces it produced before the cache subsystem
    existed — same rendered answer pages, same response times, same
-   dashboard, same ``/metrics`` exposition.
+   dashboard, same ``/metrics`` exposition (the default-vs-explicit-off
+   case itself is ``test_layers_differential.py``).
 2. **Cache on ⇒ same answers on the cold path.**  Enabling the cache never
    changes *what* is answered, only how fast repeats come back: an
    all-unique workload gets answers identical to a cache-off deployment.
@@ -14,83 +15,25 @@ Two invariants protect existing deployments:
 
 from __future__ import annotations
 
-import pytest
+import statistics
 
-from repro.api import AskRequest, CacheConfig, create_backend, create_engine
-from repro.cluster.config import ClusterConfig
-from repro.core.config import UniAskConfig
-from repro.corpus.generator import KbGenerator, KbGeneratorConfig
-from repro.corpus.vocabulary import build_banking_lexicon
-from repro.service.frontend import render_answer_page
-from repro.service.monitoring import format_dashboard
-
-QUESTIONS = (
-    "come sbloccare la carta di credito",
-    "bonifico estero commissioni",
-    "limiti prelievo bancomat",
-    "Qual e la ricetta della carbonara?",
-)
-
-
-@pytest.fixture(scope="module")
-def tiny_kb():
-    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
-
-
-@pytest.fixture(scope="module")
-def banking_lexicon():
-    return build_banking_lexicon()
-
-
-def build(tiny_kb, banking_lexicon, cache: CacheConfig | None, shards: int = 1, tracing=True):
-    kwargs = {"cluster": ClusterConfig(shards=shards)}
-    if cache is not None:
-        kwargs["cache"] = cache
-    config = UniAskConfig(**kwargs)
-    system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=23)
-    backend = create_backend(system, tracing=tracing)
-    return system, backend
-
-
-def serve_surface(system, backend, typed_requests: bool = False) -> str:
-    """Every output surface of a fixed workload, as one comparable blob."""
-    token = backend.login("diff-user")
-    lines = []
-    for question in QUESTIONS:
-        record = backend.serve(token, AskRequest.of(question) if typed_requests else question)
-        lines.append(render_answer_page(record.answer))
-        lines.append(f"response_time={record.answer.response_time!r}")
-        lines.append(f"served_at={record.served_at!r}")
-        lines.append(record.trace.format_table())
-    lines.append(format_dashboard(backend.metrics.snapshot()))
-    lines.append(system.telemetry.render_metrics())
-    return "\n".join(lines)
+from repro.api import AskOptions, CacheConfig
+from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
+from tests.differential import QUESTIONS, build, serve_surface
 
 
 class TestCacheOffByteIdentity:
-    def test_default_config_matches_explicit_off(self, tiny_kb, banking_lexicon):
-        default = serve_surface(*build(tiny_kb, banking_lexicon, None))
-        explicit = serve_surface(*build(tiny_kb, banking_lexicon, CacheConfig(enabled=False)))
-        assert default == explicit
-
     def test_legacy_api_matches_new_api(self, tiny_kb, banking_lexicon):
         # The legacy call style is the bare question string (the
         # ``backend.query`` shim is gone; ``serve`` promotes the string).
-        new = serve_surface(*build(tiny_kb, banking_lexicon, None), typed_requests=True)
-        old = serve_surface(*build(tiny_kb, banking_lexicon, None))
+        new = serve_surface(*build(tiny_kb, banking_lexicon), options=AskOptions())
+        old = serve_surface(*build(tiny_kb, banking_lexicon))
         assert new == old
-
-    def test_sharded_default_matches_explicit_off(self, tiny_kb, banking_lexicon):
-        default = serve_surface(*build(tiny_kb, banking_lexicon, None, shards=3))
-        explicit = serve_surface(
-            *build(tiny_kb, banking_lexicon, CacheConfig(enabled=False), shards=3)
-        )
-        assert default == explicit
 
     def test_metrics_exposition_has_no_cache_instruments_when_off(
         self, tiny_kb, banking_lexicon
     ):
-        system, backend = build(tiny_kb, banking_lexicon, None)
+        system, backend = build(tiny_kb, banking_lexicon)
         serve_surface(system, backend)
         exposition = system.telemetry.render_metrics()
         assert "uniask_answer_cache_events_total" not in exposition
@@ -104,10 +47,10 @@ class TestCacheOnColdPathEquivalence:
         # Untraced: a traced total legitimately includes the cache spans,
         # so only the untraced token-volume model is directly comparable.
         _, backend_off = build(
-            tiny_kb, banking_lexicon, CacheConfig(enabled=False), tracing=False
+            tiny_kb, banking_lexicon, cache=CacheConfig(enabled=False), tracing=False
         )
         system_on, backend_on = build(
-            tiny_kb, banking_lexicon, CacheConfig(enabled=True), tracing=False
+            tiny_kb, banking_lexicon, cache=CacheConfig(enabled=True), tracing=False
         )
         token_off = backend_off.login("diff-user")
         token_on = backend_on.login("diff-user")
@@ -124,8 +67,8 @@ class TestCacheOnColdPathEquivalence:
             system_on.clock.advance(off.answer.response_time)
 
     def test_cache_on_sharded_answers_match(self, tiny_kb, banking_lexicon):
-        _, backend_off = build(tiny_kb, banking_lexicon, CacheConfig(enabled=False), shards=3)
-        system_on, backend_on = build(tiny_kb, banking_lexicon, CacheConfig(enabled=True), shards=3)
+        _, backend_off = build(tiny_kb, banking_lexicon, cache=CacheConfig(enabled=False), shards=3)
+        system_on, backend_on = build(tiny_kb, banking_lexicon, cache=CacheConfig(enabled=True), shards=3)
         token_off = backend_off.login("diff-user")
         token_on = backend_on.login("diff-user")
         for question in QUESTIONS:
@@ -134,3 +77,27 @@ class TestCacheOnColdPathEquivalence:
             assert on.answer.answer_text == off.answer.answer_text
             assert on.answer.outcome == off.answer.outcome
             system_on.clock.advance(off.answer.response_time)
+
+
+class TestCacheOnRepeatSpeedup:
+    def test_two_thirds_repeat_stream_is_five_times_faster(self, tiny_kb, banking_lexicon):
+        """The gate: on a stream where every question is asked three times
+        the median *simulated* response time drops at least 5x with the
+        cache on (repeats are exact-tier hits, not re-runs)."""
+        questions = generate_human_dataset(tiny_kb, HumanDatasetConfig(num_questions=10, seed=23))
+        stream = [q.text for q in questions for _ in range(3)]
+
+        def median_response_time(cache: CacheConfig) -> float:
+            system, backend = build(tiny_kb, banking_lexicon, cache=cache, tracing=False)
+            token = backend.login("diff-user")
+            times = []
+            for question in stream:
+                times.append(backend.serve(token, question).answer.response_time)
+                # Longer than any response: each repeat arrives after its
+                # original completed, so it is a cache hit, not a coalesced wait.
+                system.clock.advance(30.0)
+            return statistics.median(times)
+
+        cached = median_response_time(CacheConfig(enabled=True))
+        uncached = median_response_time(CacheConfig(enabled=False))
+        assert uncached >= 5.0 * cached

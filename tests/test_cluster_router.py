@@ -80,6 +80,33 @@ class TestSingleIndexEquivalence:
                 b = sharded.searcher.search(query.text)
                 assert [r.record.chunk_id for r in a] == [r.record.chunk_id for r in b]
 
+    def test_sharded_write_surface_matches_single_index(self, lexicon, human_queries):
+        """``flush`` / ``vacuum`` behave on N shards as on one index: past the
+        tombstone ratio a no-arg vacuum rebuilds, bumps the generation, and
+        the ranking still equals the single index's."""
+        kb = KbGenerator(KbGeneratorConfig(num_topics=10, error_families=1, seed=11)).generate()
+        single = build_uniask_system(kb.store(), lexicon, seed=3, ann_backend="exact")
+        sharded = build_uniask_system(
+            kb.store(), lexicon, seed=3, ann_backend="exact",
+            config=UniAskConfig(cluster=ClusterConfig(shards=3)),
+        )
+        assert sharded.index.vacuum() is False  # clean index: cheap no-op
+        doc_ids = sorted(generated.doc_id for generated in kb.documents)
+        for doc_id in doc_ids[: len(doc_ids) * 3 // 5]:
+            assert single.index.delete_document(doc_id) == sharded.index.delete_document(doc_id)
+        generation = sharded.index.generation
+        for system in (single, sharded):
+            system.index.flush()
+            assert system.index.vacuum() is True
+            assert system.index.vacuum() is False  # tombstones reclaimed
+        assert sharded.index.generation > generation
+        for query in human_queries[:EQUIVALENCE_QUERIES]:
+            a = single.searcher.search(query.text)
+            b = sharded.searcher.search(query.text)
+            assert [(r.record.chunk_id, r.score) for r in a] == [
+                (r.record.chunk_id, r.score) for r in b
+            ], query.text
+
     def test_shards_one_wires_the_single_index_path(self, small_kb, lexicon):
         system = build_uniask_system(
             small_kb.store(), lexicon,

@@ -16,66 +16,24 @@ strictly additive overlays.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.api import AskOptions, AskRequest, create_backend, create_engine
-from repro.cluster.config import ClusterConfig
-from repro.core.config import UniAskConfig
-from repro.corpus.generator import KbGenerator, KbGeneratorConfig
-from repro.corpus.vocabulary import build_banking_lexicon
+from repro.api import AskOptions, AskRequest
 from repro.service.frontend import render_answer_page
-from repro.service.monitoring import format_dashboard
+from tests.differential import QUESTIONS, build, serve_surface
 
-QUESTIONS = (
-    "come sbloccare la carta di credito",
-    "bonifico estero commissioni",
-    "limiti prelievo bancomat",
-    "Qual e la ricetta della carbonara?",
-)
-
-
-@pytest.fixture(scope="module")
-def tiny_kb():
-    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
-
-
-@pytest.fixture(scope="module")
-def banking_lexicon():
-    return build_banking_lexicon()
-
-
-def build(tiny_kb, banking_lexicon, shards: int = 1):
-    config = UniAskConfig(cluster=ClusterConfig(shards=shards))
-    system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=23)
-    backend = create_backend(system, tracing=True)
-    return system, backend
-
-
-def serve_surface(system, backend, explain: bool = False) -> str:
-    """Every plain output surface of a fixed workload, as one blob."""
-    token = backend.login("diff-user")
-    lines = []
-    for question in QUESTIONS:
-        request = AskRequest(question, AskOptions(explain=explain))
-        record = backend.serve(token, request)
-        lines.append(render_answer_page(record.answer))
-        lines.append(f"response_time={record.answer.response_time!r}")
-        lines.append(f"served_at={record.served_at!r}")
-        lines.append(record.trace.format_table())
-    lines.append(format_dashboard(backend.metrics.snapshot()))
-    lines.append(system.telemetry.render_metrics())
-    return "\n".join(lines)
+EXPLAIN = AskOptions(explain=True)
 
 
 class TestExplainOffByteIdentity:
     def test_default_options_match_explicit_off(self, tiny_kb, banking_lexicon):
         default = serve_surface(*build(tiny_kb, banking_lexicon))
-        explicit = serve_surface(*build(tiny_kb, banking_lexicon), explain=False)
+        explicit = serve_surface(
+            *build(tiny_kb, banking_lexicon), options=AskOptions(explain=False)
+        )
         assert default == explicit
 
     def test_explain_changes_nothing_but_the_report(self, tiny_kb, banking_lexicon):
         plain = serve_surface(*build(tiny_kb, banking_lexicon))
-        explained = serve_surface(*build(tiny_kb, banking_lexicon), explain=True)
+        explained = serve_surface(*build(tiny_kb, banking_lexicon), options=EXPLAIN)
         # The report rides on the answer object; every serialized surface —
         # answer pages, response times, traces, dashboard, /metrics — is
         # byte-identical.
@@ -83,7 +41,7 @@ class TestExplainOffByteIdentity:
 
     def test_sharded_surfaces_identical(self, tiny_kb, banking_lexicon):
         plain = serve_surface(*build(tiny_kb, banking_lexicon, shards=3))
-        explained = serve_surface(*build(tiny_kb, banking_lexicon, shards=3), explain=True)
+        explained = serve_surface(*build(tiny_kb, banking_lexicon, shards=3), options=EXPLAIN)
         assert plain == explained
 
     def test_no_quality_instruments_without_a_monitor(self, tiny_kb, banking_lexicon):

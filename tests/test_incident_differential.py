@@ -6,7 +6,8 @@ incident forensics is a strictly additive overlay.
 1. **Incidents off ⇒ byte-identical behaviour.**  A deployment that never
    enables incident forensics produces exactly the surfaces it produced
    before the layer existed, and a default ``UniAskConfig()`` equals an
-   explicit ``IncidentConfig(enabled=False)`` — plain and sharded alike.
+   explicit ``IncidentConfig(enabled=False)`` — plain and sharded alike
+   (that case is ``test_layers_differential.py``).
 2. **Injected faults rank as the cause.**  A replica kill (or a cache
    epoch flip) captured by the flight recorder becomes the top-ranked
    suspected cause of the incident a page opens, and the frozen timeline
@@ -20,78 +21,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import create_backend, create_engine
+from repro.autoscale.loadgen import (
+    CHAOS_EPOCH_FLIP,
+    CHAOS_KILL,
+    ChaosEvent,
+    DiurnalLoadConfig,
+    run_diurnal_load,
+)
+from repro.cache.config import CacheConfig
 from repro.cluster.config import ClusterConfig
-from repro.core.config import UniAskConfig
-from repro.corpus.generator import KbGenerator, KbGeneratorConfig
-from repro.corpus.vocabulary import build_banking_lexicon
+from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
 from repro.obs.audit import AuditLogger
 from repro.obs.incident import IncidentConfig
 from repro.service.alerting import Alert
 from repro.service.backend import ROLE_OPS
-from repro.service.frontend import render_answer_page
-from repro.service.monitoring import format_dashboard
 from repro.service.ops import collect_ops_routes, ops_route
-
-QUESTIONS = (
-    "come sbloccare la carta di credito",
-    "bonifico estero commissioni",
-    "limiti prelievo bancomat",
-    "Qual e la ricetta della carbonara?",
-)
-
-
-@pytest.fixture(scope="module")
-def tiny_kb():
-    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
-
-
-@pytest.fixture(scope="module")
-def banking_lexicon():
-    return build_banking_lexicon()
-
-
-def build(tiny_kb, banking_lexicon, shards: int = 1, incident=None, **backend_kwargs):
-    config = UniAskConfig(
-        cluster=ClusterConfig(shards=shards),
-        incident=incident or IncidentConfig(),
-    )
-    system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=23)
-    backend = create_backend(system, tracing=True, **backend_kwargs)
-    return system, backend
-
-
-def serve_surface(system, backend) -> str:
-    """Every plain output surface of a fixed workload, as one blob."""
-    token = backend.login("diff-user")
-    lines = []
-    for question in QUESTIONS:
-        record = backend.serve(token, question)
-        lines.append(render_answer_page(record.answer))
-        lines.append(f"response_time={record.answer.response_time!r}")
-        lines.append(f"served_at={record.served_at!r}")
-        lines.append(f"degrade_level={record.answer.degrade_level!r}")
-    lines.append(format_dashboard(backend.metrics.snapshot()))
-    lines.append(system.telemetry.render_metrics())
-    lines.extend(backend.telemetry.audit.lines())
-    return "\n".join(lines)
+from tests.differential import QUESTIONS, build, serve_surface
 
 
 class TestIncidentOffByteIdentity:
-    def test_default_config_matches_explicit_off(self, tiny_kb, banking_lexicon):
-        default = serve_surface(*build(tiny_kb, banking_lexicon))
-        explicit = serve_surface(
-            *build(tiny_kb, banking_lexicon, incident=IncidentConfig(enabled=False))
-        )
-        assert default == explicit
-
-    def test_sharded_default_matches_explicit_off(self, tiny_kb, banking_lexicon):
-        default = serve_surface(*build(tiny_kb, banking_lexicon, shards=3))
-        explicit = serve_surface(
-            *build(tiny_kb, banking_lexicon, shards=3, incident=IncidentConfig(enabled=False))
-        )
-        assert default == explicit
-
     def test_off_deployment_has_no_forensics_wiring(self, tiny_kb, banking_lexicon):
         system, backend = build(tiny_kb, banking_lexicon, shards=3)
         serve_surface(system, backend)
@@ -220,6 +168,63 @@ class TestInjectedFaultCauses:
         assert incident.capture["work_delta"] == incident.capture["work_totals"]
 
 
+class TestChaosDayDeterminism:
+    def test_identical_chaos_days_produce_identical_incident_logs(
+        self, tiny_kb, banking_lexicon
+    ):
+        """The gate: nothing on the incident path reads a wall clock, a
+        shared RNG or a hash order — two identical chaos days agree on
+        fingerprints, open instants, counts, cause rankings, timelines and
+        the full ``ops("incidents", incident_id=…)`` payload."""
+        questions = [
+            q.text
+            for q in generate_human_dataset(
+                tiny_kb, HumanDatasetConfig(num_questions=30, seed=23)
+            )
+        ]
+        day = DiurnalLoadConfig(
+            duration_seconds=420.0,
+            base_rate=1.2,
+            amplitude=0.8,
+            period_seconds=420.0,
+            seed=23,
+            # Kill with no revive, then flip the epoch so the herd re-scatters
+            # into the dark shard instead of being absorbed by the cache.
+            chaos=(
+                ChaosEvent(at=140.0, kind=CHAOS_KILL, shard_id=0),
+                ChaosEvent(at=170.0, kind=CHAOS_EPOCH_FLIP),
+            ),
+        )
+
+        def incident_log():
+            system, backend = build(
+                tiny_kb,
+                banking_lexicon,
+                cluster=ClusterConfig(shards=2, replicas=1),
+                cache=CacheConfig(enabled=True),  # the loadgen drives the clock
+                incident=IncidentConfig(enabled=True),
+                tracing=False,
+                seed=23,
+            )
+            report = run_diurnal_load(
+                backend, system.cluster, system.clock, backend.login("u"), questions, day
+            )
+            assert report.unhandled_errors == ()
+            ops_token = backend.login("ops", role=ROLE_OPS)
+            manager = backend.incidents
+            return [
+                (
+                    backend.ops("incidents", ops_token, incident_id=incident.incident_id),
+                    manager.format_timeline(incident),
+                )
+                for incident in manager.incidents
+            ]
+
+        first, second = incident_log(), incident_log()
+        assert first and first[0][0]["top_cause"] == "replica_kill"
+        assert first == second
+
+
 class TestDiagnose:
     def test_unknown_query_id_raises(self, tiny_kb, banking_lexicon):
         system, backend = _forensics_backend(tiny_kb, banking_lexicon)
@@ -253,6 +258,15 @@ class TestDiagnose:
         ops_token = backend.login("ops", role=ROLE_OPS)
         status = backend.ops("incidents", ops_token)
         assert status["enabled"] is True
+        incident = _page(backend.incidents, system.clock.now())
+        payload = backend.ops("incidents", ops_token, incident_id=incident.incident_id)
+        assert payload["incident_id"] == incident.incident_id
+        assert payload["status"] == "open"
+        assert payload["alerts"] == [
+            {"rule": "slo_latency", "severity": "critical", "message": "budget burning"}
+        ]
+        assert payload["events"] == [event.to_dict() for event in incident.events]
+        assert payload["capture"] is incident.capture
         diagnosis = backend.ops("diagnose", ops_token, query_id=record.query_id)
         assert diagnosis["verdict"] == "normal"
 

@@ -8,6 +8,7 @@ regression fix.
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -25,7 +26,13 @@ from repro.pipeline.clock import SimulatedClock
 from repro.search.hybrid import HybridSemanticSearch
 from repro.search.reranker import SemanticReranker
 from repro.service.backend import BackendService
-from repro.service.monitoring import MetricsCollector, format_dashboard, percentile
+from repro.service.monitoring import (
+    MetricsCollector,
+    _SampleSeries,
+    format_dashboard,
+    percentile,
+    percentile_of_sorted,
+)
 
 
 class TestTrace:
@@ -162,6 +169,20 @@ class TestPercentiles:
             percentile([], 95.0)
         with pytest.raises(ValueError):
             percentile(values, 150.0)
+
+    def test_sample_series_cache_follows_appends(self):
+        """The cached sorted view never serves a stale percentile."""
+        rng = random.Random(4242)
+        series = _SampleSeries()
+        for batch in range(5):
+            for _ in range(200):
+                series.append(rng.random() * 5.0)
+            assert series.sorted_values is series.sorted_values  # one sort per batch
+            for q in (50.0, 95.0, 100.0):
+                assert percentile_of_sorted(series.sorted_values, q) == percentile(
+                    series.values, q
+                )
+        assert len(series) == 1000
 
     def test_snapshot_aggregates_stage_percentiles(self):
         collector = MetricsCollector()

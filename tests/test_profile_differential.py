@@ -7,7 +7,8 @@ additive overlay.
 1. **Profiling off ⇒ byte-identical behaviour.**  A deployment that never
    enables profiling or capacity telemetry produces exactly the surfaces it
    produced before the layer existed, and ``AskOptions()`` equals an
-   explicit ``AskOptions(profile=False)``.
+   explicit ``AskOptions(profile=False)`` (backend flags explicitly off:
+   ``test_layers_differential.py``).
 2. **Profiling on ⇒ same answers, same clock.**  Enabling profiling changes
    nothing about ranking, answer text or modeled response time — it only
    attaches work counts, feeds the profiler, and adds its own instruments.
@@ -22,59 +23,19 @@ import json
 
 import pytest
 
-from repro.api import AskOptions, AskRequest, create_backend, create_engine
-from repro.cluster.config import ClusterConfig
-from repro.core.config import UniAskConfig
-from repro.corpus.generator import KbGenerator, KbGeneratorConfig
-from repro.corpus.vocabulary import build_banking_lexicon
+from repro.api import AskOptions, AskRequest
 from repro.service.backend import ROLE_OPS
 from repro.service.frontend import render_answer_page
 from repro.service.monitoring import format_dashboard
-
-QUESTIONS = (
-    "come sbloccare la carta di credito",
-    "bonifico estero commissioni",
-    "limiti prelievo bancomat",
-    "Qual e la ricetta della carbonara?",
-)
-
-
-@pytest.fixture(scope="module")
-def tiny_kb():
-    return KbGenerator(KbGeneratorConfig(num_topics=12, error_families=2, seed=23)).generate()
-
-
-@pytest.fixture(scope="module")
-def banking_lexicon():
-    return build_banking_lexicon()
-
-
-def build(tiny_kb, banking_lexicon, shards: int = 1, **backend_kwargs):
-    config = UniAskConfig(cluster=ClusterConfig(shards=shards))
-    system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=23)
-    backend = create_backend(system, tracing=True, **backend_kwargs)
-    return system, backend
-
-
-def serve_surface(system, backend, profile: bool = False) -> str:
-    """Every plain output surface of a fixed workload, as one blob."""
-    token = backend.login("diff-user")
-    lines = []
-    for question in QUESTIONS:
-        record = backend.serve(token, AskRequest(question, AskOptions(profile=profile)))
-        lines.append(render_answer_page(record.answer))
-        lines.append(f"response_time={record.answer.response_time!r}")
-        lines.append(f"served_at={record.served_at!r}")
-    lines.append(format_dashboard(backend.metrics.snapshot()))
-    lines.append(system.telemetry.render_metrics())
-    lines.extend(backend.telemetry.audit.lines())
-    return "\n".join(lines)
+from tests.differential import QUESTIONS, build, serve_surface
 
 
 class TestProfilingOffByteIdentity:
     def test_default_options_match_explicit_off(self, tiny_kb, banking_lexicon):
         default = serve_surface(*build(tiny_kb, banking_lexicon))
-        explicit = serve_surface(*build(tiny_kb, banking_lexicon), profile=False)
+        explicit = serve_surface(
+            *build(tiny_kb, banking_lexicon), options=AskOptions(profile=False)
+        )
         assert default == explicit
 
     def test_no_profile_instruments_without_the_flags(self, tiny_kb, banking_lexicon):
