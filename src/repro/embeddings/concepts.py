@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.text.analyzer import ItalianAnalyzer
+from repro.text.analyzer import ItalianAnalyzer, remember_word
 from repro.text.stemmer import stem
 
 
@@ -84,6 +84,9 @@ class ConceptLexicon:
         self._analyzer = analyzer
         self._stem = analyzer.stem_fn if analyzer.stem_fn is not None else stem
         self._version = 0
+        # analysed word → concepts_for_stem(stem(word)) as a tuple; the word
+        # table of :class:`ItalianAnalyzer`, one step further.
+        self._word_concepts: dict[str, tuple[tuple[str, float], ...]] = {}
         for concept in concepts or []:
             self.add(concept)
 
@@ -93,6 +96,7 @@ class ConceptLexicon:
             raise ValueError(f"duplicate concept id: {concept.concept_id}")
         self._concepts[concept.concept_id] = concept
         self._version += 1
+        self._word_concepts.clear()  # a tabled stem may gain an entry below
         for form in concept.forms:
             words = self._analyzer.analyze(form.lower())
             if not words:
@@ -136,8 +140,13 @@ class ConceptLexicon:
         fingerprint" used by the semantic reranker and the simulated LLM.
         """
         weights: dict[str, float] = {}
+        table = self._word_concepts
         for word in self._analyzer.analyze(text.lower()):
-            for concept_id, weight in self.concepts_for_stem(self._stem(word)):
+            entries = table.get(word)
+            if entries is None:
+                entries = tuple(self.concepts_for_stem(self._stem(word)))
+                remember_word(table, word, entries)
+            for concept_id, weight in entries:
                 weights[concept_id] = weights.get(concept_id, 0.0) + weight
         return weights
 

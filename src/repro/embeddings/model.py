@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.embeddings.concepts import ConceptLexicon
-from repro.text.analyzer import ItalianAnalyzer
+from repro.text.analyzer import ItalianAnalyzer, remember_word
 from repro.text.stemmer import stem
 
 
@@ -43,6 +43,11 @@ class EmbeddingModel(Protocol):
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Embed many texts into a ``(len(texts), dim)`` matrix."""
         ...
+
+
+#: Memory the per-token vector table may hold (dim × 8 bytes per token); it
+#: is cleared at the cap like the analyzer's word table (DESIGN.md §19).
+_TERM_CACHE_BYTES = 32 << 20
 
 
 def _seeded_vector(key: str, seed: int, dim: int) -> np.ndarray:
@@ -91,6 +96,7 @@ class SyntheticAdaEmbedder:
         self._analyzer = analyzer
         self._stem = analyzer.stem_fn if analyzer.stem_fn is not None else stem
         self._term_cache: dict[str, np.ndarray] = {}
+        self._term_cache_cap = _TERM_CACHE_BYTES // (dim * 8)
         self.calls = 0  # embed() invocations, for cache-effectiveness tests
 
     @property
@@ -137,7 +143,7 @@ class SyntheticAdaEmbedder:
         else:
             vector = self._oov_weight * _seeded_vector(f"oov:{stemmed}", self._seed, self._dim)
 
-        self._term_cache[token] = vector
+        remember_word(self._term_cache, token, vector, cap=self._term_cache_cap)
         return vector
 
 

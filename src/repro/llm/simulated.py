@@ -49,7 +49,8 @@ from repro.llm.prompts import (
     TASK_RELATED_QUERIES,
     TASK_SUMMARY,
 )
-from repro.text.tokenizer import DEFAULT_TOKEN_COUNTER, sentence_split
+from repro.text.stopwords import ITALIAN_STOPWORDS
+from repro.text.tokenizer import DEFAULT_TOKEN_COUNTER, sentence_split, word_tokenize
 
 #: The refusal the prompt instructs the model to produce when the context
 #: does not support an answer.
@@ -66,8 +67,6 @@ def _identifier_tokens(text: str) -> set[str]:
     an upper-case letter past its first character (CamelCase application
     names, acronyms).  Matching is case-insensitive on the result.
     """
-    from repro.text.tokenizer import word_tokenize
-
     identifiers = set()
     for token in word_tokenize(text):
         if any(ch.isdigit() for ch in token) or any(ch.isupper() for ch in token[1:]):
@@ -380,9 +379,6 @@ class SimulatedChatLLM:
         # rephrasings reuse the question's content words under different
         # scaffolds; the rest are generic procedural questions, the noise
         # that keeps MQ expansion from helping (Table 3).
-        from repro.text.stopwords import ITALIAN_STOPWORDS
-        from repro.text.tokenizer import word_tokenize
-
         content_words = [
             token for token in word_tokenize(question) if token.lower() not in ITALIAN_STOPWORDS
         ]

@@ -64,7 +64,10 @@ class Bm25Scorer:
 
     def idf(self, term: str) -> float:
         """Lucene-style lower-bounded inverse document frequency of *term*."""
-        n = len(self._index)
+        return self._idf(term, len(self._index))
+
+    def _idf(self, term: str, n: int) -> float:
+        """:meth:`idf` for a collection of *n* documents."""
         if n == 0:
             return 0.0
         df = self._index.document_frequency(term)
@@ -126,12 +129,15 @@ class Bm25Scorer:
 
     def _term_sequence(self, query_terms: list[str]) -> list[tuple[str, float]]:
         """The analyzed query as ``(term, idf)`` pairs, repeats preserved."""
+        # One len() per query: on a cluster view it is a sum over every
+        # shard's segments.
+        n = len(self._index)
         idf_cache: dict[str, float] = {}
         sequence: list[tuple[str, float]] = []
         for term in query_terms:
             idf = idf_cache.get(term)
             if idf is None:
-                idf = idf_cache[term] = self.idf(term)
+                idf = idf_cache[term] = self._idf(term, n)
             sequence.append((term, idf))
         return sequence
 

@@ -25,6 +25,31 @@ _ELISION_PREFIXES = frozenset(
     ["l", "un", "dell", "nell", "sull", "all", "dall", "quell", "quest", "c", "d", "m", "s", "t", "v"]
 )
 
+#: Word-table value of a token the chain drops; distinct from ``""``, which
+#: a ``stem_fn`` may legitimately return.
+_DROPPED = object()
+
+#: Entries a per-word table holds before it is cleared, and the longest
+#: word it stores; together they bound its bytes (DESIGN.md §19).
+WORD_TABLE_CAP = 1 << 16
+MAX_TABLED_CHARS = 32
+
+
+def remember_word(table: dict, word: str, value: object, cap: int | None = None) -> None:
+    """Store ``table[word] = value`` under the per-word tables' bound.
+
+    User questions feed these tables, so at *cap* entries (default
+    :data:`WORD_TABLE_CAP`) the table is cleared, not frozen: a frozen table
+    could be filled with junk once and never serve a real word again, a
+    cleared one re-warms in milliseconds.  Over-long words are not stored.
+    Callers recompute on a miss, so outputs never depend on table contents.
+    """
+    if len(word) > MAX_TABLED_CHARS:
+        return
+    if len(table) >= (WORD_TABLE_CAP if cap is None else cap):
+        table.clear()
+    table[word] = value
+
 
 @dataclass(frozen=True)
 class ItalianAnalyzer:
@@ -36,6 +61,13 @@ class ItalianAnalyzer:
     (:mod:`repro.text.english`) assemble their chains on this same class,
     which is how the paper's "adapt to other languages" future work plugs
     in.
+
+    Each distinct surface token runs the chain once per instance: the
+    result is kept in a bounded word table (see :func:`remember_word`), so
+    ``analyze`` is one tokenizer pass plus one lookup per token.  The table
+    is state, not identity — it takes no part in ``==``, ``hash``, ``repr``
+    or ``dataclasses.replace``, and is never shared between instances,
+    whose configurations map words differently.
 
     Args:
         remove_stopwords: drop stop words (on for indexing/search).
@@ -52,31 +84,48 @@ class ItalianAnalyzer:
     stopword_set: frozenset[str] | None = None
     stem_fn: Callable[[str], str] | None = None
 
+    # raw surface token (as word_tokenize yields it) → index term or _DROPPED
+    _word_table: dict[str, object] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+
     def analyze(self, text: str) -> list[str]:
         """Analyze *text* into a list of normalized index terms."""
-        stem_word = self.stem_fn if self.stem_fn is not None else stem
+        table = self._word_table
         terms: list[str] = []
         for raw in word_tokenize(text):
-            lowered = raw.lower()
-            for piece in self._split_elision(lowered):
-                if self.remove_stopwords and self._is_stopword(piece):
-                    continue
-                terms.append(stem_word(piece) if self.apply_stemming else piece)
+            term = table.get(raw)
+            if term is None:
+                term = self._normalize_word(raw)
+            if term is not _DROPPED:
+                terms.append(term)
         return terms
 
     def analyze_unique(self, text: str) -> set[str]:
         """Analyze *text* and return the set of distinct terms."""
         return set(self.analyze(text))
 
-    def _split_elision(self, token: str) -> list[str]:
+    def _normalize_word(self, raw: str) -> object:
+        """The chain for one surface token, run on a word-table miss."""
+        piece = self._split_elision(raw.lower())
+        if self.remove_stopwords and self._is_stopword(piece):
+            term: object = _DROPPED
+        elif self.apply_stemming:
+            term = (self.stem_fn if self.stem_fn is not None else stem)(piece)
+        else:
+            term = piece
+        remember_word(self._word_table, raw, term)
+        return term
+
+    def _split_elision(self, token: str) -> str:
         if "'" not in token:
-            return [token]
+            return token
         head, _, tail = token.partition("'")
         if head in _ELISION_PREFIXES and tail:
             # The elided particle is an article/preposition; Lucene's
             # elision filter drops it outright.
-            return [tail]
-        return [token.replace("'", "")]
+            return tail
+        return token.replace("'", "")
 
     def _is_stopword(self, token: str) -> bool:
         base = self.stopword_set if self.stopword_set is not None else ITALIAN_STOPWORDS

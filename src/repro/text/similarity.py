@@ -77,7 +77,7 @@ def rouge_l_score(
 
 def rouge_tokens(text: str, analyzer: ItalianAnalyzer = SURFACE_ANALYZER) -> list[str]:
     """The token list ROUGE-L compares; analyze a text compared many times once."""
-    return [token.lower() for token in analyzer.analyze(text)]
+    return analyzer.analyze(text)
 
 
 def rouge_l_tokens(

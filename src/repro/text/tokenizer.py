@@ -55,13 +55,10 @@ class TokenCounter:
 
     def count(self, text: str) -> int:
         """Return the approximate number of LLM tokens in *text*."""
-        if not text:
-            return 0
-        total = 0
-        for word in text.split():
-            extra = max(0, len(word) - self.chars_per_extra_token)
-            total += 1 + extra // self.chars_per_extra_token
-        return total
+        # A word of n >= 1 characters costs 1 + max(0, n - s) // s tokens:
+        # max(1, n // s) in closed form, spelt without the call.
+        step = self.chars_per_extra_token
+        return sum(n // step or 1 for n in map(len, text.split()))
 
     def truncate(self, text: str, max_tokens: int) -> str:
         """Return the longest word-boundary prefix of *text* within budget.

@@ -18,6 +18,7 @@ from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.obs import spans
 from repro.obs.trace import RequestContext
 from repro.search.hybrid import HybridSemanticSearch
+from repro.text.analyzer import FULL_ANALYZER
 
 EQUIVALENCE_QUERIES = 12
 
@@ -106,6 +107,27 @@ class TestSingleIndexEquivalence:
             assert [(r.record.chunk_id, r.score) for r in a] == [
                 (r.record.chunk_id, r.score) for r in b
             ], query.text
+
+    def test_collection_size_is_read_once_per_shard_leg_and_field(
+        self, exact_sharded, human_queries, monkeypatch
+    ):
+        """The global ``len()`` is a sum over every shard's segments; the
+        BM25 term sequence takes it once per query, not once per term."""
+        from repro.cluster.sharded_index import _GlobalStatsInverted
+
+        calls = []
+        global_len = _GlobalStatsInverted.__len__
+
+        def counted(view):
+            calls.append(view._field_name)
+            return global_len(view)
+
+        monkeypatch.setattr(_GlobalStatsInverted, "__len__", counted)
+        fields = exact_sharded.index.schema.searchable_fields
+        query = human_queries[0].text
+        assert len(set(FULL_ANALYZER.analyze(query))) > 1
+        exact_sharded.searcher.search(query)
+        assert sorted(calls) == sorted(list(fields) * exact_sharded.index.num_shards)
 
     def test_shards_one_wires_the_single_index_path(self, small_kb, lexicon):
         system = build_uniask_system(

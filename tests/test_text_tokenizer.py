@@ -95,3 +95,26 @@ class TestTokenCounter:
     @pytest.mark.parametrize("word,expected", [("a", 1), ("abcd", 1), ("abcdefgh", 2), ("abcdefghijkl", 3)])
     def test_per_word_cost_schedule(self, word, expected):
         assert count_tokens(word) == expected
+
+    def test_closed_form_equals_the_word_loop(self):
+        """``count`` charges ``max(1, n // s)`` per word; the loop it
+        replaced charged ``1 + max(0, n - s) // s``.  Equal for every word
+        length and step, and so for every text."""
+
+        def loop_count(text: str, step: int) -> int:
+            if not text:
+                return 0
+            total = 0
+            for word in text.split():
+                extra = max(0, len(word) - step)
+                total += 1 + extra // step
+            return total
+
+        for step in range(1, 9):
+            counter = TokenCounter(chars_per_extra_token=step)
+            words = ["x" * n for n in range(1, 65)]
+            for word in words:
+                assert counter.count(word) == loop_count(word, step), (len(word), step)
+            text = "  ".join(words) + "\n\tè l'ultima  riga \n"
+            assert counter.count(text) == loop_count(text, step)
+            assert counter.count("") == counter.count(" \n\t ") == 0
