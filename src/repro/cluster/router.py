@@ -85,6 +85,21 @@ class ShardProbe:
     attempts: int = 1
     timed_out: bool = False
 
+    @property
+    def resource(self) -> str:
+        """The capacity resource this probe loaded: its replica, else its shard."""
+        return f"replica_{self.replica_id}" if self.replica_id else f"shard_{self.shard_id}"
+
+    def audit_row(self) -> dict:
+        """The probe as the audit log records it."""
+        return {
+            "shard": self.shard_id,
+            "replica": self.replica_id,
+            "latency": self.latency,
+            "ok": self.ok,
+            "hedged": self.hedged,
+        }
+
 
 @dataclass(frozen=True)
 class ScatterReport:

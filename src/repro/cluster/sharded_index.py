@@ -50,7 +50,7 @@ UNKNOWN_ORDINAL = 2**62
 class _GlobalStatsInverted:
     """One shard's postings scored against cluster-wide BM25 statistics.
 
-    Postings, document lengths and query analysis are local to the shard;
+    Postings arrays and query analysis are local to the shard;
     ``len()``, ``document_frequency`` and ``average_length`` aggregate over
     every shard, which is exactly the split a distributed BM25 needs: term
     walks stay shard-local, collection statistics are global.
@@ -85,22 +85,16 @@ class _GlobalStatsInverted:
 
     # -- shard-local postings ----------------------------------------------
 
-    def postings(self, term: str) -> dict[int, int]:
-        return self._local.postings(term)
-
-    def document_length(self, doc_id: int) -> int:
-        return self._local.document_length(doc_id)
-
     def analyze_query(self, query: str) -> list[str]:
         return self._local.analyze_query(query)
 
     def kernel_views(self):
         """The shard-local kernel views.
 
-        The split mirrors the loop path exactly: postings arrays stay
-        shard-local while the scorer reads ``len()`` / ``document_frequency``
-        / ``average_length`` from this wrapper, i.e. globally — so kernel
-        scores are bit-identical to single-index scores here too.
+        Postings arrays stay shard-local while the scorer reads ``len()``
+        / ``document_frequency`` / ``average_length`` from this wrapper,
+        i.e. globally — so kernel scores are bit-identical to single-index
+        scores here too.
         """
         return self._local.kernel_views()
 

@@ -348,15 +348,17 @@ class IncidentManager:
     def observe_request(
         self,
         record,
+        stages: dict[str, float],
         pressure: float | None = None,
         utilization: float | None = None,
     ) -> None:
-        """Feed one served :class:`QueryRecord` into baselines and tracking."""
+        """Feed one served :class:`QueryRecord` into baselines and tracking.
+
+        *stages* is the record's ``trace.stage_durations()`` (empty when
+        the request was not traced), which the caller has already taken.
+        """
         answer = record.answer
         route = answer.route or "default"
-        stages: dict[str, float] = {}
-        if record.trace is not None:
-            stages = dict(record.trace.stage_durations())
         context = {
             "query_id": record.query_id,
             "route": route,

@@ -210,64 +210,82 @@ class DriftVerdict:
     reason: str = ""
 
 
-class ScoreDriftDetector:
-    """KS + PSI drift detection of one score distribution.
+#: :class:`ScoreDriftDetector` fires when the KS p-value drops below
+#: ``SCORE_ALPHA`` **and** the PSI exceeds ``SCORE_PSI_THRESHOLD``.
+SCORE_ALPHA = 0.01
+SCORE_PSI_THRESHOLD = 0.25
+#: :class:`RateDriftDetector` fires when the rate drops by at least
+#: ``RATE_MIN_DELTA`` (absolute) **and** ``|z|`` reaches ``RATE_Z_THRESHOLD``.
+RATE_MIN_DELTA = 0.10
+RATE_Z_THRESHOLD = 3.0
+
+
+class _DriftDetector:
+    """The two windows every drift detector compares.
 
     The first *reference_size* observations freeze the reference window;
     subsequent observations stream through a rolling window of
-    *window_size*.  :meth:`check` fires only when **both** tests agree —
-    the KS p-value drops below *alpha* **and** the PSI exceeds
-    *psi_threshold* — which keeps single-statistic noise from paging
-    anyone.  Until both windows are full the detector reports
+    *window_size*.  Until both windows are full the detector reports
     ``warming_up`` and never fires.
     """
 
-    def __init__(
-        self,
-        signal: str,
-        reference_size: int = 200,
-        window_size: int = 100,
-        alpha: float = 0.01,
-        psi_threshold: float = 0.25,
-    ) -> None:
+    def __init__(self, signal: str, reference_size: int = 200, window_size: int = 100) -> None:
         if reference_size < 2 or window_size < 2:
             raise ValueError("windows need at least 2 samples")
         self.signal = signal
         self._reference_size = reference_size
-        self._alpha = alpha
-        self._psi_threshold = psi_threshold
-        self._reference: list[float] = []
-        self._window: deque[float] = deque(maxlen=window_size)
+        self._reference: list = []
+        self._window: deque = deque(maxlen=window_size)
 
     @property
     def reference_full(self) -> bool:
         return len(self._reference) >= self._reference_size
 
+    def _observe(self, value) -> None:
+        if not self.reference_full:
+            self._reference.append(value)
+        else:
+            self._window.append(value)
+
+    def _warming_up(self) -> DriftVerdict | None:
+        """The ``warming_up`` verdict; None once both windows are full."""
+        if self.reference_full and len(self._window) == self._window.maxlen:
+            return None
+        return DriftVerdict(
+            signal=self.signal,
+            drifted=False,
+            reference_n=len(self._reference),
+            current_n=len(self._window),
+            reason="warming_up",
+        )
+
+
+class ScoreDriftDetector(_DriftDetector):
+    """KS + PSI drift detection of one score distribution.
+
+    :meth:`check` fires only when **both** tests agree — the KS p-value
+    drops below ``SCORE_ALPHA`` **and** the PSI exceeds
+    ``SCORE_PSI_THRESHOLD`` — which keeps single-statistic noise from
+    paging anyone.
+    """
+
     def observe(self, value: float) -> None:
         """Feed one observation."""
-        if not self.reference_full:
-            self._reference.append(float(value))
-            return
-        self._window.append(float(value))
+        self._observe(float(value))
 
     def check(self) -> DriftVerdict:
         """Compare the rolling window against the frozen reference."""
+        warming_up = self._warming_up()
+        if warming_up is not None:
+            return warming_up
         window = list(self._window)
-        if not self.reference_full or len(window) < self._window.maxlen:
-            return DriftVerdict(
-                signal=self.signal,
-                drifted=False,
-                reference_n=len(self._reference),
-                current_n=len(window),
-                reason="warming_up",
-            )
         d = ks_statistic(self._reference, window)
         p = ks_p_value(d, len(self._reference), len(window))
         psi = population_stability_index(self._reference, window)
-        drifted = p < self._alpha and psi > self._psi_threshold
+        drifted = p < SCORE_ALPHA and psi > SCORE_PSI_THRESHOLD
         reason = (
-            f"{self.signal}: KS D={d:.3f} (p={p:.4f}, alpha={self._alpha:g}), "
-            f"PSI={psi:.3f} (threshold {self._psi_threshold:g})"
+            f"{self.signal}: KS D={d:.3f} (p={p:.4f}, alpha={SCORE_ALPHA:g}), "
+            f"PSI={psi:.3f} (threshold {SCORE_PSI_THRESHOLD:g})"
         )
         return DriftVerdict(
             signal=self.signal,
@@ -281,75 +299,36 @@ class ScoreDriftDetector:
         )
 
 
-class RateDriftDetector:
-    """Drift detection of a boolean rate (guardrail pass, citation coverage).
+class RateDriftDetector(_DriftDetector):
+    """Drop detection of a boolean rate (guardrail pass, citation coverage).
 
-    Fires when the rolling-window rate moves against the frozen reference
-    by more than *min_delta* (absolute, in the watched direction) **and**
-    the two-proportion z-statistic exceeds *z_threshold* — small samples
-    with large swings and large samples with negligible swings both stay
-    quiet.  ``direction=-1`` watches for drops (pass rates), ``+1`` for
-    rises, ``0`` for any movement.
+    Fires when the rolling-window rate falls below the frozen reference by
+    at least ``RATE_MIN_DELTA`` (absolute) **and** the two-proportion
+    z-statistic reaches ``RATE_Z_THRESHOLD`` — small samples with large
+    swings and large samples with negligible swings both stay quiet.
     """
-
-    def __init__(
-        self,
-        signal: str,
-        reference_size: int = 200,
-        window_size: int = 100,
-        min_delta: float = 0.10,
-        z_threshold: float = 3.0,
-        direction: int = -1,
-    ) -> None:
-        if reference_size < 2 or window_size < 2:
-            raise ValueError("windows need at least 2 samples")
-        self.signal = signal
-        self._reference_size = reference_size
-        self._min_delta = min_delta
-        self._z_threshold = z_threshold
-        self._direction = direction
-        self._reference: list[bool] = []
-        self._window: deque[bool] = deque(maxlen=window_size)
-
-    @property
-    def reference_full(self) -> bool:
-        return len(self._reference) >= self._reference_size
 
     def observe(self, good: bool) -> None:
         """Feed one boolean observation."""
-        if not self.reference_full:
-            self._reference.append(bool(good))
-            return
-        self._window.append(bool(good))
+        self._observe(bool(good))
 
     def check(self) -> DriftVerdict:
         """Compare the rolling rate against the frozen reference rate."""
+        warming_up = self._warming_up()
+        if warming_up is not None:
+            return warming_up
         window = list(self._window)
-        if not self.reference_full or len(window) < self._window.maxlen:
-            return DriftVerdict(
-                signal=self.signal,
-                drifted=False,
-                reference_n=len(self._reference),
-                current_n=len(window),
-                reason="warming_up",
-            )
         ref_hits = sum(self._reference)
         cur_hits = sum(window)
         ref_rate = ref_hits / len(self._reference)
         cur_rate = cur_hits / len(window)
         delta = cur_rate - ref_rate
         z = two_proportion_z(cur_hits, len(window), ref_hits, len(self._reference))
-        if self._direction < 0:
-            moved = delta <= -self._min_delta
-        elif self._direction > 0:
-            moved = delta >= self._min_delta
-        else:
-            moved = abs(delta) >= self._min_delta
-        drifted = moved and abs(z) >= self._z_threshold
+        drifted = delta <= -RATE_MIN_DELTA and abs(z) >= RATE_Z_THRESHOLD
         reason = (
             f"{self.signal}: rate {cur_rate:.1%} vs reference {ref_rate:.1%} "
-            f"(delta {delta:+.1%}, z={z:.2f}, threshold |z|>={self._z_threshold:g} "
-            f"and |delta|>={self._min_delta:.0%})"
+            f"(delta {delta:+.1%}, z={z:.2f}, threshold |z|>={RATE_Z_THRESHOLD:g} "
+            f"and |delta|>={RATE_MIN_DELTA:.0%})"
         )
         return DriftVerdict(
             signal=self.signal,
@@ -392,34 +371,10 @@ class QualityMonitor:
         registry: MetricsRegistry | None = None,
         reference_size: int = 200,
         window_size: int = 100,
-        score_alpha: float = 0.01,
-        score_psi_threshold: float = 0.25,
-        rate_min_delta: float = 0.10,
-        rate_z_threshold: float = 3.0,
     ) -> None:
-        self.score = ScoreDriftDetector(
-            "fused_score",
-            reference_size=reference_size,
-            window_size=window_size,
-            alpha=score_alpha,
-            psi_threshold=score_psi_threshold,
-        )
-        self.guardrail = RateDriftDetector(
-            "guardrail_pass",
-            reference_size=reference_size,
-            window_size=window_size,
-            min_delta=rate_min_delta,
-            z_threshold=rate_z_threshold,
-            direction=-1,
-        )
-        self.citations = RateDriftDetector(
-            "citation_coverage",
-            reference_size=reference_size,
-            window_size=window_size,
-            min_delta=rate_min_delta,
-            z_threshold=rate_z_threshold,
-            direction=-1,
-        )
+        self.score = ScoreDriftDetector("fused_score", reference_size, window_size)
+        self.guardrail = RateDriftDetector("guardrail_pass", reference_size, window_size)
+        self.citations = RateDriftDetector("citation_coverage", reference_size, window_size)
         registry = registry or NULL_REGISTRY
         self._g_psi = registry.gauge(
             "uniask_quality_psi",

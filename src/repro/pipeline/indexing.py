@@ -23,7 +23,7 @@ from repro.htmlproc.chunking import HtmlParagraphChunker
 from repro.htmlproc.parser import parse_html
 from repro.pipeline.clock import SimulatedClock
 from repro.pipeline.enrichment import MetadataEnricher
-from repro.pipeline.queue import MessageQueue
+from repro.pipeline.queue import MessageQueue, QueueMessage
 from repro.pipeline.store import KbDocument, KnowledgeBaseStore
 from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord
@@ -89,11 +89,13 @@ class IndexingService:
             for chunk in chunks
         ]
 
-    def process_one(self) -> bool:
-        """Consume one queue message; returns False when the queue is empty."""
-        message = self._queue.receive()
-        if message is None:
-            return False
+    def _apply(self, message: QueueMessage) -> str | None:
+        """Apply one leased message to the index and acknowledge it.
+
+        Returns what was done: ``"delete"``, ``"upsert"``, or None for an
+        upsert that found no document.  Any failure, an unknown action
+        included, abandons the message for redelivery and re-raises.
+        """
         try:
             action = message.body.get("action")
             doc_id = message.body["doc_id"]
@@ -103,41 +105,35 @@ class IndexingService:
                 if doc_id in self._store:
                     self._index.delete_document(doc_id)
                     self._index.add_chunks(self.build_records(self._store.get(doc_id)))
-                # The document may have been deleted after the message was
-                # published; a missing doc means the delete message follows.
+                else:
+                    # The document may have been deleted after the message was
+                    # published; a missing doc means the delete message follows.
+                    action = None
             else:
                 raise ValueError(f"unknown action {action!r}")
         except Exception:
             self._queue.abandon(message.message_id)
             raise
         self._queue.acknowledge(message.message_id)
+        return action
+
+    def process_one(self) -> bool:
+        """Consume one queue message; returns False when the queue is empty."""
+        message = self._queue.receive()
+        if message is None:
+            return False
+        self._apply(message)
         return True
 
     def drain(self) -> IndexingReport:
         """Consume every pending message; returns an aggregate report."""
-        messages = 0
-        indexed = 0
-        deleted = 0
+        messages = indexed = deleted = 0
         chunks_before = len(self._index)
-        while True:
-            message = self._queue.receive()
-            if message is None:
-                break
+        while (message := self._queue.receive()) is not None:
+            done = self._apply(message)
             messages += 1
-            action = message.body.get("action")
-            doc_id = message.body["doc_id"]
-            try:
-                if action == "delete":
-                    self._index.delete_document(doc_id)
-                    deleted += 1
-                elif doc_id in self._store:
-                    self._index.delete_document(doc_id)
-                    self._index.add_chunks(self.build_records(self._store.get(doc_id)))
-                    indexed += 1
-            except Exception:
-                self._queue.abandon(message.message_id)
-                raise
-            self._queue.acknowledge(message.message_id)
+            indexed += done == "upsert"
+            deleted += done == "delete"
         maintenance_ops = self.run_maintenance()
         return IndexingReport(
             messages=messages,

@@ -6,10 +6,12 @@ Implements the standard Lucene-compatible formulation:
     idf(t)       = ln(1 + (N - df + 0.5) / (df + 0.5))
     score(d, q)  = Σ_t idf(t) · tf · (k1 + 1) / (tf + k1 · (1 - b + b · |d|/avgdl))
 
-with the usual defaults k1 = 1.2, b = 0.75.  The scorer works against a
-single :class:`~repro.search.inverted.InvertedIndex`; multi-field scoring
-with per-field boosts (Azure "scoring profiles") is composed one level up in
-:mod:`repro.search.fulltext`.
+with the usual defaults k1 = 1.2, b = 0.75.  The scorer works against one
+field's postings reader; multi-field scoring with per-field boosts (Azure
+"scoring profiles") is composed one level up in
+:mod:`repro.search.fulltext`.  This is the only BM25 implementation in
+``src/``: the doc-at-a-time Python loop it is held bit-identical to lives in
+``tests/reference_bm25.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.work import WORK_DOCS_SCORED, WORK_POSTINGS_SCANNED, WORK_SEGMENTS_TOUCHED
+from repro.obs.work import WORK_DOCS_SCORED, WORK_SEGMENTS_TOUCHED
 from repro.search.inverted import InvertedIndex
 from repro.search.kernels import KernelView
 
@@ -39,23 +41,18 @@ class Bm25Parameters:
 
 
 class Bm25Scorer:
-    """Scores an analyzed query against one inverted index.
+    """Scores an analyzed query against one field's postings.
 
-    Two formulations of the same arithmetic:
-
-    * :meth:`score_arrays` — the serving path: contiguous postings arrays
-      (:mod:`repro.search.kernels`) scored term-at-a-time with vectorized
-      numpy;
-    * :meth:`score_all` / :meth:`score_all_explained` — the per-term loop,
-      doc-at-a-time in pure Python.  It serves explain requests (the only
-      path that needs per-term contributions) and is the reference the
-      tests hold :meth:`score_arrays` bit-identical to.
+    :meth:`score_arrays` ranks: contiguous postings arrays
+    (:mod:`repro.search.kernels`) scored term-at-a-time with vectorized
+    numpy.  :meth:`term_contributions` explains: it re-evaluates the same
+    arrays for a handful of already-ranked documents, term by term.
 
     *index* may be a plain :class:`~repro.search.inverted.InvertedIndex`,
     a segmented field view, or a cluster view with global statistics —
-    anything exposing the reader surface (``postings`` /
-    ``document_length`` / ``document_frequency`` / ``average_length`` /
-    ``__len__`` / ``kernel_views``).
+    anything exposing the reader surface (``__len__`` /
+    ``document_frequency`` / ``average_length`` / ``kernel_views`` /
+    ``analyze_query``).
     """
 
     def __init__(self, index: InvertedIndex, parameters: Bm25Parameters | None = None) -> None:
@@ -72,60 +69,6 @@ class Bm25Scorer:
             return 0.0
         df = self._index.document_frequency(term)
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-    def _score_loop(
-        self, query_terms: list[str], per_term: dict[int, dict[str, float]] | None, work
-    ) -> dict[int, float]:
-        """The doc-at-a-time loop; fills *per_term* when one is passed."""
-        parameters = self._parameters
-        average_length = self._index.average_length or 1.0
-        scores: dict[int, float] = {}
-        scanned = 0
-        for term in query_terms:
-            postings = self._index.postings(term)
-            if not postings:
-                continue
-            scanned += len(postings)
-            idf = self.idf(term)
-            for doc_id, tf in postings.items():
-                length_norm = 1.0 - parameters.b + parameters.b * (
-                    self._index.document_length(doc_id) / average_length
-                )
-                contribution = idf * tf * (parameters.k1 + 1.0) / (tf + parameters.k1 * length_norm)
-                scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-                if per_term is not None:
-                    breakdown = per_term.setdefault(doc_id, {})
-                    breakdown[term] = breakdown.get(term, 0.0) + contribution
-        if work is not None:
-            if scanned:
-                work.add(WORK_POSTINGS_SCANNED, scanned)
-            if scores:
-                work.add(WORK_DOCS_SCORED, len(scores))
-        return scores
-
-    def score_all(self, query_terms: list[str], work=None) -> dict[int, float]:
-        """BM25 scores of every document matching at least one query term.
-
-        *work* is an optional :class:`~repro.obs.work.WorkCounters`; the
-        loop books ``postings_scanned`` and ``docs_scored`` itself.
-        """
-        return self._score_loop(query_terms, None, work)
-
-    def score_all_explained(
-        self, query_terms: list[str], work=None
-    ) -> tuple[dict[int, float], dict[int, dict[str, float]]]:
-        """Like :meth:`score_all`, plus a per-term contribution breakdown.
-
-        Returns ``(scores, per_term)`` where ``per_term[doc_id][term]`` is
-        the summed BM25 contribution of *term* to that document (repeated
-        query terms accumulate, exactly as in :meth:`score_all`).  Both
-        run the same loop, so the ``scores`` half is bitwise-identical to
-        the non-explained path; the per-term sums equal the total up to
-        floating-point reassociation when a term repeats in the analyzed
-        query.
-        """
-        per_term: dict[int, dict[str, float]] = {}
-        return self._score_loop(query_terms, per_term, work), per_term
 
     def _term_sequence(self, query_terms: list[str]) -> list[tuple[str, float]]:
         """The analyzed query as ``(term, idf)`` pairs, repeats preserved."""
@@ -144,13 +87,15 @@ class Bm25Scorer:
     def score_arrays(
         self, query_terms: list[str], work=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized equivalent of :meth:`score_all`, as parallel arrays.
+        """BM25 scores of every live document matching a query term.
 
-        Returns ``(doc_ids, scores)`` covering every live document matching
-        at least one query term.  The id→score mapping is bit-identical to
-        the :meth:`score_all` dict: contributions are accumulated
-        term-at-a-time in analyzed-query order with the loop scorer's exact
-        operator sequence (see :mod:`repro.search.kernels`).
+        Returns parallel ``(doc_ids, scores)`` arrays.  Contributions are
+        accumulated term-at-a-time in analyzed-query order with the
+        reference loop's exact operator sequence (see
+        :mod:`repro.search.kernels`), so the id→score mapping is
+        bit-identical to ``tests/reference_bm25.py``.
+
+        *work* is an optional :class:`~repro.obs.work.WorkCounters`.
         """
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         views: list[KernelView] = self._index.kernel_views()
@@ -178,3 +123,41 @@ class Bm25Scorer:
         if not id_parts:
             return empty
         return np.concatenate(id_parts), np.concatenate(score_parts)
+
+    def term_contributions(
+        self, query_terms: list[str], doc_ids: np.ndarray
+    ) -> dict[int, dict[str, float]]:
+        """Each analyzed term's share of the scores of *doc_ids* (explain).
+
+        ``result[doc_id][term]`` is the summed BM25 contribution of *term*
+        to that document, terms keyed in query order of their first match.
+        It reads the arrays :meth:`score_arrays` ranked from and applies
+        :meth:`~repro.search.kernels.KernelPostings.accumulate_bm25`'s
+        operator sequence to the requested (live) documents only; a
+        repeated query term accumulates by repeated addition, so the
+        per-term values sum to the score up to float reassociation.  Books
+        no work: explaining a request must not change what it cost.
+        """
+        sequence = self._term_sequence(query_terms)
+        k1, b = self._parameters.k1, self._parameters.b
+        average_length = self._index.average_length or 1.0
+        per_term: dict[int, dict[str, float]] = {}
+        for view in self._index.kernel_views():
+            kernel = view.kernel
+            wanted = np.isin(kernel.doc_ids, doc_ids)
+            if view.live is not None:
+                wanted &= view.live
+            for term, idf in sequence:
+                arrays = kernel.term_arrays(term)
+                if arrays is None:
+                    continue
+                slots, tfs = arrays
+                keep = wanted[slots]
+                slots, tfs = slots[keep], tfs[keep]
+                ratio = kernel.lengths[slots] / average_length
+                length_norm = 1.0 - b + b * ratio
+                contribution = idf * tfs * (k1 + 1.0) / (tfs + k1 * length_norm)
+                for doc_id, value in zip(kernel.doc_ids[slots].tolist(), contribution.tolist()):
+                    breakdown = per_term.setdefault(doc_id, {})
+                    breakdown[term] = breakdown.get(term, 0.0) + value
+        return per_term

@@ -62,112 +62,64 @@ class FullTextSearch:
         filters: dict[str, str] | None = None,
         ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
-        """Top-*n* chunks for *query* by profile-weighted BM25."""
-        with ctx.span(spans.STAGE_FULLTEXT, n=n) as span:
-            if n <= 0:
-                results = []
-            elif ctx.explain:
-                results = self._search_explained(query, n, filters, work=ctx.work)
-            else:
-                results = self._search_kernel(query, n, filters, work=ctx.work)
-            span.set("results", len(results))
-        return results
+        """Top-*n* chunks for *query* by profile-weighted BM25.
 
-    def _search_explained(
-        self, query: str, n: int, filters: dict[str, str] | None, work=None
-    ) -> list[RetrievedChunk]:
-        """The explain request: the per-term loop scorer, field by field.
+        Per-field kernel scores land in a dense accumulator indexed by
+        internal id, added field-by-field — each document's combined score
+        is one fixed sequence of ``+= weight * score`` additions.
+        Liveness/filter checks come *after* combination (scores of distinct
+        documents are independent, so late masking changes nothing), which
+        keeps the hot loop free of per-document Python calls.
 
-        Same scores and order as :meth:`_search_kernel` (the tests hold the
-        two bit-identical); the loop is kept because it is the only path
-        that yields each term's contribution.
+        An explain request (``ctx.explain``) is ranked the same way; it
+        only adds each analyzed term's raw (unweighted) contribution to the
+        components of the selected chunks, keyed ``bm25_<field>:<term>``.
         """
-        combined: dict[int, float] = {}
-        per_field: dict[int, dict[str, float]] = {}
-        for field_name in self._fields:
-            inverted = self._index.inverted_index(field_name)
-            terms = inverted.analyze_query(query)
-            if not terms:
-                continue
-            scorer = Bm25Scorer(inverted, self._parameters)
-            weight = self._profile.weight(field_name)
-            scores, per_term = scorer.score_all_explained(terms, work=work)
-            for internal, score in scores.items():
+        with ctx.span(spans.STAGE_FULLTEXT, n=n) as span:
+            field_results: list[
+                tuple[str, float, np.ndarray, np.ndarray, Bm25Scorer, list[str]]
+            ] = []
+            max_internal = -1
+            for field_name in self._fields if n > 0 else ():  # n <= 0 scores nothing
+                inverted = self._index.inverted_index(field_name)
+                terms = inverted.analyze_query(query)
+                if not terms:
+                    continue
+                scorer = Bm25Scorer(inverted, self._parameters)
+                ids, scores = scorer.score_arrays(terms, work=ctx.work)
+                if ids.size:
+                    weight = self._profile.weight(field_name)
+                    field_results.append((field_name, weight, ids, scores, scorer, terms))
+                    max_internal = max(max_internal, int(ids.max()))
+            combined = np.zeros(max_internal + 1, dtype=np.float64)
+            touched = np.zeros(max_internal + 1, dtype=bool)
+            for _, weight, ids, scores, _, _ in field_results:
+                combined[ids] += weight * scores
+                touched[ids] = True
+            candidates = np.nonzero(touched)[0]
+            ranked = np.lexsort((candidates, -combined[candidates]))
+            selected: list[tuple[int, float]] = []
+            for position in ranked:
+                internal = int(candidates[position])
                 if not self._index.is_live(internal):
                     continue
                 if not self._index.matches_filters(internal, filters):
                     continue
-                combined[internal] = combined.get(internal, 0.0) + weight * score
-                breakdown = per_field.setdefault(internal, {})
-                breakdown[f"bm25_{field_name}"] = score
-                # Per-term contributions of this field's BM25 score, raw
-                # (unweighted), keyed `bm25_<field>:<term>` for explain.
-                for term, contribution in per_term.get(internal, {}).items():
-                    breakdown[f"bm25_{field_name}:{term}"] = contribution
-
-        ranked = sorted(combined.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
-        return [
-            RetrievedChunk(
-                record=self._index.record(internal),
-                score=score,
-                components=per_field.get(internal, {}),
-            )
-            for internal, score in ranked
-        ]
-
-    def _search_kernel(
-        self, query: str, n: int, filters: dict[str, str] | None, work=None
-    ) -> list[RetrievedChunk]:
-        """The serving path: vectorized multi-field scoring.
-
-        Per-field kernel scores land in a dense accumulator indexed by
-        internal id, added field-by-field in the same order as the explain
-        loop — each document's combined score is therefore the same
-        sequence of ``+= weight * score`` additions, hence the same bits.
-        Liveness/filter checks move *after* combination (scores of distinct
-        documents are independent, so late masking changes nothing), which
-        keeps the hot loop free of per-document Python calls.
-        """
-        field_results: list[tuple[str, float, np.ndarray, np.ndarray]] = []
-        max_internal = -1
-        for field_name in self._fields:
-            inverted = self._index.inverted_index(field_name)
-            terms = inverted.analyze_query(query)
-            if not terms:
-                continue
-            scorer = Bm25Scorer(inverted, self._parameters)
-            ids, scores = scorer.score_arrays(terms, work=work)
-            if ids.size:
-                weight = self._profile.weight(field_name)
-                field_results.append((field_name, weight, ids, scores))
-                max_internal = max(max_internal, int(ids.max()))
-        if max_internal < 0:
-            return []
-        combined = np.zeros(max_internal + 1, dtype=np.float64)
-        touched = np.zeros(max_internal + 1, dtype=bool)
-        for _, weight, ids, scores in field_results:
-            combined[ids] += weight * scores
-            touched[ids] = True
-        candidates = np.nonzero(touched)[0]
-        ranked = np.lexsort((candidates, -combined[candidates]))
-        selected: list[tuple[int, float]] = []
-        for position in ranked:
-            internal = int(candidates[position])
-            if not self._index.is_live(internal):
-                continue
-            if not self._index.matches_filters(internal, filters):
-                continue
-            selected.append((internal, float(combined[internal])))
-            if len(selected) == n:
-                break
-        if not selected:
-            return []
-        selected_ids = np.array([internal for internal, _ in selected], dtype=np.int64)
-        per_field: dict[int, dict[str, float]] = {}
-        for field_name, _, ids, scores in field_results:
-            mask = np.isin(ids, selected_ids)
-            for internal, score in zip(ids[mask], scores[mask]):
-                per_field.setdefault(int(internal), {})[f"bm25_{field_name}"] = float(score)
+                selected.append((internal, float(combined[internal])))
+                if len(selected) == n:
+                    break
+            selected_ids = np.array([internal for internal, _ in selected], dtype=np.int64)
+            per_field: dict[int, dict[str, float]] = {}
+            for field_name, _, ids, scores, scorer, terms in field_results:
+                mask = np.isin(ids, selected_ids)
+                per_term = scorer.term_contributions(terms, selected_ids) if ctx.explain else {}
+                for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
+                    breakdown = per_field.setdefault(internal, {})
+                    breakdown[f"bm25_{field_name}"] = score
+                    if per_term:
+                        for term, contribution in per_term[internal].items():
+                            breakdown[f"bm25_{field_name}:{term}"] = contribution
+            span.set("results", len(selected))
         return [
             RetrievedChunk(
                 record=self._index.record(internal),

@@ -1,14 +1,15 @@
 """Vectorized retrieval kernels: contiguous postings + batch BM25.
 
-The pure-Python scorer in :mod:`repro.search.bm25` walks postings
-doc-at-a-time — one dict lookup and a handful of float operations per
-(term, document) pair, all interpreted.  This module stores the same
-postings as contiguous numpy arrays and scores them term-at-a-time with
-vectorized arithmetic — the one scoring path queries are served from.
+A pure-Python scorer walks postings doc-at-a-time — one dict lookup and a
+handful of float operations per (term, document) pair, all interpreted;
+that loop is kept as the test oracle (``tests/reference_bm25.py``).  This
+module stores the same postings as contiguous numpy arrays and scores them
+term-at-a-time with vectorized arithmetic — the one scoring path queries
+are served from.
 
 **Bit-exactness contract.**  The kernel is not "approximately equal" to
-the loop scorer — it is gated *byte-identical* (scores and tie-breaks) by
-the differential tests.  That works because every float operation of the
+the reference loop — it is gated *byte-identical* (scores and tie-breaks)
+by the oracle tests.  That works because every float operation of the
 loop formulation
 
     length_norm = 1 - b + b * (|d| / avgdl)

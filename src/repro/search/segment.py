@@ -361,19 +361,14 @@ class SegmentedTextStore:
             view = self._views[field_name] = SegmentedFieldView(self, field_name)
         return view
 
-    def segment_of(self, internal: int) -> SealedSegment | None:
-        """The sealed segment holding *internal* (None when buffered/dead)."""
-        return self._segment_by_internal.get(internal)
-
 
 class SegmentedFieldView:
     """One field's reader surface over segments + buffer.
 
-    Implements the :class:`~repro.search.inverted.InvertedIndex` read
-    protocol (postings / lengths / statistics / ``kernel_views``), so the
-    BM25 scorer, the explain path and the cluster's global-statistics
-    wrapper all work unchanged on a segmented index.  Statistics are exact
-    integers aggregated across segments and buffer.
+    Implements the reader surface the BM25 scorer and the cluster's
+    global-statistics wrapper consume (``__len__`` / ``document_frequency``
+    / ``average_length`` / ``kernel_views`` / ``analyze_query``).
+    Statistics are exact integers aggregated across segments and buffer.
     """
 
     def __init__(self, store: SegmentedTextStore, field_name: str) -> None:
@@ -418,27 +413,6 @@ class SegmentedFieldView:
         for _, field in self._segment_fields():
             df += field.live_document_frequency(term)
         return df
-
-    def document_length(self, doc_id: int) -> int:
-        """Analyzed length of a live document (0 when absent or dead)."""
-        buffer = self._buffer()
-        if doc_id in buffer:
-            return buffer.document_length(doc_id)
-        segment = self._store.segment_of(doc_id)
-        if segment is None:
-            return 0
-        slot = segment.slot_of(doc_id)
-        if slot < 0 or not segment.live[slot]:
-            return 0
-        return int(segment.fields[self._field_name].kernel.lengths[slot])
-
-    def postings(self, term: str) -> dict[int, int]:
-        """The live ``doc_id -> tf`` map of *term* across segments + buffer."""
-        merged: dict[int, int] = {}
-        for segment, field in self._segment_fields():
-            merged.update(field.kernel.postings_dict(term, segment.live))
-        merged.update(self._buffer().postings(term))
-        return merged
 
     def analyze_query(self, query: str) -> list[str]:
         """Analyze a query string with this field's analyzer."""

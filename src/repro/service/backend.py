@@ -38,12 +38,14 @@ from repro.core.engine import UniAskEngine
 from repro.obs import spans
 from repro.obs.audit import AuditLogger, NULL_AUDIT
 from repro.obs.capacity import CapacityMonitor
-from repro.obs.incident import PAGE_BURN_WINDOWS, PAGE_LONG_SECONDS
+from repro.obs.incident import PAGE_BURN_WINDOWS
 from repro.obs.profile import ContinuousProfiler
+from repro.obs.slo import DEFAULT_BURN_WINDOWS
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import RequestContext, Span, Trace
 from repro.obs.work import WORK_COALESCED_JOINS, WorkCounters
 from repro.pipeline.clock import SimulatedClock
+from repro.service.alerting import evaluate_quality_alerts, evaluate_slo_alerts
 from repro.service.feedback import FeedbackStore, GranularFeedback
 from repro.service.monitoring import MetricsCollector
 from repro.service.ops import OpsRoute, collect_ops_routes, ops_route
@@ -477,12 +479,9 @@ class BackendService:
             self.capacity.observe("backend", arrival, response_time)
             if response.scatter is not None:
                 for probe in response.scatter.probes:
-                    resource = (
-                        f"replica_{probe.replica_id}"
-                        if probe.replica_id
-                        else f"shard_{probe.shard_id}"
+                    self.capacity.observe(
+                        probe.resource, arrival, probe.latency, failed=not probe.ok
                     )
-                    self.capacity.observe(resource, arrival, probe.latency, failed=not probe.ok)
         if self.admission is not None:
             self.admission.observe(arrival, response_time, level=degrade_level)
         if self.autoscaler is not None:
@@ -548,7 +547,7 @@ class BackendService:
         self._records[record.query_id] = record
         answer = record.answer
         sampled = False
-        stages = trace.stage_durations() if trace is not None else None
+        stages = trace.stage_durations() if trace is not None else {}
         if trace is not None:
             sampled = self.telemetry.sampler.offer(
                 record.query_id, trace, trace.total_duration
@@ -583,15 +582,7 @@ class BackendService:
                     ok=probe.ok,
                     hedged=probe.hedged,
                 )
-                probe_log.append(
-                    {
-                        "shard": probe.shard_id,
-                        "replica": probe.replica_id,
-                        "latency": probe.latency,
-                        "ok": probe.ok,
-                        "hedged": probe.hedged,
-                    }
-                )
+                probe_log.append(probe.audit_row())
         report = answer.guardrail_report
         audit_fields = dict(
             request_id=record.query_id,
@@ -600,7 +591,7 @@ class BackendService:
             response_time=answer.response_time,
             partial=answer.partial_results,
             sampled=sampled,
-            stages=stages or {},
+            stages=stages,
             shard_probes=probe_log,
             guardrails=[
                 {"guardrail": verdict.guardrail, "passed": verdict.passed}
@@ -640,11 +631,11 @@ class BackendService:
             audit_fields.update(extra_audit)
         self.telemetry.audit.info("request", **audit_fields)
         if self.incidents is not None:
-            self._incident_observe(record)
+            self._incident_observe(record, stages)
 
     # -- incident forensics ----------------------------------------------------
 
-    def _incident_observe(self, record: QueryRecord) -> None:
+    def _incident_observe(self, record: QueryRecord, stages: dict[str, float]) -> None:
         """Feed one served request into the incident loop.
 
         Baselines first (so a page's diagnosis sees the request that
@@ -654,27 +645,26 @@ class BackendService:
         """
         self.incidents.observe_request(
             record,
+            stages,
             pressure=self.admission.pressure() if self.admission is not None else None,
             utilization=self.autoscaler.utilization if self.autoscaler is not None else None,
         )
         now = self._clock.now()
         if self.incidents.due(now):
-            self.incidents.check(now, self._incident_alerts(now))
+            # The incident module's own compressed windows: the workbook
+            # defaults are hour-scale and could never page inside a
+            # compressed chaos day.
+            self.incidents.check(now, self._alerts(now, PAGE_BURN_WINDOWS))
 
-    def _incident_alerts(self, now: float):
-        """The page-severity alert evaluation of the incident loop.
+    def _alerts(self, now: float, windows=DEFAULT_BURN_WINDOWS):
+        """Service SLO burn rates over *windows*, plus the quality monitor's alerts.
 
-        Runs the service SLO burn rates over the incident module's own
-        compressed windows (the workbook defaults are hour-scale — they
-        could never page inside a compressed chaos day) plus the quality
-        monitor's alerts.  Events older than the long window cannot move
-        either burn rate, so they are filtered before evaluation.
+        Events older than the longest window cannot move any burn rate, so
+        they are filtered before evaluation.
         """
-        from repro.service.alerting import evaluate_quality_alerts, evaluate_slo_alerts
-
-        horizon = now - PAGE_LONG_SECONDS
+        horizon = now - max(window.long_seconds for window in windows)
         events = [e for e in self.metrics.events if e.timestamp >= horizon]
-        alerts = evaluate_slo_alerts(events, now=now, windows=PAGE_BURN_WINDOWS)
+        alerts = evaluate_slo_alerts(events, now=now, windows=windows)
         alerts.extend(evaluate_quality_alerts(self._quality_monitor))
         return alerts
 
@@ -749,11 +739,7 @@ class BackendService:
 
     @ops_route("slo", privileged=True, description="Multi-window burn-rate evaluation of the service SLOs.")
     def _ops_slo(self):
-        from repro.service.alerting import evaluate_quality_alerts, evaluate_slo_alerts
-
-        alerts = evaluate_slo_alerts(self.metrics.events, now=self._clock.now())
-        alerts.extend(evaluate_quality_alerts(self._quality_monitor))
-        return alerts
+        return self._alerts(self._clock.now())
 
     @ops_route("explain", privileged=True, description="Score provenance of a stored or fresh query.")
     def _ops_explain(self, query_id: str = "", question: str = ""):

@@ -293,22 +293,8 @@ def run_cluster_load_test(
             if capacity is not None:
                 capacity.observe("cluster", t, report.max_latency, failed=is_partial)
                 for probe in report.probes:
-                    resource = (
-                        f"replica_{probe.replica_id}"
-                        if probe.replica_id
-                        else f"shard_{probe.shard_id}"
-                    )
-                    capacity.observe(resource, t, probe.latency, failed=not probe.ok)
-            probes = [
-                {
-                    "shard": probe.shard_id,
-                    "replica": probe.replica_id,
-                    "latency": probe.latency,
-                    "ok": probe.ok,
-                    "hedged": probe.hedged,
-                }
-                for probe in report.probes
-            ]
+                    capacity.observe(probe.resource, t, probe.latency, failed=not probe.ok)
+            probes = [probe.audit_row() for probe in report.probes]
         if audit is not None:
             audit.info(
                 "cluster_query",

@@ -146,12 +146,13 @@ class TestEngineExplain:
         assert explained.answer_text == plain.answer_text
 
 
-class TestClusterExplain:
-    @pytest.fixture(scope="class")
-    def sharded(self, small_kb, lexicon):
-        config = UniAskConfig(cluster=ClusterConfig(shards=3))
-        return create_engine(small_kb.store(), lexicon, config=config, seed=3)
+@pytest.fixture(scope="module")
+def sharded(small_kb, lexicon):
+    config = UniAskConfig(cluster=ClusterConfig(shards=3))
+    return create_engine(small_kb.store(), lexicon, config=config, seed=3)
 
+
+class TestClusterExplain:
     def test_shard_attribution_and_exactness(self, sharded):
         request = AskRequest("come sbloccare la carta di credito", AskOptions(explain=True))
         report = sharded.engine.answer(request).answer.explain_report
@@ -171,6 +172,30 @@ class TestClusterExplain:
             c.record.chunk_id for c in plain.documents
         ]
         assert [c.score for c in explained.documents] == [c.score for c in plain.documents]
+
+
+#: Degenerate questions (ROADMAP item 4): explain must describe them, not raise.
+HOSTILE = {
+    "empty": "",
+    "stop-words-only": "il la di",
+    "all-unseen": "zzz",
+    "repeated-term": " ".join(["sbloccare"] * 10),
+}
+
+
+class TestHostileQuestions:
+    @pytest.mark.parametrize("question", HOSTILE.values(), ids=HOSTILE.keys())
+    @pytest.mark.parametrize("deployment", ["system", "sharded"])
+    def test_degenerate_question_gets_an_exact_report(self, request, deployment, question):
+        engine = request.getfixturevalue(deployment).engine
+        report = engine.answer(AskRequest(question, AskOptions(explain=True))).explain
+        assert report is not None and report.sums_exact
+        text_keys = [k for entry in report.entries for k in entry.leg_scores if k.startswith("bm25_")]
+        if question == HOSTILE["repeated-term"]:
+            # Ten occurrences accumulate under one key per field.
+            assert {k.split(":", 1)[1] for k in text_keys if ":" in k} == {"sbloccar"}
+        else:
+            assert text_keys == []  # no analyzed term matched: the text leg is silent
 
 
 class TestExplainCacheInteraction:

@@ -125,18 +125,18 @@ class TestRateDriftDetector:
             detector.observe(value)
 
     def test_drop_fires_but_rise_does_not(self):
-        drop = RateDriftDetector("r", reference_size=40, window_size=20, direction=-1)
+        drop = RateDriftDetector("r", reference_size=40, window_size=20)
         self.feed(drop, [True] * 36 + [False] * 4)  # reference: 90% pass
         self.feed(drop, [False] * 16 + [True] * 4)  # window: 20% pass
         assert drop.check().drifted
 
-        rise = RateDriftDetector("r", reference_size=40, window_size=20, direction=-1)
+        rise = RateDriftDetector("r", reference_size=40, window_size=20)
         self.feed(rise, [False] * 20 + [True] * 20)  # reference: 50%
         self.feed(rise, [True] * 20)  # window: 100% — an improvement
         assert not rise.check().drifted
 
     def test_small_moves_stay_quiet(self):
-        detector = RateDriftDetector("r", reference_size=40, window_size=20, direction=-1)
+        detector = RateDriftDetector("r", reference_size=40, window_size=20)
         self.feed(detector, [True] * 36 + [False] * 4)  # 90%
         self.feed(detector, [True] * 17 + [False] * 3)  # 85% — within min_delta
         assert not detector.check().drifted

@@ -234,6 +234,20 @@ class TestIndexingService:
             service.process_one()
         assert len(queue) == 1  # message back in the queue
 
+    def test_drain_rejects_what_process_one_rejects(self):
+        """An unknown action used to make ``drain()`` silently re-index the
+        document (generation +2) where ``process_one()`` raised."""
+        store, queue, index, service = self._wiring()
+        store.put(_doc("a", "x"))
+        queue.publish({"action": "upsert", "doc_id": "a"})
+        service.drain()
+        generation = index.generation
+        queue.publish({"action": "purge", "doc_id": "a"})
+        with pytest.raises(ValueError, match="unknown action 'purge'"):
+            service.drain()
+        assert (len(queue), queue.in_flight) == (1, 0)  # abandoned, not lost
+        assert index.generation == generation  # nothing was re-indexed
+
     def test_metadata_mapped_to_chunks(self):
         store, queue, index, service = self._wiring()
         store.put(

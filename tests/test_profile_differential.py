@@ -15,6 +15,8 @@ additive overlay.
 3. **Work counts are deterministic.**  Identical questions against an
    identical index produce ``==``-identical work counts — across repeats
    and across freshly built deployments.
+4. **Explain describes the request it explains.**  Asking for the explain
+   report changes none of the work the request books.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 
 import pytest
 
-from repro.api import AskOptions, AskRequest
+from repro.api import AskOptions, AskRequest, IndexConfig
 from repro.service.backend import ROLE_OPS
 from repro.service.frontend import render_answer_page
 from repro.service.monitoring import format_dashboard
@@ -217,3 +219,24 @@ class TestExplainCarriesWork:
         assert report.work is None
         assert "work:" not in report.format_report()
         assert "work" not in report.to_dict()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_explain_books_the_work_of_the_plain_request(self, tiny_kb, banking_lexicon, shards):
+        """While a second scorer served explain it booked its own counts:
+        live postings only, and no ``segments_touched`` at all."""
+        system, _ = build(
+            tiny_kb, banking_lexicon, shards=shards, index=IndexConfig(flush_threshold=4)
+        )
+        for generated in tiny_kb.documents[::5]:  # tombstones in sealed segments
+            assert system.index.delete_document(generated.doc_id)
+        members = [system.index] if shards == 1 else [
+            system.index.shard_index(shard_id) for shard_id in system.index.shard_ids
+        ]
+        assert all(m.segment_count >= 2 and m.tombstone_ratio > 0 for m in members)
+        for question in QUESTIONS:
+            plain = system.engine.answer(AskRequest(question, AskOptions(profile=True)))
+            explained = system.engine.answer(
+                AskRequest(question, AskOptions(profile=True, explain=True))
+            )
+            assert plain.work and plain.work == explained.work
+            assert explained.explain.work == plain.work

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord
 
@@ -86,11 +87,8 @@ class TestReads:
     def test_deleted_chunks_not_in_fulltext(self, index):
         index.add_chunks([_record("a"), _record("b")])
         index.delete_document("a")
-        inverted = index.inverted_index("content")
-        terms = inverted.analyze_query("contenuto documento")
-        live_hits = {i for i in index.live_internals()}
-        for term in terms:
-            assert set(inverted.postings(term)) <= live_hits
+        hits = FullTextSearch(index).search("contenuto documento")
+        assert {hit.record.doc_id for hit in hits} == {"b"}
 
     def test_deleted_chunks_not_in_vector_results(self, index):
         index.add_chunks([_record("a"), _record("b"), _record("c")])

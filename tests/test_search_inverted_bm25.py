@@ -8,6 +8,7 @@ import pytest
 
 from repro.search.bm25 import Bm25Parameters, Bm25Scorer
 from repro.search.inverted import InvertedIndex
+from tests.reference_bm25 import ReferenceBm25Scorer
 
 
 @pytest.fixture()
@@ -74,6 +75,14 @@ class TestInvertedIndex:
         assert index.postings("il") == {}
 
 
+def score_all(index: InvertedIndex, terms: list[str]) -> dict[int, float]:
+    """The served scores as a dict, held bit-equal to the reference loop's."""
+    ids, scores = Bm25Scorer(index).score_arrays(terms)
+    served = dict(zip(ids.tolist(), scores.tolist()))
+    assert served == ReferenceBm25Scorer(index).score_all(terms)
+    return served
+
+
 class TestBm25:
     def test_idf_decreases_with_frequency(self, index):
         scorer = Bm25Scorer(index)
@@ -87,41 +96,35 @@ class TestBm25:
             assert scorer.idf(index.analyze_query(term)[0]) >= 0.0
 
     def test_matching_doc_ranks_first(self, index):
-        scorer = Bm25Scorer(index)
-        scores = scorer.score_all(index.analyze_query("bonifico estero"))
+        scores = score_all(index, index.analyze_query("bonifico estero"))
         assert max(scores, key=scores.get) == 2
 
     def test_more_matched_terms_scores_higher(self, index):
-        scorer = Bm25Scorer(index)
-        scores = scorer.score_all(index.analyze_query("bloccare carta"))
+        scores = score_all(index, index.analyze_query("bloccare carta"))
         assert scores[1] > scores[0]
 
     def test_no_match_empty(self, index):
-        scorer = Bm25Scorer(index)
-        assert scorer.score_all(["zzz"]) == {}
+        assert score_all(index, ["zzz"]) == {}
 
     def test_scores_only_matching_docs(self, index):
-        scorer = Bm25Scorer(index)
-        assert set(scorer.score_all(index.analyze_query("carta credito"))) == {0, 1}
+        assert set(score_all(index, index.analyze_query("carta credito"))) == {0, 1}
 
     def test_empty_query_scores_nothing(self, index):
-        assert Bm25Scorer(index).score_all([]) == {}
+        assert score_all(index, []) == {}
 
     def test_tf_saturation(self):
         """BM25's tf term saturates: 100 repetitions ≪ 100x one occurrence."""
         idx = InvertedIndex()
         idx.add(0, "carta " * 100)
         idx.add(1, "carta e altre parole di contesto generale")
-        scorer = Bm25Scorer(idx)
-        scores = scorer.score_all(idx.analyze_query("carta"))
+        scores = score_all(idx, idx.analyze_query("carta"))
         assert scores[0] < 5 * scores[1]
 
     def test_length_normalization_prefers_shorter(self):
         idx = InvertedIndex()
         idx.add(0, "bonifico " + "parola " * 50)
         idx.add(1, "bonifico in breve")
-        scorer = Bm25Scorer(idx)
-        scores = scorer.score_all(idx.analyze_query("bonifico"))
+        scores = score_all(idx, idx.analyze_query("bonifico"))
         assert scores[1] > scores[0]
 
     def test_parameter_validation(self):
@@ -137,6 +140,6 @@ class TestBm25:
         assert scorer.idf(term) == pytest.approx(expected)
 
     def test_empty_index(self):
-        scorer = Bm25Scorer(InvertedIndex())
-        assert scorer.idf("x") == 0.0
-        assert scorer.score_all(["x"]) == {}
+        index = InvertedIndex()
+        assert Bm25Scorer(index).idf("x") == 0.0
+        assert score_all(index, ["x"]) == {}

@@ -1,10 +1,11 @@
 """Bitwise differential tests of the vectorized BM25 kernels.
 
 The kernel path (:mod:`repro.search.kernels`) is not gated "approximately
-equal" to the loop scorer — the contract is **byte identity**: every score
-:meth:`Bm25Scorer.score_arrays` returns carries the same float bits as
-:meth:`Bm25Scorer.score_all`.  Every comparison here is ``==``, never
-``approx``.
+equal" to the reference loop (:mod:`tests.reference_bm25`) — the contract is
+**byte identity**: every score :meth:`Bm25Scorer.score_arrays` returns and
+every per-term contribution :meth:`Bm25Scorer.term_contributions` returns
+carries the same float bits as the loop's.  Every comparison here is ``==``,
+never ``approx``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.sharded_index import ShardedSearchIndex
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.obs.trace import RequestContext
 from repro.search.bm25 import Bm25Parameters, Bm25Scorer
@@ -23,6 +27,7 @@ from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord
 from repro.search.segment import IndexConfig, SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER
+from tests.reference_bm25 import ReferenceBm25Scorer
 
 #: Words that survive the Italian analyzer, skewed so random corpora get a
 #: realistic df spread (common terms, mid-frequency terms, rare terms).
@@ -66,11 +71,12 @@ class TestScoreArrays:
     def test_bitwise_matches_loop_scorer(self):
         index = build_index(seed=11)
         scorer = Bm25Scorer(index)
+        reference = ReferenceBm25Scorer(index)
         rng = random.Random(7)
         non_trivial = 0
         for _ in range(50):
             terms = random_query_terms(rng, index)
-            expected = scorer.score_all(terms)
+            expected = reference.score_all(terms)
             assert arrays_as_dict(scorer, terms) == expected  # bit-exact, not approx
             non_trivial += bool(expected)
         assert non_trivial > 40
@@ -160,14 +166,15 @@ class TestSegmentedViews:
         # must still be bit-identical to a monolith holding the live docs.
         view, monolith = self._stores(seed=41, docs=90, flush_threshold=16)
         kernel_scorer = Bm25Scorer(view)
-        loop_scorer = Bm25Scorer(monolith)
+        loop_scorer = ReferenceBm25Scorer(monolith)
         assert len(view.kernel_views()) > 2
         rng = random.Random(13)
         for _ in range(40):
             terms = random_query_terms(rng, monolith)
-            expected = loop_scorer.score_all(terms)
+            expected, per_term = loop_scorer.score_all_explained(terms)
             assert arrays_as_dict(kernel_scorer, terms) == expected
-            assert kernel_scorer.score_all(terms) == expected
+            # Asked about every id ever added: tombstoned ones get no entry.
+            assert kernel_scorer.term_contributions(terms, np.arange(90)) == per_term
 
     def test_view_statistics_are_exact(self):
         view, monolith = self._stores(seed=2, docs=50, flush_threshold=8)
@@ -197,3 +204,102 @@ class TestKernelPostings:
             assert 0 not in masked and 5 not in masked
             full = kernel.postings_dict(term)
             assert masked == {d: tf for d, tf in full.items() if d not in (0, 5)}
+
+
+# -- served explain vs the reference loop ----------------------------------
+
+WORDS = ("carta", "bonifico", "prelievo", "conto", "estero", "limite", "blocco", "mutuo")
+UNSEEN = ("inesistente", "zzz")
+
+_texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=10).map(" ".join)
+_docs = st.integers(0, 9).map("d{}".format)
+_adds = st.tuples(st.just("add"), _docs, _texts, _texts)  # re-adding a doc replaces it
+_writes = st.lists(
+    st.one_of(_adds, _adds, _adds, st.tuples(st.just("delete"), _docs)),
+    min_size=10,  # at flush_threshold=2: several sealed segments, often a partial buffer
+    max_size=30,
+)
+#: A few seen/unseen words plus one word repeated 1–4 times, in any order.
+_queries = (
+    st.tuples(
+        st.lists(st.sampled_from(WORDS + UNSEEN), max_size=4),
+        st.sampled_from(WORDS),
+        st.integers(1, 4),
+    )
+    .flatmap(lambda parts: st.permutations(parts[0] + [parts[1]] * parts[2]))
+    .map(" ".join)
+)
+
+
+def reference_explain(index, live: dict[str, ChunkRecord], query: str):
+    """``chunk_id -> (score bits, component items)`` from the reference loop.
+
+    One plain :class:`InvertedIndex` per field over *all* live records —
+    the collection a single index holds and a cluster's global statistics
+    describe — scored doc-at-a-time; components in the served key order
+    (``bm25_<field>`` then that field's ``bm25_<field>:<term>`` entries).
+    """
+    chunk_ids = list(live)
+    combined: dict[int, float] = {}
+    components: dict[int, dict[str, float]] = {}
+    for field_name in index.schema.searchable_fields:
+        plain = InvertedIndex(FULL_ANALYZER)
+        for number, chunk_id in enumerate(chunk_ids):
+            plain.add(number, live[chunk_id].value(field_name))
+        scores, per_term = ReferenceBm25Scorer(plain).score_all_explained(
+            plain.analyze_query(query)
+        )
+        for number, score in scores.items():
+            combined[number] = combined.get(number, 0.0) + 1.0 * score
+            breakdown = components.setdefault(number, {})
+            breakdown[f"bm25_{field_name}"] = score
+            for term, contribution in per_term[number].items():
+                breakdown[f"bm25_{field_name}:{term}"] = contribution
+    return {
+        chunk_ids[number]: (score.hex(), [(k, v.hex()) for k, v in components[number].items()])
+        for number, score in combined.items()
+    }
+
+
+def served_explain(search_indexes, query: str):
+    """The same mapping from explain requests against each index or shard view."""
+    served = {}
+    for search_index in search_indexes:
+        hits = FullTextSearch(search_index).search(query, n=1000, ctx=RequestContext(explain=True))
+        for hit in hits:
+            assert hit.record.chunk_id not in served
+            served[hit.record.chunk_id] = (
+                hit.score.hex(),
+                [(key, value.hex()) for key, value in hit.components.items()],
+            )
+    return served
+
+
+@settings(max_examples=60, deadline=None)
+@given(_writes, st.lists(_queries, min_size=1, max_size=3))
+def test_served_per_term_contributions_equal_the_reference_loop(writes, queries):
+    """Scores, per-term bits and component key order, single index and 3 shards."""
+    options = dict(
+        embedder=SyntheticAdaEmbedder(None, dim=8, seed=1),
+        ann_backend="exact",
+        index_config=IndexConfig(flush_threshold=2),
+    )
+    single = SearchIndex(**options)
+    cluster = ShardedSearchIndex(num_shards=3, **options)
+    live: dict[str, ChunkRecord] = {}
+    for write in writes:
+        if write[0] == "add":
+            _, doc, title, content = write
+            record = ChunkRecord(f"{doc}#0", doc, title=title, content=content)
+            live[record.chunk_id] = record
+            single.add_chunk(record)
+            cluster.add_chunk(record)
+        else:
+            live.pop(f"{write[1]}#0", None)
+            single.delete_document(write[1])
+            cluster.delete_document(write[1])
+    shard_views = [cluster.search_view(shard_id) for shard_id in cluster.shard_ids]
+    for query in queries:
+        expected = reference_explain(single, live, query)
+        assert served_explain([single], query) == expected
+        assert served_explain(shard_views, query) == expected

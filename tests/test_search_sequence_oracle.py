@@ -4,9 +4,9 @@ A random walk of writes and maintenance drives one small-threshold
 :class:`SearchIndex` through every state the segmented store can reach —
 buffered, sealed, tombstoned, compacted, merged, vacuumed.  After every
 step the served BM25 ranking must equal, ``==`` on ids and score bits, a
-fresh plain :class:`InvertedIndex` + ``score_all`` rebuilt from the live
-records alone, and the ``explain=True`` request (the per-term loop over the
-segmented views) must return the served scores.  The rebuilt reference
+fresh plain :class:`InvertedIndex` scored by the reference loop
+(:mod:`tests.reference_bm25`) rebuilt from the live records alone, and the
+``explain=True`` request must return the served scores.  The rebuilt reference
 knows nothing about segments, ledgers or masks, so any statistic the
 segmented store lets drift (e.g. a tombstone that forgets ``deleted_df``)
 shows up as a bit difference.
@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.obs.trace import RequestContext
-from repro.search.bm25 import Bm25Scorer
 from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord
 from repro.search.segment import IndexConfig
+from tests.reference_bm25 import ReferenceBm25Scorer
 
 WORDS = ("carta", "bonifico", "prelievo", "conto", "estero", "limite", "blocco", "mutuo")
 QUERIES = ("carta bonifico", "prelievo conto estero carta", "limite blocco mutuo carta carta")
@@ -55,7 +55,8 @@ def reference_ranking(
         plain = InvertedIndex(index.analyzer)
         for internal in live.values():
             plain.add(internal, index.record(internal).value(field_name))
-        for internal, score in Bm25Scorer(plain).score_all(plain.analyze_query(query)).items():
+        scores = ReferenceBm25Scorer(plain).score_all(plain.analyze_query(query))
+        for internal, score in scores.items():
             combined[internal] = combined.get(internal, 0.0) + 1.0 * score
     ranked = sorted(combined.items(), key=lambda pair: (-pair[1], pair[0]))[:TOP_N]
     return [(internal, score.hex()) for internal, score in ranked]
