@@ -11,6 +11,7 @@ a reload.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from repro.cluster.planner import ShardPlanner
@@ -23,6 +24,15 @@ _FORMAT_VERSION = 1
 
 _MANIFEST = "cluster.json"
 
+#: Every manifest key and the JSON type it must have; members are integers.
+_MANIFEST_TYPES = {
+    "vnodes": int,
+    "shard_ids": list,
+    "pins": dict,
+    "next_ordinal": int,
+    "ordinals": dict,
+}
+
 
 def _shard_directory(directory: Path, shard_id: int) -> Path:
     return directory / f"shard-{shard_id:03d}"
@@ -33,12 +43,17 @@ def save_cluster(index: ShardedSearchIndex, directory: str | Path) -> Path:
 
     Returns the directory path.  Tombstoned chunks are not persisted
     (``save_index`` acts as an implicit per-shard vacuum), so only live
-    chunks' ordinals enter the manifest.
+    chunks' ordinals enter the manifest.  The shards are written first and
+    the manifest last, through a temporary file renamed into place: an
+    interrupted save never leaves a manifest describing shards that are
+    not (yet) on disk.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     planner = index.planner
+    for shard_id in planner.shard_ids:
+        save_index(index.shard_index(shard_id), _shard_directory(directory, shard_id))
     manifest = {
         "version": _FORMAT_VERSION,
         "vnodes": planner.vnodes,
@@ -47,10 +62,36 @@ def save_cluster(index: ShardedSearchIndex, directory: str | Path) -> Path:
         "next_ordinal": index.next_ordinal,
         "ordinals": index.live_ordinals(),
     }
-    (directory / _MANIFEST).write_text(json.dumps(manifest, ensure_ascii=False))
-    for shard_id in planner.shard_ids:
-        save_index(index.shard_index(shard_id), _shard_directory(directory, shard_id))
+    temporary = directory / (_MANIFEST + ".tmp")
+    temporary.write_text(json.dumps(manifest, ensure_ascii=False))
+    os.replace(temporary, directory / _MANIFEST)
     return directory
+
+
+def _read_manifest(directory: Path) -> dict:
+    """The manifest of *directory*, checked; ``ValueError`` names what is wrong.
+
+    A manifest that parses but lies must not load: a chunk without its
+    ordinal would silently sort last on score ties instead of failing.
+    """
+    manifest = json.loads((directory / _MANIFEST).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("cluster manifest is not a JSON object")
+    if manifest.get("version") != _FORMAT_VERSION:
+        raise ValueError(f"unsupported cluster format version: {manifest.get('version')}")
+    manifest.setdefault("pins", {})
+    for key, kind in _MANIFEST_TYPES.items():
+        value = manifest.get(key)
+        if not isinstance(value, kind):
+            raise ValueError(f"cluster manifest {key!r} must be a {kind.__name__}, found {value!r}")
+        members = (value,) if kind is int else value if kind is list else value.values()
+        if not all(type(member) is int for member in members):
+            raise ValueError(f"cluster manifest {key!r} holds a non-integer")
+    for shard_id in manifest["shard_ids"]:
+        shard_directory = _shard_directory(directory, shard_id)
+        if not shard_directory.is_dir():
+            raise ValueError(f"shard {shard_id} has no {shard_directory.name} directory")
+    return manifest
 
 
 def load_cluster(
@@ -67,14 +108,9 @@ def load_cluster(
     shard's bulk load ends sealed rather than buffered.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / _MANIFEST).read_text())
-    if manifest.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported cluster format version: {manifest.get('version')}")
-
+    manifest = _read_manifest(directory)
     planner = ShardPlanner(
-        shard_ids=manifest["shard_ids"],
-        vnodes=manifest["vnodes"],
-        pins={doc: int(shard) for doc, shard in manifest.get("pins", {}).items()},
+        shard_ids=manifest["shard_ids"], vnodes=manifest["vnodes"], pins=manifest["pins"]
     )
     shard_indexes = {
         shard_id: load_index(
@@ -96,8 +132,14 @@ def load_cluster(
         shard_indexes=shard_indexes,
         index_config=index_config,
     )
-    index.restore_ordinals(
-        {chunk: int(ordinal) for chunk, ordinal in manifest["ordinals"].items()},
-        next_ordinal=int(manifest["next_ordinal"]),
-    )
+    ordinals = manifest["ordinals"]
+    live = index.live_ordinals().keys()
+    if live != ordinals.keys():
+        unordered, orphaned = sorted(live - ordinals.keys()), sorted(ordinals.keys() - live)
+        raise ValueError(
+            f"cluster manifest ordinals do not match the shards' live chunks: "
+            f"{len(unordered)} live chunks without an ordinal {unordered[:3]}, "
+            f"{len(orphaned)} ordinals for no live chunk {orphaned[:3]}"
+        )
+    index.restore_ordinals(ordinals, next_ordinal=manifest["next_ordinal"])
     return index

@@ -19,7 +19,9 @@ the answer and in monitoring.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.cache.config import CacheConfig
 from repro.cache.key import retrieval_cache_key
@@ -36,7 +38,7 @@ from repro.obs.work import (
     WORK_SCATTER_LEGS,
 )
 from repro.pipeline.clock import SimulatedClock
-from repro.search.fulltext import FullTextSearch, ScoringProfile
+from repro.search.fulltext import FullTextSearch, ScoringProfile, TextPlan
 from repro.search.hybrid import HybridSearchConfig, fuse_and_rerank
 from repro.search.reranker import SemanticReranker
 from repro.search.results import RetrievedChunk
@@ -425,7 +427,9 @@ class ClusterSearcher:
         flag (per-term BM25 breakdowns) and work counters (kernel-level
         counts attribute to the request).  Returns the merged rankings and
         the report, which the callers publish once their ranking is done.
+        An unknown filter field raises before any replica is probed.
         """
+        self.index.schema.check_filters(filters)
         self._sync_topology()
         self._observe_control_state()
         config = self.config
@@ -454,6 +458,9 @@ class ClusterSearcher:
         leg_ctx = NULL_CONTEXT
         if ctx.explain or work is not None:
             leg_ctx = RequestContext(explain=ctx.explain, work=work)
+        # The text legs' analyzed terms and global statistics: taken at most
+        # once per request, by the first leg that has to score.
+        plan = functools.cache(lambda: self._fulltext[self.index.shard_ids[0]].plan(query))
         probes: list[ShardProbe] = []
         now = self._clock.now()
         scatter_attrs = {"degraded": True} if degraded else {}
@@ -470,7 +477,7 @@ class ClusterSearcher:
                         if work is not None:
                             work.add(WORK_SCATTER_LEGS)
                         leg_text, leg_vector, served_from_cache = self._shard_legs(
-                            shard_id, cache_key, query, query_vector, filters, leg_ctx, mode
+                            shard_id, cache_key, query, query_vector, filters, leg_ctx, mode, plan
                         )
                         text_candidates.extend(leg_text)
                         gathered += len(leg_text)
@@ -508,8 +515,12 @@ class ClusterSearcher:
         filters: dict[str, str] | None,
         leg_ctx: RequestContext,
         mode: str,
+        plan: Callable[[], TextPlan],
     ):
         """The text and vector leg results of one shard, cached when possible.
+
+        *plan* returns the request's :meth:`FullTextSearch.plan`; it is
+        called only when a text leg is actually scored here.
 
         With ``leg_ctx.explain`` every gathered chunk is tagged with its
         shard of origin; with ``leg_ctx.work`` the retrieval-cache consult
@@ -535,7 +546,7 @@ class ClusterSearcher:
         leg_vector: dict[str, list[RetrievedChunk]] = {}
         if mode in ("hybrid", "text"):
             leg_text = self._fulltext[shard_id].search(
-                query, n=config.text_n, filters=filters, ctx=leg_ctx
+                query, n=config.text_n, filters=filters, ctx=leg_ctx, plan=plan()
             )
         if query_vector is not None:
             leg_vector = self._vector[shard_id].search_by_vector(

@@ -1,6 +1,6 @@
 """Search substrate: index, BM25, vector search, fusion, reranking, HSS."""
 
-from repro.search.bm25 import Bm25Parameters, Bm25Scorer
+from repro.search.bm25 import Bm25Parameters, Bm25Scorer, Bm25Statistics
 from repro.search.expansion import Mq1Expansion, Mq2Expansion, QgaExpansion
 from repro.search.fulltext import FullTextSearch, ScoringProfile
 from repro.search.fusion import DEFAULT_RRF_CONSTANT, reciprocal_rank_fusion
@@ -17,6 +17,7 @@ from repro.search.vector import VectorSearch
 __all__ = [
     "Bm25Parameters",
     "Bm25Scorer",
+    "Bm25Statistics",
     "Mq1Expansion",
     "Mq2Expansion",
     "QgaExpansion",

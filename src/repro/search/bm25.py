@@ -40,6 +40,26 @@ class Bm25Parameters:
             raise ValueError("b must lie in [0, 1]")
 
 
+@dataclass(frozen=True)
+class Bm25Statistics:
+    """The collection statistics one analyzed query scores against.
+
+    Everything BM25 needs from the *collection* (as opposed to the postings
+    it walks): computed once by :meth:`Bm25Scorer.statistics` and handed to
+    any number of scorers — on a cluster the router takes them from the
+    global view once per request and every shard leg scores against the
+    same value (query-then-fetch).
+
+    Attributes:
+        term_idfs: the analyzed query as ``(term, idf)`` pairs, in query
+            order with repeats preserved.
+        average_length: mean field length, 1.0 for an empty collection.
+    """
+
+    term_idfs: tuple[tuple[str, float], ...]
+    average_length: float
+
+
 class Bm25Scorer:
     """Scores an analyzed query against one field's postings.
 
@@ -61,31 +81,29 @@ class Bm25Scorer:
 
     def idf(self, term: str) -> float:
         """Lucene-style lower-bounded inverse document frequency of *term*."""
-        return self._idf(term, len(self._index))
+        return self.statistics([term]).term_idfs[0][1]
 
-    def _idf(self, term: str, n: int) -> float:
-        """:meth:`idf` for a collection of *n* documents."""
-        if n == 0:
-            return 0.0
-        df = self._index.document_frequency(term)
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+    def statistics(self, query_terms: list[str]) -> Bm25Statistics:
+        """The collection statistics *query_terms* score against.
 
-    def _term_sequence(self, query_terms: list[str]) -> list[tuple[str, float]]:
-        """The analyzed query as ``(term, idf)`` pairs, repeats preserved."""
-        # One len() per query: on a cluster view it is a sum over every
-        # shard's segments.
+        The only reader of ``len(index)``, ``document_frequency`` and
+        ``average_length``: each is read once per call (per distinct term
+        for the document frequency) — on a cluster view every one of them
+        is a sum over every shard's segments.
+        """
         n = len(self._index)
-        idf_cache: dict[str, float] = {}
-        sequence: list[tuple[str, float]] = []
-        for term in query_terms:
-            idf = idf_cache.get(term)
-            if idf is None:
-                idf = idf_cache[term] = self._idf(term, n)
-            sequence.append((term, idf))
-        return sequence
+        idfs = dict.fromkeys(query_terms, 0.0)  # an empty collection scores nothing
+        if n:
+            for term in idfs:
+                df = self._index.document_frequency(term)
+                idfs[term] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        return Bm25Statistics(
+            term_idfs=tuple((term, idfs[term]) for term in query_terms),
+            average_length=self._index.average_length or 1.0,
+        )
 
     def score_arrays(
-        self, query_terms: list[str], work=None
+        self, query_terms: list[str], work=None, statistics: Bm25Statistics | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """BM25 scores of every live document matching a query term.
 
@@ -95,7 +113,9 @@ class Bm25Scorer:
         :mod:`repro.search.kernels`), so the id→score mapping is
         bit-identical to ``tests/reference_bm25.py``.
 
-        *work* is an optional :class:`~repro.obs.work.WorkCounters`.
+        *statistics* are :meth:`statistics` of *query_terms* when the
+        caller already holds them; the index's statistics are then not
+        read.  *work* is an optional :class:`~repro.obs.work.WorkCounters`.
         """
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         views: list[KernelView] = self._index.kernel_views()
@@ -103,15 +123,15 @@ class Bm25Scorer:
             return empty
         if work is not None:
             work.add(WORK_SEGMENTS_TOUCHED, len(views))
-        sequence = self._term_sequence(query_terms)
+        if statistics is None:
+            statistics = self.statistics(query_terms)
         k1, b = self._parameters.k1, self._parameters.b
-        average_length = self._index.average_length or 1.0
         id_parts: list[np.ndarray] = []
         score_parts: list[np.ndarray] = []
         scored = 0
         for view in views:
             acc, touched = view.kernel.accumulate_bm25(
-                sequence, k1, b, average_length, work=work
+                statistics.term_idfs, k1, b, statistics.average_length, work=work
             )
             slots = view.live_slots(np.nonzero(touched)[0])
             if slots.size:
@@ -125,7 +145,10 @@ class Bm25Scorer:
         return np.concatenate(id_parts), np.concatenate(score_parts)
 
     def term_contributions(
-        self, query_terms: list[str], doc_ids: np.ndarray
+        self,
+        query_terms: list[str],
+        doc_ids: np.ndarray,
+        statistics: Bm25Statistics | None = None,
     ) -> dict[int, dict[str, float]]:
         """Each analyzed term's share of the scores of *doc_ids* (explain).
 
@@ -135,19 +158,22 @@ class Bm25Scorer:
         :meth:`~repro.search.kernels.KernelPostings.accumulate_bm25`'s
         operator sequence to the requested (live) documents only; a
         repeated query term accumulates by repeated addition, so the
-        per-term values sum to the score up to float reassociation.  Books
-        no work: explaining a request must not change what it cost.
+        per-term values sum to the score up to float reassociation.
+        *statistics* as in :meth:`score_arrays`: handed the value the
+        ranking was scored with, the explanation cannot disagree with it.
+        Books no work: explaining a request must not change what it cost.
         """
-        sequence = self._term_sequence(query_terms)
+        if statistics is None:
+            statistics = self.statistics(query_terms)
         k1, b = self._parameters.k1, self._parameters.b
-        average_length = self._index.average_length or 1.0
+        average_length = statistics.average_length
         per_term: dict[int, dict[str, float]] = {}
         for view in self._index.kernel_views():
             kernel = view.kernel
             wanted = np.isin(kernel.doc_ids, doc_ids)
             if view.live is not None:
                 wanted &= view.live
-            for term, idf in sequence:
+            for term, idf in statistics.term_idfs:
                 arrays = kernel.term_arrays(term)
                 if arrays is None:
                     continue

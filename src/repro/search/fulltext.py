@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.obs import spans
 from repro.obs.trace import NULL_CONTEXT, RequestContext
-from repro.search.bm25 import Bm25Parameters, Bm25Scorer
+from repro.search.bm25 import Bm25Parameters, Bm25Scorer, Bm25Statistics
 from repro.search.index import SearchIndex
 from repro.search.results import RetrievedChunk
 
@@ -40,6 +40,12 @@ class ScoringProfile:
         return ScoringProfile(weights={"title": factor})
 
 
+#: What :meth:`FullTextSearch.plan` makes of a question: per searchable
+#: field that analyzes to something, the analyzed terms and the collection
+#: statistics they score against.
+TextPlan = dict[str, tuple[list[str], Bm25Statistics]]
+
+
 class FullTextSearch:
     """BM25 search across the searchable fields of a :class:`SearchIndex`."""
 
@@ -55,14 +61,35 @@ class FullTextSearch:
         self._parameters = parameters or Bm25Parameters()
         self._fields = search_fields or index.schema.searchable_fields
 
+    def plan(self, query: str) -> TextPlan:
+        """Analyze *query* and read the collection statistics it scores against.
+
+        Everything about a request that does not depend on which postings
+        are walked.  :meth:`search` builds one itself; a cluster router
+        takes it once from the global-statistics view of any shard and
+        hands it to every shard's :meth:`search` (all shards share one
+        analyzer and one schema).
+        """
+        plan: TextPlan = {}
+        for field_name in self._fields:
+            inverted = self._index.inverted_index(field_name)
+            terms = inverted.analyze_query(query)
+            if terms:
+                scorer = Bm25Scorer(inverted, self._parameters)
+                plan[field_name] = (terms, scorer.statistics(terms))
+        return plan
+
     def search(
         self,
         query: str,
         n: int = 50,
         filters: dict[str, str] | None = None,
         ctx: RequestContext = NULL_CONTEXT,
+        plan: TextPlan | None = None,
     ) -> list[RetrievedChunk]:
         """Top-*n* chunks for *query* by profile-weighted BM25.
+
+        *plan* is :meth:`plan` of *query* when the caller already holds it.
 
         Per-field kernel scores land in a dense accumulator indexed by
         internal id, added field-by-field — each document's combined score
@@ -77,23 +104,23 @@ class FullTextSearch:
         """
         with ctx.span(spans.STAGE_FULLTEXT, n=n) as span:
             field_results: list[
-                tuple[str, float, np.ndarray, np.ndarray, Bm25Scorer, list[str]]
+                tuple[str, float, np.ndarray, np.ndarray, Bm25Scorer]
             ] = []
             max_internal = -1
-            for field_name in self._fields if n > 0 else ():  # n <= 0 scores nothing
-                inverted = self._index.inverted_index(field_name)
-                terms = inverted.analyze_query(query)
-                if not terms:
-                    continue
-                scorer = Bm25Scorer(inverted, self._parameters)
-                ids, scores = scorer.score_arrays(terms, work=ctx.work)
+            if n <= 0:
+                plan = {}  # scores nothing
+            elif plan is None:
+                plan = self.plan(query)
+            for field_name, (terms, statistics) in plan.items():
+                scorer = Bm25Scorer(self._index.inverted_index(field_name), self._parameters)
+                ids, scores = scorer.score_arrays(terms, work=ctx.work, statistics=statistics)
                 if ids.size:
                     weight = self._profile.weight(field_name)
-                    field_results.append((field_name, weight, ids, scores, scorer, terms))
+                    field_results.append((field_name, weight, ids, scores, scorer))
                     max_internal = max(max_internal, int(ids.max()))
             combined = np.zeros(max_internal + 1, dtype=np.float64)
             touched = np.zeros(max_internal + 1, dtype=bool)
-            for _, weight, ids, scores, _, _ in field_results:
+            for _, weight, ids, scores, _ in field_results:
                 combined[ids] += weight * scores
                 touched[ids] = True
             candidates = np.nonzero(touched)[0]
@@ -109,10 +136,15 @@ class FullTextSearch:
                 if len(selected) == n:
                     break
             selected_ids = np.array([internal for internal, _ in selected], dtype=np.int64)
+            chosen = np.zeros(max_internal + 1, dtype=bool)
+            chosen[selected_ids] = True
             per_field: dict[int, dict[str, float]] = {}
-            for field_name, _, ids, scores, scorer, terms in field_results:
-                mask = np.isin(ids, selected_ids)
-                per_term = scorer.term_contributions(terms, selected_ids) if ctx.explain else {}
+            for field_name, _, ids, scores, scorer in field_results:
+                mask = chosen[ids]
+                per_term: dict[int, dict[str, float]] = {}
+                if ctx.explain:
+                    terms, statistics = plan[field_name]
+                    per_term = scorer.term_contributions(terms, selected_ids, statistics)
                 for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
                     breakdown = per_field.setdefault(internal, {})
                     breakdown[f"bm25_{field_name}"] = score

@@ -86,6 +86,7 @@ class HybridSemanticSearch:
         ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Retrieve the final ranking of chunks for *query*."""
+        self.index.schema.check_filters(filters)
         config = self.config
         self._m_searches.labels(config.mode).inc()
         rankings: dict[str, list[RetrievedChunk]] = {}
@@ -116,6 +117,7 @@ class HybridSemanticSearch:
         so a deployment configured for hybrid retrieval can serve
         degraded answers per request without touching its config.
         """
+        self.index.schema.check_filters(filters)
         self._m_searches.labels("degraded").inc()
         ranking = self._fulltext.search(
             query, n=self.config.text_n, filters=filters, ctx=ctx
@@ -136,6 +138,7 @@ class HybridSemanticSearch:
         variant, which concatenates generated query texts and averages their
         embeddings.
         """
+        self.index.schema.check_filters(filters)
         config = self.config
         rankings: dict[str, list[RetrievedChunk]] = {
             "text": self._fulltext.search(query_text, n=config.text_n, filters=filters, ctx=ctx)

@@ -68,6 +68,16 @@ class IndexSchema:
         """Names of exact-match filterable fields."""
         return tuple(f.name for f in self.fields if f.filterable)
 
+    def check_filters(self, filters: dict[str, str] | None) -> None:
+        """Raise ``KeyError`` when *filters* names a field that is not filterable.
+
+        Searchers call this once per request, before any leg runs, so an
+        unknown filter is an error whether or not anything matches.
+        """
+        for name in filters or ():
+            if name not in self.filterable_fields:
+                raise KeyError(f"field {name!r} is not filterable")
+
     @property
     def retrievable_fields(self) -> tuple[str, ...]:
         """Names of fields returned in results."""

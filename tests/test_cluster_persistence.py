@@ -149,3 +149,92 @@ class TestClusterRoundtrip:
         fresh = SyntheticAdaEmbedder(None, dim=32, seed=9)
         load_cluster(tmp_path / "cluster", fresh, ann_backend="exact", seed=9)
         assert fresh.calls == 0
+
+
+def _edit_manifest(directory, edit) -> None:
+    path = directory / "cluster.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+#: damage → (manifest edit, what the ValueError must say)
+DAMAGE = {
+    "half-the-ordinals-gone": (
+        lambda m: [m["ordinals"].pop(chunk) for chunk in sorted(m["ordinals"])[::2]],
+        "6 live chunks without an ordinal",
+    ),
+    "ordinal-for-no-chunk": (
+        lambda m: m["ordinals"].update({"kb-doc-777#0": 777}),
+        "1 ordinals for no live chunk",
+    ),
+    "no-vnodes": (lambda m: m.pop("vnodes"), "'vnodes' must be a int"),
+    "no-ordinals": (lambda m: m.pop("ordinals"), "'ordinals' must be a dict"),
+    "no-next-ordinal": (lambda m: m.pop("next_ordinal"), "'next_ordinal' must be a int"),
+    "no-shard-ids": (lambda m: m.pop("shard_ids"), "'shard_ids' must be a list"),
+    "vnodes-a-string": (lambda m: m.update(vnodes="64"), "'vnodes' must be a int"),
+    "shard-ids-a-string": (lambda m: m.update(shard_ids="0,1,2"), "'shard_ids' must be a list"),
+    "pin-to-null": (lambda m: m.update(pins={"kb-doc-000": None}), "'pins' holds a non-integer"),
+    "ordinal-a-string": (
+        lambda m: m["ordinals"].update({"kb-doc-000#0": "0"}),
+        "'ordinals' holds a non-integer",
+    ),
+    "shard-without-directory": (
+        lambda m: m["shard_ids"].append(7),
+        "shard 7 has no shard-007 directory",
+    ),
+    "next-ordinal-too-small": (lambda m: m.update(next_ordinal=3), "next_ordinal must exceed"),
+}
+
+
+class TestDamagedManifest:
+    """A manifest that parses but lies must not load: half its ordinals
+    deleted used to load fine and left those chunks sorting last on ties."""
+
+    @pytest.mark.parametrize("edit, problem", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_each_damage_is_a_named_value_error(self, populated, embedder, tmp_path, edit, problem):
+        directory = save_cluster(populated, tmp_path / "cluster")
+        _edit_manifest(directory, edit)
+        with pytest.raises(ValueError, match=problem):
+            load_cluster(directory, embedder, ann_backend="exact", seed=9)
+
+    def test_a_shard_directory_gone_missing_is_named(self, populated, embedder, tmp_path):
+        directory = save_cluster(populated, tmp_path / "cluster")
+        (directory / "shard-001").rename(directory / "elsewhere")
+        with pytest.raises(ValueError, match="shard 1 has no shard-001 directory"):
+            load_cluster(directory, embedder, ann_backend="exact", seed=9)
+
+    def test_a_truncated_manifest_never_loads(self, populated, embedder, tmp_path):
+        directory = save_cluster(populated, tmp_path / "cluster")
+        text = (directory / "cluster.json").read_text()
+        for quarter in range(4):
+            (directory / "cluster.json").write_text(text[: len(text) * quarter // 4])
+            with pytest.raises(ValueError):
+                load_cluster(directory, embedder, ann_backend="exact", seed=9)
+
+    def test_manifest_is_written_last_and_whole(self, populated, embedder, tmp_path, monkeypatch):
+        """A save interrupted in a shard leaves no manifest (first save) or
+        the previous, still loadable, one — never one describing shards
+        that are not on disk."""
+        import repro.cluster.persistence as persistence
+
+        directory = tmp_path / "cluster"
+        real_save_index = persistence.save_index
+
+        def failing_on_the_last_shard(index, target):
+            if target.name == f"shard-{populated.shard_ids[-1]:03d}":
+                raise OSError("disk full")
+            return real_save_index(index, target)
+
+        monkeypatch.setattr(persistence, "save_index", failing_on_the_last_shard)
+        with pytest.raises(OSError):
+            save_cluster(populated, directory)
+        assert not (directory / "cluster.json").exists()
+        monkeypatch.undo()
+        save_cluster(populated, directory)
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "cluster.json", "shard-000", "shard-001", "shard-002",
+        ]
+        assert load_cluster(directory, embedder, ann_backend="exact", seed=9).live_ordinals() == (
+            populated.live_ordinals()
+        )

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.config import CacheConfig
 from repro.cluster import ClusterConfig, ClusterSearcher
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.obs import spans
 from repro.obs.trace import RequestContext
+from repro.search.fulltext import FullTextSearch
 from repro.search.hybrid import HybridSemanticSearch
 from repro.text.analyzer import FULL_ANALYZER
 
@@ -36,6 +38,42 @@ def exact_sharded(small_kb, lexicon):
     return build_uniask_system(
         small_kb.store(), lexicon, config=config, seed=3, ann_backend="exact"
     )
+
+
+def _count_global_statistics_reads(monkeypatch) -> dict[str, list]:
+    """Record every global-statistics read and every shard-view query analysis.
+
+    ``__len__`` / ``average_length`` / ``analyze_query`` append the field
+    read, ``document_frequency`` the ``(field, term)`` pair.
+    """
+    from repro.cluster.sharded_index import _GlobalStatsInverted
+
+    calls: dict[str, list] = {
+        "__len__": [], "average_length": [], "document_frequency": [], "analyze_query": [],
+    }
+    originals = {name: getattr(_GlobalStatsInverted, name) for name in calls}
+
+    def counted_len(view):
+        calls["__len__"].append(view._field_name)
+        return originals["__len__"](view)
+
+    def counted_average_length(view):
+        calls["average_length"].append(view._field_name)
+        return originals["average_length"].fget(view)
+
+    def counted_document_frequency(view, term):
+        calls["document_frequency"].append((view._field_name, term))
+        return originals["document_frequency"](view, term)
+
+    def counted_analyze_query(view, query):
+        calls["analyze_query"].append(view._field_name)
+        return originals["analyze_query"](view, query)
+
+    monkeypatch.setattr(_GlobalStatsInverted, "__len__", counted_len)
+    monkeypatch.setattr(_GlobalStatsInverted, "average_length", property(counted_average_length))
+    monkeypatch.setattr(_GlobalStatsInverted, "document_frequency", counted_document_frequency)
+    monkeypatch.setattr(_GlobalStatsInverted, "analyze_query", counted_analyze_query)
+    return calls
 
 
 def _tiny_cluster(lexicon, shards=2, replicas=2, **cluster_kwargs):
@@ -108,26 +146,81 @@ class TestSingleIndexEquivalence:
                 (r.record.chunk_id, r.score) for r in b
             ], query.text
 
-    def test_collection_size_is_read_once_per_shard_leg_and_field(
+    def test_collection_size_is_read_once_per_request_and_field(
         self, exact_sharded, human_queries, monkeypatch
     ):
-        """The global ``len()`` is a sum over every shard's segments; the
-        BM25 term sequence takes it once per query, not once per term."""
-        from repro.cluster.sharded_index import _GlobalStatsInverted
-
-        calls = []
-        global_len = _GlobalStatsInverted.__len__
-
-        def counted(view):
-            calls.append(view._field_name)
-            return global_len(view)
-
-        monkeypatch.setattr(_GlobalStatsInverted, "__len__", counted)
-        fields = exact_sharded.index.schema.searchable_fields
+        """Every global statistic is a sum over every shard's segments: the
+        router gathers them (and analyzes the question) once per request,
+        however many shard legs score against them; explain adds none."""
+        searcher = exact_sharded.searcher
         query = human_queries[0].text
         assert len(set(FULL_ANALYZER.analyze(query))) > 1
-        exact_sharded.searcher.search(query)
-        assert sorted(calls) == sorted(list(fields) * exact_sharded.index.num_shards)
+        view = exact_sharded.index.search_view(exact_sharded.index.shard_ids[0])
+        fields = exact_sharded.index.schema.searchable_fields
+        distinct_terms = sorted(
+            (name, term)
+            for name in fields
+            for term in set(view.inverted_index(name).analyze_query(query))
+        )
+        calls = _count_global_statistics_reads(monkeypatch)
+        for search in (searcher.search, searcher.search_degraded):
+            for ctx in (RequestContext(), RequestContext(explain=True)):
+                for reads in calls.values():
+                    reads.clear()
+                assert search(query, ctx=ctx)
+                assert not searcher.take_scatter_report().partial
+                for name in ("__len__", "average_length", "analyze_query"):
+                    assert sorted(calls[name]) == sorted(fields), (search, ctx.explain, name)
+                assert sorted(calls["document_frequency"]) == distinct_terms
+
+    def test_cached_and_dead_legs_read_no_statistics(self, lexicon, monkeypatch):
+        """The plan is taken by the first leg that has to score: a request
+        served from the retrieval cache, or one with no shard left to ask,
+        neither analyzes the question nor reads a statistic."""
+        kb = KbGenerator(KbGeneratorConfig(num_topics=10, error_families=1, seed=11)).generate()
+        config = UniAskConfig(
+            cluster=ClusterConfig(shards=3, replicas=2), cache=CacheConfig(enabled=True)
+        )
+        searcher = build_uniask_system(kb.store(), lexicon, config=config, seed=3).searcher
+        query = "come sbloccare la carta di credito"
+        first = searcher.search(query)
+        calls = _count_global_statistics_reads(monkeypatch)
+        repeat = searcher.search(query)
+        assert [(r.record.chunk_id, r.score) for r in repeat] == [
+            (r.record.chunk_id, r.score) for r in first
+        ]
+        assert not any(calls.values())
+        for shard_id in searcher.index.shard_ids:
+            for replica in searcher.replicas(shard_id):
+                replica.kill()
+        assert searcher.search("limiti prelievo bancomat") == []
+        assert searcher.take_scatter_report().partial
+        assert not any(calls.values())
+
+    def test_a_handed_plan_scores_like_the_searchs_own(
+        self, exact_single, exact_sharded, human_queries
+    ):
+        """``search(q)`` and ``search(q, plan=plan(q))`` are one scoring path."""
+        views = [exact_single.index] + [
+            exact_sharded.index.search_view(shard_id)
+            for shard_id in exact_sharded.index.shard_ids
+        ]
+        for view in views:
+            fulltext = FullTextSearch(view)
+            for query in human_queries[:4]:
+                for ctx in (RequestContext(), RequestContext(explain=True)):
+                    own = fulltext.search(query.text, ctx=ctx)
+                    handed = fulltext.search(
+                        query.text, ctx=ctx, plan=FullTextSearch(view).plan(query.text)
+                    )
+                    assert own
+                    assert [
+                        (r.record.chunk_id, r.score.hex(), list(r.components.items()))
+                        for r in own
+                    ] == [
+                        (r.record.chunk_id, r.score.hex(), list(r.components.items()))
+                        for r in handed
+                    ]
 
     def test_shards_one_wires_the_single_index_path(self, small_kb, lexicon):
         system = build_uniask_system(

@@ -188,6 +188,34 @@ class TestDegradedScatterBooksWork:
         assert lookup.attributes["work_cache_exact_misses"] == 1
 
 
+class TestUnknownFilterFieldIsAlwaysAnError:
+    """Defect 4: the filter-name check sat in ``matches_filters``, reached
+    only once a candidate existed — a question matching nothing returned
+    ``[]`` for a filter that raised on any other question, and on a cluster
+    it raised mid-scatter, after earlier shards' replicas had booked the
+    probe."""
+
+    @pytest.mark.parametrize("shards", [1, SHARDS], ids=["single-index", "three-shards"])
+    @pytest.mark.parametrize("method", ["search", "search_degraded"])
+    @pytest.mark.parametrize("question", ["come sbloccare la carta", "zqxwv"])
+    def test_raises_whether_or_not_anything_matches(self, kb, shards, method, question):
+        searcher = build(kb, shards=shards).searcher
+        with pytest.raises(KeyError, match="field 'nonexistent' is not filterable"):
+            getattr(searcher, method)(question, filters={"nonexistent": "x"})
+
+    def test_the_cluster_rejects_it_before_probing_any_replica(self, kb):
+        searcher = build(kb, shards=SHARDS).searcher
+        for method in (searcher.search, searcher.search_degraded):
+            with pytest.raises(KeyError):
+                method("come sbloccare la carta", filters={"nonexistent": "x"})
+            assert searcher.take_scatter_report() is None
+        for shard in searcher.status().shards:
+            assert [replica.served for replica in shard.replicas] == [0] * len(shard.replicas)
+        # ... and a filterable field still filters.
+        assert searcher.search("come sbloccare la carta", filters={"domain": "zz"}) == []
+        assert not searcher.take_scatter_report().partial
+
+
 # -- nothing left behind ------------------------------------------------------
 
 QUESTIONS = (

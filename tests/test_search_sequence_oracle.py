@@ -10,6 +10,10 @@ fresh plain :class:`InvertedIndex` scored by the reference loop
 knows nothing about segments, ledgers or masks, so any statistic the
 segmented store lets drift (e.g. a tombstone that forgets ``deleted_df``)
 shows up as a bit difference.
+
+The second test takes the same walk — plus shards joining and leaving —
+through a :class:`ClusterSearcher`, whose shard legs score against one
+plan (analyzed terms + global statistics) taken once per request.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterSearcher, ShardedSearchIndex
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.obs.trace import RequestContext
 from repro.search.fulltext import FullTextSearch
+from repro.search.hybrid import HybridSearchConfig, HybridSemanticSearch
 from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord
@@ -29,6 +35,7 @@ from tests.reference_bm25 import ReferenceBm25Scorer
 WORDS = ("carta", "bonifico", "prelievo", "conto", "estero", "limite", "blocco", "mutuo")
 QUERIES = ("carta bonifico", "prelievo conto estero carta", "limite blocco mutuo carta carta")
 TOP_N = 50
+MERGE_INTERVAL = IndexConfig().merge_interval
 
 texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=10).map(" ".join)
 docs = st.integers(0, 7).map("d{}".format)
@@ -46,20 +53,50 @@ steps = st.lists(
 )
 
 
-def reference_ranking(
-    index: SearchIndex, live: dict[str, int], query: str
-) -> list[tuple[int, str]]:
-    """Top-n ``(internal, score bits)`` from plain indexes over the live records."""
-    combined: dict[int, float] = {}
+def rebuild(index: SearchIndex, live: dict[str, int]) -> dict[str, InvertedIndex]:
+    """A plain inverted index per searchable field over the live records alone."""
+    plains = {}
     for field_name in index.schema.searchable_fields:
-        plain = InvertedIndex(index.analyzer)
+        plains[field_name] = plain = InvertedIndex(index.analyzer)
         for internal in live.values():
             plain.add(internal, index.record(internal).value(field_name))
+    return plains
+
+
+def reference_ranking(plains: dict[str, InvertedIndex], query: str) -> list[tuple[int, str]]:
+    """Top-n ``(internal, score bits)`` of the reference loop over *plains*."""
+    combined: dict[int, float] = {}
+    for plain in plains.values():
         scores = ReferenceBm25Scorer(plain).score_all(plain.analyze_query(query))
         for internal, score in scores.items():
             combined[internal] = combined.get(internal, 0.0) + 1.0 * score
     ranked = sorted(combined.items(), key=lambda pair: (-pair[1], pair[0]))[:TOP_N]
     return [(internal, score.hex()) for internal, score in ranked]
+
+
+def apply(index, live: dict[str, int], step: tuple, now: float) -> float:
+    """One write or maintenance step on a single or sharded *index*.
+
+    *live* (chunk id → the internal id ``add_chunk`` returned) is kept by
+    the walk itself, not read back from the index.  Returns the clock.
+    """
+    if step[0] == "add":
+        _, doc, chunk, title, content = step
+        record = ChunkRecord(f"{doc}#{chunk}", doc, title=title, content=content)
+        live[record.chunk_id] = index.add_chunk(record)
+    elif step[0] == "delete":
+        index.delete_document(step[1])
+        for chunk_id in [c for c in live if c.startswith(f"{step[1]}#")]:
+            del live[chunk_id]
+    elif step[0] == "flush":
+        index.flush()
+    elif step[0] == "maintain":
+        now += 2 * MERGE_INTERVAL  # every sweep is due
+        index.run_maintenance(now)
+    elif step[0] == "vacuum":
+        index.vacuum(0.0)
+    assert len(index) == len(live)
+    return now
 
 
 @settings(max_examples=100, deadline=None)
@@ -71,27 +108,86 @@ def test_served_ranking_equals_rebuilt_reference_after_every_step(sequence):
         index_config=IndexConfig(flush_threshold=3, max_segments=2),
     )
     search = FullTextSearch(index)
-    live: dict[str, int] = {}  # chunk_id -> internal id
+    live: dict[str, int] = {}
     now = 0.0
     for step in sequence:
-        if step[0] == "add":
-            _, doc, chunk, title, content = step
-            record = ChunkRecord(f"{doc}#{chunk}", doc, title=title, content=content)
-            live[record.chunk_id] = index.add_chunk(record)
-        elif step[0] == "delete":
-            index.delete_document(step[1])
-            live = {c: i for c, i in live.items() if not c.startswith(f"{step[1]}#")}
-        elif step[0] == "flush":
-            index.flush()
-        elif step[0] == "maintain":
-            now += 2 * index.config.merge_interval  # every sweep is due
-            index.run_maintenance(now)
-        else:
-            index.vacuum(0.0)
-        assert len(index) == len(live)
+        now = apply(index, live, step, now)
+        plains = rebuild(index, live)
         for query in QUERIES:
             served = search.search(query, n=TOP_N)
             got = [(live[c.record.chunk_id], c.score.hex()) for c in served]
-            assert got == reference_ranking(index, live, query), (step, query)
+            assert got == reference_ranking(plains, query), (step, query)
             explained = search.search(query, n=TOP_N, ctx=RequestContext(explain=True))
             assert [(live[c.record.chunk_id], c.score.hex()) for c in explained] == got
+
+
+# -- the same walk through the router (ROADMAP item 4(b), first slice) --------
+
+MAX_SHARDS = 5
+routed_steps = st.lists(
+    st.one_of(
+        adds,
+        adds,
+        adds,
+        st.tuples(st.just("delete"), docs),
+        st.tuples(st.sampled_from(("flush", "maintain", "vacuum", "add_shard"))),
+        st.tuples(st.just("remove_shard"), st.integers(0, MAX_SHARDS - 1)),
+    ),
+    min_size=12,
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(routed_steps)
+def test_routed_ranking_equals_reference_and_single_index_after_every_step(sequence):
+    """Writes and topology churn under the planned scatter path.
+
+    A three-shard cluster and a single index take the same walk, the
+    cluster also growing and shrinking.  After every step the raw merged
+    text ranking (``search_degraded``) equals the rebuilt reference in
+    chunk ids and score bits, ``search`` (asked to explain itself, so the
+    per-term pass reads the plan too) equals the single index's, and no
+    scatter is partial.  The comparison is exact, ties included: the
+    sixteen possible chunks never fill a leg's ``text_n``, so the merge
+    orders every candidate by ``(-score, ordinal)``, and a migration keeps
+    ordinals — which are the single index's insertion order.
+    """
+    embedder = SyntheticAdaEmbedder(None, dim=8, seed=1)
+    config = HybridSearchConfig(mode="text", use_reranker=False)
+    single = SearchIndex(embedder=embedder, ann_backend="exact")
+    cluster = ShardedSearchIndex(
+        embedder=embedder,
+        num_shards=3,
+        ann_backend="exact",
+        index_config=IndexConfig(flush_threshold=2),
+    )
+    single_search = HybridSemanticSearch(single, config=config)
+    routed = ClusterSearcher(cluster, config=config)
+    live: dict[str, int] = {}
+    shard_local: dict[str, int] = {}
+    now = 0.0
+    for step in sequence:
+        if step[0] == "add_shard":
+            if cluster.num_shards < MAX_SHARDS:
+                cluster.add_shard()
+        elif step[0] == "remove_shard":
+            if cluster.num_shards > 2:
+                cluster.remove_shard(cluster.shard_ids[step[1] % cluster.num_shards])
+        else:
+            apply(single, live, step, now)
+            now = apply(cluster, shard_local, step, now)
+        plains = rebuild(single, live)
+        for query in QUERIES:
+            reference = [
+                (single.record(internal).chunk_id, bits)
+                for internal, bits in reference_ranking(plains, query)
+            ]
+            merged = routed.search_degraded(query)
+            assert not routed.take_scatter_report().partial
+            assert [(c.record.chunk_id, c.score.hex()) for c in merged] == reference, (step, query)
+            fused = routed.search(query, ctx=RequestContext(explain=True))
+            assert not routed.take_scatter_report().partial
+            assert [(c.record.chunk_id, c.score.hex()) for c in fused] == [
+                (c.record.chunk_id, c.score.hex()) for c in single_search.search(query)
+            ], (step, query)
