@@ -11,6 +11,8 @@ beside the rows, so a query pays one matrix-vector product and no norm pass.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.ann.distance import batch_cosine_distance
@@ -35,6 +37,7 @@ class ExactKnnIndex:
         self._ids = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
         self._matrix = np.empty((_INITIAL_CAPACITY, dim), dtype=np.float64)
         self._norms = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._rows: dict[int, int] = {}
 
     def __len__(self) -> int:
         return self._count
@@ -49,8 +52,12 @@ class ExactKnnIndex:
         """Item ids aligned with :attr:`matrix` rows."""
         return self._ids[: self._count]
 
+    def vector(self, item_id: int) -> np.ndarray:
+        """The vector stored under *item_id* (a view of its matrix row)."""
+        return self._matrix[self._rows[item_id]]
+
     def add(self, item_id: int, vector: np.ndarray) -> None:
-        """Insert *vector* under *item_id*."""
+        """Insert *vector* (finite values) under *item_id*."""
         if vector.shape != (self._dim,):
             raise ValueError(f"expected shape ({self._dim},), got {vector.shape}")
         if self._count == self._matrix.shape[0]:
@@ -64,13 +71,16 @@ class ExactKnnIndex:
             grown_norms = np.empty(capacity, dtype=np.float64)
             grown_norms[: self._count] = self._norms[: self._count]
             self._norms = grown_norms
-        self._ids[self._count] = item_id
         self._matrix[self._count] = np.asarray(vector, dtype=np.float64)
         # Row-wise, as batch_cosine_distance takes it: the 1-D form of
         # np.linalg.norm sums through BLAS and can differ in the last bit.
-        self._norms[self._count] = np.linalg.norm(
-            self._matrix[self._count : self._count + 1], axis=1
-        )[0]
+        norm = np.linalg.norm(self._matrix[self._count : self._count + 1], axis=1)[0]
+        # The row only counts once ``_count`` moves past it.
+        if not math.isfinite(norm):
+            raise ValueError(f"vector of item {item_id} is not finite (norm {norm})")
+        self._norms[self._count] = norm
+        self._ids[self._count] = item_id
+        self._rows[item_id] = self._count
         self._count += 1
 
     def search(self, query: np.ndarray, k: int, work=None) -> list[tuple[int, float]]:
@@ -81,11 +91,13 @@ class ExactKnnIndex:
         """
         if k <= 0 or not self._count:
             return []
+        query = np.asarray(query, dtype=np.float64)
+        query_norm = float(np.linalg.norm(query))
+        if not math.isfinite(query_norm):
+            raise ValueError(f"query vector is not finite (norm {query_norm})")
         if work is not None:
             work.add(WORK_ANN_DISTANCE_EVALS, self._count)
-        distances = batch_cosine_distance(
-            np.asarray(query, dtype=np.float64), self.matrix, self._norms[: self._count]
-        )
+        distances = batch_cosine_distance(query, self.matrix, self._norms[: self._count])
         k = min(k, self._count)
         # Ties break on insertion id, which makes the ground truth fully
         # deterministic and lets a sharded deployment merge per-shard

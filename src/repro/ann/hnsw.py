@@ -18,10 +18,12 @@ Determinism: level draws come from a private ``random.Random(seed)``.
 
 Distance is cosine, ``1 - a·b / (|a| |b|)``, and costs one ``np.dot``: a
 node's norm is taken once when it is added and a query's once per search
-(DESIGN.md §17).  The expression is written out at each of the four sites
+(DESIGN.md §17).  The expression is written out at each of the three sites
 that need it — a Python call per pair would add a tenth to the dot it wraps —
 and is :func:`repro.ann.distance.cosine_distance` operand for operand, so the
-two agree to the last bit.
+two agree to the last bit.  An edge is measured once as well: an adjacency
+list keeps its distances and how far Algorithm 4 has judged it, so linking to
+a full node judges the new edge instead of the whole list again.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 
 import numpy as np
 
@@ -37,9 +40,18 @@ from repro.obs.work import WORK_ANN_DISTANCE_EVALS
 
 
 class _Node:
-    """One element of the graph: vector, its norm, per-layer adjacency."""
+    """One element of the graph: vector, its norm, per-layer adjacency.
 
-    __slots__ = ("item_id", "vector", "norm", "neighbors")
+    Beside the neighbour ids an adjacency list keeps what the inserts that
+    made it already paid for (DESIGN.md §17): the distance to each neighbour,
+    and how far Algorithm 4 has judged the list.  The first ``kept[layer]``
+    entries passed it and the entries up to ``judged[layer]`` failed it and
+    were re-admitted by its fall-back, each run in ``(distance, id)`` order;
+    the entries after that were appended by :meth:`HnswIndex._link` since and
+    are unjudged.
+    """
+
+    __slots__ = ("item_id", "vector", "norm", "neighbors", "distances", "kept", "judged")
 
     def __init__(self, item_id: int, vector: np.ndarray, norm: float, level: int) -> None:
         self.item_id = item_id
@@ -47,6 +59,10 @@ class _Node:
         self.norm = norm
         # neighbors[layer] -> list of item ids
         self.neighbors: list[list[int]] = [[] for _ in range(level + 1)]
+        # distances[layer][i] -> distance from this node to neighbors[layer][i]
+        self.distances = [array("d") for _ in range(level + 1)]
+        self.kept = [0] * (level + 1)
+        self.judged = [0] * (level + 1)
 
     @property
     def level(self) -> int:
@@ -100,16 +116,23 @@ class HnswIndex:
             return -1
         return self._nodes[self._entry_point].level
 
+    def vector(self, item_id: int) -> np.ndarray:
+        """The vector stored under *item_id* (the index's own array)."""
+        return self._nodes[item_id].vector
+
     def add(self, item_id: int, vector: np.ndarray) -> None:
-        """Insert *vector* under *item_id* (ids must be unique)."""
+        """Insert *vector* under *item_id* (ids must be unique, values finite)."""
         if vector.shape != (self._dim,):
             raise ValueError(f"expected shape ({self._dim},), got {vector.shape}")
         if item_id in self._nodes:
             raise ValueError(f"duplicate item id: {item_id}")
 
-        level = self._draw_level()
         vector = np.asarray(vector, dtype=np.float64)
-        node = _Node(item_id, vector, float(np.linalg.norm(vector)), level)
+        norm = float(np.linalg.norm(vector))
+        if not math.isfinite(norm):
+            raise ValueError(f"vector of item {item_id} is not finite (norm {norm})")
+        level = self._draw_level()
+        node = _Node(item_id, vector, norm, level)
         self._nodes[item_id] = node
 
         if self._entry_point is None:
@@ -130,10 +153,14 @@ class HnswIndex:
                 vector, node.norm, [current], self._ef_construction, layer
             )
             max_degree = self._max_m0 if layer == 0 else self._m
-            selected = self._select_neighbors_heuristic(candidates, self._m)
-            node.neighbors[layer] = [cid for _, cid in selected]
-            for _, neighbor_id in selected:
-                self._link(neighbor_id, item_id, layer, max_degree)
+            # The search results are an adjacency list with nothing judged.
+            node.distances[layer] = array("d", [distance for distance, _ in candidates])
+            node.neighbors[layer] = [candidate_id for _, candidate_id in candidates]
+            self._select_neighbors_heuristic(node, layer, self._m)
+            # d(new, neighbour) is d(neighbour, new) to the bit: the products
+            # commute and the dot sums them in index order either way.
+            for distance, neighbor_id in zip(node.distances[layer], node.neighbors[layer]):
+                self._link(neighbor_id, item_id, layer, max_degree, distance)
             if candidates:
                 current = min(candidates)[1]
 
@@ -157,6 +184,8 @@ class HnswIndex:
         ef = max(ef if ef is not None else self.ef_search, k)
         query = np.asarray(query, dtype=np.float64)
         query_norm = float(np.linalg.norm(query))
+        if not math.isfinite(query_norm):
+            raise ValueError(f"query vector is not finite (norm {query_norm})")
         evals = 0
 
         current = self._entry_point
@@ -258,25 +287,53 @@ class HnswIndex:
                         heappop(results)
         return [(-negated, item_id) for negated, item_id in results], evals
 
-    def _select_neighbors_heuristic(
-        self, candidates: list[tuple[float, int]], m: int
-    ) -> list[tuple[float, int]]:
-        """Algorithm 4: diversity-preserving neighbour selection.
+    def _select_neighbors_heuristic(self, node: _Node, layer: int, m: int) -> None:
+        """Algorithm 4: cut *node*'s adjacency list on *layer* down to *m*.
 
-        *candidates* are ``(distance to the point being linked, id)``.
+        Diversity-preserving selection: walking the list in ``(distance,
+        id)`` order, an entry is kept unless an entry kept before it is
+        closer to it than *node* is; if fewer than *m* pass, the nearest of
+        the failed fill up.  An entry's verdict depends only on the kept
+        entries that sort before it, so the verdicts the list carries
+        (:class:`_Node`) stand in for most of the comparisons:
+
+        * a formerly kept entry passed against every formerly kept entry
+          before it: it is compared only with the entries kept now that were
+          not kept then;
+        * a formerly failed entry fails again as long as every formerly kept
+          entry before it has been kept again — the one it failed against is
+          among them;
+        * an unjudged entry, and a formerly failed one once a formerly kept
+          entry has failed, is compared with everything kept so far.
+
+        The insert's own selection over its search results is the same walk
+        with nothing judged.
         """
         nodes = self._nodes
         dot = np.dot
-        ordered = sorted(candidates)
-        selected: list[tuple[float, int]] = []
+        neighbors = node.neighbors[layer]
+        kept, judged = node.kept[layer], node.judged[layer]
+        ordered = sorted(zip(node.distances[layer], neighbors, range(len(neighbors))))
+        selected: list[tuple[float, int, int]] = []
         selected_nodes: list[_Node] = []
-        for distance, candidate_id in ordered:
+        fresh_nodes: list[_Node] = []  # kept now, not kept before
+        failed: list[tuple[float, int, int]] = []
+        verdicts_hold = True  # every formerly kept entry so far is kept again
+        for entry in ordered:
             if len(selected) >= m:
                 break
+            distance, candidate_id, position = entry
+            if position < kept:
+                others = fresh_nodes
+            elif position < judged and verdicts_hold:
+                failed.append(entry)
+                continue
+            else:
+                others = selected_nodes
             candidate = nodes[candidate_id]
             # Keep the candidate unless an already selected neighbour is
             # closer to it than the point is; stop at the first such one.
-            for other in selected_nodes:
+            for other in others:
                 norm = candidate.norm * other.norm
                 between = (
                     1.0
@@ -284,38 +341,31 @@ class HnswIndex:
                     else 1.0 - float(dot(candidate.vector, other.vector)) / norm
                 )
                 if between < distance:
+                    failed.append(entry)
+                    if position < kept:
+                        verdicts_hold = False
                     break
             else:
-                selected.append((distance, candidate_id))
+                selected.append(entry)
                 selected_nodes.append(candidate)
+                if position >= kept:
+                    fresh_nodes.append(candidate)
+        node.kept[layer] = len(selected)
         # Fall back to plain nearest if the heuristic was too aggressive.
         if len(selected) < m:
-            chosen = {sel_id for _, sel_id in selected}
-            for distance, candidate_id in ordered:
-                if len(selected) >= m:
-                    break
-                if candidate_id not in chosen:
-                    selected.append((distance, candidate_id))
-                    chosen.add(candidate_id)
-        return selected
+            selected += failed[: m - len(selected)]
+        node.judged[layer] = len(selected)
+        node.distances[layer] = array("d", [distance for distance, _, _ in selected])
+        node.neighbors[layer] = [neighbor_id for _, neighbor_id, _ in selected]
 
-    def _link(self, from_id: int, to_id: int, layer: int, max_degree: int) -> None:
-        """Add edge from→to on *layer*, re-pruning if the degree bound breaks."""
-        nodes = self._nodes
-        node = nodes[from_id]
+    def _link(self, from_id: int, to_id: int, layer: int, max_degree: int, distance: float) -> None:
+        """Add edge from→to of length *distance* on *layer*, re-pruning if
+        the degree bound breaks."""
+        node = self._nodes[from_id]
         neighbors = node.neighbors[layer]
         if to_id in neighbors:
             return
         neighbors.append(to_id)
+        node.distances[layer].append(distance)
         if len(neighbors) > max_degree:
-            dot = np.dot
-            candidates = []
-            for neighbor_id in neighbors:
-                other = nodes[neighbor_id]
-                norm = node.norm * other.norm
-                distance = (
-                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(node.vector, other.vector)) / norm
-                )
-                candidates.append((distance, neighbor_id))
-            pruned = self._select_neighbors_heuristic(candidates, max_degree)
-            node.neighbors[layer] = [neighbor_id for _, neighbor_id in pruned]
+            self._select_neighbors_heuristic(node, layer, max_degree)

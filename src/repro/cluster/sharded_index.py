@@ -305,18 +305,23 @@ class ShardedSearchIndex:
         sources.update(extra_sources or {})
         moved_chunks = 0
         for source_id, source in sources.items():
-            stale: dict[str, list[ChunkRecord]] = {}
+            # A chunk moves with the vectors it is served by, not re-embedded.
+            stale: dict[str, list[tuple[ChunkRecord, dict[str, np.ndarray]]]] = {}
             for internal in source.live_internals():
                 record = source.record(internal)
                 if self._planner.assign(record.doc_id) != source_id:
-                    stale.setdefault(record.doc_id, []).append(record)
-            for doc_id, records in stale.items():
+                    vectors = {
+                        name: source.chunk_vector(internal, name)
+                        for name in self.schema.vector_fields
+                    }
+                    stale.setdefault(record.doc_id, []).append((record, vectors))
+            for doc_id, chunks in stale.items():
                 target = self._shards[self._planner.assign(doc_id)]
                 source.delete_document(doc_id)
                 # Keep a shard's local insertion order aligned with the
                 # global ordinals as far as possible.
-                for record in sorted(records, key=lambda r: self.ordinal(r.chunk_id)):
-                    target.add_chunk(record)
+                for record, vectors in sorted(chunks, key=lambda c: self.ordinal(c[0].chunk_id)):
+                    target.add_chunk(record, vectors=vectors)
                     moved_chunks += 1
         return moved_chunks
 

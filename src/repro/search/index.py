@@ -194,10 +194,14 @@ class SearchIndex:
         return internal
 
     def chunk_vector(self, internal: int, field_name: str) -> np.ndarray:
-        """The stored embedding of a live chunk's vector field."""
+        """The stored embedding of a live chunk's vector field.
+
+        Read from the ANN index, never re-embedded: the embedder of a loaded
+        index need not be the one that produced the stored vectors.
+        """
         if not self.is_live(internal):
             raise KeyError(f"chunk {internal} is not live")
-        return self.embedder.embed(self._records[internal].value(field_name))
+        return self._vectors[field_name].vector(internal)
 
     def add_chunks(self, records: Iterable[ChunkRecord]) -> list[int]:
         """Index many chunks; returns their internal ids."""
@@ -260,10 +264,11 @@ class SearchIndex:
     def _vacuum_rebuild(self) -> None:
         self._generation += 1
         live = {i: r for i, r in self._records.items() if i not in self._deleted}
+        stored = self._vectors
         self._vectors = {name: self._new_ann_index() for name in self.schema.vector_fields}
-        for internal, record in live.items():
+        for internal in live:
             for name, ann in self._vectors.items():
-                ann.add(internal, self.embedder.embed(record.value(name)))
+                ann.add(internal, stored[name].vector(internal))
         self._store.compact_all()
         self._drain_maintenance_ops()
         for internal in list(self._deleted):

@@ -58,6 +58,45 @@ def save_index(index: SearchIndex, directory: str | Path) -> Path:
     return directory
 
 
+def _read_vectors(
+    path: Path, fields: tuple[str, ...], rows: int, dim: int
+) -> dict[str, np.ndarray]:
+    """The matrices of *path*, checked; ``ValueError`` names what is wrong.
+
+    A vector file that does not hold exactly one finite ``(rows, dim)``
+    matrix per vector field must not load: a missing field would be
+    re-embedded behind the caller's back and a surplus row ignored.
+    """
+    # Imported where numpy itself first needs them: a process that only
+    # builds and serves never pays for the zip machinery.
+    import zipfile
+    import zlib
+
+    try:
+        with np.load(path) as archive:
+            matrices = {name: archive[name] for name in archive.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as error:
+        raise ValueError(f"{path.name} is damaged: {error}") from error
+    if sorted(matrices) != sorted(fields):
+        raise ValueError(
+            f"{path.name} holds the fields {sorted(matrices)}, "
+            f"the schema's vector fields are {sorted(fields)}"
+        )
+    for name, matrix in matrices.items():
+        if matrix.shape != (rows, dim) or not np.issubdtype(matrix.dtype, np.floating):
+            raise ValueError(
+                f"{path.name} field {name!r} is {matrix.dtype}{matrix.shape}, "
+                f"expected one float row of width {dim} for each of the {rows} records"
+            )
+        damaged = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if len(damaged):
+            raise ValueError(
+                f"{path.name} field {name!r} holds {len(damaged)} non-finite rows "
+                f"{damaged[:3].tolist()}"
+            )
+    return matrices
+
+
 def load_index(
     directory: str | Path,
     embedder: EmbeddingModel,
@@ -69,10 +108,13 @@ def load_index(
 
     The *embedder* is used for future writes and queries; the persisted
     chunk vectors are inserted as-is, so loading never re-embeds.  Its
-    dimensionality must match the saved one.  The bulk load ends with a
-    buffer seal (:meth:`~repro.search.index.SearchIndex.flush`), so a
-    loaded segmented index starts serving from sealed kernels instead of
-    one giant write buffer.
+    dimensionality must match the saved one, and ``vectors.npz`` is checked
+    against the records before the first insert: a damaged file, a missing
+    or surplus field or row, a wrong width or a non-finite value is a
+    ``ValueError``.  The bulk load ends with a buffer seal
+    (:meth:`~repro.search.index.SearchIndex.flush`), so a loaded segmented
+    index starts serving from sealed kernels instead of one giant write
+    buffer.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "records.json").read_text())
@@ -86,6 +128,9 @@ def load_index(
     schema = IndexSchema(
         fields=tuple(FieldDefinition(**field) for field in manifest["schema"])
     )
+    matrices = _read_vectors(
+        directory / "vectors.npz", schema.vector_fields, len(manifest["records"]), embedder.dim
+    )
     index = SearchIndex(
         embedder=embedder,
         schema=schema,
@@ -93,9 +138,6 @@ def load_index(
         seed=seed,
         index_config=index_config,
     )
-
-    with np.load(directory / "vectors.npz") as archive:
-        matrices = {name: archive[name] for name in archive.files}
 
     for row, payload in enumerate(manifest["records"]):
         payload = dict(payload)

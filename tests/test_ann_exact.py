@@ -54,6 +54,32 @@ class TestExactKnn:
         with pytest.raises(ValueError):
             index.add(0, np.ones(3))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_vector_never_enters_the_matrix(self, bad):
+        index = ExactKnnIndex(dim=2)
+        index.add(0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="not finite"):
+            index.add(1, np.array([bad, 1.0]))
+        index.add(2, np.array([0.0, 1.0]))
+        assert len(index) == 2 and index.ids.tolist() == [0, 2]
+        assert index.search(np.array([0.0, 1.0]), 5) == [(2, 0.0), (0, 1.0)]
+
+    def test_non_finite_query_rejected(self):
+        index = ExactKnnIndex(dim=2)
+        index.add(0, np.ones(2))
+        with pytest.raises(ValueError, match="not finite"):
+            index.search(np.array([np.nan, 1.0]), 1)
+
+    def test_vector_is_the_one_stored(self):
+        """Also across a growth of the matrix (initial capacity 16)."""
+        rows = np.random.default_rng(3).standard_normal((40, 3))
+        index = ExactKnnIndex(dim=3)
+        for i, row in enumerate(rows):
+            index.add(100 + i, row)
+        assert all(np.array_equal(index.vector(100 + i), row) for i, row in enumerate(rows))
+        with pytest.raises(KeyError):
+            index.vector(7)
+
     def test_incremental_adds_visible(self):
         index = ExactKnnIndex(dim=2)
         index.add(0, np.array([1.0, 0.0]))

@@ -12,14 +12,22 @@ bits and books the same ``ann_distance_evals``.
 The inputs are the ones where a last-bit difference would show: duplicated
 vectors (exact distance ties, broken by id), a zero vector (the ``1.0``
 guard), scales far from unit norm, and item ids in no order.
+
+The serving index also keeps, beside each neighbour id, the distance of the
+edge and how far Algorithm 4 has judged the list (DESIGN.md §17), and trusts
+both on the next re-prune.  Equal graphs show the trust was not misplaced on
+these inputs; the memo checks below show the stored facts are true after
+every ``add``, whether or not a later insert happens to lean on them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ann.distance import cosine_distance
 from repro.ann.hnsw import HnswIndex
 from repro.obs.work import WORK_ANN_DISTANCE_EVALS, WorkCounters
 from tests.reference_hnsw import HnswIndex as ReferenceHnswIndex
@@ -80,3 +88,145 @@ def test_graphs_searches_and_work_equal_the_reference(
         assert work.counts == reference_work.counts
         assert work.get(WORK_ANN_DISTANCE_EVALS) > 0
         assert index.search(query, k, ef=ef) == found
+
+
+# -- the memo beside the neighbour ids ----------------------------------------
+
+
+def _memo(index) -> dict[tuple[int, int], tuple]:
+    """Every adjacency list with what the index remembers about it."""
+    return {
+        (item_id, layer): (
+            tuple(node.neighbors[layer]),
+            tuple(node.distances[layer]),
+            node.kept[layer],
+            node.judged[layer],
+        )
+        for item_id, node in index._nodes.items()
+        for layer in range(node.level + 1)
+    }
+
+
+def _judge_of(index, dim: int) -> ReferenceHnswIndex:
+    """A reference index looking at the serving index's nodes: its
+    ``_select_neighbors_heuristic`` is Algorithm 4 from scratch over them."""
+    judge = ReferenceHnswIndex(dim)
+    judge._nodes = index._nodes
+    return judge
+
+
+def _algorithm_4(index, pairs: list[tuple[float, int]]) -> tuple[list, list]:
+    """The kept and the failed run of *pairs*, from scratch and without a
+    degree bound, every pair through ``cosine_distance``."""
+    kept: list[tuple[float, int]] = []
+    failed: list[tuple[float, int]] = []
+    for distance, candidate in sorted(pairs):
+        vector = index._nodes[candidate].vector
+        closer_to_kept = any(
+            cosine_distance(vector, index._nodes[other].vector) < distance for _, other in kept
+        )
+        (failed if closer_to_kept else kept).append((distance, candidate))
+    return kept, failed
+
+
+def _check_list(index, item_id: int, layer: int, judge=None) -> None:
+    """One adjacency list's memo against computation from scratch."""
+    node = index._nodes[item_id]
+    ids, kept, judged = node.neighbors[layer], node.kept[layer], node.judged[layer]
+    assert len(node.distances[layer]) == len(ids)
+    assert 0 <= kept <= judged <= len(ids)
+    pairs = [
+        (cosine_distance(node.vector, index._nodes[neighbor_id].vector), neighbor_id)
+        for neighbor_id in ids
+    ]
+    assert [d.hex() for d in node.distances[layer]] == [d.hex() for d, _ in pairs]
+    # The verdicts are about the judged entries among themselves; entries
+    # appended since belong to the next re-prune.
+    kept_run, failed_run = _algorithm_4(index, pairs[:judged])
+    assert pairs[:kept] == kept_run
+    assert pairs[kept:judged] == failed_run
+    # The reference returns the kept run followed by the failed run but not
+    # where one ends: it vouches for the sequence, ``_algorithm_4`` above for
+    # the split.  (Twice the pairs, so only the closing sweep asks it.)
+    if judge is not None:
+        assert kept_run + failed_run == judge._select_neighbors_heuristic(
+            node.vector, pairs[:judged], judged
+        )
+
+
+def _add_and_check_changed_lists(index, seen: dict, item_id: int, row) -> dict:
+    """Insert, then check every list the insert touched; returns the memo.
+
+    A list whose ids, distances and counts are what they were when it was
+    last checked is still right, so "every node and layer after every add"
+    costs one comparison for the untouched ones.
+    """
+    index.add(item_id, row)
+    memo = _memo(index)
+    for key, remembered in memo.items():
+        if seen.get(key) != remembered:
+            _check_list(index, *key)
+    return memo
+
+
+@given(
+    n=st.integers(1, 200),
+    dim=st.sampled_from((3, 8, 64)),
+    m=st.sampled_from((2, 6, 16)),
+    ef_construction=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=15, deadline=None)
+def test_stored_distances_and_verdicts_are_true_after_every_add(
+    n, dim, m, ef_construction, seed, data_seed
+):
+    generator = np.random.default_rng(data_seed)
+    rows = _vectors(generator, n, dim)
+    item_ids = generator.permutation(5 * n)[:n].tolist()
+
+    index = HnswIndex(dim, m=m, ef_construction=ef_construction, seed=seed)
+    seen: dict = {}
+    for item_id, row in zip(item_ids, rows):
+        seen = _add_and_check_changed_lists(index, seen, item_id, row)
+    judge = _judge_of(index, dim)
+    for key in seen:
+        _check_list(index, *key, judge=judge)
+
+
+@pytest.mark.parametrize("m", (2, 6))
+def test_re_prunes_that_overturn_old_verdicts(m):
+    """The branches a well-spread corpus rarely takes: 400 points on a
+    sphere in three dimensions around ten centres, three in ten an exact
+    copy of an earlier one, one at the origin, and a degree bound so small
+    that every list is re-pruned again and again.  A formerly kept entry
+    fails against a newcomer, an entry that had failed against it is kept in
+    its place, the fall-back re-admits — and after every add the graph is
+    the reference's and the memo is true."""
+    generator = np.random.default_rng(20 + m)
+    centres = generator.standard_normal((10, 3))
+    rows = centres[generator.integers(0, 10, 400)] + 0.2 * generator.standard_normal((400, 3))
+    for target in range(1, 400):
+        if generator.random() < 0.3:
+            rows[target] = rows[generator.integers(0, target)]
+    rows[137] = 0.0
+
+    index = HnswIndex(3, m=m, ef_construction=30, seed=5)
+    reference = ReferenceHnswIndex(3, m=m, ef_construction=30, seed=5)
+    seen: dict = {}
+    demoted = promoted = readmitted = 0
+    for item_id, row in enumerate(rows):
+        reference.add(item_id, row)
+        memo = _add_and_check_changed_lists(index, seen, item_id, row)
+        assert _graph(index) == _graph(reference)
+        for key, (ids, _, kept, judged) in memo.items():
+            if key in seen and seen[key] != memo[key]:
+                old_ids, _, old_kept, old_judged = seen[key]
+                demoted += len(set(old_ids[:old_kept]) & set(ids[kept:judged]))
+                promoted += len(set(old_ids[old_kept:old_judged]) & set(ids[:kept]))
+                readmitted += judged - kept
+        seen = memo
+    assert demoted and promoted and readmitted, (demoted, promoted, readmitted)
+    judge = _judge_of(index, 3)
+    for key in seen:
+        _check_list(index, *key, judge=judge)

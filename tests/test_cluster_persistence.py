@@ -151,6 +151,39 @@ class TestClusterRoundtrip:
         assert fresh.calls == 0
 
 
+class TestChunksMoveWithTheirVectors:
+    """A placement change moves a chunk's stored vectors with it: nothing is
+    re-embedded, so a cluster loaded beside an embedder of another seed still
+    holds the vectors it was saved with after ``rebalance_shard`` /
+    ``add_shard`` / ``remove_shard``."""
+
+    @pytest.mark.parametrize("ann_backend", ("exact", "hnsw"))
+    def test_topology_changes_never_embed(self, embedder, ann_backend, tmp_path):
+        index = ShardedSearchIndex(embedder=embedder, num_shards=3, ann_backend=ann_backend, seed=9)
+        index.add_chunks(_corpus())
+        save_cluster(index, tmp_path / "cluster")
+        other = SyntheticAdaEmbedder(None, dim=32, seed=10)
+        loaded = load_cluster(tmp_path / "cluster", other, ann_backend=ann_backend, seed=9)
+
+        def stored() -> dict[tuple[str, str], bytes]:
+            return {
+                (shard.record(internal).chunk_id, name): shard.chunk_vector(internal, name).tobytes()
+                for shard in map(loaded.shard_index, loaded.shard_ids)
+                for internal in shard.live_internals()
+                for name in ("title", "content")
+            }
+
+        before = stored()
+        assert len(before) == 24
+        assert before[("kb-doc-000#0", "content")] == embedder.embed(_corpus()[0].content).tobytes()
+        sizes = {shard_id: len(loaded.shard_index(shard_id)) for shard_id in loaded.shard_ids}
+        moved = loaded.rebalance_shard(max(sizes, key=sizes.get), min(sizes, key=sizes.get), 0.5)
+        assert moved > 0 and stored() == before
+        loaded.remove_shard(loaded.add_shard() - 1)
+        assert stored() == before
+        assert other.calls == 0
+
+
 def _edit_manifest(directory, edit) -> None:
     path = directory / "cluster.json"
     manifest = json.loads(path.read_text())

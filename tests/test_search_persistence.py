@@ -100,3 +100,103 @@ class TestPersistence:
         with np.load(path / "vectors.npz") as archive:
             assert set(archive.files) == {"title", "content"}
             assert archive["content"].shape == (3, 32)
+
+
+def _twelve(embedder, ann_backend: str) -> SearchIndex:
+    index = SearchIndex(embedder=embedder, ann_backend=ann_backend, seed=9)
+    themes = ("bonifico estero", "carta di credito", "quadratura di cassa", "mutuo ipotecario")
+    for i in range(12):
+        index.add_chunk(_record(f"doc-{i:02d}", f"contenuto su {themes[i % 4]} variante {i}"))
+    return index
+
+
+def _matrices(directory) -> dict[str, np.ndarray]:
+    with np.load(directory / "vectors.npz") as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _with(matrix: np.ndarray, row: int, value: float) -> np.ndarray:
+    damaged = matrix.copy()
+    damaged[row, 7] = value
+    return damaged
+
+
+@pytest.mark.parametrize("ann_backend", ("hnsw", "exact"))
+class TestStoredVectorsAreRead:
+    """The vectors on disk and in the graphs are the ones that serve: saving,
+    vacuuming and re-saving read them back out of the ANN index, whatever the
+    embedder the index currently writes with would make of the text."""
+
+    def test_save_and_vacuum_never_embed(self, embedder, ann_backend, tmp_path):
+        index = _twelve(embedder, ann_backend)
+        index.delete_document("doc-03")
+        calls = embedder.calls
+        save_index(index, tmp_path / "before")
+        assert index.vacuum(0.0)
+        save_index(index, tmp_path / "after")
+        assert embedder.calls == calls
+        before, after = _matrices(tmp_path / "before"), _matrices(tmp_path / "after")
+        assert all(np.array_equal(before[name], after[name]) for name in ("title", "content"))
+
+    def test_vectors_survive_an_embedder_of_another_seed(self, embedder, ann_backend, tmp_path):
+        save_index(_twelve(embedder, ann_backend), tmp_path / "first")
+        other = SyntheticAdaEmbedder(None, dim=32, seed=10)
+        loaded = load_index(tmp_path / "first", other, ann_backend=ann_backend, seed=9)
+        save_index(loaded, tmp_path / "second")
+        first, second = _matrices(tmp_path / "first"), _matrices(tmp_path / "second")
+        assert all(np.array_equal(first[name], second[name]) for name in ("title", "content"))
+
+        loaded.delete_document("doc-07")
+        query = embedder.embed("il bonifico per l'estero")
+        served = {name: loaded.vector_search(name, query, 5) for name in ("title", "content")}
+        assert loaded.vacuum(0.0)
+        for name, before in served.items():
+            after = loaded.vector_search(name, query, 5)
+            # The exact backend's matrix product may round differently over a
+            # matrix that lost a row; ids and order may not move.
+            assert [i for i, _ in after] == [i for i, _ in before]
+            assert [d for _, d in after] == pytest.approx([d for _, d in before], abs=1e-12)
+        assert other.calls == 0
+
+
+class TestDamagedVectors:
+    """A vector file that is not exactly the records' vectors is a
+    ``ValueError`` that says what is wrong — never an index that re-embedded
+    the gap, dropped the surplus or took a NaN into its graphs."""
+
+    @pytest.fixture()
+    def saved(self, embedder, tmp_path):
+        return save_index(_twelve(embedder, "hnsw"), tmp_path / "idx")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda m: {"title": m["title"]}, "holds the fields"),
+            (lambda m: {**m, "summary": m["title"]}, "holds the fields"),
+            (lambda m: {**m, "content": m["content"][:-1]}, "'content' is float64\\(11, 32\\)"),
+            (lambda m: {**m, "title": np.vstack([m["title"], m["title"][:2]])}, "\\(14, 32\\)"),
+            (lambda m: {**m, "title": m["title"][:, :31]}, "\\(12, 31\\)"),
+            (lambda m: {**m, "title": m["title"].astype(np.int64)}, "int64"),
+            (lambda m: {**m, "content": _with(m["content"], 4, np.nan)}, "non-finite rows \\[4\\]"),
+            (lambda m: {**m, "content": _with(m["content"], 0, -np.inf)}, "non-finite rows \\[0\\]"),
+        ],
+        ids=["missing-field", "surplus-field", "short", "long", "narrow", "integers", "nan", "inf"],
+    )
+    def test_damaged_matrices_are_named(self, saved, embedder, damage, message):
+        np.savez_compressed(saved / "vectors.npz", **damage(_matrices(saved)))
+        calls = embedder.calls
+        with pytest.raises(ValueError, match=message):
+            load_index(saved, embedder, seed=9)
+        assert embedder.calls == calls
+
+    @pytest.mark.parametrize("file_name", ("vectors.npz", "records.json"))
+    @pytest.mark.parametrize("quarter", (0, 1, 2, 3))
+    def test_truncated_files_do_not_load(self, saved, embedder, file_name, quarter):
+        whole = (saved / file_name).read_bytes()
+        (saved / file_name).write_bytes(whole[: len(whole) * quarter // 4])
+        with pytest.raises(ValueError):
+            load_index(saved, embedder, seed=9)
+
+    def test_intact_files_still_load(self, saved, embedder):
+        assert len(load_index(saved, embedder, seed=9)) == 12
+
