@@ -34,6 +34,14 @@ def batch_cosine_distance(
 
     *row_norms* spares the O(n·dim) pass over *matrix* when the caller
     already holds ``np.linalg.norm(matrix, axis=1)``.
+
+    Each row's dot is summed on its own (a stack of 1×dim by dim×1 products
+    is a ``ddot`` per row), so a row's distance does not depend on where in
+    *matrix* it sits or how tall *matrix* is, and equal rows get equal
+    distances.  ``matrix @ query`` (``gemv``) promises neither: it blocks
+    rows together and the same row reads one bit differently at another
+    position, which would flip exactly the ties the tie-by-id order and the
+    single-index ↔ cluster equivalence rest on.
     """
     if matrix.size == 0:
         return np.zeros(0)
@@ -43,5 +51,5 @@ def batch_cosine_distance(
     denom = query_norm * row_norms
     sims = np.zeros(matrix.shape[0])
     valid = denom > ZERO_NORM
-    sims[valid] = (matrix[valid] @ query) / denom[valid]
+    sims[valid] = np.matmul(matrix[valid][:, None, :], query)[:, 0] / denom[valid]
     return 1.0 - sims

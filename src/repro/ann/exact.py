@@ -6,7 +6,11 @@ are kept in one contiguous matrix and scanned with vectorized numpy, which
 is exact by construction.  The matrix grows geometrically in place, so a
 live-ingestion upsert is an O(dim) row write — not an O(n·dim) rebuild —
 and queries always scan a single contiguous block.  Row norms are kept
-beside the rows, so a query pays one matrix-vector product and no norm pass.
+beside the rows, so a query pays one pass of row dots and no norm pass.
+A removed row is overwritten by the last one, so the block holds live rows
+only; a distance depends on the two vectors alone, never on the row's place
+(:func:`~repro.ann.distance.batch_cosine_distance`), so where a row sits
+changes no result.
 """
 
 from __future__ import annotations
@@ -53,8 +57,33 @@ class ExactKnnIndex:
         return self._ids[: self._count]
 
     def vector(self, item_id: int) -> np.ndarray:
-        """The vector stored under *item_id* (a view of its matrix row)."""
-        return self._matrix[self._rows[item_id]]
+        """The vector stored under *item_id* (a copy: :meth:`remove` moves rows)."""
+        return self._matrix[self._rows[item_id]].copy()
+
+    def remove(self, item_id: int) -> None:
+        """Drop *item_id*; ``KeyError`` when it is not stored (any more)."""
+        row = self._rows.pop(item_id)
+        last = self._count - 1
+        if row != last:
+            moved = int(self._ids[last])
+            self._matrix[row] = self._matrix[last]
+            self._norms[row] = self._norms[last]
+            self._ids[row] = moved
+            self._rows[moved] = row
+        self._count = last
+
+    def relabel(self, item_id: int, new_id: int) -> None:
+        """Make the vector stored under *item_id* answer to *new_id*.
+
+        ``ValueError`` when *item_id* is not stored or *new_id* is in use.
+        """
+        if new_id in self._rows:
+            raise ValueError(f"item id in use: {new_id}")
+        row = self._rows.pop(item_id, None)
+        if row is None:
+            raise ValueError(f"no live item {item_id} to relabel")
+        self._rows[new_id] = row
+        self._ids[row] = new_id
 
     def add(self, item_id: int, vector: np.ndarray) -> None:
         """Insert *vector* (finite values) under *item_id*."""

@@ -24,6 +24,13 @@ and is :func:`repro.ann.distance.cosine_distance` operand for operand, so the
 two agree to the last bit.  An edge is measured once as well: an adjacency
 list keeps its distances and how far Algorithm 4 has judged it, so linking to
 a full node judges the new edge instead of the whole list again.
+
+Deletes and relabels (DESIGN.md §17): :meth:`HnswIndex.remove` takes a node
+out of every later result and leaves it in the graph — its edges are the
+routes its neighbours were given, so inserts link to it and searches walk
+through it (hnswlib's ``markDelete``); :meth:`HnswIndex.relabel` makes a
+stored vector answer to a new id without touching the graph.  A graph
+nobody removed from or relabelled runs exactly the code it ran before.
 """
 
 from __future__ import annotations
@@ -42,6 +49,12 @@ from repro.obs.work import WORK_ANN_DISTANCE_EVALS
 class _Node:
     """One element of the graph: vector, its norm, per-layer adjacency.
 
+    ``item_id`` is the id searches report the node under: the id it was
+    added with until :meth:`HnswIndex.relabel` moves it, ``None`` once
+    :meth:`HnswIndex.remove` has taken it out of the results.  The graph
+    itself (``HnswIndex._nodes``, the neighbour lists) keeps naming the node
+    by the id it was added under.
+
     Beside the neighbour ids an adjacency list keeps what the inserts that
     made it already paid for (DESIGN.md §17): the distance to each neighbour,
     and how far Algorithm 4 has judged the list.  The first ``kept[layer]``
@@ -54,7 +67,7 @@ class _Node:
     __slots__ = ("item_id", "vector", "norm", "neighbors", "distances", "kept", "judged")
 
     def __init__(self, item_id: int, vector: np.ndarray, norm: float, level: int) -> None:
-        self.item_id = item_id
+        self.item_id: int | None = item_id
         self.vector = vector
         self.norm = norm
         # neighbors[layer] -> list of item ids
@@ -100,14 +113,24 @@ class HnswIndex:
         self.ef_search = ef_search
         self._level_mult = 1.0 / math.log(m)
         self._rng = random.Random(seed)
+        # Keyed by the id a node was added under, for the life of the graph.
         self._nodes: dict[int, _Node] = {}
         self._entry_point: int | None = None
+        # Relabelled live nodes only: current id -> the key in ``_nodes``.
+        self._relabelled: dict[int, int] = {}
+        self._removed = 0
 
     def __len__(self) -> int:
+        """Stored nodes, removed ones included: they still route."""
         return len(self._nodes)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self._nodes
+        """True when a live node answers to *item_id*."""
+        try:
+            self._live_node(item_id)
+        except KeyError:
+            return False
+        return True
 
     @property
     def max_level(self) -> int:
@@ -117,14 +140,42 @@ class HnswIndex:
         return self._nodes[self._entry_point].level
 
     def vector(self, item_id: int) -> np.ndarray:
-        """The vector stored under *item_id* (the index's own array)."""
-        return self._nodes[item_id].vector
+        """The vector of live item *item_id* (the index's own array)."""
+        return self._live_node(item_id).vector
+
+    def remove(self, item_id: int) -> None:
+        """Take live item *item_id* out of every later result.
+
+        ``KeyError`` when no live item answers to the id.  The node stays in
+        the graph as a route until the owner rebuilds it.
+        """
+        self._live_node(item_id).item_id = None
+        self._relabelled.pop(item_id, None)
+        self._removed += 1
+
+    def relabel(self, item_id: int, new_id: int) -> None:
+        """Make live item *item_id* answer to *new_id* from now on.
+
+        ``ValueError`` when *item_id* is not live or *new_id* is taken — by a
+        live item or, as for :meth:`add`, by a node that was added under it.
+        """
+        if new_id in self._nodes or new_id in self._relabelled:
+            raise ValueError(f"item id in use: {new_id}")
+        if item_id not in self:
+            raise ValueError(f"no live item {item_id} to relabel")
+        node_key = self._relabelled.pop(item_id, item_id)
+        self._relabelled[new_id] = node_key
+        self._nodes[node_key].item_id = new_id
 
     def add(self, item_id: int, vector: np.ndarray) -> None:
-        """Insert *vector* under *item_id* (ids must be unique, values finite)."""
+        """Insert *vector* under *item_id* (values finite).
+
+        Ids are unique over the life of the graph: one that was removed or
+        relabelled away still names its node and cannot be added again.
+        """
         if vector.shape != (self._dim,):
             raise ValueError(f"expected shape ({self._dim},), got {vector.shape}")
-        if item_id in self._nodes:
+        if item_id in self._nodes or item_id in self._relabelled:
             raise ValueError(f"duplicate item id: {item_id}")
 
         vector = np.asarray(vector, dtype=np.float64)
@@ -170,11 +221,13 @@ class HnswIndex:
     def search(
         self, query: np.ndarray, k: int, ef: int | None = None, work=None
     ) -> list[tuple[int, float]]:
-        """Return approximately the *k* nearest items to *query*.
+        """Return approximately the *k* nearest live items to *query*.
 
         Results are ``(item_id, distance)`` sorted by ascending distance,
-        equal distances (duplicate vectors) by ascending id.
-        ``ef`` overrides the index default candidate width for this query.
+        equal distances (duplicate vectors) by ascending *current* id — the
+        ``ef`` candidates are put in that order before the cut to *k*.
+        ``ef`` overrides the index default candidate width for this query;
+        it counts live candidates, so removed nodes never crowd a result out.
         *work* is an optional :class:`~repro.obs.work.WorkCounters`; the
         graph walk is the source of truth for ``ann_distance_evals`` (one
         unit per distance computation, descent and base layer alike).
@@ -193,14 +246,26 @@ class HnswIndex:
             current, walked = self._greedy_closest(query, query_norm, current, layer)
             evals += walked
 
-        candidates, walked = self._search_layer(query, query_norm, [current], ef, 0)
+        if self._removed:
+            candidates, walked = self._search_live(query, query_norm, current, ef)
+        else:
+            candidates, walked = self._search_layer(query, query_norm, [current], ef, 0)
         evals += walked
+        if self._relabelled:
+            nodes = self._nodes
+            candidates = [(distance, nodes[key].item_id) for distance, key in candidates]
         candidates.sort()
         if work is not None:
             work.add(WORK_ANN_DISTANCE_EVALS, evals)
         return [(item_id, distance) for distance, item_id in candidates[:k]]
 
     # -- internals ---------------------------------------------------------
+
+    def _live_node(self, item_id: int) -> _Node:
+        node = self._nodes.get(self._relabelled.get(item_id, item_id))
+        if node is None or node.item_id != item_id:
+            raise KeyError(item_id)
+        return node
 
     def _draw_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)
@@ -286,6 +351,52 @@ class HnswIndex:
                     if len(results) > ef:
                         heappop(results)
         return [(-negated, item_id) for negated, item_id in results], evals
+
+    def _search_live(
+        self, query: np.ndarray, query_norm: float, entry: int, ef: int
+    ) -> tuple[list[tuple[float, int]], int]:
+        """:meth:`_search_layer` on layer 0 of a graph that has removed nodes.
+
+        A removed node is expanded like any other — its edges may be the
+        only way to the live nodes behind it — and never enters the results,
+        so *ef* bounds live results and the walk ends once the nearest
+        unexpanded node is farther than the worst of *ef* live ones.  Kept
+        apart from :meth:`_search_layer` so that inserts, and searches of a
+        graph with nothing removed, pay for no liveness test.
+        """
+        nodes = self._nodes
+        dot = np.dot
+        heappush, heappop = heapq.heappush, heapq.heappop
+        node = nodes[entry]
+        norm = query_norm * node.norm
+        distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+        evals = 1
+        visited = {entry}
+        candidates = [(distance, entry)]  # min-heap by distance
+        # max-heap via negated distance, live nodes only
+        results = [] if node.item_id is None else [(-distance, entry)]
+
+        while candidates:
+            distance, point = heappop(candidates)
+            if len(results) >= ef and distance > -results[0][0]:
+                break
+            for neighbor_id in nodes[point].neighbors[0]:
+                if neighbor_id in visited:
+                    continue
+                visited.add(neighbor_id)
+                node = nodes[neighbor_id]
+                norm = query_norm * node.norm
+                neighbor_distance = (
+                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+                )
+                evals += 1
+                if len(results) < ef or neighbor_distance < -results[0][0]:
+                    heappush(candidates, (neighbor_distance, neighbor_id))
+                    if node.item_id is not None:
+                        heappush(results, (-neighbor_distance, neighbor_id))
+                        if len(results) > ef:
+                            heappop(results)
+        return [(-negated, key) for negated, key in results], evals
 
     def _select_neighbors_heuristic(self, node: _Node, layer: int, m: int) -> None:
         """Algorithm 4: cut *node*'s adjacency list on *layer* down to *m*.

@@ -2,9 +2,10 @@
 
 :class:`ShardedSearchIndex` presents the same write surface as a single
 :class:`~repro.search.index.SearchIndex` (``add_chunk`` / ``add_chunks`` /
-``delete_document`` / ``__len__`` / ``vacuum``), so the ingestion and
-indexing services drive it unchanged, while routing every document to the
-shard chosen by the :class:`~repro.cluster.planner.ShardPlanner`.
+``replace_document`` / ``delete_document`` / ``__len__`` / ``vacuum``), so
+the ingestion and indexing services drive it unchanged, while routing every
+document to the shard chosen by the
+:class:`~repro.cluster.planner.ShardPlanner`.
 
 Two pieces make scatter-gather retrieval rank *exactly* like one big index:
 
@@ -20,7 +21,9 @@ Two pieces make scatter-gather retrieval rank *exactly* like one big index:
 
 * **Global insertion ordinals.**  A single index breaks score ties by
   insertion order of its internal ids.  The facade assigns every chunk a
-  monotonically increasing *ordinal* at ``add_chunk`` time; the router
+  monotonically increasing *ordinal* at ``add_chunk`` time — a chunk that
+  ``replace_document`` leaves alone keeps its ordinal as it keeps its
+  internal id, a chunk it rewrites gets a fresh one; the router
   merges per-shard rankings with ``(-score, ordinal)``, reproducing the
   single-index tie order.  (After live resharding the per-shard local
   order may no longer embed into the ordinal order, so exact tie
@@ -355,6 +358,24 @@ class ShardedSearchIndex:
     def add_chunks(self, records: Iterable[ChunkRecord]) -> list[int]:
         """Index many chunks; returns their shard-local internal ids."""
         return [self.add_chunk(record) for record in records]
+
+    def replace_document(self, doc_id: str, records: Iterable[ChunkRecord]) -> list[int]:
+        """Upsert *doc_id* on its owning shard, writing only what changed.
+
+        A chunk the shard wrote gets a fresh ordinal, as the fresh internal
+        id it got there; a chunk the shard left alone keeps its ordinal, and
+        a replace that changed nothing leaves the :attr:`generation` alone.
+        Returns the shard-local internal ids written.
+        """
+        shard = self._shards[self._planner.assign(doc_id)]
+        before = shard.generation
+        written = shard.replace_document(doc_id, records)
+        for internal in written:
+            self._ordinals[shard.record(internal).chunk_id] = self._next_ordinal
+            self._next_ordinal += 1
+        if shard.generation != before:
+            self._generation += 1
+        return written
 
     def delete_document(self, doc_id: str) -> int:
         """Tombstone every chunk of *doc_id* on its shard."""

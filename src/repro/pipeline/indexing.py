@@ -4,8 +4,10 @@ Section 3: event-triggered consumer of the ingestion queue.  For every
 message it fetches the document from the KB store, parses the HTML, chunks
 it with the paragraph-aligned strategy (512-token chunks, Section 4),
 enriches the metadata via the LLM (summary + keywords), and feeds the
-search index.  Document updates replace all previous chunks of the page;
-deletes tombstone them.
+search index.  A document update is one upsert
+(:meth:`~repro.search.index.SearchIndex.replace_document`) that re-indexes
+the chunks of the page that changed and leaves the others alone; deletes
+tombstone them.
 
 Writes land in the index's segment write buffer and are queryable the
 moment :meth:`IndexingService.process_one` returns — no batch rebuild sits
@@ -89,13 +91,15 @@ class IndexingService:
             for chunk in chunks
         ]
 
-    def _apply(self, message: QueueMessage) -> str | None:
+    def _apply(self, message: QueueMessage) -> tuple[str | None, int]:
         """Apply one leased message to the index and acknowledge it.
 
-        Returns what was done: ``"delete"``, ``"upsert"``, or None for an
-        upsert that found no document.  Any failure, an unknown action
-        included, abandons the message for redelivery and re-raises.
+        Returns what was done — ``"delete"``, ``"upsert"``, or None for an
+        upsert that found no document — and how many chunks that wrote.  Any
+        failure, an unknown action included, abandons the message for
+        redelivery and re-raises.
         """
+        written = 0
         try:
             action = message.body.get("action")
             doc_id = message.body["doc_id"]
@@ -103,8 +107,8 @@ class IndexingService:
                 self._index.delete_document(doc_id)
             elif action == "upsert":
                 if doc_id in self._store:
-                    self._index.delete_document(doc_id)
-                    self._index.add_chunks(self.build_records(self._store.get(doc_id)))
+                    records = self.build_records(self._store.get(doc_id))
+                    written = len(self._index.replace_document(doc_id, records))
                 else:
                     # The document may have been deleted after the message was
                     # published; a missing doc means the delete message follows.
@@ -115,7 +119,7 @@ class IndexingService:
             self._queue.abandon(message.message_id)
             raise
         self._queue.acknowledge(message.message_id)
-        return action
+        return action, written
 
     def process_one(self) -> bool:
         """Consume one queue message; returns False when the queue is empty."""
@@ -127,11 +131,11 @@ class IndexingService:
 
     def drain(self) -> IndexingReport:
         """Consume every pending message; returns an aggregate report."""
-        messages = indexed = deleted = 0
-        chunks_before = len(self._index)
+        messages = indexed = deleted = chunks_written = 0
         while (message := self._queue.receive()) is not None:
-            done = self._apply(message)
+            done, written = self._apply(message)
             messages += 1
+            chunks_written += written
             indexed += done == "upsert"
             deleted += done == "delete"
         maintenance_ops = self.run_maintenance()
@@ -139,7 +143,7 @@ class IndexingService:
             messages=messages,
             documents_indexed=indexed,
             documents_deleted=deleted,
-            chunks_written=max(0, len(self._index) - chunks_before),
+            chunks_written=chunks_written,
             maintenance_ops=maintenance_ops,
         )
 

@@ -15,14 +15,22 @@ index the paper builds (Section 4).  It owns:
 * exact-match filtering on *filterable* fields.
 
 Updates: the ingestion flow re-indexes modified documents every polling
-cycle, so the index supports document-level delete.  HNSW has no efficient
-hard delete, so deletions tombstone the internal ids; vector queries
-oversample and drop tombstones, and :meth:`vacuum` rebuilds the graphs when
-the tombstone ratio crosses a threshold.  Sealed-segment postings are
-likewise tombstoned in place (a bit flip plus exact statistics ledgers) and
-reclaimed by background merges on the simulated clock
-(:meth:`run_maintenance`) — `vacuum()` is just the most aggressive merge
-policy plus the ANN rebuild.
+cycle, so the index has one upsert, :meth:`SearchIndex.replace_document`,
+which re-indexes only what changed: a chunk whose record is unchanged is
+left alone, and a vector field whose text is unchanged keeps its stored
+vector under the chunk's new internal id (``relabel``) instead of being
+embedded and inserted again.  HNSW has no efficient hard delete, so a
+deleted or replaced chunk is tombstoned: the ANN index owns the vector-side
+tombstone (``remove`` — the node keeps routing and is never a result, so a
+vector query asks for *k* and gets *k* live chunks), and :meth:`vacuum`
+rebuilds the graphs when the tombstone ratio crosses a threshold.
+Sealed-segment postings are likewise tombstoned in place (a bit flip plus
+exact statistics ledgers) and reclaimed by background merges on the
+simulated clock (:meth:`run_maintenance`) — `vacuum()` is just the most
+aggressive merge policy plus the ANN rebuild.
+
+What the index asks of an ANN backend is ``add`` / ``remove`` / ``relabel``
+/ ``search`` / ``vector`` / ``__len__``, nothing else.
 """
 
 from __future__ import annotations
@@ -164,15 +172,21 @@ class SearchIndex:
     def add_chunk(self, record: ChunkRecord, vectors: dict[str, np.ndarray] | None = None) -> int:
         """Index one chunk; returns its internal id.
 
-        Re-adding an existing ``chunk_id`` replaces the previous version.
+        Re-adding an existing ``chunk_id`` replaces the previous version
+        under a fresh internal id; a vector field whose text did not change
+        keeps its stored vector, which from now on answers to the new id.
         ``vectors`` optionally supplies pre-computed embeddings per vector
-        field (used when loading a persisted index), bypassing the embedder.
+        field (used when loading a persisted index), bypassing the embedder;
+        a supplied vector is always inserted.
         The chunk is queryable the moment this method returns: postings
         land in the write buffer (no rebuild of sealed segments)
         and ANN inserts are incremental.
         """
-        if record.chunk_id in self._internal_by_chunk:
-            self._tombstone(self._internal_by_chunk[record.chunk_id])
+        previous = self._internal_by_chunk.get(record.chunk_id)
+        replaced = None
+        if previous is not None:
+            replaced = self._records[previous]
+            self._tombstone_text(previous)
 
         self._generation += 1
         internal = self._next_internal
@@ -188,9 +202,14 @@ class SearchIndex:
         for name, ann in self._vectors.items():
             if vectors is not None and name in vectors:
                 vector = np.asarray(vectors[name], dtype=np.float64)
+            elif replaced is not None and replaced.value(name) == record.value(name):
+                ann.relabel(previous, internal)
+                continue
             else:
                 vector = self.embedder.embed(record.value(name))
             ann.add(internal, vector)
+            if replaced is not None:
+                ann.remove(previous)
         return internal
 
     def chunk_vector(self, internal: int, field_name: str) -> np.ndarray:
@@ -206,6 +225,42 @@ class SearchIndex:
     def add_chunks(self, records: Iterable[ChunkRecord]) -> list[int]:
         """Index many chunks; returns their internal ids."""
         return [self.add_chunk(record) for record in records]
+
+    def replace_document(self, doc_id: str, records: Iterable[ChunkRecord]) -> list[int]:
+        """Upsert: make *records* the live chunks of *doc_id*.
+
+        Only what changed is written.  A record equal to the live one of its
+        ``chunk_id`` is left alone — same internal id, no :attr:`generation`
+        bump: re-indexing an unchanged page is not a write.  A record that
+        differs goes through :meth:`add_chunk`, and live chunks of the
+        document that *records* no longer names are tombstoned.  Returns the
+        internal ids of the chunks written, in the order of *records*.
+
+        ``ValueError``, before anything is written, when a record belongs to
+        another document or two records share a ``chunk_id``.
+        """
+        records = list(records)
+        chunk_ids = {record.chunk_id for record in records}
+        if len(chunk_ids) != len(records):
+            raise ValueError(f"two records of {doc_id!r} share a chunk_id")
+        for record in records:
+            if record.doc_id != doc_id:
+                raise ValueError(
+                    f"chunk {record.chunk_id!r} belongs to {record.doc_id!r}, not {doc_id!r}"
+                )
+        dropped = False
+        for internal in self._internals_by_doc.get(doc_id, ()):
+            if internal not in self._deleted and self._records[internal].chunk_id not in chunk_ids:
+                self._tombstone(internal)
+                dropped = True
+        if dropped:
+            self._generation += 1
+        written = []
+        for record in records:
+            live = self._internal_by_chunk.get(record.chunk_id)
+            if live is None or self._records[live] != record:
+                written.append(self.add_chunk(record))
+        return written
 
     def delete_document(self, doc_id: str) -> int:
         """Tombstone every chunk of *doc_id*; returns how many were removed."""
@@ -303,14 +358,7 @@ class SearchIndex:
         self, field_name: str, query_vector: np.ndarray, k: int, work=None
     ) -> list[tuple[int, float]]:
         """The *k* nearest live chunks to *query_vector* on a vector field."""
-        ann = self._vectors[field_name]
-        if k <= 0 or len(ann) == 0:
-            return []
-        # Oversample to survive tombstone filtering.
-        fetch = k + len(self._deleted)
-        hits = ann.search(query_vector, fetch, work=work)
-        live = [(internal, distance) for internal, distance in hits if internal not in self._deleted]
-        return live[:k]
+        return self._vectors[field_name].search(query_vector, k, work=work)
 
     def matches_filters(self, internal: int, filters: dict[str, str] | None) -> bool:
         """Exact-match filter evaluation on filterable fields."""
@@ -331,6 +379,13 @@ class SearchIndex:
     # -- internals -------------------------------------------------------------
 
     def _tombstone(self, internal: int) -> None:
+        self._tombstone_text(internal)
+        for ann in self._vectors.values():
+            ann.remove(internal)
+
+    def _tombstone_text(self, internal: int) -> None:
+        """Everything of a tombstone but the vectors, whose fate the caller
+        decides per field (:meth:`add_chunk` may hand them to the successor)."""
         self._deleted.add(internal)
         record = self._records[internal]
         self._internal_by_chunk.pop(record.chunk_id, None)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.ann.exact import ExactKnnIndex
 from repro.ann.hnsw import HnswIndex
+from repro.obs.work import WORK_ANN_DISTANCE_EVALS, WorkCounters
 from tests import reference_hnsw as reference_module
 
 
@@ -175,6 +176,176 @@ class TestHnswWork:
         assert len(dots) == before
         assert index._nodes[roomy].neighbors[0][-1] == 10_000
         assert index._nodes[roomy].distances[0][-1] == 0.25
+
+
+    def test_removed_nodes_cost_a_walk_through_not_an_over_fetch(self):
+        """The index used to be asked for ``k + dead`` neighbours and the
+        dead filtered out afterwards; now removed nodes route and ``ef``
+        counts live results.  On 2 000 nodes of which 800 are removed,
+        ``search(k=15)`` books at most half the evaluations ``search(k=815)``
+        books on the same graph before anything was removed, and still finds
+        the live neighbours."""
+        vectors = _unit_rows(2000, 16, seed=12)
+        queries = _unit_rows(20, 16, seed=13)
+        index = HnswIndex(dim=16, m=8, ef_construction=40, ef_search=80, seed=1)
+        exact = ExactKnnIndex(dim=16)
+        for i, row in enumerate(vectors):
+            index.add(i, row)
+            exact.add(i, row)
+
+        over_fetch = WorkCounters()
+        for query in queries:
+            index.search(query, 815, work=over_fetch)
+        for i in range(0, 2000, 5):  # 800 of 2 000, spread over the graph
+            for item_id in (i, i + 1):
+                index.remove(item_id)
+                exact.remove(item_id)
+        walk_through = WorkCounters()
+        recall = 0.0
+        for query in queries:
+            hits = index.search(query, 15, work=walk_through)
+            assert len(hits) == 15 and all(item_id % 5 > 1 for item_id, _ in hits)
+            truth = {item_id for item_id, _ in exact.search(query, 15)}
+            recall += len(truth & {item_id for item_id, _ in hits}) / 15
+        assert 2 * walk_through.get(WORK_ANN_DISTANCE_EVALS) <= over_fetch.get(
+            WORK_ANN_DISTANCE_EVALS
+        )
+        assert recall / len(queries) >= 0.9
+
+
+@pytest.fixture(params=("hnsw", "exact"))
+def small(request) -> tuple[HnswIndex | ExactKnnIndex, np.ndarray]:
+    """Forty unit rows under ids 0..39 in either backend."""
+    vectors = _unit_rows(40, 6, seed=21)
+    if request.param == "hnsw":
+        index = HnswIndex(dim=6, m=4, ef_construction=20, ef_search=10, seed=5)
+    else:
+        index = ExactKnnIndex(dim=6)
+    for i, row in enumerate(vectors):
+        index.add(i, row)
+    return index, vectors
+
+
+class TestRemoveAndRelabel:
+    """The delete / relabel half of the ANN contract, on both backends."""
+
+    def test_removed_item_is_never_a_result_and_has_no_vector(self, small):
+        index, vectors = small
+        index.remove(7)
+        assert 7 not in {i for i, _ in index.search(vectors[7], 40)}
+        assert len(index.search(vectors[7], 40)) == 39
+        with pytest.raises(KeyError):
+            index.vector(7)
+
+    def test_remove_of_unknown_or_removed_id_is_a_key_error(self, small):
+        index, _ = small
+        with pytest.raises(KeyError):
+            index.remove(999)
+        index.remove(3)
+        with pytest.raises(KeyError):
+            index.remove(3)
+
+    def test_relabel_answers_to_the_new_id_only(self, small):
+        index, vectors = small
+        stored = index.vector(5).copy()
+        index.relabel(5, 105)
+        assert np.array_equal(index.vector(105), stored)
+        with pytest.raises(KeyError):
+            index.vector(5)
+        hits = index.search(vectors[5], 40)
+        assert hits[0][0] == 105
+        assert 5 not in {i for i, _ in hits} and len(hits) == 40
+        index.relabel(105, 205)  # a relabelled item moves on like any other
+        assert index.search(vectors[5], 1)[0][0] == 205
+        index.remove(205)
+        assert len(index.search(vectors[5], 40)) == 39
+
+    def test_relabel_onto_a_label_in_use_or_of_a_removed_item_is_a_value_error(self, small):
+        index, vectors = small
+        with pytest.raises(ValueError, match="in use"):
+            index.relabel(1, 2)
+        with pytest.raises(ValueError, match="in use"):
+            index.relabel(1, 1)
+        index.relabel(1, 101)
+        with pytest.raises(ValueError, match="in use"):
+            index.relabel(2, 101)
+        index.remove(4)
+        with pytest.raises(ValueError, match="no live item"):
+            index.relabel(4, 104)
+        with pytest.raises(ValueError, match="no live item"):
+            index.relabel(999, 1999)
+        # Nothing above changed what is served.
+        assert [i for i, _ in index.search(vectors[1], 1)] == [101]
+        assert len(index.search(vectors[0], 40)) == 39
+
+    def test_ties_come_in_ascending_current_id(self, small):
+        """Equal vectors are equally far: their order is the order of the ids
+        they answer to now, not of the ids they were stored under."""
+        index, vectors = small
+        for item_id in (40, 41, 42):
+            index.add(item_id, vectors[0])
+        index.relabel(0, 50)
+        index.relabel(41, 45)
+        hits = index.search(vectors[0], 4)
+        assert [i for i, _ in hits] == [40, 42, 45, 50]
+        assert len({d for _, d in hits}) == 1
+
+    def test_search_with_every_node_removed_is_empty(self, small):
+        index, vectors = small
+        for item_id in range(40):
+            index.remove(item_id)
+        assert index.search(vectors[0], 5) == []
+
+    def test_k_beyond_the_live_count_returns_the_live_count(self, small):
+        index, vectors = small
+        for item_id in range(0, 40, 2):
+            index.remove(item_id)
+        hits = index.search(vectors[0], 100)
+        assert sorted(i for i, _ in hits) == list(range(1, 40, 2))
+        assert hits == sorted(hits, key=lambda hit: (hit[1], hit[0]))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_query_is_refused_with_removed_nodes_too(self, small, bad):
+        index, vectors = small
+        index.remove(0)
+        query = vectors[1].copy()
+        query[2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            index.search(query, 3)
+
+
+class TestHnswRemovedRouting:
+    def test_search_with_the_entry_point_removed(self, populated):
+        """The entry point keeps routing after it is removed: the search
+        starts there and returns live items only."""
+        index, vectors = populated
+        entry = index._entry_point
+        index.remove(entry)
+        hits = index.search(vectors[entry], 10)
+        assert len(hits) == 10 and entry not in {i for i, _ in hits}
+        assert entry not in index and len(index) == 300
+        assert index.search(vectors[17], 1)[0][0] == 17
+
+    def test_removed_ids_stay_taken(self, populated):
+        """A removed or relabelled-away id still names its node in the graph."""
+        index, vectors = populated
+        index.remove(3)
+        index.relabel(4, 400)
+        for taken in (3, 4, 400):
+            with pytest.raises(ValueError, match="duplicate"):
+                index.add(taken, vectors[0])
+        with pytest.raises(ValueError, match="in use"):
+            index.relabel(5, 3)
+
+    def test_an_untouched_graph_walks_the_old_loop(self, populated, monkeypatch):
+        """With nothing removed the search never enters the liveness-aware
+        loop — the no-tombstone walk costs what it cost."""
+        index, vectors = populated
+        monkeypatch.setattr(
+            HnswIndex, "_search_live", lambda *args: pytest.fail("liveness walk on a clean graph")
+        )
+        index.relabel(9, 309)
+        assert index.search(vectors[9], 1)[0][0] == 309
 
 
 class TestHnswRecall:

@@ -4,7 +4,9 @@ Every write through ``pipeline.indexing`` bumps the owning index's
 ``generation``; the answer cache stamps entries with the generation at
 computation time and the cluster router stamps each memoized scatter leg
 with its shard's generation — so a corpus write deterministically
-invalidates exactly the entries it could have changed.
+invalidates exactly the entries it could have changed.  Re-indexing a page
+nobody edited is not a write: nothing moves and every cache keeps its
+entries.
 """
 
 from __future__ import annotations
@@ -35,10 +37,38 @@ def build_cached(tiny_kb, banking_lexicon, **config_kwargs):
     return build_uniask_system(tiny_kb.store(), banking_lexicon, config=config, seed=11)
 
 
-def reindex_document(system, doc_id: str) -> None:
-    """One write through the indexing pipeline (the path editors take)."""
+def republish_document(system, doc_id: str) -> None:
+    """One upsert message for *doc_id* through the indexing pipeline."""
     system.queue.publish({"action": "upsert", "doc_id": doc_id})
     system.indexing.drain()
+
+
+def reindex_document(system, doc_id: str) -> None:
+    """One write through the indexing pipeline (the path editors take):
+    the page gains a paragraph, then its upsert is consumed."""
+    html = system.store.get(doc_id).html + "<p>Nota aggiunta dalla redazione.</p>"
+    system.store.update_html(doc_id, html, modified_at=1.0)
+    republish_document(system, doc_id)
+
+
+def write_state(system) -> dict:
+    """Everything a write would move, for before / after comparison."""
+    index = system.index
+    shards = (
+        [index.shard_index(shard_id) for shard_id in index.shard_ids]
+        if hasattr(index, "shard_ids")
+        else [index]
+    )
+    return {
+        "generation": index.generation,
+        "shard_generations": [shard.generation for shard in shards],
+        "segment_stamps": [shard.segment_stamp() for shard in shards],
+        "tombstone_ratios": [shard.tombstone_ratio for shard in shards],
+        "graph_sizes": [
+            {name: len(ann) for name, ann in shard._vectors.items()} for shard in shards
+        ],
+        "ordinals": index.live_ordinals() if hasattr(index, "live_ordinals") else None,
+    }
 
 
 class TestIndexGenerations:
@@ -47,6 +77,32 @@ class TestIndexGenerations:
         before = system.index.generation
         reindex_document(system, system.store.all_documents()[0].doc_id)
         assert system.index.generation > before
+
+    @pytest.mark.parametrize("cluster", (None, ClusterConfig(shards=3)))
+    def test_republishing_an_untouched_page_is_not_a_write(
+        self, tiny_kb, banking_lexicon, cluster, monkeypatch
+    ):
+        """The converse: the poller re-queues a page nobody edited — no
+        generation, segment stamp, tombstone, graph node, ordinal or embedder
+        call moves, and the cached answer is still served."""
+        kwargs = {} if cluster is None else {"cluster": cluster}
+        system = build_cached(tiny_kb, banking_lexicon, **kwargs)
+        topic = next(iter(tiny_kb.topics.values()))
+        question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
+        assert system.engine.answer(question).cache_hit == ""
+        before = write_state(system)
+
+        embedded = []
+        embedder = system.index.embedder
+        embed = embedder.embed
+        monkeypatch.setattr(embedder, "embed", lambda text: embedded.append(text) or embed(text))
+        for document in system.store.all_documents()[:5]:
+            republish_document(system, document.doc_id)
+
+        assert embedded == []
+        assert write_state(system) == before
+        assert system.engine.answer(question).cache_hit == "exact"
+        assert system.answer_cache.stats.invalidations == 0
 
     def test_read_does_not_bump_generation(self, tiny_kb, banking_lexicon):
         system = build_cached(tiny_kb, banking_lexicon)

@@ -16,6 +16,7 @@ from repro.cluster import ClusterConfig, ClusterSearcher
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
+from repro.htmlproc.parser import parse_html
 from repro.obs import spans
 from repro.obs.trace import RequestContext
 from repro.search.fulltext import FullTextSearch
@@ -139,12 +140,40 @@ class TestSingleIndexEquivalence:
             assert system.index.vacuum() is True
             assert system.index.vacuum() is False  # tombstones reclaimed
         assert sharded.index.generation > generation
-        for query in human_queries[:EQUIVALENCE_QUERIES]:
-            a = single.searcher.search(query.text)
-            b = sharded.searcher.search(query.text)
-            assert [(r.record.chunk_id, r.score) for r in a] == [
-                (r.record.chunk_id, r.score) for r in b
-            ], query.text
+
+        def assert_same_rankings():
+            for query in human_queries[:EQUIVALENCE_QUERIES]:
+                a = single.searcher.search(query.text)
+                b = sharded.searcher.search(query.text)
+                assert [(r.record.chunk_id, r.score) for r in a] == [
+                    (r.record.chunk_id, r.score) for r in b
+                ], query.text
+
+        assert_same_rankings()
+        # Editors go on: a content-only edit keeps the title vector (and an
+        # unchanged chunk its ordinal), a retitled page takes the title of
+        # another — a tie on the title leg — and one page is re-published
+        # untouched, which must move nothing on either side.
+        content_only, retitled, untouched, donor = doc_ids[-4:]
+        for system in (single, sharded):
+            store = system.store
+            edited = store.get(content_only).html.replace(
+                "</body>", "<p>Nota aggiunta dalla redazione.</p></body>"
+            )
+            store.update_html(content_only, edited, modified_at=1.0)
+            title = parse_html(store.get(donor).html).title
+            own = parse_html(store.get(retitled).html).title
+            store.update_html(
+                retitled, store.get(retitled).html.replace(own, title), modified_at=1.0
+            )
+            before = system.index.generation
+            system.queue.publish({"action": "upsert", "doc_id": untouched})
+            assert system.indexing.drain().chunks_written == 0
+            assert system.index.generation == before
+            for doc_id in (content_only, retitled):
+                system.queue.publish({"action": "upsert", "doc_id": doc_id})
+            assert system.indexing.drain().chunks_written > 0
+        assert_same_rankings()
 
     def test_collection_size_is_read_once_per_request_and_field(
         self, exact_sharded, human_queries, monkeypatch

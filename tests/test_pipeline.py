@@ -203,6 +203,54 @@ class TestIndexingService:
         content = index.record(index.live_internals()[0]).content
         assert "due" in content
 
+    def test_chunks_written_counts_what_the_drain_wrote(self):
+        """It used to be the growth of ``len(index)``, so a drain of edits —
+        the dominant write — reported 0."""
+        store, queue, index, service = self._wiring()
+        doc_ids = [f"d{n}" for n in range(16)]
+
+        def publish_all():
+            for doc_id in doc_ids:
+                queue.publish({"action": "upsert", "doc_id": doc_id})
+            return service.drain()
+
+        for doc_id in doc_ids:
+            store.put(_doc(doc_id, "versione uno"))
+        assert publish_all().chunks_written == 16  # new pages
+        for doc_id in doc_ids:
+            store.put(_doc(doc_id, "versione due"))
+        report = publish_all()
+        assert (report.documents_indexed, report.chunks_written) == (16, 16)  # edits
+        report = publish_all()
+        assert (report.documents_indexed, report.chunks_written) == (16, 0)  # untouched re-polls
+        queue.publish({"action": "delete", "doc_id": "d0"})
+        report = service.drain()
+        assert (report.documents_deleted, report.chunks_written) == (1, 0)
+        assert len(index) == 15
+
+    def test_an_edit_costs_the_title_field_nothing(self, monkeypatch):
+        """An edited body leaves the title alone: its vector is neither
+        embedded nor inserted again, and the title graph grows no dead node
+        (every edit used to cost two embeds and two inserts)."""
+        store, queue, index, service = self._wiring()
+        doc_ids = [f"d{n}" for n in range(16)]
+        for doc_id in doc_ids:
+            store.put(_doc(doc_id, "versione uno"))
+            queue.publish({"action": "upsert", "doc_id": doc_id})
+        service.drain()
+        embedded = []
+        embed = index.embedder.embed
+        monkeypatch.setattr(
+            index.embedder, "embed", lambda text: embedded.append(text) or embed(text)
+        )
+        for doc_id in doc_ids:
+            store.put(_doc(doc_id, "versione due"))
+            queue.publish({"action": "upsert", "doc_id": doc_id})
+        service.drain()
+        assert embedded == ["versione due"] * 16
+        assert len(index._vectors["title"]) == 16
+        assert len(index._vectors["content"]) == 32  # a changed vector is a new node
+
     def test_delete_message(self):
         store, queue, index, service = self._wiring()
         store.put(_doc("a", "x"))

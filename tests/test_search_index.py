@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.cluster import ShardedSearchIndex
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
@@ -21,6 +23,14 @@ def _record(doc: str, chunk: int = 0, **kwargs) -> ChunkRecord:
     )
     defaults.update(kwargs)
     return ChunkRecord(chunk_id=f"{doc}#{chunk}", doc_id=doc, **defaults)
+
+
+def _write_state(index: SearchIndex) -> tuple:
+    """Everything a write moves: a no-op must leave it equal."""
+    return (
+        index.generation, index.segment_stamp(), index.tombstone_ratio, index.buffered_count,
+        index.live_internals(), {name: len(ann) for name, ann in index._vectors.items()},
+    )
 
 
 @pytest.fixture()
@@ -81,6 +91,136 @@ class TestWrites:
         index.delete_document("b")
         assert index.vacuum() is True
         assert index.tombstone_ratio == 0.0
+
+
+class TestReplaceDocument:
+    def test_writes_only_the_chunks_that_changed(self, index):
+        first, second = index.replace_document("a", [_record("a", 0), _record("a", 1)])
+        generation = index.generation
+        edited = _record("a", 1, content="contenuto riscritto")
+        written = index.replace_document("a", [_record("a", 0), edited])
+        assert len(written) == 1 and written[0] not in (first, second)
+        assert index.live_internals() == [first, written[0]]  # chunk 0 kept its id
+        assert index.record(written[0]).content == "contenuto riscritto"
+        assert index.generation == generation + 1
+
+    def test_chunks_the_page_lost_are_tombstoned(self, index):
+        index.replace_document("a", [_record("a", 0), _record("a", 1), _record("a", 2)])
+        index.add_chunk(_record("b"))
+        generation = index.generation
+        assert index.replace_document("a", [_record("a", 0)]) == []
+        assert len(index) == 2 and index.document_count == 2
+        assert index.generation > generation
+        query = index.embedder.embed("contenuto del documento a numero 2")
+        hits = index.vector_search("content", query, k=10)
+        assert {index.record(i).chunk_id for i, _ in hits} == {"a#0", "b#0"}
+        assert index.replace_document("a", []) == []  # an emptied page is a delete
+        assert len(index) == 1
+
+    def test_an_unchanged_page_is_not_a_write(self, index):
+        records = [_record("a", 0), _record("a", 1)]
+        index.replace_document("a", records)
+        index.flush()
+        before = _write_state(index)
+        assert index.replace_document("a", [_record("a", 0), _record("a", 1)]) == []
+        assert _write_state(index) == before
+
+    def test_an_unchanged_field_keeps_its_vector(self, index):
+        """A content-only edit hands the title vector to the new internal id:
+        the very array, neither re-embedded nor re-inserted."""
+        (old,) = index.replace_document("a", [_record("a")])
+        title_vector = index.chunk_vector(old, "title")
+        (new,) = index.replace_document("a", [_record("a", content="altro contenuto")])
+        assert new != old
+        assert index.chunk_vector(new, "title") is title_vector
+        assert np.array_equal(
+            index.chunk_vector(new, "content"), index.embedder.embed("altro contenuto")
+        )
+        with pytest.raises(KeyError):
+            index.chunk_vector(old, "title")  # the replaced chunk has no vectors
+        assert len(index._vectors["title"]) == 1 and len(index._vectors["content"]) == 2
+
+    def test_supplied_vectors_are_always_inserted(self, index):
+        """``load_index`` and shard migration hand vectors in: they are stored
+        as given even where the text did not change."""
+        index.add_chunk(_record("a"))
+        supplied = {name: np.full(32, float(n + 1)) for n, name in enumerate(("title", "content"))}
+        internal = index.add_chunk(_record("a", content="altro contenuto"), vectors=supplied)
+        for name, vector in supplied.items():
+            assert np.array_equal(index.chunk_vector(internal, name), vector)
+
+    @pytest.mark.parametrize(
+        "records",
+        (
+            [_record("a", 0), _record("b", 1)],
+            [_record("a", 0), _record("a", 1), _record("a", 1, content="due volte")],
+        ),
+        ids=("foreign_doc", "duplicate_chunk_id"),
+    )
+    def test_bad_records_are_refused_before_the_first_write(self, index, records):
+        index.replace_document("a", [_record("a", 0, content="prima versione")])
+        before = _write_state(index)
+        with pytest.raises(ValueError):
+            index.replace_document("a", records)
+        assert _write_state(index) == before
+
+    def test_sharded_replace_routes_and_keeps_ordinals(self):
+        cluster = ShardedSearchIndex(SyntheticAdaEmbedder(None, dim=32, seed=1), num_shards=3)
+        for doc in "abcdef":
+            cluster.replace_document(doc, [_record(doc, 0), _record(doc, 1)])
+        ordinals, generation = cluster.live_ordinals(), cluster.generation
+        assert cluster.replace_document("c", [_record("c", 0), _record("c", 1)]) == []
+        assert (cluster.live_ordinals(), cluster.generation) == (ordinals, generation)
+        cluster.replace_document("c", [_record("c", 0), _record("c", 1, content="riscritto")])
+        moved = {c for c, o in cluster.live_ordinals().items() if o != ordinals[c]}
+        assert moved == {"c#1"}
+        assert cluster.ordinal("c#1") == max(cluster.live_ordinals().values())
+        assert cluster.generation == generation + 1
+        assert len(cluster) == 12
+
+
+class TestIncrementalWork:
+    """What an upsert costs, by count: ``np.dot`` calls (every HNSW distance
+    is one) and ``embed`` calls."""
+
+    PAGES = 50
+
+    @pytest.fixture()
+    def counted(self, index, monkeypatch):
+        for n in range(self.PAGES):
+            index.replace_document(f"d{n}", [_record(f"d{n}", title=f"Titolo {n % 7}")])
+        dots, embedded = [], []
+        dot, embed = np.dot, index.embedder.embed
+        monkeypatch.setattr(np, "dot", lambda a, b: dots.append(1) or dot(a, b))
+        monkeypatch.setattr(
+            index.embedder, "embed", lambda text: embedded.append(text) or embed(text)
+        )
+        return index, dots, embedded
+
+    def test_republishing_untouched_pages_costs_nothing(self, counted):
+        index, dots, embedded = counted
+        before = _write_state(index)
+        for n in range(self.PAGES):
+            index.replace_document(f"d{n}", [_record(f"d{n}", title=f"Titolo {n % 7}")])
+        assert (dots, embedded) == ([], [])
+        assert _write_state(index) == before
+
+    def test_content_only_edits_cost_the_title_field_nothing(self, counted, monkeypatch):
+        """Fifty content-only edits embed fifty contents and no title, insert
+        into the content graph only, and the title graph — which the parent
+        re-inserted every one of them into — evaluates no distance at all."""
+        index, dots, embedded = counted
+        title_graph = index._vectors["title"]
+        monkeypatch.setattr(title_graph, "add", lambda *args: pytest.fail("title re-inserted"))
+        contents = [f"contenuto riscritto numero {n}" for n in range(self.PAGES)]
+        for n, content in enumerate(contents):
+            index.replace_document(
+                f"d{n}", [_record(f"d{n}", title=f"Titolo {n % 7}", content=content)]
+            )
+        assert embedded == contents
+        assert len(title_graph) == self.PAGES
+        assert len(index._vectors["content"]) == 2 * self.PAGES
+        assert dots  # the content graph did pay for its inserts
 
 
 class TestReads:
