@@ -335,6 +335,7 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     from repro.core.config import UniAskConfig
     from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
     from repro.obs.incident import IncidentConfig
+    from repro.service.backend import ROLE_OPS
 
     print(
         f"building incident-enabled deployment ({args.topics} topics, "
@@ -414,7 +415,9 @@ def _cmd_incident(args: argparse.Namespace) -> int:
 
     if args.diagnose:
         query_id = f"q-{backend.served_queries:07d}"
-        diagnosis = manager.diagnose(query_id)
+        diagnosis = backend.ops(
+            "diagnose", backend.login("cli-ops", role=ROLE_OPS), query_id=query_id
+        )
         print()
         print(f"diagnosis of {query_id} (route {diagnosis['route']}): {diagnosis['verdict']}")
         for finding in diagnosis["findings"]:

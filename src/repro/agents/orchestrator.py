@@ -50,6 +50,7 @@ from repro.agents.structured import (
 from repro.core.answer import OUTCOME_ANSWERED, UniAskAnswer
 from repro.llm.base import RESPONSE_KIND_CLARIFICATION
 from repro.obs import spans
+from repro.obs.metrics import NULL_REGISTRY
 from repro.search.fusion import reciprocal_rank_fusion
 
 
@@ -89,14 +90,10 @@ class Orchestrator:
         self.structured: StructuredAgent | None = (
             StructuredAgent(catalog) if catalog is not None else None
         )
-        self._m_routes = (
-            registry.counter(
-                "uniask_agent_route_total",
-                "Agent-routed requests, by route and pipeline outcome.",
-                ("route", "outcome"),
-            )
-            if registry is not None
-            else None
+        self._m_routes = (registry or NULL_REGISTRY).counter(
+            "uniask_agent_route_total",
+            "Agent-routed requests, by route and pipeline outcome.",
+            ("route", "outcome"),
         )
 
     def refresh_catalog(self, store) -> None:
@@ -156,9 +153,8 @@ class Orchestrator:
             answer.generation_kind == RESPONSE_KIND_CLARIFICATION
             or answer.outcome == "guardrail_clarification"
         )
-        if self._m_routes is not None:
-            outcome = "clarification" if clarification else answer.outcome
-            self._m_routes.labels(route, outcome).inc()
+        outcome = "clarification" if clarification else answer.outcome
+        self._m_routes.labels(route, outcome).inc()
         if options.session_id:
             self.memory.observe(
                 options.session_id,

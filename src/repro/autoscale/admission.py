@@ -27,6 +27,7 @@ from repro.api.types import (
 from repro.autoscale.config import AdmissionConfig
 from repro.core.errors import AdmissionError
 from repro.obs.capacity import CapacityMonitor
+from repro.obs.metrics import NULL_REGISTRY
 
 __all__ = [
     "AdmissionController",
@@ -146,14 +147,11 @@ class AdmissionController:
         self._rejected_total = 0
         self.recorder = recorder
         self._last_levels: dict[str, int] = {name: LEVEL_FULL for name in PRIORITIES}
-        if registry is not None:
-            self._m_decisions = registry.counter(
-                "uniask_admission_decisions_total",
-                "Admission decisions, by priority class and granted level.",
-                ("priority", "decision"),
-            )
-        else:
-            self._m_decisions = None
+        self._m_decisions = (registry or NULL_REGISTRY).counter(
+            "uniask_admission_decisions_total",
+            "Admission decisions, by priority class and granted level.",
+            ("priority", "decision"),
+        )
 
     # -- telemetry feed ----------------------------------------------------
 
@@ -246,8 +244,7 @@ class AdmissionController:
             self._shed_total += 1
         if level >= LEVEL_REJECT:
             self._rejected_total += 1
-        if self._m_decisions is not None:
-            self._m_decisions.labels(priority, name).inc()
+        self._m_decisions.labels(priority, name).inc()
         return decision
 
     # -- observability -----------------------------------------------------

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from repro.autoscale.config import AutoscaleConfig
 from repro.autoscale.hedging import AdaptiveHedgeBudget
 from repro.obs.capacity import CapacityMonitor
+from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.slo import SLO, BurnWindow, SloSample, evaluate_burn_rates
 
 __all__ = ["Autoscaler", "ScaleDecision"]
@@ -153,20 +154,17 @@ class Autoscaler:
         self.hedge_budget = hedge_budget
         self.recorder = recorder
         self._hedges_disabled = False
-        if registry is not None:
-            self._g_replicas = registry.gauge(
-                "uniask_autoscale_replicas",
-                "Alive replicas per shard, as managed by the autoscaler.",
-                ("shard",),
-            )
-            self._m_actions = registry.counter(
-                "uniask_autoscale_actions_total",
-                "Autoscaler control actions, by kind.",
-                ("action",),
-            )
-        else:
-            self._g_replicas = None
-            self._m_actions = None
+        registry = registry or NULL_REGISTRY
+        self._g_replicas = registry.gauge(
+            "uniask_autoscale_replicas",
+            "Alive replicas per shard, as managed by the autoscaler.",
+            ("shard",),
+        )
+        self._m_actions = registry.counter(
+            "uniask_autoscale_actions_total",
+            "Autoscaler control actions, by kind.",
+            ("action",),
+        )
 
     # -- telemetry feed ----------------------------------------------------
 
@@ -217,9 +215,8 @@ class Autoscaler:
                         utilization=round(self._utilization, 4),
                     )
                     self._hedges_disabled = disabled
-        if self._g_replicas is not None:
-            for shard_id, alive in shard_alive.items():
-                self._g_replicas.labels(str(shard_id)).set(float(alive))
+        for shard_id, alive in shard_alive.items():
+            self._g_replicas.labels(str(shard_id)).set(float(alive))
 
         burning = bool(
             evaluate_burn_rates(self._slo, list(self._samples), at, _BURN_WINDOWS)
@@ -344,8 +341,7 @@ class Autoscaler:
             total_replicas=total,
         )
         self._decisions.append(decision)
-        if self._m_actions is not None:
-            self._m_actions.labels(action).inc()
+        self._m_actions.labels(action).inc()
         if self.recorder is not None:
             self.recorder.record(
                 "scale_decision",

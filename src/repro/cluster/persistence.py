@@ -19,6 +19,7 @@ from repro.cluster.sharded_index import ShardedSearchIndex
 from repro.embeddings.model import EmbeddingModel
 from repro.search.persistence import load_index, save_index
 from repro.search.segment import IndexConfig
+from repro.text.analyzer import ItalianAnalyzer
 
 _FORMAT_VERSION = 1
 
@@ -100,12 +101,14 @@ def load_cluster(
     ann_backend: str = "hnsw",
     seed: int = 42,
     index_config: IndexConfig | None = None,
+    analyzer: ItalianAnalyzer | None = None,
 ) -> ShardedSearchIndex:
     """Load a persisted sharded index from *directory*.
 
     As with :func:`repro.search.persistence.load_index`, the persisted
-    chunk vectors are inserted as-is — loading never re-embeds, and each
-    shard's bulk load ends sealed rather than buffered.
+    chunk vectors are inserted as-is — loading never re-embeds, each
+    shard's bulk load ends sealed rather than buffered, and *analyzer*
+    must be the chain the shards were saved with.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -119,6 +122,7 @@ def load_cluster(
             ann_backend=ann_backend,
             seed=seed,
             index_config=index_config,
+            analyzer=analyzer,
         )
         for shard_id in planner.shard_ids
     }
@@ -128,6 +132,7 @@ def load_cluster(
         schema=schema,
         ann_backend=ann_backend,
         seed=seed,
+        analyzer=analyzer,
         planner=planner,
         shard_indexes=shard_indexes,
         index_config=index_config,

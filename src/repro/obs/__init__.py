@@ -32,7 +32,7 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.sampling import TraceSampler
-from repro.obs.slo import SLO, BurnRateAlert, BurnWindow, burn_rate, evaluate_burn_rates
+from repro.obs.slo import SLO, Alert, BurnWindow, burn_rate, evaluate_burn_rates
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, TelemetryConfig
 from repro.obs.trace import (
     NULL_CONTEXT,
@@ -49,9 +49,9 @@ __all__ = [
     "NULL_CONTEXT",
     "NULL_REGISTRY",
     "NULL_TELEMETRY",
+    "Alert",
     "AuditLogger",
     "BlackBoxRecorder",
-    "BurnRateAlert",
     "BurnWindow",
     "Counter",
     "Gauge",

@@ -33,6 +33,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
+from repro.obs.metrics import NULL_REGISTRY
+
 __all__ = [
     "CapacityMonitor",
     "SaturationSample",
@@ -124,38 +126,32 @@ class CapacityMonitor:
             raise ValueError("window_seconds must be positive")
         self.window_seconds = float(window_seconds)
         self._resources: dict[str, _ResourceState] = {}
-        if registry is not None:
-            self._g_inflight = registry.gauge(
-                "uniask_saturation_in_flight",
-                "Concurrent flights at the last arrival, by resource.",
-                ("resource",),
-            )
-            self._g_high_water = registry.gauge(
-                "uniask_saturation_concurrency_high_water",
-                "Peak concurrent flights observed, by resource.",
-                ("resource",),
-            )
-            self._g_queue_depth = registry.gauge(
-                "uniask_saturation_queue_depth",
-                "Waiting flights (concurrency - 1) at the last arrival.",
-                ("resource",),
-            )
-            self._g_utilization = registry.gauge(
-                "uniask_saturation_utilization",
-                "Rolling-window busy fraction, by resource (0..1).",
-                ("resource",),
-            )
-            self._g_load = registry.gauge(
-                "uniask_saturation_littles_load",
-                "Rolling-window Little's-law load estimate (L = lambda * W).",
-                ("resource",),
-            )
-        else:
-            self._g_inflight = None
-            self._g_high_water = None
-            self._g_queue_depth = None
-            self._g_utilization = None
-            self._g_load = None
+        registry = registry or NULL_REGISTRY
+        self._g_inflight = registry.gauge(
+            "uniask_saturation_in_flight",
+            "Concurrent flights at the last arrival, by resource.",
+            ("resource",),
+        )
+        self._g_high_water = registry.gauge(
+            "uniask_saturation_concurrency_high_water",
+            "Peak concurrent flights observed, by resource.",
+            ("resource",),
+        )
+        self._g_queue_depth = registry.gauge(
+            "uniask_saturation_queue_depth",
+            "Waiting flights (concurrency - 1) at the last arrival.",
+            ("resource",),
+        )
+        self._g_utilization = registry.gauge(
+            "uniask_saturation_utilization",
+            "Rolling-window busy fraction, by resource (0..1).",
+            ("resource",),
+        )
+        self._g_load = registry.gauge(
+            "uniask_saturation_littles_load",
+            "Rolling-window Little's-law load estimate (L = lambda * W).",
+            ("resource",),
+        )
 
     def observe(
         self, resource: str, arrival: float, response_time: float, failed: bool = False
@@ -179,10 +175,9 @@ class CapacityMonitor:
         horizon = arrival - self.window_seconds
         while window and window[0][0] < horizon:
             window.popleft()
-        if self._g_inflight is not None:
-            self._g_inflight.labels(resource).set(float(len(ends)))
-            self._g_high_water.labels(resource).set(float(state.high_water))
-            self._g_queue_depth.labels(resource).set(float(max(0, len(ends) - 1)))
+        self._g_inflight.labels(resource).set(float(len(ends)))
+        self._g_high_water.labels(resource).set(float(state.high_water))
+        self._g_queue_depth.labels(resource).set(float(max(0, len(ends) - 1)))
 
     def _sample(self, resource: str, state: _ResourceState) -> SaturationSample:
         window = state.window
@@ -226,9 +221,8 @@ class CapacityMonitor:
         for resource in sorted(self._resources):
             sample = self._sample(resource, self._resources[resource])
             samples.append(sample)
-            if self._g_utilization is not None:
-                self._g_utilization.labels(resource).set(sample.utilization)
-                self._g_load.labels(resource).set(sample.littles_load)
+            self._g_utilization.labels(resource).set(sample.utilization)
+            self._g_load.labels(resource).set(sample.littles_load)
         return tuple(samples)
 
 

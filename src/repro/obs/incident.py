@@ -19,15 +19,17 @@ human looks.  This module closes that gap with three pieces:
   work-counter deltas, the recorder window before the page), tracks
   recovery, and renders a causally ordered timeline with a ranked
   suspected-cause list.
-* :meth:`IncidentManager.diagnose` — the per-request loop: given a
-  ``query_id``, compares the request against rolling per-route baselines
-  and explains *why this request* was slow, shed or degraded, linking to
-  the admission pressure and autoscaler state at serve time.
+* :meth:`IncidentManager.diagnose` — the per-request loop: compares the
+  backend's stored record of a request against rolling per-route
+  baselines and explains *why this request* was slow, shed or degraded,
+  linking to the admission pressure and autoscaler state the record
+  carries from serve time.  The manager keeps no copy of a request.
 
 Layering: this module lives in ``repro.obs`` and never imports the
-service layer.  Alerts arrive duck-typed (anything with ``rule``,
-``severity`` and ``message``); the backend evaluates them with its own
-alerting machinery and passes them into :meth:`IncidentManager.check`.
+service layer.  The backend assembles the :class:`~repro.obs.slo.Alert`
+list (burn rates over :data:`PAGE_BURN_WINDOWS` plus quality alerts, not
+the threshold rules) and passes it into :meth:`IncidentManager.check`;
+``critical`` alerts page.
 
 Everything is off by default and deterministic when on: event order is
 the order state changed on the simulated clock, fingerprints are pure
@@ -40,10 +42,12 @@ to one built before this module existed.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import asdict, dataclass, field
 
-from repro.obs.slo import BurnWindow
+from repro.obs.audit import NULL_AUDIT
+from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.slo import SEVERITY_CRITICAL, BurnWindow
 
 __all__ = [
     "BlackBoxRecorder",
@@ -52,9 +56,6 @@ __all__ = [
     "IncidentManager",
     "RecordedEvent",
 ]
-
-#: Alert severity that opens an incident (the page).
-PAGE_SEVERITY = "critical"
 
 # -- recorder event kinds --------------------------------------------------
 EVENT_ALERT_FIRED = "alert_fired"
@@ -89,7 +90,7 @@ PAGE_BURN_WINDOWS = (
         short_seconds=PAGE_SHORT_SECONDS,
         long_seconds=PAGE_LONG_SECONDS,
         max_burn_rate=PAGE_BURN_THRESHOLD,
-        severity=PAGE_SEVERITY,
+        severity=SEVERITY_CRITICAL,
     ),
 )
 #: Recorder window frozen before the page (and scanned around a request by
@@ -105,8 +106,6 @@ DEDUP_WINDOW_SECONDS = 300.0
 BASELINE_WINDOW = 256
 #: Retained incidents (oldest recovered drop first).
 MAX_INCIDENTS = 64
-#: Bounded per-request contexts kept for :meth:`IncidentManager.diagnose`.
-MAX_TRACKED_REQUESTS = 2048
 #: A request this many times slower than its route baseline is called out
 #: as slow.
 SLOW_RATIO = 1.5
@@ -164,14 +163,11 @@ class BlackBoxRecorder:
         self._clock = clock
         self._events: deque[RecordedEvent] = deque(maxlen=RECORDER_CAPACITY)
         self._total = 0
-        if registry is not None:
-            self._m_events = registry.counter(
-                "uniask_incident_events_total",
-                "Control-plane events captured by the flight recorder, by kind.",
-                ("kind",),
-            )
-        else:
-            self._m_events = None
+        self._m_events = (registry or NULL_REGISTRY).counter(
+            "uniask_incident_events_total",
+            "Control-plane events captured by the flight recorder, by kind.",
+            ("kind",),
+        )
 
     def record(self, kind: str, source: str, **detail: object) -> RecordedEvent:
         """Append one event stamped at the current simulated instant."""
@@ -180,8 +176,7 @@ class BlackBoxRecorder:
         )
         self._events.append(event)
         self._total += 1
-        if self._m_events is not None:
-            self._m_events.labels(kind).inc()
+        self._m_events.labels(kind).inc()
         return event
 
     @property
@@ -308,29 +303,25 @@ class IncidentManager:
     ) -> None:
         self._clock = clock
         self.recorder = recorder if recorder is not None else BlackBoxRecorder(clock)
-        self._audit = audit
+        self._audit = audit if audit is not None else NULL_AUDIT
         self._capture_fn = None
         self._incidents: list[Incident] = []
         self._counter = 0
         self._last_check = float("-inf")
         self._active_alerts: dict[str, str] = {}
-        # Per-request diagnosis state: bounded contexts + route baselines.
-        self._requests: OrderedDict[str, dict] = OrderedDict()
+        # Per-request diagnosis state: rolling per-route baselines.
         self._baselines: dict[str, deque] = {}
         self._work_totals: dict[str, int] = {}
         self._work_at_last_incident: dict[str, int] = {}
-        if registry is not None:
-            self._g_open = registry.gauge(
-                "uniask_incidents_open", "Currently open (unrecovered) incidents."
-            )
-            self._m_incidents = registry.counter(
-                "uniask_incidents_total",
-                "Incidents opened, by top-ranked suspected cause.",
-                ("cause",),
-            )
-        else:
-            self._g_open = None
-            self._m_incidents = None
+        registry = registry or NULL_REGISTRY
+        self._g_open = registry.gauge(
+            "uniask_incidents_open", "Currently open (unrecovered) incidents."
+        )
+        self._m_incidents = registry.counter(
+            "uniask_incidents_total",
+            "Incidents opened, by top-ranked suspected cause.",
+            ("cause",),
+        )
 
     # -- wiring ------------------------------------------------------------
 
@@ -345,37 +336,14 @@ class IncidentManager:
 
     # -- per-request feed --------------------------------------------------
 
-    def observe_request(
-        self,
-        record,
-        stages: dict[str, float],
-        pressure: float | None = None,
-        utilization: float | None = None,
-    ) -> None:
-        """Feed one served :class:`QueryRecord` into baselines and tracking.
+    def observe_request(self, record, stages: dict[str, float]) -> None:
+        """Feed one served :class:`QueryRecord` into baselines and work totals.
 
         *stages* is the record's ``trace.stage_durations()`` (empty when
         the request was not traced), which the caller has already taken.
         """
         answer = record.answer
         route = answer.route or "default"
-        context = {
-            "query_id": record.query_id,
-            "route": route,
-            "served_at": record.served_at,
-            "response_time": answer.response_time,
-            "outcome": answer.outcome,
-            "degrade_level": answer.degrade_level,
-            "cache_hit": answer.cache_hit,
-            "partial": answer.partial_results,
-            "stages": stages,
-            "work": dict(answer.work) if answer.work else {},
-            "pressure": pressure,
-            "utilization": utilization,
-        }
-        self._requests[record.query_id] = context
-        while len(self._requests) > MAX_TRACKED_REQUESTS:
-            self._requests.popitem(last=False)
         baseline = self._baselines.get(route)
         if baseline is None:
             baseline = deque(maxlen=BASELINE_WINDOW)
@@ -396,7 +364,7 @@ class IncidentManager:
         return now - self._last_check >= CHECK_INTERVAL
 
     def check(self, now: float, alerts) -> Incident | None:
-        """Evaluate *alerts* (duck-typed: rule/severity/message) at *now*.
+        """Evaluate *alerts* (:class:`~repro.obs.slo.Alert` values) at *now*.
 
         Records alert transitions on the flight recorder, recovers
         incidents whose rules stopped paging, and opens (or dedups into)
@@ -416,7 +384,7 @@ class IncidentManager:
         self._active_alerts = current
 
         page_rules = tuple(
-            sorted(rule for rule, severity in current.items() if severity == PAGE_SEVERITY)
+            sorted(rule for rule, severity in current.items() if severity == SEVERITY_CRITICAL)
         )
         self._recover(now, set(page_rules))
         if not page_rules:
@@ -435,8 +403,7 @@ class IncidentManager:
                 incident.recovered_at = None
                 incident.count += 1
                 incident.last_seen = now
-                if self._g_open is not None:
-                    self._g_open.inc()
+                self._g_open.inc()
                 return incident
             break
         return self._open(now, fingerprint, page_rules, alerts)
@@ -445,15 +412,13 @@ class IncidentManager:
         for incident in self._incidents:
             if incident.open and not (set(incident.rules) & paging):
                 incident.recovered_at = now
-                if self._g_open is not None:
-                    self._g_open.dec()
-                if self._audit is not None:
-                    self._audit.info(
-                        "incident_recovered",
-                        incident_id=incident.incident_id,
-                        fingerprint=incident.fingerprint,
-                        duration=now - incident.opened_at,
-                    )
+                self._g_open.dec()
+                self._audit.info(
+                    "incident_recovered",
+                    incident_id=incident.incident_id,
+                    fingerprint=incident.fingerprint,
+                    duration=now - incident.opened_at,
+                )
 
     def _open(
         self, now: float, fingerprint: str, rules: tuple[str, ...], alerts
@@ -477,28 +442,22 @@ class IncidentManager:
             fingerprint=fingerprint,
             opened_at=now,
             rules=rules,
-            alerts=[
-                {"rule": a.rule, "severity": a.severity, "message": a.message}
-                for a in alerts
-            ],
+            alerts=[asdict(alert) for alert in alerts],
             capture=capture,
             events=events,
             suspected_causes=causes,
         )
         self._incidents.append(incident)
         self._trim()
-        if self._g_open is not None:
-            self._g_open.inc()
-        if self._m_incidents is not None:
-            self._m_incidents.labels(incident.top_cause or "unknown").inc()
-        if self._audit is not None:
-            self._audit.warning(
-                "incident_open",
-                incident_id=incident.incident_id,
-                fingerprint=fingerprint,
-                rules=list(rules),
-                top_cause=incident.top_cause,
-            )
+        self._g_open.inc()
+        self._m_incidents.labels(incident.top_cause or "unknown").inc()
+        self._audit.warning(
+            "incident_open",
+            incident_id=incident.incident_id,
+            fingerprint=fingerprint,
+            rules=list(rules),
+            top_cause=incident.top_cause,
+        )
         return incident
 
     def _trim(self) -> None:
@@ -547,32 +506,30 @@ class IncidentManager:
 
     # -- per-request diagnosis ---------------------------------------------
 
-    def diagnose(self, query_id: str) -> dict:
+    def diagnose(self, record) -> dict:
         """Explain why one request was slow, shed or degraded.
 
-        Compares the stored request context against its route's rolling
-        baseline and links it to the control-plane state at serve time.
-        Raises ``KeyError`` for requests that were never tracked (served
-        before incidents were enabled, or already evicted).
+        Compares the backend's stored :class:`QueryRecord` against its
+        route's rolling baseline and links it to the control-plane state
+        at serve time (the record's ``pressure`` / ``utilization`` readings
+        and the recorder window before ``served_at``).
         """
-        context = self._requests.get(query_id)
-        if context is None:
-            raise KeyError(f"unknown or evicted query id {query_id!r}")
-        route = context["route"]
+        answer = record.answer
+        route = answer.route or "default"
         findings: list[str] = []
         verdict = "normal"
 
-        if context["degrade_level"]:
+        if answer.degrade_level:
             verdict = "shed"
             findings.append(
-                f"served at degrade level {context['degrade_level']} "
+                f"served at degrade level {answer.degrade_level} "
                 "(admission shed ladder)"
             )
-        if context["partial"]:
+        if answer.partial_results:
             verdict = "degraded" if verdict == "normal" else verdict
             findings.append("partial results: at least one shard missed its deadline")
-        if context["cache_hit"]:
-            findings.append(f"served from cache (kind={context['cache_hit']})")
+        if answer.cache_hit:
+            findings.append(f"served from cache (kind={answer.cache_hit})")
 
         baseline = self._baselines.get(route, ())
         baseline_n = len(baseline)
@@ -582,16 +539,17 @@ class IncidentManager:
         if baseline_n >= MIN_BASELINE:
             baseline_mean = sum(rt for rt, _ in baseline) / baseline_n
             if baseline_mean > 0.0:
-                ratio = context["response_time"] / baseline_mean
-            if ratio > SLOW_RATIO and not context["cache_hit"]:
+                ratio = answer.response_time / baseline_mean
+            if ratio > SLOW_RATIO and not answer.cache_hit:
                 if verdict == "normal":
                     verdict = "slow"
                 findings.append(
                     f"{ratio:.1f}x slower than the {route} route baseline "
-                    f"({context['response_time']:.3f}s vs {baseline_mean:.3f}s "
+                    f"({answer.response_time:.3f}s vs {baseline_mean:.3f}s "
                     f"mean of {baseline_n})"
                 )
-            stage_deltas = self._stage_deltas(context["stages"], baseline)
+            stages = record.trace.stage_durations() if record.trace is not None else {}
+            stage_deltas = self._stage_deltas(stages, baseline)
             for delta in stage_deltas[:3]:
                 if delta["delta"] > 0.0:
                     findings.append(
@@ -603,35 +561,35 @@ class IncidentManager:
                 f"({baseline_n} < {MIN_BASELINE})"
             )
 
-        if context["pressure"] is not None:
-            findings.append(f"admission pressure {context['pressure']:.2f} at serve time")
-        if context["utilization"] is not None:
+        if record.pressure is not None:
+            findings.append(f"admission pressure {record.pressure:.2f} at serve time")
+        if record.utilization is not None:
             findings.append(
-                f"autoscaler utilization {context['utilization']:.2f} at serve time"
+                f"autoscaler utilization {record.utilization:.2f} at serve time"
             )
         nearby = self.recorder.window(
-            context["served_at"] - PRE_WINDOW_SECONDS, context["served_at"]
+            record.served_at - PRE_WINDOW_SECONDS, record.served_at
         )
         for event in nearby[-5:]:
             findings.append(f"control-plane: {event.format()}")
 
         return {
-            "query_id": query_id,
+            "query_id": record.query_id,
             "route": route,
             "verdict": verdict,
-            "served_at": context["served_at"],
-            "response_time": context["response_time"],
-            "outcome": context["outcome"],
-            "degrade_level": context["degrade_level"],
-            "cache_hit": context["cache_hit"],
-            "partial": context["partial"],
+            "served_at": record.served_at,
+            "response_time": answer.response_time,
+            "outcome": answer.outcome,
+            "degrade_level": answer.degrade_level,
+            "cache_hit": answer.cache_hit,
+            "partial": answer.partial_results,
             "baseline_n": baseline_n,
             "baseline_mean": round(baseline_mean, 4),
             "slowdown": round(ratio, 3),
             "stage_deltas": stage_deltas,
-            "work": dict(context["work"]),
-            "pressure": context["pressure"],
-            "utilization": context["utilization"],
+            "work": dict(answer.work) if answer.work else {},
+            "pressure": record.pressure,
+            "utilization": record.utilization,
             "nearby_events": [event.to_dict() for event in nearby[-5:]],
             "findings": findings,
         }

@@ -31,10 +31,10 @@ aggregate), so *work drift* — a kernel suddenly scanning more postings, an
 index refresh doubling segments touched — pages through the same alert
 surface as quality drift.
 
-Both mechanisms emit :class:`QualityAlert` values which
-:func:`repro.service.alerting.evaluate_quality_alerts` adapts into the
-service alert shape, so quality alerts ride the same SLO/alert surface as
-burn rates (``metrics`` CLI gating, the ops ``slo`` route, CI).
+Both mechanisms return the one :class:`~repro.obs.slo.Alert` shape, named
+``quality_drift_<signal>`` / ``quality_canary_<metric>``, so quality alerts
+ride the same surface as burn rates (the ops ``slo`` route, the incident
+page check, ``metrics`` CLI gating, CI) with no adapter in between.
 
 Everything is pure python and deterministic: no scipy, no wall clock — the
 canary schedule runs off the deployment's simulated clock.
@@ -47,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.slo import SEVERITY_CRITICAL, SEVERITY_WARNING, Alert
 
 __all__ = [
     "CanaryProbe",
@@ -54,7 +55,6 @@ __all__ = [
     "CanaryRunner",
     "CanarySuite",
     "DriftVerdict",
-    "QualityAlert",
     "QualityMonitor",
     "RateDriftDetector",
     "ScoreDriftDetector",
@@ -64,10 +64,6 @@ __all__ = [
     "population_stability_index",
     "two_proportion_z",
 ]
-
-#: Alert severities (same strings as :mod:`repro.service.alerting`).
-SEVERITY_WARNING = "warning"
-SEVERITY_CRITICAL = "critical"
 
 
 # -- two-sample statistics (pure python, no scipy) ---------------------------
@@ -340,16 +336,7 @@ class RateDriftDetector(_DriftDetector):
         )
 
 
-# -- quality alerts and the monitor -----------------------------------------
-
-
-@dataclass(frozen=True)
-class QualityAlert:
-    """One fired quality alert (drift detector or canary degradation)."""
-
-    name: str
-    severity: str
-    message: str
+# -- the monitor -------------------------------------------------------------
 
 
 class QualityMonitor:
@@ -396,7 +383,7 @@ class QualityMonitor:
             "Answers observed by the quality monitor, by signal.",
             ("signal",),
         )
-        self._canary_alerts: tuple[QualityAlert, ...] = ()
+        self._canary_alerts: tuple[Alert, ...] = ()
 
     def observe_answer(self, answer) -> None:
         """Feed one served :class:`~repro.core.answer.UniAskAnswer`."""
@@ -414,7 +401,7 @@ class QualityMonitor:
             self.citations.observe(len(answer.citations) > 0)
             self._m_observed.labels("citation_coverage").inc()
 
-    def record_canary(self, alerts: list[QualityAlert]) -> None:
+    def record_canary(self, alerts: list[Alert]) -> None:
         """Store the latest canary run's alerts for :meth:`alerts`."""
         self._canary_alerts = tuple(alerts)
 
@@ -434,11 +421,11 @@ class QualityMonitor:
                 )
         return verdicts
 
-    def alerts(self) -> list[QualityAlert]:
+    def alerts(self) -> list[Alert]:
         """Fired drift alerts plus the latest canary run's alerts."""
         fired = [
-            QualityAlert(
-                name=f"drift_{verdict.signal}",
+            Alert(
+                rule=f"quality_drift_{verdict.signal}",
                 severity=SEVERITY_CRITICAL,
                 message=verdict.reason,
             )
@@ -646,7 +633,7 @@ class CanaryRunner:
     they always measure the current pipeline — index, retrieval, LLM and
     guardrails — never a cached answer.  The first run freezes the
     baseline; each later run compares against it with the module's
-    degradation tolerances and emits :class:`QualityAlert` values,
+    degradation tolerances and emits :class:`~repro.obs.slo.Alert` values,
     optionally handing them to a :class:`QualityMonitor` so they surface on
     the service alert route.
 
@@ -686,7 +673,7 @@ class CanaryRunner:
         self._monitor = monitor
         self._record_work = record_work
         self.last_report: CanaryReport | None = None
-        self.last_alerts: tuple[QualityAlert, ...] = ()
+        self.last_alerts: tuple[Alert, ...] = ()
         #: Per-probe work counts of the latest run (``{probe_id: {kind: units}}``).
         self.last_work: dict[str, dict[str, int]] = {}
         self._next_due = 0.0
@@ -830,18 +817,18 @@ class CanaryRunner:
             self._monitor.record_canary(alerts)
         return report
 
-    def evaluate(self, report: CanaryReport) -> list[QualityAlert]:
+    def evaluate(self, report: CanaryReport) -> list[Alert]:
         """Degradation alerts of *report* against the frozen baseline."""
         baseline = self.baseline
         if baseline is None or baseline is report:
             return []
-        alerts: list[QualityAlert] = []
+        alerts: list[Alert] = []
 
         def drop(name: str, current: float, reference: float, tolerance: float) -> None:
             if reference - current > tolerance:
                 alerts.append(
-                    QualityAlert(
-                        name=f"canary_{name}",
+                    Alert(
+                        rule=f"quality_canary_{name}",
                         severity=SEVERITY_CRITICAL,
                         message=(
                             f"canary {name} dropped to {current:.3f} from baseline "
@@ -873,8 +860,8 @@ class CanaryRunner:
                     continue
                 if abs(current - reference) / max(abs(reference), 1) > MAX_WORK_DRIFT:
                     alerts.append(
-                        QualityAlert(
-                            name=f"canary_work_{kind}",
+                        Alert(
+                            rule=f"quality_canary_work_{kind}",
                             severity=SEVERITY_WARNING,
                             message=(
                                 f"canary work {kind} moved to {current} from "
@@ -885,8 +872,8 @@ class CanaryRunner:
                     )
         if report.guardrail_fire_rate - baseline.guardrail_fire_rate > MAX_GUARDRAIL_RISE:
             alerts.append(
-                QualityAlert(
-                    name="canary_guardrail_fire_rate",
+                Alert(
+                    rule="quality_canary_guardrail_fire_rate",
                     severity=SEVERITY_CRITICAL,
                     message=(
                         f"canary guardrail fire rate rose to "
@@ -899,7 +886,7 @@ class CanaryRunner:
         return alerts
 
 
-def format_canary_report(report: CanaryReport, alerts: list[QualityAlert]) -> str:
+def format_canary_report(report: CanaryReport, alerts: list[Alert]) -> str:
     """Render one canary run as the ``canary`` CLI output."""
     lines = [
         f"canary run @t={report.started_at:g}s: {report.probes_run} probes",
@@ -914,7 +901,7 @@ def format_canary_report(report: CanaryReport, alerts: list[QualityAlert]) -> st
     ]
     if alerts:
         for alert in alerts:
-            lines.append(f"  QUALITY ALERT [{alert.severity}] {alert.name}: {alert.message}")
+            lines.append(f"  QUALITY ALERT [{alert.severity}] {alert.rule}: {alert.message}")
     else:
         lines.append("  quality: no degradation against baseline")
     return "\n".join(lines)

@@ -18,6 +18,12 @@ Events are ``(timestamp, good)`` samples; the service layer adapts its
 query log (availability: not failed; latency: served under the objective
 threshold; guardrail rate: answer not invalidated) in
 :mod:`repro.service.alerting`.
+
+The one alert vocabulary lives here too — :class:`Alert` and the two
+severities — because this is the lowest layer every producer imports: the
+burn rates, the quality detectors (:mod:`repro.obs.quality`) and the
+threshold rules (:mod:`repro.service.alerting`) each return an
+:class:`Alert` themselves, and no reader adapts one shape into another.
 """
 
 from __future__ import annotations
@@ -26,14 +32,37 @@ from dataclasses import dataclass
 from typing import Iterable
 
 __all__ = [
-    "BurnRateAlert",
+    "Alert",
     "BurnWindow",
     "DEFAULT_BURN_WINDOWS",
+    "SEVERITY_CRITICAL",
+    "SEVERITY_WARNING",
     "SLO",
     "SloSample",
     "burn_rate",
     "evaluate_burn_rates",
 ]
+
+#: Severities, in escalation order.  ``critical`` is the page: it opens an
+#: incident and fails the ``metrics`` CLI gate; ``warning`` is only shown.
+SEVERITY_WARNING = "warning"
+SEVERITY_CRITICAL = "critical"
+
+
+@dataclass(frozen=True)
+class Alert:
+    """One fired alert, whatever fired it.
+
+    Attributes:
+        rule: ``slo_<name>`` (burn rate), ``quality_<name>`` (drift or
+            canary) or a threshold rule's own name.
+        severity: :data:`SEVERITY_WARNING` or :data:`SEVERITY_CRITICAL`.
+        message: operator-facing description with the measured values.
+    """
+
+    rule: str
+    severity: str
+    message: str
 
 
 @dataclass(frozen=True)
@@ -80,8 +109,8 @@ class BurnWindow:
 
 #: SRE-workbook defaults: page on a fast burn, warn on a slow one.
 DEFAULT_BURN_WINDOWS = (
-    BurnWindow(short_seconds=300.0, long_seconds=3600.0, max_burn_rate=14.4, severity="critical"),
-    BurnWindow(short_seconds=1800.0, long_seconds=21600.0, max_burn_rate=6.0, severity="warning"),
+    BurnWindow(short_seconds=300.0, long_seconds=3600.0, max_burn_rate=14.4, severity=SEVERITY_CRITICAL),
+    BurnWindow(short_seconds=1800.0, long_seconds=21600.0, max_burn_rate=6.0, severity=SEVERITY_WARNING),
 )
 
 
@@ -91,18 +120,6 @@ class SloSample:
 
     timestamp: float
     good: bool
-
-
-@dataclass(frozen=True)
-class BurnRateAlert:
-    """One fired multi-window burn-rate alert."""
-
-    slo: str
-    severity: str
-    short_burn: float
-    long_burn: float
-    window: BurnWindow
-    message: str
 
 
 def burn_rate(
@@ -129,24 +146,21 @@ def evaluate_burn_rates(
     samples: list[SloSample],
     now: float,
     windows: tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS,
-) -> list[BurnRateAlert]:
+) -> list[Alert]:
     """Fire every window rule whose short AND long burns exceed its threshold.
 
-    Rules are checked in order; at most one alert fires per SLO — the
-    first (most severe) window pair that trips — because a fast burn
-    already implies the slow-burn condition operationally.
+    Rules are checked in order; at most one alert (``slo_<name>``) fires
+    per SLO — the first (most severe) window pair that trips — because a
+    fast burn already implies the slow-burn condition operationally.
     """
     for window in windows:
         short = burn_rate(samples, window.short_seconds, now, slo.error_budget)
         long_ = burn_rate(samples, window.long_seconds, now, slo.error_budget)
         if short > window.max_burn_rate and long_ > window.max_burn_rate:
             return [
-                BurnRateAlert(
-                    slo=slo.name,
+                Alert(
+                    rule=f"slo_{slo.name}",
                     severity=window.severity,
-                    short_burn=short,
-                    long_burn=long_,
-                    window=window,
                     message=(
                         f"SLO {slo.name} (objective {slo.objective:.2%}) burning "
                         f"{short:.1f}x budget over {window.short_seconds / 60.0:.0f}m "

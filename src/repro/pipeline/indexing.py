@@ -151,11 +151,8 @@ class IndexingService:
         """Segment maintenance on the simulated clock; returns ops performed.
 
         A no-op without a clock (the index then merges only on explicit
-        ``vacuum``) or on an index without segment maintenance.
+        ``vacuum``).
         """
         if self._clock is None:
             return 0
-        maintain = getattr(self._index, "run_maintenance", None)
-        if maintain is None:
-            return 0
-        return sum(maintain(self._clock.now()).values())
+        return sum(self._index.run_maintenance(self._clock.now()).values())

@@ -4,7 +4,8 @@ A production deployment does not rebuild its index on restart: records and
 embeddings are persisted and reloaded.  This module saves a
 :class:`~repro.search.index.SearchIndex` to a directory —
 
-* ``records.json`` — every live chunk record plus schema/backend settings;
+* ``records.json`` — every live chunk record plus the schema, the
+  embedding width and the analyzer's fingerprint;
 * ``vectors.npz``  — one embedding matrix per vector field, row-aligned
   with the records;
 
@@ -25,6 +26,7 @@ from repro.embeddings.model import EmbeddingModel
 from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord, FieldDefinition, IndexSchema
 from repro.search.segment import IndexConfig
+from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 
 _FORMAT_VERSION = 1
 
@@ -50,6 +52,7 @@ def save_index(index: SearchIndex, directory: str | Path) -> Path:
     manifest = {
         "version": _FORMAT_VERSION,
         "embedding_dim": index.embedder.dim,
+        "analyzer": index.analyzer.fingerprint(),
         "schema": [dataclasses.asdict(field) for field in index.schema.fields],
         "records": records,
     }
@@ -103,6 +106,7 @@ def load_index(
     ann_backend: str = "hnsw",
     seed: int = 42,
     index_config: IndexConfig | None = None,
+    analyzer: ItalianAnalyzer | None = None,
 ) -> SearchIndex:
     """Load a persisted index from *directory*.
 
@@ -111,7 +115,11 @@ def load_index(
     dimensionality must match the saved one, and ``vectors.npz`` is checked
     against the records before the first insert: a damaged file, a missing
     or surplus field or row, a wrong width or a non-finite value is a
-    ``ValueError``.  The bulk load ends with a buffer seal
+    ``ValueError``.  The *analyzer* (None → the Italian default)
+    re-analyses the records and serves every later query and write, so it
+    must be the chain the index was saved with: a fingerprint mismatch is
+    a ``ValueError`` (a manifest saved before fingerprints were recorded
+    counts as the Italian default).  The bulk load ends with a buffer seal
     (:meth:`~repro.search.index.SearchIndex.flush`), so a loaded segmented
     index starts serving from sealed kernels instead of one giant write
     buffer.
@@ -123,6 +131,13 @@ def load_index(
     if manifest["embedding_dim"] != embedder.dim:
         raise ValueError(
             f"embedder dim {embedder.dim} does not match saved dim {manifest['embedding_dim']}"
+        )
+    analyzer = analyzer if analyzer is not None else FULL_ANALYZER
+    saved_chain = manifest.get("analyzer", FULL_ANALYZER.fingerprint())
+    if saved_chain != analyzer.fingerprint():
+        raise ValueError(
+            f"the index was saved with the analyzer {saved_chain}, "
+            f"it is being loaded with {analyzer.fingerprint()}"
         )
 
     schema = IndexSchema(
@@ -136,6 +151,7 @@ def load_index(
         schema=schema,
         ann_backend=ann_backend,
         seed=seed,
+        analyzer=analyzer,
         index_config=index_config,
     )
 

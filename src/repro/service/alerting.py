@@ -1,25 +1,24 @@
-"""Alerting on top of the monitoring dashboard.
+"""The service's alert rules: threshold rules and the SLO declarations.
 
-Section 9's monitoring exists so operators notice problems; in production
-nobody stares at a dashboard — alert rules watch the same counters.  Rules
-evaluate a :class:`~repro.service.monitoring.DashboardSnapshot` and fire
-when an operational threshold is crossed: failed-request spikes, guardrail
-rate drift (the Phase 1 release-1 bug would have tripped this), latency
-degradation, or traffic drops.
+Section 9's monitoring exists so operators notice problems; nobody stares
+at a dashboard, so rules watch the same counters.  Both families return
+the one :class:`~repro.obs.slo.Alert` (re-exported here):
 
-Alongside the threshold rules, :func:`evaluate_slo_alerts` runs the
-multi-window burn-rate evaluation of :mod:`repro.obs.slo` over the raw
-query log: :func:`default_slos` declares the three service objectives
-(availability, latency, guardrail pass rate) together with the predicate
-that classifies each :class:`~repro.service.monitoring.QueryEvent` as good
-or bad, and every fired :class:`~repro.obs.slo.BurnRateAlert` is adapted
-into the same :class:`Alert` shape the threshold rules emit.
+* **Threshold rules** (:func:`default_rules`, :func:`evaluate_alerts`)
+  read a :class:`~repro.service.monitoring.DashboardSnapshot` — whole-log
+  rates, no windows.  ``guardrail_rate`` is the only detector that sees
+  the paper's Phase-1 release-1 bug: 25 % guardrailed over the 15 % budget
+  of the ``guardrail_pass_rate`` SLO burns 1.7 ×, the windows trip at
+  6 × / 14.4 ×.
+* **Burn rates** (:func:`default_slos`, :func:`evaluate_slo_alerts`): the
+  four service objectives, each with the predicate classifying a
+  :class:`~repro.service.monitoring.QueryEvent` as good or bad, evaluated
+  by :func:`repro.obs.slo.evaluate_burn_rates` over the raw query log.
 
-:func:`evaluate_quality_alerts` does the same adaptation for the online
-quality layer of :mod:`repro.obs.quality`: drift-detector firings and
-canary degradations become ``quality_<name>`` alerts, so burn rates,
-threshold rules and quality drift all ride one alert surface (the ops
-``slo`` route, the ``metrics`` CLI gate, CI).
+``BackendService._alerts`` assembles them with the quality monitor's
+alerts (the ops ``slo`` route, the ``metrics`` CLI gate, CI); the incident
+page check leaves the threshold rules out, because their snapshot is a
+pass over the whole query log.
 """
 
 from __future__ import annotations
@@ -27,21 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.obs.slo import DEFAULT_BURN_WINDOWS, SLO, BurnWindow, SloSample, evaluate_burn_rates
+from repro.obs.slo import (
+    DEFAULT_BURN_WINDOWS,
+    SEVERITY_CRITICAL,
+    SEVERITY_WARNING,
+    SLO,
+    Alert,
+    BurnWindow,
+    SloSample,
+    evaluate_burn_rates,
+)
 from repro.service.monitoring import DashboardSnapshot, QueryEvent
-
-#: Severities, in escalation order.
-SEVERITY_WARNING = "warning"
-SEVERITY_CRITICAL = "critical"
-
-
-@dataclass(frozen=True)
-class Alert:
-    """One fired alert."""
-
-    rule: str
-    severity: str
-    message: str
 
 
 @dataclass(frozen=True)
@@ -52,12 +47,6 @@ class AlertRule:
     severity: str
     predicate: Callable[[DashboardSnapshot], bool]
     describe: Callable[[DashboardSnapshot], str]
-
-    def evaluate(self, snapshot: DashboardSnapshot) -> Alert | None:
-        """Fire the alert when the predicate holds."""
-        if self.predicate(snapshot):
-            return Alert(rule=self.name, severity=self.severity, message=self.describe(snapshot))
-        return None
 
 
 def _guardrail_rate(snapshot: DashboardSnapshot) -> float:
@@ -118,12 +107,11 @@ def evaluate_alerts(
     snapshot: DashboardSnapshot, rules: list[AlertRule] | None = None
 ) -> list[Alert]:
     """Evaluate all *rules* against *snapshot*; returns the fired alerts."""
-    fired = []
-    for rule in rules if rules is not None else default_rules():
-        alert = rule.evaluate(snapshot)
-        if alert is not None:
-            fired.append(alert)
-    return fired
+    return [
+        Alert(rule=rule.name, severity=rule.severity, message=rule.describe(snapshot))
+        for rule in (rules if rules is not None else default_rules())
+        if rule.predicate(snapshot)
+    ]
 
 
 @dataclass(frozen=True)
@@ -188,45 +176,12 @@ def evaluate_slo_alerts(
     slos: list[ServiceSlo] | None = None,
     windows: tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS,
 ) -> list[Alert]:
-    """Run the multi-window burn-rate check of every SLO over the query log.
-
-    Each fired :class:`~repro.obs.slo.BurnRateAlert` maps to an
-    :class:`Alert` named ``slo_<name>``, so SLO alerts and threshold alerts
-    share one downstream shape (routing, display, tests).
-    """
+    """Run the multi-window burn-rate check of every SLO over the query log."""
     fired: list[Alert] = []
     for service_slo in slos if slos is not None else default_slos():
         samples = [
             SloSample(timestamp=event.timestamp, good=service_slo.good(event))
             for event in events
         ]
-        for burn_alert in evaluate_burn_rates(service_slo.slo, samples, now, windows):
-            fired.append(
-                Alert(
-                    rule=f"slo_{burn_alert.slo}",
-                    severity=burn_alert.severity,
-                    message=burn_alert.message,
-                )
-            )
+        fired.extend(evaluate_burn_rates(service_slo.slo, samples, now, windows))
     return fired
-
-
-def evaluate_quality_alerts(monitor) -> list[Alert]:
-    """Adapt a :class:`~repro.obs.quality.QualityMonitor`'s fired alerts.
-
-    Each :class:`~repro.obs.quality.QualityAlert` (streaming drift or
-    canary degradation) maps to an :class:`Alert` named
-    ``quality_<name>``, keeping one downstream shape for every alert
-    source.  A None *monitor* yields no alerts, so call sites need no
-    wiring check.
-    """
-    if monitor is None:
-        return []
-    return [
-        Alert(
-            rule=f"quality_{alert.name}",
-            severity=alert.severity,
-            message=alert.message,
-        )
-        for alert in monitor.alerts()
-    ]

@@ -45,7 +45,7 @@ from repro.obs.telemetry import Telemetry
 from repro.obs.trace import RequestContext, Span, Trace
 from repro.obs.work import WORK_COALESCED_JOINS, WorkCounters
 from repro.pipeline.clock import SimulatedClock
-from repro.service.alerting import evaluate_quality_alerts, evaluate_slo_alerts
+from repro.service.alerting import evaluate_alerts, evaluate_slo_alerts
 from repro.service.feedback import FeedbackStore, GranularFeedback
 from repro.service.monitoring import MetricsCollector
 from repro.service.ops import OpsRoute, collect_ops_routes, ops_route
@@ -72,7 +72,12 @@ ROLE_OPS = "ops"
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """One served query, as stored by the backend."""
+    """One served query, as stored by the backend.
+
+    ``pressure`` / ``utilization`` are the admission and autoscaler
+    readings at serve time, taken only on incident-enabled deployments
+    (``diagnose`` reports them); None otherwise.
+    """
 
     query_id: str
     user_id: str
@@ -80,6 +85,8 @@ class QueryRecord:
     answer: UniAskAnswer
     served_at: float
     trace: Trace | None = None
+    pressure: float | None = None
+    utilization: float | None = None
 
 
 #: Modeled seconds charged to any leaf span without a dedicated branch
@@ -494,6 +501,7 @@ class BackendService:
             answer=answer,
             served_at=served_at,
             trace=trace,
+            **self._incident_readings(),
         )
         self._finalize_record(record, trace, response.scatter)
         return record
@@ -527,6 +535,7 @@ class BackendService:
             answer=answer,
             served_at=flight.completes_at,
             trace=None,
+            **self._incident_readings(),
         )
         if self._m_coalesced is not None:
             self._m_coalesced.inc()
@@ -635,6 +644,16 @@ class BackendService:
 
     # -- incident forensics ----------------------------------------------------
 
+    def _incident_readings(self) -> dict:
+        """The serve-time readings a :class:`QueryRecord` carries for
+        ``diagnose`` — empty unless incidents are on."""
+        if self.incidents is None:
+            return {}
+        return {
+            "pressure": self.admission.pressure() if self.admission is not None else None,
+            "utilization": self.autoscaler.utilization if self.autoscaler is not None else None,
+        }
+
     def _incident_observe(self, record: QueryRecord, stages: dict[str, float]) -> None:
         """Feed one served request into the incident loop.
 
@@ -643,21 +662,19 @@ class BackendService:
         own ``CHECK_INTERVAL``, so the alert evaluation cost stays off
         the per-request path.
         """
-        self.incidents.observe_request(
-            record,
-            stages,
-            pressure=self.admission.pressure() if self.admission is not None else None,
-            utilization=self.autoscaler.utilization if self.autoscaler is not None else None,
-        )
+        self.incidents.observe_request(record, stages)
         now = self._clock.now()
         if self.incidents.due(now):
             # The incident module's own compressed windows: the workbook
             # defaults are hour-scale and could never page inside a
-            # compressed chaos day.
-            self.incidents.check(now, self._alerts(now, PAGE_BURN_WINDOWS))
+            # compressed chaos day.  No threshold rules here: their
+            # snapshot buckets and sorts the whole query log, which must
+            # not ride on a check that runs every CHECK_INTERVAL.
+            self.incidents.check(now, self._alerts(now, PAGE_BURN_WINDOWS, thresholds=False))
 
-    def _alerts(self, now: float, windows=DEFAULT_BURN_WINDOWS):
-        """Service SLO burn rates over *windows*, plus the quality monitor's alerts.
+    def _alerts(self, now: float, windows=DEFAULT_BURN_WINDOWS, thresholds: bool = True):
+        """Every service alert: SLO burn rates over *windows*, the quality
+        monitor's alerts and (unless *thresholds* is off) the threshold rules.
 
         Events older than the longest window cannot move any burn rate, so
         they are filtered before evaluation.
@@ -665,7 +682,10 @@ class BackendService:
         horizon = now - max(window.long_seconds for window in windows)
         events = [e for e in self.metrics.events if e.timestamp >= horizon]
         alerts = evaluate_slo_alerts(events, now=now, windows=windows)
-        alerts.extend(evaluate_quality_alerts(self._quality_monitor))
+        if self._quality_monitor is not None:
+            alerts.extend(self._quality_monitor.alerts())
+        if thresholds:
+            alerts.extend(evaluate_alerts(self.metrics.snapshot()))
         return alerts
 
     def _incident_capture(self, now: float) -> dict:
@@ -737,7 +757,7 @@ class BackendService:
     def _ops_metrics(self) -> str:
         return self.telemetry.render_metrics()
 
-    @ops_route("slo", privileged=True, description="Multi-window burn-rate evaluation of the service SLOs.")
+    @ops_route("slo", privileged=True, description="Fired alerts: SLO burn rates, quality drift, threshold rules.")
     def _ops_slo(self):
         return self._alerts(self._clock.now())
 
@@ -840,7 +860,10 @@ class BackendService:
         """Why was this request slow/shed/degraded — operations role only."""
         if self.incidents is None:
             raise ValueError("incident forensics is disabled for this deployment")
-        return self.incidents.diagnose(query_id)
+        record = self._records.get(query_id)
+        if record is None:
+            raise KeyError(f"unknown or evicted query id {query_id!r}")
+        return self.incidents.diagnose(record)
 
     @ops_route("healthz", privileged=False, description="Liveness probe (unauthenticated).")
     def _ops_healthz(self) -> dict:

@@ -195,8 +195,9 @@ class MetricsCollector:
         self._user_ids: set[str] = set()
         self._stage_series: dict[str, _SampleSeries] = {}
         self._shard_series: dict[str, _SampleSeries] = {}
-        self._shard_ok: dict[str, list[bool]] = {}
-        self._replica_ok: dict[str, list[bool]] = {}
+        # (ok, total) probe counts per shard / replica: health is their quotient.
+        self._shard_ok: dict[str, tuple[int, int]] = {}
+        self._replica_ok: dict[str, tuple[int, int]] = {}
 
         self._m_queries = registry.attach(
             Counter(
@@ -335,9 +336,11 @@ class MetricsCollector:
         if series is None:
             series = self._shard_series[key] = _SampleSeries()
         series.append(latency)
-        self._shard_ok.setdefault(key, []).append(ok)
+        good, total = self._shard_ok.get(key, (0, 0))
+        self._shard_ok[key] = (good + ok, total + 1)
         if replica_id:
-            self._replica_ok.setdefault(replica_id, []).append(ok)
+            good, total = self._replica_ok.get(replica_id, (0, 0))
+            self._replica_ok[replica_id] = (good + ok, total + 1)
         if hedged:
             self._m_hedged.inc()
         self._m_shard_latency.labels(key).observe(latency)
@@ -445,11 +448,9 @@ class MetricsCollector:
             shard_p50=shard_p50,
             shard_p95=shard_p95,
             shard_counts=shard_counts,
-            shard_health={
-                key: sum(outcomes) / len(outcomes) for key, outcomes in self._shard_ok.items()
-            },
+            shard_health={key: good / total for key, (good, total) in self._shard_ok.items()},
             replica_health={
-                key: sum(outcomes) / len(outcomes) for key, outcomes in self._replica_ok.items()
+                key: good / total for key, (good, total) in self._replica_ok.items()
             },
         )
 

@@ -12,6 +12,7 @@ guardrail all tokenize through it so that scores are comparable.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -104,6 +105,23 @@ class ItalianAnalyzer:
     def analyze_unique(self, text: str) -> set[str]:
         """Analyze *text* and return the set of distinct terms."""
         return set(self.analyze(text))
+
+    def fingerprint(self) -> dict:
+        """A JSON-able identity of the chain.
+
+        A persisted index records it, so that a load which would analyse
+        queries and later writes with another chain is refused instead of
+        silently mixing two term spaces.
+        """
+        base = self.stopword_set if self.stopword_set is not None else ITALIAN_STOPWORDS
+        stopwords = "\n".join(sorted(base | self.extra_stopwords))
+        stem_fn = self.stem_fn if self.stem_fn is not None else stem
+        return {
+            "remove_stopwords": self.remove_stopwords,
+            "apply_stemming": self.apply_stemming,
+            "stopwords": hashlib.sha256(stopwords.encode("utf-8")).hexdigest()[:16],
+            "stemmer": f"{stem_fn.__module__}.{stem_fn.__qualname__}",
+        }
 
     def _normalize_word(self, raw: str) -> object:
         """The chain for one surface token, run on a word-table miss."""

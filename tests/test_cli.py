@@ -118,6 +118,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SLO ALERT [critical]" in out
 
+    def test_metrics_command_shows_the_guardrail_rate_warning(self, capsys):
+        # 8 of these 40 asks are guardrailed (20% > the 15% threshold rule);
+        # a warning is printed, and only page severity fails the gate.
+        code = main(["--topics", "20", "--seed", "3", "metrics", "--queries", "40"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "SLO ALERT [warning] guardrail_rate: guardrails triggered on 20.0%" in out
+        assert "all objectives within budget" not in out
+
     def test_canary_command(self, capsys):
         code = main(["--topics", "25", "--seed", "3", "canary", "--probes", "6"])
         assert code == 0

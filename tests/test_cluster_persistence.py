@@ -144,6 +144,33 @@ class TestClusterRoundtrip:
         with pytest.raises(ValueError):
             load_cluster(directory, embedder, seed=9)
 
+    def test_a_language_pack_survives_the_roundtrip(self, embedder, tmp_path):
+        from repro.text.english import english_analyzer
+
+        index = ShardedSearchIndex(
+            embedder=embedder, num_shards=2, ann_backend="exact", seed=9,
+            analyzer=english_analyzer(),
+        )
+        index.add_chunks(
+            [_record(f"doc-{i}", f"the policies about cards at branch {i}") for i in range(6)]
+        )
+        save_cluster(index, tmp_path / "cluster")
+        with pytest.raises(ValueError, match="english_stem"):
+            load_cluster(tmp_path / "cluster", embedder, ann_backend="exact", seed=9)
+        loaded = load_cluster(
+            tmp_path / "cluster", embedder, ann_backend="exact", seed=9,
+            analyzer=english_analyzer(),
+        )
+        for query in ("policy", "the", "card"):
+            assert _searcher(loaded).search(query) == _searcher(index).search(query)
+        # The stemmed term matches, the English stop word has no text leg.
+        assert all("rrf_text" in hit.components for hit in _searcher(loaded).search("policy"))
+        assert not any("rrf_text" in hit.components for hit in _searcher(loaded).search("the"))
+        # A shard added after the load analyses with the same chain.
+        loaded.add_shard()
+        index.add_shard()
+        assert _searcher(loaded).search("policy") == _searcher(index).search("policy")
+
     def test_load_never_reembeds(self, populated, tmp_path):
         save_cluster(populated, tmp_path / "cluster")
         fresh = SyntheticAdaEmbedder(None, dim=32, seed=9)

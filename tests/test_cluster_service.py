@@ -97,6 +97,30 @@ class TestClusterBackend:
             replica.replica_id for sid in (0, 1) for replica in system.cluster.replicas(sid)
         }
 
+    def test_health_is_the_quotient_of_the_probe_log(self, deployment):
+        """The collector keeps (ok, total) counts per key, not one bool per
+        probe; the health it reports is the list form's ``sum / len``, bit
+        for bit, over a kill / heal run."""
+        system, backend = deployment
+        token = backend.login("user-1")
+        questions = ("limiti prelievo bancomat", "apertura conto online", "bonifico estero")
+        for step in range(9):
+            if step in (3, 6):
+                for replica in system.cluster.replicas(0):
+                    replica.kill() if step == 3 else replica.revive()
+            backend.serve(token, questions[step % 3])
+        by_shard: dict[str, list[bool]] = {}
+        by_replica: dict[str, list[bool]] = {}
+        for probe in backend.metrics.shard_probes:
+            by_shard.setdefault(f"shard-{probe.shard_id}", []).append(probe.ok)
+            if probe.replica_id:
+                by_replica.setdefault(probe.replica_id, []).append(probe.ok)
+        snapshot = backend.metrics.snapshot()
+        assert snapshot.shard_health == {k: sum(v) / len(v) for k, v in by_shard.items()}
+        assert snapshot.replica_health == {k: sum(v) / len(v) for k, v in by_replica.items()}
+        assert list(snapshot.shard_health) == list(by_shard)
+        assert 0.0 < snapshot.shard_health["shard-0"] < 1.0 == snapshot.shard_health["shard-1"]
+
     def test_cluster_status_endpoint_is_ops_only(self, deployment):
         system, backend = deployment
         employee = backend.login("user-1")

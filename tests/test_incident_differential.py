@@ -225,17 +225,21 @@ class TestChaosDayDeterminism:
         assert first == second
 
 
+def _diagnose(backend, query_id: str) -> dict:
+    return backend.ops("diagnose", backend.login("ops", role=ROLE_OPS), query_id=query_id)
+
+
 class TestDiagnose:
     def test_unknown_query_id_raises(self, tiny_kb, banking_lexicon):
         system, backend = _forensics_backend(tiny_kb, banking_lexicon)
-        with pytest.raises(KeyError):
-            backend.incidents.diagnose("q-9999999")
+        with pytest.raises(KeyError, match="unknown or evicted query id 'q-9999999'"):
+            _diagnose(backend, "q-9999999")
 
     def test_served_request_gets_a_verdict(self, tiny_kb, banking_lexicon):
         system, backend = _forensics_backend(tiny_kb, banking_lexicon)
         token = backend.login("u")
         record = backend.serve(token, QUESTIONS[0])
-        diagnosis = backend.incidents.diagnose(record.query_id)
+        diagnosis = _diagnose(backend, record.query_id)
         assert diagnosis["query_id"] == record.query_id
         assert diagnosis["verdict"] == "normal"
         assert diagnosis["findings"]  # at least the small-baseline note
@@ -247,7 +251,7 @@ class TestDiagnose:
             replica.kill()
         record = backend.serve(token, QUESTIONS[0])
         assert record.answer.partial_results
-        diagnosis = backend.incidents.diagnose(record.query_id)
+        diagnosis = _diagnose(backend, record.query_id)
         assert diagnosis["verdict"] == "degraded"
         assert any("partial results" in finding for finding in diagnosis["findings"])
 

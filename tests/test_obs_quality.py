@@ -19,7 +19,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import (
     CanaryRunner,
     CanarySuite,
-    QualityAlert,
     QualityMonitor,
     RateDriftDetector,
     ScoreDriftDetector,
@@ -28,9 +27,9 @@ from repro.obs.quality import (
     population_stability_index,
     two_proportion_z,
 )
+from repro.obs.slo import Alert
 from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
-from repro.service.alerting import evaluate_quality_alerts
 
 
 @pytest.fixture(scope="module")
@@ -176,8 +175,8 @@ class TestQualityMonitor:
         assert not monitor.alerts()
         for _ in range(20):
             monitor.observe_answer(_answer("guardrail_rouge", score=1.0))
-        names = {alert.name for alert in monitor.alerts()}
-        assert "drift_guardrail_pass" in names
+        names = {alert.rule for alert in monitor.alerts()}
+        assert "quality_drift_guardrail_pass" in names
 
     def test_gauges_land_in_the_registry(self):
         registry = MetricsRegistry()
@@ -191,13 +190,10 @@ class TestQualityMonitor:
 
     def test_alert_adaptation_to_service_shape(self):
         monitor = QualityMonitor(reference_size=4, window_size=2)
-        monitor.record_canary(
-            [QualityAlert(name="canary_mrr", severity="critical", message="m")]
-        )
-        alerts = evaluate_quality_alerts(monitor)
-        assert [alert.rule for alert in alerts] == ["quality_canary_mrr"]
-        assert alerts[0].severity == "critical"
-        assert evaluate_quality_alerts(None) == []
+        canary = Alert(rule="quality_canary_mrr", severity="critical", message="m")
+        monitor.record_canary([canary])
+        # The monitor hands the service shape over itself: no adapter.
+        assert monitor.alerts() == [canary]
 
 
 # -- canaries -----------------------------------------------------------------
@@ -257,19 +253,18 @@ class TestCanaryRunner:
         runner.run_once(now=0.0)  # freezes the healthy baseline
         system.llm._p_off_context = 0.97  # inject: answers drift off context
         runner.run_once(now=300.0)
-        names = {alert.name for alert in runner.last_alerts}
+        names = {alert.rule for alert in runner.last_alerts}
         assert names, "a degraded LLM must trip the canary"
         assert names <= {
-            "canary_recall_at_4",
-            "canary_mrr",
-            "canary_guardrail_fire_rate",
-            "canary_citation_coverage",
-            "canary_groundedness",
+            "quality_canary_recall_at_4",
+            "quality_canary_mrr",
+            "quality_canary_guardrail_fire_rate",
+            "quality_canary_citation_coverage",
+            "quality_canary_groundedness",
         }
         # The runner hands its alerts to the monitor, which feeds the
         # service alert surface.
-        rules = {alert.rule for alert in evaluate_quality_alerts(monitor)}
-        assert any(rule.startswith("quality_canary_") for rule in rules)
+        assert names <= {alert.rule for alert in monitor.alerts()}
 
     def test_canary_metrics_reach_the_registry(self, quality_kb, quality_lexicon, suite):
         system = fresh_system(quality_kb, quality_lexicon)
@@ -301,8 +296,8 @@ class TestLiveDriftDetection:
         system.llm._p_off_context = 0.97
         for question in questions[30:45]:  # one detection window of bad traffic
             monitor.observe_answer(system.engine.answer(AskRequest(question)).answer)
-        names = {alert.name for alert in monitor.alerts()}
-        assert "drift_guardrail_pass" in names
+        names = {alert.rule for alert in monitor.alerts()}
+        assert "quality_drift_guardrail_pass" in names
 
 
 class TestCanaryWorkRecording:
@@ -334,7 +329,7 @@ class TestCanaryWorkRecording:
         baseline = runner.run_once(now=0.0)
         repeat = runner.run_once(now=300.0)
         assert repeat.work == baseline.work
-        assert not [a for a in runner.last_alerts if a.name.startswith("canary_work_")]
+        assert not [a for a in runner.last_alerts if a.rule.startswith("quality_canary_work_")]
 
     def test_work_drift_raises_an_alert(self, quality_kb, quality_lexicon, suite):
         system = fresh_system(quality_kb, quality_lexicon)
@@ -342,11 +337,11 @@ class TestCanaryWorkRecording:
         baseline = runner.run_once(now=0.0)
         drifted = replace_report_work(baseline, {"docs_scored": baseline.work["docs_scored"] * 2})
         alerts = runner.evaluate(drifted)
-        names = {alert.name for alert in alerts}
-        assert "canary_work_docs_scored" in names
+        names = {alert.rule for alert in alerts}
+        assert "quality_canary_work_docs_scored" in names
         # Kinds present in the baseline but absent from the drifted run
         # also fire (a counter silently vanishing is itself drift).
-        assert "canary_work_llm_prompt_tokens" in names
+        assert "quality_canary_work_llm_prompt_tokens" in names
 
     def test_work_gauge_lands_in_the_registry(self, quality_kb, quality_lexicon, suite):
         system = fresh_system(quality_kb, quality_lexicon)

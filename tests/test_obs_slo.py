@@ -74,9 +74,10 @@ class TestEvaluateBurnRates:
         alerts = evaluate_burn_rates(slo, sustained, now=3600.0, windows=(window,))
         assert len(alerts) == 1
         alert = alerts[0]
-        assert alert.slo == "availability"
+        assert alert.rule == "slo_availability"
         assert alert.severity == "critical"
-        assert alert.short_burn > 10.0 and alert.long_burn > 10.0
+        # 100% bad over a 1% budget: both windows burn 100x (> 10x).
+        assert "burning 100.0x budget over 5m and 100.0x over 60m" in alert.message
         assert "availability" in alert.message
 
     def test_most_severe_window_wins(self):

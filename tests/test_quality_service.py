@@ -13,7 +13,8 @@ import pytest
 from repro.api import AskOptions, AskRequest, create_backend, create_engine
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.vocabulary import build_banking_lexicon
-from repro.obs.quality import QualityAlert, QualityMonitor
+from repro.obs.quality import QualityMonitor
+from repro.obs.slo import Alert
 from repro.service.backend import ROLE_OPS, AuthorizationError
 
 
@@ -95,7 +96,7 @@ class TestQualityRoute:
         _, backend = build_backend(tiny_kb, banking_lexicon, monitor=monitor)
         ops = backend.login("sre", role=ROLE_OPS)
         monitor.record_canary(
-            [QualityAlert(name="canary_mrr", severity="critical", message="dropped")]
+            [Alert(rule="quality_canary_mrr", severity="critical", message="dropped")]
         )
         rules = {alert.rule for alert in backend.ops("slo", ops)}
         assert "quality_canary_mrr" in rules

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
 from repro.search.persistence import load_index, save_index
 from repro.search.schema import ChunkRecord
+from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
+from repro.text.english import english_analyzer
 
 
 def _record(doc: str, content: str) -> ChunkRecord:
@@ -60,8 +65,6 @@ class TestPersistence:
         assert before == after
 
     def test_fulltext_works_after_reload(self, populated, embedder, tmp_path):
-        from repro.search.fulltext import FullTextSearch
-
         save_index(populated, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", embedder, seed=9)
         results = FullTextSearch(loaded).search("quadratura cassa")
@@ -200,3 +203,82 @@ class TestDamagedVectors:
     def test_intact_files_still_load(self, saved, embedder):
         assert len(load_index(saved, embedder, seed=9)) == 12
 
+
+
+class TestAnalyzerRoundTrip:
+    """A persisted index comes back with the chain it was built with.
+
+    The manifest used to record nothing about ``index.analyzer`` and
+    ``load_index`` could not be handed one, so an index built with a
+    language pack was re-analysed with the Italian default: ``policy``
+    found nothing and ``the`` found every chunk.
+    """
+
+    WORDS = ("policy", "policies", "the", "card", "branches", "office", "savings", "a")
+
+    @staticmethod
+    def _built(embedder) -> SearchIndex:
+        index = SearchIndex(embedder=embedder, seed=9, analyzer=english_analyzer())
+        index.add_chunk(_record("a", "the policies about cards at the branches"))
+        index.add_chunk(_record("b", "the opening hours of the office"))
+        index.flush()
+        return index
+
+    @staticmethod
+    def _answers(index: SearchIndex) -> dict:
+        content = index.inverted_index("content")
+        return {
+            word: (
+                [(hit.record.chunk_id, hit.score) for hit in FullTextSearch(index).search(word)],
+                [content.document_frequency(term) for term in content.analyze_query(word)],
+            )
+            for word in TestAnalyzerRoundTrip.WORDS
+        }
+
+    def test_loaded_index_answers_term_for_term(self, embedder, tmp_path):
+        built = self._built(embedder)
+        save_index(built, tmp_path / "idx")
+        loaded = load_index(tmp_path / "idx", embedder, seed=9, analyzer=english_analyzer())
+        answers = self._answers(built)
+        assert [chunk for chunk, _ in answers["policy"][0]] == ["a#0"]
+        assert answers["the"] == ([], [])
+        assert self._answers(loaded) == answers
+        # A sealed-segment tombstone re-derives its ledger terms with the
+        # index's analyzer, and a later write is analysed by it too.
+        for index in (built, loaded):
+            index.delete_document("a")
+            index.add_chunk(_record("c", "the savings policies of the branches"))
+        assert self._answers(loaded) == self._answers(built)
+        assert [chunk for chunk, _ in self._answers(loaded)["policy"][0]] == ["c#0"]
+
+    def test_a_load_with_another_chain_names_both(self, embedder, populated, tmp_path):
+        save_index(self._built(embedder), tmp_path / "english")
+        with pytest.raises(ValueError, match=r"english_stem.*repro\.text\.stemmer\.stem"):
+            load_index(tmp_path / "english", embedder, seed=9)
+        save_index(populated, tmp_path / "italian")
+        with pytest.raises(ValueError, match=r"repro\.text\.stemmer\.stem.*english_stem"):
+            load_index(tmp_path / "italian", embedder, seed=9, analyzer=english_analyzer())
+
+    def test_a_manifest_without_the_entry_is_the_italian_default(
+        self, embedder, populated, tmp_path
+    ):
+        save_index(populated, tmp_path / "idx")
+        path = tmp_path / "idx" / "records.json"
+        manifest = json.loads(path.read_text())
+        del manifest["analyzer"]
+        path.write_text(json.dumps(manifest))
+        assert len(load_index(tmp_path / "idx", embedder, seed=9)) == 3
+        with pytest.raises(ValueError, match="english_stem"):
+            load_index(tmp_path / "idx", embedder, seed=9, analyzer=english_analyzer())
+
+    def test_every_part_of_the_chain_moves_the_fingerprint(self):
+        chains = [
+            FULL_ANALYZER,
+            ItalianAnalyzer(remove_stopwords=False),
+            ItalianAnalyzer(apply_stemming=False),
+            ItalianAnalyzer(extra_stopwords=frozenset({"banca"})),
+            english_analyzer(),
+        ]
+        prints = [str(chain.fingerprint()) for chain in chains]
+        assert len(set(prints)) == len(chains)
+        assert ItalianAnalyzer().fingerprint() == FULL_ANALYZER.fingerprint()
