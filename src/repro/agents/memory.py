@@ -33,7 +33,7 @@ V = TypeVar("V")
 SESSION_TURNS = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot(Generic[V]):
     """One stored value with its store-time stamp."""
 

@@ -129,7 +129,7 @@ class RecordedEvent:
     """One control-plane state change in the flight recorder.
 
     Attributes:
-        at: simulated timestamp the change was observed.
+        at: simulated timestamp the change was obrecord.
         kind: one of the ``EVENT_*`` names.
         source: which component reported it (``autoscaler``, ``router``,
             ``admission``, ``index``, ``alerting``).
@@ -336,14 +336,11 @@ class IncidentManager:
 
     # -- per-request feed --------------------------------------------------
 
-    def observe_request(self, record, stages: dict[str, float]) -> None:
-        """Feed one served :class:`QueryRecord` into baselines and work totals.
-
-        *stages* is the record's ``trace.stage_durations()`` (empty when
-        the request was not traced), which the caller has already taken.
-        """
-        answer = record.answer
-        route = answer.route or "default"
+    def observe_request(self, record) -> None:
+        """Feed one served request — the backend's stored summary of it
+        (``stages``: its ``trace.stage_durations()``, empty when untraced) —
+        into baselines and work totals."""
+        route = record.route or "default"
         baseline = self._baselines.get(route)
         if baseline is None:
             baseline = deque(maxlen=BASELINE_WINDOW)
@@ -351,10 +348,10 @@ class IncidentManager:
         # Degraded / cache-served requests would drag the full-service
         # baseline down and mask genuinely slow requests; only clean
         # full-pipeline serves train it.
-        if answer.degrade_level == 0 and not answer.cache_hit:
-            baseline.append((answer.response_time, stages))
-        if answer.work:
-            for kind, units in answer.work.items():
+        if record.degrade_level == 0 and not record.cache_hit:
+            baseline.append((record.response_time, record.stages))
+        if record.work:
+            for kind, units in record.work.items():
                 self._work_totals[kind] = self._work_totals.get(kind, 0) + units
 
     # -- the incident loop -------------------------------------------------
@@ -509,27 +506,26 @@ class IncidentManager:
     def diagnose(self, record) -> dict:
         """Explain why one request was slow, shed or degraded.
 
-        Compares the backend's stored :class:`QueryRecord` against its
+        Compares the backend's stored summary of the request against its
         route's rolling baseline and links it to the control-plane state
-        at serve time (the record's ``pressure`` / ``utilization`` readings
+        at serve time (the summary's ``pressure`` / ``utilization`` readings
         and the recorder window before ``served_at``).
         """
-        answer = record.answer
-        route = answer.route or "default"
+        route = record.route or "default"
         findings: list[str] = []
         verdict = "normal"
 
-        if answer.degrade_level:
+        if record.degrade_level:
             verdict = "shed"
             findings.append(
-                f"served at degrade level {answer.degrade_level} "
+                f"served at degrade level {record.degrade_level} "
                 "(admission shed ladder)"
             )
-        if answer.partial_results:
+        if record.partial_results:
             verdict = "degraded" if verdict == "normal" else verdict
             findings.append("partial results: at least one shard missed its deadline")
-        if answer.cache_hit:
-            findings.append(f"served from cache (kind={answer.cache_hit})")
+        if record.cache_hit:
+            findings.append(f"served from cache (kind={record.cache_hit})")
 
         baseline = self._baselines.get(route, ())
         baseline_n = len(baseline)
@@ -539,17 +535,16 @@ class IncidentManager:
         if baseline_n >= MIN_BASELINE:
             baseline_mean = sum(rt for rt, _ in baseline) / baseline_n
             if baseline_mean > 0.0:
-                ratio = answer.response_time / baseline_mean
-            if ratio > SLOW_RATIO and not answer.cache_hit:
+                ratio = record.response_time / baseline_mean
+            if ratio > SLOW_RATIO and not record.cache_hit:
                 if verdict == "normal":
                     verdict = "slow"
                 findings.append(
                     f"{ratio:.1f}x slower than the {route} route baseline "
-                    f"({answer.response_time:.3f}s vs {baseline_mean:.3f}s "
+                    f"({record.response_time:.3f}s vs {baseline_mean:.3f}s "
                     f"mean of {baseline_n})"
                 )
-            stages = record.trace.stage_durations() if record.trace is not None else {}
-            stage_deltas = self._stage_deltas(stages, baseline)
+            stage_deltas = self._stage_deltas(record.stages, baseline)
             for delta in stage_deltas[:3]:
                 if delta["delta"] > 0.0:
                     findings.append(
@@ -578,16 +573,16 @@ class IncidentManager:
             "route": route,
             "verdict": verdict,
             "served_at": record.served_at,
-            "response_time": answer.response_time,
-            "outcome": answer.outcome,
-            "degrade_level": answer.degrade_level,
-            "cache_hit": answer.cache_hit,
-            "partial": answer.partial_results,
+            "response_time": record.response_time,
+            "outcome": record.outcome,
+            "degrade_level": record.degrade_level,
+            "cache_hit": record.cache_hit,
+            "partial": record.partial_results,
             "baseline_n": baseline_n,
             "baseline_mean": round(baseline_mean, 4),
             "slowdown": round(ratio, 3),
             "stage_deltas": stage_deltas,
-            "work": dict(answer.work) if answer.work else {},
+            "work": dict(record.work) if record.work else {},
             "pressure": record.pressure,
             "utilization": record.utilization,
             "nearby_events": [event.to_dict() for event in nearby[-5:]],

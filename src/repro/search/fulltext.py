@@ -140,6 +140,7 @@ class FullTextSearch:
             chosen[selected_ids] = True
             per_field: dict[int, dict[str, float]] = {}
             for field_name, _, ids, scores, scorer in field_results:
+                key = f"bm25_{field_name}"  # one string per field, shared by every breakdown
                 mask = chosen[ids]
                 per_term: dict[int, dict[str, float]] = {}
                 if ctx.explain:
@@ -147,7 +148,7 @@ class FullTextSearch:
                     per_term = scorer.term_contributions(terms, selected_ids, statistics)
                 for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
                     breakdown = per_field.setdefault(internal, {})
-                    breakdown[f"bm25_{field_name}"] = score
+                    breakdown[key] = score
                     if per_term:
                         for term, contribution in per_term[internal].items():
                             breakdown[f"bm25_{field_name}:{term}"] = contribution

@@ -46,6 +46,7 @@ def reciprocal_rank_fusion(
     payload: dict[str, RetrievedChunk] = {}
 
     for name, ranking in rankings.items():
+        rrf_key = f"rrf_{name}"
         for position, result in enumerate(ranking, start=1):
             chunk_id = result.record.chunk_id
             contribution = 1.0 / (position + c)
@@ -55,7 +56,7 @@ def reciprocal_rank_fusion(
                 if key.startswith("rrf_") or key == "rerank_adjust":
                     continue
                 merged.setdefault(key, value)
-            merged[f"rrf_{name}"] = contribution
+            merged[rrf_key] = contribution
             # Keep the first payload seen; records are identical across rankings.
             payload.setdefault(chunk_id, result)
 

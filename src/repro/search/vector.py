@@ -70,6 +70,7 @@ class VectorSearch:
         # Oversample so that post-hoc filtering can still fill k results.
         fetch = k if not filters else 4 * k
         hits = self._index.vector_search(field_name, query_vector, fetch, work=work)
+        key = f"cosine_{field_name}"
         ranking: list[RetrievedChunk] = []
         for internal, distance in hits:
             if not self._index.matches_filters(internal, filters):
@@ -79,7 +80,7 @@ class VectorSearch:
                 RetrievedChunk(
                     record=self._index.record(internal),
                     score=similarity,
-                    components={f"cosine_{field_name}": similarity},
+                    components={key: similarity},
                 )
             )
             if len(ranking) >= k:

@@ -38,6 +38,7 @@ from repro.core.engine import UniAskEngine
 from repro.obs import spans
 from repro.obs.audit import AuditLogger, NULL_AUDIT
 from repro.obs.capacity import CapacityMonitor
+from repro.obs.explain import ExplainReport
 from repro.obs.incident import PAGE_BURN_WINDOWS
 from repro.obs.profile import ContinuousProfiler
 from repro.obs.slo import DEFAULT_BURN_WINDOWS
@@ -72,7 +73,9 @@ ROLE_OPS = "ops"
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """One served query, as stored by the backend.
+    """One served query, as :meth:`BackendService.serve` returns it — the
+    full answer, ranking, provenance and trace are the caller's to keep or
+    drop; the backend stores a :class:`ServedSummary`.
 
     ``pressure`` / ``utilization`` are the admission and autoscaler
     readings at serve time, taken only on incident-enabled deployments
@@ -87,6 +90,31 @@ class QueryRecord:
     trace: Trace | None = None
     pressure: float | None = None
     utilization: float | None = None
+
+
+@dataclass(slots=True)
+class ServedSummary:
+    """What the backend keeps of a served request: the fields ``feedback``,
+    ``ops("explain", query_id=…)`` and ``ops("diagnose", …)`` read — no
+    answer, no ranking, no span tree.  ``stages`` is the request's
+    ``trace.stage_durations()`` (empty when untraced).  Slotted and not
+    frozen: building one is a plain constructor call on the cache-hit path.
+    """
+
+    query_id: str
+    user_id: str
+    served_at: float
+    outcome: str
+    route: str
+    response_time: float
+    degrade_level: int
+    partial_results: bool
+    cache_hit: str
+    work: dict[str, int] | None
+    explain_report: ExplainReport | None
+    stages: dict[str, float]
+    pressure: float | None
+    utilization: float | None
 
 
 #: Modeled seconds charged to any leaf span without a dedicated branch
@@ -216,6 +244,11 @@ class BackendService:
             the pipeline.  With coalescing off the service keeps its
             original serial semantics: each query advances the shared
             clock by its response time.
+        record_capacity: how many served requests stay addressable by
+            ``feedback`` / ``explain`` / ``diagnose`` (LRU, no TTL).  What is
+            kept per request is a :class:`ServedSummary`: ≈ 0.3 KB, 0.7–0.9 KB
+            traced and profiled (plus the explain report of a request that
+            asked for one) — ≈ 30–90 MB at the default.
         profiling: enables the continuous profiler and deterministic work
             accounting: every served request runs traced with a
             :class:`~repro.obs.work.WorkCounters`, finished traces fold
@@ -295,7 +328,7 @@ class BackendService:
         self._sessions: TtlLruStore[str, tuple[str, str]] = TtlLruStore(
             session_capacity, session_ttl_seconds, clock=clock
         )
-        self._records: TtlLruStore[str, QueryRecord] = TtlLruStore(
+        self._records: TtlLruStore[str, ServedSummary] = TtlLruStore(
             record_capacity, None, clock=clock
         )
         self._base_latency = base_latency
@@ -503,7 +536,7 @@ class BackendService:
             trace=trace,
             **self._incident_readings(),
         )
-        self._finalize_record(record, trace, response.scatter)
+        self._finalize_record(record, response.scatter)
         return record
 
     def _coalesced_record(
@@ -539,24 +572,25 @@ class BackendService:
         )
         if self._m_coalesced is not None:
             self._m_coalesced.inc()
-        self._finalize_record(
-            record, None, None, extra_audit={"coalesced_with": flight.request_id}
-        )
+        self._finalize_record(record, None, extra_audit={"coalesced_with": flight.request_id})
         return record
 
     def _finalize_record(
-        self,
-        record: QueryRecord,
-        trace: Trace | None,
-        scatter,
-        extra_audit: dict | None = None,
+        self, record: QueryRecord, scatter, extra_audit: dict | None = None
     ) -> None:
-        """Store *record* and write it to monitoring, metrics, audit and the
-        incident loop."""
-        self._records[record.query_id] = record
+        """Store *record*'s summary and write the request to monitoring,
+        metrics, audit and the incident loop."""
         answer = record.answer
+        trace = record.trace
         sampled = False
         stages = trace.stage_durations() if trace is not None else {}
+        summary = self._records[record.query_id] = ServedSummary(
+            record.query_id, record.user_id, record.served_at,
+            answer.outcome, answer.route, answer.response_time,
+            answer.degrade_level, answer.partial_results, answer.cache_hit,
+            answer.work, answer.explain_report, stages,
+            record.pressure, record.utilization,
+        )
         if trace is not None:
             sampled = self.telemetry.sampler.offer(
                 record.query_id, trace, trace.total_duration
@@ -640,7 +674,7 @@ class BackendService:
             audit_fields.update(extra_audit)
         self.telemetry.audit.info("request", **audit_fields)
         if self.incidents is not None:
-            self._incident_observe(record, stages)
+            self._incident_observe(summary)
 
     # -- incident forensics ----------------------------------------------------
 
@@ -654,7 +688,7 @@ class BackendService:
             "utilization": self.autoscaler.utilization if self.autoscaler is not None else None,
         }
 
-    def _incident_observe(self, record: QueryRecord, stages: dict[str, float]) -> None:
+    def _incident_observe(self, summary: ServedSummary) -> None:
         """Feed one served request into the incident loop.
 
         Baselines first (so a page's diagnosis sees the request that
@@ -662,7 +696,7 @@ class BackendService:
         own ``CHECK_INTERVAL``, so the alert evaluation cost stays off
         the per-request path.
         """
-        self.incidents.observe_request(record, stages)
+        self.incidents.observe_request(summary)
         now = self._clock.now()
         if self.incidents.due(now):
             # The incident module's own compressed windows: the workbook
@@ -677,10 +711,10 @@ class BackendService:
         monitor's alerts and (unless *thresholds* is off) the threshold rules.
 
         Events older than the longest window cannot move any burn rate, so
-        they are filtered before evaluation.
+        only the tail of the query log is read.
         """
         horizon = now - max(window.long_seconds for window in windows)
-        events = [e for e in self.metrics.events if e.timestamp >= horizon]
+        events = self.metrics.events_since(horizon)
         alerts = evaluate_slo_alerts(events, now=now, windows=windows)
         if self._quality_monitor is not None:
             alerts.extend(self._quality_monitor.alerts())
@@ -723,8 +757,7 @@ class BackendService:
     def feedback(self, token: str, feedback: GranularFeedback) -> None:
         """Store one feedback form for a previously served query."""
         user_id = self._authenticate(token)
-        if feedback.query_id not in self._records:
-            raise KeyError(f"unknown query id {feedback.query_id}")
+        self._stored(feedback.query_id)
         self.feedback_store.add(feedback)
         self.metrics.record_feedback()
         self.telemetry.audit.info(
@@ -772,7 +805,7 @@ class BackendService:
         without touching any user session.
         """
         if query_id:
-            return self._records[query_id].answer.explain_report
+            return self._stored(query_id).explain_report
         if question:
             request = AskRequest(
                 question=question,
@@ -860,10 +893,7 @@ class BackendService:
         """Why was this request slow/shed/degraded — operations role only."""
         if self.incidents is None:
             raise ValueError("incident forensics is disabled for this deployment")
-        record = self._records.get(query_id)
-        if record is None:
-            raise KeyError(f"unknown or evicted query id {query_id!r}")
-        return self.incidents.diagnose(record)
+        return self.incidents.diagnose(self._stored(query_id))
 
     @ops_route("healthz", privileged=False, description="Liveness probe (unauthenticated).")
     def _ops_healthz(self) -> dict:
@@ -886,6 +916,13 @@ class BackendService:
         return {"ready": not status.degraded, "mode": "cluster", "shards": shards}
 
     # -- internals ------------------------------------------------------------------
+
+    def _stored(self, query_id: str) -> ServedSummary:
+        """The stored summary of *query_id* (a read refreshes its recency)."""
+        summary = self._records.get(query_id)
+        if summary is None:
+            raise KeyError(f"unknown or evicted query id {query_id!r}")
+        return summary
 
     def _authenticate(self, token: str) -> str:
         session = self._sessions.get(token)

@@ -191,6 +191,10 @@ class MetricsCollector:
         self.registry = registry if registry is not None else MetricsRegistry()
         registry = self.registry
         self._events: list[QueryEvent] = []
+        # Newest timestamp logged, and the furthest any event was appended
+        # behind it (0.0 while the log is in timestamp order).
+        self._latest = float("-inf")
+        self._max_step_back = 0.0
         self._shard_probes: list[ShardProbeEvent] = []
         self._user_ids: set[str] = set()
         self._stage_series: dict[str, _SampleSeries] = {}
@@ -271,6 +275,10 @@ class MetricsCollector:
         every exposed exemplar resolves).  ``cache_hit`` names the reuse
         kind when the query skipped the full pipeline ("" when it ran).
         """
+        if timestamp >= self._latest:
+            self._latest = timestamp
+        elif self._latest - timestamp > self._max_step_back:
+            self._max_step_back = self._latest - timestamp
         self._events.append(
             QueryEvent(
                 timestamp=timestamp,
@@ -353,6 +361,26 @@ class MetricsCollector:
     def events(self) -> list[QueryEvent]:
         """All logged query events."""
         return list(self._events)
+
+    def events_since(self, horizon: float) -> list[QueryEvent]:
+        """The events with ``timestamp >= horizon``, in log order, read from
+        the tail: the cost is the window, not the whole log.
+
+        Assumes no order: a coalescing backend stamps ``arrival +
+        response_time`` and a direct caller may log anything, so the walk
+        stops only at an event older than *horizon* by more than the
+        furthest any event was ever appended behind the newest one —
+        nothing before that event can be inside.
+        """
+        floor = horizon - self._max_step_back
+        recent: list[QueryEvent] = []
+        for event in reversed(self._events):
+            if event.timestamp < floor:
+                break
+            if event.timestamp >= horizon:
+                recent.append(event)
+        recent.reverse()
+        return recent
 
     @property
     def shard_probes(self) -> list[ShardProbeEvent]:

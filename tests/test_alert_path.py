@@ -11,6 +11,7 @@ at all.
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from repro.core.engine import UniAskEngine
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
-from repro.obs.incident import CHECK_INTERVAL, IncidentConfig, IncidentManager
+from repro.obs.incident import CHECK_INTERVAL, PAGE_BURN_WINDOWS, IncidentConfig, IncidentManager
 from repro.obs.quality import CanaryReport, CanaryRunner, CanarySuite, QualityMonitor
 from repro.obs.slo import SLO, Alert, SloSample, evaluate_burn_rates
 from repro.service.alerting import evaluate_alerts, evaluate_slo_alerts
@@ -198,3 +199,65 @@ class TestPageCheckCost:
         assert "dashboard" in incident.capture
         assert calls["snapshot"] == 3
 
+    def test_the_page_check_reads_the_window_not_the_whole_log(
+        self, tiny_kb, banking_lexicon, monkeypatch
+    ):
+        class CountingLog(list):
+            """A query log that counts every event it hands to a reader."""
+
+            reads = 0
+
+            def __iter__(self):
+                for event in super().__iter__():
+                    self.reads += 1
+                    yield event
+
+            def __reversed__(self):
+                for event in super().__reversed__():
+                    self.reads += 1
+                    yield event
+
+        system, backend = build(tiny_kb, banking_lexicon, incident=IncidentConfig(enabled=True))
+        log = backend.metrics._events = CountingLog()
+        checked = []
+        check = IncidentManager.check
+
+        def counting_check(self, now, alerts):
+            # Taken before the page opens its incident: the capture bundle
+            # freezes a dashboard snapshot, which is a pass over the whole log.
+            checked.append((now, alerts, log.reads))
+            return check(self, now, alerts)
+
+        monkeypatch.setattr(IncidentManager, "check", counting_check)
+        for second in range(10_000):  # 2 h 47 min of traffic, every fifth request failed
+            backend.metrics.record_query(
+                float(second), "u", "answered", 1.0, failed=second % 5 == 0
+            )
+        system.clock.advance_to(10_000.0)
+        backend.serve(backend.login("u"), QUESTIONS[0])  # a check is due: it runs here
+        [(now, alerts, reads)] = checked
+        assert len(log) == 10_001
+        horizon = now - max(window.long_seconds for window in PAGE_BURN_WINDOWS)
+        in_window = [event for event in list.__iter__(log) if event.timestamp >= horizon]
+        assert len(in_window) <= reads <= len(in_window) + 1 < 320
+        # ... and it fires what an evaluation of the filtered whole log fires.
+        expected = evaluate_slo_alerts(in_window, now=now, windows=PAGE_BURN_WINDOWS)
+        assert [alert.rule for alert in expected] == ["slo_availability"]
+        assert alerts == expected
+
+    def test_events_since_is_exact_when_the_log_steps_back(self):
+        """A coalescing backend stamps ``arrival + response_time``, so a
+        cache hit can be logged behind the leader it overtook; a direct
+        caller may log anything.  The tail walk must still equal the scan."""
+        rng = random.Random(5)
+        collector = MetricsCollector()
+        clock = 0.0
+        for _ in range(400):
+            clock += rng.uniform(0.0, 2.0)
+            collector.record_query(clock + rng.choice((0.02, 0.02, 3.0, 9.0)), "u", "answered", 1.0)
+        events = collector.events
+        assert any(a.timestamp > b.timestamp for a, b in zip(events, events[1:]))
+        for horizon in [-1.0, 0.0, *(rng.uniform(0.0, clock + 10.0) for _ in range(200)), 1e9]:
+            assert collector.events_since(horizon) == [
+                event for event in events if event.timestamp >= horizon
+            ], horizon
