@@ -593,6 +593,9 @@ def main(argv: list[str] | None = None) -> int:
     index.set_defaults(func=_cmd_index)
 
     args = parser.parse_args(argv)
+    topic_limit = KbGenerator().topic_limit
+    if args.topics > topic_limit:
+        parser.error(f"--topics {args.topics} exceeds the {topic_limit} the vocabulary can build")
     return args.func(args)
 
 

@@ -95,8 +95,8 @@ class KbGeneratorConfig:
     The benchmarks scale ``num_topics`` up.
     """
 
-    #: Requested topic count; silently capped at the number of available
-    #: (action, entity) pairs in the vocabulary (~700 with the stock lists).
+    #: Topic count; at most the vocabulary's (action, entity) pairs
+    #: (:attr:`KbGenerator.topic_limit`, 1 386 with the stock lists).
     num_topics: int = 220
     max_variants_per_topic: int = 3
     error_families: int = 14
@@ -139,6 +139,16 @@ class KbGenerator:
         self.config = config or KbGeneratorConfig()
         self._rng = random.Random(self.config.seed)
         self._vocabulary = build_banking_vocabulary()
+        if self.config.num_topics > self.topic_limit:
+            raise ValueError(
+                f"num_topics={self.config.num_topics} exceeds the {self.topic_limit} "
+                "(action, entity) pairs of the vocabulary"
+            )
+
+    @property
+    def topic_limit(self) -> int:
+        """The most topics the vocabulary can build: one per (action, entity) pair."""
+        return len(self._vocabulary.actions) * len(self._vocabulary.entities)
 
     def generate(self) -> SyntheticKb:
         """Generate the full corpus (procedure topics + error families)."""

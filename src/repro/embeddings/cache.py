@@ -23,6 +23,10 @@ class CachingEmbedder:
         inner: the wrapped model.
         capacity: maximum number of distinct texts kept; least recently used
             entries are evicted first.
+
+    When the wrapped model draws on a concept lexicon (it exposes
+    ``lexicon``), a text's vector is only good for the lexicon version it
+    was embedded under: the cache is dropped when the version moves.
     """
 
     def __init__(self, inner: EmbeddingModel, capacity: int = 100_000) -> None:
@@ -31,6 +35,7 @@ class CachingEmbedder:
         self._inner = inner
         self._capacity = capacity
         self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._cache_version = 0
         self.hits = 0
         self.misses = 0
 
@@ -39,8 +44,18 @@ class CachingEmbedder:
         """Embedding dimensionality of the wrapped model."""
         return self._inner.dim
 
+    @property
+    def lexicon(self):
+        """The wrapped model's concept lexicon (None when it has none)."""
+        return getattr(self._inner, "lexicon", None)
+
     def embed(self, text: str) -> np.ndarray:
         """Embed *text*, serving repeated texts from the cache."""
+        lexicon = self.lexicon
+        version = lexicon.version if lexicon is not None else 0
+        if version != self._cache_version:
+            self._cache.clear()
+            self._cache_version = version
         cached = self._cache.get(text)
         if cached is not None:
             self.hits += 1

@@ -133,27 +133,49 @@ class ConceptLexicon:
         """Concepts (with weights) whose surface forms contain this stem."""
         return self._stem_to_concepts.get(stemmed_token, [])
 
-    def concepts_in_text(self, text: str) -> dict[str, float]:
-        """Aggregate concept weights present in *text*.
+    def concept_stream(self, text: str) -> list[tuple[str, float]]:
+        """The ``(concept_id, weight)`` entries of *text*'s words, in word order.
 
-        Returns a concept_id → accumulated weight map; this is the "meaning
-        fingerprint" used by the semantic reranker and the simulated LLM.
+        What :meth:`concepts_in_text` accumulates.  A reader that needs the
+        fingerprint of a text *and* of its parts takes the parts' streams
+        once and accumulates them twice (:func:`accumulate_concepts`): the
+        same additions in the same order, so the same floats.
         """
-        weights: dict[str, float] = {}
+        stream: list[tuple[str, float]] = []
         table = self._word_concepts
         for word in self._analyzer.analyze(text.lower()):
             entries = table.get(word)
             if entries is None:
                 entries = tuple(self.concepts_for_stem(self._stem(word)))
                 remember_word(table, word, entries)
-            for concept_id, weight in entries:
-                weights[concept_id] = weights.get(concept_id, 0.0) + weight
-        return weights
+            stream.extend(entries)
+        return stream
+
+    def concepts_in_text(self, text: str) -> dict[str, float]:
+        """Aggregate concept weights present in *text*.
+
+        Returns a concept_id → accumulated weight map; this is the "meaning
+        fingerprint" used by the semantic reranker and the simulated LLM.
+        """
+        return accumulate_concepts({}, self.concept_stream(text))
 
     def fingerprint(self, text: str) -> ConceptFingerprint:
         """:meth:`concepts_in_text` plus the norm, computed once per text."""
-        weights = self.concepts_in_text(text)
-        return ConceptFingerprint(weights, sum(w * w for w in weights.values()) ** 0.5)
+        return fingerprint_of(self.concepts_in_text(text))
+
+
+def accumulate_concepts(
+    weights: dict[str, float], stream: list[tuple[str, float]]
+) -> dict[str, float]:
+    """Add a :meth:`ConceptLexicon.concept_stream` into *weights*; returns it."""
+    for concept_id, weight in stream:
+        weights[concept_id] = weights.get(concept_id, 0.0) + weight
+    return weights
+
+
+def fingerprint_of(weights: dict[str, float]) -> ConceptFingerprint:
+    """The fingerprint of accumulated concept *weights*."""
+    return ConceptFingerprint(weights, sum(w * w for w in weights.values()) ** 0.5)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,12 @@ from repro.text.stemmer import stem
 
 
 class EmbeddingModel(Protocol):
-    """Anything that can embed text into fixed-width float vectors."""
+    """Anything that can embed text into fixed-width float vectors.
+
+    A model whose vectors draw on a :class:`ConceptLexicon` also exposes it
+    as ``lexicon``: the index reads its chunks under it, and caches in front
+    of the model follow its ``version``.
+    """
 
     @property
     def dim(self) -> int:
@@ -73,6 +78,11 @@ class SyntheticAdaEmbedder:
             added to the concept base direction.  Small values make synonyms
             nearly identical; large values make the model "more lexical".
         oov_weight: contribution weight of out-of-lexicon tokens.
+
+    A word's vector depends on the lexicon, so the per-token table is
+    dropped when ``lexicon.version`` moves: the next :meth:`embed` equals a
+    fresh embedder's.  Vectors already handed out — the document vectors an
+    index stores — are not re-embedded; that is a re-index.
     """
 
     def __init__(
@@ -97,12 +107,18 @@ class SyntheticAdaEmbedder:
         self._stem = analyzer.stem_fn if analyzer.stem_fn is not None else stem
         self._term_cache: dict[str, np.ndarray] = {}
         self._term_cache_cap = _TERM_CACHE_BYTES // (dim * 8)
+        self._term_cache_version = lexicon.version if lexicon is not None else 0
         self.calls = 0  # embed() invocations, for cache-effectiveness tests
 
     @property
     def dim(self) -> int:
         """Embedding dimensionality."""
         return self._dim
+
+    @property
+    def lexicon(self) -> ConceptLexicon | None:
+        """The lexicon the vectors are drawn from (None: purely lexical)."""
+        return self._lexicon
 
     def embed(self, text: str) -> np.ndarray:
         """Embed *text* into a unit-norm float64 vector.
@@ -112,6 +128,9 @@ class SyntheticAdaEmbedder:
         downstream cosine math never divides by zero.
         """
         self.calls += 1
+        if self._lexicon is not None and self._term_cache_version != self._lexicon.version:
+            self._term_cache.clear()
+            self._term_cache_version = self._lexicon.version
         vector = np.zeros(self._dim)
         for token in self._analyzer.analyze(text.lower()):
             vector += self._token_vector(token)

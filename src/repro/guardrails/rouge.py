@@ -10,6 +10,7 @@ material with every retrieved chunk cannot be grounded in them.
 from __future__ import annotations
 
 from repro.guardrails.base import GuardrailVerdict
+from repro.search.reading import rouge_tokens_of
 from repro.search.results import RetrievedChunk
 from repro.text.similarity import rouge_l_tokens, rouge_tokens
 
@@ -31,12 +32,16 @@ class RougeGuardrail:
         return "rouge"
 
     def similarity(self, answer: str, context: list[RetrievedChunk]) -> float:
-        """Max ROUGE-L of *answer* against any context chunk."""
+        """Max ROUGE-L of *answer* against any context chunk.
+
+        Only the answer is analysed here; a chunk's tokens are kept on its
+        reading from the first time it reached a context.
+        """
         if not context:
             return 0.0
         answer_tokens = rouge_tokens(answer)
         return max(
-            rouge_l_tokens(answer_tokens, rouge_tokens(chunk.record.content)).fmeasure
+            rouge_l_tokens(answer_tokens, rouge_tokens_of(chunk.record)).fmeasure
             for chunk in context
         )
 

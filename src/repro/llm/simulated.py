@@ -33,7 +33,13 @@ import random
 import re
 from typing import NamedTuple
 
-from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon, fingerprint_cosine
+from repro.embeddings.concepts import (
+    ConceptFingerprint,
+    ConceptLexicon,
+    accumulate_concepts,
+    fingerprint_cosine,
+    fingerprint_of,
+)
 from repro.llm.base import (
     RESPONSE_KIND_ANSWER,
     RESPONSE_KIND_CLARIFICATION,
@@ -79,6 +85,12 @@ class _QuestionReading(NamedTuple):
 
     fingerprint: ConceptFingerprint
     identifiers: set[str]
+
+
+#: One sentence of a context document, analysed once: its text, its
+#: ``ConceptLexicon.concept_stream`` and its identifiers (empty unless the
+#: question carries any).
+_SentenceReading = tuple[str, list[tuple[str, float]], set[str]]
 
 #: Per-language text resources; "it" is the deployment language, "en"
 #: exists for the paper's "adapt to other languages" future work.
@@ -249,12 +261,11 @@ class SimulatedChatLLM:
 
         scored = []
         for document in documents:
-            passage = f"{document.get('title', '')} {document.get('content', '')}"
-            relevance = self._relevance(reading, passage)
-            scored.append((relevance, document))
-        scored.sort(key=lambda pair: -pair[0])
+            relevance, sentences = self._read_document(reading, document)
+            scored.append((relevance, document, sentences))
+        scored.sort(key=lambda triple: -triple[0])
 
-        supporting = [(rel, doc) for rel, doc in scored if rel >= self._relevance_threshold]
+        supporting = [entry for entry in scored if entry[0] >= self._relevance_threshold]
         failure_scale = 1.0 + self._temperature_scale * temperature
 
         if not supporting:
@@ -275,8 +286,36 @@ class SimulatedChatLLM:
             return answer + self._pack["clarification"], RESPONSE_KIND_CLARIFICATION
         return answer, RESPONSE_KIND_ANSWER
 
-    def _relevance(self, reading: _QuestionReading, passage: str) -> float:
-        """How strongly the passage supports the question.
+    def _read_document(
+        self, reading: _QuestionReading, document: dict
+    ) -> tuple[float, list[_SentenceReading]]:
+        """One pass over a context document: its relevance and its sentences.
+
+        The model sees only the prompt, so it reads the text itself — once.
+        The passage is ``"{title} {content}"``; its fingerprint accumulates
+        the title's concept stream, then each sentence's, in word order —
+        the additions one pass over the whole passage would make, because
+        sentences are split at whitespace and no word spans it — and its
+        identifiers are the union of theirs.
+        """
+        title = f"{document.get('title', '')}"
+        weights = accumulate_concepts({}, self._lexicon.concept_stream(title))
+        wanted = bool(reading.identifiers)
+        identifiers = _identifier_tokens(title) if wanted else set()
+        sentences = []
+        for text in sentence_split(f"{document.get('content', '')}"):
+            concepts = self._lexicon.concept_stream(text)
+            accumulate_concepts(weights, concepts)
+            sentence_ids = _identifier_tokens(text) if wanted else set()
+            identifiers |= sentence_ids
+            sentences.append((text, concepts, sentence_ids))
+        return self._relevance(reading, fingerprint_of(weights), identifiers), sentences
+
+    @staticmethod
+    def _relevance(
+        reading: _QuestionReading, fingerprint: ConceptFingerprint, identifiers: set[str]
+    ) -> float:
+        """How strongly a text with this reading supports the question.
 
         Blends concept-level agreement (paraphrase understanding) with
         identifier overlap — an LLM reading the context trivially matches
@@ -285,11 +324,10 @@ class SimulatedChatLLM:
         words do not count here, or any shared boilerplate would look like
         support.
         """
-        conceptual = fingerprint_cosine(reading.fingerprint, self._lexicon.fingerprint(passage))
+        conceptual = fingerprint_cosine(reading.fingerprint, fingerprint)
         question_ids = reading.identifiers
         if question_ids:
-            passage_ids = _identifier_tokens(passage)
-            lexical = len(question_ids & passage_ids) / len(question_ids)
+            lexical = len(question_ids & identifiers) / len(question_ids)
         else:
             lexical = 0.0
         return max(conceptual, lexical)
@@ -297,23 +335,25 @@ class SimulatedChatLLM:
     def _compose_grounded_answer(
         self,
         reading: _QuestionReading,
-        supporting: list[tuple[float, dict]],
+        supporting: list[tuple[float, dict, list[_SentenceReading]]],
         rng: random.Random,
     ) -> str:
         """Extract the most question-relevant sentences, citing their sources."""
         candidate_sentences: list[tuple[float, str, str]] = []
-        for relevance, document in supporting[:3]:
+        for relevance, document, sentences in supporting[:3]:
             key = document.get("key", "doc1")
-            for sentence in sentence_split(document.get("content", "")):
-                sentence_relevance = self._relevance(reading, sentence)
-                candidate_sentences.append((sentence_relevance + 0.25 * relevance, sentence, key))
+            for text, concepts, identifiers in sentences:
+                sentence_relevance = self._relevance(
+                    reading, fingerprint_of(accumulate_concepts({}, concepts)), identifiers
+                )
+                candidate_sentences.append((sentence_relevance + 0.25 * relevance, text, key))
         candidate_sentences.sort(key=lambda triple: -triple[0])
 
         picked = candidate_sentences[:3]
         if not picked:
-            _, document = supporting[0]
-            first = sentence_split(document.get("content", ""))[:1]
-            picked = [(0.0, first[0] if first else document.get("title", ""), document.get("key", "doc1"))]
+            # Only a supporting context of titles alone has no sentence.
+            document = supporting[0][1]
+            picked = [(0.0, document.get("title", ""), document.get("key", "doc1"))]
 
         openers = self._pack["openers"]
         opener = openers[rng.randrange(len(openers))]

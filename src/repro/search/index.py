@@ -45,6 +45,7 @@ from repro.embeddings.model import EmbeddingModel
 from repro.obs import spans
 from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import NULL_CONTEXT, RequestContext
+from repro.search.reading import read_chunk, unread_chunk
 from repro.search.schema import ChunkRecord, IndexSchema, uniask_schema
 from repro.search.segment import IndexConfig, SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
@@ -195,10 +196,15 @@ class SearchIndex:
         self._internal_by_chunk[record.chunk_id] = internal
         self._internals_by_doc.setdefault(record.doc_id, []).append(internal)
 
-        self._store.add(
+        field_terms = self._store.add(
             internal, {name: record.value(name) for name in self.schema.searchable_fields}
         )
         self._drain_maintenance_ops()
+        lexicon = getattr(self.embedder, "lexicon", None)
+        if lexicon is not None:
+            # The chunk is read when it is written, not when it is first
+            # asked about; the content terms are the ones just indexed.
+            read_chunk(record, lexicon, self.analyzer, field_terms.get("content"))
         for name, ann in self._vectors.items():
             if vectors is not None and name in vectors:
                 vector = np.asarray(vectors[name], dtype=np.float64)
@@ -389,8 +395,11 @@ class SearchIndex:
         self._deleted.add(internal)
         record = self._records[internal]
         self._internal_by_chunk.pop(record.chunk_id, None)
+        content_terms = unread_chunk(record, self.analyzer)
         self._store.remove(
-            internal, {name: record.value(name) for name in self.schema.searchable_fields}
+            internal,
+            {name: record.value(name) for name in self.schema.searchable_fields},
+            {} if content_terms is None else {"content": content_terms},
         )
 
     def _drain_maintenance_ops(self) -> None:

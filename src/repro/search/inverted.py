@@ -11,6 +11,7 @@ modified documents every polling cycle.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable
 
 from repro.search.kernels import KernelPostings, KernelView
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
@@ -63,16 +64,22 @@ class InvertedIndex:
             return 0.0
         return self._total_length / len(self._doc_lengths)
 
-    def add(self, doc_id: int, text: str) -> None:
-        """Index *text* under *doc_id* (doc must not already be present)."""
+    def add(self, doc_id: int, text: str) -> Iterable[str]:
+        """Index *text* under *doc_id* (doc must not already be present).
+
+        Returns the distinct terms *text* analyzed to, for a caller that
+        would otherwise analyze it again.
+        """
         if doc_id in self._doc_lengths:
             raise ValueError(f"doc {doc_id} already indexed; remove it first")
         self._kernel = None
         terms = self._analyzer.analyze(text)
         self._doc_lengths[doc_id] = len(terms)
         self._total_length += len(terms)
-        for term, frequency in Counter(terms).items():
+        frequencies = Counter(terms)
+        for term, frequency in frequencies.items():
             self._postings.setdefault(term, {})[doc_id] = frequency
+        return frequencies.keys()
 
     def remove(self, doc_id: int) -> None:
         """Remove all postings of *doc_id*; no-op when absent."""

@@ -17,27 +17,23 @@ the final hybrid relevance is ``RRF sum + reranker score``, as the paper
 states.
 
 Each text is analyzed once: the query's fingerprint and term set once per
-:meth:`SemanticReranker.rerank`, a chunk's once per chunk *version* (its
-features are kept in a bounded LRU until its title or content changes).
+:meth:`SemanticReranker.rerank`, a chunk's once per chunk *version* — its
+reading (:mod:`repro.search.reading`) is made when the chunk is written and
+rides on the record, so the reranker analyzes no chunk text at all.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon, fingerprint_cosine
 from repro.obs import spans
 from repro.obs.trace import NULL_CONTEXT, RequestContext
+from repro.search.reading import read_chunk
 from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
-
-#: Chunk versions whose features stay resident.  Keyed by ``chunk_id`` and
-#: not by text, so an edited chunk replaces its slot instead of adding one.
-FEATURE_CAPACITY = 8192
 
 
 def _hash_noise(query: str, chunk_id: str) -> float:
@@ -50,18 +46,6 @@ def _hash_noise(query: str, chunk_id: str) -> float:
 class _QueryFeatures:
     fingerprint: ConceptFingerprint
     terms: set[str]
-
-
-@dataclass(frozen=True, slots=True)
-class _ChunkFeatures:
-    """What scoring needs of one chunk version; *title* and *content* are
-    the texts the rest was derived from."""
-
-    title: str
-    content: str
-    title_fingerprint: ConceptFingerprint
-    content_fingerprint: ConceptFingerprint
-    content_terms: set[str]
 
 
 class SemanticReranker:
@@ -99,19 +83,17 @@ class SemanticReranker:
         self._lexical_weight = lexical_weight / total
         self._noise = noise
         self._analyzer = analyzer if analyzer is not None else FULL_ANALYZER
-        self._chunk_features: OrderedDict[str, _ChunkFeatures] = OrderedDict()
-        self._features_version = lexicon.version
 
     def score(self, query: str, result: RetrievedChunk) -> float:
         """Semantic relevance of *result* to *query* in [0, max_score]."""
         return self._score(query, self._query_features(query), result.record)
 
     def _score(self, query: str, features: _QueryFeatures, record: ChunkRecord) -> float:
-        chunk = self._features_of(record)
+        chunk = read_chunk(record, self._lexicon, self._analyzer)
         title_agreement = fingerprint_cosine(features.fingerprint, chunk.title_fingerprint)
         content_agreement = fingerprint_cosine(features.fingerprint, chunk.content_fingerprint)
         if features.terms:
-            lexical = len(features.terms & chunk.content_terms) / len(features.terms)
+            lexical = len(features.terms & chunk.content_terms.keys()) / len(features.terms)
         else:
             lexical = 0.0
         blended = (
@@ -126,33 +108,6 @@ class SemanticReranker:
         return _QueryFeatures(
             self._lexicon.fingerprint(query), self._analyzer.analyze_unique(query)
         )
-
-    def _features_of(self, record: ChunkRecord) -> _ChunkFeatures:
-        """The chunk's features, analyzed on first sight of this version."""
-        cache = self._chunk_features
-        if self._features_version != self._lexicon.version:
-            cache.clear()
-            self._features_version = self._lexicon.version
-        features = cache.get(record.chunk_id)
-        if (
-            features is not None
-            and features.title == record.title
-            and features.content == record.content
-        ):
-            cache.move_to_end(record.chunk_id)
-            return features
-        features = _ChunkFeatures(
-            title=record.title,
-            content=record.content,
-            title_fingerprint=self._lexicon.fingerprint(record.title),
-            content_fingerprint=self._lexicon.fingerprint(record.content),
-            content_terms=set(map(sys.intern, self._analyzer.analyze(record.content))),
-        )
-        cache[record.chunk_id] = features
-        cache.move_to_end(record.chunk_id)
-        if len(cache) > FEATURE_CAPACITY:
-            cache.popitem(last=False)
-        return features
 
     def rerank(
         self,

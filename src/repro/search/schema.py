@@ -131,6 +131,11 @@ class ChunkRecord:
     keywords: tuple[str, ...] = ()
     llm_keywords: tuple[str, ...] = ()
 
+    #: Where :func:`repro.search.reading.read_chunk` keeps what it derived
+    #: from this record.  Not annotated, so not a field: ``==``, ``hash``,
+    #: ``asdict`` and ``replace`` never see it.
+    _reading = None
+
     def value(self, field_name: str) -> str:
         """The text value of *field_name* for indexing purposes."""
         raw = getattr(self, field_name)

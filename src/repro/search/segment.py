@@ -31,6 +31,7 @@ live documents — the keystone of the byte-identical differential gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -130,12 +131,12 @@ class SealedSegment:
             return position
         return -1
 
-    def tombstone(self, internal: int, field_terms: dict[str, list[str]]) -> bool:
+    def tombstone(self, internal: int, field_terms: dict[str, Iterable[str]]) -> bool:
         """Mark *internal* dead; *field_terms* re-derives its ledger entries.
 
         The analyzer is deterministic, so re-analyzing the record's field
         text yields exactly the distinct terms that were indexed at add
-        time — no per-document term list needs to be stored.
+        time — the segment stores no per-document term list.
         """
         slot = self.slot_of(internal)
         if slot < 0 or not self.live[slot]:
@@ -252,21 +253,37 @@ class SegmentedTextStore:
 
     # -- writes ------------------------------------------------------------
 
-    def add(self, internal: int, field_texts: dict[str, str]) -> None:
-        """Buffer one document; auto-seals at the flush threshold."""
-        for name, buffer in self.buffers.items():
-            buffer.add(internal, field_texts[name])
+    def add(self, internal: int, field_texts: dict[str, str]) -> dict[str, Iterable[str]]:
+        """Buffer one document; auto-seals at the flush threshold.
+
+        Returns each field's distinct analyzed terms.
+        """
+        field_terms = {
+            name: buffer.add(internal, field_texts[name]) for name, buffer in self.buffers.items()
+        }
         self._buffer_writes += 1
         if self.buffered_count() >= self.config.flush_threshold:
             self.flush()
+        return field_terms
 
-    def remove(self, internal: int, field_texts: dict[str, str]) -> bool:
-        """Remove a document: for-real from the buffer, masked when sealed."""
+    def remove(
+        self,
+        internal: int,
+        field_texts: dict[str, str],
+        known_terms: dict[str, Iterable[str]] | None = None,
+    ) -> bool:
+        """Remove a document: for-real from the buffer, masked when sealed.
+
+        A sealed document's ledger entries need its distinct terms per
+        field: *known_terms* supplies those the caller still holds, the
+        rest are re-derived from *field_texts*.
+        """
         segment = self._segment_by_internal.get(internal)
         if segment is not None:
-            field_terms = {
-                name: self.analyzer.analyze(text) for name, text in field_texts.items()
-            }
+            field_terms = dict(known_terms or ())
+            for name, text in field_texts.items():
+                if name not in field_terms:
+                    field_terms[name] = self.analyzer.analyze(text)
             if segment.tombstone(internal, field_terms):
                 del self._segment_by_internal[internal]
                 return True

@@ -15,9 +15,18 @@ from repro.search.results import dedupe_by_document
 
 class TestGeneratorBoundaries:
     def test_topic_request_capped_at_vocabulary_pairs(self):
-        kb = KbGenerator(KbGeneratorConfig(num_topics=10_000, error_families=0, seed=1)).generate()
+        """More topics than (action, entity) pairs is an error, not a silent cap."""
+        limit = KbGenerator().topic_limit
+        assert limit == 1386
+        with pytest.raises(ValueError, match="1386"):
+            KbGenerator(KbGeneratorConfig(num_topics=limit + 1, error_families=0, seed=1))
+
+        kb = KbGenerator(KbGeneratorConfig(num_topics=limit, error_families=0, seed=1)).generate()
         vocabulary = kb.vocabulary
-        assert len(kb.topics) == len(vocabulary.entities) * len(vocabulary.actions)
+        assert {(topic.action, topic.entity) for topic in kb.topics.values()} == {
+            (action, entity) for entity in vocabulary.entities for action in vocabulary.actions
+        }
+        assert len(kb.topics) == limit
 
     def test_zero_error_families(self):
         kb = KbGenerator(KbGeneratorConfig(num_topics=10, error_families=0, seed=1)).generate()

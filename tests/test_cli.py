@@ -194,3 +194,9 @@ class TestCli:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_more_topics_than_the_vocabulary_builds_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--topics", "1387", "ask", "come bloccare la carta"])
+        assert exit_info.value.code == 2
+        assert "--topics 1387 exceeds the 1386" in capsys.readouterr().err

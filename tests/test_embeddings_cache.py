@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.embeddings.cache import CachingEmbedder
+from repro.embeddings.concepts import Concept, ConceptLexicon
 from repro.embeddings.model import SyntheticAdaEmbedder
 
 
@@ -70,3 +71,45 @@ class TestCachingEmbedder:
         for text in documents:
             cache.embed(text)
         assert inner.calls == calls_before
+
+
+class TestLexiconVersion:
+    """A vector is good for the lexicon version it was embedded under."""
+
+    @staticmethod
+    def _lexicon() -> ConceptLexicon:
+        return ConceptLexicon([Concept("carta", "carta di credito", ("tessera",))])
+
+    def test_embedder_follows_lexicon_add(self):
+        lexicon = self._lexicon()
+        embedder = SyntheticAdaEmbedder(lexicon, dim=32, seed=1)
+        text = "giroconto urgente"
+        before = embedder.embed(text)
+        untouched = embedder.embed("tessera smarrita")
+
+        lexicon.add(Concept("giro", "giroconto", ("bonifico interno",)))
+        fresh = SyntheticAdaEmbedder(lexicon, dim=32, seed=1)
+        after = embedder.embed(text)
+        np.testing.assert_array_equal(after, fresh.embed(text))
+        assert not np.array_equal(after, before)  # "giroconto" left the out-of-lexicon table
+        # Words the new concept does not touch embed as they did.
+        np.testing.assert_array_equal(embedder.embed("tessera smarrita"), untouched)
+
+    def test_caching_embedder_drops_vectors_of_an_older_version(self):
+        lexicon = self._lexicon()
+        cached = CachingEmbedder(SyntheticAdaEmbedder(lexicon, dim=32, seed=1), capacity=10)
+        assert cached.lexicon is lexicon
+        text = "giroconto urgente"
+        before = cached.embed(text)
+        assert cached.embed(text) is before  # a hit while the version stands
+
+        lexicon.add(Concept("giro", "giroconto", ("bonifico interno",)))
+        fresh = SyntheticAdaEmbedder(lexicon, dim=32, seed=1)
+        after = cached.embed(text)
+        np.testing.assert_array_equal(after, fresh.embed(text))
+        assert not np.array_equal(after, before)
+        assert cached.embed(text) is after
+
+    def test_a_model_without_a_lexicon_is_cached_as_before(self, cached):
+        assert cached.lexicon is None
+        assert cached.embed("carta") is cached.embed("carta")

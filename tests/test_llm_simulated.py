@@ -3,8 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.embeddings.concepts import Concept, ConceptLexicon
+from repro.api import AskRequest
+from repro.core.factory import build_uniask_system
+from repro.embeddings.concepts import (
+    Concept,
+    ConceptLexicon,
+    accumulate_concepts,
+    fingerprint_of,
+)
 from repro.guardrails.citation import extract_citations
 from repro.llm.base import ChatMessage, user
 from repro.llm.prompts import (
@@ -15,7 +24,14 @@ from repro.llm.prompts import (
     build_related_queries_prompt,
     build_summary_prompt,
 )
-from repro.llm.simulated import REFUSAL_TEXT, SimulatedChatLLM
+from repro.llm.simulated import (
+    REFUSAL_TEXT,
+    SimulatedChatLLM,
+    _identifier_tokens,
+    _QuestionReading,
+)
+from repro.text.tokenizer import sentence_split
+from tests.reference_llm import ReferenceChatLLM
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +150,107 @@ class TestAuxiliaryTasks:
         llm.complete(build_blind_answer_prompt("bonifico?"))
         llm.complete(build_blind_answer_prompt("bonifico?"))
         assert llm.calls == 2
+
+
+class TestSinglePassReader:
+    """``complete`` reads each context document once; the answers are the
+    two-pass reader's (``tests/reference_llm.py``), object for object."""
+
+    def test_every_prompt_of_a_served_run_answers_like_the_reference(
+        self, small_kb, lexicon, human_queries, keyword_queries
+    ):
+        system = build_uniask_system(small_kb.store(), lexicon, seed=3)
+        reference = ReferenceChatLLM(lexicon, seed=3)
+        served: list[tuple[tuple, dict, object]] = []
+        complete = system.llm.complete
+
+        def recording_complete(*args, **kwargs):
+            response = complete(*args, **kwargs)
+            served.append((args, kwargs, response))
+            return response
+
+        system.llm.complete = recording_complete
+        questions = [q.text for q in human_queries] + [q.text for q in keyword_queries[0]][:20]
+        questions += ["Qual è la ricetta della carbonara?", "Chi ha vinto il campionato nel 1982?"]
+        assert len(human_queries) == 60
+        for question in questions:
+            system.engine.answer(AskRequest(question))
+
+        assert len(served) >= len(questions) - 5  # content-filtered asks never reach the LLM
+        kinds = set()
+        for args, kwargs, response in served:
+            assert reference.complete(*args, **kwargs) == response
+            kinds.add(response.kind)
+        assert {"answer", "refusal"} <= kinds
+        # Identifier questions took the second, identifier-only read.
+        assert any(_identifier_tokens(q) for q in questions)
+
+    #: Forms of three, six and seven words weigh 1/3, 1/6 and 1/7 a word:
+    #: sums that round differently in a different order, so a reader that
+    #: adds the same weights in another order is caught.
+    inexact = ConceptLexicon(
+        [
+            Concept("bonifico", "bonifico", ("trasferimento fondi",)),
+            Concept("carta", "carta di credito", ("carta revolving",)),
+            Concept("act_attivare", "attivare", ("abilitare",)),
+            Concept("deposito", "conto deposito titoli"),
+            Concept("fido", "fido cassa continua conto corrente ordinario"),
+            Concept("mutuo", "mutuo prima casa giovani coppie tasso fisso", ("mutuo",)),
+            Concept("conto", "conto", ("conto corrente",)),
+        ]
+    )
+    fragments = st.sampled_from(
+        [
+            "conto", "deposito", "titoli", "fido", "cassa", "continua", "corrente", "ordinario",
+            "mutuo", "prima", "casa", "giovani", "coppie", "tasso", "fisso",
+            "carta", "Carta", "bonifico", "Bonifico estero", "attivare", "abilitare",
+            "l'estratto", "dell'operazione", "ERR-4821", "err-4821", "CreditFlow", "GestCarte",
+            "1.000,50", "3", "città", "È", "di", "la", ".", ". ", "! ", "? ", ".\n", "\n\n",
+            "  ", " ", "\t", "...", ". a", ". 7", ",", ";", "-", "'",
+        ]
+    )
+    texts = st.lists(fragments, max_size=40).map(" ".join)
+    glued = st.lists(fragments, max_size=25).map("".join)
+
+    @given(
+        question=st.one_of(texts, glued),
+        documents=st.lists(
+            st.tuples(st.one_of(texts, glued), st.one_of(texts, glued)), max_size=4
+        ),
+        temperature=st.sampled_from([0.0, 0.7]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generated_contexts_answer_like_the_reference(self, question, documents, temperature):
+        llm = SimulatedChatLLM(self.inexact, seed=3)
+        reference = ReferenceChatLLM(self.inexact, seed=3)
+        context = [
+            ContextDocument(key=f"doc{n}", title=title, content=content)
+            for n, (title, content) in enumerate(documents, start=1)
+        ]
+        prompt = build_answer_prompt(question, context)
+        assert llm.complete(prompt, temperature) == reference.complete(prompt, temperature)
+
+        # The same ChatResponse could hide a moved last bit: every relevance
+        # the reader takes is the reference's float.
+        reading = _QuestionReading(
+            self.inexact.fingerprint(question), _identifier_tokens(question)
+        )
+        for title, content in documents:
+            relevance, sentences = llm._read_document(reading, {"title": title, "content": content})
+            assert relevance.hex() == reference._passage_relevance(
+                reading, f"{title} {content}"
+            ).hex()
+            assert [text for text, _, _ in sentences] == sentence_split(content)
+            for text, concepts, identifiers in sentences:
+                fingerprint = fingerprint_of(accumulate_concepts({}, concepts))
+                assert llm._relevance(reading, fingerprint, identifiers).hex() == (
+                    reference._passage_relevance(reading, text).hex()
+                )
+
+    def test_concept_stream_is_what_concepts_in_text_accumulates(self, lexicon, small_kb):
+        for generated in small_kb.documents[:40]:
+            text = generated.document.html
+            stream = lexicon.concept_stream(text)
+            assert accumulate_concepts({}, stream) == lexicon.concepts_in_text(text)
+            assert list(accumulate_concepts({}, stream)) == list(lexicon.concepts_in_text(text))
+            assert fingerprint_of(lexicon.concepts_in_text(text)) == lexicon.fingerprint(text)

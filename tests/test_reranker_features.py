@@ -1,39 +1,51 @@
-"""The reranker analyzes each text once — and still scores what it always did.
+"""A chunk is read once — and the reranker still scores what it always did.
 
-``SemanticReranker`` keeps a chunk's fingerprints and term set in a bounded
-LRU keyed by ``chunk_id`` and takes the query's once per ``rerank()``.
-These tests pin the three things that design must not break:
+A chunk's fingerprints, distinct terms and ROUGE tokens are its *reading*
+(``repro.search.reading``): made when the index writes the chunk, memoised
+on the ``ChunkRecord``, read by the reranker and the ROUGE guardrail.  These
+tests pin the three things that design must not break:
 
-* **scores**: the feature path is ``==`` the naive per-candidate formula
+* **scores**: the reading path is ``==`` the naive per-candidate formula
   written here against raw ``concepts_in_text`` / ``analyze_unique``;
-* **invalidation**: an edited chunk, a grown lexicon and a full LRU never
-  serve a stale feature, and the LRU pins no ``ChunkRecord``;
-* **work**: a warm request costs the reranker a fixed number of
-  ``analyze`` calls, and scores are the same floats in every process.
+* **invalidation**: an edited chunk and a grown lexicon never serve a stale
+  reading, a reading is reachable only from its record, and neither
+  ``dataclasses.replace`` nor a save → load round trip carries one along;
+* **work**: a warm ask tokenizes each context chunk once (the LLM's own
+  read of the prompt) and the reranker and guardrails no chunk text at all,
+  and scores are the same floats in every process.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.text.tokenizer as tokenizer_module
 from repro.api import create_backend
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
+from repro.corpus.vocabulary import build_banking_lexicon
 from repro.embeddings.concepts import Concept, ConceptLexicon
-from repro.search import reranker as reranker_module
+from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.guardrails.pipeline import GuardrailPipeline
+from repro.guardrails.rouge import RougeGuardrail
+from repro.search.index import SearchIndex
+from repro.search.persistence import load_index, save_index
+from repro.search.reading import ChunkReading, read_chunk
 from repro.search.reranker import SemanticReranker, _hash_noise
 from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
-from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
+from repro.text.analyzer import FULL_ANALYZER
+from repro.text.similarity import rouge_l_score
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -90,7 +102,8 @@ def questions(human_queries, keyword_queries) -> list[str]:
 
 @pytest.fixture(scope="module")
 def shared_reranker(lexicon) -> SemanticReranker:
-    """One instance across all hypothesis examples, so most are cache hits."""
+    """One instance across all hypothesis examples; the KB records were read
+    when the ``system`` fixture indexed them."""
     return SemanticReranker(lexicon)
 
 
@@ -154,14 +167,13 @@ class TestFeatureInvalidation:
 
         edited = replace(record, content="Il bonifico estero si dispone dal portale pagamenti.")
         assert reranker.score(query, _result(edited)) == SemanticReranker(lexicon).score(
-            query, _result(edited)
+            query, _result(replace(edited))
         )
         retitled = replace(edited, title="Disporre un bonifico estero")
         assert reranker.score(query, _result(retitled)) == SemanticReranker(lexicon).score(
-            query, _result(retitled)
+            query, _result(replace(retitled))
         )
-        # Each edit replaced the chunk's slot; none added one.
-        assert list(reranker._chunk_features) == [record.chunk_id]
+        assert reranker.score(query, _result(retitled)) == naive_score(lexicon, query, retitled)
 
     def test_lexicon_add_drops_cached_features(self):
         lexicon = ConceptLexicon([Concept("carta", "carta di credito")])
@@ -177,19 +189,45 @@ class TestFeatureInvalidation:
         assert after == SemanticReranker(lexicon, noise=0.0).score(query, _result(record))
         assert after > before
 
-    def test_full_cache_evicts_least_recently_used_and_never_grows(self, lexicon, monkeypatch):
-        monkeypatch.setattr(reranker_module, "FEATURE_CAPACITY", 4)
-        reranker = SemanticReranker(lexicon)
-        records = [_chunk(f"d{i}#0", "Carta", f"La carta numero {i}.") for i in range(7)]
-        for record in records[:4]:
-            reranker.score("carta", _result(record))
-        reranker.score("carta", _result(records[0]))  # d0 is now the most recent
-        for record in records[4:]:
-            reranker.score("carta", _result(record))
-            assert len(reranker._chunk_features) == 4
-        assert list(reranker._chunk_features) == ["d0#0", "d4#0", "d5#0", "d6#0"]
+    def test_lexicon_add_between_two_searches_rescoring_is_the_naive_formula(self):
+        """End to end: the readings the index made are stale after ``add``,
+        and the next search scores every candidate under the grown lexicon."""
+        lexicon = build_banking_lexicon()  # not the session's: this test grows it
+        kb = KbGenerator(KbGeneratorConfig(num_topics=6, error_families=1, seed=2)).generate()
+        system = build_uniask_system(kb.store(), lexicon, seed=2)
+        topic = next(iter(kb.topics.values()))
+        question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
+        before = {r.record.chunk_id: r.components["rerank_adjust"] for r in system.searcher.search(question)}
 
-    def test_deleted_chunk_leaves_only_its_slot(self, lexicon):
+        lexicon.add(Concept("posso", "posso", (topic.entity.canonical.split()[0],)))
+        after = system.searcher.search(question)
+        assert {r.record.chunk_id: r.components["rerank_adjust"] for r in after} != before
+        for result in after:
+            assert result.components["rerank_adjust"] == naive_score(
+                lexicon, question, result.record
+            )
+            assert result.record._reading.version == lexicon.version
+
+    def test_a_reading_made_under_another_lexicon_or_analyzer_is_remade(self):
+        """Two lexicons at the same ``version`` are still two lexicons."""
+        record = _chunk(title="Rinnovo", content="Il badge aziendale si rinnova a BadgePoint.")
+        query = "rinnovare il badge"
+        first = ConceptLexicon([Concept("carta", "carta di credito")])
+        second = ConceptLexicon([Concept("badge", "badge aziendale")])
+        assert first.version == second.version
+        read_chunk(record, first)
+        assert SemanticReranker(second).score(query, _result(record)) == naive_score(
+            second, query, record
+        )
+        unstemmed = replace(FULL_ANALYZER, apply_stemming=False)
+        assert list(read_chunk(record, second, unstemmed).content_terms) == list(
+            dict.fromkeys(unstemmed.analyze(record.content))
+        )
+        assert list(read_chunk(record, second).content_terms) == list(
+            dict.fromkeys(FULL_ANALYZER.analyze(record.content))
+        )
+
+    def test_deleted_chunk_gives_up_its_reading(self, lexicon):
         kb = KbGenerator(KbGeneratorConfig(num_topics=6, error_families=1, seed=2)).generate()
         store = kb.store()
         system = build_uniask_system(store, lexicon, seed=2)
@@ -197,16 +235,98 @@ class TestFeatureInvalidation:
         question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
         hits = system.searcher.search(question)
         doomed = hits[0].record.doc_id
-        features = system.searcher._reranker._chunk_features
-        assert any(chunk_id.startswith(f"{doomed}#") for chunk_id in features)
+        # Made by the index when it wrote the chunks: this is the memo, not a new read.
+        doomed_readings = [
+            hit.record._reading for hit in hits if hit.record.doc_id == doomed
+        ]
+        assert all(reading.lexicon is lexicon for reading in doomed_readings)
+        assert any(obj is doomed_readings[0] for obj in _reachable_from(system.searcher))
+        del hits
 
         store.delete(doomed, deleted_at=system.clock.now() + 1)
         system.clock.advance(900)
         system.refresh()
         assert all(hit.record.doc_id != doomed for hit in system.searcher.search(question))
-        # A slot holds texts and derived features, never the record: once the
-        # index lets go of a deleted chunk, the reranker does not keep it alive.
-        assert not any(isinstance(obj, ChunkRecord) for obj in _reachable_from(features))
+        # No cache of readings exists beside the records: a tombstoned chunk
+        # gives its reading up at once, the live ones keep theirs.
+        reachable = _reachable_from(system.searcher)
+        assert not any(obj is reading for obj in reachable for reading in doomed_readings)
+        live = sum(isinstance(obj, ChunkReading) for obj in reachable)
+        assert live == len(system.index) > 0
+
+    def test_replace_and_save_load_carry_no_reading_and_records_json_is_the_fields(
+        self, tmp_path
+    ):
+        lexicon = ConceptLexicon([Concept("carta", "carta di credito", ("tessera",))])
+        embedder = SyntheticAdaEmbedder(lexicon, dim=16, seed=1)
+        index = SearchIndex(embedder=embedder, ann_backend="exact")
+        records = [
+            _chunk("d0#0", "Blocco carta", "Per bloccare la carta di credito chiamare."),
+            _chunk("d1#0", "Bonifico estero", "Il bonifico estero si dispone dal portale."),
+        ]
+        bare = [replace(record) for record in records]
+        index.add_chunks(records)
+        assert all(record._reading is not None for record in records)
+
+        # A copy with any field changed — or none — starts unread, and
+        # equality, hashing and asdict never saw the reading.
+        edited = replace(records[0], content="La tessera si blocca in filiale.")
+        assert edited._reading is None and replace(records[0])._reading is None
+        assert records == bare and hash(records[0]) == hash(bare[0])
+        assert asdict(records[0]) == asdict(bare[0])
+
+        # records.json holds the dataclass fields and nothing else.
+        save_index(index, tmp_path / "saved")
+        unread = SearchIndex(embedder=SyntheticAdaEmbedder(None, dim=16, seed=1), ann_backend="exact")
+        unread.add_chunks(bare)
+        assert all(record._reading is None for record in bare)
+        save_index(unread, tmp_path / "unread")
+        saved = (tmp_path / "saved" / "records.json").read_bytes()
+        assert saved == (tmp_path / "unread" / "records.json").read_bytes()
+        assert json.loads(saved)["records"] == [asdict(record) | {
+            "keywords": [], "llm_keywords": []} for record in bare]
+
+        # Loaded under a lexicon that has grown since the save, the records
+        # are read under it: nothing stale came through the files.
+        lexicon.add(Concept("bonifico", "bonifico estero", ("giro",)))
+        loaded = load_index(tmp_path / "saved", embedder, ann_backend="exact")
+        query = "disporre un giro"
+        for internal in loaded.live_internals():
+            record = loaded.record(internal)
+            assert record._reading.version == lexicon.version
+            assert SemanticReranker(lexicon).score(query, _result(record)) == naive_score(
+                lexicon, query, record
+            )
+
+
+class TestRougeFromTheReading:
+    def test_similarity_is_rouge_l_of_the_texts_bit_for_bit(self, kb_records):
+        guardrail = RougeGuardrail()
+        context = [_result(record) for record in kb_records[:12]]
+        answers = [
+            "Per bloccare la carta di credito chiamare il numero verde [doc1].",
+            kb_records[3].content[:160],
+            "",
+            "Sbattere le uova con il pecorino.",
+        ]
+        for answer in answers:
+            for _ in range(2):  # the second round compares against kept tokens
+                assert guardrail.similarity(answer, context).hex() == max(
+                    rouge_l_score(answer, result.record.content).fmeasure for result in context
+                ).hex()
+
+    def test_a_bare_record_is_read_on_first_use_and_tokens_survive_a_lexicon_change(self):
+        lexicon = ConceptLexicon([Concept("carta", "carta di credito")])
+        record = _chunk(title="Blocco", content="La carta di credito si blocca al numero verde.")
+        answer = "La carta si blocca al numero verde [doc1]."
+        expected = rouge_l_score(answer, record.content).fmeasure
+        assert RougeGuardrail().similarity(answer, [_result(record)]) == expected
+        tokens = record._reading.rouge_tokens
+        SemanticReranker(lexicon).score("bloccare la carta", _result(record))
+        lexicon.add(Concept("numero", "numero verde"))
+        SemanticReranker(lexicon).score("bloccare la carta", _result(record))
+        assert record._reading.rouge_tokens is tokens
+        assert RougeGuardrail().similarity(answer, [_result(record)]) == expected
 
 
 def _reachable_from(root: object) -> list[object]:
@@ -265,45 +385,87 @@ def test_scores_are_the_same_floats_under_any_string_hash_seed():
     assert matrices[0] == matrices[1]
 
 
-#: Analyzer calls the reranker may make per warm request: the query's
-#: fingerprint and the query's term set.
-MAX_WARM_ANALYZE_CALLS = 2
+#: Tokenizer passes a warm ask makes over its question (three full-text
+#: fields, the embedder, the reranker's fingerprint and term set, the LLM's
+#: fingerprint and identifiers, and spare) and over its answer.
+QUESTION_PASSES = 10
+ANSWER_PASSES = 3
 
 
-def test_warm_request_costs_the_reranker_a_fixed_number_of_analyze_calls(
-    small_kb, lexicon, human_queries, monkeypatch
+def test_warm_ask_tokenizes_each_context_chunk_once(
+    small_kb, lexicon, human_queries, keyword_queries, monkeypatch
 ):
+    """The character gate: what an ask tokenizes, and who tokenizes it.
+
+    The LLM stand-in reads the prompt's context once for meaning, and once
+    more for identifiers only when the question carries one; the reranker
+    and the guardrails tokenize the question and the answer, never a chunk.
+    (Before readings an ask tokenized its four context chunks 3.4 times.)
+    """
+    from repro.llm.simulated import _identifier_tokens
+
     system = build_uniask_system(small_kb.store(), lexicon, seed=3)
     backend = create_backend(system)
     token = backend.login("work-count")
-    asked = list(dict.fromkeys(q.text for q in human_queries))[:20]
-    assert len(asked) == 20
-    for question in asked:  # warm the chunk features
+    asked = list(
+        dict.fromkeys(
+            [q.text for q in human_queries][:20] + [q.text for q in keyword_queries[0]][:20]
+        )
+    )
+    assert any(_identifier_tokens(question) for question in asked)
+    for question in asked:  # warm: ROUGE tokens are kept from a chunk's first context
         backend.serve(token, question)
 
-    inside_rerank = False
-    calls_per_rerank: list[int] = []
-    original_analyze = ItalianAnalyzer.analyze
+    scope = ["ask"]
+    tokenized: list[tuple[str, str]] = []
+    guarded: list[str] = []
+    original_tokenize = tokenizer_module.word_tokenize
     original_rerank = SemanticReranker.rerank
+    original_run = GuardrailPipeline.run
 
-    def counting_analyze(self, text):
-        if inside_rerank:
-            calls_per_rerank[-1] += 1
-        return original_analyze(self, text)
+    def counting_tokenize(text):
+        tokenized.append((scope[-1], text))
+        return original_tokenize(text)
 
-    def flagged_rerank(self, query, results, ctx=None):
-        nonlocal inside_rerank
-        calls_per_rerank.append(0)
-        inside_rerank = True
+    def scoped_rerank(self, query, results, ctx=None):
+        scope.append("rerank")
         try:
             return original_rerank(self, query, results, ctx=ctx)
         finally:
-            inside_rerank = False
+            scope.pop()
 
-    monkeypatch.setattr(ItalianAnalyzer, "analyze", counting_analyze)
-    monkeypatch.setattr(SemanticReranker, "rerank", flagged_rerank)
+    def scoped_run(self, question, answer, context, ctx=None):
+        scope.append("guardrails")
+        guarded.append(answer)
+        try:
+            return original_run(self, question, answer, context, ctx=ctx)
+        finally:
+            scope.pop()
+
+    # ``word_tokenize`` is imported by name: wrap it wherever it landed.
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "word_tokenize", None) is original_tokenize:
+            monkeypatch.setattr(module, "word_tokenize", counting_tokenize)
+            patched += 1
+    assert patched >= 3  # the tokenizer itself, the analyzer, the LLM stand-in
+    monkeypatch.setattr(SemanticReranker, "rerank", scoped_rerank)
+    monkeypatch.setattr(GuardrailPipeline, "run", scoped_run)
+
     for question in asked:
-        backend.serve(token, question)
-
-    assert len(calls_per_rerank) >= len(asked)
-    assert max(calls_per_rerank) <= MAX_WARM_ANALYZE_CALLS
+        tokenized.clear()
+        guarded.clear()
+        answer = backend.serve(token, question).answer
+        assert answer.context and guarded
+        context_chars = sum(len(c.record.title) + len(c.record.content) for c in answer.context)
+        reads = 2 if _identifier_tokens(question) else 1
+        total = sum(len(text) for _, text in tokenized)
+        assert total <= (
+            QUESTION_PASSES * len(question) + ANSWER_PASSES * len(guarded[0]) + reads * context_chars
+        ), question
+        assert total >= context_chars  # the LLM's one read was counted
+        for where, text in tokenized:
+            if where == "rerank":
+                assert text.lower() == question.lower()
+            elif where == "guardrails":
+                assert text == guarded[0]

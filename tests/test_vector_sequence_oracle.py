@@ -14,6 +14,14 @@ handed the live records in internal-id order and knows nothing of edits, and
 the same walk through a three-shard cluster, merged on ``(distance,
 ordinal)``, must equal the single index.
 
+The **fused hybrid ranking** takes the same walk under an embedder with a
+concept lexicon, so every chunk is read when it is written
+(``repro.search.reading``): after every step ``searcher.search(q)`` — BM25
+legs, vector legs, RRF and the reranker scoring from the readings the walk
+left on the records — equals, chunk ids and ``float.hex()`` scores, a system
+rebuilt from unread copies of the live records, on the single index and
+through the three-shard cluster's router.
+
 On HNSW every result is live, carries exactly
 ``cosine_distance(query, stored vector)``, ties come in ascending internal
 id, recall@15 against brute force over the stored vectors stays ≥ 0.9 over
@@ -25,15 +33,19 @@ rebuild — an edit that leaves a field's text alone adds none.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ann.distance import cosine_distance
-from repro.cluster import ShardedSearchIndex
+from repro.cluster import ClusterSearcher, ShardedSearchIndex
+from repro.embeddings.concepts import Concept, ConceptLexicon
 from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.search.hybrid import HybridSemanticSearch
 from repro.search.index import SearchIndex
 from repro.search.persistence import load_index, save_index
+from repro.search.reranker import SemanticReranker
 from repro.search.schema import ChunkRecord
 from repro.search.segment import IndexConfig
 
@@ -192,6 +204,51 @@ def test_exact_vector_legs_equal_a_fresh_build_after_every_step(sequence):
                     ]
                     legs.sort(key=lambda leg: (float.fromhex(leg[0]), leg[1]))
                     assert [(c, d) for d, _, c in legs[:k]] == got, (step, field, k)
+
+
+QUESTIONS = ("blocco della tessera", "giro estero limite", "aprire un conto o un mutuo", "prelievo")
+
+
+def ranking(results) -> list[tuple[str, str]]:
+    return [(result.record.chunk_id, result.score.hex()) for result in results]
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps)
+def test_hybrid_ranking_equals_a_rebuilt_system_after_every_step(sequence):
+    lexicon = ConceptLexicon(
+        [
+            Concept("carta", "carta", ("tessera",)),
+            Concept("bonifico", "bonifico estero", ("giro",)),
+            Concept("conto", "conto corrente ordinario", ("conto",)),
+            Concept("mutuo", "mutuo", ("prestito casa",)),
+        ]
+    )
+    model = SyntheticAdaEmbedder(lexicon, dim=16, seed=1)
+    reranker = SemanticReranker(lexicon)
+    index = SearchIndex(embedder=model, ann_backend="exact", index_config=CONFIG)
+    cluster = ShardedSearchIndex(model, num_shards=3, ann_backend="exact", index_config=CONFIG)
+    routed = ClusterSearcher(cluster, reranker=reranker)
+    walk, cluster_walk = Walk(), Walk()
+    seed_corpus(walk, index)
+    seed_corpus(cluster_walk, cluster)
+    for step in sequence:
+        index = walk.apply(index, step)
+        cluster = cluster_walk.apply(cluster, step)
+        # Written chunks carry the reading made at the write; a vacuum or a
+        # reload must not lose it, an edit must not keep the old one.
+        assert all(index.record(i)._reading is not None for i in index.live_internals())
+        fresh = SearchIndex(embedder=model, ann_backend="exact")
+        for internal in sorted(index.live_internals()):
+            fresh.add_chunk(replace(index.record(internal)))  # an unread copy
+        rebuilt = HybridSemanticSearch(fresh, reranker=SemanticReranker(lexicon))
+        served = HybridSemanticSearch(index, reranker=reranker)  # a reload replaced the index
+        for question in QUESTIONS:
+            expected = ranking(rebuilt.search(question))
+            assert expected
+            assert ranking(served.search(question)) == expected, (step, question)
+            assert ranking(routed.search(question)) == expected, (step, question)
+            assert not routed.take_scatter_report().partial
 
 
 @settings(max_examples=40, deadline=None)
