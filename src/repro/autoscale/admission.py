@@ -74,6 +74,8 @@ CANARY_HEADROOM = 0.30
 RETRY_AFTER_SECONDS = 15.0
 #: EWMA weight of each new full-pipeline latency observation.
 LATENCY_EWMA_ALPHA = 0.2
+#: Rolling window (simulated seconds) of the controller's offered-load tracking.
+ADMISSION_WINDOW_SECONDS = 60.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class AdmissionController:
         self, config: AdmissionConfig | None = None, registry=None, recorder=None
     ) -> None:
         self.config = config or AdmissionConfig()
-        self._capacity = CapacityMonitor(window_seconds=self.config.window_seconds)
+        self._capacity = CapacityMonitor(window_seconds=ADMISSION_WINDOW_SECONDS)
         self._full_latency = self.config.full_latency_estimate
         self._headroom = {
             PRIORITY_INTERACTIVE: 0.0,

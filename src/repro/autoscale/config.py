@@ -28,20 +28,18 @@ class AdmissionConfig:
 
     The shedding ladder maps *pressure* (offered load over
     ``target_load``, 0 = idle, 1 = the deployment's full-quality
-    capacity) to a degrade level per priority class; its thresholds and
-    per-priority headrooms are constants of
+    capacity) to a degrade level per priority class; its thresholds,
+    per-priority headrooms and load-tracking window are constants of
     :mod:`repro.autoscale.admission` (``CACHED_ONLY_AT`` 0.70 → answer
     cache only, ``BM25_ONLY_AT`` 0.85 → BM25-only degraded answer,
-    ``REJECT_AT`` 1.0 → typed rejection).  Lower priorities see the
-    thresholds shifted down by their headroom, so canary traffic sheds
-    first and interactive last.
+    ``REJECT_AT`` 1.0 → typed rejection, ``ADMISSION_WINDOW_SECONDS``
+    60).  Lower priorities see the thresholds shifted down by their
+    headroom, so canary traffic sheds first and interactive last.
 
     Attributes:
         enabled: construct the controller at all.  Off by default.
         target_load: offered load (Little's L) the deployment absorbs at
             full quality; pressure = L / target_load.
-        window_seconds: rolling window of the controller's internal
-            load tracking.
         full_latency_estimate: initial estimate of a full-pipeline
             response (simulated seconds) for deadline feasibility;
             refined by an EWMA of observed full responses.
@@ -51,15 +49,12 @@ class AdmissionConfig:
 
     enabled: bool = False
     target_load: float = 6.0
-    window_seconds: float = 60.0
     full_latency_estimate: float = 4.0
     degraded_latency_estimate: float = 0.5
 
     def __post_init__(self) -> None:
         if self.target_load <= 0:
             raise ConfigurationError("target_load must be positive")
-        if self.window_seconds <= 0:
-            raise ConfigurationError("window_seconds must be positive")
         if self.full_latency_estimate <= 0 or self.degraded_latency_estimate <= 0:
             raise ConfigurationError("latency estimates must be positive")
 

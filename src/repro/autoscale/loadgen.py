@@ -7,7 +7,11 @@ Zipf-skewed question popularity (a handful of questions dominate, so the
 answer cache and the hot-shard logic both matter), priority-class mix,
 and a chaos schedule that kills and revives replicas and flips the
 answer-cache epoch mid-run (the thundering herd of a bulk corpus
-refresh).
+refresh).  It is the repository's one fault-injection driver: a flat
+open-system load test is a day with ``amplitude=0.0``, "kill the whole
+shard" is one ``kill`` event per replica, and the evidence of a run is
+the backend's own audit log — every ``request`` line carries
+``partial``, ``degrade_level`` and each shard probe's row.
 
 Service capacity is an **M/G/k queue whose k is read live from the
 cluster**: every alive replica is one serving slot, so an autoscaler
@@ -102,6 +106,7 @@ class DiurnalLoadReport:
     rejected: int
     degraded_cached: int  # ladder level 1
     degraded_bm25: int  # ladder level 2
+    partial: int  # answered from a degraded cluster (some shard dropped)
     latency_p50: float
     latency_p95: float
     latency_p99: float
@@ -190,14 +195,12 @@ def _sample_priority(rng: random.Random) -> str:
     return PRIORITY_INTERACTIVE
 
 
-def _alive_pool(cluster) -> int:
-    """Serving slots right now: one per alive replica across all shards."""
-    return sum(
-        1
+def _alive_by_shard(cluster) -> dict[int, int]:
+    """Alive replicas per shard right now; their sum is the serving pool."""
+    return {
+        shard_id: sum(1 for replica in cluster.replicas(shard_id) if replica.alive)
         for shard_id in cluster.index.shard_ids
-        for replica in cluster.replicas(shard_id)
-        if replica.alive
-    )
+    }
 
 
 def _apply_chaos(event: ChaosEvent, cluster) -> str:
@@ -241,6 +244,15 @@ def run_diurnal_load(
     bug**: it is recorded in ``unhandled_errors`` (the run keeps going so
     one bad request doesn't hide the rest of the day) and callers should
     assert the tuple is empty.
+
+    The schedule is checked before the first arrival: a ``kill`` or
+    ``revive`` aimed at a shard the cluster does not have raises
+    ``ValueError``.  Degradation is **asserted**, not just counted: when
+    requests reached the router (not served from a cache, documents
+    returned) while some shard had no alive replica and not one of them
+    came back partial, the fault injection silently missed — *cluster* is
+    not what the backend serves from — and the run raises
+    ``RuntimeError`` instead of returning an all-green report.
     """
     from repro.service.monitoring import percentile
 
@@ -257,16 +269,27 @@ def run_diurnal_load(
     sampler = ZipfSampler(questions, ZIPF_EXPONENT, rng)
     chaos = sorted(config.chaos, key=lambda event: event.at)
     chaos_cursor = 0
+    shard_ids = cluster.index.shard_ids
+    for event in chaos:
+        if event.kind != CHAOS_EPOCH_FLIP and event.shard_id not in shard_ids:
+            raise ValueError(
+                f"chaos event {event.kind!r} at t={event.at:g} targets shard "
+                f"{event.shard_id}; the cluster's shards are {list(shard_ids)}"
+            )
 
     busy: list[float] = []  # completion times of occupied serving slots
     latencies: list[float] = []
     total = served = rejected = 0
-    degraded_cached = degraded_bm25 = 0
+    degraded_cached = degraded_bm25 = partial = 0
     replica_kills = epoch_flips = 0
     rejected_by_priority = {priority: 0 for priority in PRIORITIES}
     unhandled: list[str] = []
-    pool = _alive_pool(cluster)
+    pool = sum(_alive_by_shard(cluster).values())
     min_pool = max_pool = pool
+    # Requests that reached the router while a shard was dark, and how
+    # many of them came back partial (the silent-miss guard below).
+    dark_shard = None
+    reached_dark = partial_dark = 0
 
     for t in diurnal_arrivals(config):
         clock.advance_to(t)
@@ -278,9 +301,11 @@ def run_diurnal_load(
                 epoch_flips += 1
             chaos_cursor += 1
 
-        pool = _alive_pool(cluster)
+        alive = _alive_by_shard(cluster)
+        pool = sum(alive.values())
         min_pool = min(min_pool, pool)
         max_pool = max(max_pool, pool)
+        dark = [shard_id for shard_id, count in alive.items() if not count]
 
         question = sampler.sample()
         priority = _sample_priority(rng)
@@ -298,16 +323,21 @@ def run_diurnal_load(
             continue
 
         served += 1
-        level = record.answer.degrade_level
-        if level == 1:
+        answer = record.answer
+        if answer.degrade_level == 1:
             degraded_cached += 1
-        elif level >= 2:
+        elif answer.degrade_level >= 2:
             degraded_bm25 += 1
+        partial += answer.partial_results
+        if dark and not answer.cache_hit and answer.documents:
+            dark_shard = dark[0]
+            reached_dark += 1
+            partial_dark += answer.partial_results
 
         # M/G/k: wait for a slot when every alive replica is busy.
         while busy and busy[0] <= t:
             heapq.heappop(busy)
-        service = record.answer.response_time
+        service = answer.response_time
         if len(busy) < max(pool, 1):
             start = t
         else:
@@ -316,12 +346,19 @@ def run_diurnal_load(
         heapq.heappush(busy, completion)
         latencies.append(completion - t)
 
+    if reached_dark and not partial_dark:
+        raise RuntimeError(
+            f"chaos day served {reached_dark} requests through the router with every "
+            f"replica of shard {dark_shard} down, yet recorded zero partial results "
+            "— the fault injection did not degrade the cluster the backend serves from"
+        )
     return DiurnalLoadReport(
         total_requests=total,
         served=served,
         rejected=rejected,
         degraded_cached=degraded_cached,
         degraded_bm25=degraded_bm25,
+        partial=partial,
         latency_p50=percentile(latencies, 50.0) if latencies else 0.0,
         latency_p95=percentile(latencies, 95.0) if latencies else 0.0,
         latency_p99=percentile(latencies, 99.0) if latencies else 0.0,

@@ -1,4 +1,4 @@
-"""Structured JSONL audit log with deterministic serialisation and replay.
+"""Structured JSONL audit log with deterministic serialisation.
 
 The paper's dashboard "directly queries the logs of the various
 microservices" — which only works when the logs are machine-readable and
@@ -6,15 +6,18 @@ stable.  :class:`AuditLogger` is the per-deployment structured log: one
 JSON object per line, canonical serialisation (sorted keys, compact
 separators, no ASCII escaping), timestamps read from the injected
 simulated clock — so two runs at the same seed produce byte-identical log
-files, and any report derived from the live run can be *re-derived from
-the log alone* (see :func:`repro.service.loadtest.replay_cluster_report`).
+files.
 
 Entries carry at minimum ``level`` (``INFO``/``WARNING``/``ERROR``),
 ``event`` (a stable snake_case name) and, when the logger has a clock,
 ``ts``.  The backend writes one ``request`` entry per served query:
-request id, user, outcome, response time, per-stage durations, shard
-health, guardrail verdicts and whether the request's trace was retained by
-the sampler.
+request id, user, outcome, response time, ``partial``, per-stage
+durations, one row per shard probe (shard, replica, latency, ok, hedged),
+guardrail verdicts, whether the request's trace was retained by the
+sampler, and ``degrade_level`` when admission shed it; a rejected request
+is one ``admission_reject`` entry.  That is the whole evidence of a run:
+a chaos day's served / partial / rejected / degraded counts and the
+dashboard's shard health are re-derived from the file alone.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class AuditLogger:
         retention: when set, only the most recent *retention* entries are
             kept **in memory** (a ring, oldest evicted first).  The
             on-disk sink stays complete and append-only regardless — the
-            file, not the ring, is the evidence; replay tooling reads the
-            file.
+            file, not the ring, is the evidence; read it back with
+            :func:`read_audit_log`.
     """
 
     enabled = True

@@ -25,20 +25,16 @@ from repro.service.tickets import (
     ticket_reduction,
 )
 from repro.service.loadtest import (
-    ClusterLoadTestConfig,
-    ClusterLoadTestReport,
     LoadTestConfig,
     LoadTestReport,
     arrival_times,
     recommended_token_rate_limit,
-    run_cluster_load_test,
     run_load_test,
 )
 from repro.service.monitoring import (
     DashboardSnapshot,
     MetricsCollector,
     QueryEvent,
-    ShardProbeEvent,
     format_dashboard,
 )
 from repro.service.pilots import (
@@ -83,18 +79,14 @@ __all__ = [
     "QueryRecord",
     "FeedbackStore",
     "GranularFeedback",
-    "ClusterLoadTestConfig",
-    "ClusterLoadTestReport",
     "LoadTestConfig",
     "LoadTestReport",
     "arrival_times",
     "recommended_token_rate_limit",
-    "run_cluster_load_test",
     "run_load_test",
     "DashboardSnapshot",
     "MetricsCollector",
     "QueryEvent",
-    "ShardProbeEvent",
     "format_dashboard",
     "BuggyRougeGuardrail",
     "PhaseReport",

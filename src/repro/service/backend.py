@@ -618,7 +618,6 @@ class BackendService:
         if scatter is not None:
             for probe in scatter.probes:
                 self.metrics.record_shard_probe(
-                    timestamp=record.served_at,
                     shard_id=probe.shard_id,
                     replica_id=probe.replica_id,
                     latency=probe.latency,

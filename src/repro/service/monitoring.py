@@ -112,18 +112,6 @@ class QueryEvent:
 
 
 @dataclass(frozen=True)
-class ShardProbeEvent:
-    """One shard probe of a scatter-gather query, as logged by the backend."""
-
-    timestamp: float
-    shard_id: int
-    replica_id: str
-    latency: float
-    ok: bool
-    hedged: bool = False
-
-
-@dataclass(frozen=True)
 class DashboardSnapshot:
     """The Figure 3 page: headline numbers plus per-bucket series."""
 
@@ -195,7 +183,6 @@ class MetricsCollector:
         # behind it (0.0 while the log is in timestamp order).
         self._latest = float("-inf")
         self._max_step_back = 0.0
-        self._shard_probes: list[ShardProbeEvent] = []
         self._user_ids: set[str] = set()
         self._stage_series: dict[str, _SampleSeries] = {}
         self._shard_series: dict[str, _SampleSeries] = {}
@@ -320,25 +307,11 @@ class MetricsCollector:
                 self._m_stage.labels(stage).observe(duration, trace_id=exemplar)
 
     def record_shard_probe(
-        self,
-        timestamp: float,
-        shard_id: int,
-        replica_id: str,
-        latency: float,
-        ok: bool,
-        hedged: bool = False,
+        self, shard_id: int, replica_id: str, latency: float, ok: bool, hedged: bool = False
     ) -> None:
-        """Log one shard probe of a scatter-gather query."""
-        self._shard_probes.append(
-            ShardProbeEvent(
-                timestamp=timestamp,
-                shard_id=shard_id,
-                replica_id=replica_id,
-                latency=latency,
-                ok=ok,
-                hedged=hedged,
-            )
-        )
+        """Count one shard probe of a scatter-gather query into the per-shard
+        latency series and health quotients (the probe itself is the audit
+        log's to keep, on the request line)."""
         key = f"shard-{shard_id}"
         series = self._shard_series.get(key)
         if series is None:
@@ -381,11 +354,6 @@ class MetricsCollector:
                 recent.append(event)
         recent.reverse()
         return recent
-
-    @property
-    def shard_probes(self) -> list[ShardProbeEvent]:
-        """All logged shard probes."""
-        return list(self._shard_probes)
 
     def snapshot(self, bucket_seconds: float = 60.0) -> DashboardSnapshot:
         """Aggregate everything logged so far into one dashboard page."""

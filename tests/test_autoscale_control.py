@@ -301,7 +301,8 @@ class TestDiurnalLoadGenerator:
         sampler = ZipfSampler([f"q{i}" for i in range(20)], 1.1, random.Random(3))
         counts: dict[str, int] = {}
         for _ in range(2000):
-            counts[sampler.sample()] = counts.get(sampler.sample(), 0) + 1
+            question = sampler.sample()
+            counts[question] = counts.get(question, 0) + 1
         assert counts["q0"] > counts.get("q19", 0)
 
     def test_chaos_event_validation(self):

@@ -2,7 +2,7 @@
 
 Covers the factory wiring, the backend endpoints (probes into the
 dashboard, the ops-only ``cluster_status``), the hardened session tokens,
-the fault-injecting cluster load test, and the CLI surface.
+fault injection through the diurnal load driver, and the CLI surface.
 """
 
 from __future__ import annotations
@@ -12,21 +12,33 @@ import re
 import pytest
 
 from repro.__main__ import main
+from repro.api import create_backend
+from repro.autoscale.loadgen import ChaosEvent, DiurnalLoadConfig, run_diurnal_load
+from repro.cache import CacheConfig
 from repro.cluster import ClusterConfig, ClusterStatus
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.service.backend import AuthorizationError, BackendService, ROLE_OPS
-from repro.service.loadtest import ClusterLoadTestConfig, run_cluster_load_test
 from repro.service.monitoring import format_dashboard
 
 TOKEN_PATTERN = re.compile(r"session-[0-9a-f]{32,}")
 
+#: The diurnal driver owns the clock, so it needs request coalescing; with
+#: the answer and retrieval caches off every request that is not a
+#: coalesced joiner reaches the router.
+COALESCING_ONLY = CacheConfig(enabled=True, answer=False, retrieval=False)
+LOAD_QUESTIONS = ["carta di credito", "bonifico estero", "quadratura di cassa"]
 
-def _cluster_system(lexicon, shards=2, replicas=2):
+
+def _cluster_system(lexicon, shards=2, replicas=2, **config):
     kb = KbGenerator(KbGeneratorConfig(num_topics=10, error_families=1, seed=11)).generate()
-    config = UniAskConfig(cluster=ClusterConfig(shards=shards, replicas=replicas))
+    config = UniAskConfig(cluster=ClusterConfig(shards=shards, replicas=replicas), **config)
     return build_uniask_system(kb.store(), lexicon, config=config, seed=3)
+
+
+def _request_lines(system) -> list[dict]:
+    return system.telemetry.audit.find("request")
 
 
 class TestSessionTokens:
@@ -66,9 +78,10 @@ class TestClusterBackend:
         token = backend.login("user-1")
         record = backend.serve(token, "come sbloccare la carta di credito")
         assert not record.answer.partial_results
-        probes = backend.metrics.shard_probes
-        assert {p.shard_id for p in probes} == {0, 1}
-        assert all(p.ok for p in probes)
+        probes = _request_lines(system)[-1]["shard_probes"]
+        assert {p["shard"] for p in probes} == {0, 1}
+        assert all(p["ok"] for p in probes)
+        assert backend.metrics.snapshot().shard_counts == {"shard-0": 1, "shard-1": 1}
 
     def test_dead_shard_surfaces_in_dashboard(self, deployment):
         system, backend = deployment
@@ -99,8 +112,8 @@ class TestClusterBackend:
 
     def test_health_is_the_quotient_of_the_probe_log(self, deployment):
         """The collector keeps (ok, total) counts per key, not one bool per
-        probe; the health it reports is the list form's ``sum / len``, bit
-        for bit, over a kill / heal run."""
+        probe; the health it reports is ``sum / len`` over the probe rows of
+        the audit log's request lines, bit for bit, over a kill / heal run."""
         system, backend = deployment
         token = backend.login("user-1")
         questions = ("limiti prelievo bancomat", "apertura conto online", "bonifico estero")
@@ -111,10 +124,11 @@ class TestClusterBackend:
             backend.serve(token, questions[step % 3])
         by_shard: dict[str, list[bool]] = {}
         by_replica: dict[str, list[bool]] = {}
-        for probe in backend.metrics.shard_probes:
-            by_shard.setdefault(f"shard-{probe.shard_id}", []).append(probe.ok)
-            if probe.replica_id:
-                by_replica.setdefault(probe.replica_id, []).append(probe.ok)
+        for line in _request_lines(system):
+            for probe in line["shard_probes"]:
+                by_shard.setdefault(f"shard-{probe['shard']}", []).append(probe["ok"])
+                if probe["replica"]:
+                    by_replica.setdefault(probe["replica"], []).append(probe["ok"])
         snapshot = backend.metrics.snapshot()
         assert snapshot.shard_health == {k: sum(v) / len(v) for k, v in by_shard.items()}
         assert snapshot.replica_health == {k: sum(v) / len(v) for k, v in by_replica.items()}
@@ -137,73 +151,82 @@ class TestClusterBackend:
         assert backend.ops("cluster_status", ops) is None
 
 
+def _kill_shard(at: float, shard_id: int) -> tuple[ChaosEvent, ...]:
+    """Both replicas of *shard_id* down at *at*: one ``kill`` per replica."""
+    return tuple(ChaosEvent(at=at, kind="kill", shard_id=shard_id) for _ in range(2))
+
+
+def _flat_day(duration: float, *chaos: ChaosEvent) -> DiurnalLoadConfig:
+    """An open-system load test at a constant one request per second."""
+    return DiurnalLoadConfig(duration_seconds=duration, amplitude=0.0, chaos=chaos)
+
+
 class TestClusterLoadTest:
+    """Fault injection against a serving cluster through the one chaos
+    driver, :func:`~repro.autoscale.loadgen.run_diurnal_load`."""
+
     def test_mid_run_kill_degrades_then_recovers(self, lexicon):
-        system = _cluster_system(lexicon)
-        report = run_cluster_load_test(
-            system.cluster,
-            system.clock,
-            ["carta di credito", "bonifico estero", "quadratura di cassa"],
-            ClusterLoadTestConfig(
-                duration_seconds=120.0,
-                kill_at=20.0,
-                revive_at=80.0,
-            ),
+        system = _cluster_system(lexicon, cache=COALESCING_ONLY)
+        backend = create_backend(system, seed=7)
+        day = _flat_day(
+            120.0, *_kill_shard(20.0, 0), ChaosEvent(at=80.0, kind="revive", shard_id=0)
         )
-        assert report.total_queries > 0
-        assert 0 < report.partial_queries < report.total_queries
-        assert 0.0 < report.partial_rate < 1.0
-        assert report.shard_latency_p95 > 0.0
-        # Degradation is confined to the kill window.
-        assert sum(report.partial_per_minute) == report.partial_queries
+        report = run_diurnal_load(
+            backend, system.cluster, system.clock, backend.login("load"), LOAD_QUESTIONS, day
+        )
+        assert report.unhandled_errors == ()
+        assert report.replica_kills == 2
+        assert 0 < report.partial < report.total_requests
+        snapshot = backend.metrics.snapshot()
+        assert snapshot.partial_results == report.partial
+        assert all(p95 > 0.0 for p95 in snapshot.shard_p95.values())
+        # Degradation is confined to the kill window: a partial request
+        # reached the router while the shard was dark, or joined the flight
+        # of one that did.
+        lines = {line["request_id"]: line for line in _request_lines(system)}
+        partial = [line for line in lines.values() if line["partial"]]
+        assert len(partial) == report.partial
+        for line in partial:
+            assert 20.0 <= lines[line.get("coalesced_with", line["request_id"])]["ts"] < 80.0
+        assert any(line["ts"] >= 80.0 and not line["partial"] for line in lines.values())
 
     def test_healthy_run_never_degrades(self, lexicon):
-        system = _cluster_system(lexicon)
-        report = run_cluster_load_test(
-            system.cluster,
-            system.clock,
-            ["carta di credito"],
-            ClusterLoadTestConfig(duration_seconds=30.0),
+        system = _cluster_system(lexicon, cache=COALESCING_ONLY)
+        backend = create_backend(system, seed=7)
+        report = run_diurnal_load(
+            backend, system.cluster, system.clock, backend.login("load"),
+            ["carta di credito"], _flat_day(30.0),
         )
-        assert report.total_queries > 0
-        assert report.partial_queries == 0
+        assert report.total_requests > 0
+        assert report.partial == 0
 
-    def test_invalid_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterLoadTestConfig(kill_at=50.0, revive_at=10.0)
+    def test_invalid_scenario_rejected(self, lexicon):
+        """A kill aimed at a shard the cluster does not have fails before
+        the first arrival, naming the shard and the ids that exist."""
+        system = _cluster_system(lexicon, cache=COALESCING_ONLY)
+        backend = create_backend(system, seed=7)
+        with pytest.raises(ValueError, match=r"shard 7; the cluster's shards are \[0, 1\]"):
+            run_diurnal_load(
+                backend, system.cluster, system.clock, backend.login("load"),
+                LOAD_QUESTIONS, _flat_day(60.0, ChaosEvent(at=30.0, kind="kill", shard_id=7)),
+            )
+        assert backend.served_queries == 0
 
-    def test_kill_scenario_without_degradation_raises(self):
+    def test_kill_scenario_without_degradation_raises(self, lexicon):
         """A churn run must assert the degradation counters, not just survive.
 
-        A searcher that accepts the kill but never degrades (wrong shard,
-        clock it does not read, …) used to produce an all-green report;
-        now the run itself fails loudly.
+        Here the kill lands on a cluster the backend does not serve from:
+        every request reaches a router while "its" shard is dark and none
+        comes back partial, so the run fails loudly instead of returning an
+        all-green report.
         """
-        from repro.pipeline.clock import SimulatedClock
-
-        class _Replica:
-            def kill(self):
-                pass
-
-            def revive(self):
-                pass
-
-        class _BrokenFaultInjection:
-            def replicas(self, shard_id):
-                return [_Replica()]
-
-            def search(self, query):
-                return []
-
-            def take_scatter_report(self):
-                return None
-
-        with pytest.raises(RuntimeError, match="zero\\s+partial"):
-            run_cluster_load_test(
-                _BrokenFaultInjection(),
-                SimulatedClock(),
-                ["carta di credito"],
-                ClusterLoadTestConfig(duration_seconds=60.0, kill_at=5.0),
+        serving = _cluster_system(lexicon, cache=COALESCING_ONLY)
+        elsewhere = _cluster_system(lexicon)
+        backend = create_backend(serving, seed=7)
+        with pytest.raises(RuntimeError, match="shard 0 down, yet recorded zero\\s+partial"):
+            run_diurnal_load(
+                backend, elsewhere.cluster, serving.clock, backend.login("load"),
+                LOAD_QUESTIONS, _flat_day(60.0, *_kill_shard(5.0, 0)),
             )
 
 

@@ -84,7 +84,9 @@ class TestMultiHopKeepsEveryProbe:
         assert hops == 2
         expected = hops * SHARDS
 
-        assert len(backend.metrics.shard_probes) == expected
+        audit_line = system.telemetry.audit.find("request")[-1]
+        assert len(audit_line["shard_probes"]) == expected
+        assert sum(backend.metrics.snapshot().shard_counts.values()) == expected
         exposition = backend.ops("metrics", backend.login("sre", role=ROLE_OPS))
         served = re.findall(r"^uniask_shard_probe_seconds_count\{[^}]*\} (\d+)", exposition, re.M)
         assert len(served) == SHARDS
@@ -93,8 +95,6 @@ class TestMultiHopKeepsEveryProbe:
         assert sum(int(count) for count in probed) == expected
         replicas = [s for s in backend.capacity.snapshot() if s.resource != "backend"]
         assert sum(sample.arrivals for sample in replicas) == expected
-        audit_line = system.telemetry.audit.find("request")[-1]
-        assert len(audit_line["shard_probes"]) == expected
 
     @pytest.mark.parametrize("failing_hop", [1, 2])
     def test_shard_down_during_one_hop_marks_the_answer_partial(

@@ -1,16 +1,22 @@
 """Service-level telemetry tests: ops routes, probes, exposition, exemplars,
-audit replay, and output-neutrality of the whole layer."""
+the audit log as a run's evidence, and output-neutrality of the whole layer."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.api import create_backend
+from repro.autoscale import AdmissionConfig, AutoscaleConfig
+from repro.autoscale.loadgen import ChaosEvent, DiurnalLoadConfig, run_diurnal_load
+from repro.cache import CacheConfig
 from repro.cluster import ClusterConfig
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.vocabulary import build_banking_lexicon
-from repro.obs.audit import AuditLogger, read_audit_log
+from repro.obs.audit import read_audit_log
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.service.backend import (
     AuthenticationError,
@@ -19,11 +25,6 @@ from repro.service.backend import (
     ROLE_OPS,
 )
 from repro.service.ops import OpsRoute
-from repro.service.loadtest import (
-    ClusterLoadTestConfig,
-    replay_cluster_report,
-    run_cluster_load_test,
-)
 
 QUESTIONS = [
     "come sbloccare la carta di credito",
@@ -332,44 +333,49 @@ class TestLoadTestReplay:
     def test_cluster_load_test_report_is_replayable_from_the_log(
         self, small_store_and_lexicon, tmp_path
     ):
-        system = _cluster_system(small_store_and_lexicon)
-        audit = AuditLogger(clock=system.clock, path=tmp_path / "loadtest.jsonl")
-        config = ClusterLoadTestConfig(duration_seconds=60.0, kill_at=10.0, revive_at=40.0)
-        report = run_cluster_load_test(
-            system.cluster,
-            system.clock,
-            ["carta di credito", "bonifico estero"],
-            config,
-            audit=audit,
+        """A chaos day's report is recomputed from the backend's audit file
+        alone: one ``request`` line per served request, carrying ``partial``
+        and ``degrade_level``, and one ``admission_reject`` per rejection —
+        no driver-side log and no replay code."""
+        path = tmp_path / "audit.jsonl"
+        system = _fresh_system(
+            small_store_and_lexicon,
+            config=UniAskConfig(
+                cluster=ClusterConfig(shards=2, replicas=2),
+                cache=CacheConfig(enabled=True),
+                autoscale=AutoscaleConfig(
+                    admission=AdmissionConfig(enabled=True, target_load=1.0)
+                ),
+                telemetry=TelemetryConfig(audit_path=str(path)),
+            ),
         )
-        # The run already asserted replay == report internally; prove it
-        # again from the on-disk file, which is the real artifact.
-        replayed = replay_cluster_report(read_audit_log(tmp_path / "loadtest.jsonl"))
-        assert replayed == report
-        assert report.partial_queries > 0  # the kill window degraded queries
-
-    def test_replay_requires_scenario_header(self):
-        with pytest.raises(ValueError):
-            replay_cluster_report([{"event": "cluster_query"}])
-        with pytest.raises(ValueError):
-            replay_cluster_report([])
-
-    def test_tampered_log_replays_to_a_different_report(self, small_store_and_lexicon):
-        system = _cluster_system(small_store_and_lexicon)
-        audit = AuditLogger(clock=system.clock)
-        report = run_cluster_load_test(
-            system.cluster,
-            system.clock,
-            ["carta di credito"],
-            ClusterLoadTestConfig(duration_seconds=30.0, kill_at=5.0),
-            audit=audit,
+        backend = create_backend(system, seed=7)
+        dark = tuple(ChaosEvent(at=100.0, kind="kill", shard_id=0) for _ in range(2))
+        day = DiurnalLoadConfig(
+            duration_seconds=300.0,
+            period_seconds=300.0,
+            chaos=dark
+            + (
+                ChaosEvent(at=110.0, kind="epoch_flip"),  # the herd re-scatters into the dark
+                ChaosEvent(at=200.0, kind="revive", shard_id=0),
+            ),
         )
-        entries = audit.entries
-        for entry in entries:
-            if entry["event"] == "cluster_query":
-                entry["partial"] = not entry["partial"]
-                break
-        assert replay_cluster_report(entries) != report
+        report = run_diurnal_load(
+            backend, system.cluster, system.clock, backend.login("load"), QUESTIONS, day
+        )
+        assert report.unhandled_errors == ()
+        entries = list(read_audit_log(path))
+        requests = [entry for entry in entries if entry["event"] == "request"]
+        levels = Counter(entry.get("degrade_level", 0) for entry in requests)
+        recomputed = {
+            "served": len(requests),
+            "partial": sum(entry["partial"] for entry in requests),
+            "rejected": sum(entry["event"] == "admission_reject" for entry in entries),
+            "degraded_cached": levels[1],
+            "degraded_bm25": levels[2],
+        }
+        assert recomputed == {name: getattr(report, name) for name in recomputed}
+        assert all(recomputed.values())  # the day exercised every counter
 
 
 class TestCli:
