@@ -27,8 +27,6 @@ deployment — part of the byte-identity contract of
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.agents.config import AgentsConfig
 from repro.agents.conversational import ConversationalAgent
 from repro.agents.followup import FollowUpAgent
@@ -47,7 +45,7 @@ from repro.agents.structured import (
     StructuredCatalog,
     render_structured_answer,
 )
-from repro.core.answer import OUTCOME_ANSWERED, UniAskAnswer
+from repro.core.answer import OUTCOME_ANSWERED, AnswerContent, UniAskAnswer
 from repro.llm.base import RESPONSE_KIND_CLARIFICATION
 from repro.obs import spans
 from repro.obs.metrics import NULL_REGISTRY
@@ -122,10 +120,10 @@ class Orchestrator:
 
     def execute(
         self, engine, question: str, options, ctx, route: str
-    ) -> tuple[UniAskAnswer, str]:
+    ) -> tuple[AnswerContent, str]:
         """Run *question* down *route* using the engine's stage methods.
 
-        Returns the answer and the question actually answered (the
+        Returns the content and the question actually answered (the
         follow-up rewrite, else *question*); the engine hands it back to
         :meth:`finish` — nothing about a request is kept here in between.
         """
@@ -169,16 +167,15 @@ class Orchestrator:
 
     # -- per-route runners ----------------------------------------------------
 
-    def _run_conversational(self, question: str) -> UniAskAnswer:
+    def _run_conversational(self, question: str) -> AnswerContent:
         reply = self.conversational.respond(question)
-        return UniAskAnswer(
-            question=question,
+        return AnswerContent(
             answer_text=reply.text,
             raw_answer=reply.text,
             outcome=OUTCOME_ANSWERED,
         )
 
-    def _run_multi_hop(self, engine, question: str, filters, ctx) -> UniAskAnswer:
+    def _run_multi_hop(self, engine, question: str, filters, ctx) -> AnswerContent:
         blocked = engine._screen(question, ctx)
         if blocked is not None:
             return blocked
@@ -213,7 +210,7 @@ class Orchestrator:
             span.set("candidates", len(fused))
         return engine._complete_from_documents(question, fused, ctx, fused=True)
 
-    def _run_structured(self, engine, question: str, filters, ctx) -> UniAskAnswer:
+    def _run_structured(self, engine, question: str, filters, ctx) -> AnswerContent:
         blocked = engine._screen(question, ctx)
         if blocked is not None:
             return blocked
@@ -240,8 +237,7 @@ class Orchestrator:
                 if result.count is not None:
                     span.set("count", result.count)
             citations = engine._resolve_citations(rendered, context, ctx)
-            return UniAskAnswer(
-                question=question,
+            return AnswerContent(
                 answer_text=rendered,
                 raw_answer=rendered,
                 outcome=OUTCOME_ANSWERED,
@@ -255,13 +251,12 @@ class Orchestrator:
 
     def _run_follow_up(
         self, engine, question: str, options, ctx
-    ) -> tuple[UniAskAnswer, str]:
+    ) -> tuple[AnswerContent, str]:
         with ctx.trace.span(spans.STAGE_AGENT_REWRITE) as span:
             resolved = self.followup.resolve(
                 question, self.memory.last_turn(options.session_id)
             )
             span.set("rewritten", resolved.question != question)
             span.set("merged_clarification", resolved.merged_clarification)
-        answer = engine._ask_staged(resolved.question, options.filters, ctx)
-        # The response surfaces the user's words, not the internal rewrite.
-        return replace(answer, question=question), resolved.question
+        # The envelope carries the user's words; the rewrite is only answered.
+        return engine._ask_staged(resolved.question, options.filters, ctx), resolved.question

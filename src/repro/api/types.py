@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.agents.routes import ALL_ROUTES
-from repro.core.answer import Citation, UniAskAnswer
-from repro.obs.trace import Trace
+from repro.core.answer import UniAskAnswer, read_through
 
 #: Cache policies of one request.
 CACHE_DEFAULT = "default"  # serve from cache when possible, store on miss
@@ -119,81 +118,37 @@ class AskRequest:
 class AskResponse:
     """Everything the engine returns for one :class:`AskRequest`.
 
-    Wraps the full :class:`~repro.core.answer.UniAskAnswer` and exposes
-    the fields callers reach for most as flat properties.  ``scatter`` is
-    the request's merged :class:`~repro.cluster.router.ScatterReport` (every
-    shard probe of every search it ran); None on a single index or when
-    nothing was retrieved.
+    Wraps the request's one :class:`~repro.core.answer.UniAskAnswer`
+    envelope and exposes the fields callers reach for most as flat
+    read-only properties.  ``scatter`` is the request's merged
+    :class:`~repro.cluster.router.ScatterReport` (every shard probe of
+    every search it ran); None on a single index or when nothing was
+    retrieved.
     """
 
     answer: UniAskAnswer
     request: AskRequest
     scatter: object | None = None
 
-    @property
-    def text(self) -> str:
-        """The user-facing answer text."""
-        return self.answer.answer_text
-
-    @property
-    def outcome(self) -> str:
-        """The pipeline outcome (``answered``, ``guardrail_*``, ...)."""
-        return self.answer.outcome
-
-    @property
-    def answered(self) -> bool:
-        """True when a generated answer was accepted and shown."""
-        return self.answer.answered
-
-    @property
-    def citations(self) -> tuple[Citation, ...]:
-        """Resolved citations of the accepted answer."""
-        return self.answer.citations
-
-    @property
-    def documents(self):
-        """The retrieved chunk ranking."""
-        return self.answer.documents
-
-    @property
-    def cache_hit(self) -> str:
-        """``"exact"`` / ``"semantic"`` / ``"coalesced"``, or "" on a miss."""
-        return self.answer.cache_hit
-
-    @property
-    def partial_results(self) -> bool:
-        """True when a degraded cluster served only some shards."""
-        return self.answer.partial_results
-
-    @property
-    def trace(self) -> Trace | None:
-        """The per-stage trace, when one was requested."""
-        return self.answer.trace
-
-    @property
-    def explain(self):
-        """The :class:`~repro.obs.explain.ExplainReport`, when requested."""
-        return self.answer.explain_report
-
-    @property
-    def route(self) -> str:
-        """The agent route that served the question ("" when agents are off)."""
-        return self.answer.route
-
-    @property
-    def work(self) -> dict[str, int] | None:
-        """Deterministic work counts (``{kind: units}``), when profiling."""
-        return self.answer.work
-
-    @property
-    def degrade_level(self) -> int:
-        """The shedding-ladder level that served the request.
-
-        0 = full pipeline, 1 = answer-cache only, 2 = BM25-only degraded
-        answer.  Level-3 requests never produce a response — they raise
-        :class:`~repro.core.errors.AdmissionError` instead.
-        """
-        return self.answer.degrade_level
+    text = read_through("answer.answer_text", "The user-facing answer text.")
+    outcome = read_through("answer.outcome", "The pipeline outcome (``answered``, …).")
+    answered = read_through("answer.answered", "True when a generated answer was shown.")
+    citations = read_through("answer.citations", "Resolved citations of the accepted answer.")
+    documents = read_through("answer.documents", "The retrieved chunk ranking.")
+    cache_hit = read_through(
+        "answer.cache_hit", '``"exact"`` / ``"semantic"`` / ``"coalesced"``, or "".'
+    )
+    partial_results = read_through(
+        "answer.partial_results", "True when a degraded cluster served only some shards."
+    )
+    trace = read_through("answer.trace", "The per-stage trace, when one was requested.")
+    explain = read_through("answer.explain_report", "The ExplainReport, when requested.")
+    route = read_through("answer.route", "The agent route (\"\" when agents are off).")
+    work = read_through("answer.work", "Deterministic work counts, when profiling.")
+    #: 0 = full pipeline, 1 = answer-cache only, 2 = BM25-only degraded
+    #: answer.  Level-3 requests raise
+    #: :class:`~repro.core.errors.AdmissionError` instead of responding.
+    degrade_level = read_through("answer.degrade_level", "The shedding-ladder level served.")
 
     @property
     def shed(self) -> bool:

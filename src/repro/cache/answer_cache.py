@@ -1,11 +1,13 @@
 """The answer cache: exact tier plus semantic near-hit tier.
 
 The exact tier maps an analyzer-normalized question (plus filters) to the
-full :class:`~repro.core.answer.UniAskAnswer` the pipeline produced for
-it.  Entries are stamped with the **index epoch** at computation time and
-the **store time** on the deployment's simulated clock; a lookup serves an
-entry only while the epoch still matches (no corpus write since) and the
-TTL has not elapsed.  Capacity is bounded by LRU eviction.
+:class:`~repro.core.answer.AnswerContent` the pipeline produced for it —
+that very object, never a copy: every hit hands it out by reference, and
+each request wraps it in an envelope of its own.  Entries are stamped
+with the **index epoch** at computation time and the **store time** on
+the deployment's simulated clock; a lookup serves an entry only while the
+epoch still matches (no corpus write since) and the TTL has not elapsed.
+Capacity is bounded by LRU eviction.
 
 The semantic tier rides on the same store: every entry optionally keeps
 the unit-norm embedding of the question it answered, and a lookup that
@@ -21,14 +23,14 @@ scan break on insertion order.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from repro.cache.config import CacheConfig
 from repro.cache.key import CacheKey, answer_cache_key
-from repro.core.answer import UniAskAnswer
+from repro.core.answer import AnswerContent
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.work import (
     WORK_CACHE_EXACT_HITS,
@@ -51,9 +53,9 @@ HIT_COALESCED = "coalesced"
 
 @dataclass(frozen=True)
 class CacheHit:
-    """One successful answer-cache lookup."""
+    """One successful answer-cache lookup: the stored content itself."""
 
-    answer: UniAskAnswer
+    content: AnswerContent
     kind: str  # HIT_EXACT or HIT_SEMANTIC
     similarity: float
 
@@ -78,9 +80,9 @@ class AnswerCacheStats:
 
 @dataclass
 class _Entry:
-    """One cached answer with its validity stamps."""
+    """One cached answer's content with its validity stamps."""
 
-    answer: UniAskAnswer
+    content: AnswerContent
     epoch: int
     stored_at: float
     embedding: np.ndarray | None = None
@@ -181,7 +183,7 @@ class AnswerCache:
             self._entries.move_to_end(key)
             self.stats.hits_exact += 1
             self._m_events.labels("hit_exact").inc()
-            return CacheHit(answer=entry.answer, kind=HIT_EXACT, similarity=1.0)
+            return CacheHit(entry.content, HIT_EXACT, 1.0)
         if work is not None:
             work.add(WORK_CACHE_EXACT_MISSES)
 
@@ -242,29 +244,28 @@ class AnswerCache:
         if best is None or best_similarity < self.config.semantic_threshold:
             return None
         self._entries.move_to_end(best_key)
-        return CacheHit(answer=best.answer, kind=HIT_SEMANTIC, similarity=best_similarity)
+        return CacheHit(best.content, HIT_SEMANTIC, best_similarity)
 
     # -- store ---------------------------------------------------------------
 
     def store(
         self,
         key: CacheKey,
-        answer: UniAskAnswer,
+        content: AnswerContent,
         epoch: int,
         embedding: np.ndarray | None = None,
     ) -> None:
-        """Cache *answer* under *key*, stamped with *epoch* and the clock.
+        """Cache *content* under *key*, stamped with *epoch* and the clock.
 
-        The stored answer is stripped of its per-request envelope (trace,
-        response time, hit markers) so every future hit starts clean.
+        The object itself is kept and every later hit returns it: content
+        carries nothing of the request that computed it (trace, response
+        time and hit markers live on that request's envelope), so there is
+        nothing to strip, and being frozen it is safe to share.
         """
-        answer = replace(
-            answer, trace=None, response_time=0.0, cache_hit="", cache_similarity=0.0, work=None
-        )
         if key in self._entries:
             del self._entries[key]  # refresh re-inserts at the LRU tail
         self._entries[key] = _Entry(
-            answer=answer,
+            content=content,
             epoch=epoch,
             stored_at=self._clock.now(),
             embedding=embedding if self.config.semantic_tier_active else None,

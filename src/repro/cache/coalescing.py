@@ -30,7 +30,11 @@ _PRUNE_THRESHOLD = 1024
 
 @dataclass(frozen=True)
 class Flight:
-    """One in-flight (or recently completed) pipeline execution."""
+    """One in-flight (or recently completed) pipeline execution.
+
+    ``answer`` is the leader's envelope; a joiner gets an envelope of its
+    own over the leader's content.
+    """
 
     key: tuple
     request_id: str

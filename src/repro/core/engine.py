@@ -35,7 +35,7 @@ from repro.api.types import (
     AskRequest,
     AskResponse,
 )
-from repro.cache.answer_cache import AnswerCache
+from repro.cache.answer_cache import AnswerCache, CacheHit
 from repro.core.answer import (
     OUTCOME_ANSWERED,
     OUTCOME_CONTENT_FILTER,
@@ -45,6 +45,7 @@ from repro.core.answer import (
     OUTCOME_GUARDRAIL_CLARIFICATION,
     OUTCOME_GUARDRAIL_ROUGE,
     OUTCOME_NO_RESULTS,
+    AnswerContent,
     Citation,
     UniAskAnswer,
 )
@@ -184,26 +185,30 @@ class UniAskEngine:
             if degrade_level > 0:
                 # Shed requests never consult the orchestrator: agent
                 # routing is part of the full pipeline being shed.
-                answer = self._answer_degraded(question, options, ctx, degrade_level)
-                root.set("degrade_level", answer.degrade_level)
+                content, hit = self._answer_degraded(question, options, ctx, degrade_level)
+                degrade_level = 1 if hit is not None else 2
+                root.set("degrade_level", degrade_level)
             else:
                 if self.orchestrator is not None:
                     route = self.orchestrator.resolve_route(question, options, ctx).route
-                answer, resolved = self._answer_cached(question, options, ctx, route)
+                content, hit, resolved = self._answer_cached(question, options, ctx, route)
+            # The request's one envelope, set in place from here on.
+            answer = UniAskAnswer(content, question, route, degrade_level=degrade_level)
+            if hit is not None:
+                answer.cache_hit, answer.cache_similarity = hit.kind, hit.similarity
             if route:
-                answer = replace(answer, route=route)
                 root.set("route", route)
             if options.explain:
-                answer = replace(answer, explain_report=self._explain(answer, ctx))
-            root.set("outcome", answer.outcome)
-        self._m_requests.labels(answer.outcome).inc()
+                answer.explain_report = self._explain(answer, ctx)
+            root.set("outcome", content.outcome)
+        self._m_requests.labels(content.outcome).inc()
         scatter = ctx.scatter
         if scatter is not None and scatter.partial:
-            answer = replace(answer, partial_results=True)
+            answer.partial_results = True
         if trace.enabled:
-            answer = replace(answer, trace=trace)
+            answer.trace = trace
         if work is not None:
-            answer = replace(answer, work=work.snapshot())
+            answer.work = work.snapshot()
         if route:
             self.orchestrator.finish(question, answer, options, route, resolved)
         return AskResponse(answer=answer, request=request, scatter=scatter)
@@ -212,7 +217,7 @@ class UniAskEngine:
 
     def _answer_cached(
         self, question: str, options: AskOptions, ctx: RequestContext, route: str = ""
-    ) -> tuple[UniAskAnswer, str]:
+    ) -> tuple[AnswerContent, CacheHit | None, str]:
         """Run the routed pipeline behind the answer cache, when one is wired.
 
         Policy ``bypass`` skips the cache entirely; ``refresh`` skips the
@@ -228,8 +233,9 @@ class UniAskEngine:
         the same terms (the lookup route keeps the plain key — it *is*
         the pre-agents pipeline).
 
-        Returns the answer and the question actually answered (the
-        follow-up agent's rewrite, *question* itself otherwise).
+        Returns the content, the cache hit it came from (None when the
+        pipeline ran) and the question actually answered (the follow-up
+        agent's rewrite, *question* itself otherwise).
         """
         cache = self.answer_cache
         # Explain requests run cacheless both ways: a cached answer has no
@@ -250,29 +256,29 @@ class UniAskEngine:
             if options.cache != CACHE_REFRESH:
                 hit = self._cache_lookup(key, epoch, question, ctx)
                 if hit is not None:
-                    return hit, question
+                    return hit.content, hit, question
 
         # The empty route (agents off) and the lookup route are the same
         # code path by construction: lookup *is* the staged pipeline.
         if route in ("", ROUTE_LOOKUP):
-            answer, resolved = self._ask_staged(question, options.filters, ctx), question
+            content, resolved = self._ask_staged(question, options.filters, ctx), question
         else:
-            answer, resolved = self.orchestrator.execute(self, question, options, ctx, route)
+            content, resolved = self.orchestrator.execute(self, question, options, ctx, route)
         # Partial-results answers are never cached: a degraded cluster's
         # answer reflects whichever shards happened to respond, not the corpus.
         partial = ctx.scatter is not None and ctx.scatter.partial
-        if cached and answer.outcome in CACHEABLE_OUTCOMES and not partial:
+        if cached and content.outcome in CACHEABLE_OUTCOMES and not partial:
             embedding = None
             if cache.config.semantic_tier_active:
                 embedding = self.searcher.index.embedder.embed(question)
             with ctx.trace.span(spans.STAGE_CACHE_STORE):
-                cache.store(key, answer, epoch, embedding=embedding)
-        return answer, resolved
+                cache.store(key, content, epoch, embedding=embedding)
+        return content, None, resolved
 
     def _cache_lookup(
         self, key, epoch: int, question: str, ctx: RequestContext
-    ) -> UniAskAnswer | None:
-        """Probe the answer cache; the stored answer marked as a hit, or None."""
+    ) -> CacheHit | None:
+        """Probe the answer cache inside its span."""
         cache = self.answer_cache
         embedder = self.searcher.index.embedder
         with ctx.span(spans.STAGE_CACHE_LOOKUP, entries=len(cache)) as span:
@@ -280,23 +286,21 @@ class UniAskEngine:
                 key, epoch, embed_fn=lambda: embedder.embed(question), work=ctx.work
             )
             span.set("hit", hit.kind if hit is not None else "")
-        if hit is None:
-            return None
-        return replace(hit.answer, cache_hit=hit.kind, cache_similarity=hit.similarity)
+        return hit
 
     def _answer_degraded(
         self, question: str, options: AskOptions, ctx: RequestContext, level: int
-    ) -> UniAskAnswer:
+    ) -> tuple[AnswerContent, CacheHit | None]:
         """Serve under the admission shedding ladder (level 1 or 2).
 
         Level 1 consults the answer cache only: a hit returns the cached
-        full-quality answer (stamped ``degrade_level=1``), a miss falls
-        through to the level-2 path.  Level 2 runs content screening plus
-        BM25-only retrieval and returns the fresh document list with the
-        degraded-service message — no embedding, no reranker, no LLM
-        call, no guardrails.  Degraded answers are never stored in the
-        answer cache (:data:`OUTCOME_DEGRADED` is not cacheable, and this
-        path never reaches the store).
+        full-quality content with its hit (the request is served at level
+        1), a miss falls through to the level-2 path.  Level 2 runs content
+        screening plus BM25-only retrieval and returns the fresh document
+        list with the degraded-service message — no embedding, no
+        reranker, no LLM call, no guardrails.  Degraded answers are never
+        stored in the answer cache (:data:`OUTCOME_DEGRADED` is not
+        cacheable, and this path never reaches the store).
         """
         cache = self.answer_cache
         if (
@@ -309,20 +313,18 @@ class UniAskEngine:
             key = cache.key(question, options.filters)
             hit = self._cache_lookup(key, self.searcher.index.generation, question, ctx)
             if hit is not None:
-                return replace(hit, degrade_level=1)
+                return hit.content, hit
 
-        blocked = self._screen(question, ctx, degrade_level=2)
+        blocked = self._screen(question, ctx)
         if blocked is not None:
-            return blocked
+            return blocked, None
         documents = self._retrieve(question, options.filters, ctx, degraded=True)
-        return UniAskAnswer(
-            question=question,
+        return AnswerContent(
             answer_text=DEGRADED_SERVICE_TEXT if documents else NO_RESULTS_TEXT,
             raw_answer="",
             outcome=OUTCOME_DEGRADED if documents else OUTCOME_NO_RESULTS,
             documents=tuple(documents),
-            degrade_level=2,
-        )
+        ), None
 
     def _explain(self, answer: UniAskAnswer, ctx: RequestContext):
         """Fold the answer's retrieval components into an ExplainReport."""
@@ -340,7 +342,7 @@ class UniAskEngine:
 
     def _ask_staged(
         self, question: str, filters: dict[str, str] | None, ctx: RequestContext
-    ) -> UniAskAnswer:
+    ) -> AnswerContent:
         """The staged pipeline: screen → retrieve → generate → validate."""
         blocked = self._screen(question, ctx)
         if blocked is not None:
@@ -354,7 +356,7 @@ class UniAskEngine:
         documents: list[RetrievedChunk],
         ctx: RequestContext,
         fused: bool = False,
-    ) -> UniAskAnswer:
+    ) -> AnswerContent:
         """Generate, validate and cite over an already retrieved ranking.
 
         The tail of the staged pipeline, split out so agent routes that
@@ -366,8 +368,7 @@ class UniAskEngine:
         if fused:
             self._m_retrieved.observe(float(len(documents)))
         if not documents:
-            return UniAskAnswer(
-                question=question,
+            return AnswerContent(
                 answer_text=NO_RESULTS_TEXT,
                 raw_answer="",
                 outcome=OUTCOME_NO_RESULTS,
@@ -379,8 +380,7 @@ class UniAskEngine:
             # The LLM service is the least reliable dependency (rate limits,
             # timeouts).  Degrade to search-only: apology plus the retrieved
             # list, never a user-facing exception.
-            return UniAskAnswer(
-                question=question,
+            return AnswerContent(
                 answer_text=APOLOGY_TEXT,
                 raw_answer="",
                 outcome=OUTCOME_GENERATION_ERROR,
@@ -392,8 +392,7 @@ class UniAskEngine:
 
         report = self._validate(question, raw_answer, context, ctx)
         if not report.passed:
-            return UniAskAnswer(
-                question=question,
+            return AnswerContent(
                 answer_text=report.user_message or APOLOGY_TEXT,
                 raw_answer=raw_answer,
                 outcome=f"guardrail_{report.fired}",
@@ -404,8 +403,7 @@ class UniAskEngine:
             )
 
         citations = self._resolve_citations(raw_answer, context, ctx)
-        return UniAskAnswer(
-            question=question,
+        return AnswerContent(
             answer_text=raw_answer,
             raw_answer=raw_answer,
             outcome=OUTCOME_ANSWERED,
@@ -416,12 +414,10 @@ class UniAskEngine:
             generation_kind=generation_kind,
         )
 
-    def _screen(
-        self, question: str, ctx: RequestContext, degrade_level: int = 0
-    ) -> UniAskAnswer | None:
+    def _screen(self, question: str, ctx: RequestContext) -> AnswerContent | None:
         """Stage 1: screen the incoming question.
 
-        Returns the content-blocked answer, or None when it may proceed.
+        Returns the content-blocked content, or None when it may proceed.
         """
         with ctx.trace.span(spans.STAGE_CONTENT_FILTER) as span:
             screening = self._content_filter.check(question)
@@ -430,12 +426,10 @@ class UniAskEngine:
                 span.set("category", screening.category)
         if not screening.blocked:
             return None
-        return UniAskAnswer(
-            question=question,
+        return AnswerContent(
             answer_text=CONTENT_BLOCKED_TEXT,
             raw_answer="",
             outcome=OUTCOME_CONTENT_FILTER,
-            degrade_level=degrade_level,
         )
 
     def _retrieve(

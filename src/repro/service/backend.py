@@ -463,6 +463,7 @@ class BackendService:
                 decision.raise_if_rejected()
             degrade_level = decision.level
 
+        profiled = self._profiling or options.profile
         flight_key = None
         # Explain requests never coalesce: their answers carry a provenance
         # report that must not be shared with plain joiners, and joining a
@@ -478,11 +479,12 @@ class BackendService:
             flight_key = (question, filters_key(options.filters))
             flight = self.single_flight.join(flight_key, arrival)
             if flight is not None:
-                return self._coalesced_record(query_id, user_id, question, flight, arrival)
+                return self._coalesced_record(
+                    query_id, user_id, question, flight, arrival, profiled
+                )
 
         trace: Trace | None = None
         ctx = None  # the engine then builds the request's context from the options alone
-        profiled = self._profiling or options.profile
         if self._tracing or options.trace or profiled:
             # Profiling implies a trace: the profiler aggregates span trees
             # and the work counters surface as span attributes.
@@ -511,7 +513,7 @@ class BackendService:
         else:
             self._clock.advance(response_time)
             served_at = self._clock.now()
-        answer = replace(answer, response_time=response_time)
+        answer.response_time = response_time
         if flight_key is not None and not answer.cache_hit:
             self.single_flight.register(flight_key, query_id, arrival, served_at, answer)
 
@@ -540,24 +542,28 @@ class BackendService:
         return record
 
     def _coalesced_record(
-        self, query_id: str, user_id: str, question: str, flight, arrival: float
+        self, query_id: str, user_id: str, question: str, flight, arrival: float, profiled: bool
     ) -> QueryRecord:
         """Share an in-flight identical request's answer with a joiner.
 
-        The joiner never touches the engine: its answer is the leader's,
-        marked ``coalesced``, and its response time is the remaining wait
-        until the leader's flight completes.
+        The joiner never touches the engine: its envelope is its own, over
+        the leader's content, marked ``coalesced``, and its response time
+        is the remaining wait until the leader's flight completes.  Only
+        full-service, non-explain requests fly, so the leader's envelope
+        has no degrade level or explain report to pass on.
         """
+        leader = flight.answer
         response_time = flight.completes_at - arrival
-        answer = replace(
-            flight.answer,
-            cache_hit=HIT_COALESCED,
-            cache_similarity=0.0,
-            response_time=response_time,
-            trace=None,
+        answer = UniAskAnswer(
+            leader.content,
+            question,
+            leader.route,
+            HIT_COALESCED,
+            partial_results=leader.partial_results,
             # A joiner does no pipeline work of its own: its tally is the
-            # single-flight join (None when profiling is off, as always).
-            work={WORK_COALESCED_JOINS: 1} if self._profiling else None,
+            # single-flight join (None unless the joiner profiles).
+            work={WORK_COALESCED_JOINS: 1} if profiled else None,
+            response_time=response_time,
         )
         if self.capacity is not None:
             self.capacity.observe("backend", arrival, response_time)

@@ -13,17 +13,15 @@ import pytest
 
 from repro.api import AskOptions, AskRequest, CacheConfig
 from repro.cache import HIT_EXACT, HIT_SEMANTIC, AnswerCache
-from repro.core.answer import OUTCOME_ANSWERED, UniAskAnswer
+from repro.core.answer import OUTCOME_ANSWERED, AnswerContent
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
 from repro.obs.trace import RequestContext
 from repro.pipeline.clock import SimulatedClock
 
 
-def make_answer(text: str = "risposta", question: str = "domanda") -> UniAskAnswer:
-    return UniAskAnswer(
-        question=question, answer_text=text, raw_answer=text, outcome=OUTCOME_ANSWERED
-    )
+def make_answer(text: str = "risposta") -> AnswerContent:
+    return AnswerContent(answer_text=text, raw_answer=text, outcome=OUTCOME_ANSWERED)
 
 
 def make_cache(**config_kwargs) -> tuple[AnswerCache, SimulatedClock]:
@@ -41,7 +39,7 @@ class TestExactTier:
         assert hit is not None
         assert hit.kind == HIT_EXACT
         assert hit.similarity == 1.0
-        assert hit.answer.answer_text == "risposta"
+        assert hit.content.answer_text == "risposta"
         assert cache.stats.hits_exact == 1
 
     def test_key_normalizes_case_punctuation_and_stopwords(self):
@@ -63,18 +61,16 @@ class TestExactTier:
         assert cache.stats.misses == 1
 
     def test_stored_answer_is_stripped_of_request_envelope(self):
+        # Content has no request envelope to strip: the stored object itself
+        # is what every hit returns.
         cache, _ = make_cache()
-        dirty = make_answer()
-        from dataclasses import replace
-
-        dirty = replace(dirty, response_time=1.5, cache_hit="exact", cache_similarity=0.5)
+        content = make_answer()
         key = cache.key("domanda")
-        cache.store(key, dirty, epoch=0)
-        hit = cache.lookup(key, epoch=0)
-        assert hit.answer.response_time == 0.0
-        assert hit.answer.cache_hit == ""
-        assert hit.answer.cache_similarity == 0.0
-        assert hit.answer.trace is None
+        cache.store(key, content, epoch=0)
+        assert cache.lookup(key, epoch=0).content is content
+        assert cache.lookup(key, epoch=0).content is content
+        for envelope_field in ("question", "response_time", "cache_hit", "trace", "work"):
+            assert not hasattr(content, envelope_field)
 
     def test_ttl_expires_on_the_simulated_clock(self):
         cache, clock = make_cache(answer_ttl_seconds=60.0)
@@ -136,7 +132,7 @@ class TestSemanticTier:
         assert hit is not None
         assert hit.kind == HIT_SEMANTIC
         assert hit.similarity == pytest.approx(0.95)
-        assert hit.answer.answer_text == "risposta base"
+        assert hit.content.answer_text == "risposta base"
         assert cache.stats.hits_semantic == 1
 
     def test_hit_exactly_at_threshold(self):
@@ -165,7 +161,7 @@ class TestSemanticTier:
         hit = cache.lookup(
             cache.key("terza domanda"), epoch=0, embed_fn=lambda: self._embedding(0.995)
         )
-        assert hit.answer.answer_text == "risposta vicina"
+        assert hit.content.answer_text == "risposta vicina"
 
     def test_semantic_respects_filters(self):
         cache, _ = make_cache(semantic_threshold=0.5)

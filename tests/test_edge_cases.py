@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.answer import ALL_OUTCOMES, UniAskAnswer
+from repro.core.answer import ALL_OUTCOMES, AnswerContent, UniAskAnswer
 from repro.htmlproc.parser import parse_html
 from repro.llm.prompts import ContextDocument, build_answer_prompt, render_context_json
 from repro.search.fulltext import FullTextSearch, ScoringProfile
@@ -100,10 +100,10 @@ class TestAnswerDatatypes:
         assert len(ALL_OUTCOMES) == len(set(ALL_OUTCOMES))
 
     def test_guardrail_fired_property(self):
-        answer = UniAskAnswer(question="q", answer_text="a", raw_answer="a", outcome="guardrail_rouge")
+        answer = UniAskAnswer(AnswerContent("a", "a", "guardrail_rouge"), "q")
         assert answer.guardrail_fired
         assert not answer.answered
-        blocked = UniAskAnswer(question="q", answer_text="a", raw_answer="", outcome="content_filter")
+        blocked = UniAskAnswer(AnswerContent("a", "", "content_filter"), "q")
         assert not blocked.guardrail_fired
 
 

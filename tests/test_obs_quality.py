@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import AskRequest, create_engine
-from repro.core.answer import UniAskAnswer
+from repro.core.answer import AnswerContent, UniAskAnswer
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
 from repro.corpus.vocabulary import build_banking_lexicon
@@ -151,15 +151,14 @@ def _answer(outcome: str, score: float = 1.0, cited: bool = True, cache_hit: str
         from repro.core.answer import Citation
 
         citations = (Citation(key="1", chunk_id="d#0", doc_id="d", title="t"),)
-    return UniAskAnswer(
-        question="q",
+    content = AnswerContent(
         answer_text="a",
         raw_answer="a",
         outcome=outcome,
         citations=citations,
         documents=(RetrievedChunk(record=record, score=score),),
-        cache_hit=cache_hit,
     )
+    return UniAskAnswer(content, question="q", cache_hit=cache_hit)
 
 
 class TestQualityMonitor:
