@@ -40,7 +40,7 @@ def test_figure3_monitoring_dashboard(benchmark, bench_system, human_split, keyw
                         rating=4 if positive else 2,
                     ),
                 )
-        return backend.metrics.snapshot(bucket_seconds=60.0)
+        return backend.metrics.snapshot()
 
     snapshot = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -52,7 +52,7 @@ def main() -> None:
     print(f"ground-truth links contributed: {len(links)} "
           "(used to grow the evaluation datasets, as in the paper)\n")
 
-    print(format_dashboard(backend.metrics.snapshot(bucket_seconds=300.0)))
+    print(format_dashboard(backend.metrics.snapshot()))
 
 
 if __name__ == "__main__":

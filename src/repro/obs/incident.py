@@ -27,8 +27,8 @@ human looks.  This module closes that gap with three pieces:
 
 Layering: this module lives in ``repro.obs`` and never imports the
 service layer.  The backend assembles the :class:`~repro.obs.slo.Alert`
-list (burn rates over :data:`PAGE_BURN_WINDOWS` plus quality alerts, not
-the threshold rules) and passes it into :meth:`IncidentManager.check`;
+list (burn rates over :data:`PAGE_BURN_WINDOWS`, quality alerts and the
+threshold rules) and passes it into :meth:`IncidentManager.check`;
 ``critical`` alerts page.
 
 Everything is off by default and deterministic when on: event order is

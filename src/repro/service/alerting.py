@@ -5,20 +5,20 @@ at a dashboard, so rules watch the same counters.  Both families return
 the one :class:`~repro.obs.slo.Alert` (re-exported here):
 
 * **Threshold rules** (:func:`default_rules`, :func:`evaluate_alerts`)
-  read a :class:`~repro.service.monitoring.DashboardSnapshot` — whole-log
-  rates, no windows.  ``guardrail_rate`` is the only detector that sees
-  the paper's Phase-1 release-1 bug: 25 % guardrailed over the 15 % budget
-  of the ``guardrail_pass_rate`` SLO burns 1.7 ×, the windows trip at
-  6 × / 14.4 ×.
+  read a :class:`~repro.service.monitoring.DashboardSnapshot` — rates
+  over everything served, no windows.  ``guardrail_rate`` is the only
+  detector that sees the paper's Phase-1 release-1 bug: 25 % guardrailed
+  over the 15 % budget of the ``guardrail_pass_rate`` SLO burns 1.7 ×, the
+  windows trip at 6 × / 14.4 ×.
 * **Burn rates** (:func:`default_slos`, :func:`evaluate_slo_alerts`): the
   four service objectives, each with the predicate classifying a
   :class:`~repro.service.monitoring.QueryEvent` as good or bad, evaluated
-  by :func:`repro.obs.slo.evaluate_burn_rates` over the raw query log.
+  by :func:`repro.obs.slo.evaluate_burn_rates` over the collector's SLO
+  tail.
 
 ``BackendService._alerts`` assembles them with the quality monitor's
-alerts (the ops ``slo`` route, the ``metrics`` CLI gate, CI); the incident
-page check leaves the threshold rules out, because their snapshot is a
-pass over the whole query log.
+alerts for the ops ``slo`` route, the ``metrics`` CLI gate, CI and the
+incident page check.
 """
 
 from __future__ import annotations

@@ -706,25 +706,22 @@ class BackendService:
         if self.incidents.due(now):
             # The incident module's own compressed windows: the workbook
             # defaults are hour-scale and could never page inside a
-            # compressed chaos day.  No threshold rules here: their
-            # snapshot buckets and sorts the whole query log, which must
-            # not ride on a check that runs every CHECK_INTERVAL.
-            self.incidents.check(now, self._alerts(now, PAGE_BURN_WINDOWS, thresholds=False))
+            # compressed chaos day.
+            self.incidents.check(now, self._alerts(now, PAGE_BURN_WINDOWS))
 
-    def _alerts(self, now: float, windows=DEFAULT_BURN_WINDOWS, thresholds: bool = True):
+    def _alerts(self, now: float, windows=DEFAULT_BURN_WINDOWS):
         """Every service alert: SLO burn rates over *windows*, the quality
-        monitor's alerts and (unless *thresholds* is off) the threshold rules.
+        monitor's alerts and the threshold rules.
 
         Events older than the longest window cannot move any burn rate, so
-        only the tail of the query log is read.
+        only that window of the collector's SLO tail is read.
         """
         horizon = now - max(window.long_seconds for window in windows)
         events = self.metrics.events_since(horizon)
         alerts = evaluate_slo_alerts(events, now=now, windows=windows)
         if self._quality_monitor is not None:
             alerts.extend(self._quality_monitor.alerts())
-        if thresholds:
-            alerts.extend(evaluate_alerts(self.metrics.snapshot()))
+        alerts.extend(evaluate_alerts(self.metrics.snapshot()))
         return alerts
 
     def _incident_capture(self, now: float) -> dict:
@@ -779,8 +776,8 @@ class BackendService:
     # -- ops handlers (dispatched through the route table) --------------------
 
     @ops_route("dashboard", privileged=True, description="Monitoring dashboard snapshot (latency series, outcomes, saturation).")
-    def _ops_dashboard(self, bucket_seconds: float = 60.0):
-        snapshot = self.metrics.snapshot(bucket_seconds=bucket_seconds)
+    def _ops_dashboard(self):
+        snapshot = self.metrics.snapshot()
         if self.capacity is not None:
             snapshot = replace(snapshot, saturation=self.capacity.snapshot())
         return snapshot

@@ -2,16 +2,13 @@
 
 Burn rates, quality drift / canary degradation and the threshold rules all
 return :class:`repro.obs.slo.Alert`; ``BackendService._alerts`` assembles
-them for the ``slo`` route, and for the incident page check without the
-threshold rules (their dashboard snapshot is a pass over the whole query
-log).  The release-1 replay is the reason the threshold rules are served
-at all.
+them for the ``slo`` route and the incident page check alike.  The
+release-1 replay is the reason the threshold rules are served at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import random
 import re
 from pathlib import Path
 
@@ -26,7 +23,12 @@ from repro.obs.quality import CanaryReport, CanaryRunner, CanarySuite, QualityMo
 from repro.obs.slo import SLO, Alert, SloSample, evaluate_burn_rates
 from repro.service.alerting import evaluate_alerts, evaluate_slo_alerts
 from repro.service.backend import ROLE_OPS, BackendService
-from repro.service.monitoring import MetricsCollector
+from repro.service.monitoring import (
+    BUCKET_SECONDS,
+    SLO_HORIZON_SECONDS,
+    MetricsCollector,
+    QueryEvent,
+)
 from repro.service.pilots import buggy_guardrail_pipeline
 from tests.differential import QUESTIONS, build
 
@@ -84,7 +86,6 @@ def _failing_log(collector: MetricsCollector, now: float) -> None:
             user_id="u",
             outcome="generation_error",
             response_time=1.0,
-            failed=True,
         )
 
 
@@ -99,7 +100,9 @@ class TestShapeCensus:
 
         collector = MetricsCollector()
         _failing_log(collector, now=7200.0)
-        produced["evaluate_slo_alerts"] = evaluate_slo_alerts(list(collector.events), now=7200.0)
+        produced["evaluate_slo_alerts"] = evaluate_slo_alerts(
+            collector.events_since(0.0), now=7200.0
+        )
         produced["evaluate_alerts"] = evaluate_alerts(collector.snapshot())
 
         monitor = QualityMonitor(reference_size=9, window_size=4)
@@ -160,7 +163,7 @@ class TestShapeCensus:
 
 
 class TestPageCheckCost:
-    def test_the_page_check_takes_no_dashboard_snapshot(
+    def test_the_page_check_takes_one_snapshot_per_check(
         self, tiny_kb, banking_lexicon, monkeypatch
     ):
         calls = {"snapshot": 0, "check": 0}
@@ -186,78 +189,62 @@ class TestPageCheckCost:
                 backend.serve(token, question)
             system.clock.advance(CHECK_INTERVAL)
         assert calls["check"] >= 4, "the page check must have run"
-        assert calls["snapshot"] == 0
+        assert calls["snapshot"] == calls["check"]  # one per check, none per request
+        taken = calls["snapshot"]
 
         ops_token = backend.login("sre", role=ROLE_OPS)
         backend.ops("slo", ops_token)
-        assert calls["snapshot"] == 1
+        assert calls["snapshot"] == taken + 1
         backend.ops("dashboard", ops_token)
-        assert calls["snapshot"] == 2
+        assert calls["snapshot"] == taken + 2
         # A page freezes the dashboard into its capture bundle: one more.
         page = Alert(rule="slo_latency", severity="critical", message="budget burning")
         incident = backend.incidents.check(system.clock.now(), [page])
         assert "dashboard" in incident.capture
-        assert calls["snapshot"] == 3
+        assert calls["snapshot"] == taken + 3
 
     def test_the_page_check_reads_the_window_not_the_whole_log(
         self, tiny_kb, banking_lexicon, monkeypatch
     ):
-        class CountingLog(list):
-            """A query log that counts every event it hands to a reader."""
-
-            reads = 0
-
-            def __iter__(self):
-                for event in super().__iter__():
-                    self.reads += 1
-                    yield event
-
-            def __reversed__(self):
-                for event in super().__reversed__():
-                    self.reads += 1
-                    yield event
-
         system, backend = build(tiny_kb, banking_lexicon, incident=IncidentConfig(enabled=True))
-        log = backend.metrics._events = CountingLog()
+        collector = backend.metrics
         checked = []
         check = IncidentManager.check
 
-        def counting_check(self, now, alerts):
-            # Taken before the page opens its incident: the capture bundle
-            # freezes a dashboard snapshot, which is a pass over the whole log.
-            checked.append((now, alerts, log.reads))
+        def recording_check(self, now, alerts):
+            # Taken before the page opens its incident (whose capture bundle
+            # freezes one more snapshot).
+            checked.append((now, alerts, collector.snapshot()))
             return check(self, now, alerts)
 
-        monkeypatch.setattr(IncidentManager, "check", counting_check)
-        for second in range(10_000):  # 2 h 47 min of traffic, every fifth request failed
-            backend.metrics.record_query(
-                float(second), "u", "answered", 1.0, failed=second % 5 == 0
+        monkeypatch.setattr(IncidentManager, "check", recording_check)
+        log: list[QueryEvent] = []
+        for step in range(10_000):  # 8 h 20 min of traffic, every fifth request failed
+            arrival = 3.0 * step
+            outcome = "generation_error" if step % 5 == 0 else "answered"
+            collector.record_query(arrival + 1.0, "u", outcome, 1.0)
+            log.append(QueryEvent(arrival + 1.0, outcome, 1.0, outcome == "generation_error"))
+            if step % 250 == 0:
+                # The tail never reaches further back than the horizon
+                # (rounded out to whole minutes) behind the newest arrival.
+                tail = collector.events_since(0.0)
+                assert arrival - tail[0].timestamp <= SLO_HORIZON_SECONDS + BUCKET_SECONDS
+        assert len(collector.events_since(0.0)) < len(log) * 0.8
+        system.clock.advance_to(30_000.0)
+        record = backend.serve(backend.login("u"), QUESTIONS[0])  # a check is due: it runs here
+        answer = record.answer
+        log.append(
+            QueryEvent(
+                record.served_at, answer.outcome, answer.response_time,
+                answer.outcome == "generation_error", answer.partial_results,
             )
-        system.clock.advance_to(10_000.0)
-        backend.serve(backend.login("u"), QUESTIONS[0])  # a check is due: it runs here
-        [(now, alerts, reads)] = checked
-        assert len(log) == 10_001
+        )
+        [(now, alerts, snapshot)] = checked
         horizon = now - max(window.long_seconds for window in PAGE_BURN_WINDOWS)
-        in_window = [event for event in list.__iter__(log) if event.timestamp >= horizon]
-        assert len(in_window) <= reads <= len(in_window) + 1 < 320
-        # ... and it fires what an evaluation of the filtered whole log fires.
+        in_window = [event for event in log if event.timestamp >= horizon]
+        # It fires what an evaluation of the filtered whole log fires, and
+        # the threshold rules of that moment's dashboard.
         expected = evaluate_slo_alerts(in_window, now=now, windows=PAGE_BURN_WINDOWS)
         assert [alert.rule for alert in expected] == ["slo_availability"]
-        assert alerts == expected
-
-    def test_events_since_is_exact_when_the_log_steps_back(self):
-        """A coalescing backend stamps ``arrival + response_time``, so a
-        cache hit can be logged behind the leader it overtook; a direct
-        caller may log anything.  The tail walk must still equal the scan."""
-        rng = random.Random(5)
-        collector = MetricsCollector()
-        clock = 0.0
-        for _ in range(400):
-            clock += rng.uniform(0.0, 2.0)
-            collector.record_query(clock + rng.choice((0.02, 0.02, 3.0, 9.0)), "u", "answered", 1.0)
-        events = collector.events
-        assert any(a.timestamp > b.timestamp for a, b in zip(events, events[1:]))
-        for horizon in [-1.0, 0.0, *(rng.uniform(0.0, clock + 10.0) for _ in range(200)), 1e9]:
-            assert collector.events_since(horizon) == [
-                event for event in events if event.timestamp >= horizon
-            ], horizon
+        assert alerts == expected + evaluate_alerts(snapshot)
+        assert "failed_requests" in {alert.rule for alert in alerts}

@@ -73,3 +73,27 @@ class TestEngineResilience:
         backend.serve(token, self._question(small_kb))
         snapshot = backend.metrics.snapshot()
         assert snapshot.outcome_breakdown.get(OUTCOME_GENERATION_ERROR) == 1
+
+    def test_an_llm_outage_is_a_failed_request(self, system, small_kb):
+        """The engine's apology on an LLM timeout is a failed request: the
+        dashboard counts it, the average response time leaves it out, and a
+        sustained outage burns the availability SLO and fires the
+        ``failed_requests`` rule."""
+        from repro.service.backend import ROLE_OPS, BackendService
+        from repro.service.monitoring import format_dashboard
+
+        engine = UniAskEngine(searcher=system.searcher, llm=_FlakyLLM(system.llm, failures=40))
+        backend = BackendService(engine, system.clock, seed=1)
+        token = backend.login("user")
+        question = self._question(small_kb)
+        outage = [backend.serve(token, question) for _ in range(40)]
+        recovered = backend.serve(token, question)
+        assert {record.answer.outcome for record in outage} == {OUTCOME_GENERATION_ERROR}
+        assert recovered.answer.outcome == "answered"
+
+        snapshot = backend.metrics.snapshot()
+        assert snapshot.failed_requests == 40
+        assert "failed requests:      40" in format_dashboard(snapshot)
+        assert snapshot.average_response_time == recovered.answer.response_time
+        rules = {alert.rule for alert in backend.ops("slo", backend.login("sre", role=ROLE_OPS))}
+        assert {"slo_availability", "failed_requests"} <= rules

@@ -95,9 +95,7 @@ class TestEvaluateBurnRates:
 class TestServiceSloBridge:
     @staticmethod
     def _event(t: float, outcome: str = "answered", rt: float = 1.0, failed: bool = False):
-        return QueryEvent(
-            timestamp=t, user_id="u", outcome=outcome, response_time=rt, failed=failed
-        )
+        return QueryEvent(timestamp=t, outcome=outcome, response_time=rt, failed=failed)
 
     def test_default_slos_classifiers(self):
         by_name = {s.slo.name: s for s in default_slos(latency_threshold=5.0)}

@@ -8,7 +8,6 @@ regression fix.
 
 from __future__ import annotations
 
-import random
 import time
 
 import pytest
@@ -28,10 +27,8 @@ from repro.search.reranker import SemanticReranker
 from repro.service.backend import BackendService
 from repro.service.monitoring import (
     MetricsCollector,
-    _SampleSeries,
     format_dashboard,
     percentile,
-    percentile_of_sorted,
 )
 
 
@@ -170,20 +167,6 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             percentile(values, 150.0)
 
-    def test_sample_series_cache_follows_appends(self):
-        """The cached sorted view never serves a stale percentile."""
-        rng = random.Random(4242)
-        series = _SampleSeries()
-        for batch in range(5):
-            for _ in range(200):
-                series.append(rng.random() * 5.0)
-            assert series.sorted_values is series.sorted_values  # one sort per batch
-            for q in (50.0, 95.0, 100.0):
-                assert percentile_of_sorted(series.sorted_values, q) == percentile(
-                    series.values, q
-                )
-        assert len(series) == 1000
-
     def test_snapshot_aggregates_stage_percentiles(self):
         collector = MetricsCollector()
         # Synthetic stream: 20 traced queries; llm dominates, rerank constant.
@@ -195,7 +178,7 @@ class TestPercentiles:
                 response_time=1.0,
                 stages={"llm": float(i + 1), "rerank": 0.5},
             )
-        snapshot = collector.snapshot(bucket_seconds=10.0)
+        snapshot = collector.snapshot()
         assert snapshot.stage_counts == {"llm": 20, "rerank": 20}
         assert snapshot.stage_p50["llm"] == 10.0  # nearest rank of 1..20
         assert snapshot.stage_p95["llm"] == 19.0

@@ -11,6 +11,7 @@ by bytes (a differential ``tracemalloc`` measurement), by reachability (a
 from __future__ import annotations
 
 import gc
+import random
 import tracemalloc
 import types
 
@@ -27,6 +28,7 @@ from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.service.backend import ROLE_OPS
 from repro.service.feedback import GranularFeedback
+from repro.service.monitoring import MetricsCollector
 from tests.differential import build
 
 #: Ceiling on what one stored record may add to the process, in bytes.
@@ -210,6 +212,43 @@ class TestReadersSeeWhatServeReturned:
         assert record.pressure is not None  # the readings were taken at all
         assert verdicts["shed"] == "shed" and verdicts["partial"] == "degraded"
         assert kinds["coalesced"].trace is None and kinds["leader"].trace is not None
+
+
+class TestCollectorRetention:
+    def test_hours_six_to_twelve_add_under_one_percent(self):
+        """By hour 6 the SLO tail spans its whole horizon and every
+        percentile window is full, so six more hours of traced-shaped
+        traffic only lengthen the per-minute series — a few bytes a minute.
+        A collector keeping every request would double here."""
+        rng = random.Random(3)
+        stages = ("content_filter", "bm25", "vector", "rerank", "llm", "guardrails")
+        step_seconds = 0.5
+
+        def log(collector: MetricsCollector, start_hour: int, end_hour: int) -> None:
+            for step in range(int(start_hour * 3600 / step_seconds), int(end_hour * 3600 / step_seconds)):
+                response_time = rng.uniform(0.5, 4.0)
+                collector.record_query(
+                    step * step_seconds + response_time,
+                    f"u{step % 40}",
+                    "generation_error" if step % 50 == 0 else "answered",
+                    response_time,
+                    stages={stage: rng.uniform(0.001, 1.0) for stage in stages},
+                )
+
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            collector = MetricsCollector()
+            log(collector, 0, 6)
+            gc.collect()
+            at_six = tracemalloc.get_traced_memory()[0] - before
+            log(collector, 6, 12)
+            gc.collect()
+            at_twelve = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert at_twelve - at_six <= 0.01 * at_six, f"{at_six} B at hour 6, {at_twelve} B at hour 12"
 
 
 def _form(query_id: str) -> GranularFeedback:

@@ -118,21 +118,22 @@ class TestMonitoring:
         collector = MetricsCollector()
         collector.record_query(10.0, "u1", "answered", 1.5)
         collector.record_query(70.0, "u2", "guardrail_citation", 2.0)
-        collector.record_query(75.0, "u1", "answered", 2.5, failed=True)
+        collector.record_query(75.0, "u1", "generation_error", 2.5)
         collector.record_feedback()
-        snapshot = collector.snapshot(bucket_seconds=60.0)
+        snapshot = collector.snapshot()
         assert snapshot.users == 2
         assert snapshot.queries == 3
         assert snapshot.feedbacks == 1
         assert snapshot.failed_requests == 1
         assert snapshot.guardrails_triggered == 1
         assert snapshot.average_response_time == pytest.approx(1.75)
+        assert snapshot.failures_per_bucket == [0, 1]
 
     def test_buckets(self):
         collector = MetricsCollector()
         collector.record_query(10.0, "u", "answered", 1.0)
         collector.record_query(100.0, "u", "answered", 2.0)
-        snapshot = collector.snapshot(bucket_seconds=60.0)
+        snapshot = collector.snapshot()
         assert snapshot.queries_per_bucket == [1, 1]
         assert snapshot.response_time_per_bucket[1] == pytest.approx(2.0)
 
@@ -142,9 +143,9 @@ class TestMonitoring:
         page = format_dashboard(collector.snapshot())
         assert "users" in page and "guardrails triggered" in page
 
-    def test_invalid_bucket(self):
+    def test_invalid_timestamp(self):
         with pytest.raises(ValueError):
-            MetricsCollector().snapshot(bucket_seconds=0)
+            MetricsCollector().record_query(-1.0, "u", "answered", 1.0)
 
 
 class TestLoadTest:

@@ -28,7 +28,7 @@ def _snapshot(queries=100, guardrails=0, failed=0, response_time=1.0):
     for i in range(guardrails):
         collector.record_query(float(i), "u", "guardrail_citation", response_time)
     for i in range(failed):
-        collector.record_query(float(i), "u", "answered", response_time, failed=True)
+        collector.record_query(float(i), "u", "generation_error", response_time)
     return collector.snapshot()
 
 
