@@ -19,18 +19,10 @@ class AgentsConfig:
         enabled: master switch for the whole subsystem.  When False no
             orchestrator is constructed, no route metrics are registered
             and every request takes the plain lookup pipeline.
-        session_capacity: maximum concurrently remembered sessions (LRU
-            beyond).
-        session_ttl_seconds: session-memory lifetime on the deployment's
-            simulated clock (None disables expiry).
+
+    The session memory's bounds are constants of
+    :mod:`repro.agents.orchestrator`: ``SESSION_CAPACITY`` (1024 sessions,
+    LRU beyond) and ``SESSION_TTL_SECONDS`` (1800 simulated seconds).
     """
 
     enabled: bool = False
-    session_capacity: int = 1024
-    session_ttl_seconds: float | None = 1800.0
-
-    def __post_init__(self) -> None:
-        if self.session_capacity <= 0:
-            raise ValueError("session_capacity must be positive")
-        if self.session_ttl_seconds is not None and self.session_ttl_seconds <= 0:
-            raise ValueError("session_ttl_seconds must be positive (or None)")

@@ -48,7 +48,6 @@ _LAZY = {
     "ClusterConfig": ("repro.cluster.config", "ClusterConfig"),
     "GenerationConfig": ("repro.core.config", "GenerationConfig"),
     "HybridSearchConfig": ("repro.search.hybrid", "HybridSearchConfig"),
-    "IndexConfig": ("repro.search.segment", "IndexConfig"),
     "TelemetryConfig": ("repro.obs.telemetry", "TelemetryConfig"),
     "UniAskConfig": ("repro.core.config", "UniAskConfig"),
     "UniAskSystem": ("repro.core.factory", "UniAskSystem"),
@@ -71,7 +70,6 @@ __all__ = [
     "ClusterConfig",
     "GenerationConfig",
     "HybridSearchConfig",
-    "IndexConfig",
     "OUTCOME_ANSWERED",
     "PRIORITIES",
     "PRIORITY_BATCH",

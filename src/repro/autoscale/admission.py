@@ -24,7 +24,6 @@ from repro.api.types import (
     PRIORITY_CANARY,
     PRIORITY_INTERACTIVE,
 )
-from repro.autoscale.config import AdmissionConfig
 from repro.core.errors import AdmissionError
 from repro.obs.capacity import CapacityMonitor
 from repro.obs.metrics import NULL_REGISTRY
@@ -56,7 +55,16 @@ DECISION_NAMES = {
 #: Internal resource key of the controller's capacity tracking.
 _RESOURCE = "admission"
 
-# The shedding ladder: pressure (offered load over ``target_load``, 0 = idle,
+#: Offered load (Little's L) the deployment absorbs at full quality;
+#: pressure = L / TARGET_LOAD.
+TARGET_LOAD = 6.0
+#: Seed of the full-pipeline latency EWMA (simulated seconds) that deadline
+#: feasibility reads; observed full responses refine it.
+FULL_LATENCY_ESTIMATE = 4.0
+#: Estimated latency of a BM25-only degraded answer.
+DEGRADED_LATENCY_ESTIMATE = 0.5
+
+# The shedding ladder: pressure (offered load over ``TARGET_LOAD``, 0 = idle,
 # 1 = the deployment's full-quality capacity) at which interactive traffic
 # enters each level.
 #: Pressure at which traffic degrades to answer-cache-only serving (level 1).
@@ -133,12 +141,9 @@ class AdmissionController:
     decision) land on it as ``admission_transition`` events.
     """
 
-    def __init__(
-        self, config: AdmissionConfig | None = None, registry=None, recorder=None
-    ) -> None:
-        self.config = config or AdmissionConfig()
+    def __init__(self, registry=None, recorder=None) -> None:
         self._capacity = CapacityMonitor(window_seconds=ADMISSION_WINDOW_SECONDS)
-        self._full_latency = self.config.full_latency_estimate
+        self._full_latency = FULL_LATENCY_ESTIMATE
         self._headroom = {
             PRIORITY_INTERACTIVE: 0.0,
             PRIORITY_BATCH: BATCH_HEADROOM,
@@ -170,10 +175,10 @@ class AdmissionController:
             ) * self._full_latency + LATENCY_EWMA_ALPHA * response_time
 
     def pressure(self) -> float:
-        """Offered load over ``target_load`` (0 = idle, 1 = at capacity)."""
+        """Offered load over ``TARGET_LOAD`` (0 = idle, 1 = at capacity)."""
         for sample in self._capacity.snapshot():
             if sample.resource == _RESOURCE:
-                return sample.littles_load / self.config.target_load
+                return sample.littles_load / TARGET_LOAD
         return 0.0
 
     # -- decisions ---------------------------------------------------------
@@ -200,7 +205,7 @@ class AdmissionController:
         deadline_s = deadline_ms / 1000.0
         if deadline_s >= self._full_latency:
             return LEVEL_FULL
-        if deadline_s >= self.config.degraded_latency_estimate:
+        if deadline_s >= DEGRADED_LATENCY_ESTIMATE:
             return LEVEL_DEGRADED
         return LEVEL_REJECT
 
@@ -256,7 +261,7 @@ class AdmissionController:
         return {
             "enabled": True,
             "pressure": round(self.pressure(), 4),
-            "target_load": self.config.target_load,
+            "target_load": TARGET_LOAD,
             "full_latency_estimate": round(self._full_latency, 4),
             "decisions": dict(self._decisions),
             "shed_total": self._shed_total,

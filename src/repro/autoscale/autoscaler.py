@@ -12,7 +12,7 @@ replica and the latency-SLO burn, then
 * **scales up** the hottest shard (replica added) when utilization
   crosses the target or both burn windows trip — eager, short cooldown;
 * **scales down** the coldest shard when load per replica stays under
-  the floor — lazy, long cooldown, never below ``min_replicas``;
+  the floor — lazy, long cooldown, never below ``MIN_REPLICAS``;
 * **rebalances** document placement with the consistent-hash planner's
   minimal-movement pins when chunk skew makes one shard structurally
   hot (Zipfian corpora do this), moving a bounded fraction of the hot
@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.autoscale.config import AutoscaleConfig
 from repro.autoscale.hedging import AdaptiveHedgeBudget
 from repro.obs.capacity import CapacityMonitor
 from repro.obs.metrics import NULL_REGISTRY
@@ -47,8 +46,22 @@ EVALUATE_INTERVAL = 15.0
 TARGET_UTILIZATION = 0.70
 #: Load per replica below which capacity is removed.
 SCALE_DOWN_BELOW = 0.30
+#: Per-shard replica floor the scaler never goes below.
+MIN_REPLICAS = 1
+#: Per-shard replica ceiling it never exceeds.
+MAX_REPLICAS = 6
+#: Minimum gap between scale-up (and rebalance) actions.
+SCALE_UP_COOLDOWN = 30.0
+#: Minimum gap between scale-down actions (longer: eager up, lazy down).
+SCALE_DOWN_COOLDOWN = 120.0
+#: The latency SLO the loop defends: a response within this many simulated
+#: seconds counts as good.
+LATENCY_SLO_SECONDS = 8.0
+#: Chunk-count skew (hottest shard over cluster mean) past which the scaler
+#: moves documents to the coldest shard.
+REBALANCE_SKEW = 1.5
 #: The latency SLO objective (fraction of responses within
-#: ``latency_slo_seconds``).
+#: ``LATENCY_SLO_SECONDS``).
 LATENCY_OBJECTIVE = 0.95
 #: The multi-window pair a burn-rate scale-up requires (both windows must
 #: burn, the standard guard against reacting to a blip).
@@ -128,12 +141,10 @@ class Autoscaler:
         self,
         cluster,
         clock,
-        config: AutoscaleConfig | None = None,
         registry=None,
         hedge_budget: AdaptiveHedgeBudget | None = None,
         recorder=None,
     ) -> None:
-        self.config = config or AutoscaleConfig()
         self._cluster = cluster
         self._clock = clock
         self._capacity = CapacityMonitor(window_seconds=BURN_SHORT_SECONDS)
@@ -141,7 +152,7 @@ class Autoscaler:
             name="latency",
             objective=LATENCY_OBJECTIVE,
             description=(
-                f"responses within {self.config.latency_slo_seconds:g}s simulated"
+                f"responses within {LATENCY_SLO_SECONDS:g}s simulated"
             ),
         )
         self._samples: deque[SloSample] = deque()
@@ -171,7 +182,7 @@ class Autoscaler:
     def note_request(self, arrival: float, response_time: float, failed: bool = False) -> None:
         """Record one served request (in arrival order)."""
         self._capacity.observe(_RESOURCE, arrival, response_time, failed=failed)
-        good = not failed and response_time <= self.config.latency_slo_seconds
+        good = not failed and response_time <= LATENCY_SLO_SECONDS
         self._samples.append(SloSample(timestamp=arrival, good=good))
         horizon = arrival - SAMPLE_HORIZON
         while self._samples and self._samples[0].timestamp < horizon:
@@ -190,7 +201,6 @@ class Autoscaler:
         """One control decision: read the signals, maybe act."""
         at = self._clock.now() if now is None else now
         self._last_evaluate = at
-        config = self.config
 
         load = 0.0
         for sample in self._capacity.snapshot():
@@ -258,13 +268,13 @@ class Autoscaler:
             for shard_id, value in heat.items()
             if mean_heat > 0.0
             and value > HOT_SHARD_RATIO * mean_heat
-            and shard_alive[shard_id] < config.max_replicas
+            and shard_alive[shard_id] < MAX_REPLICAS
         ]
-        if (want_up or hot_shards) and at - self._last_scale_up >= config.scale_up_cooldown:
+        if (want_up or hot_shards) and at - self._last_scale_up >= SCALE_UP_COOLDOWN:
             candidates = hot_shards or [
                 shard_id
                 for shard_id in shard_alive
-                if shard_alive[shard_id] < config.max_replicas
+                if shard_alive[shard_id] < MAX_REPLICAS
             ]
             if candidates:
                 target = max(candidates, key=lambda sid: (heat[sid], -sid))
@@ -284,12 +294,12 @@ class Autoscaler:
         elif (
             not want_up
             and self._utilization < SCALE_DOWN_BELOW
-            and at - self._last_scale_down >= config.scale_down_cooldown
+            and at - self._last_scale_down >= SCALE_DOWN_COOLDOWN
         ):
             candidates = [
                 shard_id
                 for shard_id in shard_alive
-                if shard_alive[shard_id] > config.min_replicas
+                if shard_alive[shard_id] > MIN_REPLICAS
             ]
             if candidates:
                 target = min(candidates, key=lambda sid: (heat[sid], sid))
@@ -312,8 +322,8 @@ class Autoscaler:
             if (
                 mean_chunks > 0.0
                 and hottest != coldest
-                and shard_chunks[hottest] > config.rebalance_skew * mean_chunks
-                and at - self._last_rebalance >= config.scale_up_cooldown
+                and shard_chunks[hottest] > REBALANCE_SKEW * mean_chunks
+                and at - self._last_rebalance >= SCALE_UP_COOLDOWN
             ):
                 moved = self._cluster.index.rebalance_shard(
                     hottest, coldest, fraction=REBALANCE_FRACTION

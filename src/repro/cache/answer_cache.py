@@ -12,8 +12,8 @@ Capacity is bounded by LRU eviction.
 The semantic tier rides on the same store: every entry optionally keeps
 the unit-norm embedding of the question it answered, and a lookup that
 misses the exact tier may reuse the entry whose embedding is most similar
-to the incoming query — provided the cosine similarity meets the
-configured threshold.  Embeddings are unit vectors (see
+to the incoming query — provided the cosine similarity meets
+``SEMANTIC_THRESHOLD``.  Embeddings are unit vectors (see
 :mod:`repro.embeddings.model`), so cosine similarity is a dot product.
 
 Everything is deterministic: no wall clock, no RNG; ties in the semantic
@@ -28,7 +28,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.cache.config import CacheConfig
 from repro.cache.key import CacheKey, answer_cache_key
 from repro.core.answer import AnswerContent
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -40,6 +39,13 @@ from repro.obs.work import (
 )
 from repro.pipeline.clock import SimulatedClock
 from repro.text.analyzer import FULL_ANALYZER
+
+#: Maximum entries (LRU beyond).
+ANSWER_CAPACITY = 1024
+#: Entry lifetime on the pipeline clock (None disables expiry).
+ANSWER_TTL_SECONDS: float | None = 3600.0
+#: Minimum cosine similarity for a semantic hit.
+SEMANTIC_THRESHOLD = 0.97
 
 #: ``cache_hit`` marker of an answer served from the exact tier.
 HIT_EXACT = "exact"
@@ -107,9 +113,10 @@ def _key_namespace(key: CacheKey) -> str:
 class AnswerCache:
     """LRU + TTL answer cache with an optional semantic near-hit tier.
 
+    Bounded by ``ANSWER_CAPACITY`` entries and ``ANSWER_TTL_SECONDS``;
+    a semantic hit needs ``SEMANTIC_THRESHOLD`` cosine similarity.
+
     Args:
-        config: tier switches and bounds (the cache assumes the caller
-            checked ``config.answer_tier_active`` before constructing it).
         clock: the deployment's simulated clock; TTLs are evaluated
             against it, so expiry is deterministic and replayable.
         analyzer: normalization authority for the exact-tier key
@@ -120,12 +127,10 @@ class AnswerCache:
 
     def __init__(
         self,
-        config: CacheConfig | None = None,
         clock: SimulatedClock | None = None,
         analyzer=None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        self.config = config or CacheConfig(enabled=True)
         self._clock = clock if clock is not None else SimulatedClock()
         self._analyzer = analyzer if analyzer is not None else FULL_ANALYZER
         self._entries: OrderedDict[CacheKey, _Entry] = OrderedDict()
@@ -165,8 +170,8 @@ class AnswerCache:
         """Serve *key* at *epoch*, trying exact first, then semantic.
 
         *embed_fn* lazily supplies the incoming question's unit-norm
-        embedding; it is called at most once, and only when the semantic
-        tier is active and the store holds candidate entries.  Returns
+        embedding; it is called at most once, and only when the store
+        holds candidate entries (None skips the semantic tier).  Returns
         None on a miss (counted once, whichever tiers were tried).
 
         *work* optionally books one ``cache_exact_hits``/``…_misses``
@@ -187,7 +192,7 @@ class AnswerCache:
         if work is not None:
             work.add(WORK_CACHE_EXACT_MISSES)
 
-        if self.config.semantic_tier_active and embed_fn is not None:
+        if embed_fn is not None:
             hit = self._semantic_lookup(key, epoch, now, embed_fn)
             if work is not None:
                 work.add(
@@ -241,7 +246,7 @@ class AnswerCache:
                 best_key, best, best_similarity = entry_key, entry, similarity
         for entry_key in stale:
             self._drop_stale(entry_key, epoch, now)
-        if best is None or best_similarity < self.config.semantic_threshold:
+        if best is None or best_similarity < SEMANTIC_THRESHOLD:
             return None
         self._entries.move_to_end(best_key)
         return CacheHit(best.content, HIT_SEMANTIC, best_similarity)
@@ -268,13 +273,13 @@ class AnswerCache:
             content=content,
             epoch=epoch,
             stored_at=self._clock.now(),
-            embedding=embedding if self.config.semantic_tier_active else None,
+            embedding=embedding,
             filters=key[1],
             namespace=_key_namespace(key),
         )
         self.stats.stores += 1
         self._m_events.labels("store").inc()
-        while len(self._entries) > self.config.answer_capacity:
+        while len(self._entries) > ANSWER_CAPACITY:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
             self._m_events.labels("evict").inc()
@@ -285,7 +290,7 @@ class AnswerCache:
         """True while *entry* is servable at *epoch* / *now*."""
         if entry.epoch != epoch:
             return False
-        ttl = self.config.answer_ttl_seconds
+        ttl = ANSWER_TTL_SECONDS
         if ttl is not None and now - entry.stored_at >= ttl:
             return False
         return True

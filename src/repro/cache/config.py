@@ -7,70 +7,32 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Everything tunable about the cache layer of one deployment.
+    """The cache layer of one deployment: one switch.
 
     The cache is **off by default**: a deployment built without touching
     this config behaves byte-identically to one predating the cache
-    subsystem (verified differentially by the cache test suite).  Enabling
-    it turns on four independent tiers, each with its own switch:
+    subsystem (verified differentially by the cache test suite).
+    ``enabled=True`` turns on all four tiers together:
+
+    * the exact answer tier — one :class:`~repro.cache.AnswerCache` entry
+      per (analyzer-normalized question, filters, index epoch);
+    * the semantic near-hit tier on the same store — a lookup that misses
+      the exact tier may reuse the cached answer whose stored query
+      embedding is similar enough (served as ``cache_hit="semantic"``);
+    * the per-shard retrieval-result cache inside the cluster router,
+      invalidated by each shard's write generation;
+    * single-flight request coalescing in the backend — concurrent
+      identical questions execute the pipeline once and share the
+      leader's answer.
+
+    The bounds are constants beside the code that reads them:
+    ``ANSWER_CAPACITY`` (1024 entries, LRU beyond), ``ANSWER_TTL_SECONDS``
+    (3600 on the pipeline clock) and ``SEMANTIC_THRESHOLD`` (0.97 cosine)
+    in :mod:`repro.cache.answer_cache`; ``RETRIEVAL_CAPACITY`` (2048
+    entries per shard) in :mod:`repro.cache.retrieval_cache`.
 
     Attributes:
         enabled: master switch for the whole subsystem.
-        answer: exact answer tier — one :class:`~repro.cache.AnswerCache`
-            entry per (analyzer-normalized question, filters, index epoch),
-            with TTL and LRU bounds on the deployment's simulated clock.
-        semantic: near-hit tier — a lookup that misses the exact tier may
-            reuse a cached answer whose stored query embedding's cosine
-            similarity meets :attr:`semantic_threshold` (the served answer
-            is marked ``cache_hit="semantic"``).
-        retrieval: per-shard retrieval-result cache inside the cluster
-            router, invalidated by each shard's write generation.
-        coalescing: single-flight request coalescing in the backend —
-            concurrent identical questions execute the pipeline once and
-            share the leader's answer.
-        answer_capacity: maximum entries of the answer cache (LRU beyond).
-        answer_ttl_seconds: entry lifetime on the pipeline clock (None
-            disables expiry).
-        semantic_threshold: minimum cosine similarity for a semantic hit.
-        retrieval_capacity: maximum cached retrievals **per shard**.
     """
 
     enabled: bool = False
-    answer: bool = True
-    semantic: bool = True
-    retrieval: bool = True
-    coalescing: bool = True
-    answer_capacity: int = 1024
-    answer_ttl_seconds: float | None = 3600.0
-    semantic_threshold: float = 0.97
-    retrieval_capacity: int = 2048
-
-    def __post_init__(self) -> None:
-        if self.answer_capacity <= 0:
-            raise ValueError("answer_capacity must be positive")
-        if self.retrieval_capacity <= 0:
-            raise ValueError("retrieval_capacity must be positive")
-        if self.answer_ttl_seconds is not None and self.answer_ttl_seconds <= 0:
-            raise ValueError("answer_ttl_seconds must be positive (or None)")
-        if not (0.0 < self.semantic_threshold <= 1.0):
-            raise ValueError("semantic_threshold must be in (0, 1]")
-
-    @property
-    def answer_tier_active(self) -> bool:
-        """True when the exact answer tier records and serves entries."""
-        return self.enabled and self.answer
-
-    @property
-    def semantic_tier_active(self) -> bool:
-        """True when near-hit reuse is allowed (requires the answer tier)."""
-        return self.answer_tier_active and self.semantic
-
-    @property
-    def retrieval_tier_active(self) -> bool:
-        """True when the cluster router caches per-shard leg results."""
-        return self.enabled and self.retrieval
-
-    @property
-    def coalescing_active(self) -> bool:
-        """True when the backend coalesces concurrent identical questions."""
-        return self.enabled and self.coalescing

@@ -21,9 +21,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.cache.config import CacheConfig
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.search.results import RetrievedChunk
+
+#: Maximum cached retrievals **per shard** (LRU beyond).
+RETRIEVAL_CAPACITY = 2048
 
 
 @dataclass(frozen=True)
@@ -55,18 +57,14 @@ class RetrievalCacheStats:
 class ShardRetrievalCache:
     """One bounded LRU of :class:`CachedLegs` per shard.
 
+    Each shard keeps at most ``RETRIEVAL_CAPACITY`` entries.
+
     Args:
-        config: supplies ``retrieval_capacity`` (entries **per shard**).
         registry: metrics registry for the
             ``uniask_retrieval_cache_events_total`` counter.
     """
 
-    def __init__(
-        self,
-        config: CacheConfig | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self.config = config or CacheConfig(enabled=True)
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._shards: dict[int, OrderedDict[tuple, CachedLegs]] = {}
         self.stats = RetrievalCacheStats()
         registry = registry or NULL_REGISTRY
@@ -124,7 +122,7 @@ class ShardRetrievalCache:
             vector=tuple((name, tuple(legs)) for name, legs in vector.items()),
             generation=generation,
         )
-        while len(entries) > self.config.retrieval_capacity:
+        while len(entries) > RETRIEVAL_CAPACITY:
             entries.popitem(last=False)
             self.stats.evictions += 1
             self._m_events.labels("evict").inc()

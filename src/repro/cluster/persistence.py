@@ -18,7 +18,6 @@ from repro.cluster.planner import ShardPlanner
 from repro.cluster.sharded_index import ShardedSearchIndex
 from repro.embeddings.model import EmbeddingModel
 from repro.search.persistence import load_index, save_index
-from repro.search.segment import IndexConfig
 from repro.text.analyzer import ItalianAnalyzer
 
 _FORMAT_VERSION = 1
@@ -100,7 +99,6 @@ def load_cluster(
     embedder: EmbeddingModel,
     ann_backend: str = "hnsw",
     seed: int = 42,
-    index_config: IndexConfig | None = None,
     analyzer: ItalianAnalyzer | None = None,
 ) -> ShardedSearchIndex:
     """Load a persisted sharded index from *directory*.
@@ -121,7 +119,6 @@ def load_cluster(
             embedder=embedder,
             ann_backend=ann_backend,
             seed=seed,
-            index_config=index_config,
             analyzer=analyzer,
         )
         for shard_id in planner.shard_ids
@@ -135,7 +132,6 @@ def load_cluster(
         analyzer=analyzer,
         planner=planner,
         shard_indexes=shard_indexes,
-        index_config=index_config,
     )
     ordinals = manifest["ordinals"]
     live = index.live_ordinals().keys()

@@ -1,7 +1,7 @@
 """Shard planner: consistent-hash document placement with minimal movement.
 
 Documents are placed on shards by hashing their ``doc_id`` onto a ring of
-virtual nodes (``vnodes`` points per shard, blake2b — the salted built-in
+virtual nodes (``VNODES`` = 64 points per shard, blake2b — the salted built-in
 ``hash`` would not survive process restarts).  The consistent-hashing
 property is what makes resharding cheap: adding one shard to an *N*-shard
 ring moves only ~``1/(N+1)`` of the documents, all of them *onto* the new
@@ -21,6 +21,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 from typing import Iterable
+
+#: Virtual nodes per shard of a fresh ring; a persisted ring records its own.
+VNODES = 64
 
 
 def _ring_point(key: str) -> int:
@@ -43,7 +46,7 @@ class ShardPlanner:
     def __init__(
         self,
         num_shards: int = 1,
-        vnodes: int = 64,
+        vnodes: int = VNODES,
         shard_ids: Iterable[int] | None = None,
         pins: dict[str, int] | None = None,
     ) -> None:

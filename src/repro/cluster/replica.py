@@ -26,6 +26,11 @@ REPLICA_BASE_LATENCY = 0.008
 #: Relative deterministic per-(replica, query) latency spread in
 #: ``[0, jitter]``.
 REPLICA_LATENCY_JITTER = 0.25
+#: Consecutive timeouts before a replica is marked down.
+DOWN_AFTER = 3
+#: Simulated seconds a marked-down replica is skipped (fail-fast) before it
+#: is probed again.
+DOWN_COOLDOWN = 30.0
 
 
 def _unit_noise(replica_id: str, query: str) -> float:
@@ -84,12 +89,12 @@ class Replica:
         self.health.served += 1
         self.health.consecutive_timeouts = 0
 
-    def record_timeout(self, now: float, config: ClusterConfig) -> None:
-        """One deadline miss; marks the replica down after ``down_after``."""
+    def record_timeout(self, now: float) -> None:
+        """One deadline miss; marks the replica down after ``DOWN_AFTER``."""
         self.health.timeouts += 1
         self.health.consecutive_timeouts += 1
-        if self.health.consecutive_timeouts >= config.down_after:
-            self.health.marked_down_until = now + config.down_cooldown
+        if self.health.consecutive_timeouts >= DOWN_AFTER:
+            self.health.marked_down_until = now + DOWN_COOLDOWN
 
     def record_hedge(self) -> None:
         """A hedged retry fired because this replica was slow."""

@@ -13,7 +13,7 @@ from repro.core.answer import (
 )
 from repro.core.config import GenerationConfig, UniAskConfig
 from repro.core.engine import CONTENT_BLOCKED_TEXT, NO_RESULTS_TEXT, UniAskEngine
-from repro.core.errors import ConfigurationError, GenerationError, IndexingError, ReproError
+from repro.core.errors import GenerationError, IndexingError, ReproError
 from repro.core.factory import UniAskSystem, build_uniask_system
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "CONTENT_BLOCKED_TEXT",
     "NO_RESULTS_TEXT",
     "UniAskEngine",
-    "ConfigurationError",
     "GenerationError",
     "IndexingError",
     "ReproError",

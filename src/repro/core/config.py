@@ -12,7 +12,6 @@ from repro.guardrails.rouge import DEFAULT_ROUGE_THRESHOLD
 from repro.obs.incident import IncidentConfig
 from repro.obs.telemetry import TelemetryConfig
 from repro.search.hybrid import HybridSearchConfig
-from repro.search.segment import IndexConfig
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,6 @@ class UniAskConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    index: IndexConfig = field(default_factory=IndexConfig)
     agents: AgentsConfig = field(default_factory=AgentsConfig)
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
     incident: IncidentConfig = field(default_factory=IncidentConfig)

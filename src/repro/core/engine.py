@@ -244,7 +244,6 @@ class UniAskEngine:
         # requests are served from.
         cached = (
             cache is not None
-            and cache.config.answer_tier_active
             and options.cache != CACHE_BYPASS
             and not options.explain
             and route not in (ROUTE_CONVERSATIONAL, ROUTE_FOLLOW_UP)
@@ -268,9 +267,7 @@ class UniAskEngine:
         # answer reflects whichever shards happened to respond, not the corpus.
         partial = ctx.scatter is not None and ctx.scatter.partial
         if cached and content.outcome in CACHEABLE_OUTCOMES and not partial:
-            embedding = None
-            if cache.config.semantic_tier_active:
-                embedding = self.searcher.index.embedder.embed(question)
+            embedding = self.searcher.index.embedder.embed(question)
             with ctx.trace.span(spans.STAGE_CACHE_STORE):
                 cache.store(key, content, epoch, embedding=embedding)
         return content, None, resolved
@@ -306,7 +303,6 @@ class UniAskEngine:
         if (
             level <= 1
             and cache is not None
-            and cache.config.answer_tier_active
             and options.cache == CACHE_DEFAULT
             and not options.explain
         ):

@@ -7,10 +7,6 @@ class ReproError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ConfigurationError(ReproError):
-    """A component was configured with invalid parameters."""
-
-
 class IndexingError(ReproError):
     """A document could not be parsed, chunked or indexed."""
 

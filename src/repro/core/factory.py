@@ -151,13 +151,12 @@ def build_uniask_system(
     if clustered:
         index = ShardedSearchIndex(
             embedder=embedder, schema=schema, num_shards=config.cluster.shards,
-            ann_backend=ann_backend, seed=seed, analyzer=index_analyzer,
-            vnodes=config.cluster.vnodes, index_config=config.index, registry=registry,
+            ann_backend=ann_backend, seed=seed, analyzer=index_analyzer, registry=registry,
         )
     else:
         index = SearchIndex(
             embedder=embedder, schema=schema, ann_backend=ann_backend, seed=seed,
-            analyzer=index_analyzer, index_config=config.index, registry=registry,
+            analyzer=index_analyzer, registry=registry,
         )
 
     llm = SimulatedChatLLM(lexicon, seed=seed, language=language, registry=registry)
@@ -179,7 +178,7 @@ def build_uniask_system(
             cluster_config=config.cluster,
             clock=clock,
             registry=registry,
-            cache_config=config.cache,
+            cache=config.cache.enabled,
             hedge_budget=hedge_budget,
             recorder=recorder,
         )
@@ -194,10 +193,8 @@ def build_uniask_system(
         index.recorder = recorder
 
     answer_cache = None
-    if config.cache.answer_tier_active:
-        answer_cache = AnswerCache(
-            config.cache, clock=clock, analyzer=index_analyzer, registry=registry
-        )
+    if config.cache.enabled:
+        answer_cache = AnswerCache(clock=clock, analyzer=index_analyzer, registry=registry)
 
     guardrails = GuardrailPipeline(
         [CitationGuardrail(), RougeGuardrail(config.rouge_threshold), ClarificationGuardrail()],
@@ -211,7 +208,6 @@ def build_uniask_system(
         from repro.agents.structured import StructuredCatalog
 
         orchestrator = Orchestrator(
-            config.agents,
             catalog=StructuredCatalog.from_store(store),
             clock=clock,
             registry=registry,
@@ -225,7 +221,6 @@ def build_uniask_system(
         autoscaler = Autoscaler(
             searcher,
             clock,
-            config=config.autoscale,
             registry=registry,
             hedge_budget=hedge_budget,
             recorder=recorder,

@@ -15,6 +15,12 @@ by construction**: no instrument reads a clock or a shared RNG (the
 sampler has a private stream), so enabling it — the default — leaves every
 engine and backend output byte-identical to a deployment built with
 ``TelemetryConfig(enabled=False)``.
+
+What no deployment sets is a module constant, read when the bundle is
+built: ``TRACE_SAMPLE_RATE`` (0.1 head-sampling probability),
+``SAMPLER_SEED`` (1729, the sampler's private stream), ``AUDIT_RETENTION``
+(10 000 in-memory audit events; the JSONL sink stays complete),
+``TAIL_LATENCY_SECONDS`` and ``RETAINED_TRACES``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,13 @@ __all__ = ["NULL_TELEMETRY", "Telemetry", "TelemetryConfig"]
 TAIL_LATENCY_SECONDS = 4.0
 #: Retention capacity of the trace sampler.
 RETAINED_TRACES = 256
+#: Head-sampling probability for request traces.
+TRACE_SAMPLE_RATE = 0.1
+#: Seed of the sampler's private RNG stream.
+SAMPLER_SEED = 1729
+#: In-memory audit ring size; the on-disk JSONL sink stays complete.
+#: None keeps everything in memory.
+AUDIT_RETENTION: int | None = 10_000
 
 
 @dataclass(frozen=True)
@@ -41,25 +54,11 @@ class TelemetryConfig:
     Attributes:
         enabled: master switch; False makes every instrument a shared
             no-op (the benchmark baseline).
-        trace_sample_rate: head-sampling probability for request traces.
-        sampler_seed: seed of the sampler's private RNG stream.
         audit_path: when set, the audit log is mirrored to this JSONL file.
-        audit_retention: in-memory audit ring size; the on-disk JSONL sink
-            stays complete regardless.  None keeps everything in memory
-            (unbounded — only sensible for short-lived test deployments).
     """
 
     enabled: bool = True
-    trace_sample_rate: float = 0.1
-    sampler_seed: int = 1729
     audit_path: str | None = None
-    audit_retention: int | None = 10_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.trace_sample_rate <= 1.0):
-            raise ValueError("trace_sample_rate must be in [0, 1]")
-        if self.audit_retention is not None and self.audit_retention < 1:
-            raise ValueError("audit_retention must be positive when set")
 
 
 class Telemetry:
@@ -70,20 +69,20 @@ class Telemetry:
         if self.config.enabled:
             self.registry: MetricsRegistry = MetricsRegistry()
             self.sampler = TraceSampler(
-                rate=self.config.trace_sample_rate,
+                rate=TRACE_SAMPLE_RATE,
                 tail_latency=TAIL_LATENCY_SECONDS,
-                seed=self.config.sampler_seed,
+                seed=SAMPLER_SEED,
                 capacity=RETAINED_TRACES,
                 on_evict=self.registry.drop_exemplars,
             )
             self.audit: AuditLogger = AuditLogger(
                 clock=clock,
                 path=self.config.audit_path,
-                retention=self.config.audit_retention,
+                retention=AUDIT_RETENTION,
             )
         else:
             self.registry = NULL_REGISTRY
-            self.sampler = TraceSampler(rate=0.0, seed=self.config.sampler_seed)
+            self.sampler = TraceSampler(rate=0.0, seed=SAMPLER_SEED)
             self.audit = NULL_AUDIT
 
     @property

@@ -25,7 +25,6 @@ import numpy as np
 from repro.embeddings.model import EmbeddingModel
 from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord, FieldDefinition, IndexSchema
-from repro.search.segment import IndexConfig
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 
 _FORMAT_VERSION = 1
@@ -105,7 +104,6 @@ def load_index(
     embedder: EmbeddingModel,
     ann_backend: str = "hnsw",
     seed: int = 42,
-    index_config: IndexConfig | None = None,
     analyzer: ItalianAnalyzer | None = None,
 ) -> SearchIndex:
     """Load a persisted index from *directory*.
@@ -152,7 +150,6 @@ def load_index(
         ann_backend=ann_backend,
         seed=seed,
         analyzer=analyzer,
-        index_config=index_config,
     )
 
     for row, payload in enumerate(manifest["records"]):

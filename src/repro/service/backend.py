@@ -31,7 +31,6 @@ from repro.agents.memory import TtlLruStore
 from repro.api.types import CACHE_BYPASS, CACHE_DEFAULT, AskOptions, AskRequest
 from repro.cache.answer_cache import HIT_COALESCED
 from repro.cache.coalescing import SingleFlight
-from repro.cache.config import CacheConfig
 from repro.cache.key import filters_key
 from repro.core.answer import UniAskAnswer
 from repro.core.engine import UniAskEngine
@@ -234,8 +233,8 @@ class BackendService:
             when the engine carries an enabled one (the factory wires it
             that way), else a fresh default-config :class:`Telemetry` on
             the service clock.
-        cache_config: enables single-flight request coalescing when its
-            coalescing tier is active.  While coalescing is on, ``serve``
+        coalescing: enables single-flight request coalescing (the
+            factory turns it on with the cache).  While it is on, ``serve``
             models a **concurrent** server: a request occupies the flight
             window ``[arrival, arrival + response_time)`` without
             advancing the shared clock (the caller drives time, as the
@@ -301,7 +300,7 @@ class BackendService:
         seed: int = 11,
         tracing: bool = False,
         telemetry: Telemetry | None = None,
-        cache_config: CacheConfig | None = None,
+        coalescing: bool = False,
         quality_monitor=None,
         session_capacity: int = 4096,
         session_ttl_seconds: float | None = 86400.0,
@@ -344,10 +343,9 @@ class BackendService:
             base_latency, seconds_per_kilo_token, audit=telemetry.audit
         )
         self._quality_monitor = quality_monitor
-        self._cache_config = cache_config or CacheConfig()
         self.single_flight: SingleFlight | None = None
         self._m_coalesced = None
-        if self._cache_config.coalescing_active:
+        if coalescing:
             self.single_flight = SingleFlight()
             self._m_coalesced = telemetry.registry.counter(
                 "uniask_coalesced_waits_total",
@@ -422,7 +420,7 @@ class BackendService:
         (jittered), the trace rides on the stored :class:`QueryRecord`,
         and the per-stage durations feed the dashboard's latency series.
 
-        With coalescing active (see *cache_config*), a request identical
+        With coalescing active (see *coalescing*), a request identical
         to one still in flight joins it: the pipeline is not re-run, the
         shared answer is marked ``cache_hit="coalesced"``, and the joiner
         is charged only the remaining wait of the leader's flight window.

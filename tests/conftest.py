@@ -19,6 +19,7 @@ from repro.corpus.queries import (
 )
 from repro.corpus.vocabulary import build_banking_lexicon
 from repro.embeddings.concepts import ConceptLexicon
+from repro.search import segment
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +65,19 @@ def keyword_queries(small_kb: SyntheticKb):
         small_kb, KeywordDatasetConfig(num_queries=40, log_searches=2000, seed=5)
     )
     return queries, log
+
+
+@pytest.fixture
+def segment_policy(monkeypatch):
+    """Set :mod:`repro.search.segment` policy constants for one test.
+
+    ``segment_policy(flush_threshold=3, max_segments=2)`` patches
+    ``FLUSH_THRESHOLD`` and ``MAX_SEGMENTS``; the store reads them at use
+    time, so the values hold for every index the test touches afterwards.
+    """
+
+    def apply(**policy):
+        for name, value in policy.items():
+            monkeypatch.setattr(segment, name.upper(), value)
+
+    return apply

@@ -142,7 +142,7 @@ class TestConversationalRoute:
 
 class TestRouteAwareCaching:
     def test_namespace_partitions_the_exact_tier(self):
-        cache = AnswerCache(CacheConfig(enabled=True))
+        cache = AnswerCache()
         plain = cache.key("Quali errori sono noti per CreditFlow?")
         structured = cache.key(
             "Quali errori sono noti per CreditFlow?", namespace="structured"
@@ -150,7 +150,7 @@ class TestRouteAwareCaching:
         assert plain != structured
 
     def test_lookup_route_uses_the_plain_namespace(self):
-        cache = AnswerCache(CacheConfig(enabled=True))
+        cache = AnswerCache()
         assert cache.key("domanda") == cache.key("domanda", namespace="")
 
     def test_structured_answers_cached_under_their_namespace(self, kb):

@@ -25,6 +25,7 @@ Modelled on ``tests/test_router_chaos_oracle.py``.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api import AskOptions, AskRequest, CacheConfig, create_backend, create_engine
 from repro.autoscale.admission import AdmissionDecision
+from repro.cache import answer_cache
 from repro.core.answer import AnswerContent, UniAskAnswer
 from repro.core.config import UniAskConfig
 from repro.core.engine import CACHEABLE_OUTCOMES
@@ -72,7 +74,9 @@ class ScriptedAdmission:
 class AnswerCacheOracle(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
-        config = UniAskConfig(cache=CacheConfig(enabled=True, answer_ttl_seconds=TTL))
+        self.ttl = mock.patch.object(answer_cache, "ANSWER_TTL_SECONDS", TTL)
+        self.ttl.start()
+        config = UniAskConfig(cache=CacheConfig(enabled=True))
         self.system = create_engine(KB.store(), LEXICON, config=config, seed=19)
         self.admission = ScriptedAdmission()
         self.backend = create_backend(self.system, admission=self.admission)
@@ -84,6 +88,9 @@ class AnswerCacheOracle(RuleBasedStateMachine):
         #: every envelope handed out, with its fields when it was handed out.
         self.served: list[tuple[object, tuple]] = []
         self.pages = 0
+
+    def teardown(self) -> None:
+        self.ttl.stop()
 
     # -- requests -------------------------------------------------------------
 

@@ -17,7 +17,8 @@ from repro.api import (
     create_backend,
     create_engine,
 )
-from repro.autoscale import AdaptiveHedgeBudget, AdmissionConfig, AutoscaleConfig
+from repro.autoscale import AdaptiveHedgeBudget, AdmissionConfig, AutoscaleConfig, admission
+from repro.autoscale import autoscaler as loop
 from repro.autoscale.autoscaler import EVALUATE_INTERVAL, Autoscaler
 from repro.autoscale.loadgen import (
     ChaosEvent,
@@ -91,14 +92,15 @@ class TestAutoscalerScaling:
         # windows trip while utilization stays under target.
         t = 0.0
         while t < 360.0:
-            scaler.note_request(t, system.config.autoscale.latency_slo_seconds + 5.0)
+            scaler.note_request(t, loop.LATENCY_SLO_SECONDS + 5.0)
             t += 4.0
         decisions = scaler.evaluate(360.0)
         assert decisions and decisions[0].reason == "burn_rate"
 
-    def test_scale_up_respects_cooldown_and_max(self, tiny_kb, banking_lexicon):
-        autoscale = AutoscaleConfig(enabled=True, max_replicas=2, scale_up_cooldown=30.0)
-        system = _cluster(tiny_kb, banking_lexicon, autoscale=autoscale)
+    def test_scale_up_respects_cooldown_and_max(self, tiny_kb, banking_lexicon, monkeypatch):
+        monkeypatch.setattr(loop, "MAX_REPLICAS", 2)
+        monkeypatch.setattr(loop, "SCALE_UP_COOLDOWN", 30.0)
+        system = _cluster(tiny_kb, banking_lexicon)
         scaler = system.autoscaler
         end = _feed(scaler, rate=2.0, service=4.0, start=0.0, duration=60.0)
         first = scaler.evaluate(end)
@@ -112,10 +114,13 @@ class TestAutoscalerScaling:
         end3 = _feed(scaler, rate=2.0, service=4.0, start=end2 + 0.5, duration=60.0)
         assert all(d.action != "add_replica" for d in scaler.evaluate(end3))
 
-    def test_idle_cluster_scales_down_but_never_below_min(self, tiny_kb, banking_lexicon):
-        autoscale = AutoscaleConfig(enabled=True, min_replicas=1, scale_down_cooldown=50.0)
+    def test_idle_cluster_scales_down_but_never_below_min(
+        self, tiny_kb, banking_lexicon, monkeypatch
+    ):
+        monkeypatch.setattr(loop, "MIN_REPLICAS", 1)
+        monkeypatch.setattr(loop, "SCALE_DOWN_COOLDOWN", 50.0)
         system = _cluster(tiny_kb, banking_lexicon, replicas=2)
-        scaler = Autoscaler(system.cluster, system.clock, config=autoscale)
+        scaler = Autoscaler(system.cluster, system.clock)
         # A trickle of fast requests: utilization ~0.
         end = _feed(scaler, rate=0.2, service=0.05, start=0.0, duration=120.0)
         first = scaler.evaluate(end)
@@ -227,9 +232,9 @@ class TestHotShardRebalance:
         after = [r.record.chunk_id for r in system.cluster.search(QUESTIONS[0])]
         assert set(before) == set(after)
 
-    def test_autoscaler_emits_rebalance_on_doc_skew(self, tiny_kb, banking_lexicon):
-        autoscale = AutoscaleConfig(enabled=True, rebalance_skew=1.05)
-        system = _cluster(tiny_kb, banking_lexicon, shards=3, autoscale=autoscale)
+    def test_autoscaler_emits_rebalance_on_doc_skew(self, tiny_kb, banking_lexicon, monkeypatch):
+        monkeypatch.setattr(loop, "REBALANCE_SKEW", 1.05)
+        system = _cluster(tiny_kb, banking_lexicon, shards=3)
         scaler = system.autoscaler
         decisions = scaler.evaluate(0.0)
         rebalances = [d for d in decisions if d.action == "rebalance"]
@@ -320,14 +325,15 @@ class TestDiurnalLoadGenerator:
                 DiurnalLoadConfig(duration_seconds=60.0),
             )
 
-    def test_chaos_run_reports_churn_and_stays_graceful(self, tiny_kb, banking_lexicon):
+    def test_chaos_run_reports_churn_and_stays_graceful(
+        self, tiny_kb, banking_lexicon, monkeypatch
+    ):
+        monkeypatch.setattr(admission, "TARGET_LOAD", 2.0)
         system = _cluster(
             tiny_kb,
             banking_lexicon,
             replicas=2,
-            autoscale=AutoscaleConfig(
-                enabled=True, admission=AdmissionConfig(enabled=True, target_load=2.0)
-            ),
+            autoscale=AutoscaleConfig(enabled=True, admission=AdmissionConfig(enabled=True)),
             cache=CacheConfig(enabled=True),
         )
         backend = create_backend(system, seed=7)
@@ -358,7 +364,9 @@ class TestDiurnalLoadGenerator:
         assert 0.0 <= report.shed_rate <= 1.0
         assert report.latency_p50 <= report.latency_p95 <= report.latency_p99
 
-    def test_chaos_day_holds_the_slo_only_with_the_control_loop(self, banking_lexicon):
+    def test_chaos_day_holds_the_slo_only_with_the_control_loop(
+        self, banking_lexicon, monkeypatch
+    ):
         """The gate: same chaos day, autoscaler + admission ON vs the fixed pool.
 
         ON must keep p99 within the latency SLO the loop defends by adding
@@ -366,6 +374,8 @@ class TestDiurnalLoadGenerator:
         it, or the day proves nothing.  All simulated time — deterministic.
         """
         seed, slo, day = 2025, 8.0, 1800.0
+        monkeypatch.setattr(loop, "LATENCY_SLO_SECONDS", slo)
+        monkeypatch.setattr(admission, "TARGET_LOAD", 0.9)
         kb = KbGenerator(
             KbGeneratorConfig(num_topics=36, error_families=3, seed=seed)
         ).generate()
@@ -397,9 +407,7 @@ class TestDiurnalLoadGenerator:
                 cluster=ClusterConfig(shards=2, replicas=1),
                 cache=CacheConfig(enabled=True),  # the loadgen drives the clock
                 autoscale=AutoscaleConfig(
-                    enabled=enabled,
-                    latency_slo_seconds=slo,
-                    admission=AdmissionConfig(enabled=enabled, target_load=0.9),
+                    enabled=enabled, admission=AdmissionConfig(enabled=enabled)
                 ),
             )
             system = create_engine(kb.store(), banking_lexicon, config=config, seed=seed)

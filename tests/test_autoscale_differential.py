@@ -38,6 +38,7 @@ from repro.autoscale import (
     LEVEL_DEGRADED,
     LEVEL_FULL,
     LEVEL_REJECT,
+    admission,
 )
 from repro.cache.config import CacheConfig
 from repro.core.answer import OUTCOME_DEGRADED
@@ -79,9 +80,8 @@ class TestAutoscaleOffByteIdentity:
             AskOptions(deadline_ms=True)
 
 
-def _admission_backend(tiny_kb, banking_lexicon, **admission_kwargs):
-    admission_kwargs.setdefault("enabled", True)
-    autoscale = AutoscaleConfig(admission=AdmissionConfig(**admission_kwargs))
+def _admission_backend(tiny_kb, banking_lexicon):
+    autoscale = AutoscaleConfig(admission=AdmissionConfig(enabled=True))
     return build(tiny_kb, banking_lexicon, autoscale=autoscale)
 
 
@@ -117,7 +117,7 @@ def _pressurize(system, backend, fraction: float) -> None:
     start = system.clock.now() + 1.0
     end = _saturate(
         backend.admission,
-        load=backend.admission.config.target_load * fraction,
+        load=admission.TARGET_LOAD * fraction,
         start=start,
     )
     system.clock.advance_to(end)
@@ -225,20 +225,20 @@ class TestShedLadder:
         backend.serve(token, QUESTIONS[0])
         assert '"degrade_level":2' in backend.telemetry.audit.lines()[-1]
 
-    def test_deadline_below_full_estimate_degrades(self, tiny_kb, banking_lexicon):
-        system, backend = _admission_backend(
-            tiny_kb, banking_lexicon, full_latency_estimate=4.0
-        )
+    def test_deadline_below_full_estimate_degrades(self, tiny_kb, banking_lexicon, monkeypatch):
+        monkeypatch.setattr(admission, "FULL_LATENCY_ESTIMATE", 4.0)
+        system, backend = _admission_backend(tiny_kb, banking_lexicon)
         token = backend.login("u")
         record = backend.serve(
             token, AskRequest(QUESTIONS[0], AskOptions(deadline_ms=1000))
         )
         assert record.answer.degrade_level == LEVEL_DEGRADED
 
-    def test_deadline_below_degraded_estimate_rejects(self, tiny_kb, banking_lexicon):
-        system, backend = _admission_backend(
-            tiny_kb, banking_lexicon, degraded_latency_estimate=0.5
-        )
+    def test_deadline_below_degraded_estimate_rejects(
+        self, tiny_kb, banking_lexicon, monkeypatch
+    ):
+        monkeypatch.setattr(admission, "DEGRADED_LATENCY_ESTIMATE", 0.5)
+        system, backend = _admission_backend(tiny_kb, banking_lexicon)
         token = backend.login("u")
         with pytest.raises(AdmissionError) as excinfo:
             backend.serve(token, AskRequest(QUESTIONS[0], AskOptions(deadline_ms=100)))
@@ -246,9 +246,9 @@ class TestShedLadder:
 
 
 class TestAdmissionController:
-    def test_levels_follow_the_ladder(self):
-        config = AdmissionConfig(enabled=True, target_load=4.0)
-        controller = AdmissionController(config=config)
+    def test_levels_follow_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(admission, "TARGET_LOAD", 4.0)
+        controller = AdmissionController()
         assert controller.admit(PRIORITY_INTERACTIVE).level == LEVEL_FULL
         _saturate(controller, load=4.0 * 0.75)
         assert controller.admit(PRIORITY_INTERACTIVE).level == LEVEL_CACHED_ONLY
@@ -261,23 +261,23 @@ class TestAdmissionController:
         with pytest.raises(AdmissionError):
             decision.raise_if_rejected()
 
-    def test_priority_headroom_shifts_the_ladder(self):
-        config = AdmissionConfig(enabled=True, target_load=4.0)
-        controller = AdmissionController(config=config)
+    def test_priority_headroom_shifts_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(admission, "TARGET_LOAD", 4.0)
+        controller = AdmissionController()
         _saturate(controller, load=4.0 * 0.6)
         assert controller.admit(PRIORITY_INTERACTIVE).level == LEVEL_FULL
         assert controller.admit(PRIORITY_BATCH).level == LEVEL_CACHED_ONLY
         assert controller.admit(PRIORITY_CANARY).level == LEVEL_DEGRADED
 
     def test_status_counts_decisions(self):
-        controller = AdmissionController(config=AdmissionConfig(enabled=True))
+        controller = AdmissionController()
         controller.admit(PRIORITY_INTERACTIVE)
         status = controller.status()
         assert status["enabled"] is True
         assert status["decisions"]["full"] == 1
 
     def test_unknown_priority_rejected(self):
-        controller = AdmissionController(config=AdmissionConfig(enabled=True))
+        controller = AdmissionController()
         with pytest.raises(ValueError):
             controller.admit("realtime")
 

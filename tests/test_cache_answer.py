@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import AskOptions, AskRequest, CacheConfig
-from repro.cache import HIT_EXACT, HIT_SEMANTIC, AnswerCache
+from repro.cache import HIT_EXACT, HIT_SEMANTIC, AnswerCache, answer_cache
 from repro.core.answer import OUTCOME_ANSWERED, AnswerContent
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
@@ -24,14 +24,22 @@ def make_answer(text: str = "risposta") -> AnswerContent:
     return AnswerContent(answer_text=text, raw_answer=text, outcome=OUTCOME_ANSWERED)
 
 
-def make_cache(**config_kwargs) -> tuple[AnswerCache, SimulatedClock]:
-    clock = SimulatedClock()
-    config = CacheConfig(enabled=True, **config_kwargs)
-    return AnswerCache(config, clock=clock), clock
+@pytest.fixture
+def make_cache(monkeypatch):
+    """``make_cache(answer_ttl_seconds=60.0)``: a fresh cache and its clock,
+    with the named :mod:`repro.cache.answer_cache` constants patched."""
+
+    def make(**bounds) -> tuple[AnswerCache, SimulatedClock]:
+        for name, value in bounds.items():
+            monkeypatch.setattr(answer_cache, name.upper(), value)
+        clock = SimulatedClock()
+        return AnswerCache(clock=clock), clock
+
+    return make
 
 
 class TestExactTier:
-    def test_store_then_hit(self):
+    def test_store_then_hit(self, make_cache):
         cache, _ = make_cache()
         key = cache.key("Come sblocco la carta?")
         cache.store(key, make_answer(), epoch=0)
@@ -42,12 +50,12 @@ class TestExactTier:
         assert hit.content.answer_text == "risposta"
         assert cache.stats.hits_exact == 1
 
-    def test_key_normalizes_case_punctuation_and_stopwords(self):
+    def test_key_normalizes_case_punctuation_and_stopwords(self, make_cache):
         cache, _ = make_cache()
         assert cache.key("Sbloccare la carta?") == cache.key("sbloccare carta")
         assert cache.key("SBLOCCARE   CARTA!!!") == cache.key("sbloccare carta")
 
-    def test_filters_partition_the_key(self):
+    def test_filters_partition_the_key(self, make_cache):
         cache, _ = make_cache()
         plain = cache.key("sbloccare carta")
         filtered = cache.key("sbloccare carta", {"domain": "carte"})
@@ -55,12 +63,12 @@ class TestExactTier:
         cache.store(plain, make_answer(), epoch=0)
         assert cache.lookup(filtered, epoch=0) is None
 
-    def test_miss_on_unknown_key(self):
+    def test_miss_on_unknown_key(self, make_cache):
         cache, _ = make_cache()
         assert cache.lookup(cache.key("mai vista"), epoch=0) is None
         assert cache.stats.misses == 1
 
-    def test_stored_answer_is_stripped_of_request_envelope(self):
+    def test_stored_answer_is_stripped_of_request_envelope(self, make_cache):
         # Content has no request envelope to strip: the stored object itself
         # is what every hit returns.
         cache, _ = make_cache()
@@ -72,7 +80,7 @@ class TestExactTier:
         for envelope_field in ("question", "response_time", "cache_hit", "trace", "work"):
             assert not hasattr(content, envelope_field)
 
-    def test_ttl_expires_on_the_simulated_clock(self):
+    def test_ttl_expires_on_the_simulated_clock(self, make_cache):
         cache, clock = make_cache(answer_ttl_seconds=60.0)
         key = cache.key("domanda")
         cache.store(key, make_answer(), epoch=0)
@@ -83,14 +91,14 @@ class TestExactTier:
         assert cache.stats.expirations == 1
         assert len(cache) == 0
 
-    def test_none_ttl_never_expires(self):
+    def test_none_ttl_never_expires(self, make_cache):
         cache, clock = make_cache(answer_ttl_seconds=None)
         key = cache.key("domanda")
         cache.store(key, make_answer(), epoch=0)
         clock.advance(1e9)
         assert cache.lookup(key, epoch=0) is not None
 
-    def test_epoch_mismatch_invalidates(self):
+    def test_epoch_mismatch_invalidates(self, make_cache):
         cache, _ = make_cache()
         key = cache.key("domanda")
         cache.store(key, make_answer(), epoch=3)
@@ -98,7 +106,7 @@ class TestExactTier:
         assert cache.stats.invalidations == 1
         assert len(cache) == 0
 
-    def test_lru_eviction_respects_recency(self):
+    def test_lru_eviction_respects_recency(self, make_cache):
         cache, _ = make_cache(answer_capacity=2)
         key_a, key_b, key_c = (cache.key(q) for q in ("aaa", "bbb", "ccc"))
         cache.store(key_a, make_answer("a"), epoch=0)
@@ -117,16 +125,16 @@ class TestSemanticTier:
         sin = float(np.sqrt(1.0 - angle_cos * angle_cos))
         return np.array([angle_cos, sin], dtype=np.float64)
 
-    def _seeded(self, **config_kwargs):
-        cache, clock = make_cache(**config_kwargs)
+    def _seeded(self, make_cache, **bounds):
+        cache, clock = make_cache(**bounds)
         base_key = cache.key("sbloccare carta")
         cache.store(
             base_key, make_answer("risposta base"), epoch=0, embedding=self._embedding(1.0)
         )
         return cache, clock
 
-    def test_hit_above_threshold(self):
-        cache, _ = self._seeded(semantic_threshold=0.9)
+    def test_hit_above_threshold(self, make_cache):
+        cache, _ = self._seeded(make_cache, semantic_threshold=0.9)
         probe = cache.key("altra domanda")
         hit = cache.lookup(probe, epoch=0, embed_fn=lambda: self._embedding(0.95))
         assert hit is not None
@@ -135,23 +143,23 @@ class TestSemanticTier:
         assert hit.content.answer_text == "risposta base"
         assert cache.stats.hits_semantic == 1
 
-    def test_hit_exactly_at_threshold(self):
-        cache, _ = self._seeded(semantic_threshold=0.9)
+    def test_hit_exactly_at_threshold(self, make_cache):
+        cache, _ = self._seeded(make_cache, semantic_threshold=0.9)
         hit = cache.lookup(
             cache.key("altra domanda"), epoch=0, embed_fn=lambda: self._embedding(0.9)
         )
         assert hit is not None and hit.kind == HIT_SEMANTIC
 
-    def test_miss_below_threshold(self):
-        cache, _ = self._seeded(semantic_threshold=0.9)
+    def test_miss_below_threshold(self, make_cache):
+        cache, _ = self._seeded(make_cache, semantic_threshold=0.9)
         hit = cache.lookup(
             cache.key("altra domanda"), epoch=0, embed_fn=lambda: self._embedding(0.89)
         )
         assert hit is None
         assert cache.stats.misses == 1
 
-    def test_best_candidate_wins(self):
-        cache, _ = self._seeded(semantic_threshold=0.5)
+    def test_best_candidate_wins(self, make_cache):
+        cache, _ = self._seeded(make_cache, semantic_threshold=0.5)
         cache.store(
             cache.key("domanda vicina"),
             make_answer("risposta vicina"),
@@ -163,7 +171,7 @@ class TestSemanticTier:
         )
         assert hit.content.answer_text == "risposta vicina"
 
-    def test_semantic_respects_filters(self):
+    def test_semantic_respects_filters(self, make_cache):
         cache, _ = make_cache(semantic_threshold=0.5)
         cache.store(
             cache.key("sbloccare carta", {"domain": "carte"}),
@@ -176,16 +184,19 @@ class TestSemanticTier:
         )
         assert hit is None  # stored under filters, probed without
 
-    def test_semantic_skips_stale_entries(self):
-        cache, _ = self._seeded(semantic_threshold=0.5)
+    def test_semantic_skips_stale_entries(self, make_cache):
+        cache, _ = self._seeded(make_cache, semantic_threshold=0.5)
         hit = cache.lookup(
             cache.key("altra domanda"), epoch=1, embed_fn=lambda: self._embedding(1.0)
         )
         assert hit is None
         assert cache.stats.invalidations == 1
 
-    def test_disabled_semantic_tier_never_scans(self):
-        cache, _ = make_cache(semantic=False)
+    def test_disabled_semantic_tier_never_scans(self, make_cache):
+        """The semantic tier is skipped when no stored entry carries an
+        embedding (the query is then never embedded) and when the caller
+        passes no ``embed_fn``."""
+        cache, _ = make_cache()
         cache.store(cache.key("sbloccare carta"), make_answer(), epoch=0)
         calls = []
 
@@ -195,6 +206,9 @@ class TestSemanticTier:
 
         assert cache.lookup(cache.key("altra domanda"), epoch=0, embed_fn=embed) is None
         assert not calls
+        cache.store(cache.key("bloccare carta"), make_answer(), epoch=0, embedding=embed())
+        assert cache.lookup(cache.key("altra domanda"), epoch=0) is None
+        assert cache.stats.hits_semantic == 0
 
 
 @pytest.fixture(scope="module")

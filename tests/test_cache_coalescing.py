@@ -30,9 +30,9 @@ def banking_lexicon():
     return build_banking_lexicon()
 
 
-def build_backend(tiny_kb, banking_lexicon, shards: int = 1, **cache_kwargs):
+def build_backend(tiny_kb, banking_lexicon, shards: int = 1, cache: bool = True):
     config = UniAskConfig(
-        cache=CacheConfig(enabled=True, **cache_kwargs),
+        cache=CacheConfig(enabled=cache),
         cluster=ClusterConfig(shards=shards),
     )
     system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=19)
@@ -119,7 +119,7 @@ class TestCoalescing:
         assert backend.single_flight.stats.coalesced_waits == 0
 
     def test_coalescing_disabled_runs_every_request(self, tiny_kb, banking_lexicon, monkeypatch):
-        system, backend = build_backend(tiny_kb, banking_lexicon, coalescing=False, answer=False)
+        system, backend = build_backend(tiny_kb, banking_lexicon, cache=False)
         runs = count_pipeline_runs(system, monkeypatch)
         assert backend.single_flight is None
         token = backend.login("user-a")

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cluster import ClusterConfig, ClusterSearcher
+from repro.cluster import replica as replica_module
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
@@ -77,12 +78,10 @@ def _count_global_statistics_reads(monkeypatch) -> dict[str, list]:
     return calls
 
 
-def _tiny_cluster(lexicon, shards=2, replicas=2, **cluster_kwargs):
+def _tiny_cluster(lexicon, shards=2, replicas=2):
     """A small fresh deployment for mutation (fault-injection) tests."""
     kb = KbGenerator(KbGeneratorConfig(num_topics=10, error_families=1, seed=11)).generate()
-    config = UniAskConfig(
-        cluster=ClusterConfig(shards=shards, replicas=replicas, **cluster_kwargs)
-    )
+    config = UniAskConfig(cluster=ClusterConfig(shards=shards, replicas=replicas))
     return build_uniask_system(kb.store(), lexicon, config=config, seed=3)
 
 
@@ -327,8 +326,10 @@ class TestHedgingAndHealth:
         assert report.partial
         assert all(r.health.timeouts > 0 for r in system.cluster.replicas(0))
 
-    def test_repeated_timeouts_mark_replicas_down_then_recover(self, lexicon):
-        system = _tiny_cluster(lexicon, shards=2, replicas=2, down_after=2, down_cooldown=60.0)
+    def test_repeated_timeouts_mark_replicas_down_then_recover(self, lexicon, monkeypatch):
+        monkeypatch.setattr(replica_module, "DOWN_AFTER", 2)
+        monkeypatch.setattr(replica_module, "DOWN_COOLDOWN", 60.0)
+        system = _tiny_cluster(lexicon, shards=2, replicas=2)
         searcher = system.cluster
         for replica in searcher.replicas(0):
             replica.degrade(10.0)

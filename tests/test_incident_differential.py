@@ -296,12 +296,6 @@ class TestAuditRetentionRing:
         with pytest.raises(ValueError):
             AuditLogger(retention=0)
 
-    def test_telemetry_config_validates_retention(self):
-        from repro.obs.telemetry import TelemetryConfig
-
-        with pytest.raises(ValueError):
-            TelemetryConfig(audit_retention=0)
-
 
 class TestOpsRouteCollision:
     def test_two_handlers_for_one_route_rejected(self):

@@ -2,8 +2,8 @@
 
 There is one full-text layout (sealed segments + write buffer) and one
 serving scorer (the vectorized kernels).  The reference the layout is held
-to is the same code with sealing switched off by configuration:
-``flush_threshold=NEVER_SEALED`` keeps every document in the write buffer,
+to is the same code with sealing switched off: the segment module's
+``FLUSH_THRESHOLD`` patched to ``NEVER_SEALED`` for the build keeps every document in the write buffer,
 i.e. one plain :class:`~repro.search.inverted.InvertedIndex` per field.
 The acceptance bar between the two points is **byte identity** (``==``,
 never ``approx``), plain and 3-shard:
@@ -18,13 +18,14 @@ counts seal operations the never-sealed side does not perform.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.api import (
     CACHE_BYPASS,
     AskOptions,
     AskRequest,
-    IndexConfig,
     create_backend,
     create_engine,
 )
@@ -33,6 +34,7 @@ from repro.core.config import UniAskConfig
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.vocabulary import build_banking_lexicon
 from repro.obs.trace import RequestContext
+from repro.search import segment
 from repro.search.fulltext import FullTextSearch
 from repro.service.frontend import render_answer_page
 from repro.service.monitoring import format_dashboard
@@ -61,11 +63,10 @@ def banking_lexicon():
 
 
 def build(tiny_kb, banking_lexicon, flush_threshold: int, shards: int = 1):
-    config = UniAskConfig(
-        cluster=ClusterConfig(shards=shards),
-        index=IndexConfig(flush_threshold=flush_threshold),
-    )
-    system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=31)
+    config = UniAskConfig(cluster=ClusterConfig(shards=shards))
+    # Only the build writes, so the threshold needs to hold only while it runs.
+    with mock.patch.object(segment, "FLUSH_THRESHOLD", flush_threshold):
+        system = create_engine(tiny_kb.store(), banking_lexicon, config=config, seed=31)
     backend = create_backend(system, tracing=True)
     return system, backend
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import AskRequest, CacheConfig, IndexConfig, create_engine
+from repro.api import CACHE_BYPASS, AskRequest, CacheConfig, create_engine
 from repro.cluster.config import ClusterConfig
 from repro.core.config import UniAskConfig
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
@@ -46,12 +46,15 @@ def _record(doc: str, content: str, chunk: int = 0) -> ChunkRecord:
     )
 
 
-def _build_index(**config_kwargs) -> SearchIndex:
-    return SearchIndex(
-        embedder=SyntheticAdaEmbedder(None, dim=16, seed=1),
-        seed=1,
-        index_config=IndexConfig(**config_kwargs),
-    )
+@pytest.fixture
+def build_index(segment_policy):
+    """A fresh index under the given segment policy (lower-case names)."""
+
+    def build(**policy) -> SearchIndex:
+        segment_policy(**policy)
+        return SearchIndex(embedder=SyntheticAdaEmbedder(None, dim=16, seed=1), seed=1)
+
+    return build
 
 
 def _doc_ids(results) -> set[str]:
@@ -59,8 +62,8 @@ def _doc_ids(results) -> set[str]:
 
 
 class TestDirectWrites:
-    def test_upsert_immediately_queryable_without_rebuild(self):
-        index = _build_index(flush_threshold=100)
+    def test_upsert_immediately_queryable_without_rebuild(self, build_index):
+        index = build_index(flush_threshold=100)
         for i in range(6):
             index.add_chunk(_record(f"d{i}", f"contenuto generico numero {i}"))
         index.flush()
@@ -76,8 +79,8 @@ class TestDirectWrites:
         assert index.segment_stamp()[:-1] == sealed_before
         assert index.buffered_count == 1
 
-    def test_update_replaces_previous_version_immediately(self):
-        index = _build_index(flush_threshold=2)
+    def test_update_replaces_previous_version_immediately(self, build_index):
+        index = build_index(flush_threshold=2)
         index.add_chunk(_record("a", "vecchia procedura per il bonifico"))
         index.add_chunk(_record("b", "altro documento"))  # seals the buffer
         assert index.segment_count == 1
@@ -87,8 +90,8 @@ class TestDirectWrites:
         contents = {r.record.content for r in hits if r.record.doc_id == "a"}
         assert contents == {"nuova procedura aggiornata per il bonifico"}
 
-    def test_delete_invisible_before_any_merge(self):
-        index = _build_index(flush_threshold=3)
+    def test_delete_invisible_before_any_merge(self, build_index):
+        index = build_index(flush_threshold=3)
         for i in range(6):
             index.add_chunk(_record(f"d{i}", f"istruzioni per il prelievo {i}"))
         assert index.segment_count == 2
@@ -103,11 +106,11 @@ class TestDirectWrites:
 
 
 class TestPipelineFreshness:
-    def _wire(self):
+    def _wire(self, build_index):
         store = KnowledgeBaseStore()
         queue = MessageQueue()
         clock = SimulatedClock()
-        index = _build_index(flush_threshold=4)
+        index = build_index(flush_threshold=4)
         ingestion = IngestionService(store, queue, clock)
         indexing = IndexingService(store, queue, index, clock=clock)
         return store, queue, clock, index, ingestion, indexing
@@ -120,8 +123,8 @@ class TestPipelineFreshness:
         )
         return KbDocument(doc_id=doc_id, html=html, modified_at=modified_at)
 
-    def test_kb_edit_reaches_queries_in_one_cycle(self):
-        store, _, clock, index, ingestion, indexing = self._wire()
+    def test_kb_edit_reaches_queries_in_one_cycle(self, build_index):
+        store, _, clock, index, ingestion, indexing = self._wire(build_index)
         for i in range(5):
             store.put(self._page(f"p{i}", f"condizioni del conto corrente {i}", 0.0))
         ingestion.poll_now()
@@ -136,8 +139,8 @@ class TestPipelineFreshness:
         indexing.drain()
         assert "p9" in _doc_ids(search.search("commissione bonifico estero", n=5))
 
-    def test_kb_delete_reaches_queries_in_one_cycle(self):
-        store, _, clock, index, ingestion, indexing = self._wire()
+    def test_kb_delete_reaches_queries_in_one_cycle(self, build_index):
+        store, _, clock, index, ingestion, indexing = self._wire(build_index)
         for i in range(3):
             store.put(self._page(f"p{i}", f"limiti di prelievo bancomat {i}", 0.0))
         ingestion.poll_now()
@@ -152,8 +155,8 @@ class TestPipelineFreshness:
         indexing.drain()
         assert "p1" not in _doc_ids(search.search("limiti prelievo bancomat", n=5))
 
-    def test_drain_runs_clocked_maintenance(self):
-        store, _, clock, index, ingestion, indexing = self._wire()
+    def test_drain_runs_clocked_maintenance(self, build_index):
+        store, _, clock, index, ingestion, indexing = self._wire(build_index)
         # flush_threshold=4 and default max_segments=8: 40 chunks make 10
         # segments, so the first drain's maintenance sweep must merge.
         for i in range(40):
@@ -172,7 +175,7 @@ class TestCacheGranularity:
         config = UniAskConfig(
             retrieval=HybridSearchConfig(mode="vector"),
             cluster=ClusterConfig(shards=2),
-            cache=CacheConfig(enabled=True, answer=False, semantic=False, coalescing=False),
+            cache=CacheConfig(enabled=True),
         )
         return create_engine(kb.store(), build_banking_lexicon(), config=config, seed=19)
 
@@ -180,7 +183,8 @@ class TestCacheGranularity:
         system = sharded_system
         cache = system.cluster.retrieval_cache
         assert cache is not None
-        question = AskRequest.of("come bloccare la carta di credito")
+        # Past the answer tier, so every ask reaches the retrieval tier.
+        question = AskRequest.of("come bloccare la carta di credito", cache=CACHE_BYPASS)
 
         system.engine.answer(question)  # cold: one miss per shard
         baseline = cache.stats.misses
@@ -207,12 +211,10 @@ class TestCacheGranularity:
         assert cache.stats.invalidations == 1
         assert cache.stats.misses == baseline + 1
 
-    def test_answer_cache_survives_content_preserving_maintenance(self):
+    def test_answer_cache_survives_content_preserving_maintenance(self, segment_policy):
         kb = KbGenerator(KbGeneratorConfig(num_topics=8, error_families=2, seed=19)).generate()
-        config = UniAskConfig(
-            cache=CacheConfig(enabled=True, semantic=False, coalescing=False),
-            index=IndexConfig(flush_threshold=4),
-        )
+        segment_policy(flush_threshold=4)
+        config = UniAskConfig(cache=CacheConfig(enabled=True))
         system = create_engine(kb.store(), build_banking_lexicon(), config=config, seed=19)
         question = AskRequest.of("come bloccare la carta di credito")
         first = system.engine.answer(question)

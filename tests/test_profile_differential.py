@@ -25,7 +25,7 @@ import json
 
 import pytest
 
-from repro.api import AskOptions, AskRequest, IndexConfig
+from repro.api import AskOptions, AskRequest
 from repro.service.backend import ROLE_OPS
 from repro.service.frontend import render_answer_page
 from repro.service.monitoring import format_dashboard
@@ -221,12 +221,13 @@ class TestExplainCarriesWork:
         assert "work" not in report.to_dict()
 
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_explain_books_the_work_of_the_plain_request(self, tiny_kb, banking_lexicon, shards):
+    def test_explain_books_the_work_of_the_plain_request(
+        self, tiny_kb, banking_lexicon, shards, segment_policy
+    ):
         """While a second scorer served explain it booked its own counts:
         live postings only, and no ``segments_touched`` at all."""
-        system, _ = build(
-            tiny_kb, banking_lexicon, shards=shards, index=IndexConfig(flush_threshold=4)
-        )
+        segment_policy(flush_threshold=4)
+        system, _ = build(tiny_kb, banking_lexicon, shards=shards)
         for generated in tiny_kb.documents[::5]:  # tombstones in sealed segments
             assert system.index.delete_document(generated.doc_id)
         members = [system.index] if shards == 1 else [

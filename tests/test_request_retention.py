@@ -14,11 +14,12 @@ import gc
 import random
 import tracemalloc
 import types
+from unittest import mock
 
 import pytest
 
 from repro.api import AskOptions, AskRequest, create_backend
-from repro.autoscale import AdmissionConfig, AutoscaleConfig
+from repro.autoscale import AdmissionConfig, AutoscaleConfig, admission
 from repro.cache.config import CacheConfig
 from repro.core.answer import UniAskAnswer
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
@@ -129,18 +130,18 @@ class TestReadersSeeWhatServeReturned:
     @pytest.fixture(scope="class")
     def served(self, tiny_kb, banking_lexicon, questions):
         """One run through every kind of stored request."""
-        system, backend = build(
-            tiny_kb,
-            banking_lexicon,
-            shards=3,
-            cache=CacheConfig(enabled=True),
-            autoscale=AutoscaleConfig(
-                admission=AdmissionConfig(enabled=True, full_latency_estimate=4.0)
-            ),
-            incident=IncidentConfig(enabled=True),
-            profiling=True,
-            capacity=True,
-        )
+        # The controller reads its latency seed when the backend builds it.
+        with mock.patch.object(admission, "FULL_LATENCY_ESTIMATE", 4.0):
+            system, backend = build(
+                tiny_kb,
+                banking_lexicon,
+                shards=3,
+                cache=CacheConfig(enabled=True),
+                autoscale=AutoscaleConfig(admission=AdmissionConfig(enabled=True)),
+                incident=IncidentConfig(enabled=True),
+                profiling=True,
+                capacity=True,
+            )
         token = backend.login("u")
         kinds: dict[str, object] = {}
 

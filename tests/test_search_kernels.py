@@ -11,6 +11,7 @@ never ``approx``.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord
-from repro.search.segment import IndexConfig, SegmentedTextStore
+from repro.search import segment
+from repro.search.segment import SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER
 from tests.reference_bm25 import ReferenceBm25Scorer
 
@@ -96,14 +98,11 @@ class TestScoreArrays:
 def build_search_index(seed: int, docs: int = 80) -> SearchIndex:
     """A multi-segment index whose small vocabulary makes score ties common."""
     rng = random.Random(seed)
-    index = SearchIndex(
-        embedder=SyntheticAdaEmbedder(None, dim=8, seed=1),
-        ann_backend="exact",
-        index_config=IndexConfig(flush_threshold=16),
-    )
-    for i in range(docs):
-        title, content = random_text(rng, 1, 3), random_text(rng, 1, 6)
-        index.add_chunk(ChunkRecord(f"d{i}#0", f"d{i}", title=title, content=content))
+    index = SearchIndex(embedder=SyntheticAdaEmbedder(None, dim=8, seed=1), ann_backend="exact")
+    with mock.patch.object(segment, "FLUSH_THRESHOLD", 16):
+        for i in range(docs):
+            title, content = random_text(rng, 1, 3), random_text(rng, 1, 6)
+            index.add_chunk(ChunkRecord(f"d{i}#0", f"d{i}", title=title, content=content))
     return index
 
 
@@ -146,12 +145,12 @@ class TestSegmentedViews:
     def _stores(self, seed: int, docs: int, flush_threshold: int):
         """A segmented store and one plain index rebuilt from its live docs."""
         rng = random.Random(seed)
-        config = IndexConfig(flush_threshold=flush_threshold)
-        store = SegmentedTextStore(("content",), FULL_ANALYZER, config)
+        store = SegmentedTextStore(("content",), FULL_ANALYZER)
         texts = {}
-        for doc_id in range(docs):
-            texts[doc_id] = random_text(rng)
-            store.add(doc_id, {"content": texts[doc_id]})
+        with mock.patch.object(segment, "FLUSH_THRESHOLD", flush_threshold):
+            for doc_id in range(docs):
+                texts[doc_id] = random_text(rng)
+                store.add(doc_id, {"content": texts[doc_id]})
         dead = rng.sample(range(docs), docs // 4)
         for doc_id in dead:
             assert store.remove(doc_id, {"content": texts[doc_id]})
@@ -279,25 +278,22 @@ def served_explain(search_indexes, query: str):
 @given(_writes, st.lists(_queries, min_size=1, max_size=3))
 def test_served_per_term_contributions_equal_the_reference_loop(writes, queries):
     """Scores, per-term bits and component key order, single index and 3 shards."""
-    options = dict(
-        embedder=SyntheticAdaEmbedder(None, dim=8, seed=1),
-        ann_backend="exact",
-        index_config=IndexConfig(flush_threshold=2),
-    )
+    options = dict(embedder=SyntheticAdaEmbedder(None, dim=8, seed=1), ann_backend="exact")
     single = SearchIndex(**options)
     cluster = ShardedSearchIndex(num_shards=3, **options)
     live: dict[str, ChunkRecord] = {}
-    for write in writes:
-        if write[0] == "add":
-            _, doc, title, content = write
-            record = ChunkRecord(f"{doc}#0", doc, title=title, content=content)
-            live[record.chunk_id] = record
-            single.add_chunk(record)
-            cluster.add_chunk(record)
-        else:
-            live.pop(f"{write[1]}#0", None)
-            single.delete_document(write[1])
-            cluster.delete_document(write[1])
+    with mock.patch.object(segment, "FLUSH_THRESHOLD", 2):
+        for write in writes:
+            if write[0] == "add":
+                _, doc, title, content = write
+                record = ChunkRecord(f"{doc}#0", doc, title=title, content=content)
+                live[record.chunk_id] = record
+                single.add_chunk(record)
+                cluster.add_chunk(record)
+            else:
+                live.pop(f"{write[1]}#0", None)
+                single.delete_document(write[1])
+                cluster.delete_document(write[1])
     shard_views = [cluster.search_view(shard_id) for shard_id in cluster.shard_ids]
     for query in queries:
         expected = reference_explain(single, live, query)

@@ -16,7 +16,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord
-from repro.search.segment import IndexConfig
 
 #: A flush threshold no test corpus reaches: the write buffer is the whole
 #: index, i.e. one plain ``InvertedIndex`` per field — the monolithic layout.
@@ -36,17 +35,25 @@ def _record(doc: str, chunk: int = 0, **kwargs) -> ChunkRecord:
     return ChunkRecord(chunk_id=f"{doc}#{chunk}", doc_id=doc, **defaults)
 
 
-def build_index(registry=None, **config_kwargs) -> SearchIndex:
+def _new_index(registry=None) -> SearchIndex:
     return SearchIndex(
-        embedder=SyntheticAdaEmbedder(None, dim=16, seed=1),
-        seed=1,
-        index_config=IndexConfig(**config_kwargs),
-        registry=registry,
+        embedder=SyntheticAdaEmbedder(None, dim=16, seed=1), seed=1, registry=registry
     )
 
 
+@pytest.fixture
+def build_index(segment_policy):
+    """A fresh index under the given segment policy (lower-case names)."""
+
+    def build(registry=None, **policy) -> SearchIndex:
+        segment_policy(**policy)
+        return _new_index(registry)
+
+    return build
+
+
 class TestSealing:
-    def test_auto_seal_at_flush_threshold(self):
+    def test_auto_seal_at_flush_threshold(self, build_index):
         index = build_index(flush_threshold=4)
         for i in range(3):
             index.add_chunk(_record(f"d{i}"))
@@ -56,7 +63,7 @@ class TestSealing:
         assert index.segment_count == 1
         assert index.buffered_count == 0
 
-    def test_explicit_flush_seals_partial_buffer(self):
+    def test_explicit_flush_seals_partial_buffer(self, build_index):
         index = build_index(flush_threshold=100)
         index.add_chunks([_record("a"), _record("b")])
         index.flush()
@@ -65,7 +72,7 @@ class TestSealing:
         index.flush()  # empty buffer: no-op
         assert index.segment_count == 1
 
-    def test_monolithic_layout_has_no_segments(self):
+    def test_monolithic_layout_has_no_segments(self, build_index):
         index = build_index(flush_threshold=NEVER_SEALED)
         index.add_chunks([_record(f"d{i}") for i in range(300)])
         assert index.segment_count == 0
@@ -74,7 +81,7 @@ class TestSealing:
 
 
 class TestGenerationSemantics:
-    def test_maintenance_does_not_bump_generation(self):
+    def test_maintenance_does_not_bump_generation(self, build_index):
         index = build_index(flush_threshold=1, max_segments=2, merge_factor=2)
         for i in range(6):
             index.add_chunk(_record(f"d{i}"))
@@ -84,7 +91,7 @@ class TestGenerationSemantics:
         assert index.segment_count <= 2
         assert index.generation == generation
 
-    def test_writes_bump_generation(self):
+    def test_writes_bump_generation(self, build_index):
         index = build_index()
         generation = index.generation
         index.add_chunk(_record("a"))
@@ -95,7 +102,7 @@ class TestGenerationSemantics:
 
 
 class TestSegmentStamp:
-    def test_buffer_writes_move_only_the_buffer_component(self):
+    def test_buffer_writes_move_only_the_buffer_component(self, build_index):
         index = build_index(flush_threshold=100)
         index.add_chunks([_record(f"d{i}") for i in range(4)])
         index.flush()
@@ -106,7 +113,7 @@ class TestSegmentStamp:
         assert before[:-1] == after[:-1]  # sealed components untouched
         assert before[-1][0] == "buffer" and after[-1][0] == "buffer"
 
-    def test_tombstone_moves_only_the_touched_segment(self):
+    def test_tombstone_moves_only_the_touched_segment(self, build_index):
         index = build_index(flush_threshold=100)
         index.add_chunks([_record("a"), _record("b")])
         index.flush()
@@ -119,7 +126,7 @@ class TestSegmentStamp:
         assert before[1] != after[1]
         assert before[-1] == after[-1]  # buffer untouched
 
-    def test_seal_changes_stamp_but_merge_preserves_content(self):
+    def test_seal_changes_stamp_but_merge_preserves_content(self, build_index):
         index = build_index(flush_threshold=100)
         index.add_chunk(_record("a"))
         buffered = index.segment_stamp()
@@ -128,7 +135,7 @@ class TestSegmentStamp:
 
 
 class TestMaintenance:
-    def test_merges_down_to_max_segments(self):
+    def test_merges_down_to_max_segments(self, build_index):
         index = build_index(flush_threshold=1, max_segments=2, merge_factor=2)
         for i in range(5):
             index.add_chunk(_record(f"d{i}"))
@@ -138,7 +145,7 @@ class TestMaintenance:
         assert ops["merge"] == 3  # 5 -> 4 -> 3 -> 2, two victims per fold
         assert len(index) == 5
 
-    def test_interval_gates_successive_sweeps(self):
+    def test_interval_gates_successive_sweeps(self, build_index):
         index = build_index(flush_threshold=1, max_segments=1, merge_factor=2, merge_interval=900.0)
         index.add_chunks([_record("a"), _record("b")])
         assert index.run_maintenance(0.0) != {}
@@ -146,7 +153,7 @@ class TestMaintenance:
         assert index.run_maintenance(10.0) == {}  # too soon
         assert index.run_maintenance(900.0) != {}
 
-    def test_compacts_tombstone_heavy_segment(self):
+    def test_compacts_tombstone_heavy_segment(self, build_index):
         index = build_index(flush_threshold=4, segment_dead_ratio=0.4, max_segments=8)
         index.add_chunks([_record(f"d{i}") for i in range(4)])
         assert index.segment_count == 1
@@ -157,7 +164,7 @@ class TestMaintenance:
         assert index.segment_count == 1
         assert len(index) == 2
 
-    def test_maintenance_preserves_results_bitwise(self):
+    def test_maintenance_preserves_results_bitwise(self, build_index):
         index = build_index(flush_threshold=3, max_segments=1, merge_factor=2)
         for i in range(8):
             index.add_chunk(_record(f"d{i}", content=f"carta bonifico {i} prelievo conto"))
@@ -172,7 +179,7 @@ class TestMaintenance:
         after = [(r.record.chunk_id, r.score) for r in search.search("carta bonifico conto", n=10)]
         assert after == before  # merges are content-preserving, bit-exact
 
-    def test_vacuum_compacts_everything(self):
+    def test_vacuum_compacts_everything(self, build_index):
         index = build_index(flush_threshold=2)
         index.add_chunks([_record(f"d{i}") for i in range(6)])
         index.delete_document("d1")
@@ -184,7 +191,7 @@ class TestMaintenance:
 
 
 class TestMaintenanceCounters:
-    def test_ops_are_counted_by_kind(self):
+    def test_ops_are_counted_by_kind(self, build_index):
         registry = MetricsRegistry()
         index = build_index(registry=registry, flush_threshold=2, max_segments=1, merge_factor=2)
         index.add_chunks([_record(f"d{i}") for i in range(4)])  # two auto-seals
@@ -212,10 +219,12 @@ def _live_postings(view, term: str) -> dict[int, int]:
 
 
 class TestExactStatistics:
-    def test_segmented_stats_match_monolithic(self):
-        segmented = build_index(flush_threshold=3)
-        monolithic = build_index(flush_threshold=NEVER_SEALED)
-        for index in (segmented, monolithic):
+    def test_segmented_stats_match_monolithic(self, segment_policy):
+        # The store reads the flush threshold at each add, so each index is
+        # filled under its own policy.
+        segmented, monolithic = _new_index(), _new_index()
+        for index, flush_threshold in ((segmented, 3), (monolithic, NEVER_SEALED)):
+            segment_policy(flush_threshold=flush_threshold)
             for i in range(10):
                 index.add_chunk(_record(f"d{i}", content=f"carta {i} bonifico " * (i + 1)))
             index.delete_document("d3")

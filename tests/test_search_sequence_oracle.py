@@ -18,6 +18,8 @@ plan (analyzed terms + global statistics) taken once per request.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,14 +30,13 @@ from repro.search.fulltext import FullTextSearch
 from repro.search.hybrid import HybridSearchConfig, HybridSemanticSearch
 from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
+from repro.search import segment
 from repro.search.schema import ChunkRecord
-from repro.search.segment import IndexConfig
 from tests.reference_bm25 import ReferenceBm25Scorer
 
 WORDS = ("carta", "bonifico", "prelievo", "conto", "estero", "limite", "blocco", "mutuo")
 QUERIES = ("carta bonifico", "prelievo conto estero carta", "limite blocco mutuo carta carta")
 TOP_N = 50
-MERGE_INTERVAL = IndexConfig().merge_interval
 
 texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=10).map(" ".join)
 docs = st.integers(0, 7).map("d{}".format)
@@ -91,7 +92,7 @@ def apply(index, live: dict[str, int], step: tuple, now: float) -> float:
     elif step[0] == "flush":
         index.flush()
     elif step[0] == "maintain":
-        now += 2 * MERGE_INTERVAL  # every sweep is due
+        now += 2 * segment.MERGE_INTERVAL  # every sweep is due
         index.run_maintenance(now)
     elif step[0] == "vacuum":
         index.vacuum(0.0)
@@ -102,16 +103,13 @@ def apply(index, live: dict[str, int], step: tuple, now: float) -> float:
 @settings(max_examples=100, deadline=None)
 @given(steps)
 def test_served_ranking_equals_rebuilt_reference_after_every_step(sequence):
-    index = SearchIndex(
-        embedder=SyntheticAdaEmbedder(None, dim=8, seed=1),
-        ann_backend="exact",
-        index_config=IndexConfig(flush_threshold=3, max_segments=2),
-    )
+    index = SearchIndex(embedder=SyntheticAdaEmbedder(None, dim=8, seed=1), ann_backend="exact")
     search = FullTextSearch(index)
     live: dict[str, int] = {}
     now = 0.0
     for step in sequence:
-        now = apply(index, live, step, now)
+        with mock.patch.multiple(segment, FLUSH_THRESHOLD=3, MAX_SEGMENTS=2):
+            now = apply(index, live, step, now)
         plains = rebuild(index, live)
         for query in QUERIES:
             served = search.search(query, n=TOP_N)
@@ -156,12 +154,10 @@ def test_routed_ranking_equals_reference_and_single_index_after_every_step(seque
     embedder = SyntheticAdaEmbedder(None, dim=8, seed=1)
     config = HybridSearchConfig(mode="text", use_reranker=False)
     single = SearchIndex(embedder=embedder, ann_backend="exact")
-    cluster = ShardedSearchIndex(
-        embedder=embedder,
-        num_shards=3,
-        ann_backend="exact",
-        index_config=IndexConfig(flush_threshold=2),
-    )
+    cluster = ShardedSearchIndex(embedder=embedder, num_shards=3, ann_backend="exact")
+    # The shards seal every second document; the single index keeps the
+    # default threshold, which sixteen chunks never reach.
+    small_segments = mock.patch.object(segment, "FLUSH_THRESHOLD", 2)
     single_search = HybridSemanticSearch(single, config=config)
     routed = ClusterSearcher(cluster, config=config)
     live: dict[str, int] = {}
@@ -170,13 +166,16 @@ def test_routed_ranking_equals_reference_and_single_index_after_every_step(seque
     for step in sequence:
         if step[0] == "add_shard":
             if cluster.num_shards < MAX_SHARDS:
-                cluster.add_shard()
+                with small_segments:
+                    cluster.add_shard()
         elif step[0] == "remove_shard":
             if cluster.num_shards > 2:
-                cluster.remove_shard(cluster.shard_ids[step[1] % cluster.num_shards])
+                with small_segments:
+                    cluster.remove_shard(cluster.shard_ids[step[1] % cluster.num_shards])
         else:
             apply(single, live, step, now)
-            now = apply(cluster, shard_local, step, now)
+            with small_segments:
+                now = apply(cluster, shard_local, step, now)
         plains = rebuild(single, live)
         for query in QUERIES:
             reference = [

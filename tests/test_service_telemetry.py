@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.api import create_backend
-from repro.autoscale import AdmissionConfig, AutoscaleConfig
+from repro.autoscale import AdmissionConfig, AutoscaleConfig, admission
 from repro.autoscale.loadgen import ChaosEvent, DiurnalLoadConfig, run_diurnal_load
 from repro.cache import CacheConfig
 from repro.cluster import ClusterConfig
@@ -17,6 +17,7 @@ from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.vocabulary import build_banking_lexicon
 from repro.obs.audit import read_audit_log
+from repro.obs import telemetry as telemetry_module
 from repro.obs.telemetry import Telemetry, TelemetryConfig
 from repro.service.backend import (
     AuthenticationError,
@@ -181,11 +182,10 @@ class TestExpositionEndToEnd:
         snapshot = backend.ops("dashboard", backend.login("sre2", role=ROLE_OPS))
         assert f"uniask_response_seconds_count {snapshot.queries}" in text
 
-    def test_exemplars_link_to_retained_traces(self, small_store_and_lexicon):
+    def test_exemplars_link_to_retained_traces(self, small_store_and_lexicon, monkeypatch):
+        monkeypatch.setattr(telemetry_module, "TRACE_SAMPLE_RATE", 1.0)
         system = _fresh_system(small_store_and_lexicon)
-        telemetry = Telemetry(
-            TelemetryConfig(trace_sample_rate=1.0), clock=system.clock
-        )
+        telemetry = Telemetry(TelemetryConfig(), clock=system.clock)
         backend = BackendService(
             system.engine, system.clock, seed=7, tracing=True, telemetry=telemetry
         )
@@ -207,14 +207,14 @@ class TestExpositionEndToEnd:
         assert set(telemetry.sampler.retained_ids) == {r.query_id for r in records}
 
     def test_sampling_decisions_are_reproducible_across_backends(
-        self, small_store_and_lexicon
+        self, small_store_and_lexicon, monkeypatch
     ):
+        monkeypatch.setattr(telemetry_module, "TRACE_SAMPLE_RATE", 0.5)
+        monkeypatch.setattr(telemetry_module, "SAMPLER_SEED", 21)
+
         def retained() -> list[str]:
             system = _fresh_system(small_store_and_lexicon)
-            telemetry = Telemetry(
-                TelemetryConfig(trace_sample_rate=0.5, sampler_seed=21),
-                clock=system.clock,
-            )
+            telemetry = Telemetry(TelemetryConfig(), clock=system.clock)
             backend = BackendService(
                 system.engine, system.clock, seed=7, tracing=True, telemetry=telemetry
             )
@@ -331,21 +331,20 @@ class TestAuditLog:
 
 class TestLoadTestReplay:
     def test_cluster_load_test_report_is_replayable_from_the_log(
-        self, small_store_and_lexicon, tmp_path
+        self, small_store_and_lexicon, tmp_path, monkeypatch
     ):
         """A chaos day's report is recomputed from the backend's audit file
         alone: one ``request`` line per served request, carrying ``partial``
         and ``degrade_level``, and one ``admission_reject`` per rejection —
         no driver-side log and no replay code."""
         path = tmp_path / "audit.jsonl"
+        monkeypatch.setattr(admission, "TARGET_LOAD", 1.0)
         system = _fresh_system(
             small_store_and_lexicon,
             config=UniAskConfig(
                 cluster=ClusterConfig(shards=2, replicas=2),
                 cache=CacheConfig(enabled=True),
-                autoscale=AutoscaleConfig(
-                    admission=AdmissionConfig(enabled=True, target_load=1.0)
-                ),
+                autoscale=AutoscaleConfig(admission=AdmissionConfig(enabled=True)),
                 telemetry=TelemetryConfig(audit_path=str(path)),
             ),
         )

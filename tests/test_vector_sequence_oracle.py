@@ -12,7 +12,11 @@ On the exact backend the served vector rankings must equal, after every
 step — chunk ids and ``float.hex()`` distances — a fresh index that was
 handed the live records in internal-id order and knows nothing of edits, and
 the same walk through a three-shard cluster, merged on ``(distance,
-ordinal)``, must equal the single index.
+ordinal)``, must equal the single index.  The cluster's walk also adds,
+removes and rebalances shards, and the corpus (24 chunks and up) is larger
+than every leg's cut, so a tie at a shard's cut — the chunks of one title
+share a title vector — must fall where the single index puts it even for a
+chunk a migration moved in under a late shard-local id.
 
 The **fused hybrid ranking** takes the same walk under an embedder with a
 concept lexicon, so every chunk is read when it is written
@@ -34,7 +38,9 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import replace
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,22 +48,27 @@ from repro.ann.distance import cosine_distance
 from repro.cluster import ClusterSearcher, ShardedSearchIndex
 from repro.embeddings.concepts import Concept, ConceptLexicon
 from repro.embeddings.model import SyntheticAdaEmbedder
-from repro.search.hybrid import HybridSemanticSearch
+from repro.search import segment
+from repro.search.hybrid import HybridSearchConfig, HybridSemanticSearch
 from repro.search.index import SearchIndex
 from repro.search.persistence import load_index, save_index
 from repro.search.reranker import SemanticReranker
 from repro.search.schema import ChunkRecord
-from repro.search.segment import IndexConfig
 
 WORDS = ("carta", "bonifico", "prelievo", "conto", "estero", "limite", "blocco", "mutuo")
 TITLES = ("Blocco carta", "Bonifico estero", "Limiti di prelievo", "Apertura conto")
 PROBES = ("Blocco carta", "bonifico conto estero", "limite mutuo", "Apertura conto carta")
 K = 15
 FIELDS = ("title", "content")
-CONFIG = IndexConfig(flush_threshold=3, max_segments=2)
-MERGE_INTERVAL = CONFIG.merge_interval
+#: Pages seeded before the walk: two chunks each, 24 in all.
+SEED_PAGES = 12
+MAX_SHARDS = 5
+SEGMENT_POLICY = dict(FLUSH_THRESHOLD=3, MAX_SEGMENTS=2)
+#: Both legs cut below the corpus size (``vector_k`` is the paper's 15).
+RETRIEVAL = HybridSearchConfig(text_n=12)
 
-docs = st.integers(0, 13).map("d{}".format)
+docs = st.integers(0, SEED_PAGES + 5).map("d{}".format)
+shard_picks = st.integers(0, MAX_SHARDS - 1)
 titles = st.sampled_from(TITLES)
 contents = st.lists(st.sampled_from(WORDS), min_size=1, max_size=6).map(" ".join)
 steps = st.lists(
@@ -69,11 +80,20 @@ steps = st.lists(
         st.tuples(st.just("edit_both"), docs, titles, contents),
         st.tuples(st.just("republish"), docs),
         st.tuples(st.just("delete"), docs),
-        st.tuples(st.sampled_from(("flush", "maintain", "vacuum", "reload"))),
+        st.tuples(st.sampled_from(("flush", "maintain", "vacuum", "reload", "add_shard"))),
+        st.tuples(st.just("remove_shard"), shard_picks),
+        st.tuples(st.just("rebalance"), shard_picks, st.sampled_from((0.25, 1.0))),
     ),
     min_size=8,
     max_size=30,
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def small_segments():
+    """Small segments, so seals and merges happen within a walk."""
+    with mock.patch.multiple(segment, **SEGMENT_POLICY):
+        yield
 
 
 def embedder() -> SyntheticAdaEmbedder:
@@ -139,7 +159,7 @@ class Walk:
         elif kind == "flush":
             index.flush()
         elif kind == "maintain":
-            self.now += 2 * MERGE_INTERVAL  # every sweep is due
+            self.now += 2 * segment.MERGE_INTERVAL  # every sweep is due
             index.run_maintenance(self.now)
         elif kind == "vacuum":
             tombstoned = has_tombstones(index)
@@ -148,12 +168,25 @@ class Walk:
         elif kind == "reload" and isinstance(index, SearchIndex):
             with tempfile.TemporaryDirectory() as directory:
                 save_index(index, directory)
-                index = load_index(
-                    directory, index.embedder, ann_backend=index._ann_backend, index_config=CONFIG
-                )
+                index = load_index(directory, index.embedder, ann_backend=index._ann_backend)
             self.dead = dict.fromkeys(FIELDS, 0)
+        elif isinstance(index, ShardedSearchIndex):
+            migrate(index, step)
         assert len(index) == self.live_chunks()
         return index
+
+
+def migrate(cluster: ShardedSearchIndex, step: tuple) -> None:
+    """A topology step on the cluster; the single index has no topology."""
+    shard_ids = cluster.shard_ids
+    if step[0] == "add_shard" and len(shard_ids) < MAX_SHARDS:
+        cluster.add_shard()
+    elif step[0] == "remove_shard" and len(shard_ids) > 2:
+        cluster.remove_shard(shard_ids[step[1] % len(shard_ids)])
+    elif step[0] == "rebalance":
+        source = shard_ids[step[1] % len(shard_ids)]
+        target = shard_ids[(step[1] + 1) % len(shard_ids)]
+        cluster.rebalance_shard(source, target, step[2])
 
 
 def has_tombstones(index) -> bool:
@@ -170,18 +203,19 @@ def served(index: SearchIndex, field: str, probe, k: int) -> list[tuple[str, str
 
 
 def seed_corpus(walk: Walk, index):
-    """Eight pages over four titles before the walk starts, so edits find
-    pages to edit and every title is repeated."""
-    for n in range(8):
-        walk.upsert(index, f"d{n}", TITLES[n % 4], [f"{WORDS[n]} {WORDS[(n + 3) % 8]}", WORDS[n]])
+    """Twelve pages over four titles before the walk starts, so edits find
+    pages to edit, every title is repeated and every leg is cut."""
+    for n in range(SEED_PAGES):
+        words = [WORDS[n % 8], WORDS[(n + 3) % 8], WORDS[(n * 5) % 8]]
+        walk.upsert(index, f"d{n}", TITLES[n % 4], [" ".join(words[: 2 + n % 2]), words[0]])
 
 
 @settings(max_examples=40, deadline=None)
 @given(steps)
 def test_exact_vector_legs_equal_a_fresh_build_after_every_step(sequence):
     model = embedder()
-    index = SearchIndex(embedder=model, ann_backend="exact", index_config=CONFIG)
-    cluster = ShardedSearchIndex(model, num_shards=3, ann_backend="exact", index_config=CONFIG)
+    index = SearchIndex(embedder=model, ann_backend="exact")
+    cluster = ShardedSearchIndex(model, num_shards=3, ann_backend="exact")
     walk, cluster_walk = Walk(), Walk()
     seed_corpus(walk, index)
     seed_corpus(cluster_walk, cluster)
@@ -226,9 +260,9 @@ def test_hybrid_ranking_equals_a_rebuilt_system_after_every_step(sequence):
     )
     model = SyntheticAdaEmbedder(lexicon, dim=16, seed=1)
     reranker = SemanticReranker(lexicon)
-    index = SearchIndex(embedder=model, ann_backend="exact", index_config=CONFIG)
-    cluster = ShardedSearchIndex(model, num_shards=3, ann_backend="exact", index_config=CONFIG)
-    routed = ClusterSearcher(cluster, reranker=reranker)
+    index = SearchIndex(embedder=model, ann_backend="exact")
+    cluster = ShardedSearchIndex(model, num_shards=3, ann_backend="exact")
+    routed = ClusterSearcher(cluster, reranker=reranker, config=RETRIEVAL)
     walk, cluster_walk = Walk(), Walk()
     seed_corpus(walk, index)
     seed_corpus(cluster_walk, cluster)
@@ -241,8 +275,9 @@ def test_hybrid_ranking_equals_a_rebuilt_system_after_every_step(sequence):
         fresh = SearchIndex(embedder=model, ann_backend="exact")
         for internal in sorted(index.live_internals()):
             fresh.add_chunk(replace(index.record(internal)))  # an unread copy
-        rebuilt = HybridSemanticSearch(fresh, reranker=SemanticReranker(lexicon))
-        served = HybridSemanticSearch(index, reranker=reranker)  # a reload replaced the index
+        rebuilt = HybridSemanticSearch(fresh, reranker=SemanticReranker(lexicon), config=RETRIEVAL)
+        # A reload replaced the index.
+        served = HybridSemanticSearch(index, reranker=reranker, config=RETRIEVAL)
         for question in QUESTIONS:
             expected = ranking(rebuilt.search(question))
             assert expected
@@ -255,7 +290,7 @@ def test_hybrid_ranking_equals_a_rebuilt_system_after_every_step(sequence):
 @given(steps)
 def test_hnsw_vector_legs_are_live_exact_tied_by_id_and_counted(sequence):
     model = embedder()
-    index = SearchIndex(embedder=model, ann_backend="hnsw", index_config=CONFIG)
+    index = SearchIndex(embedder=model, ann_backend="hnsw")
     walk = Walk()
     seed_corpus(walk, index)
     probes = [model.embed(text) for text in PROBES]
