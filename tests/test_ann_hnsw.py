@@ -290,6 +290,20 @@ class TestRemoveAndRelabel:
         assert [i for i, _ in hits] == [40, 42, 45, 50]
         assert len({d for _, d in hits}) == 1
 
+    def test_tie_keys_order_a_tie_before_the_ids_do(self, small):
+        """Caller tie keys decide where a tie is cut; equal keys fall back
+        to ascending id, whatever order the backend found the tie in."""
+        index, vectors = small
+        for item_id in (40, 41, 42, 43, 44):
+            index.add(item_id, vectors[0])
+        tie_keys = np.full(64, np.iinfo(np.int64).max, dtype=np.int64)
+        tie_keys[[0, 40, 41, 42, 43]] = [5, 3, 3, 1, 0]
+        hits = index.search(vectors[0], 4, tie_keys=tie_keys)
+        assert [i for i, _ in hits] == [43, 42, 40, 41]
+        tie_keys[[41, 44]] = 3  # 44 joins the 40/41 tie on key and id
+        hits = index.search(vectors[0], 6, tie_keys=tie_keys)
+        assert [i for i, _ in hits] == [43, 42, 40, 41, 44, 0]
+
     def test_search_with_every_node_removed_is_empty(self, small):
         index, vectors = small
         for item_id in range(40):

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import ShardedSearchIndex
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.search.fulltext import FullTextSearch
-from repro.search.index import SearchIndex
+from repro.search.index import NO_ORDINAL, SearchIndex
 from repro.search.schema import ChunkRecord
 
 
@@ -177,6 +177,17 @@ class TestReplaceDocument:
         assert cluster.ordinal("c#1") == max(cluster.live_ordinals().values())
         assert cluster.generation == generation + 1
         assert len(cluster) == 12
+
+    def test_a_chunk_written_without_an_ordinal_sorts_last(self, index):
+        """Once one ordinal is set, every later chunk has a tie key: one
+        nobody ranked sorts after every ordinal, in internal-id order."""
+        first = index.add_chunk(_record("a", 0))
+        index.set_ordinal(first, 7)
+        later = [index.add_chunk(_record(f"d{n}")) for n in range(70)]  # past the first table
+        assert index.ordinal("a#0") == 7
+        assert index.ordinal("d69#0") == NO_ORDINAL
+        assert index.ordinal("z#0") is None
+        assert index.ordinals(np.array(later)).tolist() == [NO_ORDINAL] * 70
 
 
 class TestIncrementalWork:
