@@ -50,6 +50,6 @@ def batch_cosine_distance(
         row_norms = np.linalg.norm(matrix, axis=1)
     denom = query_norm * row_norms
     sims = np.zeros(matrix.shape[0])
-    valid = denom > ZERO_NORM
+    valid = denom >= ZERO_NORM
     sims[valid] = np.matmul(matrix[valid][:, None, :], query)[:, 0] / denom[valid]
     return 1.0 - sims

@@ -18,7 +18,7 @@ Determinism: level draws come from a private ``random.Random(seed)``.
 
 Distance is cosine, ``1 - a·b / (|a| |b|)``, and costs one ``np.dot``: a
 node's norm is taken once when it is added and a query's once per search
-(DESIGN.md §17).  The expression is written out at each of the three sites
+(DESIGN.md §17).  The expression is written out at each of the four sites
 that need it — a Python call per pair would add a tenth to the dot it wraps —
 and is :func:`repro.ann.distance.cosine_distance` operand for operand, so the
 two agree to the last bit.  An edge is measured once as well: an adjacency
@@ -201,7 +201,7 @@ class HnswIndex:
         # Phase 2: connect on each layer from min(level, top) down to 0.
         for layer in range(min(level, top), -1, -1):
             candidates, _ = self._search_layer(
-                vector, node.norm, [current], self._ef_construction, layer
+                vector, node.norm, current, self._ef_construction, layer
             )
             max_degree = self._max_m0 if layer == 0 else self._m
             # The search results are an adjacency list with nothing judged.
@@ -234,9 +234,11 @@ class HnswIndex:
         *tie_keys* (indexed by item id) come before the id in that order.
         ``ef`` overrides the index default candidate width for this query;
         it counts live candidates, so removed nodes never crowd a result out.
+        A graph with no more live nodes than the beam (``max(ef, k)``) is
+        scanned, not walked, which makes the result exact.
         *work* is an optional :class:`~repro.obs.work.WorkCounters`; the
-        graph walk is the source of truth for ``ann_distance_evals`` (one
-        unit per distance computation, descent and base layer alike).
+        search is the source of truth for ``ann_distance_evals`` (one unit
+        per distance computation, descent and base layer alike).
         """
         if k <= 0 or self._entry_point is None:
             return []
@@ -245,21 +247,33 @@ class HnswIndex:
         query_norm = float(np.linalg.norm(query))
         if not math.isfinite(query_norm):
             raise ValueError(f"query vector is not finite (norm {query_norm})")
-        evals = 0
 
-        current = self._entry_point
-        for layer in range(self._nodes[current].level, 0, -1):
-            current, walked = self._greedy_closest(query, query_norm, current, layer)
-            evals += walked
-
-        if self._removed:
-            candidates, walked = self._search_live(query, query_norm, current, ef)
+        if len(self._nodes) - self._removed <= ef:
+            # A beam this wide never evicts: the walk would return every live
+            # node it reaches, the scan returns every live node (DESIGN §17).
+            dot = np.dot
+            candidates = []
+            for node in self._nodes.values():
+                if node.item_id is not None:
+                    norm = query_norm * node.norm
+                    distance = (
+                        1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+                    )
+                    candidates.append((distance, node.item_id))
+            evals = len(candidates)
         else:
-            candidates, walked = self._search_layer(query, query_norm, [current], ef, 0)
-        evals += walked
-        if self._relabelled:
-            nodes = self._nodes
-            candidates = [(distance, nodes[key].item_id) for distance, key in candidates]
+            evals = 0
+            current = self._entry_point
+            for layer in range(self._nodes[current].level, 0, -1):
+                current, walked = self._greedy_closest(query, query_norm, current, layer)
+                evals += walked
+            candidates, walked = self._search_layer(
+                query, query_norm, current, ef, 0, live=bool(self._removed)
+            )
+            evals += walked
+            if self._relabelled:
+                nodes = self._nodes
+                candidates = [(distance, nodes[key].item_id) for distance, key in candidates]
         if tie_keys is None:
             candidates.sort()
         else:
@@ -314,34 +328,36 @@ class HnswIndex:
         self,
         query: np.ndarray,
         query_norm: float,
-        entry_points: list[int],
+        entry: int,
         ef: int,
         layer: int,
+        live: bool = False,
     ) -> tuple[list[tuple[float, int]], int]:
-        """Algorithm 2: best-first search with dynamic list of width *ef*.
+        """Algorithm 2: best-first search from *entry* with dynamic list of
+        width *ef*.
 
         Returns the ``(distance, id)`` results, unordered, and the distances
-        evaluated.
+        evaluated.  With *live*, a removed node is expanded like any other —
+        its edges may be the only way to the live nodes behind it — and never
+        enters the results, so *ef* bounds live results and the walk ends
+        once the nearest unexpanded node is farther than the worst of *ef*
+        live ones.  Inserts link to removed nodes, so they search without.
         """
         nodes = self._nodes
         dot = np.dot
         heappush, heappop = heapq.heappush, heapq.heappop
-        visited = set(entry_points)
-        candidates: list[tuple[float, int]] = []  # min-heap by distance
-        results: list[tuple[float, int]] = []  # max-heap via negated distance
-        evals = 0
-        for point in entry_points:
-            node = nodes[point]
-            norm = query_norm * node.norm
-            distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
-            evals += 1
-            heappush(candidates, (distance, point))
-            heappush(results, (-distance, point))
+        node = nodes[entry]
+        norm = query_norm * node.norm
+        distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+        evals = 1
+        visited = {entry}
+        candidates = [(distance, entry)]  # min-heap by distance
+        # max-heap via negated distance
+        results = [] if live and node.item_id is None else [(-distance, entry)]
 
         while candidates:
             distance, point = heappop(candidates)
-            worst = -results[0][0]
-            if distance > worst and len(results) >= ef:
+            if len(results) >= ef and distance > -results[0][0]:
                 break
             for neighbor_id in nodes[point].neighbors[layer]:
                 if neighbor_id in visited:
@@ -353,55 +369,9 @@ class HnswIndex:
                     1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
                 )
                 evals += 1
-                worst = -results[0][0]
-                if len(results) < ef or neighbor_distance < worst:
-                    heappush(candidates, (neighbor_distance, neighbor_id))
-                    heappush(results, (-neighbor_distance, neighbor_id))
-                    if len(results) > ef:
-                        heappop(results)
-        return [(-negated, item_id) for negated, item_id in results], evals
-
-    def _search_live(
-        self, query: np.ndarray, query_norm: float, entry: int, ef: int
-    ) -> tuple[list[tuple[float, int]], int]:
-        """:meth:`_search_layer` on layer 0 of a graph that has removed nodes.
-
-        A removed node is expanded like any other — its edges may be the
-        only way to the live nodes behind it — and never enters the results,
-        so *ef* bounds live results and the walk ends once the nearest
-        unexpanded node is farther than the worst of *ef* live ones.  Kept
-        apart from :meth:`_search_layer` so that inserts, and searches of a
-        graph with nothing removed, pay for no liveness test.
-        """
-        nodes = self._nodes
-        dot = np.dot
-        heappush, heappop = heapq.heappush, heapq.heappop
-        node = nodes[entry]
-        norm = query_norm * node.norm
-        distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
-        evals = 1
-        visited = {entry}
-        candidates = [(distance, entry)]  # min-heap by distance
-        # max-heap via negated distance, live nodes only
-        results = [] if node.item_id is None else [(-distance, entry)]
-
-        while candidates:
-            distance, point = heappop(candidates)
-            if len(results) >= ef and distance > -results[0][0]:
-                break
-            for neighbor_id in nodes[point].neighbors[0]:
-                if neighbor_id in visited:
-                    continue
-                visited.add(neighbor_id)
-                node = nodes[neighbor_id]
-                norm = query_norm * node.norm
-                neighbor_distance = (
-                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
-                )
-                evals += 1
                 if len(results) < ef or neighbor_distance < -results[0][0]:
                     heappush(candidates, (neighbor_distance, neighbor_id))
-                    if node.item_id is not None:
+                    if not live or node.item_id is not None:
                         heappush(results, (-neighbor_distance, neighbor_id))
                         if len(results) > ef:
                             heappop(results)

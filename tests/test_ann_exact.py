@@ -7,6 +7,7 @@ import pytest
 
 from repro.ann.distance import batch_cosine_distance, cosine_distance
 from repro.ann.exact import ExactKnnIndex
+from repro.ann.hnsw import HnswIndex
 
 
 class TestDistances:
@@ -30,6 +31,18 @@ class TestDistances:
 
     def test_batch_empty(self):
         assert batch_cosine_distance(np.ones(3), np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("scale", (1e-12, 5e-13, 2e-12))
+    def test_the_zero_norm_boundary_is_one_rule_on_both_backends(self, scale):
+        """A norm product of exactly ``ZERO_NORM`` still has a direction:
+        every definition and both backends compare with ``<``."""
+        stored, query = np.array([1.0, 0.0]), np.array([scale, 0.0])
+        expected = cosine_distance(query, stored)
+        assert expected == (1.0 if scale < 1e-12 else 0.0)
+        assert batch_cosine_distance(query, stored[None, :]).tolist() == [expected]
+        for index in (ExactKnnIndex(dim=2), HnswIndex(dim=2)):
+            index.add(0, stored)
+            assert index.search(query, 1) == [(0, expected)]
 
 
 class TestExactKnn:

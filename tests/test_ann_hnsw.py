@@ -177,6 +177,39 @@ class TestHnswWork:
         assert index._nodes[roomy].neighbors[0][-1] == 10_000
         assert index._nodes[roomy].distances[0][-1] == 0.25
 
+    @pytest.mark.parametrize("edit", ("none", "remove", "relabel"))
+    def test_a_graph_no_wider_than_its_beam_is_scanned_once(self, monkeypatch, edit):
+        """With no more live nodes than the beam a search walks nothing: it
+        evaluates every live node once — one ``np.dot`` and one
+        ``ann_distance_evals`` unit apiece, none for a removed node — and
+        cuts them in ``(distance, tie key, id)`` order."""
+        vectors = _unit_rows(56, 8, seed=14)
+        index = HnswIndex(dim=8, m=4, ef_construction=20, ef_search=60, seed=2)
+        for i, row in enumerate(vectors):
+            index.add(i, row)
+        for item_id in (56, 57, 58, 59):  # a four-way tie with vector 0
+            index.add(item_id, vectors[0])
+        if edit == "remove":
+            for item_id in range(1, 56, 5):
+                index.remove(item_id)
+        elif edit == "relabel":
+            for item_id in (0, 57, 12):
+                index.relabel(item_id, 100 + item_id)
+        live = [i for i in range(200) if i in index]
+        tie_keys = np.full(200, 9, dtype=np.int64)
+        tie_keys[[100, 59, 58]] = [2, 1, 0]
+        for walk in ("_greedy_closest", "_search_layer"):
+            monkeypatch.setattr(HnswIndex, walk, lambda *args: pytest.fail("walked"))
+        dots = []
+        dot = np.dot
+        monkeypatch.setattr(np, "dot", lambda a, b: dots.append(1) or dot(a, b))
+        work = WorkCounters()
+        hits = index.search(vectors[0], len(live), work=work, tie_keys=tie_keys)
+        assert len(dots) == work.get(WORK_ANN_DISTANCE_EVALS) == len(live)
+        assert sorted(i for i, _ in hits) == live
+        assert hits == sorted(hits, key=lambda hit: (hit[1], tie_keys[hit[0]], hit[0]))
+        tie = [58, 59, 100, 56, 157] if edit == "relabel" else [58, 59, 0, 56, 57]
+        assert [i for i, _ in hits[:5]] == tie
 
     def test_removed_nodes_cost_a_walk_through_not_an_over_fetch(self):
         """The index used to be asked for ``k + dead`` neighbours and the
@@ -352,14 +385,23 @@ class TestHnswRemovedRouting:
             index.relabel(5, 3)
 
     def test_an_untouched_graph_walks_the_old_loop(self, populated, monkeypatch):
-        """With nothing removed the search never enters the liveness-aware
-        loop — the no-tombstone walk costs what it cost."""
+        """With nothing removed the search never asks the walk for liveness
+        — the no-tombstone walk costs what it cost — and with a node removed
+        it does."""
         index, vectors = populated
-        monkeypatch.setattr(
-            HnswIndex, "_search_live", lambda *args: pytest.fail("liveness walk on a clean graph")
-        )
+        walks = []
+        search_layer = HnswIndex._search_layer
+
+        def recorded(self, *args, live=False):
+            walks.append(live)
+            return search_layer(self, *args, live=live)
+
+        monkeypatch.setattr(HnswIndex, "_search_layer", recorded)
         index.relabel(9, 309)
         assert index.search(vectors[9], 1)[0][0] == 309
+        index.remove(10)
+        assert index.search(vectors[10], 1)[0][0] != 10
+        assert walks == [False, True]
 
 
 class TestHnswRecall:

@@ -6,8 +6,12 @@ stored: every pair goes through ``cosine_distance`` (two norms, one dot).
 The serving index evaluates the same expression with both norms taken ahead
 of time, so nothing observable may move: after every ``add`` the two graphs
 hold the same neighbour lists in the same order on every layer and the same
-entry point, and every ``search`` returns the same ids, the same distance
-bits and books the same ``ann_distance_evals``.
+entry point, and every ``search`` that walks the graph returns the same ids,
+the same distance bits and books the same ``ann_distance_evals``.  A search
+whose beam is at least the node count scans instead of walking (DESIGN.md
+§17): it returns brute force over ``cosine_distance`` bit for bit, books one
+evaluation per node and is at no rank farther than the reference walk — which
+misses what a disconnected graph does not reach (the pinned ``@example``).
 
 The inputs are the ones where a last-bit difference would show: duplicated
 vectors (exact distance ties, broken by id), a zero vector (the ``1.0``
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ann.distance import cosine_distance
@@ -61,6 +65,7 @@ def _vectors(generator: np.random.Generator, n: int, dim: int) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
     data_seed=st.integers(0, 2**32 - 1),
 )
+@example(n=14, dim=3, m=2, ef_construction=1, seed=0, data_seed=0)
 @settings(max_examples=25, deadline=None)
 def test_graphs_searches_and_work_equal_the_reference(
     n, dim, m, ef_construction, seed, data_seed
@@ -84,8 +89,18 @@ def test_graphs_searches_and_work_equal_the_reference(
         work, reference_work = WorkCounters(), WorkCounters()
         found = index.search(query, k, ef=ef, work=work)
         expected = reference.search(query, k, ef=ef, work=reference_work)
-        assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for i, d in expected]
-        assert work.counts == reference_work.counts
+        if max(index.ef_search if ef is None else ef, k) < n:
+            assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for i, d in expected]
+            assert work.counts == reference_work.counts
+        else:
+            # A beam as wide as the graph scans it: brute force, never
+            # farther at any rank than the walk, which can miss the nodes
+            # a disconnected graph does not reach.
+            brute = sorted((cosine_distance(query, row), i) for i, row in zip(item_ids, rows))
+            assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for d, i in brute[:k]]
+            assert work.get(WORK_ANN_DISTANCE_EVALS) == n
+            assert len(found) >= len(expected)
+            assert all(mine[1] <= walked[1] for mine, walked in zip(found, expected))
         assert work.get(WORK_ANN_DISTANCE_EVALS) > 0
         assert index.search(query, k, ef=ef) == found
 

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
 
 #: Total lines of ``src/repro/**/*.py`` at the last PR that moved it.
-CEILING = 23897
+CEILING = 23867
 
 
 def test_source_lines_stay_under_the_ceiling():
