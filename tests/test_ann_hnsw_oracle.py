@@ -8,9 +8,10 @@ of time, so nothing observable may move: after every ``add`` the two graphs
 hold the same neighbour lists in the same order on every layer and the same
 entry point, and every ``search`` that walks the graph returns the same ids,
 the same distance bits and books the same ``ann_distance_evals``.  A search
-whose beam is at least the node count scans instead of walking (DESIGN.md
-§17): it returns brute force over ``cosine_distance`` bit for bit, books one
-evaluation per node and is at no rank farther than the reference walk — which
+over a graph of at most four beams of rows scans instead of walking
+(DESIGN.md §17): it returns brute force over ``cosine_distance`` bit for bit
+in ``(distance, id)`` order, books one evaluation per row and is at no rank
+farther than the reference walk — which can miss the exact neighbours, and
 misses what a disconnected graph does not reach (the pinned ``@example``).
 
 The inputs are the ones where a last-bit difference would show: duplicated
@@ -32,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ann.distance import cosine_distance
-from repro.ann.hnsw import HnswIndex
+from repro.ann.hnsw import SCAN_BEAMS, HnswIndex
 from repro.obs.work import WORK_ANN_DISTANCE_EVALS, WorkCounters
 from tests.reference_hnsw import HnswIndex as ReferenceHnswIndex
 
@@ -83,19 +84,22 @@ def test_graphs_searches_and_work_equal_the_reference(
 
     queries = [generator.standard_normal(dim) for _ in range(4)]
     queries += [rows[generator.integers(0, n)], 7.0 * rows[0], np.zeros(dim)]
-    for query in queries:
-        k = int(generator.integers(1, n + 5))
-        ef = None if generator.random() < 0.3 else int(generator.integers(1, 150))
+    for number, query in enumerate(queries):
+        if number % 2:
+            k = int(generator.integers(1, n + 5))
+            ef = None if generator.random() < 0.3 else int(generator.integers(1, 150))
+        else:  # a beam narrow enough to walk a graph wider than four of it
+            k, ef = (int(generator.integers(1, max(2, n // 4))) for _ in range(2))
         work, reference_work = WorkCounters(), WorkCounters()
         found = index.search(query, k, ef=ef, work=work)
         expected = reference.search(query, k, ef=ef, work=reference_work)
-        if max(index.ef_search if ef is None else ef, k) < n:
+        if SCAN_BEAMS * max(index.ef_search if ef is None else ef, k) < n:
             assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for i, d in expected]
             assert work.counts == reference_work.counts
         else:
-            # A beam as wide as the graph scans it: brute force, never
-            # farther at any rank than the walk, which can miss the nodes
-            # a disconnected graph does not reach.
+            # Four beams as wide as the graph scan it: brute force, never
+            # farther at any rank than the walk, which can miss exact
+            # neighbours and the nodes a disconnected graph does not reach.
             brute = sorted((cosine_distance(query, row), i) for i, row in zip(item_ids, rows))
             assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for d, i in brute[:k]]
             assert work.get(WORK_ANN_DISTANCE_EVALS) == n
