@@ -74,7 +74,7 @@ class TestExactKnn:
         with pytest.raises(ValueError, match="not finite"):
             index.add(1, np.array([bad, 1.0]))
         index.add(2, np.array([0.0, 1.0]))
-        assert len(index) == 2 and index.ids.tolist() == [0, 2]
+        assert len(index) == 2 and index._store.labels[: len(index)].tolist() == [0, 2]
         assert index.search(np.array([0.0, 1.0]), 5) == [(2, 0.0), (0, 1.0)]
 
     def test_non_finite_query_rejected(self):
@@ -116,7 +116,7 @@ class TestExactKnn:
         for item_id, row in enumerate(rows):
             index.add(item_id, row)
         for query in (generator.standard_normal(dim), rows[3], np.zeros(dim)):
-            reference = batch_cosine_distance(query, index.matrix)
+            reference = batch_cosine_distance(query, index._store.rows[: len(index)])
             found = dict(index.search(query, len(rows)))
             assert [found[item_id] for item_id in range(len(rows))] == reference.tolist()
         assert dict(index.search(rows[3], len(rows)))[17] == 1.0
