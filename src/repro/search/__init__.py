@@ -7,7 +7,6 @@ from repro.search.fusion import DEFAULT_RRF_CONSTANT, reciprocal_rank_fusion
 from repro.search.hybrid import HybridSearchConfig, HybridSemanticSearch
 from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
-from repro.search.keywords import enrich_record, extract_llm_keywords
 from repro.search.persistence import load_index, save_index
 from repro.search.reranker import SemanticReranker
 from repro.search.results import RetrievedChunk, dedupe_by_document
@@ -29,8 +28,6 @@ __all__ = [
     "HybridSemanticSearch",
     "SearchIndex",
     "InvertedIndex",
-    "enrich_record",
-    "extract_llm_keywords",
     "load_index",
     "save_index",
     "SemanticReranker",

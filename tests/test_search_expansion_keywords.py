@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pipeline.enrichment import MetadataEnricher, extract_llm_keywords
 from repro.search.expansion import Mq1Expansion, Mq2Expansion, QgaExpansion
-from repro.search.keywords import enrich_record, extract_llm_keywords
-from repro.search.schema import ChunkRecord
 
 
 @pytest.fixture(scope="module")
@@ -78,21 +77,16 @@ class TestKeywordEnrichment:
         )
         assert len(with_content) >= len(title_only)
 
-    def test_enrich_record_variants(self, llm):
-        record = ChunkRecord(
-            chunk_id="d#0",
-            doc_id="d",
-            title="Attivare la carta di credito",
-            content="Per attivare la carta di credito accedere a GestCarte.",
-        )
-        assert enrich_record(record, llm, "none") is record
-        kt = enrich_record(record, llm, "kt")
-        ktc = enrich_record(record, llm, "ktc")
-        assert kt.llm_keywords
-        assert ktc.llm_keywords
-        assert kt.chunk_id == record.chunk_id
+    def test_enricher_variants(self, llm):
+        title = "Attivare la carta di credito"
+        text = "Per attivare la carta di credito accedere a GestCarte."
+        assert MetadataEnricher(llm).enrich(title, text).keywords == ()
+        kt = MetadataEnricher(llm, "kt").enrich(title, text)
+        ktc = MetadataEnricher(llm, "ktc").enrich(title, text)
+        assert kt.keywords == extract_llm_keywords(llm, title)
+        assert ktc.keywords == extract_llm_keywords(llm, title, text)
+        assert kt.summary == ktc.summary
 
     def test_invalid_variant(self, llm):
-        record = ChunkRecord(chunk_id="d#0", doc_id="d", title="t", content="c")
         with pytest.raises(ValueError):
-            enrich_record(record, llm, "full")
+            MetadataEnricher(llm, "full")
