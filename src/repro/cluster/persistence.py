@@ -11,13 +11,12 @@ a reload.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.cluster.planner import ShardPlanner
 from repro.cluster.sharded_index import ShardedSearchIndex
 from repro.embeddings.model import EmbeddingModel
-from repro.search.persistence import load_index, save_index
+from repro.search.persistence import load_index, replace_file, save_index
 from repro.text.analyzer import ItalianAnalyzer
 
 _FORMAT_VERSION = 1
@@ -62,9 +61,7 @@ def save_cluster(index: ShardedSearchIndex, directory: str | Path) -> Path:
         "next_ordinal": index.next_ordinal,
         "ordinals": index.live_ordinals(),
     }
-    temporary = directory / (_MANIFEST + ".tmp")
-    temporary.write_text(json.dumps(manifest, ensure_ascii=False))
-    os.replace(temporary, directory / _MANIFEST)
+    replace_file(directory / _MANIFEST, json.dumps(manifest, ensure_ascii=False).encode())
     return directory
 
 
