@@ -16,7 +16,7 @@ from repro.embeddings.concepts import (
     concept_overlap,
     fingerprint_cosine,
 )
-from repro.embeddings.model import EmbeddingModel, SyntheticAdaEmbedder, cosine_similarity
+from repro.embeddings.model import EmbeddingModel, SyntheticAdaEmbedder
 
 __all__ = [
     "AdaptedEmbedder",
@@ -33,5 +33,4 @@ __all__ = [
     "fingerprint_cosine",
     "EmbeddingModel",
     "SyntheticAdaEmbedder",
-    "cosine_similarity",
 ]

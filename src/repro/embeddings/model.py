@@ -164,11 +164,3 @@ class SyntheticAdaEmbedder:
 
         remember_word(self._term_cache, token, vector, cap=self._term_cache_cap)
         return vector
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity between two vectors (0 if either is null)."""
-    norm = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    if norm < 1e-12:
-        return 0.0
-    return float(np.dot(a, b)) / norm

@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ann.distance import cosine_distance
 from repro.embeddings.concepts import Concept, ConceptLexicon
-from repro.embeddings.model import SyntheticAdaEmbedder, cosine_similarity
+from repro.embeddings.model import SyntheticAdaEmbedder
+
+
+def _similarity(a, b) -> float:
+    return 1.0 - cosine_distance(a, b)
 
 
 @pytest.fixture()
@@ -47,7 +52,7 @@ class TestSyntheticAdaEmbedder:
         canonical = embedder.embed("il bonifico del cliente")
         paraphrase = embedder.embed("il trasferimento fondi del cliente")
         unrelated = embedder.embed("il token di sicurezza del cliente")
-        assert cosine_similarity(canonical, paraphrase) > cosine_similarity(canonical, unrelated)
+        assert _similarity(canonical, paraphrase) > _similarity(canonical, unrelated)
 
     def test_paraphrase_beats_lexical_noise(self, embedder):
         """The property hybrid search needs from the real ada-002."""
@@ -55,7 +60,7 @@ class TestSyntheticAdaEmbedder:
         right_doc = "procedura per attivare il bonifico tramite il portale"
         wrong_doc = "procedura per attivare il token di sicurezza tramite il portale"
         q = embedder.embed(question)
-        assert cosine_similarity(q, embedder.embed(right_doc)) > cosine_similarity(
+        assert _similarity(q, embedder.embed(right_doc)) > _similarity(
             q, embedder.embed(wrong_doc)
         )
 
@@ -82,16 +87,16 @@ class TestSyntheticAdaEmbedder:
         embedder = SyntheticAdaEmbedder(None, dim=64)
         a = embedder.embed("bonifico estero")
         b = embedder.embed("bonifico estero urgente")
-        assert cosine_similarity(a, b) > 0.3
+        assert _similarity(a, b) > 0.3
 
 
 class TestCosineSimilarity:
     def test_identical(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
+        assert _similarity(v, v) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert _similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_zero_vector(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+        assert _similarity(np.zeros(3), np.ones(3)) == 0.0
