@@ -99,8 +99,6 @@ def _cmd_ask(args: argparse.Namespace) -> int:
             profile=args.profile,
             request_id="cli-ask" if (args.trace or args.profile) else "",
             route=args.route,
-            priority=args.priority,
-            deadline_ms=args.deadline_ms,
         ),
     )
     for _ in range(max(1, args.repeat)):
@@ -323,7 +321,7 @@ def _cmd_canary(args: argparse.Namespace) -> int:
 
 def _cmd_incident(args: argparse.Namespace) -> int:
     from repro.api import create_backend
-    from repro.autoscale.loadgen import (
+    from repro.service.loadtest import (
         CHAOS_EPOCH_FLIP,
         CHAOS_KILL,
         ChaosEvent,
@@ -362,7 +360,7 @@ def _cmd_incident(args: argparse.Namespace) -> int:
     # The canonical pageable fault: kill one replica a third of the way in,
     # then flip the cache epoch shortly after so the re-scattering herd
     # actually sees the dark shard (cache hits never go partial).  No
-    # revive and no autoscaler — the incident stays open.
+    # revive — the incident stays open.
     chaos: tuple[ChaosEvent, ...] = ()
     if args.chaos:
         kill_at = args.duration / 3.0
@@ -492,19 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         "--show-route",
         action="store_true",
         help="print the route the orchestrator chose for the question",
-    )
-    ask.add_argument(
-        "--priority",
-        default="interactive",
-        choices=["interactive", "batch", "canary"],
-        help="QoS priority class of the request (admission sheds canary and batch first)",
-    )
-    ask.add_argument(
-        "--deadline-ms",
-        type=int,
-        default=None,
-        help="client deadline in milliseconds; an admission-enabled backend degrades "
-        "or rejects requests whose deadline full service cannot meet",
     )
     ask.set_defaults(func=_cmd_ask)
 

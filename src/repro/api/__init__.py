@@ -27,10 +27,6 @@ from repro.api.types import (
     CACHE_DEFAULT,
     CACHE_POLICIES,
     CACHE_REFRESH,
-    PRIORITIES,
-    PRIORITY_BATCH,
-    PRIORITY_CANARY,
-    PRIORITY_INTERACTIVE,
     AskOptions,
     AskRequest,
     AskResponse,
@@ -42,9 +38,6 @@ from repro.core.answer import ALL_OUTCOMES, OUTCOME_ANSWERED, Citation, UniAskAn
 #: import ``repro.core.engine`` directly or transitively, so importing
 #: them here at module level would create a cycle.
 _LAZY = {
-    "AdmissionConfig": ("repro.autoscale.config", "AdmissionConfig"),
-    "AdmissionError": ("repro.core.errors", "AdmissionError"),
-    "AutoscaleConfig": ("repro.autoscale.config", "AutoscaleConfig"),
     "ClusterConfig": ("repro.cluster.config", "ClusterConfig"),
     "GenerationConfig": ("repro.core.config", "GenerationConfig"),
     "HybridSearchConfig": ("repro.search.hybrid", "HybridSearchConfig"),
@@ -55,12 +48,9 @@ _LAZY = {
 
 __all__ = [
     "ALL_OUTCOMES",
-    "AdmissionConfig",
-    "AdmissionError",
     "AskOptions",
     "AskRequest",
     "AskResponse",
-    "AutoscaleConfig",
     "CACHE_BYPASS",
     "CACHE_DEFAULT",
     "CACHE_POLICIES",
@@ -71,10 +61,6 @@ __all__ = [
     "GenerationConfig",
     "HybridSearchConfig",
     "OUTCOME_ANSWERED",
-    "PRIORITIES",
-    "PRIORITY_BATCH",
-    "PRIORITY_CANARY",
-    "PRIORITY_INTERACTIVE",
     "TelemetryConfig",
     "UniAskAnswer",
     "UniAskConfig",

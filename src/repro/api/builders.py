@@ -42,30 +42,16 @@ def create_backend(system: "UniAskSystem", tracing: bool = False, **kwargs):
     configuration; extra keyword arguments (latency model parameters,
     seeds) pass through to the service constructor.
 
-    QoS wiring follows the system's config: an admission-enabled
-    deployment gets an
-    :class:`~repro.autoscale.admission.AdmissionController`, an
-    autoscale-enabled cluster threads ``system.autoscaler`` into the
-    serve loop, and an incident-enabled deployment gets an
+    An incident-enabled deployment gets an
     :class:`~repro.obs.incident.IncidentManager` over the system's
-    flight recorder.  All stay None — and the service byte-identical —
-    when the config leaves them off.  Explicit ``admission=`` /
-    ``autoscaler=`` / ``incidents=`` keyword arguments win over the
-    config-driven wiring.  Request coalescing follows the cache switch and
+    flight recorder; it stays None — and the service byte-identical —
+    when the config leaves it off.  An explicit ``incidents=`` keyword
+    argument wins over the config-driven wiring.  Request coalescing follows the cache switch and
     has no override: it is one of the four tiers ``CacheConfig.enabled``
     turns on.
     """
     from repro.service.backend import BackendService
 
-    if "admission" not in kwargs and system.config.autoscale.admission.enabled:
-        from repro.autoscale.admission import AdmissionController
-
-        kwargs["admission"] = AdmissionController(
-            registry=system.telemetry.registry,
-            recorder=system.recorder,
-        )
-    if "autoscaler" not in kwargs and system.autoscaler is not None:
-        kwargs["autoscaler"] = system.autoscaler
     if "incidents" not in kwargs and system.config.incident.enabled:
         from repro.obs.incident import IncidentManager
 

@@ -21,15 +21,6 @@ CACHE_REFRESH = "refresh"  # recompute and overwrite the cached entry
 
 CACHE_POLICIES = (CACHE_DEFAULT, CACHE_BYPASS, CACHE_REFRESH)
 
-#: Priority classes of one request, ordered from most to least protected.
-#: Under load the admission controller sheds canary traffic first, then
-#: batch, and keeps interactive requests at full quality the longest.
-PRIORITY_INTERACTIVE = "interactive"
-PRIORITY_BATCH = "batch"
-PRIORITY_CANARY = "canary"
-
-PRIORITIES = (PRIORITY_INTERACTIVE, PRIORITY_BATCH, PRIORITY_CANARY)
-
 
 @dataclass(frozen=True)
 class AskOptions:
@@ -58,16 +49,6 @@ class AskOptions:
             backend injects its session token here, so anaphoric turns
             resolve against the right conversation.  "" disables session
             memory for the request.
-        priority: one of :data:`PRIORITIES`.  Under overload the admission
-            controller degrades and sheds lower priorities first; with the
-            default (interactive) and admission disabled the field is
-            inert.
-        deadline_ms: client deadline in milliseconds, or None for no
-            deadline.  When admission control is enabled the backend
-            serves the request at the cheapest degrade level that can
-            meet the deadline, and rejects it (typed
-            :class:`~repro.core.errors.AdmissionError`) when even a fully
-            degraded answer cannot.
         profile: request deterministic work accounting (and, implicitly,
             a per-stage trace — profiling piggybacks on spans).  The
             accrued counts ride back on ``response.work`` as a
@@ -84,21 +65,12 @@ class AskOptions:
     route: str = ""
     session_id: str = ""
     profile: bool = False
-    priority: str = PRIORITY_INTERACTIVE
-    deadline_ms: int | None = None
 
     def __post_init__(self) -> None:
         if self.cache not in CACHE_POLICIES:
             raise ValueError(f"cache policy must be one of {CACHE_POLICIES}")
         if self.route and self.route not in ALL_ROUTES:
             raise ValueError(f"route must be one of {ALL_ROUTES} (or empty)")
-        if self.priority not in PRIORITIES:
-            raise ValueError(f"priority must be one of {PRIORITIES}")
-        if self.deadline_ms is not None:
-            if isinstance(self.deadline_ms, bool) or not isinstance(self.deadline_ms, int):
-                raise ValueError("deadline_ms must be a positive integer or None")
-            if self.deadline_ms <= 0:
-                raise ValueError("deadline_ms must be a positive integer or None")
 
 
 @dataclass(frozen=True)
@@ -145,12 +117,3 @@ class AskResponse:
     explain = read_through("answer.explain_report", "The ExplainReport, when requested.")
     route = read_through("answer.route", "The agent route (\"\" when agents are off).")
     work = read_through("answer.work", "Deterministic work counts, when profiling.")
-    #: 0 = full pipeline, 1 = answer-cache only, 2 = BM25-only degraded
-    #: answer.  Level-3 requests raise
-    #: :class:`~repro.core.errors.AdmissionError` instead of responding.
-    degrade_level = read_through("answer.degrade_level", "The shedding-ladder level served.")
-
-    @property
-    def shed(self) -> bool:
-        """True when admission control served less than the full pipeline."""
-        return self.answer.degrade_level > 0

@@ -122,16 +122,10 @@ class Replica:
 
 @dataclass
 class ReplicaGroup:
-    """The replicas serving one shard.
-
-    ``next_index`` is the monotonic replica-id counter: ids are never
-    reused, so a replica added after a scale-down gets a fresh name and
-    health/metric histories stay unambiguous.
-    """
+    """The replicas serving one shard."""
 
     shard_id: int
     replicas: list[Replica] = field(default_factory=list)
-    next_index: int = 0
 
     @classmethod
     def build(cls, shard_id: int, config: ClusterConfig) -> "ReplicaGroup":
@@ -139,35 +133,7 @@ class ReplicaGroup:
         return cls(
             shard_id=shard_id,
             replicas=[Replica(f"s{shard_id}/r{i}") for i in range(config.replicas)],
-            next_index=config.replicas,
         )
-
-    def add_replica(self) -> Replica:
-        """Grow the group by one healthy replica (scale-up)."""
-        replica = Replica(f"s{self.shard_id}/r{self.next_index}")
-        self.next_index += 1
-        self.replicas.append(replica)
-        return replica
-
-    def remove_replica(self) -> Replica:
-        """Shrink the group by one alive replica (scale-down).
-
-        Prefers draining a dead replica (garbage collection); otherwise
-        removes the newest alive one.  The group must keep at least one
-        alive replica.
-        """
-        alive = [replica for replica in self.replicas if replica.alive]
-        dead = [replica for replica in self.replicas if not replica.alive]
-        if dead:
-            victim = dead[-1]
-        else:
-            if len(alive) <= 1:
-                raise ValueError(
-                    f"shard {self.shard_id} must keep at least one alive replica"
-                )
-            victim = alive[-1]
-        self.replicas.remove(victim)
-        return victim
 
     def rotation(self, turn: int) -> list[Replica]:
         """The replicas starting from the round-robin primary of *turn*."""

@@ -227,12 +227,6 @@ class ClusterSearcher:
         cluster_config: serving parameters (deadlines, replicas, hedging).
         clock: the deployment's simulated clock; replica health windows
             (mark-down cooldowns) are evaluated against it.
-        hedge_budget: optional
-            :class:`~repro.autoscale.hedging.AdaptiveHedgeBudget`; when
-            set, each hedge opportunity first asks the budget, and a
-            denied probe behaves exactly as if no sibling were
-            available.  The default None keeps the pre-autoscale hedge
-            behaviour byte-identical.
         profile: scoring profile forwarded to each shard's text leg.
         cache: enables the per-shard retrieval-result cache (off leaves
             the scatter path untouched).
@@ -252,7 +246,6 @@ class ClusterSearcher:
         profile: ScoringProfile | None = None,
         registry: MetricsRegistry | None = None,
         cache: bool = False,
-        hedge_budget=None,
         recorder=None,
     ) -> None:
         self.config = config or HybridSearchConfig()
@@ -277,7 +270,6 @@ class ClusterSearcher:
             "uniask_partial_scatters_total",
             "Queries degraded to partial results (some shard missed its deadline).",
         )
-        self.hedge_budget = hedge_budget
         self._groups: dict[int, ReplicaGroup] = {}
         self._fulltext: dict[int, FullTextSearch] = {}
         self._vector: dict[int, VectorSearch] = {}
@@ -351,41 +343,6 @@ class ClusterSearcher:
         self._sync_topology()
         return list(self._groups[shard_id].replicas)
 
-    def add_replica(self, shard_id: int) -> str:
-        """Scale *shard_id* up by one healthy replica; returns its id."""
-        self._sync_topology()
-        replica_id = self._groups[shard_id].add_replica().replica_id
-        if self.recorder is not None:
-            self.recorder.record(
-                "topology_change",
-                "router",
-                action="add_replica",
-                shard_id=shard_id,
-                replica_id=replica_id,
-            )
-            self._last_alive[f"s{shard_id}/{replica_id}"] = True
-        return replica_id
-
-    def remove_replica(self, shard_id: int) -> str:
-        """Scale *shard_id* down by one replica; returns the removed id.
-
-        Drains a dead replica when one exists, otherwise retires the
-        newest alive one; the group always keeps at least one alive
-        replica (the caller enforces any higher floor).
-        """
-        self._sync_topology()
-        replica_id = self._groups[shard_id].remove_replica().replica_id
-        if self.recorder is not None:
-            self.recorder.record(
-                "topology_change",
-                "router",
-                action="remove_replica",
-                shard_id=shard_id,
-                replica_id=replica_id,
-            )
-            self._last_alive.pop(f"s{shard_id}/{replica_id}", None)
-        return replica_id
-
     # -- serving -----------------------------------------------------------
 
     def search(
@@ -411,7 +368,7 @@ class ClusterSearcher:
         filters: dict[str, str] | None = None,
         ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
-        """BM25-only scatter for admission-degraded requests (level 2).
+        """BM25-only scatter: the router's text legs alone.
 
         The same scatter loop as :meth:`search` (replica health, hedging,
         partial degradation and work accounting all apply) gathering only
@@ -665,10 +622,6 @@ class ClusterSearcher:
             )
 
         sibling = candidates[1] if len(candidates) > 1 else None
-        if sibling is not None and self.hedge_budget is not None and not self.hedge_budget.allow():
-            # Budget exhausted: at high utilization a hedged retry is pure
-            # load amplification, so the probe proceeds unhedged.
-            sibling = None
         if sibling is None:
             # Nobody to hedge to: the primary either makes the deadline
             # alone or the shard degrades.

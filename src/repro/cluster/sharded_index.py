@@ -254,7 +254,7 @@ class ShardedSearchIndex:
     def rebalance_shard(self, from_shard: int, to_shard: int, fraction: float = 0.25) -> int:
         """Move a bounded slice of *from_shard*'s documents to *to_shard*.
 
-        The autoscaler's hot-shard relief valve: pins the lowest
+        A hot-shard relief valve: pins the lowest
         ``fraction`` of *from_shard*'s documents (by doc id, so repeated
         calls are deterministic) onto *to_shard* in the placement ring
         and migrates exactly those — the planner's minimal-movement

@@ -24,7 +24,6 @@ OUTCOME_GUARDRAIL_CLARIFICATION = "guardrail_clarification"
 OUTCOME_CONTENT_FILTER = "content_filter"
 OUTCOME_NO_RESULTS = "no_results"
 OUTCOME_GENERATION_ERROR = "generation_error"
-OUTCOME_DEGRADED = "degraded"
 
 ALL_OUTCOMES = (
     OUTCOME_ANSWERED,
@@ -34,7 +33,6 @@ ALL_OUTCOMES = (
     OUTCOME_CONTENT_FILTER,
     OUTCOME_NO_RESULTS,
     OUTCOME_GENERATION_ERROR,
-    OUTCOME_DEGRADED,
 )
 
 
@@ -108,10 +106,6 @@ class UniAskAnswer:
             request (see :mod:`repro.cache`).
         cache_similarity: cosine similarity of the reused entry for
             semantic hits (1.0 for exact hits, 0.0 otherwise).
-        degrade_level: the admission shedding-ladder level that served the
-            request — 0 full pipeline, 1 answer-cache only, 2 BM25-only
-            degraded answer (outcome :data:`OUTCOME_DEGRADED` unless the
-            content filter fired first).
         partial_results: True when the query was served by a degraded
             cluster — at least one shard missed its deadline, so
             ``documents`` covers only the shards that answered.
@@ -130,7 +124,6 @@ class UniAskAnswer:
     route: str = ""
     cache_hit: str = ""
     cache_similarity: float = 0.0
-    degrade_level: int = 0
     partial_results: bool = False
     trace: Trace | None = None
     work: dict[str, int] | None = None

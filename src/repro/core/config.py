@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.agents.config import AgentsConfig
-from repro.autoscale.config import AutoscaleConfig
 from repro.cache.config import CacheConfig
 from repro.cluster.config import ClusterConfig
 from repro.guardrails.rouge import DEFAULT_ROUGE_THRESHOLD
@@ -39,6 +38,5 @@ class UniAskConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
     agents: AgentsConfig = field(default_factory=AgentsConfig)
-    autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
     incident: IncidentConfig = field(default_factory=IncidentConfig)
     rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD

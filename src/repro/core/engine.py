@@ -29,7 +29,6 @@ from dataclasses import replace
 from repro.agents.routes import ROUTE_CONVERSATIONAL, ROUTE_FOLLOW_UP, ROUTE_LOOKUP
 from repro.api.types import (
     CACHE_BYPASS,
-    CACHE_DEFAULT,
     CACHE_REFRESH,
     AskOptions,
     AskRequest,
@@ -39,7 +38,6 @@ from repro.cache.answer_cache import AnswerCache, CacheHit
 from repro.core.answer import (
     OUTCOME_ANSWERED,
     OUTCOME_CONTENT_FILTER,
-    OUTCOME_DEGRADED,
     OUTCOME_GENERATION_ERROR,
     OUTCOME_GUARDRAIL_CITATION,
     OUTCOME_GUARDRAIL_CLARIFICATION,
@@ -72,14 +70,6 @@ CONTENT_BLOCKED_TEXT = (
 NO_RESULTS_TEXT = (
     "Nessun documento pertinente è stato trovato nella base di conoscenza "
     "per questa domanda."
-)
-
-#: Message shown on a BM25-only degraded answer (admission level 2): the
-#: document list is fresh, but no generated answer accompanies it.
-DEGRADED_SERVICE_TEXT = (
-    "Il servizio è al momento in modalità ridotta: ecco i documenti più "
-    "pertinenti trovati per la domanda. Riprova tra qualche istante per "
-    "una risposta completa."
 )
 
 #: Outcomes the answer cache may store.  Content-filter blocks and
@@ -137,7 +127,6 @@ class UniAskEngine:
         self,
         request: AskRequest | str,
         ctx: RequestContext | None = None,
-        degrade_level: int = 0,
     ) -> AskResponse:
         """Answer *request*; never raises on ordinary pipeline outcomes.
 
@@ -150,17 +139,7 @@ class UniAskEngine:
         the merged cluster scatter report — ride on it and come back on the
         response; nothing is kept on the engine.  ``options.cache`` selects
         the cache policy; it is inert without an answer cache.
-
-        *degrade_level* is the admission shedding-ladder level granted to
-        the request (see :mod:`repro.autoscale.admission`): 0 runs the
-        full pipeline, 1 serves from the answer cache only (falling
-        through to 2 on a miss), 2 returns a BM25-only degraded answer.
-        Level 3 (rejection) never reaches the engine — the backend
-        raises the typed :class:`~repro.core.errors.AdmissionError`
-        upstream.
         """
-        if not 0 <= degrade_level <= 2:
-            raise ValueError("degrade_level must be 0, 1 or 2")
         if isinstance(request, str):
             request = AskRequest(question=request)
         question = request.question
@@ -181,19 +160,11 @@ class UniAskEngine:
         trace, work = ctx.trace, ctx.work
         with trace.span(spans.STAGE_ASK, question_chars=len(question)) as root:
             route = ""
-            resolved = question
-            if degrade_level > 0:
-                # Shed requests never consult the orchestrator: agent
-                # routing is part of the full pipeline being shed.
-                content, hit = self._answer_degraded(question, options, ctx, degrade_level)
-                degrade_level = 1 if hit is not None else 2
-                root.set("degrade_level", degrade_level)
-            else:
-                if self.orchestrator is not None:
-                    route = self.orchestrator.resolve_route(question, options, ctx).route
-                content, hit, resolved = self._answer_cached(question, options, ctx, route)
+            if self.orchestrator is not None:
+                route = self.orchestrator.resolve_route(question, options, ctx).route
+            content, hit, resolved = self._answer_cached(question, options, ctx, route)
             # The request's one envelope, set in place from here on.
-            answer = UniAskAnswer(content, question, route, degrade_level=degrade_level)
+            answer = UniAskAnswer(content, question, route)
             if hit is not None:
                 answer.cache_hit, answer.cache_similarity = hit.kind, hit.similarity
             if route:
@@ -284,43 +255,6 @@ class UniAskEngine:
             )
             span.set("hit", hit.kind if hit is not None else "")
         return hit
-
-    def _answer_degraded(
-        self, question: str, options: AskOptions, ctx: RequestContext, level: int
-    ) -> tuple[AnswerContent, CacheHit | None]:
-        """Serve under the admission shedding ladder (level 1 or 2).
-
-        Level 1 consults the answer cache only: a hit returns the cached
-        full-quality content with its hit (the request is served at level
-        1), a miss falls through to the level-2 path.  Level 2 runs content
-        screening plus BM25-only retrieval and returns the fresh document
-        list with the degraded-service message — no embedding, no
-        reranker, no LLM call, no guardrails.  Degraded answers are never
-        stored in the answer cache (:data:`OUTCOME_DEGRADED` is not
-        cacheable, and this path never reaches the store).
-        """
-        cache = self.answer_cache
-        if (
-            level <= 1
-            and cache is not None
-            and options.cache == CACHE_DEFAULT
-            and not options.explain
-        ):
-            key = cache.key(question, options.filters)
-            hit = self._cache_lookup(key, self.searcher.index.generation, question, ctx)
-            if hit is not None:
-                return hit.content, hit
-
-        blocked = self._screen(question, ctx)
-        if blocked is not None:
-            return blocked, None
-        documents = self._retrieve(question, options.filters, ctx, degraded=True)
-        return AnswerContent(
-            answer_text=DEGRADED_SERVICE_TEXT if documents else NO_RESULTS_TEXT,
-            raw_answer="",
-            outcome=OUTCOME_DEGRADED if documents else OUTCOME_NO_RESULTS,
-            documents=tuple(documents),
-        ), None
 
     def _explain(self, answer: UniAskAnswer, ctx: RequestContext):
         """Fold the answer's retrieval components into an ExplainReport."""
@@ -433,15 +367,10 @@ class UniAskEngine:
         question: str,
         filters: dict[str, str] | None,
         ctx: RequestContext,
-        degraded: bool = False,
     ) -> list[RetrievedChunk]:
-        """Stage 2: hybrid retrieval with semantic reranking.
-
-        *degraded* is the level-2 shedding path: BM25-only retrieval.
-        """
-        attributes = {"degraded": True} if degraded else {}
-        with ctx.trace.span(spans.STAGE_RETRIEVAL, **attributes) as span:
-            documents = self._search(question, filters, ctx, span, degraded)
+        """Stage 2: hybrid retrieval with semantic reranking."""
+        with ctx.trace.span(spans.STAGE_RETRIEVAL) as span:
+            documents = self._search(question, filters, ctx, span)
             self._m_retrieved.observe(float(len(documents)))
         return documents
 
@@ -451,7 +380,6 @@ class UniAskEngine:
         filters: dict[str, str] | None,
         ctx: RequestContext,
         span,
-        degraded: bool = False,
     ) -> list[RetrievedChunk]:
         """One searcher call inside *span*, accounted on the request.
 
@@ -460,8 +388,7 @@ class UniAskEngine:
         search of the request, so multi-hop keeps them all.  A shard that
         missed its deadline marks the answer partial, never fails it.
         """
-        search = self.searcher.search_degraded if degraded else self.searcher.search
-        documents = search(question, filters=filters, ctx=ctx)
+        documents = self.searcher.search(question, filters=filters, ctx=ctx)
         span.set("results", len(documents))
         report = self.searcher.take_scatter_report()
         if report is not None:

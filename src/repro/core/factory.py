@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.agents.orchestrator import Orchestrator
-from repro.autoscale.autoscaler import Autoscaler
-from repro.autoscale.hedging import AdaptiveHedgeBudget
 from repro.cache.answer_cache import AnswerCache
 from repro.cluster.router import ClusterSearcher
 from repro.cluster.sharded_index import ShardedSearchIndex
@@ -70,7 +68,6 @@ class UniAskSystem:
     telemetry: Telemetry = field(default_factory=Telemetry)
     answer_cache: AnswerCache | None = None
     orchestrator: Orchestrator | None = None
-    autoscaler: Autoscaler | None = None
     recorder: BlackBoxRecorder | None = None
 
     def refresh(self) -> None:
@@ -121,7 +118,7 @@ def build_uniask_system(
     telemetry = Telemetry(config.telemetry, clock=clock)
     registry = telemetry.registry
 
-    # Constructed only when enabled, like the orchestrator and autoscaler:
+    # Constructed only when enabled, like the orchestrator:
     # the recorder registers its event counter on construction, and every
     # feed site below no-ops on a None recorder, so an incident-off
     # deployment stays byte-identical on every surface.
@@ -165,11 +162,6 @@ def build_uniask_system(
     indexing = IndexingService(store, queue, index, enricher=enricher, clock=clock)
 
     reranker = SemanticReranker(lexicon, analyzer=index_analyzer)
-    # The hedge budget exists only on autoscale-enabled clusters: off, the
-    # router keeps its unconditional hedging and byte-identical behaviour.
-    hedge_budget = None
-    if clustered and config.autoscale.enabled:
-        hedge_budget = AdaptiveHedgeBudget()
     if clustered:
         searcher = ClusterSearcher(
             index,
@@ -179,7 +171,6 @@ def build_uniask_system(
             clock=clock,
             registry=registry,
             cache=config.cache.enabled,
-            hedge_budget=hedge_budget,
             recorder=recorder,
         )
     else:
@@ -212,19 +203,6 @@ def build_uniask_system(
             clock=clock,
             registry=registry,
         )
-    autoscaler = None
-    if clustered and config.autoscale.enabled:
-        # Constructed only when enabled, like the orchestrator: the
-        # Autoscaler registers its gauges and counters on construction,
-        # so an autoscale-off deployment's metrics exposition stays
-        # byte-identical.
-        autoscaler = Autoscaler(
-            searcher,
-            clock,
-            registry=registry,
-            hedge_budget=hedge_budget,
-            recorder=recorder,
-        )
     engine = UniAskEngine(
         searcher=searcher,
         llm=llm,
@@ -253,7 +231,6 @@ def build_uniask_system(
         telemetry=telemetry,
         answer_cache=answer_cache,
         orchestrator=orchestrator,
-        autoscaler=autoscaler,
         recorder=recorder,
     )
     if ingest_now:

@@ -13,11 +13,10 @@ Entries carry at minimum ``level`` (``INFO``/``WARNING``/``ERROR``),
 ``ts``.  The backend writes one ``request`` entry per served query:
 request id, user, outcome, response time, ``partial``, per-stage
 durations, one row per shard probe (shard, replica, latency, ok, hedged),
-guardrail verdicts, whether the request's trace was retained by the
-sampler, and ``degrade_level`` when admission shed it; a rejected request
-is one ``admission_reject`` entry.  That is the whole evidence of a run:
-a chaos day's served / partial / rejected / degraded counts and the
-dashboard's shard health are re-derived from the file alone.
+guardrail verdicts and whether the request's trace was retained by the
+sampler.  That is the whole evidence of a run: a chaos day's served and
+partial counts and the dashboard's shard health are re-derived from the
+file alone.
 """
 
 from __future__ import annotations

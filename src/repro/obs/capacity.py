@@ -1,10 +1,10 @@
 """Saturation telemetry: the USE view (utilization, saturation, errors) of
 every serving resource, plus rolling Little's-law load estimates.
 
-The autoscaling/admission-control loop (ROADMAP item 2) needs to observe
-*how close to the edge* the system is running, which none of the
-per-request surfaces expose: queue depth, concurrency high-water marks,
-utilization and offered load per backend and per replica.  This module
+An operator sizing a deployment needs to see *how close to the edge* the
+system is running, which none of the per-request surfaces expose: queue
+depth, concurrency high-water marks, utilization and offered load per
+backend and per replica.  This module
 derives all of them from the one signal the simulation already produces —
 the flight window ``[arrival, arrival + response_time)`` of every request,
 fed in arrival order off the simulated clock by the backend's ``serve()``

@@ -8,9 +8,8 @@ human looks.  This module closes that gap with three pieces:
 * :class:`BlackBoxRecorder` — an aircraft-style flight recorder: a
   bounded, deterministic ring of structured **control-plane** events on
   the shared simulated clock.  The existing sources of truth feed it
-  (autoscaler decisions, admission level transitions, replica
-  kills/heals observed by the router, cache-epoch flips, topology
-  changes, segment merges, alert transitions), so the recorder never
+  (replica kills/heals observed by the router, cache-epoch flips,
+  segment merges, alert transitions), so the recorder never
   invents state — it remembers the state changes the system already
   made, in order.
 * :class:`IncidentManager` — opens a fingerprint-deduped incident when a
@@ -21,9 +20,9 @@ human looks.  This module closes that gap with three pieces:
   suspected-cause list.
 * :meth:`IncidentManager.diagnose` — the per-request loop: compares the
   backend's stored record of a request against rolling per-route
-  baselines and explains *why this request* was slow, shed or degraded,
-  linking to the admission pressure and autoscaler state the record
-  carries from serve time.  The manager keeps no copy of a request.
+  baselines and explains *why this request* was slow or degraded,
+  linking to the control-plane events recorded before it was served.
+  The manager keeps no copy of a request.
 
 Layering: this module lives in ``repro.obs`` and never imports the
 service layer.  The backend assembles the :class:`~repro.obs.slo.Alert`
@@ -60,15 +59,10 @@ __all__ = [
 # -- recorder event kinds --------------------------------------------------
 EVENT_ALERT_FIRED = "alert_fired"
 EVENT_ALERT_RESOLVED = "alert_resolved"
-EVENT_SCALE_DECISION = "scale_decision"
-EVENT_ADMISSION_TRANSITION = "admission_transition"
 EVENT_CACHE_EPOCH_FLIP = "cache_epoch_flip"
 EVENT_REPLICA_KILL = "replica_kill"
 EVENT_REPLICA_HEAL = "replica_heal"
-EVENT_TOPOLOGY_CHANGE = "topology_change"
 EVENT_SEGMENT_MERGE = "segment_merge"
-EVENT_HEDGES_DISABLED = "hedges_disabled"
-EVENT_HEDGES_RESTORED = "hedges_restored"
 
 
 #: Ring size of the flight recorder.
@@ -79,7 +73,7 @@ CHECK_INTERVAL = 15.0
 #: shorter than the SRE-workbook service defaults (5 m/1 h): incident
 #: detection runs inside compressed simulated days (the 30-minute diurnal
 #: chaos run), where an hour-long window could mathematically never trip
-#: mid-run.  They mirror the autoscaler's own 60 s/300 s control windows.
+#: mid-run.
 PAGE_SHORT_SECONDS = 60.0
 PAGE_LONG_SECONDS = 300.0
 #: Error-budget burn rate that pages.
@@ -131,8 +125,8 @@ class RecordedEvent:
     Attributes:
         at: simulated timestamp the change was obrecord.
         kind: one of the ``EVENT_*`` names.
-        source: which component reported it (``autoscaler``, ``router``,
-            ``admission``, ``index``, ``alerting``).
+        source: which component reported it (``router``, ``index``,
+            ``alerting``).
         detail: structured, JSON-able payload.
     """
 
@@ -203,26 +197,9 @@ class BlackBoxRecorder:
 _CAUSE_WEIGHTS = {
     EVENT_REPLICA_KILL: 5.0,
     EVENT_CACHE_EPOCH_FLIP: 4.0,
-    "scale_remove_replica": 3.0,
-    "scale_rebalance": 3.0,
-    EVENT_ADMISSION_TRANSITION: 2.0,
-    EVENT_HEDGES_DISABLED: 2.0,
-    EVENT_TOPOLOGY_CHANGE: 1.0,
     EVENT_SEGMENT_MERGE: 1.0,
-    "scale_add_replica": 0.5,
     EVENT_REPLICA_HEAL: 0.5,
 }
-
-
-def _cause_class(event: RecordedEvent) -> str | None:
-    """Map a recorded event to its suspected-cause class (None = not one)."""
-    if event.kind == EVENT_SCALE_DECISION:
-        action = event.detail.get("action", "")
-        key = f"scale_{action}"
-        return key if key in _CAUSE_WEIGHTS else None
-    if event.kind in _CAUSE_WEIGHTS:
-        return event.kind
-    return None
 
 
 class Incident:
@@ -345,10 +322,9 @@ class IncidentManager:
         if baseline is None:
             baseline = deque(maxlen=BASELINE_WINDOW)
             self._baselines[route] = baseline
-        # Degraded / cache-served requests would drag the full-service
-        # baseline down and mask genuinely slow requests; only clean
-        # full-pipeline serves train it.
-        if record.degrade_level == 0 and not record.cache_hit:
+        # Cache-served requests would drag the full-pipeline baseline down
+        # and mask genuinely slow requests; only pipeline serves train it.
+        if not record.cache_hit:
             baseline.append((record.response_time, record.stages))
         if record.work:
             for kind, units in record.work.items():
@@ -479,8 +455,8 @@ class IncidentManager:
         counts: dict[str, int] = {}
         last_event: dict[str, RecordedEvent] = {}
         for event in self.recorder.window(now - window, now):
-            cause = _cause_class(event)
-            if cause is None:
+            cause = event.kind
+            if cause not in _CAUSE_WEIGHTS:
                 continue
             age = max(0.0, now - event.at)
             recency = 1.0 - min(1.0, age / window)
@@ -504,25 +480,18 @@ class IncidentManager:
     # -- per-request diagnosis ---------------------------------------------
 
     def diagnose(self, record) -> dict:
-        """Explain why one request was slow, shed or degraded.
+        """Explain why one request was slow or degraded.
 
         Compares the backend's stored summary of the request against its
         route's rolling baseline and links it to the control-plane state
-        at serve time (the summary's ``pressure`` / ``utilization`` readings
-        and the recorder window before ``served_at``).
+        at serve time (the recorder window before ``served_at``).
         """
         route = record.route or "default"
         findings: list[str] = []
         verdict = "normal"
 
-        if record.degrade_level:
-            verdict = "shed"
-            findings.append(
-                f"served at degrade level {record.degrade_level} "
-                "(admission shed ladder)"
-            )
         if record.partial_results:
-            verdict = "degraded" if verdict == "normal" else verdict
+            verdict = "degraded"
             findings.append("partial results: at least one shard missed its deadline")
         if record.cache_hit:
             findings.append(f"served from cache (kind={record.cache_hit})")
@@ -556,12 +525,6 @@ class IncidentManager:
                 f"({baseline_n} < {MIN_BASELINE})"
             )
 
-        if record.pressure is not None:
-            findings.append(f"admission pressure {record.pressure:.2f} at serve time")
-        if record.utilization is not None:
-            findings.append(
-                f"autoscaler utilization {record.utilization:.2f} at serve time"
-            )
         nearby = self.recorder.window(
             record.served_at - PRE_WINDOW_SECONDS, record.served_at
         )
@@ -575,7 +538,6 @@ class IncidentManager:
             "served_at": record.served_at,
             "response_time": record.response_time,
             "outcome": record.outcome,
-            "degrade_level": record.degrade_level,
             "cache_hit": record.cache_hit,
             "partial": record.partial_results,
             "baseline_n": baseline_n,
@@ -583,8 +545,6 @@ class IncidentManager:
             "slowdown": round(ratio, 3),
             "stage_deltas": stage_deltas,
             "work": dict(record.work) if record.work else {},
-            "pressure": record.pressure,
-            "utilization": record.utilization,
             "nearby_events": [event.to_dict() for event in nearby[-5:]],
             "findings": findings,
         }

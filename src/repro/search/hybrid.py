@@ -109,13 +109,13 @@ class HybridSemanticSearch:
         filters: dict[str, str] | None = None,
         ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
-        """BM25-only retrieval for admission-degraded requests.
+        """BM25-only retrieval: the full-text ranking alone.
 
-        The level-2 shedding path: no query embedding, no vector legs,
-        no reranker — just the full-text ranking, truncated to
-        ``final_n``.  Exists separately from the ``text`` ablation mode
-        so a deployment configured for hybrid retrieval can serve
-        degraded answers per request without touching its config.
+        No query embedding, no vector legs, no reranker — just the
+        full-text ranking, truncated to ``final_n``.  Exists separately
+        from the ``text`` ablation mode so a hybrid deployment's text leg
+        can be read per call without touching its config (a freshness
+        probe, the sequence oracles).
         """
         self.index.schema.check_filters(filters)
         self._m_searches.labels("degraded").inc()

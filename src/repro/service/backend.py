@@ -75,10 +75,6 @@ class QueryRecord:
     """One served query, as :meth:`BackendService.serve` returns it — the
     full answer, ranking, provenance and trace are the caller's to keep or
     drop; the backend stores a :class:`ServedSummary`.
-
-    ``pressure`` / ``utilization`` are the admission and autoscaler
-    readings at serve time, taken only on incident-enabled deployments
-    (``diagnose`` reports them); None otherwise.
     """
 
     query_id: str
@@ -87,8 +83,6 @@ class QueryRecord:
     answer: UniAskAnswer
     served_at: float
     trace: Trace | None = None
-    pressure: float | None = None
-    utilization: float | None = None
 
 
 @dataclass(slots=True)
@@ -106,14 +100,11 @@ class ServedSummary:
     outcome: str
     route: str
     response_time: float
-    degrade_level: int
     partial_results: bool
     cache_hit: str
     work: dict[str, int] | None
     explain_report: ExplainReport | None
     stages: dict[str, float]
-    pressure: float | None
-    utilization: float | None
 
 
 #: Modeled seconds charged to any leaf span without a dedicated branch
@@ -259,18 +250,6 @@ class BackendService:
             per-replica concurrency tracking on :attr:`capacity` (a
             :class:`~repro.obs.capacity.CapacityMonitor`) plus the
             ``uniask_saturation_*`` gauges.  Off by default.
-        admission: an
-            :class:`~repro.autoscale.admission.AdmissionController`;
-            when set, every :meth:`serve` call is admitted through the
-            staged shedding ladder — degraded requests run the engine at
-            the granted level, rejected ones raise the typed
-            :class:`~repro.core.errors.AdmissionError`.  The default
-            None serves every request at full quality, byte-identical to
-            the pre-admission service.
-        autoscaler: an :class:`~repro.autoscale.autoscaler.Autoscaler`;
-            when set, every served request feeds its saturation loop and
-            the control interval is evaluated on the service clock.  Off
-            (None) by default.
         incidents: an :class:`~repro.obs.incident.IncidentManager`; when
             set, every served request feeds the per-route diagnosis
             baselines, the page-severity alert check runs on the service
@@ -307,8 +286,6 @@ class BackendService:
         record_capacity: int = 100_000,
         profiling: bool = False,
         capacity: bool = False,
-        admission=None,
-        autoscaler=None,
         incidents=None,
     ) -> None:
         self._engine = engine
@@ -367,8 +344,6 @@ class BackendService:
         self.capacity: CapacityMonitor | None = (
             CapacityMonitor(registry=telemetry.registry) if capacity else None
         )
-        self.admission = admission
-        self.autoscaler = autoscaler
         self.incidents = incidents
         if incidents is not None:
             # The manager lives below the service layer; it freezes this
@@ -443,37 +418,12 @@ class BackendService:
         coalescing = self.single_flight is not None
         arrival = self._clock.now()
 
-        degrade_level = 0
-        if self.admission is not None:
-            decision = self.admission.admit(
-                options.priority, deadline_ms=options.deadline_ms
-            )
-            if decision.rejected:
-                self.telemetry.audit.warning(
-                    "admission_reject",
-                    request_id=query_id,
-                    user=user_id,
-                    priority=decision.priority,
-                    pressure=decision.pressure,
-                    reason=decision.reason,
-                    retry_after=decision.retry_after_seconds,
-                )
-                decision.raise_if_rejected()
-            degrade_level = decision.level
-
         profiled = self._profiling or options.profile
         flight_key = None
         # Explain requests never coalesce: their answers carry a provenance
         # report that must not be shared with plain joiners, and joining a
-        # plain leader would return an answer without one.  Degraded
-        # requests never coalesce either — a degraded answer must not be
-        # shared with full-service joiners (nor vice versa).
-        if (
-            coalescing
-            and options.cache == CACHE_DEFAULT
-            and not options.explain
-            and degrade_level == 0
-        ):
+        # plain leader would return an answer without one.
+        if coalescing and options.cache == CACHE_DEFAULT and not options.explain:
             flight_key = (question, filters_key(options.filters))
             flight = self.single_flight.join(flight_key, arrival)
             if flight is not None:
@@ -490,7 +440,7 @@ class BackendService:
             ctx = RequestContext(
                 trace=trace, request_id=query_id, work=WorkCounters() if profiled else None
             )
-        response = self._engine.answer(request, ctx=ctx, degrade_level=degrade_level)
+        response = self._engine.answer(request, ctx=ctx)
         answer = response.answer
         if trace is not None:
             response_time = trace.total_duration * self._jitter()
@@ -522,11 +472,6 @@ class BackendService:
                     self.capacity.observe(
                         probe.resource, arrival, probe.latency, failed=not probe.ok
                     )
-        if self.admission is not None:
-            self.admission.observe(arrival, response_time, level=degrade_level)
-        if self.autoscaler is not None:
-            self.autoscaler.note_request(arrival, response_time)
-            self.autoscaler.maybe_evaluate(self._clock.now())
         record = QueryRecord(
             query_id=query_id,
             user_id=user_id,
@@ -534,7 +479,6 @@ class BackendService:
             answer=answer,
             served_at=served_at,
             trace=trace,
-            **self._incident_readings(),
         )
         self._finalize_record(record, response.scatter)
         return record
@@ -547,8 +491,8 @@ class BackendService:
         The joiner never touches the engine: its envelope is its own, over
         the leader's content, marked ``coalesced``, and its response time
         is the remaining wait until the leader's flight completes.  Only
-        full-service, non-explain requests fly, so the leader's envelope
-        has no degrade level or explain report to pass on.
+        non-explain requests fly, so the leader's envelope has no explain
+        report to pass on.
         """
         leader = flight.answer
         response_time = flight.completes_at - arrival
@@ -572,7 +516,6 @@ class BackendService:
             answer=answer,
             served_at=flight.completes_at,
             trace=None,
-            **self._incident_readings(),
         )
         if self._m_coalesced is not None:
             self._m_coalesced.inc()
@@ -591,9 +534,8 @@ class BackendService:
         summary = self._records[record.query_id] = ServedSummary(
             record.query_id, record.user_id, record.served_at,
             answer.outcome, answer.route, answer.response_time,
-            answer.degrade_level, answer.partial_results, answer.cache_hit,
+            answer.partial_results, answer.cache_hit,
             answer.work, answer.explain_report, stages,
-            record.pressure, record.utilization,
         )
         if trace is not None:
             sampled = self.telemetry.sampler.offer(
@@ -656,10 +598,6 @@ class BackendService:
         # actually carried counters.
         if answer.work:
             audit_fields["work"] = answer.work
-        # Shed requests record how far down the ladder they landed; full
-        # service (the only level when admission is off) never carries it.
-        if answer.degrade_level:
-            audit_fields["degrade_level"] = answer.degrade_level
         # Errored spans surface with the exception type the stage raised;
         # clean traces never carry the field.
         if trace is not None:
@@ -680,16 +618,6 @@ class BackendService:
             self._incident_observe(summary)
 
     # -- incident forensics ----------------------------------------------------
-
-    def _incident_readings(self) -> dict:
-        """The serve-time readings a :class:`QueryRecord` carries for
-        ``diagnose`` — empty unless incidents are on."""
-        if self.incidents is None:
-            return {}
-        return {
-            "pressure": self.admission.pressure() if self.admission is not None else None,
-            "utilization": self.autoscaler.utilization if self.autoscaler is not None else None,
-        }
 
     def _incident_observe(self, summary: ServedSummary) -> None:
         """Feed one served request into the incident loop.
@@ -748,10 +676,6 @@ class BackendService:
             {"trace_id": trace_id, "duration": round(duration, 4)}
             for duration, trace_id in slow
         ]
-        if self.admission is not None:
-            bundle["admission"] = self.admission.status()
-        if self.autoscaler is not None:
-            bundle["autoscale"] = self.autoscaler.status()
         return bundle
 
     def feedback(self, token: str, feedback: GranularFeedback) -> None:
@@ -857,20 +781,6 @@ class BackendService:
             return profiler.to_dict()
         raise ValueError(f"unknown profile format {format!r}")
 
-    @ops_route("autoscale", privileged=True, description="Autoscaler status: replica counts, utilization, decision log.")
-    def _ops_autoscale(self) -> dict:
-        """Autoscaler status — operations role only."""
-        if self.autoscaler is None:
-            return {"enabled": False, "decisions": []}
-        return self.autoscaler.status()
-
-    @ops_route("admission", privileged=True, description="Admission-control status: pressure, shed counts, ladder.")
-    def _ops_admission(self) -> dict:
-        """Admission-control status — operations role only."""
-        if self.admission is None:
-            return {"enabled": False}
-        return self.admission.status()
-
     @ops_route("incidents", privileged=True, description="Incident log: open/recovered incidents, capture bundles, timelines.")
     def _ops_incidents(self, incident_id: str = "", timeline: bool = False):
         """Incident forensics — operations role only.
@@ -890,7 +800,7 @@ class BackendService:
 
     @ops_route("diagnose", privileged=True, description="Per-request root-cause diagnosis against rolling route baselines.")
     def _ops_diagnose(self, query_id: str):
-        """Why was this request slow/shed/degraded — operations role only."""
+        """Why was this request slow — operations role only."""
         if self.incidents is None:
             raise ValueError("incident forensics is disabled for this deployment")
         return self.incidents.diagnose(self._stored(query_id))

@@ -30,7 +30,7 @@ def build(kb, lexicon, shards: int = 1, tracing: bool = True, **kwargs):
     """A ``(system, backend)`` pair over *kb* on *shards* shards.
 
     Keyword arguments naming a ``UniAskConfig`` block (``cache=``,
-    ``agents=``, ``autoscale=``, ``incident=``, …) configure the
+    ``agents=``, ``incident=``, …) configure the
     deployment — an explicit ``cluster=`` wins over *shards*; the rest
     (``profiling=``, ``capacity=``, ``seed=``, …) go to ``create_backend``.
     """
@@ -55,7 +55,6 @@ def serve_surface(system, backend, options: AskOptions | None = None) -> str:
         lines.append(render_answer_page(record.answer))
         lines.append(f"response_time={record.answer.response_time!r}")
         lines.append(f"served_at={record.served_at!r}")
-        lines.append(f"degrade_level={record.answer.degrade_level!r}")
         if record.trace is not None:
             lines.append(record.trace.format_table())
     lines.append(format_dashboard(backend.metrics.snapshot()))

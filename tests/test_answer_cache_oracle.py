@@ -3,9 +3,7 @@ under cache policies, corpus writes, TTLs and flight windows.
 
 A Hypothesis state machine drives a cache-on, coalescing-on backend over a
 17-page corpus.  Requests go out under every cache policy (``default``,
-``bypass``, ``refresh``) and at every admission ladder level (a scripted
-admission controller grants the level the rule draws); pages are put,
-edited and deleted and ``refresh()`` indexes them; the clock jumps within a
+``bypass``, ``refresh``); pages are put, edited and deleted and ``refresh()`` indexes them; the clock jumps within a
 flight window, past it (before each request), and past the answer TTL.  The model remembers every
 content object the cache stored — with the index generation and the instant
 it was stored at — and every envelope it has handed out.  Then:
@@ -14,8 +12,7 @@ it was stored at — and every envelope it has handed out.  Then:
   nor from an entry older than the TTL;
 * a hit's content is an object the cache stored, the same object with the
   same fields as when it was stored;
-* a coalesced request joined a live full-service flight: degraded requests
-  neither lead nor join one;
+* a coalesced request joined a live flight of a ``default`` request;
 * every request has its own envelope, and a later request never changes an
   earlier one's.
 
@@ -32,7 +29,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api import AskOptions, AskRequest, CacheConfig, create_backend, create_engine
-from repro.autoscale.admission import AdmissionDecision
 from repro.cache import answer_cache
 from repro.core.answer import AnswerContent, UniAskAnswer
 from repro.core.config import UniAskConfig
@@ -58,19 +54,6 @@ def fields_of(obj, names) -> tuple:
     return tuple(getattr(obj, name) for name in names)
 
 
-class ScriptedAdmission:
-    """Grants whatever level the state machine drew for the next request."""
-
-    def __init__(self) -> None:
-        self.level = 0
-
-    def admit(self, priority: str, deadline_ms=None) -> AdmissionDecision:
-        return AdmissionDecision(level=self.level, pressure=0.0, priority=priority)
-
-    def observe(self, arrival: float, response_time: float, level: int = 0) -> None:
-        pass
-
-
 class AnswerCacheOracle(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
@@ -78,8 +61,7 @@ class AnswerCacheOracle(RuleBasedStateMachine):
         self.ttl.start()
         config = UniAskConfig(cache=CacheConfig(enabled=True))
         self.system = create_engine(KB.store(), LEXICON, config=config, seed=19)
-        self.admission = ScriptedAdmission()
-        self.backend = create_backend(self.system, admission=self.admission)
+        self.backend = create_backend(self.system)
         self.token = self.backend.login("oracle")
         #: id(content) -> (content, generation, stored_at, fields) of every store.
         self.stored: dict[int, tuple] = {}
@@ -97,22 +79,20 @@ class AnswerCacheOracle(RuleBasedStateMachine):
     @rule(
         question=st.sampled_from(QUESTIONS),
         policy=st.sampled_from(("default", "default", "bypass", "refresh")),
-        level=st.sampled_from((0, 0, 0, 1, 2)),
         wait=st.sampled_from((0.0, 0.5, 5.0, 5.0)),
     )
-    def serve(self, question, policy, level, wait):
+    def serve(self, question, policy, wait):
         self.system.clock.advance(wait)
-        self._serve(question, policy, level)
+        self._serve(question, policy)
 
-    @rule(question=st.sampled_from(QUESTIONS), levels=st.sampled_from(((0, 0), (0, 1), (2, 0))))
-    def burst(self, question, levels):
-        """Two arrivals at one instant: the second joins only a full flight."""
-        for level in levels:
-            self._serve(question, "default", level)
+    @rule(question=st.sampled_from(QUESTIONS))
+    def burst(self, question):
+        """Two arrivals at one instant: the second joins the first's flight."""
+        for _ in range(2):
+            self._serve(question, "default")
 
-    def _serve(self, question, policy, level):
+    def _serve(self, question, policy):
         now, generation = self.system.clock.now(), self.system.index.generation
-        self.admission.level = level
         flights = self.backend.single_flight.stats.flights
         record = self.backend.serve(self.token, AskRequest(question, AskOptions(cache=policy)))
         answer, content = record.answer, record.answer.content
@@ -120,24 +100,23 @@ class AnswerCacheOracle(RuleBasedStateMachine):
         assert all(answer is not earlier for earlier, _ in self.served)
 
         if answer.cache_hit in ("exact", "semantic"):
-            assert policy == "default" and level < 2
-            assert answer.degrade_level == level
+            assert policy == "default"
             assert id(content) in self.stored, "a hit returned content the cache never stored"
             stored, epoch, stored_at, snapshot = self.stored[id(content)]
             assert stored is content and fields_of(content, CONTENT) == snapshot
             assert epoch == generation, "a hit outlived an invalidating write"
             assert now - stored_at < TTL
         elif answer.cache_hit == "coalesced":
-            assert policy == "default" and level == 0 and answer.degrade_level == 0
+            assert policy == "default"
             leader, completes_at = self.leaders[question]
-            assert leader.degrade_level == 0 and leader.cache_hit == ""
+            assert leader.cache_hit == ""
             assert content is leader.content and now < completes_at
         else:
             opened = self.backend.single_flight.stats.flights - flights
-            assert opened == (policy == "default" and level == 0)
+            assert opened == (policy == "default")
             if opened:
                 self.leaders[question] = (answer, record.served_at)
-            if policy != "bypass" and level == 0 and content.outcome in CACHEABLE_OUTCOMES:
+            if policy != "bypass" and content.outcome in CACHEABLE_OUTCOMES:
                 self.stored[id(content)] = (content, generation, now, fields_of(content, CONTENT))
         self.served.append((answer, fields_of(answer, ENVELOPE)))
 

@@ -156,8 +156,8 @@ class TestCli:
                 "--timeline", "--diagnose",
             ]
         )
-        # The injected kill has no revive and no autoscaler heals it, so
-        # the incident stays open and the command must exit non-zero.
+        # The injected kill has no revive, so the incident stays open and
+        # the command must exit non-zero.
         assert code == 1
         out = capsys.readouterr().out
         assert "incidents: 1 open / 1 total" in out

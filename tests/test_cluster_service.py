@@ -12,12 +12,21 @@ import re
 import pytest
 
 from repro.__main__ import main
-from repro.autoscale.loadgen import ChaosEvent, DiurnalLoadConfig, run_diurnal_load
+from repro.api import create_backend
+from repro.cache.config import CacheConfig
 from repro.cluster import ClusterConfig, ClusterStatus
 from repro.core.config import UniAskConfig
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.service.backend import AuthorizationError, BackendService, ROLE_OPS
+from repro.service.loadtest import (
+    ChaosEvent,
+    DiurnalLoadConfig,
+    ZipfSampler,
+    diurnal_arrivals,
+    diurnal_rate,
+    run_diurnal_load,
+)
 from repro.service.monitoring import format_dashboard
 
 TOKEN_PATTERN = re.compile(r"session-[0-9a-f]{32,}")
@@ -163,7 +172,7 @@ def _flat_day(duration: float, *chaos: ChaosEvent) -> DiurnalLoadConfig:
 
 class TestClusterLoadTest:
     """Fault injection against a serving cluster through the one chaos
-    driver, :func:`~repro.autoscale.loadgen.run_diurnal_load`."""
+    driver, :func:`~repro.service.loadtest.run_diurnal_load`."""
 
     # The diurnal day owns the clock, so the backend must coalesce.  It is
     # built directly over a cache-off deployment (``create_backend`` would
@@ -233,6 +242,79 @@ class TestClusterLoadTest:
                 backend, elsewhere.cluster, serving.clock, backend.login("load"),
                 LOAD_QUESTIONS, _flat_day(60.0, *_kill_shard(5.0, 0)),
             )
+
+
+class TestDiurnalLoadGenerator:
+    """The chaos driver's own parts: arrivals, popularity, the schedule."""
+
+    def test_arrivals_are_deterministic_and_follow_the_rate(self):
+        config = DiurnalLoadConfig(
+            duration_seconds=1200.0, base_rate=1.0, period_seconds=1200.0
+        )
+        first = diurnal_arrivals(config)
+        second = diurnal_arrivals(config)
+        assert first == second
+        assert first == sorted(first)
+        assert abs(len(first) - config.base_rate * config.duration_seconds) <= 2
+        # Peak-half arrivals outnumber trough-half (the diurnal shape).
+        half = config.duration_seconds / 2.0
+        trough = sum(1 for t in first if t < half)
+        peak = len(first) - trough
+        assert peak > trough
+        assert diurnal_rate(config, 0.0) < diurnal_rate(config, half)
+
+    def test_zipf_sampler_skews_to_the_head(self):
+        import random
+
+        sampler = ZipfSampler([f"q{i}" for i in range(20)], 1.1, random.Random(3))
+        counts: dict[str, int] = {}
+        for _ in range(2000):
+            question = sampler.sample()
+            counts[question] = counts.get(question, 0) + 1
+        assert counts["q0"] > counts.get("q19", 0)
+
+    def test_chaos_event_validation(self):
+        with pytest.raises(ValueError):
+            ChaosEvent(at=-1.0, kind="kill")
+        with pytest.raises(ValueError):
+            ChaosEvent(at=0.0, kind="explode")
+
+    def test_requires_coalescing_backend(self, lexicon):
+        system = _cluster_system(lexicon, replicas=1)
+        backend = create_backend(system)  # default cache config: no coalescing
+        with pytest.raises(ValueError, match="coalescing"):
+            run_diurnal_load(
+                backend, system.cluster, system.clock, "t", LOAD_QUESTIONS,
+                DiurnalLoadConfig(duration_seconds=60.0),
+            )
+
+    def test_chaos_run_reports_churn_and_stays_graceful(self, lexicon):
+        system = _cluster_system(lexicon, cache=CacheConfig(enabled=True))
+        backend = create_backend(system, seed=7)
+        report = run_diurnal_load(
+            backend,
+            system.cluster,
+            system.clock,
+            backend.login("load-user"),
+            LOAD_QUESTIONS,
+            DiurnalLoadConfig(
+                duration_seconds=600.0,
+                base_rate=1.0,
+                period_seconds=600.0,
+                chaos=(
+                    ChaosEvent(at=120.0, kind="kill", shard_id=0),
+                    ChaosEvent(at=240.0, kind="revive", shard_id=0),
+                    ChaosEvent(at=300.0, kind="epoch_flip"),
+                ),
+            ),
+        )
+        assert report.unhandled_errors == ()
+        assert report.total_requests > 0
+        assert report.served == report.total_requests
+        assert report.replica_kills == 1
+        assert report.epoch_flips == 1
+        assert report.min_pool < report.max_pool
+        assert report.latency_p50 <= report.latency_p95 <= report.latency_p99
 
 
 class TestClusterCli:

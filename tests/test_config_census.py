@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
 
 from repro.agents import orchestrator
 from repro.agents.config import AgentsConfig
-from repro.autoscale import admission, autoscaler
-from repro.autoscale.config import AdmissionConfig, AutoscaleConfig
 from repro.cache import answer_cache, retrieval_cache
 from repro.cache.config import CacheConfig
 from repro.cluster import planner, replica
@@ -43,8 +42,6 @@ ALLOWED_UNSET = {
     "GenerationConfig.max_tokens": "paper parameter (Section 5)",
     "UniAskConfig.rouge_threshold": "paper parameter (Section 5 guardrail)",
     "TelemetryConfig.audit_path": "deployment path of the JSONL audit log",
-    "AutoscaleConfig.enabled": "on-switch of the autoscaler; removing it removes the subsystem",
-    "AdmissionConfig.enabled": "on-switch of admission control; removing it removes the subsystem",
 }
 
 #: Every scalar field reachable from ``UniAskConfig``.
@@ -64,8 +61,6 @@ FIELDS = {
     "TelemetryConfig.audit_path",
     "CacheConfig.enabled",
     "AgentsConfig.enabled",
-    "AutoscaleConfig.enabled",
-    "AdmissionConfig.enabled",
     "IncidentConfig.enabled",
     "UniAskConfig.rouge_threshold",
 }
@@ -95,15 +90,6 @@ REMOVED = [
     (ClusterConfig, "down_cooldown", replica, "DOWN_COOLDOWN", 30.0),
     (AgentsConfig, "session_capacity", orchestrator, "SESSION_CAPACITY", 1024),
     (AgentsConfig, "session_ttl_seconds", orchestrator, "SESSION_TTL_SECONDS", 1800.0),
-    (AutoscaleConfig, "min_replicas", autoscaler, "MIN_REPLICAS", 1),
-    (AutoscaleConfig, "max_replicas", autoscaler, "MAX_REPLICAS", 6),
-    (AutoscaleConfig, "scale_up_cooldown", autoscaler, "SCALE_UP_COOLDOWN", 30.0),
-    (AutoscaleConfig, "scale_down_cooldown", autoscaler, "SCALE_DOWN_COOLDOWN", 120.0),
-    (AutoscaleConfig, "latency_slo_seconds", autoscaler, "LATENCY_SLO_SECONDS", 8.0),
-    (AutoscaleConfig, "rebalance_skew", autoscaler, "REBALANCE_SKEW", 1.5),
-    (AdmissionConfig, "target_load", admission, "TARGET_LOAD", 6.0),
-    (AdmissionConfig, "full_latency_estimate", admission, "FULL_LATENCY_ESTIMATE", 4.0),
-    (AdmissionConfig, "degraded_latency_estimate", admission, "DEGRADED_LATENCY_ESTIMATE", 0.5),
 ]
 
 
@@ -197,3 +183,12 @@ def test_the_index_block_is_gone():
         UniAskConfig(index=None)
     with pytest.raises(TypeError):
         SearchIndex(embedder=SyntheticAdaEmbedder(None, dim=8, seed=1), index_config=None)
+
+
+def test_the_autoscale_block_is_gone():
+    """The autoscaler, admission ladder and hedge budget went with their
+    config block; no alias keeps the package importable."""
+    with pytest.raises(TypeError):
+        UniAskConfig(autoscale=None)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.autoscale")

@@ -1,6 +1,6 @@
 """Differential guarantees of the incident-forensics layer.
 
-Mirrors the cache, explain, profiling and autoscale differential suites:
+Mirrors the cache, explain and profiling differential suites:
 incident forensics is a strictly additive overlay.
 
 1. **Incidents off ⇒ byte-identical behaviour.**  A deployment that never
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.autoscale.loadgen import (
+from repro.service.loadtest import (
     CHAOS_EPOCH_FLIP,
     CHAOS_KILL,
     ChaosEvent,
@@ -201,7 +201,7 @@ class TestChaosDayDeterminism:
                 tiny_kb,
                 banking_lexicon,
                 cluster=ClusterConfig(shards=2, replicas=1),
-                cache=CacheConfig(enabled=True),  # the loadgen drives the clock
+                cache=CacheConfig(enabled=True),  # the chaos driver drives the clock
                 incident=IncidentConfig(enabled=True),
                 tracing=False,
                 seed=23,

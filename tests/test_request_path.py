@@ -28,6 +28,8 @@ from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.queries import generate_multi_hop_queries
 from repro.corpus.vocabulary import build_banking_lexicon
 from repro.obs import spans
+from repro.obs.trace import RequestContext
+from repro.obs.work import WorkCounters
 from repro.search.fulltext import FullTextSearch
 from repro.search.reranker import SemanticReranker
 from repro.service.backend import ROLE_OPS
@@ -159,31 +161,37 @@ class TestFollowUpRewriteDoesNotLeak:
 
 class TestDegradedScatterBooksWork:
     """Defect 3: the BM25-only scatter was a second loop that ran its legs
-    with no context, so a profiled level-2 request booked nothing at all."""
+    with no context, so a profiled text-only search booked nothing at all."""
 
-    def test_level_two_work_matches_the_single_index(self, kb):
-        request = AskRequest.of("come sbloccare la carta di credito", profile=True)
-        single = build(kb).engine.answer(request, degrade_level=2).answer
-        sharded = build(kb, shards=SHARDS).engine.answer(request, degrade_level=2).answer
-        assert single.documents and sharded.documents
-        assert single.work["postings_scanned"] > 0
-        assert sharded.work["postings_scanned"] == single.work["postings_scanned"]
-        assert sharded.work["docs_scored"] == single.work["docs_scored"]
-        assert sharded.work["scatter_legs"] == SHARDS
-        assert "scatter_legs" not in single.work
+    QUESTION = "come sbloccare la carta di credito"
 
-    def test_level_two_shard_spans_carry_the_work_delta(self, kb):
-        request = AskRequest.of("come sbloccare la carta di credito", profile=True)
-        trace = build(kb, shards=SHARDS).engine.answer(request, degrade_level=2).answer.trace
+    @staticmethod
+    def profiled() -> RequestContext:
+        return RequestContext.traced(work=WorkCounters())
+
+    def test_text_only_work_matches_the_single_index(self, kb):
+        single, sharded = self.profiled(), self.profiled()
+        assert build(kb).searcher.search_degraded(self.QUESTION, ctx=single)
+        assert build(kb, shards=SHARDS).searcher.search_degraded(self.QUESTION, ctx=sharded)
+        single, sharded = single.work.snapshot(), sharded.work.snapshot()
+        assert single["postings_scanned"] > 0
+        assert sharded["postings_scanned"] == single["postings_scanned"]
+        assert sharded["docs_scored"] == single["docs_scored"]
+        assert sharded["scatter_legs"] == SHARDS
+        assert "scatter_legs" not in single
+
+    def test_text_only_shard_spans_carry_the_work_delta(self, kb):
+        ctx = self.profiled()
+        build(kb, shards=SHARDS).searcher.search_degraded(self.QUESTION, ctx=ctx)
         for shard_id in range(SHARDS):
-            attributes = trace.find(spans.shard_stage(shard_id)).attributes
+            attributes = ctx.trace.find(spans.shard_stage(shard_id)).attributes
             assert attributes["work_scatter_legs"] == 1
             assert attributes["work_postings_scanned"] > 0
 
-    def test_level_one_probe_books_the_cache_work_on_its_span(self, kb):
+    def test_the_cache_probe_books_its_work_on_its_span(self, kb):
         system = build(kb, cache=True)
-        request = AskRequest.of("come sbloccare la carta di credito", profile=True)
-        trace = system.engine.answer(request, degrade_level=1).answer.trace
+        request = AskRequest.of(self.QUESTION, profile=True)
+        trace = system.engine.answer(request).answer.trace
         lookup = trace.find(spans.STAGE_CACHE_LOOKUP)
         assert lookup.attributes["work_cache_exact_misses"] == 1
 
@@ -230,18 +238,16 @@ QUESTIONS = (
     "Qual è la differenza tra bloccare assegno bancario e chiudere domiciliazione bancaria?",
 )
 
-#: request kind → (option overrides, degrade level)
+#: request kind → option overrides
 KINDS = {
-    "plain": ({}, 0),
-    "traced": ({"trace": True}, 0),
-    "profiled": ({"profile": True}, 0),
-    "explain": ({"explain": True}, 0),
-    "cache_only": ({}, 1),
-    "bm25_only": ({"profile": True}, 2),
+    "plain": {},
+    "traced": {"trace": True},
+    "profiled": {"profile": True},
+    "explain": {"explain": True},
 }
 
 #: where the injected failure lands (None: the request runs clean)
-FAILURES = (None, None, "search", "search_degraded", "fulltext", "rerank")
+FAILURES = (None, None, "search", "fulltext", "rerank")
 
 steps = st.lists(
     st.tuples(
@@ -281,13 +287,13 @@ class TestNothingLeftBehind:
         engine = deployment.engine
         orchestrator = engine.orchestrator
         for kind, question, failure in steps:
-            options, level = KINDS[kind]
+            options = KINDS[kind]
             request = AskRequest.of(QUESTIONS[question], session_id="property", **options)
             engine_before = dict(vars(engine))
             orchestrator_before = dict(vars(orchestrator))
             with failure_scope(deployment, failure):
                 try:
-                    response = engine.answer(request, degrade_level=level)
+                    response = engine.answer(request)
                 except RuntimeError:
                     response = None
             assert vars(engine) == engine_before

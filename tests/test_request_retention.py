@@ -14,12 +14,10 @@ import gc
 import random
 import tracemalloc
 import types
-from unittest import mock
 
 import pytest
 
 from repro.api import AskOptions, AskRequest, create_backend
-from repro.autoscale import AdmissionConfig, AutoscaleConfig, admission
 from repro.cache.config import CacheConfig
 from repro.core.answer import UniAskAnswer
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
@@ -130,18 +128,15 @@ class TestReadersSeeWhatServeReturned:
     @pytest.fixture(scope="class")
     def served(self, tiny_kb, banking_lexicon, questions):
         """One run through every kind of stored request."""
-        # The controller reads its latency seed when the backend builds it.
-        with mock.patch.object(admission, "FULL_LATENCY_ESTIMATE", 4.0):
-            system, backend = build(
-                tiny_kb,
-                banking_lexicon,
-                shards=3,
-                cache=CacheConfig(enabled=True),
-                autoscale=AutoscaleConfig(admission=AdmissionConfig(enabled=True)),
-                incident=IncidentConfig(enabled=True),
-                profiling=True,
-                capacity=True,
-            )
+        system, backend = build(
+            tiny_kb,
+            banking_lexicon,
+            shards=3,
+            cache=CacheConfig(enabled=True),
+            incident=IncidentConfig(enabled=True),
+            profiling=True,
+            capacity=True,
+        )
         token = backend.login("u")
         kinds: dict[str, object] = {}
 
@@ -157,7 +152,6 @@ class TestReadersSeeWhatServeReturned:
         kinds["leader"] = leader
         serve("cache-hit", questions[20])
         serve("explained", questions[21], explain=True)
-        serve("shed", questions[22], deadline_ms=1000)
         for replica in system.cluster.replicas(0):
             replica.kill()
         serve("partial", questions[23])
@@ -168,7 +162,6 @@ class TestReadersSeeWhatServeReturned:
         assert kinds["coalesced"].answer.cache_hit == "coalesced"
         assert kinds["cache-hit"].answer.cache_hit == "exact"
         assert kinds["explained"].answer.explain_report is not None
-        assert kinds["shed"].answer.degrade_level == 2
         assert kinds["partial"].answer.partial_results
 
     def test_explain_by_id_is_the_report_serve_returned(self, served):
@@ -176,7 +169,6 @@ class TestReadersSeeWhatServeReturned:
         for kind, record in kinds.items():
             stored = _ops(backend, "explain", query_id=record.query_id)
             assert stored == record.answer.explain_report, kind
-        assert _ops(backend, "explain", query_id=kinds["shed"].query_id) is None
 
     def test_diagnose_reports_the_returned_record(self, served):
         backend, kinds = served
@@ -189,8 +181,7 @@ class TestReadersSeeWhatServeReturned:
                 key: payload[key]
                 for key in (
                     "query_id", "route", "served_at", "response_time", "outcome",
-                    "degrade_level", "cache_hit", "partial", "work", "pressure",
-                    "utilization",
+                    "cache_hit", "partial", "work",
                 )
             } == {
                 "query_id": record.query_id,
@@ -198,20 +189,16 @@ class TestReadersSeeWhatServeReturned:
                 "served_at": record.served_at,
                 "response_time": answer.response_time,
                 "outcome": answer.outcome,
-                "degrade_level": answer.degrade_level,
                 "cache_hit": answer.cache_hit,
                 "partial": answer.partial_results,
                 "work": dict(answer.work) if answer.work else {},
-                "pressure": record.pressure,
-                "utilization": record.utilization,
             }, kind
             verdicts[kind] = payload["verdict"]
             assert payload["baseline_n"] >= MIN_BASELINE
             assert {row["stage"]: row["duration"] for row in payload["stage_deltas"]} == {
                 stage: round(duration, 6) for stage, duration in stages.items()
             }, kind
-        assert record.pressure is not None  # the readings were taken at all
-        assert verdicts["shed"] == "shed" and verdicts["partial"] == "degraded"
+        assert verdicts["partial"] == "degraded"
         assert kinds["coalesced"].trace is None and kinds["leader"].trace is not None
 
 

@@ -3,7 +3,7 @@ kill / revive / epoch flip / rebalance / shard churn against one plain index.
 
 A Hypothesis state machine drives a 3-shard × 2-replica
 :class:`ClusterSearcher` with every cache off.  Faults go through the diurnal
-load driver's own chaos step (:func:`repro.autoscale.loadgen._apply_chaos`),
+load driver's own chaos step (:func:`repro.service.loadtest._apply_chaos`),
 so the states reached here are the states a chaos day reaches; hot-shard
 rebalances move documents between shards, shards join and leave, the clock
 moves, and searches rotate the replica each shard's probe starts from.
@@ -31,7 +31,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.autoscale.loadgen import (
+from repro.service.loadtest import (
     CHAOS_EPOCH_FLIP,
     CHAOS_KILL,
     CHAOS_REVIVE,

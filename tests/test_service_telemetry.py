@@ -3,13 +3,9 @@ the audit log as a run's evidence, and output-neutrality of the whole layer."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from repro.api import create_backend
-from repro.autoscale import AdmissionConfig, AutoscaleConfig, admission
-from repro.autoscale.loadgen import ChaosEvent, DiurnalLoadConfig, run_diurnal_load
 from repro.cache import CacheConfig
 from repro.cluster import ClusterConfig
 from repro.core.config import UniAskConfig
@@ -25,6 +21,7 @@ from repro.service.backend import (
     BackendService,
     ROLE_OPS,
 )
+from repro.service.loadtest import ChaosEvent, DiurnalLoadConfig, run_diurnal_load
 from repro.service.ops import OpsRoute
 
 QUESTIONS = [
@@ -70,8 +67,6 @@ class TestOpsRouteTable:
             "explain",
             "quality",
             "profile",
-            "autoscale",
-            "admission",
             "incidents",
             "diagnose",
             "healthz",
@@ -86,11 +81,6 @@ class TestOpsRouteTable:
         for name, route in backend.OPS_ROUTES.items():
             expected = name not in ("healthz", "readyz")
             assert route.privileged is expected
-
-    def test_autoscale_and_admission_routes_report_disabled(self, backend):
-        ops = backend.login("sre", role=ROLE_OPS)
-        assert backend.ops("autoscale", ops) == {"enabled": False, "decisions": []}
-        assert backend.ops("admission", ops) == {"enabled": False}
 
     @pytest.mark.parametrize(
         "route",
@@ -331,20 +321,17 @@ class TestAuditLog:
 
 class TestLoadTestReplay:
     def test_cluster_load_test_report_is_replayable_from_the_log(
-        self, small_store_and_lexicon, tmp_path, monkeypatch
+        self, small_store_and_lexicon, tmp_path
     ):
         """A chaos day's report is recomputed from the backend's audit file
         alone: one ``request`` line per served request, carrying ``partial``
-        and ``degrade_level``, and one ``admission_reject`` per rejection —
-        no driver-side log and no replay code."""
+        — no driver-side log and no replay code."""
         path = tmp_path / "audit.jsonl"
-        monkeypatch.setattr(admission, "TARGET_LOAD", 1.0)
         system = _fresh_system(
             small_store_and_lexicon,
             config=UniAskConfig(
                 cluster=ClusterConfig(shards=2, replicas=2),
                 cache=CacheConfig(enabled=True),
-                autoscale=AutoscaleConfig(admission=AdmissionConfig(enabled=True)),
                 telemetry=TelemetryConfig(audit_path=str(path)),
             ),
         )
@@ -365,13 +352,9 @@ class TestLoadTestReplay:
         assert report.unhandled_errors == ()
         entries = list(read_audit_log(path))
         requests = [entry for entry in entries if entry["event"] == "request"]
-        levels = Counter(entry.get("degrade_level", 0) for entry in requests)
         recomputed = {
             "served": len(requests),
             "partial": sum(entry["partial"] for entry in requests),
-            "rejected": sum(entry["event"] == "admission_reject" for entry in entries),
-            "degraded_cached": levels[1],
-            "degraded_bm25": levels[2],
         }
         assert recomputed == {name: getattr(report, name) for name in recomputed}
         assert all(recomputed.values())  # the day exercised every counter
