@@ -61,15 +61,12 @@ class ExactKnnIndex:
             raise ValueError(f"vector of item {item_id} is not finite (norm {norm})")
         self._store.append(vector, norm, item_id)
 
-    def search(
-        self, query: np.ndarray, k: int, work=None, tie_keys: np.ndarray | None = None
-    ) -> list[tuple[int, float]]:
+    def search(self, query: np.ndarray, k: int, work=None) -> list[tuple[int, float]]:
         """Return the *k* nearest stored items to *query* by cosine distance.
 
         *work* optionally books ``ann_distance_evals`` — brute force
         evaluates every stored vector, so the count is the matrix height.
-        *tie_keys* (indexed by item id) order equal distances, equal keys
-        by item id; by default the item id alone does.  That makes the ground
+        Equal distances are ordered by item id.  That makes the ground
         truth deterministic and lets a sharded deployment cut and merge
         per-shard results exactly as a single index would.
         """
@@ -81,4 +78,4 @@ class ExactKnnIndex:
             raise ValueError(f"query vector is not finite (norm {query_norm})")
         if work is not None:
             work.add(WORK_ANN_DISTANCE_EVALS, self._store.count)
-        return self._store.nearest(query, query_norm, k, tie_keys)
+        return self._store.nearest(query, query_norm, k)

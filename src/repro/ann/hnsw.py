@@ -229,14 +229,12 @@ class HnswIndex:
         k: int,
         ef: int | None = None,
         work=None,
-        tie_keys: np.ndarray | None = None,
     ) -> list[tuple[int, float]]:
         """Return approximately the *k* nearest live items to *query*.
 
         Results are ``(item_id, distance)`` sorted by ascending distance,
         equal distances (duplicate vectors) by ascending *current* id — the
         ``ef`` candidates are put in that order before the cut to *k*.
-        *tie_keys* (indexed by item id) come before the id in that order.
         ``ef`` overrides the index default candidate width for this query;
         it counts live candidates, so removed nodes never crowd a result out.
         A graph of at most :data:`SCAN_BEAMS` beams (``max(ef, k)``) of rows,
@@ -257,7 +255,7 @@ class HnswIndex:
         if rows <= SCAN_BEAMS * ef:
             if work is not None:
                 work.add(WORK_ANN_DISTANCE_EVALS, rows)
-            return self._store.nearest(query, query_norm, k, tie_keys)
+            return self._store.nearest(query, query_norm, k)
         evals = 0
         current = self._entry_point
         for layer in range(self._nodes[current].level, 0, -1):
@@ -270,10 +268,7 @@ class HnswIndex:
         if self._relabelled:
             nodes, labels = self._nodes, self._store.labels
             candidates = [(distance, int(labels[nodes[key].row])) for distance, key in candidates]
-        if tie_keys is None:
-            candidates.sort()
-        else:
-            candidates.sort(key=lambda pair: (pair[0], tie_keys[pair[1]], pair[1]))
+        candidates.sort()
         if work is not None:
             work.add(WORK_ANN_DISTANCE_EVALS, evals)
         return [(item_id, distance) for distance, item_id in candidates[:k]]

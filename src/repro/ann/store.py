@@ -83,15 +83,12 @@ class RowStore:
                 self.labels[row] = moved
                 self._row_of[moved] = row
 
-    def nearest(
-        self, query: np.ndarray, query_norm: float, k: int, tie_keys: np.ndarray | None = None
-    ) -> list[tuple[int, float]]:
+    def nearest(self, query: np.ndarray, query_norm: float, k: int) -> list[tuple[int, float]]:
         """The *k* labelled rows nearest *query*, as ``(label, distance)``.
 
         One :func:`~repro.ann.distance.batch_cosine_distance` pass over every
         stored row, so a distance has the bits of the scalar expression; the
-        cut is in ``(distance, tie key, label)`` order, by ``(distance,
-        label)`` without *tie_keys* (indexed by label).
+        cut is in ``(distance, label)`` order.
         """
         count = self.count
         distances = batch_cosine_distance(query, self.rows[:count], self.norms[:count], query_norm)
@@ -99,6 +96,5 @@ class RowStore:
         live = labels >= 0
         if not live.all():
             distances, labels = distances[live], labels[live]
-        keys = (labels, distances) if tie_keys is None else (labels, tie_keys[labels], distances)
-        order = np.lexsort(keys)[:k]
+        order = np.lexsort((labels, distances))[:k]
         return [(int(labels[i]), float(distances[i])) for i in order]

@@ -126,7 +126,3 @@ class ShardRetrievalCache:
             entries.popitem(last=False)
             self.stats.evictions += 1
             self._m_events.labels("evict").inc()
-
-    def drop_shard(self, shard_id: int) -> None:
-        """Forget everything cached for *shard_id* (topology changes)."""
-        self._shards.pop(shard_id, None)

@@ -3,9 +3,8 @@
 A sharded deployment restarts from disk exactly like the single-index one
 (:mod:`repro.search.persistence`): each shard is saved with ``save_index``
 into its own sub-directory, and a ``cluster.json`` manifest records the
-topology (shard ids, virtual-node count, pins) plus the global insertion
-ordinals that make merged rankings reproduce single-index tie order after
-a reload.
+shard count (the placement ring is a function of it) plus the global
+insertion ordinals the router merges shard rankings by.
 """
 
 from __future__ import annotations
@@ -13,21 +12,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.cluster.planner import ShardPlanner
 from repro.cluster.sharded_index import ShardedSearchIndex
 from repro.embeddings.model import EmbeddingModel
 from repro.search.persistence import load_index, replace_file, save_index
 from repro.text.analyzer import ItalianAnalyzer
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 _MANIFEST = "cluster.json"
 
 #: Every manifest key and the JSON type it must have; members are integers.
 _MANIFEST_TYPES = {
-    "vnodes": int,
-    "shard_ids": list,
-    "pins": dict,
+    "shards": int,
     "next_ordinal": int,
     "ordinals": dict,
 }
@@ -50,14 +46,11 @@ def save_cluster(index: ShardedSearchIndex, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    planner = index.planner
-    for shard_id in planner.shard_ids:
+    for shard_id in index.shard_ids:
         save_index(index.shard_index(shard_id), _shard_directory(directory, shard_id))
     manifest = {
         "version": _FORMAT_VERSION,
-        "vnodes": planner.vnodes,
-        "shard_ids": list(planner.shard_ids),
-        "pins": planner.pins,
+        "shards": index.num_shards,
         "next_ordinal": index.next_ordinal,
         "ordinals": index.live_ordinals(),
     }
@@ -69,26 +62,59 @@ def _read_manifest(directory: Path) -> dict:
     """The manifest of *directory*, checked; ``ValueError`` names what is wrong.
 
     A manifest that parses but lies must not load: a chunk without its
-    ordinal would silently sort last on score ties instead of failing.
+    ordinal would have no place in the router's merge.
     """
     manifest = json.loads((directory / _MANIFEST).read_text())
     if not isinstance(manifest, dict):
         raise ValueError("cluster manifest is not a JSON object")
     if manifest.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported cluster format version: {manifest.get('version')}")
-    manifest.setdefault("pins", {})
     for key, kind in _MANIFEST_TYPES.items():
         value = manifest.get(key)
         if not isinstance(value, kind):
             raise ValueError(f"cluster manifest {key!r} must be a {kind.__name__}, found {value!r}")
-        members = (value,) if kind is int else value if kind is list else value.values()
+        members = (value,) if kind is int else value.values()
         if not all(type(member) is int for member in members):
             raise ValueError(f"cluster manifest {key!r} holds a non-integer")
-    for shard_id in manifest["shard_ids"]:
+    if manifest["shards"] < 1:
+        raise ValueError(f"cluster manifest 'shards' must be >= 1, found {manifest['shards']}")
+    for shard_id in range(manifest["shards"]):
         shard_directory = _shard_directory(directory, shard_id)
         if not shard_directory.is_dir():
             raise ValueError(f"shard {shard_id} has no {shard_directory.name} directory")
     return manifest
+
+
+def _check_ordinals(index: ShardedSearchIndex, ordinals: dict[str, int], next_ordinal: int) -> None:
+    """``ValueError`` unless *ordinals* give each live chunk of *index* its
+    own ordinal, below *next_ordinal* and ascending with internal id in
+    every shard — the order the shard cuts its ties in."""
+    shards: dict[int, list[str]] = {}
+    for shard_id in index.shard_ids:
+        shard = index.shard_index(shard_id)
+        shards[shard_id] = [shard.record(internal).chunk_id for internal in shard.live_internals()]
+    live = {chunk_id for chunk_ids in shards.values() for chunk_id in chunk_ids}
+    if live != ordinals.keys():
+        unordered, orphaned = sorted(live - ordinals.keys()), sorted(ordinals.keys() - live)
+        raise ValueError(
+            f"cluster manifest ordinals do not match the shards' live chunks: "
+            f"{len(unordered)} live chunks without an ordinal {unordered[:3]}, "
+            f"{len(orphaned)} ordinals for no live chunk {orphaned[:3]}"
+        )
+    owners: dict[int, str] = {}
+    for chunk_id, ordinal in ordinals.items():
+        owner = owners.setdefault(ordinal, chunk_id)
+        if owner != chunk_id:
+            raise ValueError(f"chunks {owner!r} and {chunk_id!r} share ordinal {ordinal}")
+    if ordinals and next_ordinal <= max(ordinals.values()):
+        raise ValueError("next_ordinal must exceed every restored ordinal")
+    for shard_id, chunk_ids in shards.items():
+        for before, after in zip(chunk_ids, chunk_ids[1:]):
+            if ordinals[before] > ordinals[after]:
+                raise ValueError(
+                    f"shard {shard_id} holds {before!r} before {after!r}, "
+                    f"but their ordinals are {ordinals[before]} and {ordinals[after]}"
+                )
 
 
 def load_cluster(
@@ -107,9 +133,6 @@ def load_cluster(
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
-    planner = ShardPlanner(
-        shard_ids=manifest["shard_ids"], vnodes=manifest["vnodes"], pins=manifest["pins"]
-    )
     shard_indexes = {
         shard_id: load_index(
             _shard_directory(directory, shard_id),
@@ -118,7 +141,7 @@ def load_cluster(
             seed=seed,
             analyzer=analyzer,
         )
-        for shard_id in planner.shard_ids
+        for shard_id in range(manifest["shards"])
     }
     schema = next(iter(shard_indexes.values())).schema
     index = ShardedSearchIndex(
@@ -127,17 +150,8 @@ def load_cluster(
         ann_backend=ann_backend,
         seed=seed,
         analyzer=analyzer,
-        planner=planner,
         shard_indexes=shard_indexes,
     )
-    ordinals = manifest["ordinals"]
-    live = index.live_ordinals().keys()
-    if live != ordinals.keys():
-        unordered, orphaned = sorted(live - ordinals.keys()), sorted(ordinals.keys() - live)
-        raise ValueError(
-            f"cluster manifest ordinals do not match the shards' live chunks: "
-            f"{len(unordered)} live chunks without an ordinal {unordered[:3]}, "
-            f"{len(orphaned)} ordinals for no live chunk {orphaned[:3]}"
-        )
-    index.restore_ordinals(ordinals, next_ordinal=manifest["next_ordinal"])
+    _check_ordinals(index, manifest["ordinals"], manifest["next_ordinal"])
+    index.restore_ordinals(manifest["ordinals"], next_ordinal=manifest["next_ordinal"])
     return index

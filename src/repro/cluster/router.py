@@ -256,7 +256,6 @@ class ClusterSearcher:
         self.index = index
         self._reranker = reranker
         self._clock = clock if clock is not None else SimulatedClock()
-        self._profile = profile
         registry = registry or NULL_REGISTRY
         self._m_probes = registry.counter(
             "uniask_shard_probes_total",
@@ -273,6 +272,10 @@ class ClusterSearcher:
         self._groups: dict[int, ReplicaGroup] = {}
         self._fulltext: dict[int, FullTextSearch] = {}
         self._vector: dict[int, VectorSearch] = {}
+        for shard_id in index.shard_ids:
+            self._groups[shard_id] = ReplicaGroup.build(shard_id, self.cluster_config)
+            self._fulltext[shard_id] = FullTextSearch(index.search_view(shard_id), profile=profile)
+            self._vector[shard_id] = VectorSearch(index.shard_index(shard_id))
         self._query_counter = 0
         self._last_report: ScatterReport | None = None
         self.retrieval_cache: ShardRetrievalCache | None = None
@@ -286,26 +289,8 @@ class ClusterSearcher:
         # control-plane event at startup.
         self._last_alive: dict[str, bool] = {}
         self._last_generation: int | None = None
-        self._sync_topology()
 
-    # -- topology ----------------------------------------------------------
-
-    def _sync_topology(self) -> None:
-        """Align replica groups and executors with the current shard set."""
-        current = set(self.index.shard_ids)
-        for shard_id in list(self._groups):
-            if shard_id not in current:
-                del self._groups[shard_id]
-                self._fulltext.pop(shard_id, None)
-                self._vector.pop(shard_id, None)
-                if self.retrieval_cache is not None:
-                    self.retrieval_cache.drop_shard(shard_id)
-        for shard_id in self.index.shard_ids:
-            if shard_id not in self._groups:
-                self._groups[shard_id] = ReplicaGroup.build(shard_id, self.cluster_config)
-                view = self.index.search_view(shard_id)
-                self._fulltext[shard_id] = FullTextSearch(view, profile=self._profile)
-                self._vector[shard_id] = VectorSearch(self.index.shard_index(shard_id))
+    # -- control state -----------------------------------------------------
 
     def _observe_control_state(self) -> None:
         """Diff replica liveness and cache generation onto the recorder.
@@ -314,8 +299,7 @@ class ClusterSearcher:
         router (direct ``Replica.kill()`` / ``bump_generation()`` calls),
         so the only reliable observation point is a state diff at the
         router's own touch points.  First sight of a key seeds the
-        baseline silently; disappeared keys (topology shrink) are
-        dropped.  No-op without a recorder.
+        baseline silently.  No-op without a recorder.
         """
         if self.recorder is None:
             return
@@ -340,7 +324,6 @@ class ClusterSearcher:
 
     def replicas(self, shard_id: int) -> list[Replica]:
         """The replica group of *shard_id* (fault injection entry point)."""
-        self._sync_topology()
         return list(self._groups[shard_id].replicas)
 
     # -- serving -----------------------------------------------------------
@@ -401,7 +384,6 @@ class ClusterSearcher:
         An unknown filter field raises before any replica is probed.
         """
         self.index.schema.check_filters(filters)
-        self._sync_topology()
         self._observe_control_state()
         config = self.config
         mode = "text" if degraded else config.mode
@@ -678,7 +660,6 @@ class ClusterSearcher:
 
     def status(self) -> ClusterStatus:
         """A point-in-time snapshot of shard sizes and replica health."""
-        self._sync_topology()
         self._observe_control_state()
         now = self._clock.now()
         shards = []

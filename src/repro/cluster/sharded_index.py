@@ -20,15 +20,15 @@ Two pieces make scatter-gather retrieval rank *exactly* like one big index:
   same global numbers the single index would use.
 
 * **Global insertion ordinals.**  A single index breaks score ties by
-  insertion order of its internal ids.  The facade assigns every chunk a
-  monotonically increasing *ordinal* at ``add_chunk`` time — a chunk that
-  ``replace_document`` leaves alone keeps its ordinal as it keeps its
-  internal id, a chunk it rewrites gets a fresh one, a chunk a migration
-  moves keeps its own.  The ordinal is stored once, in the shard that
-  holds the chunk (:meth:`~repro.search.index.SearchIndex.set_ordinal`):
-  each shard ranks its chunks by it, so a tie at a leg's cut falls where
-  the single index would put it, and the router merges per-shard rankings
-  with ``(-score, ordinal)``, reading it back through :meth:`ordinal`.
+  insertion order of its internal ids.  A document never leaves the shard
+  the planner put it on, so each shard's internal ids run in the order its
+  chunks were written, and a leg cut on the shard's own internal id falls
+  where the single index would put it.  Across shards the facade assigns
+  every chunk a monotonically increasing *ordinal* at ``add_chunk`` time —
+  a chunk that ``replace_document`` leaves alone keeps its ordinal as it
+  keeps its internal id, a chunk it rewrites gets a fresh one — and the
+  router merges per-shard rankings with ``(-score, ordinal)``, reading it
+  through :meth:`ShardedSearchIndex.ordinal`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from repro.cluster.planner import ShardPlanner
 from repro.embeddings.model import EmbeddingModel
 from repro.obs.trace import NULL_CONTEXT, RequestContext
-from repro.search.index import NO_ORDINAL, VACUUM_TOMBSTONE_RATIO, SearchIndex
+from repro.search.index import VACUUM_TOMBSTONE_RATIO, SearchIndex
 from repro.search.inverted import InvertedIndex
 from repro.search.schema import ChunkRecord, IndexSchema, uniask_schema
 from repro.text.analyzer import ItalianAnalyzer
@@ -120,9 +120,6 @@ class _ShardSearchView:
     def is_live(self, internal: int) -> bool:
         return self._shard.is_live(internal)
 
-    def ordinals(self, internals: np.ndarray) -> np.ndarray:
-        return self._shard.ordinals(internals)
-
     def matches_filters(self, internal: int, filters: dict[str, str] | None) -> bool:
         return self._shard.matches_filters(internal, filters)
 
@@ -136,14 +133,11 @@ class ShardedSearchIndex:
     Args:
         embedder: embedding model shared by every shard.
         schema: field definitions; defaults to the UniAsk production schema.
-        num_shards: shards to create (ignored when *planner* or
-            *shard_indexes* is given).
-        planner: reuse an existing placement ring (restores a persisted
-            cluster); defaults to a fresh ``num_shards``-shard ring.
-        shard_indexes: pre-built ``shard_id -> SearchIndex`` map (the load
-            path); must cover exactly the planner's shard ids.
+        num_shards: shards to create (ignored when *shard_indexes* is given).
+        shard_indexes: pre-built ``shard_id -> SearchIndex`` map keyed
+            ``0..n-1`` (the load path).
         Remaining arguments mirror :class:`SearchIndex` and are applied to
-        every shard (existing and future).
+        every shard this builds.
     """
 
     #: Optional incident flight recorder; set by the factory (per-shard
@@ -161,42 +155,35 @@ class ShardedSearchIndex:
         hnsw_ef_search: int = 80,
         seed: int = 42,
         analyzer: ItalianAnalyzer | None = None,
-        planner: ShardPlanner | None = None,
         shard_indexes: dict[int, SearchIndex] | None = None,
         registry=None,
     ) -> None:
         self.schema = schema or uniask_schema()
         self.embedder = embedder
-        self._index_kwargs = dict(
-            ann_backend=ann_backend,
-            hnsw_m=hnsw_m,
-            hnsw_ef_construction=hnsw_ef_construction,
-            hnsw_ef_search=hnsw_ef_search,
-            seed=seed,
-            analyzer=analyzer,
-            registry=registry,
-        )
-        if planner is not None:
-            self._planner = planner
-        elif shard_indexes is not None:
-            self._planner = ShardPlanner(shard_ids=sorted(shard_indexes))
-        else:
-            self._planner = ShardPlanner(num_shards=num_shards)
-
-        if shard_indexes is not None:
-            if set(shard_indexes) != set(self._planner.shard_ids):
-                raise ValueError("shard_indexes must cover exactly the planner's shards")
-            self._shards = dict(shard_indexes)
-        else:
-            self._shards = {
-                shard_id: self._new_shard_index() for shard_id in self._planner.shard_ids
+        if shard_indexes is None:
+            shard_indexes = {
+                shard_id: SearchIndex(
+                    embedder,
+                    schema=self.schema,
+                    ann_backend=ann_backend,
+                    hnsw_m=hnsw_m,
+                    hnsw_ef_construction=hnsw_ef_construction,
+                    hnsw_ef_search=hnsw_ef_search,
+                    seed=seed,
+                    analyzer=analyzer,
+                    registry=registry,
+                )
+                for shard_id in range(num_shards)
             }
+        self._planner = ShardPlanner(len(shard_indexes))
+        if set(shard_indexes) != set(self._planner.shard_ids):
+            raise ValueError("shard_indexes must be keyed 0..n-1")
+        self._shards = dict(shard_indexes)
 
+        #: ``chunk_id -> ordinal`` of exactly the live chunks.
+        self._ordinals: dict[str, int] = {}
         self._next_ordinal = 0
         self._generation = 0
-
-    def _new_shard_index(self) -> SearchIndex:
-        return SearchIndex(self.embedder, schema=self.schema, **self._index_kwargs)
 
     # -- topology ----------------------------------------------------------
 
@@ -209,16 +196,15 @@ class ShardedSearchIndex:
     def generation(self) -> int:
         """Monotonic cluster-wide write counter (the answer-cache epoch).
 
-        Kept as the facade's own counter rather than a sum of the per-shard
-        generations: ``remove_shard`` drops a shard's counter from such a
-        sum, which would make the aggregate non-monotonic and could collide
-        with an epoch a cache already stamped.
+        The facade's own counter rather than a sum of the per-shard
+        generations, so :meth:`bump_generation` can flip it without
+        touching a shard.
         """
         return self._generation
 
     @property
     def shard_ids(self) -> tuple[int, ...]:
-        """All shard ids, in creation order."""
+        """All shard ids, ascending."""
         return self._planner.shard_ids
 
     @property
@@ -234,53 +220,6 @@ class ShardedSearchIndex:
         """A query-executor facade of *shard_id* with global BM25 stats."""
         return _ShardSearchView(self, shard_id)
 
-    def add_shard(self) -> int:
-        """Grow the ring by one shard and migrate the documents it now owns."""
-        shard_id = self._planner.add_shard()
-        self._shards[shard_id] = self._new_shard_index()
-        self._migrate()
-        self._generation += 1
-        return shard_id
-
-    def remove_shard(self, shard_id: int) -> None:
-        """Drain *shard_id*'s documents to the survivors and drop the shard."""
-        if shard_id not in self._shards:
-            raise KeyError(f"unknown shard {shard_id}")
-        self._planner.remove_shard(shard_id)
-        doomed = self._shards.pop(shard_id)
-        self._migrate(extra_sources={shard_id: doomed})
-        self._generation += 1
-
-    def rebalance_shard(self, from_shard: int, to_shard: int, fraction: float = 0.25) -> int:
-        """Move a bounded slice of *from_shard*'s documents to *to_shard*.
-
-        A hot-shard relief valve: pins the lowest
-        ``fraction`` of *from_shard*'s documents (by doc id, so repeated
-        calls are deterministic) onto *to_shard* in the placement ring
-        and migrates exactly those — the planner's minimal-movement
-        property keeps every other document where it is.  Returns the
-        number of chunks moved; bumps the generation (a placement change
-        is a write, so caches re-epoch) only when something moved.
-        """
-        if from_shard not in self._shards:
-            raise KeyError(f"unknown shard {from_shard}")
-        if to_shard not in self._shards:
-            raise KeyError(f"unknown shard {to_shard}")
-        if from_shard == to_shard:
-            raise ValueError("from_shard and to_shard must differ")
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        source = self._shards[from_shard]
-        doc_ids = sorted({source.record(i).doc_id for i in source.live_internals()})
-        if not doc_ids:
-            return 0
-        for doc_id in doc_ids[: max(1, int(len(doc_ids) * fraction))]:
-            self._planner.pin(doc_id, to_shard)
-        moved = self._migrate()
-        if moved:
-            self._generation += 1
-        return moved
-
     def bump_generation(self) -> int:
         """Force a cache-epoch flip without touching any content.
 
@@ -292,38 +231,6 @@ class ShardedSearchIndex:
         """
         self._generation += 1
         return self._generation
-
-    def _migrate(self, extra_sources: dict[int, SearchIndex] | None = None) -> int:
-        """Re-place documents whose ring owner changed; returns chunks moved.
-
-        Moved chunks keep their global ordinal, so merged rankings remain
-        stable for the unmoved majority of the corpus.
-        """
-        sources = dict(self._shards)
-        sources.update(extra_sources or {})
-        moved_chunks = 0
-        for source_id, source in sources.items():
-            # A chunk moves with the vectors it is served by, not re-embedded.
-            stale: dict[str, list[tuple[int, ChunkRecord, dict[str, np.ndarray]]]] = {}
-            for internal in source.live_internals():
-                record = source.record(internal)
-                if self._planner.assign(record.doc_id) != source_id:
-                    vectors = {
-                        name: source.chunk_vector(internal, name)
-                        for name in self.schema.vector_fields
-                    }
-                    ordinal = source.ordinal(record.chunk_id)
-                    stale.setdefault(record.doc_id, []).append((ordinal, record, vectors))
-            for doc_id, chunks in stale.items():
-                target = self._shards[self._planner.assign(doc_id)]
-                source.delete_document(doc_id)
-                # Re-added in ordinal order under their old ordinals, which
-                # the target shard's cuts break ties on.
-                for ordinal, record, vectors in sorted(chunks, key=lambda c: c[0]):
-                    internal = target.add_chunk(record, vectors=vectors)
-                    target.set_ordinal(internal, ordinal)
-                    moved_chunks += 1
-        return moved_chunks
 
     # -- sizing ------------------------------------------------------------
 
@@ -347,7 +254,7 @@ class ShardedSearchIndex:
         """
         shard = self._shards[self._planner.assign(record.doc_id)]
         internal = shard.add_chunk(record, vectors=vectors)
-        self._stamp(shard, internal)
+        self._stamp(record.chunk_id)
         self._generation += 1
         return internal
 
@@ -363,18 +270,27 @@ class ShardedSearchIndex:
         a replace that changed nothing leaves the :attr:`generation` alone.
         Returns the shard-local internal ids written.
         """
+        records = list(records)
         shard = self._shards[self._planner.assign(doc_id)]
         before = shard.generation
+        previous = shard.chunk_ids(doc_id)
         written = shard.replace_document(doc_id, records)
+        kept = {record.chunk_id for record in records}
+        for chunk_id in previous:
+            if chunk_id not in kept:
+                self._ordinals.pop(chunk_id, None)
         for internal in written:
-            self._stamp(shard, internal)
+            self._stamp(shard.record(internal).chunk_id)
         if shard.generation != before:
             self._generation += 1
         return written
 
     def delete_document(self, doc_id: str) -> int:
         """Tombstone every chunk of *doc_id* on its shard."""
-        removed = self._shards[self._planner.assign(doc_id)].delete_document(doc_id)
+        shard = self._shards[self._planner.assign(doc_id)]
+        for chunk_id in shard.chunk_ids(doc_id):
+            self._ordinals.pop(chunk_id, None)
+        removed = shard.delete_document(doc_id)
         if removed:
             self._generation += 1
         return removed
@@ -412,28 +328,18 @@ class ShardedSearchIndex:
 
     # -- global ordering ---------------------------------------------------
 
-    def _stamp(self, shard: SearchIndex, internal: int) -> None:
-        """Give the chunk just written at *internal* the next ordinal."""
-        shard.set_ordinal(internal, self._next_ordinal)
+    def _stamp(self, chunk_id: str) -> None:
+        """Give the chunk just written as *chunk_id* the next ordinal."""
+        self._ordinals[chunk_id] = self._next_ordinal
         self._next_ordinal += 1
 
     def ordinal(self, chunk_id: str) -> int:
-        """Global insertion ordinal of live chunk *chunk_id*, read from the
-        shard holding it (unknown chunks sort last)."""
-        for shard in self._shards.values():
-            ordinal = shard.ordinal(chunk_id)
-            if ordinal is not None:
-                return ordinal
-        return NO_ORDINAL
+        """Global insertion ordinal of live chunk *chunk_id*."""
+        return self._ordinals[chunk_id]
 
     def live_ordinals(self) -> dict[str, int]:
         """``chunk_id -> ordinal`` for every live chunk (persistence)."""
-        live: dict[str, int] = {}
-        for shard in self._shards.values():
-            for internal in shard.live_internals():
-                chunk_id = shard.record(internal).chunk_id
-                live[chunk_id] = shard.ordinal(chunk_id)
-        return live
+        return dict(self._ordinals)
 
     @property
     def next_ordinal(self) -> int:
@@ -441,12 +347,7 @@ class ShardedSearchIndex:
         return self._next_ordinal
 
     def restore_ordinals(self, ordinals: dict[str, int], next_ordinal: int) -> None:
-        """Give every live chunk its ordinal in *ordinals* (the persistence
-        load path); a chunk it does not name sorts last."""
-        if ordinals and next_ordinal <= max(ordinals.values()):
-            raise ValueError("next_ordinal must exceed every restored ordinal")
+        """Adopt *ordinals*, which name every live chunk, and *next_ordinal*
+        (the persistence load path, which checks them first)."""
+        self._ordinals = dict(ordinals)
         self._next_ordinal = next_ordinal
-        for shard in self._shards.values():
-            for internal in shard.live_internals():
-                chunk_id = shard.record(internal).chunk_id
-                shard.set_ordinal(internal, ordinals.get(chunk_id, NO_ORDINAL))

@@ -124,7 +124,7 @@ class FullTextSearch:
                 combined[ids] += weight * scores
                 touched[ids] = True
             candidates = np.nonzero(touched)[0]
-            ranked = np.lexsort((self._index.ordinals(candidates), -combined[candidates]))
+            ranked = np.lexsort((candidates, -combined[candidates]))
             selected: list[tuple[int, float]] = []
             for position in ranked:
                 internal = int(candidates[position])

@@ -53,8 +53,6 @@ from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 #: Default threshold of :meth:`SearchIndex.vacuum`: a no-arg vacuum only
 #: rebuilds once this fraction of chunks is dead.
 VACUUM_TOMBSTONE_RATIO = 0.35
-#: Ordinal of an internal id no ordinal was set for (sorts last).
-NO_ORDINAL = int(np.iinfo(np.int64).max)
 
 
 class SearchIndex:
@@ -102,8 +100,6 @@ class SearchIndex:
         self._next_internal = 0
         self._deleted: set[int] = set()
         self._generation = 0
-        #: Tie key per internal id once :meth:`set_ordinal` was called.
-        self._ordinals: np.ndarray | None = None
 
         self.analyzer = analyzer if analyzer is not None else FULL_ANALYZER
         self._store = SegmentedTextStore(self.schema.searchable_fields, self.analyzer)
@@ -194,8 +190,6 @@ class SearchIndex:
         self._records[internal] = record
         self._internal_by_chunk[record.chunk_id] = internal
         self._internals_by_doc.setdefault(record.doc_id, []).append(internal)
-        if self._ordinals is not None:
-            self.set_ordinal(internal, NO_ORDINAL)
 
         field_terms = self._store.add(
             internal, {name: record.value(name) for name in self.schema.searchable_fields}
@@ -357,6 +351,14 @@ class SearchIndex:
         """All live internal ids."""
         return [i for i in self._records if i not in self._deleted]
 
+    def chunk_ids(self, doc_id: str) -> list[str]:
+        """The chunk ids of *doc_id*'s live chunks, in internal-id order."""
+        return [
+            self._records[i].chunk_id
+            for i in self._internals_by_doc.get(doc_id, ())
+            if i not in self._deleted
+        ]
+
     def inverted_index(self, field_name: str):
         """The postings reader of searchable field *field_name*."""
         return self._store.view(field_name)
@@ -365,42 +367,8 @@ class SearchIndex:
         self, field_name: str, query_vector: np.ndarray, k: int, work=None
     ) -> list[tuple[int, float]]:
         """The *k* nearest live chunks to *query_vector* on a vector field,
-        equal distances in :meth:`ordinals` order."""
-        return self._vectors[field_name].search(
-            query_vector, k, work=work, tie_keys=self._ordinals
-        )
-
-    # -- tie order ---------------------------------------------------------------
-
-    def set_ordinal(self, internal: int, ordinal: int) -> None:
-        """Rank *internal* as *ordinal* among equal scores.
-
-        A cluster's shard members rank in the cluster's global insertion
-        order, so a chunk that migrated in under a late internal id is cut
-        where one index holding every chunk would cut it.  An index nobody
-        sets ordinals on ranks by internal id, which is its insertion order;
-        once one is set, a chunk written without one sorts after every
-        ordinal, equal ones by internal id.
-        """
-        ordinals = self._ordinals
-        if ordinals is None or internal >= ordinals.size:
-            grown = np.full(max(2 * internal + 2, 64), NO_ORDINAL, dtype=np.int64)
-            if ordinals is not None:
-                grown[: ordinals.size] = ordinals
-            self._ordinals = ordinals = grown
-        ordinals[internal] = ordinal
-
-    def ordinals(self, internals: np.ndarray) -> np.ndarray:
-        """The tie keys of *internals*: every ranking cut orders equal
-        scores by them, ascending."""
-        return internals if self._ordinals is None else self._ordinals[internals]
-
-    def ordinal(self, chunk_id: str) -> int | None:
-        """The tie key of live chunk *chunk_id*; None when it is not here."""
-        internal = self._internal_by_chunk.get(chunk_id)
-        if internal is None or self._ordinals is None:
-            return internal
-        return int(self._ordinals[internal])
+        equal distances in internal-id order."""
+        return self._vectors[field_name].search(query_vector, k, work=work)
 
     def matches_filters(self, internal: int, filters: dict[str, str] | None) -> bool:
         """Exact-match filter evaluation on filterable fields."""

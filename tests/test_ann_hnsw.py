@@ -184,7 +184,7 @@ class TestHnswWork:
         """With no more rows than four beams a search walks nothing: one
         store pass evaluates every row once — a removed one too, and the
         search books every row it evaluated — and the live rows are cut in
-        ``(distance, tie key, id)`` order.  One row more and it walks."""
+        ``(distance, id)`` order.  One row more and it walks."""
         vectors = _unit_rows(56, 8, seed=14)
         index = HnswIndex(dim=8, m=4, ef_construction=20, ef_search=15, seed=2)
         for i, row in enumerate(vectors):
@@ -198,8 +198,6 @@ class TestHnswWork:
             for item_id in (0, 57, 12):
                 index.relabel(item_id, 100 + item_id)
         live = [i for i in range(200) if i in index]
-        tie_keys = np.full(200, 9, dtype=np.int64)
-        tie_keys[[100, 59, 58]] = [2, 1, 0]
         walks, passes = [], []
 
         def recorded(log, method, size=lambda *args: 1):
@@ -212,18 +210,18 @@ class TestHnswWork:
             store_module, "batch_cosine_distance", recorded(passes, batch, lambda q, m, *rest: len(m))
         )
         work = WorkCounters()
-        hits = index.search(vectors[0], len(live), work=work, tie_keys=tie_keys)
+        hits = index.search(vectors[0], len(live), work=work)
         assert passes == [60] and work.get(WORK_ANN_DISTANCE_EVALS) == 60 and not walks
         assert sorted(i for i, _ in hits) == live
-        assert hits == sorted(hits, key=lambda hit: (hit[1], tie_keys[hit[0]], hit[0]))
-        tie = [58, 59, 100, 56, 157] if edit == "relabel" else [58, 59, 0, 56, 57]
+        assert hits == sorted(hits, key=lambda hit: (hit[1], hit[0]))
+        tie = [56, 58, 59, 100, 157] if edit == "relabel" else [0, 56, 57, 58, 59]
         assert [i for i, _ in hits[:5]] == tie
         # 60 rows are four beams of 15: a k-5 search still scans them.
-        assert index.search(vectors[0], 5, tie_keys=tie_keys) == hits[:5]
+        assert index.search(vectors[0], 5) == hits[:5]
         assert passes == [60, 60] and not walks
         index.add(60, vectors[1])
         walks.clear()
-        assert index.search(vectors[0], 5, tie_keys=tie_keys) == hits[:5]
+        assert index.search(vectors[0], 5) == hits[:5]
         assert passes == [60, 60] and walks
 
     def test_removed_nodes_cost_a_walk_through_not_an_over_fetch(self):
@@ -290,7 +288,7 @@ class TestRowStore:
         """A store scan's distance is the walk's own expression, ``1 -
         dot(q, v) / (|q| |v|)`` with its ``ZERO_NORM`` guard, to the last bit:
         over a zero row, duplicated rows, rows far from unit norm, removed and
-        relabelled rows and a zero query, cut with and without tie keys."""
+        relabelled rows and a zero query, cut in ``(distance, id)`` order."""
         generator = np.random.default_rng(8)
         rows = generator.standard_normal((70, 16))
         rows *= generator.choice([1e-3, 1.0, 40.0], size=(70, 1))
@@ -303,7 +301,6 @@ class TestRowStore:
             index.remove(item_id)
         for item_id in (5, 33, 60):
             index.relabel(item_id, 100 + item_id)
-        tie_keys = generator.integers(0, 3, 200)
         for query in (generator.standard_normal(16), rows[5], 1e-7 * rows[20], np.zeros(16)):
             query_norm = float(np.linalg.norm(query))
             walked = []
@@ -313,13 +310,10 @@ class TestRowStore:
                     norm = query_norm * node.norm
                     dot = float(np.dot(query, node.vector))
                     walked.append((1.0 if norm < ZERO_NORM else 1.0 - dot / norm, label))
-            for keys in (None, tie_keys):
-                work = WorkCounters()
-                found = index.search(query, 100, work=work, tie_keys=keys)
-                assert work.get(WORK_ANN_DISTANCE_EVALS) == 70  # scanned, removed rows too
-                tie = (lambda item_id: 0) if keys is None else keys.__getitem__
-                order = sorted(walked, key=lambda pair: (pair[0], tie(pair[1]), pair[1]))
-                assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for d, i in order]
+            work = WorkCounters()
+            found = index.search(query, 100, work=work)
+            assert work.get(WORK_ANN_DISTANCE_EVALS) == 70  # scanned, removed rows too
+            assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for d, i in sorted(walked)]
 
 
 @pytest.fixture(params=("hnsw", "exact"))
@@ -398,20 +392,6 @@ class TestRemoveAndRelabel:
         hits = index.search(vectors[0], 4)
         assert [i for i, _ in hits] == [40, 42, 45, 50]
         assert len({d for _, d in hits}) == 1
-
-    def test_tie_keys_order_a_tie_before_the_ids_do(self, small):
-        """Caller tie keys decide where a tie is cut; equal keys fall back
-        to ascending id, whatever order the backend found the tie in."""
-        index, vectors = small
-        for item_id in (40, 41, 42, 43, 44):
-            index.add(item_id, vectors[0])
-        tie_keys = np.full(64, np.iinfo(np.int64).max, dtype=np.int64)
-        tie_keys[[0, 40, 41, 42, 43]] = [5, 3, 3, 1, 0]
-        hits = index.search(vectors[0], 4, tie_keys=tie_keys)
-        assert [i for i, _ in hits] == [43, 42, 40, 41]
-        tie_keys[[41, 44]] = 3  # 44 joins the 40/41 tie on key and id
-        hits = index.search(vectors[0], 6, tie_keys=tie_keys)
-        assert [i for i, _ in hits] == [43, 42, 40, 41, 44, 0]
 
     def test_search_with_every_node_removed_is_empty(self, small):
         index, vectors = small

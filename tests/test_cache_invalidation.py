@@ -111,15 +111,6 @@ class TestIndexGenerations:
         system.searcher.search("come sbloccare la carta")
         assert system.index.generation == before
 
-    def test_sharded_generation_survives_topology_changes(self, tiny_kb, banking_lexicon):
-        system = build_cached(tiny_kb, banking_lexicon, cluster=ClusterConfig(shards=3))
-        before = system.index.generation
-        system.index.add_shard()
-        grown = system.index.generation
-        assert grown > before
-        system.index.remove_shard(max(system.index.shard_ids))
-        assert system.index.generation > grown  # monotonic, never a sum
-
 
 class TestAnswerEpochInvalidation:
     def test_pipeline_upsert_invalidates_cached_answer(self, tiny_kb, banking_lexicon):
@@ -157,12 +148,6 @@ class TestShardRetrievalCacheUnit:
         assert cache.stats.evictions == 2  # one per shard, not global
         assert cache.get(0, ("q0",), generation=0) is None
         assert cache.get(0, ("q2",), generation=0) is not None
-
-    def test_drop_shard_forgets_everything(self):
-        cache = ShardRetrievalCache()
-        cache.put(0, ("q",), generation=0, text=[], vector={})
-        cache.drop_shard(0)
-        assert cache.get(0, ("q",), generation=0) is None
 
 
 class TestRouterRetrievalCache:

@@ -11,7 +11,24 @@ def _doc_ids(n: int) -> list[str]:
     return [f"kb-doc-{i:05d}" for i in range(n)]
 
 
+#: ``ShardPlanner(n).assign(f"kb-doc-{i:03d}")`` for i = 0..39, one digit
+#: per document.  A document never moves, so neither may these: a changed
+#: ring moves documents between shards, and with them the per-shard legs,
+#: audit lines and exposition labels.
+GOLDEN = {
+    2: "0100000010010011011110001011011011001100",
+    3: "2102002010220211012112201212022022202100",
+    4: "2302303010223233012132201213023022232100",
+}
+
+
 class TestPlacement:
+    @pytest.mark.parametrize("num_shards", sorted(GOLDEN))
+    def test_placement_matches_the_pinned_table(self, num_shards):
+        planner = ShardPlanner(num_shards)
+        placed = "".join(str(planner.assign(f"kb-doc-{i:03d}")) for i in range(40))
+        assert placed == GOLDEN[num_shards]
+
     def test_assignment_is_deterministic_across_instances(self):
         docs = _doc_ids(500)
         a = ShardPlanner(num_shards=4)
@@ -20,109 +37,22 @@ class TestPlacement:
 
     def test_every_document_lands_on_a_known_shard(self):
         planner = ShardPlanner(num_shards=3)
+        assert planner.shard_ids == (0, 1, 2)
+        assert planner.num_shards == 3
         for doc in _doc_ids(300):
             assert planner.assign(doc) in planner.shard_ids
 
-    def test_plan_partitions_the_corpus(self):
-        planner = ShardPlanner(num_shards=3)
-        docs = _doc_ids(300)
-        partition = planner.plan(docs)
-        assert set(partition) == set(planner.shard_ids)
-        flattened = [doc for shard_docs in partition.values() for doc in shard_docs]
-        assert sorted(flattened) == sorted(docs)
-
     def test_placement_is_reasonably_balanced(self):
-        planner = ShardPlanner(num_shards=4, vnodes=64)
-        partition = planner.plan(_doc_ids(2000))
-        sizes = [len(docs) for docs in partition.values()]
+        planner = ShardPlanner(num_shards=4)
+        docs = _doc_ids(2000)
+        sizes = [sum(planner.assign(d) == s for d in docs) for s in planner.shard_ids]
         # Perfect balance is 500 per shard; vnode hashing keeps every shard
         # within a loose factor of it.
         assert min(sizes) > 200
         assert max(sizes) < 900
 
-    def test_restored_shard_ids_reproduce_the_ring(self):
-        original = ShardPlanner(num_shards=3)
-        original.add_shard()
-        original.remove_shard(1)
-        restored = ShardPlanner(shard_ids=original.shard_ids, vnodes=original.vnodes)
-        docs = _doc_ids(400)
-        assert [original.assign(d) for d in docs] == [restored.assign(d) for d in docs]
-
-
-class TestMinimalMovement:
-    def test_added_shard_only_steals_documents(self):
-        docs = _doc_ids(2000)
-        before = ShardPlanner(num_shards=4)
-        after = ShardPlanner(num_shards=4)
-        new_shard = after.add_shard()
-        moves = after.moves_for(docs, previous=before)
-        # Every move targets the new shard; no document shuffles between
-        # surviving shards.
-        assert moves
-        assert all(new == new_shard for _, new in moves.values())
-
-    def test_added_shard_moves_about_one_over_n_plus_one(self):
-        docs = _doc_ids(2000)
-        before = ShardPlanner(num_shards=4)
-        after = ShardPlanner(num_shards=4)
-        after.add_shard()
-        moved = len(after.moves_for(docs, previous=before))
-        expected = len(docs) / 5.0
-        assert 0.4 * expected < moved < 2.0 * expected
-
-    def test_removed_shard_only_spills_its_own_documents(self):
-        docs = _doc_ids(1000)
-        before = ShardPlanner(num_shards=4)
-        after = ShardPlanner(num_shards=4)
-        after.remove_shard(2)
-        moves = after.moves_for(docs, previous=before)
-        assert moves
-        assert all(old == 2 for old, _ in moves.values())
-        assert all(new != 2 for _, new in moves.values())
-
-
-class TestPins:
-    def test_pin_overrides_the_ring(self):
-        planner = ShardPlanner(num_shards=4)
-        doc = "kb-doc-00042"
-        natural = planner.assign(doc)
-        target = next(s for s in planner.shard_ids if s != natural)
-        planner.pin(doc, target)
-        assert planner.assign(doc) == target
-        planner.unpin(doc)
-        assert planner.assign(doc) == natural
-
-    def test_pin_to_unknown_shard_rejected(self):
-        planner = ShardPlanner(num_shards=2)
-        with pytest.raises(KeyError):
-            planner.pin("kb-doc-00001", 99)
-
-    def test_pins_to_removed_shard_are_dropped(self):
-        planner = ShardPlanner(num_shards=3)
-        planner.pin("kb-doc-00001", 2)
-        planner.remove_shard(2)
-        assert "kb-doc-00001" not in planner.pins
-        assert planner.assign("kb-doc-00001") in planner.shard_ids
-
 
 class TestTopologyGuards:
-    def test_cannot_remove_the_last_shard(self):
-        planner = ShardPlanner(num_shards=1)
-        with pytest.raises(ValueError):
-            planner.remove_shard(0)
-
-    def test_cannot_remove_unknown_shard(self):
-        planner = ShardPlanner(num_shards=2)
-        with pytest.raises(KeyError):
-            planner.remove_shard(7)
-
-    def test_shard_ids_never_recycled(self):
-        planner = ShardPlanner(num_shards=3)
-        planner.remove_shard(2)
-        assert planner.add_shard() == 3
-
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             ShardPlanner(num_shards=0)
-        with pytest.raises(ValueError):
-            ShardPlanner(num_shards=2, vnodes=0)

@@ -412,53 +412,3 @@ class TestClusterTraceShape:
         retrieval = ctx.trace.find(spans.STAGE_RETRIEVAL)
         assert retrieval.attributes["partial"] is True
 
-
-class TestHotShardRebalance:
-    """``rebalance_shard`` moves a bounded slice of one shard to another."""
-
-    @staticmethod
-    def _sizes(index) -> dict[int, int]:
-        return {sid: len(index.shard_index(sid)) for sid in index.shard_ids}
-
-    def _cluster(self, tiny_kb, banking_lexicon, shards: int):
-        config = UniAskConfig(cluster=ClusterConfig(shards=shards, replicas=1))
-        return build_uniask_system(tiny_kb.store(), banking_lexicon, config=config, seed=23)
-
-    def test_skewed_shard_rebalances_to_coldest(self, tiny_kb, banking_lexicon):
-        index = self._cluster(tiny_kb, banking_lexicon, shards=3).index
-        chunks = self._sizes(index)
-        hottest = max(chunks, key=chunks.get)
-        coldest = min(chunks, key=chunks.get)
-        before_total = len(index)
-        generation = index.generation
-        moved = index.rebalance_shard(hottest, coldest, fraction=0.25)
-        assert moved > 0
-        assert len(index) == before_total  # nothing lost, nothing duplicated
-        assert index.generation == generation + 1  # caches re-epoch
-        after = self._sizes(index)
-        assert after[hottest] < chunks[hottest]
-        assert after[coldest] > chunks[coldest]
-        # Minimal movement: every shard not involved is untouched.
-        for sid in index.shard_ids:
-            if sid not in (hottest, coldest):
-                assert after[sid] == chunks[sid]
-
-    def test_rebalance_validates_arguments(self, tiny_kb, banking_lexicon):
-        index = self._cluster(tiny_kb, banking_lexicon, shards=2).index
-        with pytest.raises(KeyError):
-            index.rebalance_shard(99, 0)
-        with pytest.raises(ValueError):
-            index.rebalance_shard(0, 0)
-        with pytest.raises(ValueError):
-            index.rebalance_shard(0, 1, fraction=0.0)
-
-    def test_search_results_survive_a_rebalance(self, tiny_kb, banking_lexicon):
-        system = self._cluster(tiny_kb, banking_lexicon, shards=3)
-        question = "come sbloccare la carta di credito"
-        before = [r.record.chunk_id for r in system.cluster.search(question)]
-        chunks = self._sizes(system.index)
-        hottest = max(chunks, key=chunks.get)
-        coldest = min(chunks, key=chunks.get)
-        system.index.rebalance_shard(hottest, coldest, fraction=0.5)
-        after = [r.record.chunk_id for r in system.cluster.search(question)]
-        assert set(before) == set(after)

