@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
 
 #: Uncalled function lines of ``src/repro`` at the last PR that moved it.
-CEILING = 1597
+CEILING = 1231
 
 QUESTION = "Come posso bloccare la carta di credito?"
 ROUTES = ("conversational", "lookup", "multi_hop", "structured", "follow_up")
@@ -68,6 +68,7 @@ def runs(scratch: Path) -> list[tuple[str, list[str], str]]:
         ["loadtest", "--minutes", "10"],
         ["metrics", "--queries", "12", "--shards", "2", "--audit", str(scratch / "audit.jsonl")],
         ["profile", "--queries", "8", "--saturation"],
+        *(["profile", "--queries", "8", "--format", form] for form in ("folded", "speedscope", "json")),
         ["canary", "--probes", "12", "--agents"],
         ["incident", "--duration", "300", "--timeline", "--diagnose"],
         ["index", "--shards", "2", "--out", str(scratch / "index")],

@@ -20,8 +20,8 @@ Commands:
   speedscope|json``), optionally with the saturation dashboard section
   (``--saturation``); ``ask --profile`` profiles a single request instead;
 * ``canary`` — run the canary probe suite once through a demo deployment
-  and report quality metrics against the (freshly frozen) baseline;
-  exits non-zero when a quality alert fires;
+  and print its quality metrics; that one run freezes the baseline, so it
+  reports no degradation and exits zero;
 * ``incident`` — run a compressed chaos day (replica kill + cache-epoch
   flip, no revive) through an incident-enabled sharded deployment and
   print the incident list; ``--timeline`` renders each incident's
@@ -313,10 +313,10 @@ def _cmd_canary(args: argparse.Namespace) -> int:
         judge=GroundednessJudge(build_banking_lexicon()),
         registry=system.telemetry.registry,
     )
+    # The first run freezes itself as the baseline, so it carries no alerts.
     report = runner.run_once(now=system.clock.now())
-    alerts = list(runner.last_alerts)
-    print(format_canary_report(report, alerts))
-    return 1 if alerts else 0
+    print(format_canary_report(report, []))
+    return 0
 
 
 def _cmd_incident(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ threshold; guardrail rate: answer not invalidated) in
 
 The one alert vocabulary lives here too — :class:`Alert` and the two
 severities — because this is the lowest layer every producer imports: the
-burn rates, the quality detectors (:mod:`repro.obs.quality`) and the
+burn rates, the canary runner (:mod:`repro.obs.quality`) and the
 threshold rules (:mod:`repro.service.alerting`) each return an
 :class:`Alert` themselves, and no reader adapts one shape into another.
 """
@@ -54,8 +54,8 @@ class Alert:
     """One fired alert, whatever fired it.
 
     Attributes:
-        rule: ``slo_<name>`` (burn rate), ``quality_<name>`` (drift or
-            canary) or a threshold rule's own name.
+        rule: ``slo_<name>`` (burn rate), ``quality_canary_<name>``
+            (canary) or a threshold rule's own name.
         severity: :data:`SEVERITY_WARNING` or :data:`SEVERITY_CRITICAL`.
         message: operator-facing description with the measured values.
     """

@@ -16,9 +16,8 @@ the one :class:`~repro.obs.slo.Alert` (re-exported here):
   by :func:`repro.obs.slo.evaluate_burn_rates` over the collector's SLO
   tail.
 
-``BackendService._alerts`` assembles them with the quality monitor's
-alerts for the ops ``slo`` route, the ``metrics`` CLI gate, CI and the
-incident page check.
+``BackendService._alerts`` assembles the two for the ops ``slo`` route,
+the ``metrics`` CLI gate, CI and the incident page check.
 """
 
 from __future__ import annotations

@@ -280,7 +280,6 @@ class BackendService:
         tracing: bool = False,
         telemetry: Telemetry | None = None,
         coalescing: bool = False,
-        quality_monitor=None,
         session_capacity: int = 4096,
         session_ttl_seconds: float | None = 86400.0,
         record_capacity: int = 100_000,
@@ -319,7 +318,6 @@ class BackendService:
         self._stage_model = StageLatencyModel(
             base_latency, seconds_per_kilo_token, audit=telemetry.audit
         )
-        self._quality_monitor = quality_monitor
         self.single_flight: SingleFlight | None = None
         self._m_coalesced = None
         if coalescing:
@@ -558,8 +556,6 @@ class BackendService:
             trace_id=record.query_id if sampled else "",
             cache_hit=answer.cache_hit,
         )
-        if self._quality_monitor is not None:
-            self._quality_monitor.observe_answer(answer)
         probe_log: list[dict] = []
         if scatter is not None:
             for probe in scatter.probes:
@@ -636,8 +632,8 @@ class BackendService:
             self.incidents.check(now, self._alerts(now, PAGE_BURN_WINDOWS))
 
     def _alerts(self, now: float, windows=DEFAULT_BURN_WINDOWS):
-        """Every service alert: SLO burn rates over *windows*, the quality
-        monitor's alerts and the threshold rules.
+        """Every service alert: SLO burn rates over *windows* and the
+        threshold rules.
 
         Events older than the longest window cannot move any burn rate, so
         only that window of the collector's SLO tail is read.
@@ -645,8 +641,6 @@ class BackendService:
         horizon = now - max(window.long_seconds for window in windows)
         events = self.metrics.events_since(horizon)
         alerts = evaluate_slo_alerts(events, now=now, windows=windows)
-        if self._quality_monitor is not None:
-            alerts.extend(self._quality_monitor.alerts())
         alerts.extend(evaluate_alerts(self.metrics.snapshot()))
         return alerts
 
@@ -714,7 +708,7 @@ class BackendService:
     def _ops_metrics(self) -> str:
         return self.telemetry.render_metrics()
 
-    @ops_route("slo", privileged=True, description="Fired alerts: SLO burn rates, quality drift, threshold rules.")
+    @ops_route("slo", privileged=True, description="Fired alerts: SLO burn rates, threshold rules.")
     def _ops_slo(self):
         return self._alerts(self._clock.now())
 
@@ -737,28 +731,6 @@ class BackendService:
             )
             return self._engine.answer(request).answer.explain_report
         raise ValueError("explain route needs a query_id or a question")
-
-    @ops_route("quality", privileged=True, description="Current drift-detector verdicts of the quality monitor.")
-    def _ops_quality(self) -> dict:
-        """Current drift-detector verdicts — operations role only."""
-        if self._quality_monitor is None:
-            return {"enabled": False, "verdicts": []}
-        return {
-            "enabled": True,
-            "verdicts": [
-                {
-                    "signal": verdict.signal,
-                    "drifted": verdict.drifted,
-                    "statistic": verdict.statistic,
-                    "p_value": verdict.p_value,
-                    "psi": verdict.psi,
-                    "reference_n": verdict.reference_n,
-                    "current_n": verdict.current_n,
-                    "reason": verdict.reason,
-                }
-                for verdict in self._quality_monitor.check()
-            ],
-        }
 
     @ops_route("profile", privileged=True, description="Aggregated call-tree profile of served requests.")
     def _ops_profile(self, format: str = "top", limit: int = 25):

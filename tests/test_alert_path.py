@@ -1,9 +1,10 @@
 """The one alert path: one ``Alert`` shape, one evaluator, the rules it serves.
 
-Burn rates, quality drift / canary degradation and the threshold rules all
-return :class:`repro.obs.slo.Alert`; ``BackendService._alerts`` assembles
-them for the ``slo`` route and the incident page check alike.  The
-release-1 replay is the reason the threshold rules are served at all.
+Burn rates, canary degradation and the threshold rules all return
+:class:`repro.obs.slo.Alert`; ``BackendService._alerts`` assembles the burn
+rates and threshold rules for the ``slo`` route and the incident page check
+alike.  The release-1 replay is the reason the threshold rules are served at
+all.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
 from repro.obs.incident import CHECK_INTERVAL, PAGE_BURN_WINDOWS, IncidentConfig, IncidentManager
-from repro.obs.quality import CanaryReport, CanaryRunner, CanarySuite, QualityMonitor
+from repro.obs.quality import CanaryReport, CanaryRunner, CanarySuite
 from repro.obs.slo import SLO, Alert, SloSample, evaluate_burn_rates
 from repro.service.alerting import evaluate_alerts, evaluate_slo_alerts
 from repro.service.backend import ROLE_OPS, BackendService
@@ -105,13 +106,6 @@ class TestShapeCensus:
         )
         produced["evaluate_alerts"] = evaluate_alerts(collector.snapshot())
 
-        monitor = QualityMonitor(reference_size=9, window_size=4)
-        system, backend = build(
-            tiny_kb, banking_lexicon, quality_monitor=monitor, incident=IncidentConfig(enabled=True)
-        )
-        token = backend.login("u")
-        for question in QUESTIONS[:3] * 3 + QUESTIONS[3:] * 4:
-            backend.serve(token, question)  # in-scope reference, off-scope window
         healthy = CanaryReport(
             probes_run=8, recall_at_4=1.0, mrr=1.0, hit_at_4=1.0, answered_fraction=1.0,
             guardrail_fire_rate=0.0, citation_coverage=1.0, groundedness=0.0,
@@ -121,19 +115,18 @@ class TestShapeCensus:
         produced["CanaryRunner.evaluate"] = runner.evaluate(
             dataclasses.replace(healthy, mrr=0.2, started_at=300.0)
         )
-        monitor.record_canary(produced["CanaryRunner.evaluate"])
-        produced["QualityMonitor.alerts"] = monitor.alerts()
 
+        system, backend = build(tiny_kb, banking_lexicon, incident=IncidentConfig(enabled=True))
         system.clock.advance(7200.0)
-        _failing_log(backend.metrics, now=system.clock.now())
+        now = system.clock.now()
+        _failing_log(backend.metrics, now=now)
         produced["slo route"] = backend.ops("slo", backend.login("sre", role=ROLE_OPS))
         rules = {alert.rule for alert in produced["slo route"]}
-        assert {
-            "slo_availability",
-            "quality_drift_fused_score",
-            "quality_canary_mrr",
-            "failed_requests",
-        } <= rules
+        # The route serves burn rates plus threshold rules, nothing else.
+        burn = {a.rule for a in evaluate_slo_alerts(backend.metrics.events_since(0.0), now=now)}
+        threshold = {a.rule for a in evaluate_alerts(backend.metrics.snapshot())}
+        assert rules == burn | threshold
+        assert {"slo_availability", "failed_requests"} <= rules
 
         for producer, alerts in produced.items():
             assert alerts, f"{producer} fired nothing"

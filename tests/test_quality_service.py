@@ -1,9 +1,7 @@
-"""Service-layer wiring of explain and quality observability.
+"""Service-layer wiring of explain observability.
 
-The backend exposes two new authorized ops routes — ``explain`` (score
-provenance by query id or fresh question) and ``quality`` (drift-detector
-verdicts) — and folds quality alerts into the ``slo`` route so every alert
-source shares one surface.
+The backend exposes an authorized ``explain`` ops route: score provenance
+by query id or for a fresh question.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ import pytest
 from repro.api import AskOptions, AskRequest, create_backend, create_engine
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.vocabulary import build_banking_lexicon
-from repro.obs.quality import QualityMonitor
-from repro.obs.slo import Alert
 from repro.service.backend import ROLE_OPS, AuthorizationError
 
 
@@ -28,9 +24,9 @@ def banking_lexicon():
     return build_banking_lexicon()
 
 
-def build_backend(tiny_kb, banking_lexicon, monitor=None):
+def build_backend(tiny_kb, banking_lexicon):
     system = create_engine(tiny_kb.store(), banking_lexicon, seed=29)
-    backend = create_backend(system, tracing=True, quality_monitor=monitor)
+    backend = create_backend(system, tracing=True)
     return system, backend
 
 
@@ -70,33 +66,3 @@ class TestExplainRoute:
             backend.ops("explain", employee, question="x")
         with pytest.raises(ValueError):
             backend.ops("explain", ops)
-
-
-class TestQualityRoute:
-    def test_unwired_deployment_reports_disabled(self, tiny_kb, banking_lexicon):
-        _, backend = build_backend(tiny_kb, banking_lexicon)
-        ops = backend.login("sre", role=ROLE_OPS)
-        assert backend.ops("quality", ops) == {"enabled": False, "verdicts": []}
-
-    def test_monitor_fed_by_served_traffic(self, tiny_kb, banking_lexicon):
-        monitor = QualityMonitor(reference_size=4, window_size=2)
-        _, backend = build_backend(tiny_kb, banking_lexicon, monitor=monitor)
-        token = backend.login("emp")
-        ops = backend.login("sre", role=ROLE_OPS)
-        for question in ("limiti prelievo bancomat", "bonifico estero commissioni"):
-            backend.serve(token, question)
-        payload = backend.ops("quality", ops)
-        assert payload["enabled"]
-        signals = {verdict["signal"] for verdict in payload["verdicts"]}
-        assert signals == {"fused_score", "guardrail_pass", "citation_coverage"}
-        assert monitor.score._reference, "served answers must reach the detectors"
-
-    def test_slo_route_carries_quality_alerts(self, tiny_kb, banking_lexicon):
-        monitor = QualityMonitor(reference_size=4, window_size=2)
-        _, backend = build_backend(tiny_kb, banking_lexicon, monitor=monitor)
-        ops = backend.login("sre", role=ROLE_OPS)
-        monitor.record_canary(
-            [Alert(rule="quality_canary_mrr", severity="critical", message="dropped")]
-        )
-        rules = {alert.rule for alert in backend.ops("slo", ops)}
-        assert "quality_canary_mrr" in rules

@@ -65,7 +65,6 @@ class TestOpsRouteTable:
             "metrics",
             "slo",
             "explain",
-            "quality",
             "profile",
             "incidents",
             "diagnose",
@@ -84,7 +83,7 @@ class TestOpsRouteTable:
 
     @pytest.mark.parametrize(
         "route",
-        ["dashboard", "cluster_status", "metrics", "slo", "explain", "quality", "profile"],
+        ["dashboard", "cluster_status", "metrics", "slo", "explain", "profile"],
     )
     def test_privileged_routes_reject_missing_token(self, backend, route):
         with pytest.raises(AuthenticationError):
@@ -92,7 +91,7 @@ class TestOpsRouteTable:
 
     @pytest.mark.parametrize(
         "route",
-        ["dashboard", "cluster_status", "metrics", "slo", "explain", "quality", "profile"],
+        ["dashboard", "cluster_status", "metrics", "slo", "explain", "profile"],
     )
     def test_privileged_routes_reject_employee_role(self, backend, route):
         token = backend.login("mario")  # default employee role
@@ -106,6 +105,11 @@ class TestOpsRouteTable:
     def test_unknown_route_raises(self, backend):
         with pytest.raises(KeyError):
             backend.ops("drop_tables")
+
+    def test_the_quality_route_is_gone(self, backend):
+        ops_token = backend.login("sre", role=ROLE_OPS)
+        with pytest.raises(KeyError, match="unknown ops route 'quality'"):
+            backend.ops("quality", ops_token)
 
     def test_public_wrappers_dispatch_through_table(self, backend):
         ops = backend.login("sre", role=ROLE_OPS)
