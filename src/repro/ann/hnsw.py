@@ -16,19 +16,14 @@ algorithm Azure AI Search runs for the paper's vector retrieval (Section 4):
 
 Determinism: level draws come from a private ``random.Random(seed)``.
 
-Distance is cosine, ``1 - a·b / (|a| |b|)``, and costs one ``np.dot``: a
-node's norm is taken once when it is added and a query's once per search
-(DESIGN.md §17).  The walk writes the expression out at each site — a Python
-call per pair would add a tenth to the dot it wraps — operand for operand as
-:func:`repro.ann.distance.cosine_distance`, so the two agree to the last bit.
-Vectors are the rows of one :class:`~repro.ann.store.RowStore`, whose labels
-are the ids searches report (``-1`` once :meth:`HnswIndex.remove` took a node
-out of the results; it stays in the graph as a route, hnswlib's
-``markDelete``).  A graph of at most :data:`SCAN_BEAMS` beams of rows is
-searched by one pass over the store instead of a walk, and exactly.  An edge
-is measured once: an adjacency list keeps its distances and how far
-Algorithm 4 has judged it, so linking to a full node judges the new edge
-instead of the whole list again.
+Distance is cosine with both norms taken ahead of time, written out at each
+site operand for operand as :func:`repro.ann.distance.cosine_distance`, so
+the two agree to the last bit (DESIGN.md §17).  Vectors are the rows of one
+:class:`~repro.ann.store.RowStore`, whose labels are the ids searches report
+(``-1`` once removed: the node stays as a route, hnswlib's ``markDelete``).
+A graph of at most :data:`SCAN_BEAMS` beams of rows is searched, and
+inserted into, through one store pass instead of a walk.  An adjacency list
+keeps its distances and Algorithm 4's verdicts, so an edge is measured once.
 """
 
 from __future__ import annotations
@@ -44,13 +39,11 @@ from repro.ann.distance import ZERO_NORM
 from repro.ann.store import RowStore
 from repro.obs.work import WORK_ANN_DISTANCE_EVALS
 
-#: A search over a graph of at most this many beams of rows scans every row
-#: (one RowStore pass) instead of walking.  Up to four beams the walk
-#: evaluates at least as many distances as there are rows: at the serving
-#: parameters (``m`` 16, ``ef_construction`` 100, beam 80) it evaluated 284
-#: and 279 per search on the title and content graphs of 262 rows, 321 and
-#: 318 on 306 rows, 360 and 363 on 360, 409 and 415 on 427.  So the scan
-#: never evaluates more than the walk it replaces, and its result is exact.
+#: A graph of at most this many beams of rows, removed ones included, is
+#: read by one RowStore pass instead of a walk: a search's beam is ``ef``, an
+#: insert's ``ef_construction``.  Up to four beams a walk evaluates about as
+#: many distances as there are rows (DESIGN.md §17), so the scan costs no more
+#: and its candidates are exact.
 SCAN_BEAMS = 4
 
 
@@ -122,10 +115,11 @@ class HnswIndex:
         # Keyed by the id a node was added under, for the life of the graph,
         # and in row order: the n-th node added holds the store's n-th row.
         self._nodes: dict[int, _Node] = {}
-        self._by_row: list[_Node] = []
         self._store = RowStore(dim)
+        # Beside each store row, the id its node was added under and its top layer.
+        self._ids = np.empty_like(self._store.labels)
+        self._levels = np.empty_like(self._store.labels)
         self._entry_point: int | None = None
-        self._relabelled = False
         self._removed = 0
 
     def __len__(self) -> int:
@@ -145,7 +139,7 @@ class HnswIndex:
 
     def vector(self, item_id: int) -> np.ndarray:
         """The vector of live item *item_id* (the index's own row)."""
-        return self._by_row[self._store.row(item_id)].vector
+        return self._nodes[int(self._ids[self._store.row(item_id)])].vector
 
     def remove(self, item_id: int) -> None:
         """Take live item *item_id* out of every later result (``KeyError``
@@ -163,7 +157,6 @@ class HnswIndex:
         if new_id in self._nodes:
             raise ValueError(f"item id in use: {new_id}")
         self._store.relabel(item_id, new_id)
-        self._relabelled = True
 
     def add(self, item_id: int, vector: np.ndarray) -> None:
         """Insert *vector* under *item_id* (values finite).
@@ -180,55 +173,55 @@ class HnswIndex:
         norm = float(np.linalg.norm(vector))
         if not math.isfinite(norm):
             raise ValueError(f"vector of item {item_id} is not finite (norm {norm})")
-        level = self._draw_level()
+        level, top, ef = self._draw_level(), self.max_level, self._ef_construction
         store = self._store
         block = store.rows
         row = store.append(vector, norm, item_id)
         if store.rows is not block:
-            for node, moved in zip(self._by_row, store.rows):
+            for node, moved in zip(self._nodes.values(), store.rows):
                 node.vector = moved
+            grown = len(store.rows)
+            self._ids, self._levels = np.resize(self._ids, grown), np.resize(self._levels, grown)
+        self._ids[row], self._levels[row] = item_id, level
         node = _Node(row, store.rows[row], norm, level)
         self._nodes[item_id] = node
-        self._by_row.append(node)
 
-        if self._entry_point is None:
-            self._entry_point = item_id
-            return
+        if row <= SCAN_BEAMS * ef:
+            # No wider than four beams: every row's distance from one store
+            # pass, in (distance, id) order; removed rows are candidates.
+            scanned = store.distances(vector, norm, row)
+            order = np.lexsort((self._ids[:row], scanned))
+            levels = self._levels[order]
+        else:
+            # Greedy descent through the layers above the new node's level.
+            scanned, current = None, self._entry_point
+            for layer in range(top, level, -1):
+                current, _ = self._greedy_closest(vector, norm, current, layer)
 
-        entry = self._entry_point
-        top = self._nodes[entry].level
-
-        # Phase 1: greedy descent through layers above the new node's level.
-        current = entry
-        for layer in range(top, level, -1):
-            current, _ = self._greedy_closest(vector, node.norm, current, layer)
-
-        # Phase 2: connect on each layer from min(level, top) down to 0.
+        # Connect on each layer from min(level, top) down to 0.
         for layer in range(min(level, top), -1, -1):
-            candidates, _ = self._search_layer(
-                vector, node.norm, current, self._ef_construction, layer
-            )
-            max_degree = self._max_m0 if layer == 0 else self._m
-            # The search results are an adjacency list with nothing judged.
-            node.distances[layer] = array("d", [distance for distance, _ in candidates])
-            node.neighbors[layer] = [candidate_id for _, candidate_id in candidates]
+            if scanned is None:
+                candidates, _ = self._search_layer(vector, norm, current, ef, layer)
+                current = min(candidates)[1]
+                distances, neighbors = zip(*candidates)
+            else:
+                nearest = order[levels >= layer][:ef]
+                distances, neighbors = scanned[nearest].tolist(), self._ids[nearest].tolist()
+            # The candidates are an adjacency list with nothing judged.
+            node.distances[layer] = array("d", distances)
+            node.neighbors[layer] = list(neighbors)
             self._select_neighbors_heuristic(node, layer, self._m)
             # d(new, neighbour) is d(neighbour, new) to the bit: the products
             # commute and the dot sums them in index order either way.
+            max_degree = self._max_m0 if layer == 0 else self._m
             for distance, neighbor_id in zip(node.distances[layer], node.neighbors[layer]):
                 self._link(neighbor_id, item_id, layer, max_degree, distance)
-            if candidates:
-                current = min(candidates)[1]
 
         if level > top:
             self._entry_point = item_id
 
     def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        work=None,
+        self, query: np.ndarray, k: int, ef: int | None = None, work=None
     ) -> list[tuple[int, float]]:
         """Return approximately the *k* nearest live items to *query*.
 
@@ -261,14 +254,12 @@ class HnswIndex:
         for layer in range(self._nodes[current].level, 0, -1):
             current, walked = self._greedy_closest(query, query_norm, current, layer)
             evals += walked
-        candidates, walked = self._search_layer(
-            query, query_norm, current, ef, 0, live=bool(self._removed)
-        )
+        live = bool(self._removed)
+        candidates, walked = self._search_layer(query, query_norm, current, ef, 0, live=live)
         evals += walked
-        if self._relabelled:
-            nodes, labels = self._nodes, self._store.labels
-            candidates = [(distance, int(labels[nodes[key].row])) for distance, key in candidates]
-        candidates.sort()
+        # Results answer to their row's current label, not the id the node was added under.
+        nodes, labels = self._nodes, self._store.labels
+        candidates = sorted((distance, int(labels[nodes[key].row])) for distance, key in candidates)
         if work is not None:
             work.add(WORK_ANN_DISTANCE_EVALS, evals)
         return [(item_id, distance) for distance, item_id in candidates[:k]]

@@ -83,16 +83,18 @@ class RowStore:
                 self.labels[row] = moved
                 self._row_of[moved] = row
 
-    def nearest(self, query: np.ndarray, query_norm: float, k: int) -> list[tuple[int, float]]:
-        """The *k* labelled rows nearest *query*, as ``(label, distance)``.
+    def distances(self, query: np.ndarray, query_norm: float, count: int) -> np.ndarray:
+        """Distance from *query* to each of the first *count* rows: one
+        :func:`~repro.ann.distance.batch_cosine_distance` pass, so each has
+        the bits of the scalar expression wherever its row sits."""
+        return batch_cosine_distance(query, self.rows[:count], self.norms[:count], query_norm)
 
-        One :func:`~repro.ann.distance.batch_cosine_distance` pass over every
-        stored row, so a distance has the bits of the scalar expression; the
-        cut is in ``(distance, label)`` order.
-        """
-        count = self.count
-        distances = batch_cosine_distance(query, self.rows[:count], self.norms[:count], query_norm)
-        labels = self.labels[:count]
+    def nearest(self, query: np.ndarray, query_norm: float, k: int) -> list[tuple[int, float]]:
+        """The *k* labelled rows nearest *query*, as ``(label, distance)``,
+        over every stored row (:meth:`distances`) and cut in ``(distance,
+        label)`` order."""
+        distances = self.distances(query, query_norm, self.count)
+        labels = self.labels[: self.count]
         live = labels >= 0
         if not live.all():
             distances, labels = distances[live], labels[live]

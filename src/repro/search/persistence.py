@@ -128,6 +128,25 @@ def _read_vectors(
     return matrices
 
 
+def _records(payloads: list, path: Path) -> list[ChunkRecord]:
+    """The chunk records of *path*; ``ValueError`` names the row and the
+    field of a missing or unknown field and of a shared ``chunk_id``."""
+    fields = {field.name for field in dataclasses.fields(ChunkRecord)}
+    records, first_rows = [], {}
+    for row, payload in enumerate(payloads):
+        odd = sorted(fields ^ payload.keys())
+        if odd:
+            state = "missing" if odd[0] in fields else "not a chunk record field"
+            raise ValueError(f"{path} row {row} field {odd[0]!r}: {state}")
+        chunk_id = payload["chunk_id"]
+        first = first_rows.setdefault(chunk_id, row)
+        if first != row:
+            raise ValueError(f"{path} row {row} field 'chunk_id': {chunk_id!r} is row {first}'s")
+        tuples = {key: tuple(payload[key]) for key in ("keywords", "llm_keywords")}
+        records.append(ChunkRecord(**{**payload, **tuples}))
+    return records
+
+
 def load_index(
     directory: str | Path,
     embedder: EmbeddingModel,
@@ -135,27 +154,27 @@ def load_index(
     seed: int = 42,
     analyzer: ItalianAnalyzer | None = None,
 ) -> SearchIndex:
-    """Load a persisted index from *directory*.
+    """Load a persisted index from *directory*, never re-embedding: the
+    stored vectors are inserted as-is and the *embedder*, of the saved
+    width, serves later writes and queries.
 
-    The *embedder* is used for future writes and queries; the persisted
-    chunk vectors are inserted as-is, so loading never re-embeds.  Its
-    dimensionality must match the saved one, and ``vectors.npz`` is checked
-    against the records before the first insert: a damaged file, a missing
-    or surplus field or row, a wrong width, a non-finite value or a file
-    other than the one ``records.json`` describes is a ``ValueError``.  The
-    *analyzer* (None → the Italian default) re-analyses the records and
-    serves every later query and write, so it must be the chain the index
-    was saved with: a fingerprint mismatch is
-    a ``ValueError`` (a manifest saved before fingerprints were recorded
-    counts as the Italian default).  The bulk load ends with a buffer seal
-    (:meth:`~repro.search.index.SearchIndex.flush`), so a loaded segmented
-    index starts serving from sealed kernels instead of one giant write
-    buffer.
+    Everything is checked before the first insert.  ``ValueError`` names a
+    ``records.json`` without a key it needs, a record with a missing or
+    unknown field or a shared ``chunk_id``, a ``vectors.npz`` that is not
+    the records' vectors (:func:`_read_vectors`) and an *analyzer* (None →
+    the Italian default, as is a manifest without a fingerprint) other than
+    the chain the index was saved with.  The bulk load ends with a buffer
+    seal (:meth:`~repro.search.index.SearchIndex.flush`), so a loaded
+    segmented index serves from sealed kernels.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "records.json").read_text())
+    path = directory / "records.json"
+    manifest = json.loads(path.read_text())
     if manifest.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported index format version: {manifest.get('version')}")
+    for key in ("embedding_dim", "schema", "records"):
+        if key not in manifest:
+            raise ValueError(f"{path} field {key!r}: missing")
     if manifest["embedding_dim"] != embedder.dim:
         raise ValueError(
             f"embedder dim {embedder.dim} does not match saved dim {manifest['embedding_dim']}"
@@ -168,25 +187,13 @@ def load_index(
             f"it is being loaded with {analyzer.fingerprint()}"
         )
 
-    schema = IndexSchema(
-        fields=tuple(FieldDefinition(**field) for field in manifest["schema"])
-    )
+    schema = IndexSchema(tuple(FieldDefinition(**field) for field in manifest["schema"]))
     matrices = _read_vectors(directory / "vectors.npz", schema.vector_fields, manifest, embedder.dim)
+    records = _records(manifest["records"], path)
     index = SearchIndex(
-        embedder=embedder,
-        schema=schema,
-        ann_backend=ann_backend,
-        seed=seed,
-        analyzer=analyzer,
+        embedder=embedder, schema=schema, ann_backend=ann_backend, seed=seed, analyzer=analyzer
     )
-
-    for row, payload in enumerate(manifest["records"]):
-        payload = dict(payload)
-        for key in ("keywords", "llm_keywords"):
-            if key in payload:
-                payload[key] = tuple(payload[key])
-        record = ChunkRecord(**payload)
-        vectors = {name: matrices[name][row] for name in matrices}
-        index.add_chunk(record, vectors=vectors)
+    for row, record in enumerate(records):
+        index.add_chunk(record, vectors={name: matrices[name][row] for name in matrices})
     index.flush()
     return index

@@ -6,7 +6,10 @@ graphs, ids, distance bits and work counts.  The body is the parent commit's
 ``src/repro/ann/hnsw.py`` unchanged except that the deleted ``metric`` knob is
 gone: every distance goes through :func:`repro.ann.distance.cosine_distance`
 (two norms and one dot per pair), the public reference function the serving
-index must keep agreeing with.  Do not optimise this file.
+index must keep agreeing with.  One rule was added since: an insert into a
+graph of at most ``SCAN_BEAMS`` beams of ``ef_construction`` rows takes its
+candidates by brute force over every node instead of walking (DESIGN.md
+§17).  Do not optimise this file.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import random
 import numpy as np
 
 from repro.ann.distance import cosine_distance
+from repro.ann.hnsw import SCAN_BEAMS
 from repro.obs.work import WORK_ANN_DISTANCE_EVALS
 
 
@@ -107,15 +111,33 @@ class HnswIndex:
 
         entry = self._entry_point
         top = self._nodes[entry].level
+        scan = len(self._nodes) - 1 <= SCAN_BEAMS * self._ef_construction
+        if scan:
+            # Brute force: every other node, nearest first, ties by id.
+            everyone = sorted(
+                (self._distance(node.vector, other.vector), other_id)
+                for other_id, other in self._nodes.items()
+                if other_id != item_id
+            )
 
         # Phase 1: greedy descent through layers above the new node's level.
         current = entry
-        for layer in range(top, level, -1):
-            current = self._greedy_closest(node.vector, current, layer)
+        if not scan:
+            for layer in range(top, level, -1):
+                current = self._greedy_closest(node.vector, current, layer)
 
         # Phase 2: connect on each layer from min(level, top) down to 0.
         for layer in range(min(level, top), -1, -1):
-            candidates = self._search_layer(node.vector, [current], self._ef_construction, layer)
+            if scan:
+                candidates = [
+                    (distance, other_id)
+                    for distance, other_id in everyone
+                    if self._nodes[other_id].level >= layer
+                ][: self._ef_construction]
+            else:
+                candidates = self._search_layer(
+                    node.vector, [current], self._ef_construction, layer
+                )
             max_degree = self._max_m0 if layer == 0 else self._m
             selected = self._select_neighbors_heuristic(node.vector, candidates, self._m)
             node.neighbors[layer] = [cid for _, cid in selected]

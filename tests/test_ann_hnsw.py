@@ -219,10 +219,40 @@ class TestHnswWork:
         # 60 rows are four beams of 15: a k-5 search still scans them.
         assert index.search(vectors[0], 5) == hits[:5]
         assert passes == [60, 60] and not walks
-        index.add(60, vectors[1])
-        walks.clear()
+        index.add(60, vectors[1])  # 60 rows are three beams of 20: scanned
+        assert passes == [60, 60, 60] and not walks
         assert index.search(vectors[0], 5) == hits[:5]
-        assert passes == [60, 60] and walks
+        assert passes == [60, 60, 60] and walks
+
+    def test_an_insert_no_wider_than_four_beams_is_one_store_pass(self, monkeypatch):
+        """Before an insert into at most four beams of ``ef_construction``
+        rows, removed ones included, one store pass measures every row and
+        nothing walks: no greedy descent, no ``_search_layer``.  The first
+        insert past the bound walks and makes no pass."""
+        vectors = _unit_rows(82, 8, seed=15)
+        index = HnswIndex(dim=8, m=4, ef_construction=20, seed=2)
+        for i, row in enumerate(vectors[:80]):
+            index.add(i, row)
+        index.remove(3)
+        index.relabel(5, 105)
+        walks, passes = [], []
+        for name in ("_greedy_closest", "_search_layer"):
+            method = getattr(HnswIndex, name)
+            monkeypatch.setattr(
+                HnswIndex,
+                name,
+                lambda *args, _name=name, _method=method: walks.append(_name) or _method(*args),
+            )
+        batch = store_module.batch_cosine_distance
+        monkeypatch.setattr(
+            store_module,
+            "batch_cosine_distance",
+            lambda query, matrix, *rest: passes.append(len(matrix)) or batch(query, matrix, *rest),
+        )
+        index.add(80, vectors[80])  # 80 rows before it: four beams of 20
+        assert passes == [80] and not walks
+        index.add(81, vectors[81])
+        assert passes == [80] and "_search_layer" in walks
 
     def test_removed_nodes_cost_a_walk_through_not_an_over_fetch(self):
         """The index used to be asked for ``k + dead`` neighbours and the
@@ -477,19 +507,22 @@ class TestHnswRecall:
             total_recall += len(truth & approx) / 10
         assert total_recall / len(queries) >= 0.9
 
-    def test_recall_at_serving_parameters_across_seeds(self):
+    @pytest.mark.parametrize("n", (400, 1000))
+    def test_recall_at_serving_parameters_across_seeds(self, n):
         """ROADMAP item 3: recall@10 against ``ann.exact`` with the parameters
         ``SearchIndex`` serves with, on tight clusters with exact duplicates
         (a knowledge base repeats titles) — the data where a graph falls
         apart if neighbour selection stops favouring diverse edges —
-        averaged over five seeds."""
+        averaged over five seeds.  Every insert into 400 rows scans (four
+        beams of ``ef_construction`` 100); 1 000 rows walk the last 599."""
         recalls = []
+        seen = 3 * n // 4
         for seed in range(5):
             generator = np.random.default_rng(seed)
             centres = generator.standard_normal((20, 32))
-            rows = centres[generator.integers(0, 20, 400)]
-            rows = rows + 0.05 * generator.standard_normal((400, 32))
-            rows[300:] = rows[generator.integers(0, 300, 100)]
+            rows = centres[generator.integers(0, 20, n)]
+            rows = rows + 0.05 * generator.standard_normal((n, 32))
+            rows[seen:] = rows[generator.integers(0, seen, n - seen)]
             rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             index = HnswIndex(dim=32, m=16, ef_construction=100, ef_search=80, seed=seed)
             exact = ExactKnnIndex(dim=32)

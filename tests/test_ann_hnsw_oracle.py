@@ -7,12 +7,16 @@ The serving index evaluates the same expression with both norms taken ahead
 of time, so nothing observable may move: after every ``add`` the two graphs
 hold the same neighbour lists in the same order on every layer and the same
 entry point, and every ``search`` that walks the graph returns the same ids,
-the same distance bits and books the same ``ann_distance_evals``.  A search
-over a graph of at most four beams of rows scans instead of walking
-(DESIGN.md §17): it returns brute force over ``cosine_distance`` bit for bit
-in ``(distance, id)`` order, books one evaluation per row and is at no rank
-farther than the reference walk — which can miss the exact neighbours, and
-misses what a disconnected graph does not reach (the pinned ``@example``).
+the same distance bits and books the same ``ann_distance_evals``.  An insert
+into a graph of at most four beams of ``ef_construction`` rows takes its
+candidates by brute force in both, and walks above (both pinned
+examples cross the bound).  A search over a graph of at most four
+beams of rows scans instead of walking (DESIGN.md §17): it returns brute
+force over ``cosine_distance`` bit for bit in ``(distance, id)`` order,
+books one evaluation per row and is at no rank farther than the reference
+walk — which can miss the exact neighbours, and misses what a disconnected
+graph does not reach (the first pinned ``@example``: 5 of its 14 nodes are
+reachable on layer 0).
 
 The inputs are the ones where a last-bit difference would show: duplicated
 vectors (exact distance ties, broken by id), a zero vector (the ``1.0``
@@ -67,6 +71,7 @@ def _vectors(generator: np.random.Generator, n: int, dim: int) -> np.ndarray:
     data_seed=st.integers(0, 2**32 - 1),
 )
 @example(n=14, dim=3, m=2, ef_construction=1, seed=0, data_seed=0)
+@example(n=200, dim=8, m=6, ef_construction=12, seed=3, data_seed=4)  # inserts scan to 48 rows
 @settings(max_examples=25, deadline=None)
 def test_graphs_searches_and_work_equal_the_reference(
     n, dim, m, ef_construction, seed, data_seed

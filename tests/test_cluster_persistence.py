@@ -219,6 +219,29 @@ class TestDamagedManifest:
         with pytest.raises(ValueError, match=problem):
             load_cluster(directory, embedder, ann_backend="exact", seed=9)
 
+    @pytest.mark.parametrize(
+        "source, problem",
+        [
+            ("shard-001", "shard-001/records.json row 1 field 'chunk_id': .* is row 0's"),
+            ("shard-000", "1 ordinals for no live chunk"),
+        ],
+        ids=["within-a-shard", "across-shards"],
+    )
+    def test_a_record_overwritten_by_another_is_refused(
+        self, populated, embedder, tmp_path, source, problem
+    ):
+        """``load_index`` refuses a shard whose records share a ``chunk_id``
+        and names the shard; a record overwritten by another shard's leaves
+        its own ordinal without a live chunk."""
+        directory = save_cluster(populated, tmp_path / "cluster")
+        path = directory / "shard-001" / "records.json"
+        manifest = json.loads(path.read_text())
+        other = json.loads((directory / source / "records.json").read_text())
+        manifest["records"][1 if source == "shard-001" else 0] = other["records"][0]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=problem):
+            load_cluster(directory, embedder, ann_backend="exact", seed=9)
+
     def test_a_shard_directory_gone_missing_is_named(self, populated, embedder, tmp_path):
         directory = save_cluster(populated, tmp_path / "cluster")
         (directory / "shard-001").rename(directory / "elsewhere")

@@ -215,6 +215,55 @@ class TestDamagedVectors:
             load_index(saved, embedder, seed=9)
 
 
+def _edit_manifest(damage, directory) -> None:
+    manifest = json.loads((directory / "records.json").read_text())
+    damage(manifest)
+    (directory / "records.json").write_text(json.dumps(manifest))
+
+
+class TestDamagedRecords:
+    """A ``records.json`` that is not whole distinct chunk records is a
+    ``ValueError`` naming the file, the row and the field, raised before the
+    first insert.  A shared ``chunk_id`` used to load with one record gone
+    and a tombstone and dead graph node from the first moment; an odd field
+    escaped as ``TypeError`` and a missing key as ``KeyError``."""
+
+    @pytest.fixture()
+    def saved(self, embedder, tmp_path):
+        return save_index(_twelve(embedder, "hnsw"), tmp_path / "idx")
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (
+                lambda m: m["records"].__setitem__(1, m["records"][0]),
+                "records.json row 1 field 'chunk_id': 'doc-00#0' is row 0's",
+            ),
+            (
+                lambda m: m["records"][11].__setitem__("chunk_id", m["records"][4]["chunk_id"]),
+                "row 11 field 'chunk_id': 'doc-04#0' is row 4's",
+            ),
+            (lambda m: m["records"][3].pop("content"), "row 3 field 'content': missing"),
+            (
+                lambda m: m["records"][5].__setitem__("colour", "blu"),
+                "row 5 field 'colour': not a chunk record field",
+            ),
+            (lambda m: m.pop("schema"), "records.json field 'schema': missing"),
+            (lambda m: m.pop("embedding_dim"), "records.json field 'embedding_dim': missing"),
+            (lambda m: m.pop("records"), "records.json field 'records': missing"),
+        ],
+        ids=["shared-id", "shared-id-later", "missing-field", "unknown-field",
+             "no-schema", "no-embedding-dim", "no-records"],
+    )
+    def test_damaged_records_are_named(self, saved, embedder, monkeypatch, damage, message):
+        _edit_manifest(damage, saved)
+        inserts = []
+        monkeypatch.setattr(SearchIndex, "add_chunk", lambda *args, **kwargs: inserts.append(1))
+        with pytest.raises(ValueError, match=message):
+            load_index(saved, embedder, seed=9)
+        assert not inserts
+
+
 class TestInterruptedSave:
     """A re-save interrupted anywhere leaves the previous save whole or a
     pair that refuses to load — never new records beside old vectors, which
