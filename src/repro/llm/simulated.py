@@ -31,6 +31,8 @@ import hashlib
 import json
 import random
 import re
+from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from repro.embeddings.concepts import (
@@ -49,6 +51,7 @@ from repro.llm.base import (
     ChatUsage,
 )
 from repro.llm.prompts import (
+    _REPEATED_INSTRUCTIONS,
     TASK_ANSWER,
     TASK_BLIND_ANSWER,
     TASK_KEYWORDS,
@@ -63,7 +66,21 @@ from repro.text.tokenizer import DEFAULT_TOKEN_COUNTER, sentence_split, word_tok
 REFUSAL_TEXT = "Mi dispiace, non conosco la risposta a questa domanda in base alla documentazione disponibile."
 REFUSAL_TEXT_EN = "I am sorry, I do not know the answer to this question based on the available documentation."
 
-_CONTEXT_RE = re.compile(r"Contesto:\n(\[.*\])\n\nDomanda: (.*?)(?:\n\n|$)", re.DOTALL)
+#: The context is the one line after ``Contesto:`` (``json.dumps`` escapes
+#: every newline); the question is all between ``Domanda:`` and the closing
+#: instructions, so a blank line or the delimiter inside it is read as text.
+_CONTEXT_RE = re.compile(
+    r"Contesto:\n(\[[^\n]*\])\n\nDomanda: (.*?)(?:\n\n" + re.escape(_REPEATED_INSTRUCTIONS) + r")?\Z",
+    re.DOTALL,
+)
+
+#: Context passages a stand-in keeps read before it clears the table (DESIGN
+#: §16): a harness deployment reads 206-301 distinct ones (seed 11).
+PASSAGE_TABLE_CAP = 1024
+
+#: The kept identifiers of a text that has none: one shared empty set, not
+#: 216 bytes a sentence.
+_NO_IDENTIFIERS: frozenset[str] = frozenset()
 
 
 def _identifier_tokens(text: str) -> set[str]:
@@ -87,10 +104,17 @@ class _QuestionReading(NamedTuple):
     identifiers: set[str]
 
 
-#: One sentence of a context document, analysed once: its text, its
-#: ``ConceptLexicon.concept_stream`` and its identifiers (empty unless the
-#: question carries any).
-_SentenceReading = tuple[str, list[tuple[str, float]], set[str]]
+@dataclass(slots=True, eq=False)
+class _PassageReading:
+    """What reading one context passage derives: its fingerprint and its
+    sentences as ``(text, concept_stream)``; the passage's identifiers and
+    each sentence's are None until an identifier question needs them."""
+
+    fingerprint: ConceptFingerprint
+    sentences: list[tuple[str, list[tuple[str, float]]]]
+    identifiers: set[str] | None = None
+    sentence_identifiers: list[set[str] | frozenset[str]] | None = None
+
 
 #: Per-language text resources; "it" is the deployment language, "en"
 #: exists for the paper's "adapt to other languages" future work.
@@ -185,6 +209,8 @@ class SimulatedChatLLM:
         self._p_clarification = p_clarification
         self._temperature_scale = temperature_failure_scale
         self._counter = DEFAULT_TOKEN_COUNTER
+        self._passages: dict[tuple[str, str], _PassageReading] = {}
+        self._passages_version = lexicon.version
         self.calls = 0
 
     def reseed(self, run_nonce: int) -> None:
@@ -224,10 +250,7 @@ class SimulatedChatLLM:
 
         content = self._counter.truncate(content, max_tokens) if max_tokens else content
         prompt_tokens = self._counter.count(system_text) + self._counter.count(user_text)
-        usage = ChatUsage(
-            prompt_tokens=prompt_tokens,
-            completion_tokens=self._counter.count(content),
-        )
+        usage = ChatUsage(prompt_tokens=prompt_tokens, completion_tokens=self._counter.count(content))
         self._m_completions.inc()
         self._m_tokens.labels("prompt").inc(usage.prompt_tokens)
         self._m_tokens.labels("completion").inc(usage.completion_tokens)
@@ -261,8 +284,9 @@ class SimulatedChatLLM:
 
         scored = []
         for document in documents:
-            relevance, sentences = self._read_document(reading, document)
-            scored.append((relevance, document, sentences))
+            passage = self._read_passage(document, bool(reading.identifiers))
+            relevance = self._relevance(reading, passage.fingerprint, passage.identifiers)
+            scored.append((relevance, document, passage))
         scored.sort(key=lambda triple: -triple[0])
 
         supporting = [entry for entry in scored if entry[0] >= self._relevance_threshold]
@@ -286,34 +310,41 @@ class SimulatedChatLLM:
             return answer + self._pack["clarification"], RESPONSE_KIND_CLARIFICATION
         return answer, RESPONSE_KIND_ANSWER
 
-    def _read_document(
-        self, reading: _QuestionReading, document: dict
-    ) -> tuple[float, list[_SentenceReading]]:
-        """One pass over a context document: its relevance and its sentences.
+    def _read_passage(self, document: dict, identifiers: bool) -> _PassageReading:
+        """The reading of the passage ``"{title} {content}"``, made once per text.
 
-        The model sees only the prompt, so it reads the text itself — once.
-        The passage is ``"{title} {content}"``; its fingerprint accumulates
-        the title's concept stream, then each sentence's, in word order —
-        the additions one pass over the whole passage would make, because
-        sentences are split at whitespace and no word spans it — and its
-        identifiers are the union of theirs.
+        The model sees only the prompt, so it reads the text itself; it keeps
+        the reading under ``(title, content)`` until the lexicon grows or the
+        table is cleared at :data:`PASSAGE_TABLE_CAP`.  The fingerprint adds
+        the title's concept stream, then each sentence's: one pass over the
+        passage, as sentences split at whitespace.  Identifiers are tokenised
+        when *identifiers* first asks for them.
         """
-        title = f"{document.get('title', '')}"
-        weights = accumulate_concepts({}, self._lexicon.concept_stream(title))
-        wanted = bool(reading.identifiers)
-        identifiers = _identifier_tokens(title) if wanted else set()
-        sentences = []
-        for text in sentence_split(f"{document.get('content', '')}"):
-            concepts = self._lexicon.concept_stream(text)
-            accumulate_concepts(weights, concepts)
-            sentence_ids = _identifier_tokens(text) if wanted else set()
-            identifiers |= sentence_ids
-            sentences.append((text, concepts, sentence_ids))
-        return self._relevance(reading, fingerprint_of(weights), identifiers), sentences
+        if self._passages_version != self._lexicon.version:  # the lexicon grew
+            self._passages, self._passages_version = {}, self._lexicon.version
+        title, content = f"{document.get('title', '')}", f"{document.get('content', '')}"
+        passage = self._passages.get((title, content))
+        if passage is None:
+            weights = accumulate_concepts({}, self._lexicon.concept_stream(title))
+            sentences = []
+            for text in sentence_split(content):
+                concepts = self._lexicon.concept_stream(text)
+                accumulate_concepts(weights, concepts)
+                sentences.append((text, concepts))
+            passage = _PassageReading(fingerprint_of(weights), sentences)
+            if len(self._passages) >= PASSAGE_TABLE_CAP:
+                self._passages.clear()
+            self._passages[title, content] = passage
+        if identifiers and passage.identifiers is None:
+            passage.sentence_identifiers = [
+                _identifier_tokens(text) or _NO_IDENTIFIERS for text, _ in passage.sentences
+            ]
+            passage.identifiers = _identifier_tokens(title).union(*passage.sentence_identifiers)
+        return passage
 
     @staticmethod
     def _relevance(
-        reading: _QuestionReading, fingerprint: ConceptFingerprint, identifiers: set[str]
+        reading: _QuestionReading, fingerprint: ConceptFingerprint, identifiers: set[str] | None
     ) -> float:
         """How strongly a text with this reading supports the question.
 
@@ -326,23 +357,22 @@ class SimulatedChatLLM:
         """
         conceptual = fingerprint_cosine(reading.fingerprint, fingerprint)
         question_ids = reading.identifiers
-        if question_ids:
-            lexical = len(question_ids & identifiers) / len(question_ids)
-        else:
-            lexical = 0.0
-        return max(conceptual, lexical)
+        if not question_ids:
+            return conceptual
+        return max(conceptual, len(question_ids & identifiers) / len(question_ids))
 
     def _compose_grounded_answer(
         self,
         reading: _QuestionReading,
-        supporting: list[tuple[float, dict, list[_SentenceReading]]],
+        supporting: list[tuple[float, dict, _PassageReading]],
         rng: random.Random,
     ) -> str:
         """Extract the most question-relevant sentences, citing their sources."""
         candidate_sentences: list[tuple[float, str, str]] = []
-        for relevance, document, sentences in supporting[:3]:
+        for relevance, document, passage in supporting[:3]:
             key = document.get("key", "doc1")
-            for text, concepts, identifiers in sentences:
+            sentence_identifiers = passage.sentence_identifiers or repeat(None)
+            for (text, concepts), identifiers in zip(passage.sentences, sentence_identifiers):
                 sentence_relevance = self._relevance(
                     reading, fingerprint_of(accumulate_concepts({}, concepts)), identifiers
                 )

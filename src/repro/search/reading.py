@@ -22,6 +22,7 @@ from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 from repro.text.similarity import rouge_tokens
+from repro.text.tokenizer import count_tokens
 
 
 @dataclass(slots=True, eq=False)
@@ -30,8 +31,9 @@ class ChunkReading:
 
     The meaning half (fingerprints and distinct terms) is current for the
     ``lexicon`` at ``version`` and the ``analyzer`` it was read under;
-    ``rouge_tokens`` depends on the content alone and is filled on first
-    use, because only the few chunks that reach an LLM context need it.
+    ``rouge_tokens`` and ``token_count`` depend on the content alone and are
+    filled on first use, because only the few chunks that reach an LLM
+    context need them.
     """
 
     lexicon: ConceptLexicon | None = None  # None: no meaning read yet
@@ -41,6 +43,7 @@ class ChunkReading:
     content_fingerprint: ConceptFingerprint | None = None
     content_terms: dict[str, None] | None = None  # keys: distinct, first-seen order
     rouge_tokens: list[str] | None = None
+    token_count: int | None = None
 
 
 def read_chunk(
@@ -111,3 +114,11 @@ def rouge_tokens_of(record: ChunkRecord) -> list[str]:
     if reading.rouge_tokens is None:
         reading.rouge_tokens = rouge_tokens(record.content)
     return reading.rouge_tokens
+
+
+def token_count_of(record: ChunkRecord) -> int:
+    """``count_tokens(record.content)``, kept on its reading."""
+    reading = read_chunk(record)
+    if reading.token_count is None:
+        reading.token_count = count_tokens(record.content)
+    return reading.token_count

@@ -45,6 +45,7 @@ from repro.obs.telemetry import Telemetry
 from repro.obs.trace import RequestContext, Span, Trace
 from repro.obs.work import WORK_COALESCED_JOINS, WorkCounters
 from repro.pipeline.clock import SimulatedClock
+from repro.search.reading import token_count_of
 from repro.service.alerting import evaluate_alerts, evaluate_slo_alerts
 from repro.service.feedback import FeedbackStore, GranularFeedback
 from repro.service.monitoring import MetricsCollector
@@ -118,6 +119,20 @@ DEFAULT_LEAF_COST = 0.0005
 #: similarity scan) instead of retrieval and a multi-second LLM call.
 CACHE_HIT_LATENCY = 0.02
 
+#: Modeled seconds of the leaf spans whose cost does not depend on their size.
+_FIXED_STAGE_COSTS = {
+    spans.STAGE_CONTENT_FILTER: 0.002,
+    spans.STAGE_EMBED_QUERY: 0.004,
+    spans.STAGE_FUSION: 0.001,
+    spans.STAGE_SUBQUERY: DEFAULT_LEAF_COST,
+    spans.STAGE_PROMPT_BUILD: 0.0005,
+    spans.STAGE_CITATIONS: 0.0005,
+    spans.STAGE_CACHE_STORE: 0.0005,
+    spans.STAGE_AGENT_ROUTE: 0.001,  # a handful of regex probes over the question
+    spans.STAGE_AGENT_REWRITE: 0.0005,
+    spans.STAGE_STRUCTURED_PLAN: 0.001,
+}
+
 
 class StageLatencyModel:
     """Deterministic per-stage latency attribution for traced requests.
@@ -159,29 +174,20 @@ class StageLatencyModel:
         """Modeled seconds spent in *span* (0.0 for aggregate spans)."""
         attrs = span.attributes
         name = span.name
-        if name == spans.STAGE_CONTENT_FILTER:
-            return 0.002
-        if name == spans.STAGE_EMBED_QUERY:
-            return 0.004
+        fixed = _FIXED_STAGE_COSTS.get(name)
+        if fixed is not None:
+            return fixed
         if name == spans.STAGE_FULLTEXT:
             return 0.010 + 0.0001 * int(attrs.get("results", 0))
         if name.startswith(spans.VECTOR_STAGE_PREFIX):
             return 0.006 + 0.0002 * int(attrs.get("results", 0))
-        if name == spans.STAGE_FUSION:
-            return 0.001
         if name == spans.STAGE_RERANK:
             return 0.002 + 0.0005 * int(attrs.get("candidates", 0))
-        if name == spans.STAGE_SUBQUERY:
-            return DEFAULT_LEAF_COST
-        if name == spans.STAGE_PROMPT_BUILD:
-            return 0.0005
         if name == spans.STAGE_LLM:
             tokens = int(attrs.get("prompt_tokens", 0)) + int(attrs.get("completion_tokens", 0))
             return self._base_latency + self._seconds_per_kilo_token * tokens / 1000.0
         if name.startswith(spans.GUARDRAIL_STAGE_PREFIX):
             return 0.001
-        if name == spans.STAGE_CITATIONS:
-            return 0.0005
         if name.startswith(spans.SHARD_STAGE_PREFIX):
             return 0.0005  # dispatch only; shards are queried in parallel
         if name == spans.STAGE_SCATTER_WAIT:
@@ -190,14 +196,6 @@ class StageLatencyModel:
             # A map probe plus, at worst, one query embedding and a
             # similarity scan over the resident entries.
             return 0.002 + 0.000002 * int(attrs.get("entries", 0))
-        if name == spans.STAGE_CACHE_STORE:
-            return 0.0005
-        if name == spans.STAGE_AGENT_ROUTE:
-            return 0.001  # a handful of regex probes over the question
-        if name == spans.STAGE_AGENT_REWRITE:
-            return 0.0005
-        if name == spans.STAGE_STRUCTURED_PLAN:
-            return 0.001
         if name == spans.STAGE_STRUCTURED_EXEC:
             return 0.0005 + 0.0001 * int(attrs.get("rows", 0))
         # Aggregate spans cost nothing themselves; any other *leaf* span is
@@ -303,9 +301,7 @@ class BackendService:
         self._sessions: TtlLruStore[str, tuple[str, str]] = TtlLruStore(
             session_capacity, session_ttl_seconds, clock=clock
         )
-        self._records: TtlLruStore[str, ServedSummary] = TtlLruStore(
-            record_capacity, None, clock=clock
-        )
+        self._records: TtlLruStore[str, ServedSummary] = TtlLruStore(record_capacity, None, clock=clock)
         self._base_latency = base_latency
         self._seconds_per_kilo_token = seconds_per_kilo_token
         self._latency_jitter = latency_jitter
@@ -315,9 +311,7 @@ class BackendService:
         self._token_rng = random.Random(seed ^ 0xA5A5_5A5A)
         self._query_counter = 0
         self._tracing = tracing
-        self._stage_model = StageLatencyModel(
-            base_latency, seconds_per_kilo_token, audit=telemetry.audit
-        )
+        self._stage_model = StageLatencyModel(base_latency, seconds_per_kilo_token, audit=telemetry.audit)
         self.single_flight: SingleFlight | None = None
         self._m_coalesced = None
         if coalescing:
@@ -470,14 +464,7 @@ class BackendService:
                     self.capacity.observe(
                         probe.resource, arrival, probe.latency, failed=not probe.ok
                     )
-        record = QueryRecord(
-            query_id=query_id,
-            user_id=user_id,
-            question=question,
-            answer=answer,
-            served_at=served_at,
-            trace=trace,
-        )
+        record = QueryRecord(query_id, user_id, question, answer, served_at, trace)
         self._finalize_record(record, response.scatter)
         return record
 
@@ -507,14 +494,7 @@ class BackendService:
         )
         if self.capacity is not None:
             self.capacity.observe("backend", arrival, response_time)
-        record = QueryRecord(
-            query_id=query_id,
-            user_id=user_id,
-            question=question,
-            answer=answer,
-            served_at=flight.completes_at,
-            trace=None,
-        )
+        record = QueryRecord(query_id, user_id, question, answer, flight.completes_at)
         if self._m_coalesced is not None:
             self._m_coalesced.inc()
         self._finalize_record(record, None, extra_audit={"coalesced_with": flight.request_id})
@@ -560,11 +540,7 @@ class BackendService:
         if scatter is not None:
             for probe in scatter.probes:
                 self.metrics.record_shard_probe(
-                    shard_id=probe.shard_id,
-                    replica_id=probe.replica_id,
-                    latency=probe.latency,
-                    ok=probe.ok,
-                    hedged=probe.hedged,
+                    probe.shard_id, probe.replica_id, probe.latency, probe.ok, probe.hedged
                 )
                 probe_log.append(probe.audit_row())
         report = answer.guardrail_report
@@ -582,26 +558,17 @@ class BackendService:
                 for verdict in (report.verdicts if report is not None else ())
             ],
         )
-        # Only annotate reuse when it happened: a cache-off deployment's
-        # audit lines must match the pre-cache format exactly.
-        if answer.cache_hit:
-            audit_fields["cache"] = answer.cache_hit
-        # Same contract for routing: agents-off audit lines never carry the
-        # field, so they match the pre-agents format byte for byte.
-        if answer.route:
-            audit_fields["route"] = answer.route
-        # And for profiling: the work block appears only when the request
-        # actually carried counters.
-        if answer.work:
-            audit_fields["work"] = answer.work
+        # Reuse, routing and work counts appear only when the request had
+        # them, so a deployment without cache, agents or profiling writes the
+        # audit lines it wrote before those layers existed.
+        for field, value in (("cache", answer.cache_hit), ("route", answer.route), ("work", answer.work)):
+            if value:
+                audit_fields[field] = value
         # Errored spans surface with the exception type the stage raised;
         # clean traces never carry the field.
         if trace is not None:
             span_errors = [
-                {
-                    "stage": span.name,
-                    "error_type": str(span.attributes.get("error_type", "")),
-                }
+                {"stage": span.name, "error_type": str(span.attributes.get("error_type", ""))}
                 for span in trace.spans
                 if span.status != "ok"
             ]
@@ -657,13 +624,9 @@ class BackendService:
         if self.profiler is not None:
             bundle["profile_top"] = self.profiler.format_top(limit=10)
         sampler = self.telemetry.sampler
+        traces = ((sampler.get(trace_id), trace_id) for trace_id in sampler.retained_ids)
         slow = sorted(
-            (
-                (trace.total_duration, trace_id)
-                for trace_id in sampler.retained_ids
-                for trace in (sampler.get(trace_id),)
-                if trace is not None
-            ),
+            ((trace.total_duration, trace_id) for trace, trace_id in traces if trace is not None),
             reverse=True,
         )[:5]
         bundle["slow_traces"] = [
@@ -678,9 +641,7 @@ class BackendService:
         self._stored(feedback.query_id)
         self.feedback_store.add(feedback)
         self.metrics.record_feedback()
-        self.telemetry.audit.info(
-            "feedback", request_id=feedback.query_id, user=user_id
-        )
+        self.telemetry.audit.info("feedback", request_id=feedback.query_id, user=user_id)
 
     # -- accessors ----------------------------------------------------------------
 
@@ -779,11 +740,7 @@ class BackendService:
 
     @ops_route("healthz", privileged=False, description="Liveness probe (unauthenticated).")
     def _ops_healthz(self) -> dict:
-        return {
-            "status": "ok",
-            "time": self._clock.now(),
-            "served_queries": self._query_counter,
-        }
+        return {"status": "ok", "time": self._clock.now(), "served_queries": self._query_counter}
 
     @ops_route("readyz", privileged=False, description="Readiness probe (unauthenticated).")
     def _ops_readyz(self) -> dict:
@@ -815,18 +772,16 @@ class BackendService:
         self._sessions.touch(token)
         return session[0]
 
-    def _authorize(self, token: str, required_role: str) -> str:
+    def _authorize(self, token: str, required_role: str) -> None:
         session = self._sessions.get(token)
         if session is None:
             raise AuthenticationError("invalid session token")
-        user_id, role = session
-        if role != required_role:
-            raise AuthorizationError(f"role {role!r} may not perform this operation")
-        return user_id
+        if session[1] != required_role:
+            raise AuthorizationError(f"role {session[1]!r} may not perform this operation")
 
     def _model_response_time(self, question: str, answer: UniAskAnswer) -> float:
         """Latency model: base + LLM time proportional to token volume."""
-        context_tokens = sum(count_tokens(chunk.record.content) for chunk in answer.context)
+        context_tokens = sum(token_count_of(chunk.record) for chunk in answer.context)
         total_tokens = count_tokens(question) + context_tokens + count_tokens(answer.raw_answer)
         latency = self._base_latency + self._seconds_per_kilo_token * total_tokens / 1000.0
         return latency * self._jitter()

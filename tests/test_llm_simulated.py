@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +27,9 @@ from repro.llm.prompts import (
     build_related_queries_prompt,
     build_summary_prompt,
 )
+from repro.llm import simulated
 from repro.llm.simulated import (
+    _CONTEXT_RE,
     REFUSAL_TEXT,
     SimulatedChatLLM,
     _identifier_tokens,
@@ -55,6 +60,43 @@ def _context(relevant: bool) -> list[ContextDocument]:
     else:
         content = "La quadratura di cassa si esegue a fine giornata in filiale."
     return [ContextDocument(key="doc1", title="Guida", content=content)]
+
+
+def _small_lexicon() -> ConceptLexicon:
+    """A lexicon of the test's own, free to grow."""
+    return ConceptLexicon(
+        [
+            Concept("bonifico", "bonifico", ("trasferimento fondi",)),
+            Concept("carta", "carta di credito", ("carta revolving",)),
+            Concept("act_attivare", "attivare", ("abilitare",)),
+        ]
+    )
+
+
+def _four_passages() -> list[ContextDocument]:
+    return [
+        ContextDocument(
+            "doc1", "Guida GestCarte",
+            "Per attivare la carta di credito occorre accedere a GestCarte. "
+            "La conferma arriva entro pochi minuti.",
+        ),
+        ContextDocument(
+            "doc2", "Bonifici",
+            "Il bonifico estero si dispone da CreditFlow. L'errore ERR-4821 indica un IBAN errato.",
+        ),
+        ContextDocument(
+            "doc3", "Carta revolving", "La carta revolving si abilita in filiale. Serve la conferma firmata."
+        ),
+        ContextDocument("doc4", "Cassa", "La quadratura di cassa si esegue a fine giornata in filiale."),
+    ]
+
+
+#: A plain question, an identifier question and a paraphrase.
+QUESTIONS = (
+    "Come posso attivare la carta di credito?",
+    "Cosa significa ERR-4821 su CreditFlow?",
+    "Come abilitare un trasferimento fondi?",
+)
 
 
 class TestRagAnswer:
@@ -100,6 +142,26 @@ class TestRagAnswer:
         prompt = build_answer_prompt("Come attivare la carta di credito?", _context(True))
         short = llm.complete(prompt, max_tokens=5)
         assert short.usage.completion_tokens <= 5
+
+    @pytest.mark.parametrize(
+        "tail",
+        ["\n\nGrazie mille", "]\n\nDomanda: ok", "\n\nContesto:\n[", "\n\nCodice ERR-4821"],
+        ids=["blank-line", "delimiter", "context-header", "identifier-past-a-blank-line"],
+    )
+    def test_a_question_holding_the_prompts_delimiters_is_read_whole(self, tail):
+        question = f"Come posso attivare la carta di credito?{tail}"
+        prompt = build_answer_prompt(question, _four_passages())
+        match = _CONTEXT_RE.search(prompt[1].content)
+        assert match.group(2).strip() == question.strip()
+        assert [document["key"] for document in json.loads(match.group(1))] == [
+            "doc1", "doc2", "doc3", "doc4"
+        ]
+        llm = SimulatedChatLLM(_small_lexicon(), seed=3)
+        response = llm.complete(prompt)
+        assert len(llm._passages) == 4
+        assert response.kind == "answer" and "[doc1]" in response.content
+        # The two-pass reference parses with the same expression.
+        assert response == ReferenceChatLLM(_small_lexicon(), seed=3).complete(prompt)
 
     def test_malformed_prompt_refuses(self, llm):
         response = llm.complete(
@@ -157,7 +219,7 @@ class TestSinglePassReader:
     two-pass reader's (``tests/reference_llm.py``), object for object."""
 
     def test_every_prompt_of_a_served_run_answers_like_the_reference(
-        self, small_kb, lexicon, human_queries, keyword_queries
+        self, small_kb, lexicon, human_queries, keyword_queries, monkeypatch
     ):
         system = build_uniask_system(small_kb.store(), lexicon, seed=3)
         reference = ReferenceChatLLM(lexicon, seed=3)
@@ -184,6 +246,75 @@ class TestSinglePassReader:
         assert {"answer", "refusal"} <= kinds
         # Identifier questions took the second, identifier-only read.
         assert any(_identifier_tokens(q) for q in questions)
+
+        # Asked again, every passage comes from the table: only the questions
+        # are analysed, and every response is the same again.
+        table = dict(system.llm._passages)
+        assert table and len(table) < 4 * len(served)  # the run itself hit
+        streamed = []
+        stream = ConceptLexicon.concept_stream
+        monkeypatch.setattr(
+            ConceptLexicon, "concept_stream", lambda self, text: streamed.append(text) or stream(self, text)
+        )
+        for args, kwargs, response in served:
+            assert complete(*args, **kwargs) == response
+        assert set(streamed) <= set(questions) and system.llm._passages == table
+
+    def test_a_grown_lexicon_drops_the_table(self):
+        lexicon = _small_lexicon()
+        llm = SimulatedChatLLM(lexicon, seed=3)
+        prompts = [build_answer_prompt(question, _four_passages()) for question in QUESTIONS]
+        for prompt in prompts:
+            llm.complete(prompt)
+        before = {key: passage.fingerprint for key, passage in llm._passages.items()}
+        assert len(before) == 4
+        lexicon.add(Concept("conferma", "conferma", ("modulo firmato",)))
+        fresh = ReferenceChatLLM(lexicon, seed=3)
+        for prompt in prompts:
+            assert llm.complete(prompt) == fresh.complete(prompt)
+        for (title, content), passage in llm._passages.items():
+            assert passage.fingerprint == lexicon.fingerprint(f"{title} {content}")
+        moved = [key for key in before if llm._passages[key].fingerprint != before[key]]
+        assert [title for title, _ in moved] == ["Guida GestCarte", "Carta revolving"]
+
+    def test_answers_from_the_table_follow_reseed(self):
+        llm = SimulatedChatLLM(_small_lexicon(), seed=1, p_missing_citation=0.5, p_clarification=0.3)
+        reference = ReferenceChatLLM(_small_lexicon(), seed=1, p_missing_citation=0.5, p_clarification=0.3)
+        prompts = [build_answer_prompt(question, _four_passages()) for question in QUESTIONS]
+        contents = set()
+        for nonce in range(8):
+            llm.reseed(nonce)
+            reference.reseed(nonce)
+            for prompt in prompts:
+                response = llm.complete(prompt, temperature=1.0)
+                assert response == reference.complete(prompt, temperature=1.0)
+                contents.add(response.content)
+        assert len(contents) > len(prompts)
+        assert len(llm._passages) == 4
+
+    def test_a_full_table_is_cleared_and_answers_stay(self, monkeypatch):
+        monkeypatch.setattr(simulated, "PASSAGE_TABLE_CAP", 3)
+        llm = SimulatedChatLLM(_small_lexicon(), seed=3)
+        reference = ReferenceChatLLM(_small_lexicon(), seed=3)
+        prompts = [build_answer_prompt(question, _four_passages()) for question in QUESTIONS]
+        sizes = []
+        for prompt in prompts + prompts:
+            assert llm.complete(prompt) == reference.complete(prompt)
+            sizes.append(len(llm._passages))
+        assert max(sizes) <= 3 and sizes[0] == 1  # three stored, cleared at the fourth
+
+    def test_an_edited_passage_is_a_new_key(self):
+        llm = SimulatedChatLLM(_small_lexicon(), seed=3)
+        reference = ReferenceChatLLM(_small_lexicon(), seed=3)
+        original = _four_passages()
+        edited = [replace(original[0], content=original[0].content.replace("GestCarte", "CartaWeb"))]
+        edited += original[1:]
+        for documents in (original, edited):
+            prompt = build_answer_prompt(QUESTIONS[0], documents)
+            response = llm.complete(prompt)
+            assert response == reference.complete(prompt)
+        assert "CartaWeb" in response.content and "accedere a GestCarte" not in response.content
+        assert {(d.title, d.content) for d in original + edited} == set(llm._passages)
 
     #: Forms of three, six and seven words weigh 1/3, 1/6 and 1/7 a word:
     #: sums that round differently in a different order, so a reader that
@@ -231,17 +362,22 @@ class TestSinglePassReader:
         assert llm.complete(prompt, temperature) == reference.complete(prompt, temperature)
 
         # The same ChatResponse could hide a moved last bit: every relevance
-        # the reader takes is the reference's float.
+        # the reader takes — here from the passages the answer left in the
+        # table — is the reference's float.
         reading = _QuestionReading(
             self.inexact.fingerprint(question), _identifier_tokens(question)
         )
         for title, content in documents:
-            relevance, sentences = llm._read_document(reading, {"title": title, "content": content})
+            passage = llm._read_passage(
+                {"title": title, "content": content}, bool(reading.identifiers)
+            )
+            relevance = llm._relevance(reading, passage.fingerprint, passage.identifiers)
             assert relevance.hex() == reference._passage_relevance(
                 reading, f"{title} {content}"
             ).hex()
-            assert [text for text, _, _ in sentences] == sentence_split(content)
-            for text, concepts, identifiers in sentences:
+            assert [text for text, _ in passage.sentences] == sentence_split(content)
+            sentence_identifiers = passage.sentence_identifiers or [None] * len(passage.sentences)
+            for (text, concepts), identifiers in zip(passage.sentences, sentence_identifiers):
                 fingerprint = fingerprint_of(accumulate_concepts({}, concepts))
                 assert llm._relevance(reading, fingerprint, identifiers).hex() == (
                     reference._passage_relevance(reading, text).hex()

@@ -10,9 +10,10 @@ tests pin the three things that design must not break:
 * **invalidation**: an edited chunk and a grown lexicon never serve a stale
   reading, a reading is reachable only from its record, and neither
   ``dataclasses.replace`` nor a save → load round trip carries one along;
-* **work**: a warm ask tokenizes each context chunk once (the LLM's own
-  read of the prompt) and the reranker and guardrails no chunk text at all,
-  and scores are the same floats in every process.
+* **work**: a warm ask tokenizes no context chunk (the LLM stand-in keeps
+  its read of each passage), a cold stand-in each once, and the reranker and
+  guardrails no chunk text at all; scores are the same floats in every
+  process.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import subprocess
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.text.tokenizer as tokenizer_module
-from repro.api import create_backend
+from repro.api import ClusterConfig, UniAskConfig, create_backend, create_engine
 from repro.core.factory import build_uniask_system
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.vocabulary import build_banking_lexicon
@@ -40,12 +42,13 @@ from repro.guardrails.pipeline import GuardrailPipeline
 from repro.guardrails.rouge import RougeGuardrail
 from repro.search.index import SearchIndex
 from repro.search.persistence import load_index, save_index
-from repro.search.reading import ChunkReading, read_chunk
+from repro.search.reading import ChunkReading, read_chunk, unread_chunk
 from repro.search.reranker import SemanticReranker, _hash_noise
 from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER
 from repro.text.similarity import rouge_l_score
+from repro.text.tokenizer import count_tokens
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -335,6 +338,49 @@ class TestRougeFromTheReading:
         assert RougeGuardrail().similarity(answer, [_result(record)]) == expected
 
 
+class TestTokenCountFromTheReading:
+    """The backend's latency model counts a context chunk's tokens from its
+    reading: the same total as ``count_tokens`` over the contents."""
+
+    @pytest.mark.parametrize("shards", (1, 3))
+    def test_the_latency_model_counts_every_context_token(self, tiny_kb, banking_lexicon, shards):
+        system = create_engine(
+            tiny_kb.store(), banking_lexicon,
+            config=UniAskConfig(cluster=ClusterConfig(shards=shards)), seed=5,
+        )
+        # One simulated second per token and no jitter: the response time is the total.
+        backend = create_backend(
+            system, base_latency=0.0, seconds_per_kilo_token=1000.0, latency_jitter=0.0
+        )
+        token = backend.login("tokens")
+
+        def check(question, context, raw_answer):
+            answer = SimpleNamespace(context=context, raw_answer=raw_answer)
+            expected = count_tokens(question) + count_tokens(raw_answer) + sum(
+                count_tokens(chunk.record.content) for chunk in context
+            )
+            for _ in range(2):  # counted, then from the reading
+                assert backend._model_response_time(question, answer) == expected
+
+        questions = [generated.key_sentence for generated in tiny_kb.documents[:6]]
+        for question in questions:
+            answer = backend.serve(token, question).answer
+            assert answer.context
+            check(question, answer.context, answer.raw_answer)
+            for chunk in answer.context:
+                assert chunk.record._reading.token_count == count_tokens(chunk.record.content)
+
+        chunk = answer.context[0]
+        edited = replace(chunk, record=replace(chunk.record, content=chunk.record.content + " Vedi ERR-9999."))
+        assert edited.record._reading is None  # an edited record starts unread
+        check(question, [edited, *answer.context[1:]], answer.raw_answer)
+        assert edited.record._reading.token_count > chunk.record._reading.token_count
+
+        unread_chunk(chunk.record, FULL_ANALYZER)
+        assert chunk.record._reading is None
+        check(question, answer.context, answer.raw_answer)
+
+
 def _reachable_from(root: object) -> list[object]:
     seen: dict[int, object] = {}
     stack = [root]
@@ -398,17 +444,20 @@ QUESTION_PASSES = 10
 ANSWER_PASSES = 3
 
 
-def test_warm_ask_tokenizes_each_context_chunk_once(
+def test_the_llm_tokenizes_a_context_passage_on_its_first_read_only(
     small_kb, lexicon, human_queries, keyword_queries, monkeypatch
 ):
     """The character gate: what an ask tokenizes, and who tokenizes it.
 
-    The LLM stand-in reads the prompt's context once for meaning, and once
-    more for identifiers only when the question carries one; the reranker
-    and the guardrails tokenize the question and the answer, never a chunk.
-    (Before readings an ask tokenized its four context chunks 3.4 times.)
+    The LLM stand-in keeps what it read of each context passage, so a warm
+    ask tokenizes no passage; a fresh stand-in reads each once for meaning,
+    and once more for identifiers only when the question carries one.  The
+    reranker and the guardrails tokenize the question and the answer, never
+    a chunk.  (Before readings an ask tokenized its four context chunks 3.4
+    times; before the stand-in kept its reads, once per ask.)
     """
-    from repro.llm.simulated import _identifier_tokens
+    from repro.llm.simulated import SimulatedChatLLM, _identifier_tokens
+    from repro.text.tokenizer import sentence_split
 
     system = build_uniask_system(small_kb.store(), lexicon, seed=3)
     backend = create_backend(system)
@@ -458,20 +507,30 @@ def test_warm_ask_tokenizes_each_context_chunk_once(
     monkeypatch.setattr(SemanticReranker, "rerank", scoped_rerank)
     monkeypatch.setattr(GuardrailPipeline, "run", scoped_run)
 
-    for question in asked:
-        tokenized.clear()
-        guarded.clear()
-        answer = backend.serve(token, question).answer
-        assert answer.context and guarded
-        context_chars = sum(len(c.record.title) + len(c.record.content) for c in answer.context)
-        reads = 2 if _identifier_tokens(question) else 1
-        total = sum(len(text) for _, text in tokenized)
-        assert total <= (
-            QUESTION_PASSES * len(question) + ANSWER_PASSES * len(guarded[0]) + reads * context_chars
-        ), question
-        assert total >= context_chars  # the LLM's one read was counted
-        for where, text in tokenized:
-            if where == "rerank":
-                assert text.lower() == question.lower()
-            elif where == "guardrails":
-                assert text == guarded[0]
+    for cold in (False, True):
+        for question in asked:
+            if cold:
+                monkeypatch.setattr(system.engine, "_llm", SimulatedChatLLM(lexicon, seed=3))
+            tokenized.clear()
+            guarded.clear()
+            answer = backend.serve(token, question).answer
+            assert answer.context and guarded
+            context_chars = sum(len(c.record.title) + len(c.record.content) for c in answer.context)
+            reads = (2 if _identifier_tokens(question) else 1) if cold else 0
+            total = sum(len(text) for _, text in tokenized)
+            assert total <= (
+                QUESTION_PASSES * len(question) + ANSWER_PASSES * len(guarded[0])
+                + reads * context_chars
+            ), (cold, question)
+            if cold:
+                assert total >= context_chars  # the fresh stand-in's one read was counted
+            else:
+                passages = {c.record.title for c in answer.context} | {
+                    text for c in answer.context for text in sentence_split(c.record.content)
+                }
+                assert not passages & {text for _, text in tokenized}, question
+            for where, text in tokenized:
+                if where == "rerank":
+                    assert text.lower() == question.lower()
+                elif where == "guardrails":
+                    assert text == guarded[0]
