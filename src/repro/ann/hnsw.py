@@ -41,10 +41,10 @@ from repro.obs.work import WORK_ANN_DISTANCE_EVALS
 
 #: A graph of at most this many beams of rows, removed ones included, is
 #: read by one RowStore pass instead of a walk: a search's beam is ``ef``, an
-#: insert's ``ef_construction``.  Up to four beams a walk evaluates about as
-#: many distances as there are rows (DESIGN.md §17), so the scan costs no more
-#: and its candidates are exact.
-SCAN_BEAMS = 4
+#: insert's ``ef_construction``.  Set by measured time: one vectorised pass
+#: costs less than a walk's per-node distances up to about 50 beams on insert
+#: and 75 on search (DESIGN.md §17), and its candidates are exact.
+SCAN_BEAMS = 32
 
 
 class _Node:
@@ -187,8 +187,8 @@ class HnswIndex:
         self._nodes[item_id] = node
 
         if row <= SCAN_BEAMS * ef:
-            # No wider than four beams: every row's distance from one store
-            # pass, in (distance, id) order; removed rows are candidates.
+            # No wider than SCAN_BEAMS beams: every row's distance from one
+            # store pass, in (distance, id) order; removed rows are candidates.
             scanned = store.distances(vector, norm, row)
             order = np.lexsort((self._ids[:row], scanned))
             levels = self._levels[order]

@@ -8,15 +8,17 @@ of time, so nothing observable may move: after every ``add`` the two graphs
 hold the same neighbour lists in the same order on every layer and the same
 entry point, and every ``search`` that walks the graph returns the same ids,
 the same distance bits and books the same ``ann_distance_evals``.  An insert
-into a graph of at most four beams of ``ef_construction`` rows takes its
-candidates by brute force in both, and walks above (both pinned
-examples cross the bound).  A search over a graph of at most four
-beams of rows scans instead of walking (DESIGN.md §17): it returns brute
-force over ``cosine_distance`` bit for bit in ``(distance, id)`` order,
-books one evaluation per row and is at no rank farther than the reference
-walk — which can miss the exact neighbours, and misses what a disconnected
-graph does not reach (the first pinned ``@example``: 5 of its 14 nodes are
-reachable on layer 0).
+into a graph of at most ``SCAN_BEAMS`` beams of ``ef_construction`` rows
+takes its candidates by brute force in both, and walks above (the second
+pinned example crosses the bound at 96 rows).  A search over a graph of at
+most ``SCAN_BEAMS`` beams of rows scans instead of walking (DESIGN.md §17):
+it returns brute force over ``cosine_distance`` bit for bit in
+``(distance, id)`` order, books one evaluation per row and is at no rank
+farther than the reference walk — which can miss the exact neighbours, and
+misses what a disconnected graph does not reach (the first pinned
+``@example``: 5 of its 14 nodes are reachable on layer 0).  Every other
+search draws a beam narrow enough to walk a graph of more than
+``SCAN_BEAMS`` of it.
 
 The inputs are the ones where a last-bit difference would show: duplicated
 vectors (exact distance ties, broken by id), a zero vector (the ``1.0``
@@ -71,7 +73,7 @@ def _vectors(generator: np.random.Generator, n: int, dim: int) -> np.ndarray:
     data_seed=st.integers(0, 2**32 - 1),
 )
 @example(n=14, dim=3, m=2, ef_construction=1, seed=0, data_seed=0)
-@example(n=200, dim=8, m=6, ef_construction=12, seed=3, data_seed=4)  # inserts scan to 48 rows
+@example(n=200, dim=8, m=2, ef_construction=3, seed=3, data_seed=4)  # inserts scan to 96 rows
 @settings(max_examples=25, deadline=None)
 def test_graphs_searches_and_work_equal_the_reference(
     n, dim, m, ef_construction, seed, data_seed
@@ -93,8 +95,8 @@ def test_graphs_searches_and_work_equal_the_reference(
         if number % 2:
             k = int(generator.integers(1, n + 5))
             ef = None if generator.random() < 0.3 else int(generator.integers(1, 150))
-        else:  # a beam narrow enough to walk a graph wider than four of it
-            k, ef = (int(generator.integers(1, max(2, n // 4))) for _ in range(2))
+        else:  # a beam narrow enough to walk a graph wider than SCAN_BEAMS of it
+            k, ef = (int(generator.integers(1, max(2, n // SCAN_BEAMS))) for _ in range(2))
         work, reference_work = WorkCounters(), WorkCounters()
         found = index.search(query, k, ef=ef, work=work)
         expected = reference.search(query, k, ef=ef, work=reference_work)
@@ -102,7 +104,7 @@ def test_graphs_searches_and_work_equal_the_reference(
             assert [(i, d.hex()) for i, d in found] == [(i, d.hex()) for i, d in expected]
             assert work.counts == reference_work.counts
         else:
-            # Four beams as wide as the graph scan it: brute force, never
+            # SCAN_BEAMS beams as wide as the graph scan it: brute force, never
             # farther at any rank than the walk, which can miss exact
             # neighbours and the nodes a disconnected graph does not reach.
             brute = sorted((cosine_distance(query, row), i) for i, row in zip(item_ids, rows))
@@ -235,8 +237,8 @@ def test_re_prunes_that_overturn_old_verdicts(m):
             rows[target] = rows[generator.integers(0, target)]
     rows[137] = 0.0
 
-    index = HnswIndex(3, m=m, ef_construction=30, seed=5)
-    reference = ReferenceHnswIndex(3, m=m, ef_construction=30, seed=5)
+    index = HnswIndex(3, m=m, ef_construction=8, seed=5)
+    reference = ReferenceHnswIndex(3, m=m, ef_construction=8, seed=5)
     seen: dict = {}
     demoted = promoted = readmitted = 0
     for item_id, row in enumerate(rows):
