@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
 
 #: Uncalled function lines of ``src/repro`` at the last PR that moved it.
-CEILING = 1230
+CEILING = 1227
 
 QUESTION = "Come posso bloccare la carta di credito?"
 ROUTES = ("conversational", "lookup", "multi_hop", "structured", "follow_up")

@@ -8,9 +8,14 @@ are regenerated here.
 
 from __future__ import annotations
 
+import functools
+
+from repro.ann.hnsw import SCAN_BEAMS
+from repro.core import factory
 from repro.core.factory import build_uniask_system
 from repro.eval.harness import RetrievalEvaluator, hss_retriever
 from repro.search.hybrid import HybridSearchConfig, HybridSemanticSearch
+from repro.search.index import SearchIndex
 from repro.search.reranker import SemanticReranker
 
 K_GRID = (3, 5, 10, 15, 25, 50)
@@ -51,10 +56,21 @@ def test_k_sweep_for_vector_search(benchmark, bench_system, bench_lexicon, human
     assert results[15].metrics.mrr > 0.93 * best_mrr
 
 
-def test_hnsw_vs_exact_knn(benchmark, bench_kb, bench_lexicon, human_split):
-    """HNSW and exhaustive k-NN yield similar retrieval performance."""
+HNSW_BEAM = 16
+
+
+def test_hnsw_vs_exact_knn(benchmark, bench_kb, bench_lexicon, human_split, monkeypatch):
+    """HNSW and exhaustive k-NN yield similar retrieval performance.
+
+    The HNSW side serves with a beam of 16, so its searches walk the graphs
+    (more than ``SCAN_BEAMS`` × 16 = 512 rows): at the serving beam 80 a
+    graph of this corpus is scanned, and both sides would be exact.
+    """
     evaluator = RetrievalEvaluator()
     dataset = human_split.validation[:150]
+    monkeypatch.setattr(
+        factory, "SearchIndex", functools.partial(SearchIndex, hnsw_ef_search=HNSW_BEAM)
+    )
 
     def run():
         results = {}
@@ -62,13 +78,15 @@ def test_hnsw_vs_exact_knn(benchmark, bench_kb, bench_lexicon, human_split):
             system = build_uniask_system(
                 bench_kb.store(), bench_lexicon, seed=2025, ann_backend=backend
             )
+            if backend == "hnsw":
+                assert min(map(len, system.index._vectors.values())) > SCAN_BEAMS * HNSW_BEAM
             results[backend] = evaluator.evaluate(hss_retriever(system.searcher), dataset)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print()
-    print("ABLATION — HNSW vs exhaustive k-NN (validation set)")
+    print(f"ABLATION — HNSW (beam {HNSW_BEAM}) vs exhaustive k-NN (validation set)")
     for backend, result in results.items():
         print(
             f"  {backend:>6}: hit@4 {result.metrics.hit_at_4:.4f}, "

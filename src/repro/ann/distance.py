@@ -47,8 +47,6 @@ def batch_cosine_distance(
     position, which would flip exactly the ties the tie-by-id order and the
     single-index ↔ cluster equivalence rest on.
     """
-    if matrix.size == 0:
-        return np.zeros(0)
     if query_norm is None:
         query_norm = float(np.linalg.norm(query))
     if row_norms is None:

@@ -22,8 +22,9 @@ the two agree to the last bit (DESIGN.md §17).  Vectors are the rows of one
 :class:`~repro.ann.store.RowStore`, whose labels are the ids searches report
 (``-1`` once removed: the node stays as a route, hnswlib's ``markDelete``).
 A graph of at most :data:`SCAN_BEAMS` beams of rows is searched, and
-inserted into, through one store pass instead of a walk.  An adjacency list
-keeps its distances and Algorithm 4's verdicts, so an edge is measured once.
+inserted into, through one store pass instead of a walk; its rows are linked
+only once a search would walk them.  An adjacency list keeps its distances
+and Algorithm 4's verdicts, so an edge is measured once.
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class HnswIndex:
         self._ids = np.empty_like(self._store.labels)
         self._levels = np.empty_like(self._store.labels)
         self._entry_point: int | None = None
+        self._linked = 0  # rows [0, _linked) are in the graph, the rest wait
         self._removed = 0
 
     def __len__(self) -> int:
@@ -129,13 +131,6 @@ class HnswIndex:
     def __contains__(self, item_id: int) -> bool:
         """True when a live node answers to *item_id*."""
         return item_id in self._store
-
-    @property
-    def max_level(self) -> int:
-        """Top layer of the current entry point (-1 when empty)."""
-        if self._entry_point is None:
-            return -1
-        return self._nodes[self._entry_point].level
 
     def vector(self, item_id: int) -> np.ndarray:
         """The vector of live item *item_id* (the index's own row)."""
@@ -159,7 +154,8 @@ class HnswIndex:
         self._store.relabel(item_id, new_id)
 
     def add(self, item_id: int, vector: np.ndarray) -> None:
-        """Insert *vector* under *item_id* (values finite).
+        """Store *vector* under *item_id* (values finite); it is linked into
+        the graph once a search would walk it (:meth:`_link_pending`).
 
         Ids are unique over the life of the graph: one that was removed or
         relabelled away still names its node and cannot be added again.
@@ -173,8 +169,7 @@ class HnswIndex:
         norm = float(np.linalg.norm(vector))
         if not math.isfinite(norm):
             raise ValueError(f"vector of item {item_id} is not finite (norm {norm})")
-        level, top, ef = self._draw_level(), self.max_level, self._ef_construction
-        store = self._store
+        level, store = self._draw_level(), self._store
         block = store.rows
         row = store.append(vector, norm, item_id)
         if store.rows is not block:
@@ -183,42 +178,9 @@ class HnswIndex:
             grown = len(store.rows)
             self._ids, self._levels = np.resize(self._ids, grown), np.resize(self._levels, grown)
         self._ids[row], self._levels[row] = item_id, level
-        node = _Node(row, store.rows[row], norm, level)
-        self._nodes[item_id] = node
-
-        if row <= SCAN_BEAMS * ef:
-            # No wider than SCAN_BEAMS beams: every row's distance from one
-            # store pass, in (distance, id) order; removed rows are candidates.
-            scanned = store.distances(vector, norm, row)
-            order = np.lexsort((self._ids[:row], scanned))
-            levels = self._levels[order]
-        else:
-            # Greedy descent through the layers above the new node's level.
-            scanned, current = None, self._entry_point
-            for layer in range(top, level, -1):
-                current, _ = self._greedy_closest(vector, norm, current, layer)
-
-        # Connect on each layer from min(level, top) down to 0.
-        for layer in range(min(level, top), -1, -1):
-            if scanned is None:
-                candidates, _ = self._search_layer(vector, norm, current, ef, layer)
-                current = min(candidates)[1]
-                distances, neighbors = zip(*candidates)
-            else:
-                nearest = order[levels >= layer][:ef]
-                distances, neighbors = scanned[nearest].tolist(), self._ids[nearest].tolist()
-            # The candidates are an adjacency list with nothing judged.
-            node.distances[layer] = array("d", distances)
-            node.neighbors[layer] = list(neighbors)
-            self._select_neighbors_heuristic(node, layer, self._m)
-            # d(new, neighbour) is d(neighbour, new) to the bit: the products
-            # commute and the dot sums them in index order either way.
-            max_degree = self._max_m0 if layer == 0 else self._m
-            for distance, neighbor_id in zip(node.distances[layer], node.neighbors[layer]):
-                self._link(neighbor_id, item_id, layer, max_degree, distance)
-
-        if level > top:
-            self._entry_point = item_id
+        self._nodes[item_id] = _Node(row, store.rows[row], norm, level)
+        if row >= SCAN_BEAMS * self.ef_search:  # a default search walks from here on
+            self._link_pending()
 
     def search(
         self, query: np.ndarray, k: int, ef: int | None = None, work=None
@@ -236,7 +198,7 @@ class HnswIndex:
         search is the source of truth for ``ann_distance_evals`` (one unit
         per distance computation, descent and base layer alike).
         """
-        if k <= 0 or self._entry_point is None:
+        if k <= 0 or not self._nodes:
             return []
         ef = max(ef if ef is not None else self.ef_search, k)
         query = np.asarray(query, dtype=np.float64)
@@ -249,8 +211,8 @@ class HnswIndex:
             if work is not None:
                 work.add(WORK_ANN_DISTANCE_EVALS, rows)
             return self._store.nearest(query, query_norm, k)
-        evals = 0
-        current = self._entry_point
+        self._link_pending()
+        evals, current = 0, self._entry_point
         for layer in range(self._nodes[current].level, 0, -1):
             current, walked = self._greedy_closest(query, query_norm, current, layer)
             evals += walked
@@ -269,21 +231,62 @@ class HnswIndex:
     def _draw_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)
 
+    def _link_pending(self) -> None:
+        """Insert the rows not linked yet, in row order, once a search would
+        walk the graph: past :data:`SCAN_BEAMS` beams of ``ef_search`` on
+        :meth:`add`, or on a narrower beam's :meth:`search`.  An insert reads
+        no label and not the removed count, so a late link builds the graph
+        an insert at each add would have (DESIGN.md §17)."""
+        store, ids, levels = self._store, self._ids, self._levels
+        nodes, ef = self._nodes, self._ef_construction
+        for row in range(self._linked, len(nodes)):
+            item_id = int(ids[row])
+            node = nodes[item_id]
+            vector, norm, level = node.vector, node.norm, node.level
+            top = -1 if self._entry_point is None else nodes[self._entry_point].level
+            if row <= SCAN_BEAMS * ef:
+                # No wider than SCAN_BEAMS beams: every row's distance from one
+                # store pass, in (distance, id) order; removed rows are candidates.
+                scanned = store.distances(vector, norm, row)
+                order = np.lexsort((ids[:row], scanned))
+                tops = levels[order]
+            else:
+                # Greedy descent through the layers above the new node's level.
+                scanned, current = None, self._entry_point
+                for layer in range(top, level, -1):
+                    current, _ = self._greedy_closest(vector, norm, current, layer)
+            # Connect on each layer from min(level, top) down to 0.
+            for layer in range(min(level, top), -1, -1):
+                if scanned is None:
+                    candidates, _ = self._search_layer(vector, norm, current, ef, layer)
+                    current = min(candidates)[1]
+                    distances, neighbors = zip(*candidates)
+                else:
+                    nearest = order[tops >= layer][:ef]
+                    distances, neighbors = scanned[nearest].tolist(), ids[nearest].tolist()
+                # The candidates are an adjacency list with nothing judged.
+                node.distances[layer] = array("d", distances)
+                node.neighbors[layer] = list(neighbors)
+                self._select_neighbors_heuristic(node, layer, self._m)
+                # d(new, neighbour) is d(neighbour, new) to the bit: the products
+                # commute and the dot sums them in index order either way.
+                max_degree = self._max_m0 if layer == 0 else self._m
+                for distance, neighbor_id in zip(node.distances[layer], node.neighbors[layer]):
+                    self._link(neighbor_id, item_id, layer, max_degree, distance)
+            if level > top:
+                self._entry_point = item_id
+        self._linked = len(nodes)
+
     def _greedy_closest(
         self, query: np.ndarray, query_norm: float, start: int, layer: int
     ) -> tuple[int, int]:
-        """Greedy ef=1 descent on one layer: follow improving edges.
-
-        Returns the closest node reached and the distances evaluated.
-        """
+        """Greedy ef=1 descent on one layer along improving edges: returns
+        the closest node reached and the distances evaluated."""
         nodes = self._nodes
         dot = np.dot
-        current = start
-        node = nodes[current]
+        current, node = start, nodes[start]
         norm = query_norm * node.norm
-        current_distance = (
-            1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
-        )
+        current_distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
         evals = 1
         improved = True
         while improved:
@@ -291,9 +294,7 @@ class HnswIndex:
             for neighbor_id in nodes[current].neighbors[layer]:
                 node = nodes[neighbor_id]
                 norm = query_norm * node.norm
-                distance = (
-                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
-                )
+                distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
                 evals += 1
                 if distance < current_distance:
                     current, current_distance = neighbor_id, distance

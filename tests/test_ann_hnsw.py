@@ -28,6 +28,17 @@ def populated() -> tuple[HnswIndex, np.ndarray]:
     return index, vectors
 
 
+@pytest.fixture()
+def wide() -> tuple[HnswIndex, np.ndarray]:
+    """More than ``SCAN_BEAMS`` beams of ``ef_search`` rows (800 > 32 × 24):
+    the adds link the graph and a default search walks it."""
+    vectors = _unit_rows(800, 24, seed=0)
+    index = HnswIndex(dim=24, m=8, ef_construction=80, ef_search=24, seed=1)
+    for i, row in enumerate(vectors):
+        index.add(i, row)
+    return index, vectors
+
+
 class TestHnswBasics:
     def test_empty_search(self):
         index = HnswIndex(dim=4)
@@ -68,6 +79,8 @@ class TestHnswBasics:
             index.add(i, row)
             clean.add(i, row)
         assert 1000 not in index and 1017 not in index and len(index) == 40
+        index._link_pending()
+        clean._link_pending()
         assert {i: n.neighbors for i, n in index._nodes.items()} == {
             i: n.neighbors for i, n in clean._nodes.items()
         }
@@ -124,7 +137,8 @@ class TestHnswWork:
     def test_one_norm_per_vector_and_one_per_query(self, monkeypatch):
         """A norm never changes once its vector is stored: 300 inserts take
         300 norms and a search takes the query's, however many distances
-        the graph walk evaluates."""
+        the graph walk evaluates — and linking the 300 nodes, which that
+        walk of beam 9 does first, takes none."""
         vectors = _unit_rows(300, 24, seed=7)
         query = _unit_rows(1, 24, seed=8)[0]
         calls = []
@@ -139,8 +153,8 @@ class TestHnswWork:
         for i, row in enumerate(vectors):
             index.add(i, row)
         assert len(calls) == 300
-        assert len(index.search(query, 10)) == 10
-        assert len(calls) == 301
+        assert len(index.search(query, 9, ef=9)) == 9
+        assert index._linked == 300 and len(calls) == 301
 
     def test_an_edge_is_measured_once(self, monkeypatch):
         """Neighbour lists keep their distances and Algorithm 4's verdicts,
@@ -148,7 +162,8 @@ class TestHnswWork:
         at the serving parameters the same 300 inserts take under 0.55 of the
         pair evaluations of the index that re-prunes from scratch (159 389 of
         343 656, 0.46, when this was written; 86 781 of 139 353 at ``m=8,
-        ef_construction=80``)."""
+        ef_construction=80``).  The inserts store rows only; linking them
+        pays."""
         vectors = _unit_rows(300, 24, seed=7)
         dots, pairs = [], []
         dot, cosine_distance = np.dot, reference_module.cosine_distance
@@ -169,6 +184,8 @@ class TestHnswWork:
         index = HnswIndex(dim=24, m=16, ef_construction=100, seed=1)
         for i, row in enumerate(vectors):
             index.add(i, row)
+        assert not dots
+        index._link_pending()
         assert 0 < len(dots) <= 0.55 * len(pairs)
 
         # A link that leaves the list within its bound evaluates nothing.
@@ -184,7 +201,9 @@ class TestHnswWork:
         """With no more rows than ``SCAN_BEAMS`` beams a search walks
         nothing: one store pass evaluates every row once — a removed one too,
         and the search books every row it evaluated — and the live rows are
-        cut in ``(distance, id)`` order.  One row more and it walks."""
+        cut in ``(distance, id)`` order.  One row more and it walks: the add
+        that makes it more than ``SCAN_BEAMS`` beams of ``ef_search`` links
+        every row, each by one store pass over the rows before it."""
         beam = 2
         rows = SCAN_BEAMS * beam
         vectors = _unit_rows(rows - 4, 8, seed=14)
@@ -225,10 +244,10 @@ class TestHnswWork:
         # Exactly SCAN_BEAMS beams: a search of beam 2 still scans them.
         assert index.search(vectors[0], beam) == hits[:beam]
         assert passes == [rows, rows] and not walks
-        index.add(rows, vectors[1])  # well under SCAN_BEAMS beams of 20: scanned
-        assert passes == [rows] * 3 and not walks
-        walked = index.search(vectors[0], beam)  # one row past SCAN_BEAMS beams
-        assert passes == [rows] * 3 and walks
+        index.add(rows, vectors[1])  # one row past: linked, under SCAN_BEAMS beams of 20
+        assert passes == [rows, rows, *range(rows + 1)] and not walks
+        walked = index.search(vectors[0], beam)
+        assert passes == [rows, rows, *range(rows + 1)] and walks
         assert {i for i, _ in walked} <= set(tie)  # the walk's own pick of the tie
 
     def test_an_insert_no_wider_than_scan_beams_is_one_store_pass(self, monkeypatch):
@@ -236,11 +255,11 @@ class TestHnswWork:
         ``ef_construction`` rows, removed ones included, one store pass
         measures every row and nothing walks: no greedy descent, no
         ``_search_layer``.  The first insert past the bound walks and makes
-        no pass."""
+        no pass.  (At ``ef_search`` 1 every add past 32 rows links.)"""
         beam = 4
         rows = SCAN_BEAMS * beam
         vectors = _unit_rows(rows + 2, 8, seed=15)
-        index = HnswIndex(dim=8, m=4, ef_construction=beam, seed=2)
+        index = HnswIndex(dim=8, m=4, ef_construction=beam, ef_search=1, seed=2)
         for i, row in enumerate(vectors[:rows]):
             index.add(i, row)
         index.remove(3)
@@ -263,6 +282,37 @@ class TestHnswWork:
         assert passes == [rows] and not walks
         index.add(rows + 1, vectors[rows + 1])
         assert passes == [rows] and "_search_layer" in walks
+
+    def test_an_add_evaluates_no_distance_and_the_first_walk_links_each_row_once(
+        self, monkeypatch
+    ):
+        """Below ``SCAN_BEAMS`` beams of ``ef_search`` rows an add stores its
+        row and evaluates no distance: no store pass, no ``np.dot``.  The
+        first search that walks links every pending row once, in row order,
+        each by one store pass over the rows before it; the next walk links
+        nothing, and after one more add a walk links that row alone."""
+        vectors = _unit_rows(301, 24, seed=7)
+        index = HnswIndex(dim=24, m=8, ef_construction=80, ef_search=60, seed=1)
+        dots, passes = [], []
+        dot, batch = np.dot, store_module.batch_cosine_distance
+        monkeypatch.setattr(np, "dot", lambda a, b: dots.append(1) or dot(a, b))
+        monkeypatch.setattr(
+            store_module,
+            "batch_cosine_distance",
+            lambda query, matrix, *rest: passes.append(len(matrix)) or batch(query, matrix, *rest),
+        )
+        for i, row in enumerate(vectors[:300]):
+            index.add(i, row)
+        assert (dots, passes) == ([], []) and index._entry_point is None
+        assert len(index.search(vectors[0], 9, ef=9)) == 9  # 300 > 32 × 9: walks
+        assert passes == list(range(300)) and dots and index._linked == 300
+        passes.clear()
+        index.search(vectors[1], 9, ef=9)
+        assert passes == []
+        index.add(300, vectors[300])
+        assert passes == [] and index._linked == 300
+        index.search(vectors[2], 9, ef=9)
+        assert passes == [300] and index._linked == 301
 
     def test_removed_nodes_cost_a_walk_through_not_an_over_fetch(self):
         """The index used to be asked for ``k + dead`` neighbours and the
@@ -459,15 +509,17 @@ class TestRemoveAndRelabel:
 
 
 class TestHnswRemovedRouting:
-    def test_search_with_the_entry_point_removed(self, populated):
+    def test_search_with_the_entry_point_removed(self, wide):
         """The entry point keeps routing after it is removed: the search
         starts there and returns live items only."""
-        index, vectors = populated
+        index, vectors = wide
         entry = index._entry_point
         index.remove(entry)
-        hits = index.search(vectors[entry], 10)
+        work = WorkCounters()
+        hits = index.search(vectors[entry], 10, work=work)
+        assert work.get(WORK_ANN_DISTANCE_EVALS) < len(index)  # walked
         assert len(hits) == 10 and entry not in {i for i, _ in hits}
-        assert entry not in index and len(index) == 300
+        assert entry not in index and len(index) == 800
         assert index.search(vectors[17], 1)[0][0] == 17
 
     def test_removed_ids_stay_taken(self, populated):
@@ -504,19 +556,22 @@ class TestHnswRemovedRouting:
 
 
 class TestHnswRecall:
-    def test_high_recall_against_exact(self, populated):
-        """The paper found HNSW ≈ exhaustive k-NN; recall@10 must be high."""
-        index, vectors = populated
+    def test_high_recall_against_exact(self, wide):
+        """The paper found HNSW ≈ exhaustive k-NN; recall@10 of the walk
+        must be high."""
+        index, vectors = wide
         exact = ExactKnnIndex(dim=24)
         for i, row in enumerate(vectors):
             exact.add(i, row)
 
         queries = _unit_rows(30, 24, seed=5)
         total_recall = 0.0
+        work = WorkCounters()
         for query in queries:
             truth = {i for i, _ in exact.search(query, 10)}
-            approx = {i for i, _ in index.search(query, 10)}
+            approx = {i for i, _ in index.search(query, 10, work=work)}
             total_recall += len(truth & approx) / 10
+        assert work.get(WORK_ANN_DISTANCE_EVALS) < len(queries) * len(index)  # walked
         assert total_recall / len(queries) >= 0.9
 
     @pytest.mark.parametrize("n", (400, 1000, 3600))
@@ -553,17 +608,21 @@ class TestHnswRecall:
                 recalls.append(len(truth & approx) / 10)
         assert sum(recalls) / len(recalls) >= 0.95
 
-    def test_higher_ef_not_worse(self, populated):
-        index, vectors = populated
+    def test_higher_ef_not_worse(self, wide):
+        """Beams 12 and 24 both walk the 800-row graph (24 is the widest
+        that does)."""
+        index, vectors = wide
         exact = ExactKnnIndex(dim=24)
         for i, row in enumerate(vectors):
             exact.add(i, row)
         query = _unit_rows(1, 24, seed=6)[0]
         truth = {i for i, _ in exact.search(query, 10)}
+        assert SCAN_BEAMS * 24 < len(index)
         low = {i for i, _ in index.search(query, 10, ef=12)}
-        high = {i for i, _ in index.search(query, 10, ef=200)}
+        high = {i for i, _ in index.search(query, 10, ef=24)}
         assert len(truth & high) >= len(truth & low)
 
-    def test_graph_layers_exist(self, populated):
-        index, _ = populated
-        assert index.max_level >= 1  # 300 points virtually always give >1 layer
+    def test_graph_layers_exist(self, wide):
+        index, _ = wide
+        # 800 points virtually always give >1 layer
+        assert index._nodes[index._entry_point].level >= 1

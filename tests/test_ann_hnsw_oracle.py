@@ -4,10 +4,14 @@ distance once against the one that paid three times.
 :mod:`tests.reference_hnsw` is the index as it stood before node norms were
 stored: every pair goes through ``cosine_distance`` (two norms, one dot).
 The serving index evaluates the same expression with both norms taken ahead
-of time, so nothing observable may move: after every ``add`` the two graphs
-hold the same neighbour lists in the same order on every layer and the same
-entry point, and every ``search`` that walks the graph returns the same ids,
-the same distance bits and books the same ``ann_distance_evals``.  An insert
+of time, so nothing observable may move: once linked, the two graphs hold the
+same neighbour lists in the same order on every layer and the same entry
+point, and every ``search`` that walks the graph returns the same ids, the
+same distance bits and books the same ``ann_distance_evals``.  The serving
+index links its rows only when a search would walk them (DESIGN.md §17), so
+the checks force the link now and then and let a walking search do it
+otherwise; the interleaved walk below shows that when it links does not move
+a bit, with removes and relabels in between.  An insert
 into a graph of at most ``SCAN_BEAMS`` beams of ``ef_construction`` rows
 takes its candidates by brute force in both, and walks above (the second
 pinned example crosses the bound at 96 rows).  A search over a graph of at
@@ -84,10 +88,12 @@ def test_graphs_searches_and_work_equal_the_reference(
 
     index = HnswIndex(dim, m=m, ef_construction=ef_construction, seed=seed)
     reference = ReferenceHnswIndex(dim, m=m, ef_construction=ef_construction, seed=seed)
-    for item_id, row in zip(item_ids, rows):
+    for number, (item_id, row) in enumerate(zip(item_ids, rows)):
         index.add(item_id, row)
         reference.add(item_id, row)
-        assert _graph(index) == _graph(reference)
+        if number % 3 == 2:  # linked now and then, left pending in between
+            index._link_pending()
+            assert _graph(index) == _graph(reference)
 
     queries = [generator.standard_normal(dim) for _ in range(4)]
     queries += [rows[generator.integers(0, n)], 7.0 * rows[0], np.zeros(dim)]
@@ -114,6 +120,78 @@ def test_graphs_searches_and_work_equal_the_reference(
             assert all(mine[1] <= walked[1] for mine, walked in zip(found, expected))
         assert work.get(WORK_ANN_DISTANCE_EVALS) > 0
         assert index.search(query, k, ef=ef) == found
+    index._link_pending()
+    assert _graph(index) == _graph(reference)
+
+
+def _state(index) -> tuple:
+    """The whole graph: entry point and, per node, its lists with their
+    distance bits and verdict counts."""
+    return index._entry_point, {
+        item_id: (
+            node.neighbors,
+            [[d.hex() for d in distances] for distances in node.distances],
+            node.kept,
+            node.judged,
+        )
+        for item_id, node in index._nodes.items()
+    }
+
+
+@pytest.mark.parametrize(("seed", "ef_construction"), ((0, 4), (1, 4), (2, 16), (3, 16)))
+def test_a_graph_linked_late_is_the_graph_linked_at_once(seed, ef_construction):
+    """Rows linked by a later walking search or add are linked as they
+    would have been at their own add.  One index links after every add
+    (the eager build); the other only when a search of beam 1–10 walks it
+    or it outgrows ``SCAN_BEAMS`` beams of ``ef_search`` 10 (320 rows).
+    Between the adds come walking searches, and in the second half removes
+    and relabels of rows that may still wait to be linked.  Inserts walk
+    above 128 rows at ``ef_construction`` 4 and scan all 400 at 16.  Every
+    search returns the eager index's ids and distance bits (and the
+    reference's in the first half), and once linked the graph is the eager
+    one — lists, distance bits, verdicts, entry point — and the
+    reference's."""
+    generator = np.random.default_rng(40 + seed)
+    n, dim = 400, 8
+    rows = _vectors(generator, n, dim)
+    lazy, eager = (
+        HnswIndex(dim, m=4, ef_construction=ef_construction, ef_search=10, seed=seed)
+        for _ in range(2)
+    )
+    reference = ReferenceHnswIndex(dim, m=4, ef_construction=ef_construction, seed=seed)
+    live, walked = [], 0
+    for item_id, row in enumerate(rows):
+        for index in (lazy, eager, reference):
+            index.add(item_id, row)
+        eager._link_pending()
+        live.append(item_id)
+        draw = generator.random()
+        edits = item_id >= n // 2  # the reference has no remove or relabel
+        if edits and draw < 0.1:
+            gone = live.pop(int(generator.integers(0, len(live))))
+            lazy.remove(gone)
+            eager.remove(gone)
+        elif edits and draw < 0.15:
+            at = int(generator.integers(0, len(live)))
+            lazy.relabel(live[at], 10_000 + live[at])
+            eager.relabel(live[at], 10_000 + live[at])
+            live[at] = 10_000 + live[at]
+        elif draw < (0.19 if edits else 0.15):
+            ef = int(generator.integers(1, 11))
+            k = int(generator.integers(1, ef + 1))
+            query = generator.standard_normal(dim)
+            found = lazy.search(query, k, ef=ef)
+            assert [(i, d.hex()) for i, d in found] == [
+                (i, d.hex()) for i, d in eager.search(query, k, ef=ef)
+            ]
+            if SCAN_BEAMS * ef < len(lazy):
+                walked += 1
+                assert lazy._linked == len(lazy)
+                if not edits:
+                    assert found == reference.search(query, k, ef=ef)
+    assert walked and lazy._linked == len(lazy)  # the last adds linked it
+    assert _state(lazy) == _state(eager)
+    assert _graph(lazy) == _graph(reference)
 
 
 # -- the memo beside the neighbour ids ----------------------------------------
@@ -181,13 +259,15 @@ def _check_list(index, item_id: int, layer: int, judge=None) -> None:
 
 
 def _add_and_check_changed_lists(index, seen: dict, item_id: int, row) -> dict:
-    """Insert, then check every list the insert touched; returns the memo.
+    """Insert and link, then check every list the insert touched; returns
+    the memo.
 
     A list whose ids, distances and counts are what they were when it was
     last checked is still right, so "every node and layer after every add"
     costs one comparison for the untouched ones.
     """
     index.add(item_id, row)
+    index._link_pending()
     memo = _memo(index)
     for key, remembered in memo.items():
         if seen.get(key) != remembered:

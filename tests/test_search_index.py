@@ -214,18 +214,27 @@ class TestIncrementalWork:
     def test_content_only_edits_cost_the_title_field_nothing(self, counted, monkeypatch):
         """Fifty content-only edits embed fifty contents and no title, insert
         into the content graph only, and the title graph — which the parent
-        re-inserted every one of them into — evaluates no distance at all."""
+        re-inserted every one of them into — evaluates no distance at all.
+        Below their bound the graphs link no row until a search would walk
+        them, so the edits evaluate nothing; linking after them pays for the
+        content graph's fifty new rows and finds none in the title graph."""
         index, dots, embedded = counted
-        title_graph = index._vectors["title"]
+        title_graph, content_graph = index._vectors["title"], index._vectors["content"]
+        for graph in (title_graph, content_graph):
+            graph._link_pending()
+        dots.clear()
         monkeypatch.setattr(title_graph, "add", lambda *args: pytest.fail("title re-inserted"))
         contents = [f"contenuto riscritto numero {n}" for n in range(self.PAGES)]
         for n, content in enumerate(contents):
             index.replace_document(
                 f"d{n}", [_record(f"d{n}", title=f"Titolo {n % 7}", content=content)]
             )
-        assert embedded == contents
+        assert embedded == contents and not dots
         assert len(title_graph) == self.PAGES
-        assert len(index._vectors["content"]) == 2 * self.PAGES
+        assert len(content_graph) == 2 * self.PAGES
+        title_graph._link_pending()
+        assert not dots
+        content_graph._link_pending()
         assert dots  # the content graph did pay for its inserts
 
 

@@ -8,6 +8,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.ann.hnsw import SCAN_BEAMS, HnswIndex
+from repro.api.builders import create_engine
+from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
@@ -104,6 +107,38 @@ class TestPersistence:
         with np.load(path / "vectors.npz") as archive:
             assert set(archive.files) == {"title", "content"}
             assert archive["content"].shape == (3, 32)
+
+
+class TestNoLinkBelowTheBound:
+    def test_a_harness_size_build_and_load_run_no_algorithm_4(
+        self, lexicon, monkeypatch, tmp_path
+    ):
+        """At the benchmark's corpus size (100 topics, 8 error families of 6
+        codes) every graph holds fewer rows than ``SCAN_BEAMS`` beams of the
+        serving ``ef_search`` 80, so a search scans it and nothing links
+        it: ``create_engine`` and ``load_index`` make no Algorithm 4
+        distance evaluation, and the loaded index answers as the built one."""
+        judged = []
+        heuristic = HnswIndex._select_neighbors_heuristic
+        monkeypatch.setattr(
+            HnswIndex,
+            "_select_neighbors_heuristic",
+            lambda *args: judged.append(args[2]) or heuristic(*args),
+        )
+        kb = KbGenerator(
+            KbGeneratorConfig(num_topics=100, error_families=8, codes_per_family=6, seed=11)
+        ).generate()
+        system = create_engine(kb.store(), lexicon, seed=11)
+        graphs = system.index._vectors
+        assert 0 < max(len(graph) for graph in graphs.values()) <= SCAN_BEAMS * 80
+        loaded = load_index(save_index(system.index, tmp_path / "idx"), system.embedder, seed=11)
+        assert judged == []
+        assert all(graph._linked == 0 for graph in (*graphs.values(), *loaded._vectors.values()))
+        query = system.embedder.embed("come bloccare la carta di credito")
+        for name in graphs:
+            built = system.index.vector_search(name, query, 15)
+            assert loaded.vector_search(name, query, 15) == built and len(built) == 15
+        assert judged == []
 
 
 def _twelve(embedder, ann_backend: str) -> SearchIndex:
