@@ -23,7 +23,7 @@ the two agree to the last bit (DESIGN.md §17).  Vectors are the rows of one
 (``-1`` once removed: the node stays as a route, hnswlib's ``markDelete``).
 A graph of at most :data:`SCAN_BEAMS` beams of rows is searched, and
 inserted into, through one store pass instead of a walk; its rows are linked
-only once a search would walk them.  An adjacency list keeps its distances
+two per add from half that bound on, and all before a search walks.  An adjacency list keeps its distances
 and Algorithm 4's verdicts, so an edge is measured once.
 """
 
@@ -155,7 +155,10 @@ class HnswIndex:
 
     def add(self, item_id: int, vector: np.ndarray) -> None:
         """Store *vector* under *item_id* (values finite); it is linked into
-        the graph once a search would walk it (:meth:`_link_pending`).
+        the graph before a search walks it (:meth:`_link_pending`).  From
+        half of :data:`SCAN_BEAMS` beams of ``ef_search`` rows on, each add
+        also links the next two pending rows, so the backlog is empty when
+        the graph reaches the bound and no single add links it all.
 
         Ids are unique over the life of the graph: one that was removed or
         relabelled away still names its node and cannot be added again.
@@ -179,8 +182,8 @@ class HnswIndex:
             self._ids, self._levels = np.resize(self._ids, grown), np.resize(self._levels, grown)
         self._ids[row], self._levels[row] = item_id, level
         self._nodes[item_id] = _Node(row, store.rows[row], norm, level)
-        if row >= SCAN_BEAMS * self.ef_search:  # a default search walks from here on
-            self._link_pending()
+        if 2 * row >= SCAN_BEAMS * self.ef_search:
+            self._link_pending(2)
 
     def search(
         self, query: np.ndarray, k: int, ef: int | None = None, work=None
@@ -231,15 +234,16 @@ class HnswIndex:
     def _draw_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)
 
-    def _link_pending(self) -> None:
-        """Insert the rows not linked yet, in row order, once a search would
-        walk the graph: past :data:`SCAN_BEAMS` beams of ``ef_search`` on
-        :meth:`add`, or on a narrower beam's :meth:`search`.  An insert reads
-        no label and not the removed count, so a late link builds the graph
-        an insert at each add would have (DESIGN.md §17)."""
+    def _link_pending(self, limit: int | None = None) -> None:
+        """Insert the rows not linked yet, at most *limit* of them, in row
+        order: two per :meth:`add` from half of :data:`SCAN_BEAMS` beams of
+        ``ef_search`` on, and all of them before a :meth:`search` walks.  An
+        insert reads no label and not the removed count, so a late link
+        builds the graph an insert at each add would have (DESIGN.md §17)."""
         store, ids, levels = self._store, self._ids, self._levels
         nodes, ef = self._nodes, self._ef_construction
-        for row in range(self._linked, len(nodes)):
+        end = len(nodes) if limit is None else min(len(nodes), self._linked + limit)
+        for row in range(self._linked, end):
             item_id = int(ids[row])
             node = nodes[item_id]
             vector, norm, level = node.vector, node.norm, node.level
@@ -275,7 +279,7 @@ class HnswIndex:
                     self._link(neighbor_id, item_id, layer, max_degree, distance)
             if level > top:
                 self._entry_point = item_id
-        self._linked = len(nodes)
+        self._linked = end
 
     def _greedy_closest(
         self, query: np.ndarray, query_norm: float, start: int, layer: int

@@ -201,9 +201,10 @@ class TestHnswWork:
         """With no more rows than ``SCAN_BEAMS`` beams a search walks
         nothing: one store pass evaluates every row once — a removed one too,
         and the search books every row it evaluated — and the live rows are
-        cut in ``(distance, id)`` order.  One row more and it walks: the add
-        that makes it more than ``SCAN_BEAMS`` beams of ``ef_search`` links
-        every row, each by one store pass over the rows before it."""
+        cut in ``(distance, id)`` order.  The adds from half that many rows
+        on linked two rows each, so the graph is linked when it reaches the
+        bound: the add that takes it one row past links that row alone, by
+        one store pass over the rows before it, and then a search walks."""
         beam = 2
         rows = SCAN_BEAMS * beam
         vectors = _unit_rows(rows - 4, 8, seed=14)
@@ -244,10 +245,11 @@ class TestHnswWork:
         # Exactly SCAN_BEAMS beams: a search of beam 2 still scans them.
         assert index.search(vectors[0], beam) == hits[:beam]
         assert passes == [rows, rows] and not walks
-        index.add(rows, vectors[1])  # one row past: linked, under SCAN_BEAMS beams of 20
-        assert passes == [rows, rows, *range(rows + 1)] and not walks
+        assert index._linked == rows
+        index.add(rows, vectors[1])  # one row past, under SCAN_BEAMS beams of 20
+        assert passes == [rows, rows, rows] and not walks
         walked = index.search(vectors[0], beam)
-        assert passes == [rows, rows, *range(rows + 1)] and walks
+        assert passes == [rows, rows, rows] and walks
         assert {i for i, _ in walked} <= set(tie)  # the walk's own pick of the tie
 
     def test_an_insert_no_wider_than_scan_beams_is_one_store_pass(self, monkeypatch):
@@ -313,6 +315,30 @@ class TestHnswWork:
         assert passes == [] and index._linked == 300
         index.search(vectors[2], 9, ef=9)
         assert passes == [300] and index._linked == 301
+
+    def test_adds_link_two_rows_each_from_half_the_bound(self):
+        """No add below half of ``SCAN_BEAMS`` beams of ``ef_search`` rows
+        links a row, none from there on links more than two, and the graph
+        is linked when it reaches the bound; a narrower beam's search still
+        links every pending row before it walks."""
+        beam = 4
+        bound = SCAN_BEAMS * beam
+        vectors = _unit_rows(bound + 40, 8, seed=16)
+        index = HnswIndex(dim=8, m=4, ef_construction=8, ef_search=beam, seed=3)
+        for row, vector in enumerate(vectors):
+            before = index._linked
+            index.add(row, vector)
+            linked = index._linked - before
+            assert linked == 0 if 2 * row < bound else linked <= 2, row
+            if row + 1 >= bound:
+                assert index._linked == row + 1, row
+
+        narrow = HnswIndex(dim=8, m=4, ef_construction=8, ef_search=beam, seed=3)
+        for row, vector in enumerate(vectors[: bound // 2 + 10]):
+            narrow.add(row, vector)
+        assert narrow._linked == 2 * 10
+        narrow.search(vectors[0], 1, ef=1)  # 74 rows > SCAN_BEAMS beams of 1: walks
+        assert narrow._linked == len(narrow)
 
     def test_removed_nodes_cost_a_walk_through_not_an_over_fetch(self):
         """The index used to be asked for ``k + dead`` neighbours and the
