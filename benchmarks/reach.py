@@ -12,9 +12,8 @@ the four sets of runs that stand for "the system" — nothing from
 * the paper benchmarks as plain tests (``pytest benchmarks
   --ignore=benchmarks/e2e --benchmark-disable``: pytest-benchmark's timer
   would turn a tracer off);
-* every CLI subcommand, ``ask`` also with ``--agents``, with each
-  ``--route`` and with its tracing, explain, profile, cache and shard
-  flags, at ``--topics 20 --seed 3``;
+* every CLI subcommand, ``ask`` also with its tracing, explain, profile,
+  cache and shard flags, at ``--topics 20 --seed 3``;
 * every script in ``examples/``.
 
 A function is *called* when its code object ran at least once.  Its
@@ -42,10 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
 
 #: Uncalled function lines of ``src/repro`` at the last PR that moved it.
-CEILING = 1227
+CEILING = 1124
 
 QUESTION = "Come posso bloccare la carta di credito?"
-ROUTES = ("conversational", "lookup", "multi_hop", "structured", "follow_up")
 WORKLOADS = ("ask_human", "ask_zipf_cached", "ask_cluster_obs", "ingest_live")
 
 
@@ -58,8 +56,6 @@ def runs(scratch: Path) -> list[tuple[str, list[str], str]]:
         ["--trace", "--metrics", "--explain", "--profile"],
         ["--shards", "3", "--cluster-status", "--explain"],
         ["--cache", "--repeat", "2"],
-        ["--agents", "--show-route"],
-        *(["--route", route] for route in ROUTES),
     ]
     commands = [
         *(["ask", QUESTION, *flags] for flags in asks),
@@ -69,7 +65,7 @@ def runs(scratch: Path) -> list[tuple[str, list[str], str]]:
         ["metrics", "--queries", "12", "--shards", "2", "--audit", str(scratch / "audit.jsonl")],
         ["profile", "--queries", "8", "--saturation"],
         *(["profile", "--queries", "8", "--format", form] for form in ("folded", "speedscope", "json")),
-        ["canary", "--probes", "12", "--agents"],
+        ["canary", "--probes", "12"],
         ["incident", "--duration", "300", "--timeline", "--diagnose"],
         ["index", "--shards", "2", "--out", str(scratch / "index")],
     ]

@@ -52,13 +52,11 @@ def _build_system(
     shards: int = 1,
     replicas: int = 2,
     cache: bool = False,
-    agents: bool = False,
 ) -> tuple[SyntheticKb, UniAskSystem]:
     print(f"building demo deployment ({topics} topics, seed {seed})...", file=sys.stderr)
     kb = KbGenerator(KbGeneratorConfig(num_topics=topics, error_families=6, seed=seed)).generate()
     config = None
-    if shards > 1 or cache or agents:
-        from repro.agents import AgentsConfig
+    if shards > 1 or cache:
         from repro.cache import CacheConfig
         from repro.cluster import ClusterConfig
         from repro.core.config import UniAskConfig
@@ -66,7 +64,6 @@ def _build_system(
         config = UniAskConfig(
             cluster=ClusterConfig(shards=shards, replicas=replicas),
             cache=CacheConfig(enabled=cache),
-            agents=AgentsConfig(enabled=agents),
         )
     system = build_uniask_system(kb.store(), build_banking_lexicon(), config=config, seed=seed)
     if shards > 1:
@@ -82,14 +79,8 @@ def _build_system(
 def _cmd_ask(args: argparse.Namespace) -> int:
     from repro.api import AskOptions, AskRequest
 
-    agents_on = args.agents or bool(args.route)
     _, system = _build_system(
-        args.topics,
-        args.seed,
-        shards=args.shards,
-        replicas=args.replicas,
-        cache=args.cache,
-        agents=agents_on,
+        args.topics, args.seed, shards=args.shards, replicas=args.replicas, cache=args.cache
     )
     request = AskRequest(
         args.question,
@@ -98,17 +89,11 @@ def _cmd_ask(args: argparse.Namespace) -> int:
             explain=args.explain,
             profile=args.profile,
             request_id="cli-ask" if (args.trace or args.profile) else "",
-            route=args.route,
         ),
     )
     for _ in range(max(1, args.repeat)):
         answer = system.engine.answer(request).answer
     print(render_answer_page(answer))
-    if args.show_route:
-        if answer.route:
-            print(f"\n[route] {answer.route}")
-        else:
-            print("\n[route] (agents disabled — run with --agents)")
     if args.trace:
         print()
         print(answer.trace.format_table())
@@ -301,12 +286,8 @@ def _cmd_canary(args: argparse.Namespace) -> int:
     from repro.eval.groundedness import GroundednessJudge
     from repro.obs.quality import CanaryRunner, CanarySuite, format_canary_report
 
-    kb, system = _build_system(
-        args.topics, args.seed, shards=args.shards, replicas=args.replicas, agents=args.agents
-    )
-    suite = CanarySuite.from_kb(
-        kb, size=args.probes, seed=args.seed + 1747, include_route_probes=args.agents
-    )
+    kb, system = _build_system(args.topics, args.seed, shards=args.shards, replicas=args.replicas)
+    suite = CanarySuite.from_kb(kb, size=args.probes, seed=args.seed + 1747)
     runner = CanaryRunner(
         system.engine,
         suite,
@@ -417,7 +398,7 @@ def _cmd_incident(args: argparse.Namespace) -> int:
             "diagnose", backend.login("cli-ops", role=ROLE_OPS), query_id=query_id
         )
         print()
-        print(f"diagnosis of {query_id} (route {diagnosis['route']}): {diagnosis['verdict']}")
+        print(f"diagnosis of {query_id}: {diagnosis['verdict']}")
         for finding in diagnosis["findings"]:
             print(f"  - {finding}")
 
@@ -476,21 +457,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="profile the request: hottest stage paths plus deterministic work counters",
     )
-    ask.add_argument(
-        "--agents",
-        action="store_true",
-        help="enable the multi-agent orchestration layer (intent routing)",
-    )
-    ask.add_argument(
-        "--route",
-        default="",
-        help="force an agent route (conversational|lookup|multi_hop|structured|follow_up); implies --agents",
-    )
-    ask.add_argument(
-        "--show-route",
-        action="store_true",
-        help="print the route the orchestrator chose for the question",
-    )
     ask.set_defaults(func=_cmd_ask)
 
     demo = commands.add_parser("demo", help="interactive search box")
@@ -536,11 +502,6 @@ def main(argv: list[str] | None = None) -> int:
     canary.add_argument("--probes", type=int, default=24, help="canary suite size")
     canary.add_argument("--shards", type=int, default=1, help="serve from N index shards")
     canary.add_argument("--replicas", type=int, default=2, help="replicas per shard")
-    canary.add_argument(
-        "--agents",
-        action="store_true",
-        help="enable agent routing and add per-route canary probes",
-    )
     canary.set_defaults(func=_cmd_canary)
 
     incident = commands.add_parser(

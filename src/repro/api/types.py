@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.agents.routes import ALL_ROUTES
 from repro.core.answer import UniAskAnswer, read_through
 
 #: Cache policies of one request.
@@ -42,13 +41,6 @@ class AskOptions:
             retrieval caches (provenance must describe *this* execution)
             and record per-term/per-shard breakdowns; with the default
             False the pipeline runs exactly the pre-explain code.
-        route: explicit agent-route override (a ``ROUTE_*`` constant of
-            :mod:`repro.agents.routes`); "" lets the Orchestrator's intent
-            classifier decide.  Inert in agents-off deployments.
-        session_id: conversation identifier for follow-up resolution; the
-            backend injects its session token here, so anaphoric turns
-            resolve against the right conversation.  "" disables session
-            memory for the request.
         profile: request deterministic work accounting (and, implicitly,
             a per-stage trace — profiling piggybacks on spans).  The
             accrued counts ride back on ``response.work`` as a
@@ -62,15 +54,11 @@ class AskOptions:
     cache: str = CACHE_DEFAULT
     request_id: str = ""
     explain: bool = False
-    route: str = ""
-    session_id: str = ""
     profile: bool = False
 
     def __post_init__(self) -> None:
         if self.cache not in CACHE_POLICIES:
             raise ValueError(f"cache policy must be one of {CACHE_POLICIES}")
-        if self.route and self.route not in ALL_ROUTES:
-            raise ValueError(f"route must be one of {ALL_ROUTES} (or empty)")
 
 
 @dataclass(frozen=True)
@@ -92,10 +80,9 @@ class AskResponse:
 
     Wraps the request's one :class:`~repro.core.answer.UniAskAnswer`
     envelope and exposes the fields callers reach for most as flat
-    read-only properties.  ``scatter`` is the request's merged
-    :class:`~repro.cluster.router.ScatterReport` (every shard probe of
-    every search it ran); None on a single index or when nothing was
-    retrieved.
+    read-only properties.  ``scatter`` is the request's
+    :class:`~repro.cluster.router.ScatterReport` (every shard probe of its
+    search); None on a single index or when nothing was retrieved.
     """
 
     answer: UniAskAnswer
@@ -115,5 +102,4 @@ class AskResponse:
     )
     trace = read_through("answer.trace", "The per-stage trace, when one was requested.")
     explain = read_through("answer.explain_report", "The ExplainReport, when requested.")
-    route = read_through("answer.route", "The agent route (\"\" when agents are off).")
     work = read_through("answer.work", "Deterministic work counts, when profiling.")

@@ -93,21 +93,6 @@ class _Entry:
     stored_at: float
     embedding: np.ndarray | None = None
     filters: tuple = field(default_factory=tuple)
-    namespace: str = ""
-
-
-def _key_namespace(key: CacheKey) -> str:
-    """The namespace a key was built with ("" for plain keys).
-
-    The namespace sentinel is the key's first term (see
-    :func:`~repro.cache.key.answer_cache_key`); deriving it back here
-    keeps lookup/store signatures unchanged while letting the semantic
-    tier refuse cross-namespace reuse.
-    """
-    terms, _ = key
-    if terms and terms[0].startswith("\x00ns:"):
-        return terms[0][len("\x00ns:"):]
-    return ""
 
 
 class AnswerCache:
@@ -145,18 +130,9 @@ class AnswerCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def key(
-        self,
-        question: str,
-        filters: Mapping[str, str] | None = None,
-        namespace: str = "",
-    ) -> CacheKey:
-        """The exact-tier key of *question* under *filters*.
-
-        *namespace* partitions the cache (agent routes); "" yields the
-        plain pre-namespace key.
-        """
-        return answer_cache_key(question, filters, self._analyzer, namespace=namespace)
+    def key(self, question: str, filters: Mapping[str, str] | None = None) -> CacheKey:
+        """The exact-tier key of *question* under *filters*."""
+        return answer_cache_key(question, filters, self._analyzer)
 
     # -- lookup --------------------------------------------------------------
 
@@ -214,21 +190,12 @@ class AnswerCache:
         now: float,
         embed_fn: Callable[[], np.ndarray],
     ) -> CacheHit | None:
-        """Best cosine match among valid entries under the same filters.
-
-        Candidates must also share the key's namespace: embeddings ignore
-        the route sentinel, so without this check a semantically similar
-        question could be served an answer computed down a different
-        agent route.
-        """
+        """Best cosine match among valid entries under the same filters."""
         _, filters = key
-        namespace = _key_namespace(key)
         candidates = [
             (entry_key, entry)
             for entry_key, entry in self._entries.items()
-            if entry.filters == filters
-            and entry.namespace == namespace
-            and entry.embedding is not None
+            if entry.filters == filters and entry.embedding is not None
         ]
         if not candidates:
             return None
@@ -275,7 +242,6 @@ class AnswerCache:
             stored_at=self._clock.now(),
             embedding=embedding,
             filters=key[1],
-            namespace=_key_namespace(key),
         )
         self.stats.stores += 1
         self._m_events.labels("store").inc()

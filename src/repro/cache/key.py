@@ -30,9 +30,7 @@ def filters_key(filters: Mapping[str, str] | None) -> tuple[tuple[str, str], ...
     return tuple(sorted(filters.items()))
 
 
-def answer_cache_key(
-    question: str, filters: Mapping[str, str] | None, analyzer, namespace: str = ""
-) -> CacheKey:
+def answer_cache_key(question: str, filters: Mapping[str, str] | None, analyzer) -> CacheKey:
     """The exact-tier cache key of *question* under *filters*.
 
     *analyzer* is any object with an ``analyze(text) -> list[str]``
@@ -40,19 +38,10 @@ def answer_cache_key(
     production).  A question whose analysis is empty (all stop words)
     falls back to its whitespace-normalized lower-cased surface so that
     distinct degenerate questions do not collide on the empty key.
-
-    *namespace* partitions the key space (agent routes use it so a
-    multi-hop answer is never served to a structured request for the
-    same terms).  The sentinel term carries a NUL byte, which no
-    analyzer output or question surface can contain, so a namespaced
-    key can never collide with a plain one — and the default ""
-    produces exactly the pre-namespace key.
     """
     terms = tuple(analyzer.analyze(question))
     if not terms:
         terms = tuple(question.lower().split())
-    if namespace:
-        terms = (f"\x00ns:{namespace}",) + terms
     return (terms, filters_key(filters))
 
 

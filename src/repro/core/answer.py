@@ -65,9 +65,6 @@ class AnswerContent:
         context: the top *m* chunks that were fed to the LLM.
         guardrail_report: the full guardrail trace (None when generation
             was skipped).
-        generation_kind: the typed classification of the LLM reply that
-            produced ``raw_answer`` (a ``RESPONSE_KIND_*`` constant of
-            :mod:`repro.llm.base`), or "" when generation was skipped.
     """
 
     answer_text: str
@@ -77,7 +74,6 @@ class AnswerContent:
     documents: tuple[RetrievedChunk, ...] = ()
     context: tuple[RetrievedChunk, ...] = ()
     guardrail_report: GuardrailReport | None = None
-    generation_kind: str = ""
 
 
 def read_through(path: str, doc: str = "") -> property:
@@ -97,9 +93,6 @@ class UniAskAnswer:
     Attributes:
         content: what the pipeline computed; shared, never mutated.
         question: the requester's own words (on a cache hit too).
-        route: the agent route that served the question (one of the
-            ``ROUTE_*`` constants of :mod:`repro.agents.routes`), or ""
-            in agents-off deployments.
         cache_hit: "" when the pipeline ran for this request; ``"exact"``
             or ``"semantic"`` when the content came from the answer cache,
             ``"coalesced"`` when it was shared by an in-flight identical
@@ -121,7 +114,6 @@ class UniAskAnswer:
 
     content: AnswerContent
     question: str
-    route: str = ""
     cache_hit: str = ""
     cache_similarity: float = 0.0
     partial_results: bool = False
@@ -137,7 +129,6 @@ class UniAskAnswer:
     documents = read_through("content.documents")
     context = read_through("content.context")
     guardrail_report = read_through("content.guardrail_report")
-    generation_kind = read_through("content.generation_kind")
 
     @property
     def answered(self) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.agents.config import AgentsConfig
 from repro.cache.config import CacheConfig
 from repro.cluster.config import ClusterConfig
 from repro.guardrails.rouge import DEFAULT_ROUGE_THRESHOLD
@@ -37,6 +36,5 @@ class UniAskConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    agents: AgentsConfig = field(default_factory=AgentsConfig)
     incident: IncidentConfig = field(default_factory=IncidentConfig)
     rouge_threshold: float = DEFAULT_ROUGE_THRESHOLD

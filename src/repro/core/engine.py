@@ -24,9 +24,6 @@ the finished :class:`~repro.obs.trace.Trace` rides back on the answer.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.agents.routes import ROUTE_CONVERSATIONAL, ROUTE_FOLLOW_UP, ROUTE_LOOKUP
 from repro.api.types import (
     CACHE_BYPASS,
     CACHE_REFRESH,
@@ -99,7 +96,6 @@ class UniAskEngine:
         config: UniAskConfig | None = None,
         telemetry: Telemetry | None = None,
         answer_cache: AnswerCache | None = None,
-        orchestrator=None,
     ) -> None:
         self.config = config or UniAskConfig()
         #: The retrieval module (a ClusterSearcher in sharded deployments).
@@ -108,10 +104,6 @@ class UniAskEngine:
         self._guardrails = guardrails or GuardrailPipeline()
         self._content_filter = content_filter or ContentFilter()
         self.answer_cache = answer_cache
-        #: The agent Orchestrator (:class:`repro.agents.Orchestrator`), or
-        #: None in agents-off deployments — then every request takes
-        #: exactly the pre-agents staged pipeline.
-        self.orchestrator = orchestrator
         self.telemetry = telemetry or NULL_TELEMETRY
         registry = self.telemetry.registry
         self._m_requests = registry.counter(
@@ -159,16 +151,11 @@ class UniAskEngine:
         )
         trace, work = ctx.trace, ctx.work
         with trace.span(spans.STAGE_ASK, question_chars=len(question)) as root:
-            route = ""
-            if self.orchestrator is not None:
-                route = self.orchestrator.resolve_route(question, options, ctx).route
-            content, hit, resolved = self._answer_cached(question, options, ctx, route)
+            content, hit = self._answer_cached(question, options, ctx)
             # The request's one envelope, set in place from here on.
-            answer = UniAskAnswer(content, question, route)
+            answer = UniAskAnswer(content, question)
             if hit is not None:
                 answer.cache_hit, answer.cache_similarity = hit.kind, hit.similarity
-            if route:
-                root.set("route", route)
             if options.explain:
                 answer.explain_report = self._explain(answer, ctx)
             root.set("outcome", content.outcome)
@@ -180,60 +167,38 @@ class UniAskEngine:
             answer.trace = trace
         if work is not None:
             answer.work = work.snapshot()
-        if route:
-            self.orchestrator.finish(question, answer, options, route, resolved)
         return AskResponse(answer=answer, request=request, scatter=scatter)
 
     # -- stages --------------------------------------------------------------
 
     def _answer_cached(
-        self, question: str, options: AskOptions, ctx: RequestContext, route: str = ""
-    ) -> tuple[AnswerContent, CacheHit | None, str]:
-        """Run the routed pipeline behind the answer cache, when one is wired.
+        self, question: str, options: AskOptions, ctx: RequestContext
+    ) -> tuple[AnswerContent, CacheHit | None]:
+        """Run the staged pipeline behind the answer cache, when one is wired.
 
         Policy ``bypass`` skips the cache entirely; ``refresh`` skips the
         lookup but overwrites the entry with the fresh answer.  Lookups and
         stores are stamped with the searcher's current index generation, so
         any corpus write since computation invalidates the entry lazily.
 
-        *route* is the resolved agent route ("" when agents are off).
-        Conversational replies are cheaper than a cache probe and
-        follow-up answers depend on session state no key captures, so
-        both run cacheless; the remaining routes namespace the key, so
-        a structured answer is never served to a multi-hop request over
-        the same terms (the lookup route keeps the plain key — it *is*
-        the pre-agents pipeline).
-
-        Returns the content, the cache hit it came from (None when the
-        pipeline ran) and the question actually answered (the follow-up
-        agent's rewrite, *question* itself otherwise).
+        Returns the content and the cache hit it came from (None when the
+        pipeline ran).
         """
         cache = self.answer_cache
         # Explain requests run cacheless both ways: a cached answer has no
         # fresh provenance to report, and an explain answer (per-term
         # components, attached report) must not be what later plain
         # requests are served from.
-        cached = (
-            cache is not None
-            and options.cache != CACHE_BYPASS
-            and not options.explain
-            and route not in (ROUTE_CONVERSATIONAL, ROUTE_FOLLOW_UP)
-        )
+        cached = cache is not None and options.cache != CACHE_BYPASS and not options.explain
         if cached:
-            namespace = "" if route in ("", ROUTE_LOOKUP) else route
-            key = cache.key(question, options.filters, namespace=namespace)
+            key = cache.key(question, options.filters)
             epoch = self.searcher.index.generation
             if options.cache != CACHE_REFRESH:
                 hit = self._cache_lookup(key, epoch, question, ctx)
                 if hit is not None:
-                    return hit.content, hit, question
+                    return hit.content, hit
 
-        # The empty route (agents off) and the lookup route are the same
-        # code path by construction: lookup *is* the staged pipeline.
-        if route in ("", ROUTE_LOOKUP):
-            content, resolved = self._ask_staged(question, options.filters, ctx), question
-        else:
-            content, resolved = self.orchestrator.execute(self, question, options, ctx, route)
+        content = self._ask_staged(question, options.filters, ctx)
         # Partial-results answers are never cached: a degraded cluster's
         # answer reflects whichever shards happened to respond, not the corpus.
         partial = ctx.scatter is not None and ctx.scatter.partial
@@ -241,7 +206,7 @@ class UniAskEngine:
             embedding = self.searcher.index.embedder.embed(question)
             with ctx.trace.span(spans.STAGE_CACHE_STORE):
                 cache.store(key, content, epoch, embedding=embedding)
-        return content, None, resolved
+        return content, None
 
     def _cache_lookup(
         self, key, epoch: int, question: str, ctx: RequestContext
@@ -266,7 +231,6 @@ class UniAskEngine:
             list(answer.documents),
             rrf_c=config.rrf_c,
             mode=config.mode,
-            route=answer.route,
             work=ctx.work.snapshot() if ctx.work is not None else None,
         )
 
@@ -278,25 +242,6 @@ class UniAskEngine:
         if blocked is not None:
             return blocked
         documents = self._retrieve(question, filters, ctx)
-        return self._complete_from_documents(question, documents, ctx)
-
-    def _complete_from_documents(
-        self,
-        question: str,
-        documents: list[RetrievedChunk],
-        ctx: RequestContext,
-        fused: bool = False,
-    ) -> AnswerContent:
-        """Generate, validate and cite over an already retrieved ranking.
-
-        The tail of the staged pipeline, split out so agent routes that
-        produce their own ranking (multi-hop fusion, the structured
-        fallback) inherit generation, guardrails and citation resolution
-        unchanged.  *fused* marks a ranking no single :meth:`_retrieve`
-        produced (multi-hop): it is observed here as the retrieval result.
-        """
-        if fused:
-            self._m_retrieved.observe(float(len(documents)))
         if not documents:
             return AnswerContent(
                 answer_text=NO_RESULTS_TEXT,
@@ -318,7 +263,6 @@ class UniAskEngine:
                 context=tuple(context),
             )
         raw_answer = response.content
-        generation_kind = getattr(response, "kind", "")
 
         report = self._validate(question, raw_answer, context, ctx)
         if not report.passed:
@@ -329,7 +273,6 @@ class UniAskEngine:
                 documents=tuple(documents),
                 context=tuple(context),
                 guardrail_report=report,
-                generation_kind=generation_kind,
             )
 
         citations = self._resolve_citations(raw_answer, context, ctx)
@@ -341,7 +284,6 @@ class UniAskEngine:
             documents=tuple(documents),
             context=tuple(context),
             guardrail_report=report,
-            generation_kind=generation_kind,
         )
 
     def _screen(self, question: str, ctx: RequestContext) -> AnswerContent | None:
@@ -368,35 +310,21 @@ class UniAskEngine:
         filters: dict[str, str] | None,
         ctx: RequestContext,
     ) -> list[RetrievedChunk]:
-        """Stage 2: hybrid retrieval with semantic reranking."""
-        with ctx.trace.span(spans.STAGE_RETRIEVAL) as span:
-            documents = self._search(question, filters, ctx, span)
-            self._m_retrieved.observe(float(len(documents)))
-        return documents
-
-    def _search(
-        self,
-        question: str,
-        filters: dict[str, str] | None,
-        ctx: RequestContext,
-        span,
-    ) -> list[RetrievedChunk]:
-        """One searcher call inside *span*, accounted on the request.
+        """Stage 2: hybrid retrieval with semantic reranking.
 
         A clustered searcher's scatter report is taken right after the
-        search and merged into ``ctx.scatter`` — every probe of every
-        search of the request, so multi-hop keeps them all.  A shard that
-        missed its deadline marks the answer partial, never fails it.
+        search and kept on ``ctx.scatter``: a shard that missed its
+        deadline marks the answer partial, never fails it.
         """
-        documents = self.searcher.search(question, filters=filters, ctx=ctx)
-        span.set("results", len(documents))
-        report = self.searcher.take_scatter_report()
-        if report is not None:
-            span.set("partial", report.partial)
-            span.set("shards", len(report.probes))
-            if ctx.scatter is not None:
-                report = replace(report, probes=ctx.scatter.probes + report.probes)
-            ctx.scatter = report
+        with ctx.trace.span(spans.STAGE_RETRIEVAL) as span:
+            documents = self.searcher.search(question, filters=filters, ctx=ctx)
+            span.set("results", len(documents))
+            report = self.searcher.take_scatter_report()
+            if report is not None:
+                span.set("partial", report.partial)
+                span.set("shards", len(report.probes))
+                ctx.scatter = report
+            self._m_retrieved.observe(float(len(documents)))
         return documents
 
     def _generate(

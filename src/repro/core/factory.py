@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.agents.orchestrator import Orchestrator
 from repro.cache.answer_cache import AnswerCache
 from repro.cluster.router import ClusterSearcher
 from repro.cluster.sharded_index import ShardedSearchIndex
@@ -67,20 +66,12 @@ class UniAskSystem:
     config: UniAskConfig = field(default_factory=UniAskConfig)
     telemetry: Telemetry = field(default_factory=Telemetry)
     answer_cache: AnswerCache | None = None
-    orchestrator: Orchestrator | None = None
     recorder: BlackBoxRecorder | None = None
 
     def refresh(self) -> None:
-        """One operational cycle: run due ingestion polls, drain the queue.
-
-        Agents-enabled deployments also re-extract the structured table
-        catalog, so the mini query engine sees corpus writes at the same
-        cadence the search index does.
-        """
+        """One operational cycle: run due ingestion polls, drain the queue."""
         self.ingestion.run_due_polls()
         self.indexing.drain()
-        if self.orchestrator is not None:
-            self.orchestrator.refresh_catalog(self.store)
 
 
 def build_uniask_system(
@@ -118,10 +109,10 @@ def build_uniask_system(
     telemetry = Telemetry(config.telemetry, clock=clock)
     registry = telemetry.registry
 
-    # Constructed only when enabled, like the orchestrator:
-    # the recorder registers its event counter on construction, and every
-    # feed site below no-ops on a None recorder, so an incident-off
-    # deployment stays byte-identical on every surface.
+    # Constructed only when enabled: the recorder registers its event
+    # counter on construction, and every feed site below no-ops on a None
+    # recorder, so an incident-off deployment stays byte-identical on every
+    # surface.
     recorder = None
     if config.incident.enabled:
         recorder = BlackBoxRecorder(clock=clock, registry=registry)
@@ -191,18 +182,6 @@ def build_uniask_system(
         [CitationGuardrail(), RougeGuardrail(config.rouge_threshold), ClarificationGuardrail()],
         registry=registry,
     )
-    orchestrator = None
-    if config.agents.enabled:
-        # Constructed only when enabled: the Orchestrator registers the
-        # route counter on construction, so an agents-off deployment's
-        # metrics exposition stays byte-identical to the pre-agents one.
-        from repro.agents.structured import StructuredCatalog
-
-        orchestrator = Orchestrator(
-            catalog=StructuredCatalog.from_store(store),
-            clock=clock,
-            registry=registry,
-        )
     engine = UniAskEngine(
         searcher=searcher,
         llm=llm,
@@ -211,7 +190,6 @@ def build_uniask_system(
         config=config,
         telemetry=telemetry,
         answer_cache=answer_cache,
-        orchestrator=orchestrator,
     )
 
     system = UniAskSystem(
@@ -230,7 +208,6 @@ def build_uniask_system(
         config=config,
         telemetry=telemetry,
         answer_cache=answer_cache,
-        orchestrator=orchestrator,
         recorder=recorder,
     )
     if ingest_now:

@@ -32,9 +32,6 @@ KIND_OUT_OF_SCOPE = "out_of_scope"
 KIND_ERROR_CODE = "error_code"
 KIND_SPECIAL = "special"
 KIND_UNANSWERABLE = "unanswerable"
-KIND_MULTI_HOP = "multi_hop"
-KIND_CONVERSATIONAL = "conversational"
-KIND_FOLLOW_UP = "follow_up"
 
 
 @dataclass(frozen=True)
@@ -373,134 +370,6 @@ def generate_special_cases(base: list[LabeledQuery], count: int = 10, seed: int 
             )
         )
     return variants
-
-
-# -- agentic-routing datasets (multi-hop, conversational, follow-up) -----------
-
-_CONVERSATIONAL_MESSAGES = (
-    "Ciao!",
-    "Buongiorno",
-    "Buonasera",
-    "Salve",
-    "Grazie mille",
-    "Ti ringrazio",
-    "Perfetto grazie",
-    "Chi sei?",
-    "Cosa sai fare?",
-    "Come funzioni?",
-)
-
-#: Short anaphoric follow-up turns (all ≤ 12 words, all opening with a
-#: connective the intent classifier keys on).
-_FOLLOW_UP_TURNS = (
-    "E per i clienti business?",
-    "E se il cliente è minorenne?",
-    "Anche per il segmento private?",
-    "Invece per le filiali estere?",
-    "Quindi serve l'autorizzazione del responsabile?",
-    "Lo stesso vale per i clienti retail?",
-)
-
-
-def _multi_hop_fragment(topic: Topic) -> str:
-    """The "{action} {entity}" phrase of one comparison side."""
-    return f"{topic.action.canonical} {topic.entity.canonical}"
-
-
-def generate_multi_hop_queries(
-    kb: SyntheticKb, count: int = 20, seed: int = 99
-) -> list[LabeledQuery]:
-    """Comparative two-topic questions for the multi-hop route.
-
-    Each question compares two distinct topics with the "differenza tra X
-    e Y" connective the decomposer splits on; topic phrases containing a
-    bare " e " are excluded so the split point is unambiguous.  Ground
-    truth is the union of both topics' documents.
-    """
-    rng = random.Random(seed)
-    topics = [
-        topic
-        for topic in sorted(kb.topics.values(), key=lambda t: t.topic_id)
-        if " e " not in f" {_multi_hop_fragment(topic)} ".lower()
-    ]
-    if len(topics) < 2:
-        raise ValueError("the knowledge base needs at least 2 splittable topics")
-    queries: list[LabeledQuery] = []
-    for number in range(count):
-        first, second = rng.sample(topics, 2)
-        text = (
-            f"Qual è la differenza tra {_multi_hop_fragment(first)} "
-            f"e {_multi_hop_fragment(second)}?"
-        )
-        relevant = frozenset(kb.docs_by_topic.get(first.topic_id, ())) | frozenset(
-            kb.docs_by_topic.get(second.topic_id, ())
-        )
-        queries.append(
-            LabeledQuery(
-                query_id=f"mhop-{number:04d}",
-                text=text,
-                kind=KIND_MULTI_HOP,
-                relevant_docs=relevant,
-                topic_id=first.topic_id,
-            )
-        )
-    return queries
-
-
-def generate_conversational_queries(count: int = 10, seed: int = 111) -> list[LabeledQuery]:
-    """Smalltalk/capability messages that should never trigger retrieval."""
-    rng = random.Random(seed)
-    messages = list(_CONVERSATIONAL_MESSAGES)
-    rng.shuffle(messages)
-    picked = (messages * ((count // len(messages)) + 1))[:count]
-    return [
-        LabeledQuery(query_id=f"conv-{number:03d}", text=text, kind=KIND_CONVERSATIONAL)
-        for number, text in enumerate(picked)
-    ]
-
-
-@dataclass(frozen=True)
-class FollowUpDialogue:
-    """A two-turn dialogue: a setup question and its anaphoric follow-up.
-
-    Both turns share the setup topic's ground-truth documents — the
-    follow-up is answerable only through the context the setup turn left
-    in session memory.
-    """
-
-    setup: LabeledQuery
-    follow_up: LabeledQuery
-
-
-def generate_follow_up_dialogues(
-    kb: SyntheticKb, count: int = 10, seed: int = 123
-) -> list[FollowUpDialogue]:
-    """Two-turn dialogues for the follow-up route."""
-    rng = random.Random(seed)
-    topics = sorted(kb.topics.values(), key=lambda t: t.topic_id)
-    if not topics:
-        raise ValueError("the knowledge base has no topics")
-    dialogues: list[FollowUpDialogue] = []
-    for number in range(count):
-        topic = topics[rng.randrange(len(topics))]
-        relevant = frozenset(kb.docs_by_topic.get(topic.topic_id, ()))
-        setup = LabeledQuery(
-            query_id=f"fup-{number:03d}-setup",
-            text=f"Come posso {topic.action.canonical} {topic.entity.canonical}?",
-            kind=KIND_HUMAN,
-            relevant_docs=relevant,
-            topic_id=topic.topic_id,
-        )
-        turn = _FOLLOW_UP_TURNS[rng.randrange(len(_FOLLOW_UP_TURNS))]
-        follow_up = LabeledQuery(
-            query_id=f"fup-{number:03d}",
-            text=turn,
-            kind=KIND_FOLLOW_UP,
-            relevant_docs=relevant,
-            topic_id=topic.topic_id,
-        )
-        dialogues.append(FollowUpDialogue(setup=setup, follow_up=follow_up))
-    return dialogues
 
 
 # -- UAT composition (Section 8) ------------------------------------------------

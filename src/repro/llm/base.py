@@ -24,8 +24,7 @@ ROLES = ("system", "user", "assistant")
 RESPONSE_KIND_ANSWER = "answer"
 
 #: The completion asks the user for more details instead of (or on top of)
-#: answering — the FollowUp agent merges the session's next message into
-#: the original question when it sees this kind.
+#: answering.
 RESPONSE_KIND_CLARIFICATION = "clarification_request"
 
 #: The completion is an honest refusal (no grounded answer available).

@@ -266,9 +266,8 @@ class SimulatedChatLLM:
         The typed kind classifies the observable behaviour — grounded or
         hallucinated prose is an *answer*, honest refusals are *refusals*,
         and an appended request for details marks the whole reply a
-        *clarification request* — so downstream agents (the FollowUp
-        agent's merge semantics, guardrail metrics) can route on the
-        outcome instead of re-parsing the text.
+        *clarification request* — so a caller can read the outcome
+        instead of re-parsing the text.
         """
         match = _CONTEXT_RE.search(user_text)
         if not match:

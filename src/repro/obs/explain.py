@@ -178,10 +178,6 @@ class ExplainReport:
         rrf_c: the RRF smoothing constant of the deployment.
         mode: the retrieval mode (``hybrid``/``text``/``vector``).
         entries: one explanation per chunk of the final ranking.
-        route: the agent route that produced the ranking ("" in agents-off
-            deployments; a multi-hop report's ``rrf_hop_*`` contributions
-            sum bit-exactly to the fused score just like single-query
-            ``rrf_*`` legs do).
         work: deterministic work counts accrued up to the point the report
             was built (``{kind: units}``, see :mod:`repro.obs.work`), or
             None when the request ran without profiling.
@@ -191,7 +187,6 @@ class ExplainReport:
     rrf_c: float
     mode: str
     entries: tuple[ChunkExplanation, ...]
-    route: str = ""
     work: dict[str, int] | None = None
 
     @property
@@ -210,9 +205,8 @@ class ExplainReport:
     def to_dict(self) -> dict:
         """JSON-ready representation of the whole report.
 
-        The ``route`` key only appears for agent-routed reports, and the
-        ``work`` block only for profiled requests, keeping the
-        pre-agents / pre-profiling JSON byte-identical.
+        The ``work`` block only appears for profiled requests, keeping the
+        pre-profiling JSON byte-identical.
         """
         report = {
             "question": self.question,
@@ -221,8 +215,6 @@ class ExplainReport:
             "sums_exact": self.sums_exact,
             "entries": [entry.to_dict() for entry in self.entries],
         }
-        if self.route:
-            report["route"] = self.route
         if self.work is not None:
             report["work"] = dict(self.work)
         return report
@@ -238,10 +230,9 @@ class ExplainReport:
             top: entries to detail (the rest are summarized in one line).
             terms: per-term BM25 contributions to show per field.
         """
-        route = f", route={self.route}" if self.route else ""
         lines = [
             f"explain: {self.question!r} (mode={self.mode}, rrf_c={self.rrf_c:g}, "
-            f"sums_exact={self.sums_exact}{route})"
+            f"sums_exact={self.sums_exact})"
         ]
         if self.work:
             shown = ", ".join(f"{kind}={units}" for kind, units in sorted(self.work.items()))
@@ -302,7 +293,6 @@ def build_explain_report(
     results: list[RetrievedChunk],
     rrf_c: float,
     mode: str = "hybrid",
-    route: str = "",
     work: dict[str, int] | None = None,
 ) -> ExplainReport:
     """Fold the component breakdowns of *results* into an explain report.
@@ -353,6 +343,5 @@ def build_explain_report(
         rrf_c=rrf_c,
         mode=mode,
         entries=tuple(entries),
-        route=route,
         work=work,
     )

@@ -19,8 +19,8 @@ human looks.  This module closes that gap with three pieces:
   recovery, and renders a causally ordered timeline with a ranked
   suspected-cause list.
 * :meth:`IncidentManager.diagnose` — the per-request loop: compares the
-  backend's stored record of a request against rolling per-route
-  baselines and explains *why this request* was slow or degraded,
+  backend's stored record of a request against a rolling baseline of
+  recent requests and explains *why this request* was slow or degraded,
   linking to the control-plane events recorded before it was served.
   The manager keeps no copy of a request.
 
@@ -96,12 +96,11 @@ CAUSE_WINDOW_SECONDS = 300.0
 #: A page matching an incident recovered less than this long ago reopens
 #: it instead of opening a new one.
 DEDUP_WINDOW_SECONDS = 300.0
-#: Per-route rolling baseline size (requests).
+#: Rolling baseline size (requests).
 BASELINE_WINDOW = 256
 #: Retained incidents (oldest recovered drop first).
 MAX_INCIDENTS = 64
-#: A request this many times slower than its route baseline is called out
-#: as slow.
+#: A request this many times slower than the baseline is called out as slow.
 SLOW_RATIO = 1.5
 #: Baselines smaller than this are not trusted.
 MIN_BASELINE = 8
@@ -286,8 +285,9 @@ class IncidentManager:
         self._counter = 0
         self._last_check = float("-inf")
         self._active_alerts: dict[str, str] = {}
-        # Per-request diagnosis state: rolling per-route baselines.
-        self._baselines: dict[str, deque] = {}
+        # Per-request diagnosis state: (response time, stages) of recent
+        # pipeline serves.
+        self._baseline: deque = deque(maxlen=BASELINE_WINDOW)
         self._work_totals: dict[str, int] = {}
         self._work_at_last_incident: dict[str, int] = {}
         registry = registry or NULL_REGISTRY
@@ -316,16 +316,11 @@ class IncidentManager:
     def observe_request(self, record) -> None:
         """Feed one served request — the backend's stored summary of it
         (``stages``: its ``trace.stage_durations()``, empty when untraced) —
-        into baselines and work totals."""
-        route = record.route or "default"
-        baseline = self._baselines.get(route)
-        if baseline is None:
-            baseline = deque(maxlen=BASELINE_WINDOW)
-            self._baselines[route] = baseline
+        into the baseline and work totals."""
         # Cache-served requests would drag the full-pipeline baseline down
         # and mask genuinely slow requests; only pipeline serves train it.
         if not record.cache_hit:
-            baseline.append((record.response_time, record.stages))
+            self._baseline.append((record.response_time, record.stages))
         if record.work:
             for kind, units in record.work.items():
                 self._work_totals[kind] = self._work_totals.get(kind, 0) + units
@@ -482,11 +477,10 @@ class IncidentManager:
     def diagnose(self, record) -> dict:
         """Explain why one request was slow or degraded.
 
-        Compares the backend's stored summary of the request against its
-        route's rolling baseline and links it to the control-plane state
-        at serve time (the recorder window before ``served_at``).
+        Compares the backend's stored summary of the request against the
+        rolling baseline and links it to the control-plane state at serve
+        time (the recorder window before ``served_at``).
         """
-        route = record.route or "default"
         findings: list[str] = []
         verdict = "normal"
 
@@ -496,7 +490,7 @@ class IncidentManager:
         if record.cache_hit:
             findings.append(f"served from cache (kind={record.cache_hit})")
 
-        baseline = self._baselines.get(route, ())
+        baseline = self._baseline
         baseline_n = len(baseline)
         baseline_mean = 0.0
         ratio = 0.0
@@ -509,7 +503,7 @@ class IncidentManager:
                 if verdict == "normal":
                     verdict = "slow"
                 findings.append(
-                    f"{ratio:.1f}x slower than the {route} route baseline "
+                    f"{ratio:.1f}x slower than the baseline "
                     f"({record.response_time:.3f}s vs {baseline_mean:.3f}s "
                     f"mean of {baseline_n})"
                 )
@@ -521,7 +515,7 @@ class IncidentManager:
                     )
         else:
             findings.append(
-                f"route {route} baseline too small to compare "
+                "baseline too small to compare "
                 f"({baseline_n} < {MIN_BASELINE})"
             )
 
@@ -533,7 +527,6 @@ class IncidentManager:
 
         return {
             "query_id": record.query_id,
-            "route": route,
             "verdict": verdict,
             "served_at": record.served_at,
             "response_time": record.response_time,

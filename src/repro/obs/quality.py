@@ -50,18 +50,12 @@ class CanaryProbe:
         question: the probed question.
         relevant_docs: ground-truth document ids.
         kind: the :mod:`repro.corpus.queries` kind the probe was drawn from.
-        route: the agent route the probe exercises ("" for plain probes —
-            the defaults keep pre-agents suites byte-identical).
-        setup_question: a first turn played into the same session before
-            *question* (follow-up dialogue probes only).
     """
 
     probe_id: str
     question: str
     relevant_docs: frozenset[str]
     kind: str
-    route: str = ""
-    setup_question: str = ""
 
 
 @dataclass(frozen=True)
@@ -74,28 +68,18 @@ class CanarySuite:
         return len(self.probes)
 
     @classmethod
-    def from_kb(
-        cls, kb, size: int = 24, seed: int = 1789, include_route_probes: bool = False
-    ) -> "CanarySuite":
+    def from_kb(cls, kb, size: int = 24, seed: int = 1789) -> "CanarySuite":
         """Sample *size* probes with ground truth from the knowledge base.
 
         Three quarters are human-style questions, one quarter error-code
         lookups — the two query families with exact document-level ground
         truth.  The sample is fully determined by *seed*, so every canary
         run replays the identical suite.
-
-        With ``include_route_probes`` the suite appends one probe per
-        non-trivial agent route — a multi-hop comparison, a structured
-        error-code lookup, and a two-turn follow-up dialogue — so an
-        agents-enabled deployment's canary also watches the orchestrated
-        paths for silent regressions.
         """
         from repro.corpus.queries import (
             HumanDatasetConfig,
             generate_error_code_queries,
-            generate_follow_up_dialogues,
             generate_human_dataset,
-            generate_multi_hop_queries,
         )
 
         if size < 4:
@@ -115,44 +99,6 @@ class CanarySuite:
             for index, query in enumerate(list(human) + list(codes))
             if query.relevant_docs
         ]
-        if include_route_probes:
-            from repro.agents.routes import (
-                ROUTE_FOLLOW_UP,
-                ROUTE_MULTI_HOP,
-                ROUTE_STRUCTURED,
-            )
-
-            multi_hop = generate_multi_hop_queries(kb, count=1, seed=seed + 2)[0]
-            probes.append(
-                CanaryProbe(
-                    probe_id="canary-route-multi-hop",
-                    question=multi_hop.text,
-                    relevant_docs=multi_hop.relevant_docs,
-                    kind=multi_hop.kind,
-                    route=ROUTE_MULTI_HOP,
-                )
-            )
-            structured = generate_error_code_queries(kb, count=1, seed=seed + 3)[0]
-            probes.append(
-                CanaryProbe(
-                    probe_id="canary-route-structured",
-                    question=structured.text,
-                    relevant_docs=structured.relevant_docs,
-                    kind=structured.kind,
-                    route=ROUTE_STRUCTURED,
-                )
-            )
-            dialogue = generate_follow_up_dialogues(kb, count=1, seed=seed + 4)[0]
-            probes.append(
-                CanaryProbe(
-                    probe_id="canary-route-follow-up",
-                    question=dialogue.follow_up.text,
-                    relevant_docs=dialogue.follow_up.relevant_docs,
-                    kind=dialogue.follow_up.kind,
-                    route=ROUTE_FOLLOW_UP,
-                    setup_question=dialogue.setup.text,
-                )
-            )
         if not probes:
             raise ValueError("the sampled suite has no probes with ground truth")
         return cls(probes=tuple(probes))
@@ -305,29 +251,12 @@ class CanaryRunner:
         from repro.eval.metrics import hit_rate_at, recall_at, reciprocal_rank
 
         for probe in self._suite.probes:
-            session_id = ""
-            if probe.setup_question:
-                # Dialogue probes play their setup turn into a dedicated
-                # session first, so the probed follow-up has a turn to
-                # resolve against (a no-op on agents-off deployments).
-                session_id = f"canary-session-{probe.probe_id}"
-                self._engine.answer(
-                    AskRequest(
-                        probe.setup_question,
-                        AskOptions(
-                            cache=CACHE_BYPASS,
-                            request_id=f"{probe.probe_id}-setup",
-                            session_id=session_id,
-                        ),
-                    )
-                )
             response = self._engine.answer(
                 AskRequest(
                     probe.question,
                     AskOptions(
                         cache=CACHE_BYPASS,
                         request_id=probe.probe_id,
-                        session_id=session_id,
                         profile=self._record_work,
                     ),
                 )

@@ -116,22 +116,6 @@ STAGE_CACHE_LOOKUP = "cache_lookup"
 #: Answer-cache store of a freshly computed cacheable answer.
 STAGE_CACHE_STORE = "cache_store"
 
-#: Orchestrator route classification (attributes ``route`` and ``reason``).
-#: Only present in agents-enabled deployments; an agents-routed multi-hop
-#: request nests per-hop ``subquery`` spans under ``retrieval`` followed by
-#: a top-level ``fusion`` span, exactly like MQ1 retrieval.
-STAGE_AGENT_ROUTE = "agent_route"
-
-#: Follow-up anaphora resolution against session memory.
-STAGE_AGENT_REWRITE = "agent_rewrite"
-
-#: Structured-route plan compilation/validation (attributes ``table``,
-#: ``predicates``, ``attempts``, ``repaired``).
-STAGE_STRUCTURED_PLAN = "structured_plan"
-
-#: Structured-route plan execution and answer rendering.
-STAGE_STRUCTURED_EXEC = "structured_exec"
-
 #: Background segment maintenance sweep (seals/merges/compactions), with
 #: one attribute per performed op kind carrying its count.
 STAGE_INDEX_MAINTENANCE = "index_maintenance"

@@ -294,8 +294,8 @@ class RequestContext:
             (the default) when work accounting is off — every instrumented
             site guards with ``if work is not None`` so the disabled path
             is byte-identical to the pre-accounting pipeline.
-        scatter: the request's cluster scatter report so far — every probe
-            of every search the engine ran for it, merged — or None.  Written
+        scatter: the request's cluster scatter report — every probe of its
+            search — or None.  Written
             only by the engine, on the context it builds per request (never
             the shared :data:`NULL_CONTEXT`).
     """

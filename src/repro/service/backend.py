@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from repro.agents.memory import TtlLruStore
 from repro.api.types import CACHE_BYPASS, CACHE_DEFAULT, AskOptions, AskRequest
 from repro.cache.answer_cache import HIT_COALESCED
 from repro.cache.coalescing import SingleFlight
@@ -50,6 +49,7 @@ from repro.service.alerting import evaluate_alerts, evaluate_slo_alerts
 from repro.service.feedback import FeedbackStore, GranularFeedback
 from repro.service.monitoring import MetricsCollector
 from repro.service.ops import OpsRoute, collect_ops_routes, ops_route
+from repro.service.ttl_lru import TtlLruStore
 from repro.text.tokenizer import count_tokens
 
 
@@ -99,7 +99,6 @@ class ServedSummary:
     user_id: str
     served_at: float
     outcome: str
-    route: str
     response_time: float
     partial_results: bool
     cache_hit: str
@@ -128,9 +127,6 @@ _FIXED_STAGE_COSTS = {
     spans.STAGE_PROMPT_BUILD: 0.0005,
     spans.STAGE_CITATIONS: 0.0005,
     spans.STAGE_CACHE_STORE: 0.0005,
-    spans.STAGE_AGENT_ROUTE: 0.001,  # a handful of regex probes over the question
-    spans.STAGE_AGENT_REWRITE: 0.0005,
-    spans.STAGE_STRUCTURED_PLAN: 0.001,
 }
 
 
@@ -196,8 +192,6 @@ class StageLatencyModel:
             # A map probe plus, at worst, one query embedding and a
             # similarity scan over the resident entries.
             return 0.002 + 0.000002 * int(attrs.get("entries", 0))
-        if name == spans.STAGE_STRUCTURED_EXEC:
-            return 0.0005 + 0.0001 * int(attrs.get("rows", 0))
         # Aggregate spans cost nothing themselves; any other *leaf* span is
         # work and gets the default floor.
         if span.is_leaf:
@@ -249,8 +243,8 @@ class BackendService:
             :class:`~repro.obs.capacity.CapacityMonitor`) plus the
             ``uniask_saturation_*`` gauges.  Off by default.
         incidents: an :class:`~repro.obs.incident.IncidentManager`; when
-            set, every served request feeds the per-route diagnosis
-            baselines, the page-severity alert check runs on the service
+            set, every served request feeds the diagnosis
+            baseline, the page-severity alert check runs on the service
             clock, and a firing page freezes a capture bundle assembled
             by this service (dashboard, saturation, profile window,
             slowest retained traces).  Off (None) by default — the
@@ -399,13 +393,6 @@ class BackendService:
         query_id = f"q-{self._query_counter:07d}"
         question = request.question
         options = request.options
-        if self._engine.orchestrator is not None and not options.session_id:
-            # Agents-enabled deployments thread the session token through
-            # as the conversation id, so follow-up turns resolve against
-            # the caller's own session memory.  Left untouched when agents
-            # are off: the request object stays byte-identical.
-            options = replace(options, session_id=token)
-            request = replace(request, options=options)
 
         coalescing = self.single_flight is not None
         arrival = self._clock.now()
@@ -484,7 +471,6 @@ class BackendService:
         answer = UniAskAnswer(
             leader.content,
             question,
-            leader.route,
             HIT_COALESCED,
             partial_results=leader.partial_results,
             # A joiner does no pipeline work of its own: its tally is the
@@ -511,7 +497,7 @@ class BackendService:
         stages = trace.stage_durations() if trace is not None else {}
         summary = self._records[record.query_id] = ServedSummary(
             record.query_id, record.user_id, record.served_at,
-            answer.outcome, answer.route, answer.response_time,
+            answer.outcome, answer.response_time,
             answer.partial_results, answer.cache_hit,
             answer.work, answer.explain_report, stages,
         )
@@ -558,10 +544,10 @@ class BackendService:
                 for verdict in (report.verdicts if report is not None else ())
             ],
         )
-        # Reuse, routing and work counts appear only when the request had
-        # them, so a deployment without cache, agents or profiling writes the
-        # audit lines it wrote before those layers existed.
-        for field, value in (("cache", answer.cache_hit), ("route", answer.route), ("work", answer.work)):
+        # Reuse and work counts appear only when the request had them, so a
+        # deployment without cache or profiling writes the audit lines it
+        # wrote before those layers existed.
+        for field, value in (("cache", answer.cache_hit), ("work", answer.work)):
             if value:
                 audit_fields[field] = value
         # Errored spans surface with the exception type the stage raised;
@@ -731,7 +717,7 @@ class BackendService:
             return incident.to_dict()
         return self.incidents.status()
 
-    @ops_route("diagnose", privileged=True, description="Per-request root-cause diagnosis against rolling route baselines.")
+    @ops_route("diagnose", privileged=True, description="Per-request root-cause diagnosis against a rolling baseline.")
     def _ops_diagnose(self, query_id: str):
         """Why was this request slow — operations role only."""
         if self.incidents is None:

@@ -1,17 +1,9 @@
-"""Bounded session memory on the simulated clock.
+"""A mapping bounded by LRU capacity and per-entry TTL on the simulated clock.
 
-Two pieces live here:
-
-* :class:`TtlLruStore` — a generic TTL + LRU bounded map, the cache
-  subsystem's eviction idiom (:mod:`repro.cache.answer_cache`) extracted
-  into a reusable container.  The backend uses it to bound its per-session
-  state (tokens, query records), fixing the unbounded growth that made
-  long-running load tests leak.
-* :class:`SessionMemory` — the FollowUp agent's conversation memory: a
-  bounded deque of :class:`SessionTurn` per session id (the backend keys
-  it by its hardened 128-bit session tokens), itself held in a
-  :class:`TtlLruStore` so abandoned sessions expire on the simulated
-  clock instead of accumulating forever.
+The backend bounds its per-session state with it: session tokens expire
+after an idle TTL, and served-request summaries are LRU-only (feedback may
+arrive arbitrarily late).  It is the answer cache's eviction idiom
+(:mod:`repro.cache.answer_cache`) as a container.
 
 Everything is deterministic: no wall clock, eviction order is pure
 insertion/recency order.
@@ -19,18 +11,14 @@ insertion/recency order.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Generic, TypeVar
 
 from repro.pipeline.clock import SimulatedClock
 
 K = TypeVar("K")
 V = TypeVar("V")
-
-#: Conversation turns remembered per session (older turns are forgotten
-#: first).
-SESSION_TURNS = 8
 
 
 @dataclass(slots=True)
@@ -138,86 +126,3 @@ class TtlLruStore(Generic[K, V]):
         for key in stale:
             del self._slots[key]
             self.expirations += 1
-
-
-@dataclass(frozen=True)
-class SessionTurn:
-    """One remembered conversation turn of a session.
-
-    Attributes:
-        question: the question as the user typed it.
-        resolved_question: the question the pipeline actually ran — for
-            follow-up turns the anaphora-resolved rewrite, otherwise the
-            original.
-        route: the route that served the turn.
-        outcome: the pipeline outcome of the turn.
-        clarification_pending: True when the turn's answer asked the user
-            for more details (typed :data:`~repro.llm.base.RESPONSE_KIND_CLARIFICATION`
-            generation outcome) — the next turn in the session is then
-            merged with this one instead of treated as a fresh question.
-    """
-
-    question: str
-    resolved_question: str
-    route: str
-    outcome: str
-    clarification_pending: bool = False
-
-
-@dataclass
-class _SessionState:
-    """The remembered turns of one session."""
-
-    turns: deque[SessionTurn] = field(default_factory=deque)
-
-
-class SessionMemory:
-    """Per-session conversation memory with TTL + LRU bounds.
-
-    Args:
-        capacity: maximum concurrently remembered sessions.
-        ttl_seconds: session lifetime on *clock* since last activity.
-        turns_per_session: turns remembered per session (FIFO beyond).
-        clock: the deployment's simulated clock.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        ttl_seconds: float | None = 1800.0,
-        turns_per_session: int = SESSION_TURNS,
-        clock: SimulatedClock | None = None,
-    ) -> None:
-        if turns_per_session <= 0:
-            raise ValueError("turns_per_session must be positive")
-        self._turns_per_session = turns_per_session
-        self._store: TtlLruStore[str, _SessionState] = TtlLruStore(
-            capacity, ttl_seconds, clock=clock
-        )
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def turns(self, session_id: str) -> tuple[SessionTurn, ...]:
-        """The remembered turns of *session_id*, oldest first."""
-        if not session_id:
-            return ()
-        state = self._store.get(session_id)
-        if state is None:
-            return ()
-        return tuple(state.turns)
-
-    def last_turn(self, session_id: str) -> SessionTurn | None:
-        """The most recent remembered turn of *session_id*, if any."""
-        turns = self.turns(session_id)
-        return turns[-1] if turns else None
-
-    def observe(self, session_id: str, turn: SessionTurn) -> None:
-        """Append *turn* to the session, refreshing its TTL and recency."""
-        if not session_id:
-            return
-        state = self._store.get(session_id)
-        if state is None:
-            state = _SessionState(turns=deque(maxlen=self._turns_per_session))
-        self._store.put(session_id, state)  # re-stamps TTL + recency
-        state.turns.append(turn)

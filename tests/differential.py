@@ -30,9 +30,9 @@ def build(kb, lexicon, shards: int = 1, tracing: bool = True, **kwargs):
     """A ``(system, backend)`` pair over *kb* on *shards* shards.
 
     Keyword arguments naming a ``UniAskConfig`` block (``cache=``,
-    ``agents=``, ``incident=``, …) configure the
-    deployment — an explicit ``cluster=`` wins over *shards*; the rest
-    (``profiling=``, ``capacity=``, ``seed=``, …) go to ``create_backend``.
+    ``incident=``, …) configure the deployment — an explicit ``cluster=``
+    wins over *shards*; the rest (``profiling=``, ``capacity=``,
+    ``seed=``, …) go to ``create_backend``.
     """
     blocks = {name: kwargs.pop(name) for name in _CONFIG_BLOCKS & kwargs.keys()}
     blocks.setdefault("cluster", ClusterConfig(shards=shards))

@@ -18,8 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.agents import orchestrator
-from repro.agents.config import AgentsConfig
 from repro.cache import answer_cache, retrieval_cache
 from repro.cache.config import CacheConfig
 from repro.cluster import planner, replica
@@ -60,10 +58,12 @@ FIELDS = {
     "TelemetryConfig.enabled",
     "TelemetryConfig.audit_path",
     "CacheConfig.enabled",
-    "AgentsConfig.enabled",
     "IncidentConfig.enabled",
     "UniAskConfig.rouge_threshold",
 }
+
+#: The config blocks of ``UniAskConfig``.
+BLOCKS = {"retrieval", "generation", "cluster", "telemetry", "cache", "incident"}
 
 #: ``(owner, field, module, constant, the field's former default)`` of every
 #: field that became a constant; the cache's tier switches became the one
@@ -88,8 +88,6 @@ REMOVED = [
     (ClusterConfig, "vnodes", planner, "VNODES", 64),
     (ClusterConfig, "down_after", replica, "DOWN_AFTER", 3),
     (ClusterConfig, "down_cooldown", replica, "DOWN_COOLDOWN", 30.0),
-    (AgentsConfig, "session_capacity", orchestrator, "SESSION_CAPACITY", 1024),
-    (AgentsConfig, "session_ttl_seconds", orchestrator, "SESSION_TTL_SECONDS", 1800.0),
 ]
 
 
@@ -146,6 +144,15 @@ def test_the_scalar_fields_are_exactly_the_listed_ones():
     assert _scalar_fields(_reachable(UniAskConfig)) == FIELDS
 
 
+def test_the_blocks_are_exactly_the_listed_six():
+    blocks = {
+        field.name
+        for field in dataclasses.fields(UniAskConfig)
+        if field.default_factory is not dataclasses.MISSING
+    }
+    assert blocks == BLOCKS and len(blocks) == 6
+
+
 def test_every_config_field_is_set_by_some_caller():
     classes = _reachable(UniAskConfig)
     set_by_callers = _fields_set_by_callers(classes)
@@ -192,3 +199,12 @@ def test_the_autoscale_block_is_gone():
         UniAskConfig(autoscale=None)
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.autoscale")
+
+
+def test_the_agents_block_is_gone():
+    """The agent router went with its config block; no alias keeps the
+    package importable."""
+    with pytest.raises(TypeError):
+        UniAskConfig(agents=None)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.agents")

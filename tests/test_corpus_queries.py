@@ -189,58 +189,3 @@ class TestUatDataset:
         others = sum(proximity(q) for q in rest) / len(rest)
         assert selected > others
 
-
-class TestAgenticRoutingDatasets:
-    def test_multi_hop_queries_are_splittable(self, small_kb):
-        from repro.agents.multihop import MultiHopAgent
-        from repro.corpus.queries import KIND_MULTI_HOP, generate_multi_hop_queries
-
-        queries = generate_multi_hop_queries(small_kb, count=15, seed=7)
-        agent = MultiHopAgent()
-        assert len(queries) == 15
-        for query in queries:
-            assert query.kind == KIND_MULTI_HOP
-            assert query.relevant_docs
-            decomposition = agent.decompose(query.text)
-            assert len(decomposition.hops) == 2
-            assert decomposition.rule == "differenza_tra"
-
-    def test_multi_hop_truth_spans_both_topics(self, small_kb):
-        from repro.corpus.queries import generate_multi_hop_queries
-
-        query = generate_multi_hop_queries(small_kb, count=1, seed=7)[0]
-        single_topic = max(
-            len(docs) for docs in small_kb.docs_by_topic.values()
-        )
-        assert len(query.relevant_docs) > 1
-        assert len(query.relevant_docs) <= 2 * single_topic
-
-    def test_conversational_queries_have_no_ground_truth(self):
-        from repro.corpus.queries import (
-            KIND_CONVERSATIONAL,
-            generate_conversational_queries,
-        )
-
-        queries = generate_conversational_queries(count=12, seed=7)
-        assert len(queries) == 12
-        for query in queries:
-            assert query.kind == KIND_CONVERSATIONAL
-            assert query.relevant_docs == frozenset()
-
-    def test_follow_up_dialogues_share_topic_truth(self, small_kb):
-        from repro.corpus.queries import KIND_FOLLOW_UP, generate_follow_up_dialogues
-
-        dialogues = generate_follow_up_dialogues(small_kb, count=8, seed=7)
-        assert len(dialogues) == 8
-        for dialogue in dialogues:
-            assert dialogue.follow_up.kind == KIND_FOLLOW_UP
-            assert dialogue.setup.relevant_docs == dialogue.follow_up.relevant_docs
-            assert dialogue.setup.topic_id == dialogue.follow_up.topic_id
-            assert len(dialogue.follow_up.text.split()) <= 12
-
-    def test_generators_are_deterministic(self, small_kb):
-        from repro.corpus.queries import generate_multi_hop_queries
-
-        first = generate_multi_hop_queries(small_kb, count=5, seed=7)
-        second = generate_multi_hop_queries(small_kb, count=5, seed=7)
-        assert [q.text for q in first] == [q.text for q in second]

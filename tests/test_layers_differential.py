@@ -1,7 +1,7 @@
 """The layer contract, held once for every layer.
 
-Every subsystem added since the seed — answer cache, agents, incident
-forensics, profiling + capacity — is off by default
+Every subsystem added since the seed — answer cache, incident forensics,
+profiling + capacity — is off by default
 and byte-identical when off.  One parametrised case holds the "default
 equals explicit off" half for each layer, plain and sharded; one case
 builds the deployment nobody else does — **every layer on at once** — and
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.agents.config import AgentsConfig
 from repro.cache.config import CacheConfig
 from repro.obs.incident import IncidentConfig
 from repro.service.alerting import Alert
@@ -23,14 +22,12 @@ from tests.differential import QUESTIONS, build, serve_surface
 #: What "explicitly off" means for each layer, as ``build`` keywords.
 LAYERS_OFF = {
     "cache": {"cache": CacheConfig(enabled=False)},
-    "agents": {"agents": AgentsConfig(enabled=False)},
     "incident": {"incident": IncidentConfig(enabled=False)},
     "profiling": {"profiling": False, "capacity": False},
 }
 
 EVERY_LAYER_ON = {
     "cache": CacheConfig(enabled=True),
-    "agents": AgentsConfig(enabled=True),
     "incident": IncidentConfig(enabled=True),
     "profiling": True,
     "capacity": True,
@@ -60,7 +57,6 @@ def test_every_layer_on_composes(tiny_kb, banking_lexicon):
         record = backend.serve(token, question)
         full = record.answer
         assert full.cache_hit == ""
-        assert full.route == "lookup"
         assert full.answer_text == plain.answer_text
         assert full.outcome == plain.outcome
         assert full.citations == plain.citations
@@ -74,7 +70,7 @@ def test_every_layer_on_composes(tiny_kb, banking_lexicon):
 
     ops_token = backend.login("ops", role=ROLE_OPS)
     diagnosis = backend.ops("diagnose", ops_token, query_id=record.query_id)
-    assert diagnosis["query_id"] == record.query_id and diagnosis["route"] == "lookup"
+    assert diagnosis["query_id"] == record.query_id
     assert diagnosis["work"] == full.work
 
     page = Alert(rule="slo_latency", severity="critical", message="budget burning")

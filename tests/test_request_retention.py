@@ -180,12 +180,11 @@ class TestReadersSeeWhatServeReturned:
             assert {
                 key: payload[key]
                 for key in (
-                    "query_id", "route", "served_at", "response_time", "outcome",
+                    "query_id", "served_at", "response_time", "outcome",
                     "cache_hit", "partial", "work",
                 )
             } == {
                 "query_id": record.query_id,
-                "route": answer.route or "default",
                 "served_at": record.served_at,
                 "response_time": answer.response_time,
                 "outcome": answer.outcome,

@@ -36,7 +36,7 @@ PINNED = {
     "exposition": "54f9d6645144778d891360c500c425e43a566082df0798d6b85292c443e0fa9b",
     "audit": "a5ca8abf5f28292ede896b86af203aebbec47d712be092a70eaf1843c9b45deb",
     "explain": "d95e7b8be180c341b6274eaced5040718142b4d0a002f1634aeaa59be9cf8c24",
-    "incident": "d65914902fa2aff2140e015b01b032bdd3ac856cda50014854843da884e5555f",
+    "incident": "b87288d553c7674b4a512c6ad4199c4309c9b7d1d957c8c33b9e0fd25524dedd",
 }
 
 #: Served after the generated questions: the first question again (an
