@@ -23,8 +23,8 @@ the two agree to the last bit (DESIGN.md §17).  Vectors are the rows of one
 (``-1`` once removed: the node stays as a route, hnswlib's ``markDelete``).
 A graph of at most :data:`SCAN_BEAMS` beams of rows is searched, and
 inserted into, through one store pass instead of a walk; its rows are linked
-two per add from half that bound on, and all before a search walks.  An adjacency list keeps its distances
-and Algorithm 4's verdicts, so an edge is measured once.
+two per add from half that bound on, all before a search walks.  A neighbour
+list keeps its distances and Algorithm 4's verdicts: an edge is measured once.
 """
 
 from __future__ import annotations
