@@ -17,13 +17,14 @@ field's postings reader; multi-field scoring with per-field boosts (Azure
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs.work import WORK_DOCS_SCORED, WORK_SEGMENTS_TOUCHED
 from repro.search.inverted import InvertedIndex
-from repro.search.kernels import KernelView
+from repro.search.kernels import KernelView, bm25_scores
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ class Bm25Scorer:
     """Scores an analyzed query against one field's postings.
 
     :meth:`score_arrays` ranks: contiguous postings arrays
-    (:mod:`repro.search.kernels`) scored term-at-a-time with vectorized
-    numpy.  :meth:`term_contributions` explains: it re-evaluates the same
+    (:mod:`repro.search.kernels`) of every view scored in one vectorized
+    pass.  :meth:`term_contributions` explains: it re-evaluates the same
     arrays for a handful of already-ranked documents, term by term.
 
     *index* may be a plain :class:`~repro.search.inverted.InvertedIndex`,
@@ -107,42 +108,23 @@ class Bm25Scorer:
     ) -> tuple[np.ndarray, np.ndarray]:
         """BM25 scores of every live document matching a query term.
 
-        Returns parallel ``(doc_ids, scores)`` arrays.  Contributions are
-        accumulated term-at-a-time in analyzed-query order with the
-        reference loop's exact operator sequence (see
-        :mod:`repro.search.kernels`), so the id→score mapping is
+        Returns parallel ``(doc_ids, scores)`` arrays from one
+        :func:`~repro.search.kernels.bm25_scores` pass over every view,
         bit-identical to ``tests/reference_bm25.py``.
 
         *statistics* are :meth:`statistics` of *query_terms* when the
         caller already holds them; the index's statistics are then not
         read.  *work* is an optional :class:`~repro.obs.work.WorkCounters`.
         """
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         views: list[KernelView] = self._index.kernel_views()
-        if not views:
-            return empty
-        if work is not None:
+        if work is not None and views:
             work.add(WORK_SEGMENTS_TOUCHED, len(views))
         if statistics is None:
             statistics = self.statistics(query_terms)
-        k1, b = self._parameters.k1, self._parameters.b
-        id_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
-        scored = 0
-        for view in views:
-            acc, touched = view.kernel.accumulate_bm25(
-                statistics.term_idfs, k1, b, statistics.average_length, work=work
-            )
-            slots = view.live_slots(np.nonzero(touched)[0])
-            if slots.size:
-                scored += int(slots.size)
-                id_parts.append(view.kernel.doc_ids[slots])
-                score_parts.append(acc[slots])
-        if work is not None and scored:
-            work.add(WORK_DOCS_SCORED, scored)
-        if not id_parts:
-            return empty
-        return np.concatenate(id_parts), np.concatenate(score_parts)
+        ids, scores = self._scores(views, statistics.term_idfs, statistics.average_length, work)
+        if work is not None and ids.size:
+            work.add(WORK_DOCS_SCORED, ids.size)
+        return ids, scores
 
     def term_contributions(
         self,
@@ -153,11 +135,10 @@ class Bm25Scorer:
         """Each analyzed term's share of the scores of *doc_ids* (explain).
 
         ``result[doc_id][term]`` is the summed BM25 contribution of *term*
-        to that document, terms keyed in query order of their first match.
-        It reads the arrays :meth:`score_arrays` ranked from and applies
-        :meth:`~repro.search.kernels.KernelPostings.accumulate_bm25`'s
-        operator sequence to the requested (live) documents only; a
-        repeated query term accumulates by repeated addition, so the
+        to that (live) document, terms keyed in query order of their first
+        match.  Each distinct term is scored alone by the pass
+        :meth:`score_arrays` ranks with, once per occurrence in the query,
+        so a repeated term accumulates by repeated addition and the
         per-term values sum to the score up to float reassociation.
         *statistics* as in :meth:`score_arrays`: handed the value the
         ranking was scored with, the explanation cannot disagree with it.
@@ -165,25 +146,17 @@ class Bm25Scorer:
         """
         if statistics is None:
             statistics = self.statistics(query_terms)
-        k1, b = self._parameters.k1, self._parameters.b
-        average_length = statistics.average_length
+        views = self._index.kernel_views()
+        occurrences = Counter(term for term, _ in statistics.term_idfs)
         per_term: dict[int, dict[str, float]] = {}
-        for view in self._index.kernel_views():
-            kernel = view.kernel
-            wanted = np.isin(kernel.doc_ids, doc_ids)
-            if view.live is not None:
-                wanted &= view.live
-            for term, idf in statistics.term_idfs:
-                arrays = kernel.term_arrays(term)
-                if arrays is None:
-                    continue
-                slots, tfs = arrays
-                keep = wanted[slots]
-                slots, tfs = slots[keep], tfs[keep]
-                ratio = kernel.lengths[slots] / average_length
-                length_norm = 1.0 - b + b * ratio
-                contribution = idf * tfs * (k1 + 1.0) / (tfs + k1 * length_norm)
-                for doc_id, value in zip(kernel.doc_ids[slots].tolist(), contribution.tolist()):
-                    breakdown = per_term.setdefault(doc_id, {})
-                    breakdown[term] = breakdown.get(term, 0.0) + value
+        for term, idf in dict(statistics.term_idfs).items():
+            repeats = [(term, idf)] * occurrences[term]
+            ids, scores = self._scores(views, repeats, statistics.average_length)
+            keep = np.isin(ids, doc_ids)
+            for doc_id, value in zip(ids[keep].tolist(), scores[keep].tolist()):
+                per_term.setdefault(doc_id, {})[term] = value
         return per_term
+
+    def _scores(self, views, term_idfs, average_length: float, work=None):
+        k1, b = self._parameters.k1, self._parameters.b
+        return bm25_scores(views, term_idfs, k1, b, average_length, work)

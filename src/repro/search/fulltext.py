@@ -65,18 +65,22 @@ class FullTextSearch:
         """Analyze *query* and read the collection statistics it scores against.
 
         Everything about a request that does not depend on which postings
-        are walked.  :meth:`search` builds one itself; a cluster router
-        takes it once from the global-statistics view of any shard and
-        hands it to every shard's :meth:`search` (all shards share one
-        analyzer and one schema).
+        are walked.  The question is analyzed once: every searchable field
+        shares the store's one analyzer.  :meth:`search` builds a plan
+        itself; a cluster router takes it once from the global-statistics
+        view of any shard and hands it to every shard's :meth:`search` (all
+        shards share one analyzer and one schema).
         """
         plan: TextPlan = {}
+        terms: list[str] | None = None
         for field_name in self._fields:
             inverted = self._index.inverted_index(field_name)
-            terms = inverted.analyze_query(query)
-            if terms:
-                scorer = Bm25Scorer(inverted, self._parameters)
-                plan[field_name] = (terms, scorer.statistics(terms))
+            if terms is None:
+                terms = inverted.analyze_query(query)
+                if not terms:
+                    break
+            scorer = Bm25Scorer(inverted, self._parameters)
+            plan[field_name] = (terms, scorer.statistics(terms))
         return plan
 
     def search(
@@ -98,9 +102,11 @@ class FullTextSearch:
         documents are independent, so late masking changes nothing), which
         keeps the hot loop free of per-document Python calls.
 
-        An explain request (``ctx.explain``) is ranked the same way; it
-        only adds each analyzed term's raw (unweighted) contribution to the
-        components of the selected chunks, keyed ``bm25_<field>:<term>``.
+        Only an explain request (``ctx.explain``) builds provenance: it is
+        ranked the same way, then each selected chunk's components carry
+        its per-field BM25 score (``bm25_<field>``) and each analyzed
+        term's raw (unweighted) contribution (``bm25_<field>:<term>``).  A
+        plain request's chunks carry no components.
         """
         with ctx.span(spans.STAGE_FULLTEXT, n=n) as span:
             field_results: list[
@@ -135,23 +141,21 @@ class FullTextSearch:
                 selected.append((internal, float(combined[internal])))
                 if len(selected) == n:
                     break
-            selected_ids = np.array([internal for internal, _ in selected], dtype=np.int64)
-            chosen = np.zeros(max_internal + 1, dtype=bool)
-            chosen[selected_ids] = True
             per_field: dict[int, dict[str, float]] = {}
-            for field_name, _, ids, scores, scorer in field_results:
-                key = f"bm25_{field_name}"  # one string per field, shared by every breakdown
-                mask = chosen[ids]
-                per_term: dict[int, dict[str, float]] = {}
-                if ctx.explain:
+            if ctx.explain:
+                selected_ids = np.array([internal for internal, _ in selected], dtype=np.int64)
+                chosen = np.zeros(max_internal + 1, dtype=bool)
+                chosen[selected_ids] = True
+                for field_name, _, ids, scores, scorer in field_results:
+                    key = f"bm25_{field_name}"  # one string per field, shared by every breakdown
+                    mask = chosen[ids]
                     terms, statistics = plan[field_name]
                     per_term = scorer.term_contributions(terms, selected_ids, statistics)
-                for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
-                    breakdown = per_field.setdefault(internal, {})
-                    breakdown[key] = score
-                    if per_term:
+                    for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
+                        breakdown = per_field.setdefault(internal, {})
+                        breakdown[key] = score
                         for term, contribution in per_term[internal].items():
-                            breakdown[f"bm25_{field_name}:{term}"] = contribution
+                            breakdown[f"{key}:{term}"] = contribution
             span.set("results", len(selected))
         return [
             RetrievedChunk(

@@ -18,6 +18,7 @@ def reciprocal_rank_fusion(
     rankings: dict[str, list[RetrievedChunk]],
     c: float = DEFAULT_RRF_CONSTANT,
     top_n: int | None = None,
+    explain: bool = False,
 ) -> list[RetrievedChunk]:
     """Fuse named *rankings* into a single ranking by RRF.
 
@@ -26,10 +27,12 @@ def reciprocal_rank_fusion(
             ``"vector_content"``) to an ordered result list.
         c: the RRF smoothing constant (≥ 0; Azure default 60).
         top_n: truncate the fused ranking (None keeps everything).
+        explain: build the fused results' components; without it they
+            carry none.
 
-    The fused :class:`RetrievedChunk` keeps a per-ranking component
-    breakdown (``rrf_<name>``) so downstream stages (the semantic reranker,
-    debugging UIs) can see where a result came from.  Source-leg components
+    With *explain*, the fused :class:`RetrievedChunk` keeps a per-ranking
+    component breakdown (``rrf_<name>``) so the explain report can see
+    where a result came from.  Source-leg components
     (``bm25_*`` per-field/per-term scores, ``cosine_*`` similarities, shard
     attribution) are merged into the fused breakdown too, first-seen wins —
     so explain reports retain full provenance.  Components belonging to a
@@ -51,14 +54,16 @@ def reciprocal_rank_fusion(
             chunk_id = result.record.chunk_id
             contribution = 1.0 / (position + c)
             fused_scores[chunk_id] = fused_scores.get(chunk_id, 0.0) + contribution
+            # Keep the first payload seen; records are identical across rankings.
+            payload.setdefault(chunk_id, result)
+            if not explain:
+                continue
             merged = components.setdefault(chunk_id, {})
             for key, value in result.components.items():
                 if key.startswith("rrf_") or key == "rerank_adjust":
                     continue
                 merged.setdefault(key, value)
             merged[rrf_key] = contribution
-            # Keep the first payload seen; records are identical across rankings.
-            payload.setdefault(chunk_id, result)
 
     ordered = sorted(fused_scores.items(), key=lambda pair: (-pair[1], pair[0]))
     if top_n is not None:
@@ -67,7 +72,7 @@ def reciprocal_rank_fusion(
         RetrievedChunk(
             record=payload[chunk_id].record,
             score=score,
-            components=components[chunk_id],
+            components=components.get(chunk_id, {}),
         )
         for chunk_id, score in ordered
     ]

@@ -182,7 +182,10 @@ class HybridSemanticSearch:
             spans.STAGE_FUSION, sources=len(per_query), multi_query=True
         ) as span:
             fused = reciprocal_rank_fusion(
-                per_query, c=self.config.rrf_c, top_n=self.config.final_n
+                per_query,
+                c=self.config.rrf_c,
+                top_n=self.config.final_n,
+                explain=ctx.explain,
             )
             span.set("results", len(fused))
         return fused
@@ -223,7 +226,9 @@ def fuse_and_rerank(
         sources=len(rankings),
         candidates=sum(len(ranking) for ranking in rankings.values()),
     ) as span:
-        fused = reciprocal_rank_fusion(rankings, c=config.rrf_c, top_n=config.final_n)
+        fused = reciprocal_rank_fusion(
+            rankings, c=config.rrf_c, top_n=config.final_n, explain=ctx.explain
+        )
         span.set("results", len(fused))
     if config.use_reranker and reranker is not None:
         fused = reranker.rerank(query, fused, ctx=ctx)

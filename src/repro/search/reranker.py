@@ -118,21 +118,26 @@ class SemanticReranker:
         """Add the reranker score to each fused result and re-sort.
 
         The input scores are assumed to be RRF sums; the output score is
-        ``rrf + reranker`` per the paper's hybrid ranking definition.  The
-        pre-rerank component breakdown is preserved and the reranker's
-        delta recorded as ``rerank_adjust``, so score provenance survives
-        all the way to the answer layer.
+        ``rrf + reranker`` per the paper's hybrid ranking definition.  On an
+        explain request (``ctx.explain``) the pre-rerank component breakdown
+        is preserved and the reranker's delta recorded as ``rerank_adjust``,
+        so score provenance survives all the way to the answer layer; a
+        plain request's results carry no components.
         """
         with ctx.trace.span(spans.STAGE_RERANK, candidates=len(results)):
-            return self._rerank(query, results)
+            return self._rerank(query, results, ctx.explain)
 
-    def _rerank(self, query: str, results: list[RetrievedChunk]) -> list[RetrievedChunk]:
+    def _rerank(
+        self, query: str, results: list[RetrievedChunk], explain: bool
+    ) -> list[RetrievedChunk]:
         features = self._query_features(query)
         rescored = []
         for result in results:
             reranker_score = self._score(query, features, result.record)
-            components = dict(result.components)
-            components["rerank_adjust"] = reranker_score
+            components = {}
+            if explain:
+                components = dict(result.components)
+                components["rerank_adjust"] = reranker_score
             rescored.append(
                 RetrievedChunk(
                     record=result.record,

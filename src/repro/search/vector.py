@@ -33,7 +33,8 @@ class VectorSearch:
 
         Returns a mapping ``vector_field -> ranking``; similarity is
         ``1 - cosine distance`` so that larger scores are better, consistent
-        with the BM25 ranking direction.
+        with the BM25 ranking direction.  Only an explain request's chunks
+        carry it as a component too (``cosine_<field>``).
         """
         with ctx.trace.span(spans.STAGE_EMBED_QUERY, query_chars=len(query)):
             query_vector = self._index.embedder.embed(query)
@@ -54,7 +55,7 @@ class VectorSearch:
         rankings: dict[str, list[RetrievedChunk]] = {}
         for field_name in self._fields:
             with ctx.span(spans.vector_stage(field_name), k=k) as span:
-                ranking = self._search_field(field_name, query_vector, k, filters, work=ctx.work)
+                ranking = self._search_field(field_name, query_vector, k, filters, ctx)
                 span.set("results", len(ranking))
             rankings[field_name] = ranking
         return rankings
@@ -65,11 +66,11 @@ class VectorSearch:
         query_vector,
         k: int,
         filters: dict[str, str] | None,
-        work=None,
+        ctx: RequestContext,
     ) -> list[RetrievedChunk]:
         # Oversample so that post-hoc filtering can still fill k results.
         fetch = k if not filters else 4 * k
-        hits = self._index.vector_search(field_name, query_vector, fetch, work=work)
+        hits = self._index.vector_search(field_name, query_vector, fetch, work=ctx.work)
         key = f"cosine_{field_name}"
         ranking: list[RetrievedChunk] = []
         for internal, distance in hits:
@@ -80,7 +81,7 @@ class VectorSearch:
                 RetrievedChunk(
                     record=self._index.record(internal),
                     score=similarity,
-                    components={key: similarity},
+                    components={key: similarity} if ctx.explain else {},
                 )
             )
             if len(ranking) >= k:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import ClusterSearcher, ShardedSearchIndex, load_cluster, save_cluster
 from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.obs.trace import RequestContext
 from repro.search.hybrid import HybridSearchConfig
 from repro.search.schema import ChunkRecord
 
@@ -153,8 +154,11 @@ class TestClusterRoundtrip:
         for query in ("policy", "the", "card"):
             assert _searcher(loaded).search(query) == _searcher(index).search(query)
         # The stemmed term matches, the English stop word has no text leg.
-        assert all("rrf_text" in hit.components for hit in _searcher(loaded).search("policy"))
-        assert not any("rrf_text" in hit.components for hit in _searcher(loaded).search("the"))
+        explain = RequestContext(explain=True)
+        hits = _searcher(loaded).search("policy", ctx=explain)
+        assert all("rrf_text" in hit.components for hit in hits)
+        hits = _searcher(loaded).search("the", ctx=explain)
+        assert not any("rrf_text" in hit.components for hit in hits)
 
     def test_load_never_reembeds(self, populated, tmp_path):
         save_cluster(populated, tmp_path / "cluster")

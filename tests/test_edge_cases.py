@@ -9,6 +9,7 @@ import pytest
 from repro.core.answer import ALL_OUTCOMES, AnswerContent, UniAskAnswer
 from repro.htmlproc.parser import parse_html
 from repro.llm.prompts import ContextDocument, build_answer_prompt, render_context_json
+from repro.obs.trace import RequestContext
 from repro.search.fulltext import FullTextSearch, ScoringProfile
 from repro.search.persistence import load_index, save_index
 from repro.search.schema import ChunkRecord
@@ -87,7 +88,8 @@ class TestScoringProfileEdgeCases:
 
     def test_search_fields_subset(self, system):
         title_only = FullTextSearch(system.index, search_fields=("title",))
-        results = title_only.search("carta di credito")
+        results = title_only.search("licenza software", ctx=RequestContext(explain=True))
+        assert results
         for result in results:
             assert "bm25_title" in result.components
             assert "bm25_content" not in result.components

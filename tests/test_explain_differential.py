@@ -16,7 +16,10 @@ strictly additive overlays.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import AskOptions, AskRequest
+from repro.obs.trace import RequestContext
 from repro.service.frontend import render_answer_page
 from tests.differential import QUESTIONS, build, serve_surface
 
@@ -57,3 +60,34 @@ class TestExplainOffByteIdentity:
         assert answer.explain_report is None
         page = render_answer_page(answer)
         assert "rrf_" not in page and "rerank_adjust" not in page
+
+
+def _ranking(results):
+    return [(result.record.chunk_id, result.score.hex()) for result in results]
+
+
+class TestPlainRequestsBuildNoProvenance:
+    """Only an explain request builds score provenance; both rank the same."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_plain_and_explain_rank_alike(self, tiny_kb, banking_lexicon, shards):
+        searcher = build(tiny_kb, banking_lexicon, shards=shards)[0].searcher
+        for question in QUESTIONS:
+            for search in (searcher.search, searcher.search_degraded):
+                plain = search(question, ctx=RequestContext())
+                explained = search(question, ctx=RequestContext(explain=True))
+                assert _ranking(plain) == _ranking(explained), (shards, question)
+                assert all(result.components == {} for result in plain)
+                assert all(result.components for result in explained)
+
+    def test_search_multi(self, tiny_kb, banking_lexicon):
+        searcher = build(tiny_kb, banking_lexicon)[0].searcher
+        queries = [*QUESTIONS[:3], QUESTIONS[0]]
+        plain = searcher.search_multi(queries, ctx=RequestContext())
+        explained = searcher.search_multi(queries, ctx=RequestContext(explain=True))
+        assert plain and _ranking(plain) == _ranking(explained)
+        assert all(result.components == {} for result in plain)
+        assert all(
+            {"rrf_q0", "rrf_q1", "rrf_q2", "rrf_q3"} & result.components.keys()
+            for result in explained
+        )

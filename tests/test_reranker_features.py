@@ -40,6 +40,7 @@ from repro.embeddings.concepts import Concept, ConceptLexicon
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.guardrails.pipeline import GuardrailPipeline
 from repro.guardrails.rouge import RougeGuardrail
+from repro.obs.trace import RequestContext
 from repro.search.index import SearchIndex
 from repro.search.persistence import load_index, save_index
 from repro.search.reading import ChunkReading, read_chunk, unread_chunk
@@ -126,7 +127,7 @@ class TestScoreOracle:
         reranker = SemanticReranker(lexicon)
         candidates = [_result(record) for record in kb_records[:30]]
         for question in questions[:10]:
-            reranked = reranker.rerank(question, candidates)
+            reranked = reranker.rerank(question, candidates, ctx=RequestContext(explain=True))
             assert {r.record.chunk_id: r.components["rerank_adjust"] for r in reranked} == {
                 c.record.chunk_id: naive_score(lexicon, question, c.record) for c in candidates
             }
@@ -200,10 +201,14 @@ class TestFeatureInvalidation:
         system = build_uniask_system(kb.store(), lexicon, seed=2)
         topic = next(iter(kb.topics.values()))
         question = f"Come posso {topic.action.canonical} {topic.entity.canonical}?"
-        before = {r.record.chunk_id: r.components["rerank_adjust"] for r in system.searcher.search(question)}
+        explain = RequestContext(explain=True)
+        before = {
+            r.record.chunk_id: r.components["rerank_adjust"]
+            for r in system.searcher.search(question, ctx=explain)
+        }
 
         lexicon.add(Concept("posso", "posso", (topic.entity.canonical.split()[0],)))
-        after = system.searcher.search(question)
+        after = system.searcher.search(question, ctx=explain)
         assert {r.record.chunk_id: r.components["rerank_adjust"] for r in after} != before
         for result in after:
             assert result.components["rerank_adjust"] == naive_score(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.embeddings.concepts import Concept, ConceptLexicon
 from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.obs.trace import RequestContext
 from repro.search.fulltext import FullTextSearch, ScoringProfile
 from repro.search.hybrid import HybridSearchConfig, HybridSemanticSearch
 from repro.search.index import SearchIndex
@@ -13,6 +14,9 @@ from repro.search.reranker import SemanticReranker
 from repro.search.results import RetrievedChunk, dedupe_by_document
 from repro.search.schema import ChunkRecord
 from repro.search.vector import VectorSearch
+
+#: Score provenance (components) is built for explain requests only.
+EXPLAIN = RequestContext(explain=True)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +60,7 @@ class TestFullTextSearch:
 
     def test_title_boost_profile(self, toy_index):
         boosted = FullTextSearch(toy_index, profile=ScoringProfile.title_boost(50.0))
-        results = boosted.search("attivare carta di credito")
+        results = boosted.search("attivare carta di credito", ctx=EXPLAIN)
         assert results[0].doc_id == "doc-carta-att"
         assert results[0].components["bm25_title"] > 0
 
@@ -67,7 +71,7 @@ class TestFullTextSearch:
         assert FullTextSearch(toy_index).search("il lo la") == []
 
     def test_components_contain_field_scores(self, toy_index):
-        results = FullTextSearch(toy_index).search("bonifico")
+        results = FullTextSearch(toy_index).search("bonifico", ctx=EXPLAIN)
         assert any(key.startswith("bm25_") for key in results[0].components)
 
 
@@ -101,7 +105,7 @@ class TestSemanticReranker:
     def test_rerank_adds_component_and_resorts(self, toy_lexicon, toy_index):
         reranker = SemanticReranker(toy_lexicon, noise=0.0)
         results = FullTextSearch(toy_index).search("attivare carta di credito")
-        reranked = reranker.rerank("attivare carta di credito", results)
+        reranked = reranker.rerank("attivare carta di credito", results, ctx=EXPLAIN)
         assert all("rerank_adjust" in r.components for r in reranked)
         scores = [r.score for r in reranked]
         assert scores == sorted(scores, reverse=True)
@@ -130,13 +134,13 @@ class TestHybridSemanticSearch:
     def test_mode_text_only(self, toy_index, toy_lexicon):
         config = HybridSearchConfig(mode="text", use_reranker=False)
         hybrid = HybridSemanticSearch(toy_index, config=config)
-        results = hybrid.search("bloccare carta di credito")
+        results = hybrid.search("bloccare carta di credito", ctx=EXPLAIN)
         assert results and all("rrf_text" in r.components for r in results)
 
     def test_mode_vector_only(self, toy_index, toy_lexicon):
         config = HybridSearchConfig(mode="vector", use_reranker=False)
         hybrid = HybridSemanticSearch(toy_index, config=config)
-        results = hybrid.search("bloccare carta di credito")
+        results = hybrid.search("bloccare carta di credito", ctx=EXPLAIN)
         assert results and all(
             any(key.startswith("rrf_vector") for key in r.components) for r in results
         )

@@ -32,8 +32,10 @@ class TestRrf:
         assert fused[0].doc_id == "both"
 
     def test_components_recorded(self):
-        fused = reciprocal_rank_fusion({"text": [_chunk("a")], "vector": [_chunk("a")]})
+        rankings = {"text": [_chunk("a")], "vector": [_chunk("a")]}
+        fused = reciprocal_rank_fusion(rankings, explain=True)
         assert set(fused[0].components) == {"rrf_text", "rrf_vector"}
+        assert reciprocal_rank_fusion(rankings)[0].components == {}
 
     def test_top_n_truncation(self):
         ranking = [_chunk(f"d{i}") for i in range(10)]
