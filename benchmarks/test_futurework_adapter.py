@@ -34,7 +34,7 @@ def test_futurework_query_adapter(benchmark, bench_kb, bench_system, human_split
             fused = reciprocal_rank_fusion(
                 {f"v_{name}": ranking for name, ranking in rankings.items()}, top_n=50
             )
-            return [result.doc_id for result in dedupe_by_document(fused)]
+            return [result.doc_id for result in dedupe_by_document(fused.fetch())]
 
         return retrieve
 

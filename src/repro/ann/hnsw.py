@@ -23,8 +23,9 @@ the two agree to the last bit (DESIGN.md §17).  Vectors are the rows of one
 (``-1`` once removed: the node stays as a route, hnswlib's ``markDelete``).
 A graph of at most :data:`SCAN_BEAMS` beams of rows is searched, and
 inserted into, through one store pass instead of a walk; its rows are linked
-two per add from half that bound on, all before a search walks.  A neighbour
-list keeps its distances and Algorithm 4's verdicts: an edge is measured once.
+:data:`LATE_LINK_ROWS` per add over the last ``1 / LATE_LINK_ROWS`` of that
+bound, all before a search walks.  A neighbour list keeps its distances and
+Algorithm 4's verdicts: an edge is measured once.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ from repro.obs.work import WORK_ANN_DISTANCE_EVALS
 #: costs less than a walk's per-node distances up to about 50 beams on insert
 #: and 75 on search (DESIGN.md §17), and its candidates are exact.
 SCAN_BEAMS = 32
+
+#: Rows each add links over the last ``1 / LATE_LINK_ROWS`` of the search
+#: bound: the later linking starts, the fewer scan-only graphs are linked; the
+#: more rows an add links, the longer it takes (≤ 0.05 s at 1 386 topics).
+LATE_LINK_ROWS = 8
 
 
 class _Node:
@@ -155,10 +161,10 @@ class HnswIndex:
 
     def add(self, item_id: int, vector: np.ndarray) -> None:
         """Store *vector* under *item_id* (values finite); it is linked into
-        the graph before a search walks it (:meth:`_link_pending`).  From
-        half of :data:`SCAN_BEAMS` beams of ``ef_search`` rows on, each add
-        also links the next two pending rows, so the backlog is empty when
-        the graph reaches the bound and no single add links it all.
+        the graph before a search walks it (:meth:`_link_pending`).  Over
+        the last ``1 / LATE_LINK_ROWS`` of :data:`SCAN_BEAMS` beams of
+        ``ef_search`` rows each add also links that many pending rows, so
+        the backlog is empty at the bound and no single add links it all.
 
         Ids are unique over the life of the graph: one that was removed or
         relabelled away still names its node and cannot be added again.
@@ -182,8 +188,8 @@ class HnswIndex:
             self._ids, self._levels = np.resize(self._ids, grown), np.resize(self._levels, grown)
         self._ids[row], self._levels[row] = item_id, level
         self._nodes[item_id] = _Node(row, store.rows[row], norm, level)
-        if 2 * row >= SCAN_BEAMS * self.ef_search:
-            self._link_pending(2)
+        if LATE_LINK_ROWS * row >= (LATE_LINK_ROWS - 1) * SCAN_BEAMS * self.ef_search:
+            self._link_pending(LATE_LINK_ROWS)
 
     def search(
         self, query: np.ndarray, k: int, ef: int | None = None, work=None
@@ -236,8 +242,8 @@ class HnswIndex:
 
     def _link_pending(self, limit: int | None = None) -> None:
         """Insert the rows not linked yet, at most *limit* of them, in row
-        order: two per :meth:`add` from half of :data:`SCAN_BEAMS` beams of
-        ``ef_search`` on, and all of them before a :meth:`search` walks.  An
+        order: :data:`LATE_LINK_ROWS` per :meth:`add` late in the search
+        bound, and all of them before a :meth:`search` walks.  An
         insert reads no label and not the removed count, so a late link
         builds the graph an insert at each add would have (DESIGN.md §17)."""
         store, ids, levels = self._store, self._ids, self._levels

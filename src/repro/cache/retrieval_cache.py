@@ -3,7 +3,7 @@
 The cluster router fans every query out to all shards; in steady state the
 same handful of questions keeps hitting the same shards, and each leg
 re-runs BM25 plus per-field ANN from scratch.  :class:`ShardRetrievalCache`
-memoizes the **leg results** (text ranking + per-field vector rankings) per
+memoizes the **leg heads** (text ranking + per-field vector rankings) per
 shard, keyed on the raw query and the leg-shaping retrieval parameters.
 
 Invalidation is generational: every :class:`~repro.search.index.SearchIndex`
@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.search.results import RetrievedChunk
+from repro.search.results import Heads
 
 #: Maximum cached retrievals **per shard** (LRU beyond).
 RETRIEVAL_CAPACITY = 2048
@@ -30,7 +30,8 @@ RETRIEVAL_CAPACITY = 2048
 
 @dataclass(frozen=True)
 class CachedLegs:
-    """The memoized scatter-leg results of one query on one shard.
+    """The memoized scatter-leg heads of one query on one shard (None: the
+    mode runs no text leg).
 
     ``generation`` is an opaque invalidation stamp compared with ``!=``: an
     index-wide write counter (text legs, which depend on global BM25
@@ -39,8 +40,8 @@ class CachedLegs:
     which depend only on the shard's own segments).
     """
 
-    text: tuple[RetrievedChunk, ...]
-    vector: tuple[tuple[str, tuple[RetrievedChunk, ...]], ...]
+    text: Heads | None
+    vector: tuple[tuple[str, Heads], ...]
     generation: int | tuple
 
 
@@ -83,20 +84,14 @@ class ShardRetrievalCache:
         A stamp mismatch (the shard was written since) drops the entry and
         counts an invalidation; the caller recomputes and re-stores.
         """
-        entries = self._shards.get(shard_id)
-        if entries is None:
-            self.stats.misses += 1
-            self._m_events.labels("miss").inc()
-            return None
+        entries = self._shards.get(shard_id, {})
         cached = entries.get(key)
-        if cached is None:
-            self.stats.misses += 1
-            self._m_events.labels("miss").inc()
-            return None
-        if cached.generation != generation:
+        if cached is not None and cached.generation != generation:
             del entries[key]
             self.stats.invalidations += 1
             self._m_events.labels("invalidate").inc()
+            cached = None
+        if cached is None:
             self.stats.misses += 1
             self._m_events.labels("miss").inc()
             return None
@@ -110,17 +105,15 @@ class ShardRetrievalCache:
         shard_id: int,
         key: tuple,
         generation: int | tuple,
-        text: list[RetrievedChunk],
-        vector: dict[str, list[RetrievedChunk]],
+        text: Heads | None,
+        vector: dict[str, Heads],
     ) -> None:
-        """Memoize one shard's leg results at the shard's *generation*."""
+        """Memoize one shard's leg heads at the shard's *generation*."""
         entries = self._shards.setdefault(shard_id, OrderedDict())
         if key in entries:
             del entries[key]
         entries[key] = CachedLegs(
-            text=tuple(text),
-            vector=tuple((name, tuple(legs)) for name, legs in vector.items()),
-            generation=generation,
+            text=text, vector=tuple(vector.items()), generation=generation
         )
         while len(entries) > RETRIEVAL_CAPACITY:
             entries.popitem(last=False)

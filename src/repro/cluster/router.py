@@ -20,9 +20,10 @@ the answer and in monitoring.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from repro.cache.key import retrieval_cache_key
 from repro.cache.retrieval_cache import ShardRetrievalCache
@@ -41,7 +42,8 @@ from repro.pipeline.clock import SimulatedClock
 from repro.search.fulltext import FullTextSearch, ScoringProfile, TextPlan
 from repro.search.hybrid import HybridSearchConfig, fuse_and_rerank
 from repro.search.reranker import SemanticReranker
-from repro.search.results import RetrievedChunk
+from repro.search.results import Heads, RetrievedChunk
+from repro.search.schema import ChunkRecord
 from repro.search.vector import VectorSearch
 
 #: Simulated seconds a shard may take before the router gives up on it and
@@ -53,30 +55,41 @@ HEDGE_LATENCY = 0.5 * SHARD_DEADLINE
 
 
 def _ranked(
-    candidates: list[RetrievedChunk], limit: int, ordinal: Callable[[str], int]
-) -> list[RetrievedChunk]:
-    """The top *limit* of *candidates* by ``(-score, ordinal)``; only a
-    chunk whose score is tied has its ordinal looked up."""
-    scores = Counter(result.score for result in candidates)
+    legs: list[tuple[int, Heads]], limit: int, router: ClusterSearcher, explain: bool
+) -> Heads:
+    """The top *limit* of the shard legs' heads — ``(shard position, heads)``
+    in shard order — as cluster keys, by ``(-score, ordinal)``: only a tied
+    score has its ordinal looked up, and full ties keep shard order.  With
+    *explain*, a key's components are its leg's, tagged with its shard."""
+    shard_ids = router.index.shard_ids
+    if not legs:
+        return Heads(np.zeros(0, dtype=np.int64), np.zeros(0), router, ())
+    ids = np.concatenate([heads.ids * len(shard_ids) + position for position, heads in legs])
+    scores = np.concatenate([heads.scores for _, heads in legs])
+    order = np.argsort(-scores, kind="stable")
+    equal = scores[order][1:] == scores[order][:-1]
+    tied = np.append(equal, False) | np.insert(equal, 0, False)
+    if tied.any():
+        ordinals = np.zeros(len(ids), dtype=np.int64)
+        for entry in order[tied].tolist():
+            ordinals[entry] = router.index.ordinal(router.record(int(ids[entry])).chunk_id)
+        order = np.lexsort((ordinals, -scores))
+    order = order[:limit]
+    by_position = dict(legs)
 
-    def key(result: RetrievedChunk) -> tuple[float, int]:
-        tied = scores[result.score] > 1
-        return -result.score, ordinal(result.record.chunk_id) if tied else 0
+    def provenance(keys: list[int]) -> dict[int, dict[str, float]]:
+        asked: dict[int, list[int]] = {}
+        for key in keys:
+            asked.setdefault(key % len(shard_ids), []).append(key)
+        components: dict[int, dict[str, float]] = {}
+        for position, group in asked.items():
+            internals = [key // len(shard_ids) for key in group]
+            inner = by_position[position].explain(internals)
+            for key, internal in zip(group, internals):
+                components[key] = {**inner[internal], "shard": float(shard_ids[position])}
+        return components
 
-    candidates.sort(key=key)
-    return candidates[:limit]
-
-
-def _attribute_shard(results: list[RetrievedChunk], shard_id: int) -> list[RetrievedChunk]:
-    """Tag each leg result with its shard of origin (explain provenance)."""
-    tagged = []
-    for result in results:
-        components = dict(result.components)
-        components["shard"] = float(shard_id)
-        tagged.append(
-            RetrievedChunk(record=result.record, score=result.score, components=components)
-        )
-    return tagged
+    return Heads(ids[order], scores[order], router, explain=provenance if explain else None)
 
 
 @dataclass(frozen=True)
@@ -322,6 +335,11 @@ class ClusterSearcher:
             self.recorder.record("cache_epoch_flip", "router", generation=generation)
         self._last_generation = generation
 
+    def record(self, key: int) -> ChunkRecord:
+        """The record of a cluster key, ``internal × shards + shard position``."""
+        internal, position = divmod(key, len(self.index.shard_ids))
+        return self.index.shard_index(self.index.shard_ids[position]).record(internal)
+
     def replicas(self, shard_id: int) -> list[Replica]:
         """The replica group of *shard_id* (fault injection entry point)."""
         return list(self._groups[shard_id].replicas)
@@ -341,7 +359,7 @@ class ClusterSearcher:
         where) the result is partial.
         """
         rankings, report = self._scatter(query, filters, ctx)
-        results = fuse_and_rerank(query, rankings, self.config, self._reranker, ctx)
+        results = fuse_and_rerank(query, rankings, self.config, self._reranker, ctx).fetch()
         self._last_report = report
         return results
 
@@ -360,7 +378,7 @@ class ClusterSearcher:
         """
         rankings, report = self._scatter(query, filters, ctx, degraded=True)
         self._last_report = report
-        return rankings["text"][: self.config.final_n]
+        return rankings["text"].head(self.config.final_n).fetch()
 
     def _scatter(
         self,
@@ -368,7 +386,7 @@ class ClusterSearcher:
         filters: dict[str, str] | None,
         ctx: RequestContext,
         degraded: bool = False,
-    ) -> tuple[dict[str, list[RetrievedChunk]], ScatterReport]:
+    ) -> tuple[dict[str, Heads], ScatterReport]:
         """The one scatter loop: probe → legs → span annotation → report →
         metrics → gather barrier → merge.
 
@@ -395,18 +413,15 @@ class ClusterSearcher:
             with ctx.trace.span(spans.STAGE_EMBED_QUERY, query_chars=len(query)):
                 query_vector = self.index.embedder.embed(query)
 
-        text_candidates: list[RetrievedChunk] = []
-        vector_candidates: dict[str, list[RetrievedChunk]] = {
+        text_legs: list[tuple[int, Heads]] = []
+        vector_legs: dict[str, list[tuple[int, Heads]]] = {
             name: [] for name in self.index.schema.vector_fields
         }
         cache_key = None
         if self.retrieval_cache is not None and not ctx.explain and not degraded:
-            # Explain requests bypass the retrieval cache: cached legs were
-            # gathered without per-term/per-shard breakdowns, and provenance
-            # must describe *this* scatter, not a stale one.
-            cache_key = retrieval_cache_key(
-                query, filters, mode, config.text_n, config.vector_k
-            )
+            # Explain requests bypass the retrieval cache: cached legs carry
+            # no provenance, and provenance must describe *this* scatter.
+            cache_key = retrieval_cache_key(query, filters, mode, config.text_n, config.vector_k)
         work = ctx.work
         leg_ctx = NULL_CONTEXT
         if ctx.explain or work is not None:
@@ -420,7 +435,7 @@ class ClusterSearcher:
         with ctx.trace.span(
             spans.STAGE_SCATTER, shards=self.index.num_shards, **scatter_attrs
         ) as scatter:
-            for shard_id in self.index.shard_ids:
+            for position, shard_id in enumerate(self.index.shard_ids):
                 probe = self._probe_shard(shard_id, query, turn, now)
                 probes.append(probe)
                 with ctx.span(spans.shard_stage(shard_id)) as span:
@@ -432,10 +447,11 @@ class ClusterSearcher:
                         leg_text, leg_vector, served_from_cache = self._shard_legs(
                             shard_id, cache_key, query, query_vector, filters, leg_ctx, mode, plan
                         )
-                        text_candidates.extend(leg_text)
-                        gathered += len(leg_text)
+                        if leg_text is not None:
+                            text_legs.append((position, leg_text))
+                            gathered += len(leg_text)
                         for field_name, leg in leg_vector:
-                            vector_candidates[field_name].extend(leg)
+                            vector_legs[field_name].append((position, leg))
                             gathered += len(leg)
                     span.annotate(
                         replica=probe.replica_id,
@@ -457,7 +473,13 @@ class ClusterSearcher:
             self._m_partial.inc()
         with ctx.trace.span(spans.STAGE_SCATTER_WAIT, wait=report.max_latency):
             pass
-        return self._merge(text_candidates, vector_candidates, mode), report
+        rankings: dict[str, Heads] = {}
+        if mode in ("hybrid", "text"):
+            rankings["text"] = _ranked(text_legs, config.text_n, self, ctx.explain)
+        if mode in ("hybrid", "vector"):
+            for name, legs in vector_legs.items():
+                rankings[f"vector_{name}"] = _ranked(legs, config.vector_k, self, ctx.explain)
+        return rankings, report
 
     def _shard_legs(
         self,
@@ -470,16 +492,16 @@ class ClusterSearcher:
         mode: str,
         plan: Callable[[], TextPlan],
     ):
-        """The text and vector leg results of one shard, cached when possible.
+        """The text and vector leg heads of one shard, cached when possible.
 
         *plan* returns the request's :meth:`FullTextSearch.plan`; it is
         called only when a text leg is actually scored here.
 
-        With ``leg_ctx.explain`` every gathered chunk is tagged with its
-        shard of origin; with ``leg_ctx.work`` the retrieval-cache consult
-        books one ``retrieval_cache_hits``/``retrieval_cache_misses`` unit.
+        With ``leg_ctx.work`` the retrieval-cache consult books one
+        ``retrieval_cache_hits``/``retrieval_cache_misses`` unit.
 
-        Returns ``(text_leg, [(field, vector_leg), ...], served_from_cache)``.
+        Returns ``(text_leg or None, [(field, vector_leg), ...],
+        served_from_cache)``.
         """
         config = self.config
         work = leg_ctx.work
@@ -487,16 +509,12 @@ class ClusterSearcher:
             generation = self._leg_generation(shard_id)
             cached = self.retrieval_cache.get(shard_id, cache_key, generation)
             if work is not None:
-                work.add(
-                    WORK_RETRIEVAL_CACHE_HITS
-                    if cached is not None
-                    else WORK_RETRIEVAL_CACHE_MISSES
-                )
+                work.add(WORK_RETRIEVAL_CACHE_HITS if cached else WORK_RETRIEVAL_CACHE_MISSES)
             if cached is not None:
                 return cached.text, cached.vector, True
 
-        leg_text: list[RetrievedChunk] = []
-        leg_vector: dict[str, list[RetrievedChunk]] = {}
+        leg_text: Heads | None = None
+        leg_vector: dict[str, Heads] = {}
         if mode in ("hybrid", "text"):
             leg_text = self._fulltext[shard_id].search(
                 query, n=config.text_n, filters=filters, ctx=leg_ctx, plan=plan()
@@ -505,12 +523,6 @@ class ClusterSearcher:
             leg_vector = self._vector[shard_id].search_by_vector(
                 query_vector, k=config.vector_k, filters=filters, ctx=leg_ctx
             )
-        if leg_ctx.explain:
-            leg_text = _attribute_shard(leg_text, shard_id)
-            leg_vector = {
-                field_name: _attribute_shard(leg, shard_id)
-                for field_name, leg in leg_vector.items()
-            }
         if cache_key is not None:
             self.retrieval_cache.put(shard_id, cache_key, generation, leg_text, leg_vector)
         return leg_text, list(leg_vector.items()), False
@@ -539,29 +551,6 @@ class ClusterSearcher:
         self._last_report = None
         return report
 
-    def _merge(
-        self,
-        text_candidates: list[RetrievedChunk],
-        vector_candidates: dict[str, list[RetrievedChunk]],
-        mode: str,
-    ) -> dict[str, list[RetrievedChunk]]:
-        """Merge per-shard leg results into single-index-equivalent rankings.
-
-        Scores are globally comparable (global BM25 statistics, one shared
-        embedding space), so merging is a sort; ties break on the global
-        insertion ordinal, reproducing the single index's internal-id tie
-        order.
-        """
-        config = self.config
-        ordinal = self.index.ordinal
-        rankings: dict[str, list[RetrievedChunk]] = {}
-        if mode in ("hybrid", "text"):
-            rankings["text"] = _ranked(text_candidates, config.text_n, ordinal)
-        if mode in ("hybrid", "vector"):
-            for field_name, candidates in vector_candidates.items():
-                rankings[f"vector_{field_name}"] = _ranked(candidates, config.vector_k, ordinal)
-        return rankings
-
     # -- replica selection -------------------------------------------------
 
     def _probe_shard(self, shard_id: int, query: str, turn: int, now: float) -> ShardProbe:
@@ -577,53 +566,31 @@ class ClusterSearcher:
         replica down for ``DOWN_COOLDOWN`` simulated seconds).
         """
         group = self._groups[shard_id]
-        candidates = [
-            replica
-            for replica in group.rotation(turn)
-            if replica.alive and not replica.marked_down(now)
-        ]
-        if not candidates:
-            return ShardProbe(
-                shard_id=shard_id,
-                replica_id="",
-                latency=SHARD_DEADLINE,
-                ok=False,
-                attempts=0,
-                timed_out=True,
-            )
+        candidates = [r for r in group.rotation(turn) if r.alive and not r.marked_down(now)]
 
+        # A probe is hedged exactly when it made two attempts.
+        def answered(replica: Replica, latency: float, attempts: int = 1) -> ShardProbe:
+            replica.record_success()
+            return ShardProbe(shard_id, replica.replica_id, latency, True, attempts > 1, attempts)
+
+        def missed(attempts: int) -> ShardProbe:
+            return ShardProbe(shard_id, "", SHARD_DEADLINE, False, attempts > 1, attempts, True)
+
+        if not candidates:
+            return missed(0)
         primary = candidates[0]
         primary_latency = primary.service_time(query)
         if primary_latency <= HEDGE_LATENCY:
-            primary.record_success()
-            return ShardProbe(
-                shard_id=shard_id,
-                replica_id=primary.replica_id,
-                latency=primary_latency,
-                ok=True,
-            )
-
-        sibling = candidates[1] if len(candidates) > 1 else None
-        if sibling is None:
+            return answered(primary, primary_latency)
+        if len(candidates) == 1:
             # Nobody to hedge to: the primary either makes the deadline
             # alone or the shard degrades.
             if primary_latency <= SHARD_DEADLINE:
-                primary.record_success()
-                return ShardProbe(
-                    shard_id=shard_id,
-                    replica_id=primary.replica_id,
-                    latency=primary_latency,
-                    ok=True,
-                )
+                return answered(primary, primary_latency)
             primary.record_timeout(now)
-            return ShardProbe(
-                shard_id=shard_id,
-                replica_id="",
-                latency=SHARD_DEADLINE,
-                ok=False,
-                timed_out=True,
-            )
+            return missed(1)
 
+        sibling = candidates[1]
         primary.record_hedge()
         sibling_latency = HEDGE_LATENCY + sibling.service_time(query)
         winner, winner_latency = (
@@ -632,29 +599,14 @@ class ClusterSearcher:
             else (sibling, sibling_latency)
         )
         if winner_latency <= SHARD_DEADLINE:
-            winner.record_success()
+            probe = answered(winner, winner_latency, attempts=2)
             if primary_latency > SHARD_DEADLINE:
                 primary.record_timeout(now)
-            return ShardProbe(
-                shard_id=shard_id,
-                replica_id=winner.replica_id,
-                latency=winner_latency,
-                ok=True,
-                hedged=True,
-                attempts=2,
-            )
+            return probe
         primary.record_timeout(now)
         if sibling_latency > SHARD_DEADLINE:
             sibling.record_timeout(now)
-        return ShardProbe(
-            shard_id=shard_id,
-            replica_id="",
-            latency=SHARD_DEADLINE,
-            ok=False,
-            hedged=True,
-            attempts=2,
-            timed_out=True,
-        )
+        return missed(2)
 
     # -- observability -----------------------------------------------------
 
@@ -665,24 +617,12 @@ class ClusterSearcher:
         shards = []
         for shard_id in self.index.shard_ids:
             shard = self.index.shard_index(shard_id)
-            group = self._groups[shard_id]
-            shards.append(
-                ShardStatus(
-                    shard_id=shard_id,
-                    documents=shard.document_count,
-                    chunks=len(shard),
-                    replicas=tuple(
-                        ReplicaStatus(
-                            replica_id=replica.replica_id,
-                            alive=replica.alive,
-                            slow_factor=replica.slow_factor,
-                            marked_down=replica.marked_down(now),
-                            served=replica.health.served,
-                            timeouts=replica.health.timeouts,
-                            hedges=replica.health.hedges,
-                        )
-                        for replica in group.replicas
-                    ),
+            replicas = tuple(
+                ReplicaStatus(
+                    r.replica_id, r.alive, r.slow_factor, r.marked_down(now),
+                    r.health.served, r.health.timeouts, r.health.hedges,
                 )
+                for r in self._groups[shard_id].replicas
             )
+            shards.append(ShardStatus(shard_id, shard.document_count, len(shard), replicas))
         return ClusterStatus(shards=tuple(shards))

@@ -75,6 +75,8 @@ class ConceptLexicon:
         analyzer: ItalianAnalyzer | None = None,
     ) -> None:
         self._concepts: dict[str, Concept] = {}
+        #: concept_id → insertion position (how the reranker's arrays name it).
+        self.positions: dict[str, int] = {}
         self._stem_to_concepts: dict[str, list[tuple[str, float]]] = {}
         # Surface forms are analyzed without stemming (the stem is applied
         # separately so inflected lookups hit the same key); pass a
@@ -94,6 +96,7 @@ class ConceptLexicon:
         """Register *concept* and index all its surface forms."""
         if concept.concept_id in self._concepts:
             raise ValueError(f"duplicate concept id: {concept.concept_id}")
+        self.positions[concept.concept_id] = len(self._concepts)
         self._concepts[concept.concept_id] = concept
         self._version += 1
         self._word_concepts.clear()  # a tabled stem may gain an entry below
@@ -174,8 +177,11 @@ def accumulate_concepts(
 
 
 def fingerprint_of(weights: dict[str, float]) -> ConceptFingerprint:
-    """The fingerprint of accumulated concept *weights*."""
-    return ConceptFingerprint(weights, sum(w * w for w in weights.values()) ** 0.5)
+    """The fingerprint of accumulated concept *weights* (squares added in order)."""
+    total = 0.0
+    for weight in weights.values():
+        total += weight * weight
+    return ConceptFingerprint(weights, total ** 0.5)
 
 
 @dataclass(frozen=True)
@@ -189,14 +195,17 @@ class ConceptOverlap:
 def fingerprint_cosine(a: ConceptFingerprint, b: ConceptFingerprint) -> float:
     """Cosine of two concept fingerprints; 0.0 when either is empty.
 
-    The dot product is summed in *a*'s first-seen concept order, so the
-    result is the same float in every process (a set intersection would
-    iterate in string-hash order and move the last ulp).
+    The products are added one by one in *a*'s first-seen concept order: the
+    same float under any hash seed (a set would iterate in hash order) and
+    any Python (``sum()`` is compensated from 3.12 on).
     """
     weights_b = b.weights
     if not a.weights or not weights_b:
         return 0.0
-    dot = sum(w * weights_b[cid] for cid, w in a.weights.items() if cid in weights_b)
+    dot = 0.0
+    for cid, w in a.weights.items():
+        if cid in weights_b:
+            dot += w * weights_b[cid]
     return dot / (a.norm * b.norm) if a.norm and b.norm else 0.0
 
 

@@ -107,11 +107,11 @@ class _QuestionReading(NamedTuple):
 @dataclass(slots=True, eq=False)
 class _PassageReading:
     """What reading one context passage derives: its fingerprint and its
-    sentences as ``(text, concept_stream)``; the passage's identifiers and
-    each sentence's are None until an identifier question needs them."""
+    sentences as ``(text, concept_stream, norm)``; the passage's identifiers
+    and each sentence's are None until an identifier question needs them."""
 
     fingerprint: ConceptFingerprint
-    sentences: list[tuple[str, list[tuple[str, float]]]]
+    sentences: list[tuple[str, list[tuple[str, float]], float]]
     identifiers: set[str] | None = None
     sentence_identifiers: list[set[str] | frozenset[str]] | None = None
 
@@ -316,8 +316,9 @@ class SimulatedChatLLM:
         the reading under ``(title, content)`` until the lexicon grows or the
         table is cleared at :data:`PASSAGE_TABLE_CAP`.  The fingerprint adds
         the title's concept stream, then each sentence's: one pass over the
-        passage, as sentences split at whitespace.  Identifiers are tokenised
-        when *identifiers* first asks for them.
+        passage, as sentences split at whitespace; each sentence keeps its
+        fingerprint's norm.  Identifiers are tokenised when *identifiers*
+        first asks for them.
         """
         if self._passages_version != self._lexicon.version:  # the lexicon grew
             self._passages, self._passages_version = {}, self._lexicon.version
@@ -327,16 +328,16 @@ class SimulatedChatLLM:
             weights = accumulate_concepts({}, self._lexicon.concept_stream(title))
             sentences = []
             for text in sentence_split(content):
-                concepts = self._lexicon.concept_stream(text)
-                accumulate_concepts(weights, concepts)
-                sentences.append((text, concepts))
+                stream = self._lexicon.concept_stream(text)
+                accumulate_concepts(weights, stream)
+                sentences.append((text, stream, fingerprint_of(accumulate_concepts({}, stream)).norm))
             passage = _PassageReading(fingerprint_of(weights), sentences)
             if len(self._passages) >= PASSAGE_TABLE_CAP:
                 self._passages.clear()
             self._passages[title, content] = passage
         if identifiers and passage.identifiers is None:
             passage.sentence_identifiers = [
-                _identifier_tokens(text) or _NO_IDENTIFIERS for text, _ in passage.sentences
+                _identifier_tokens(text) or _NO_IDENTIFIERS for text, *_ in passage.sentences
             ]
             passage.identifiers = _identifier_tokens(title).union(*passage.sentence_identifiers)
         return passage
@@ -368,13 +369,15 @@ class SimulatedChatLLM:
     ) -> str:
         """Extract the most question-relevant sentences, citing their sources."""
         candidate_sentences: list[tuple[float, str, str]] = []
+        question = reading.fingerprint.weights
         for relevance, document, passage in supporting[:3]:
             key = document.get("key", "doc1")
             sentence_identifiers = passage.sentence_identifiers or repeat(None)
-            for (text, concepts), identifiers in zip(passage.sentences, sentence_identifiers):
-                sentence_relevance = self._relevance(
-                    reading, fingerprint_of(accumulate_concepts({}, concepts)), identifiers
-                )
+            for (text, concepts, norm), identifiers in zip(passage.sentences, sentence_identifiers):
+                # The question's concepts alone, with the sentence's norm: the same cosine.
+                shared = [entry for entry in concepts if entry[0] in question]
+                fingerprint = ConceptFingerprint(accumulate_concepts({}, shared), norm)
+                sentence_relevance = self._relevance(reading, fingerprint, identifiers)
                 candidate_sentences.append((sentence_relevance + 0.25 * relevance, text, key))
         candidate_sentences.sort(key=lambda triple: -triple[0])
 

@@ -17,7 +17,7 @@ from repro.obs import spans
 from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.bm25 import Bm25Parameters, Bm25Scorer, Bm25Statistics
 from repro.search.index import SearchIndex
-from repro.search.results import RetrievedChunk
+from repro.search.results import Heads
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class FullTextSearch:
         filters: dict[str, str] | None = None,
         ctx: RequestContext = NULL_CONTEXT,
         plan: TextPlan | None = None,
-    ) -> list[RetrievedChunk]:
-        """Top-*n* chunks for *query* by profile-weighted BM25.
+    ) -> Heads:
+        """The top-*n* internal ids for *query* by profile-weighted BM25, as heads.
 
         *plan* is :meth:`plan` of *query* when the caller already holds it.
 
@@ -102,11 +102,10 @@ class FullTextSearch:
         documents are independent, so late masking changes nothing), which
         keeps the hot loop free of per-document Python calls.
 
-        Only an explain request (``ctx.explain``) builds provenance: it is
-        ranked the same way, then each selected chunk's components carry
-        its per-field BM25 score (``bm25_<field>``) and each analyzed
-        term's raw (unweighted) contribution (``bm25_<field>:<term>``).  A
-        plain request's chunks carry no components.
+        Only an explain request (``ctx.explain``) gets provenance: for the
+        ids a fetch asks for, the per-field BM25 score (``bm25_<field>``)
+        and each analyzed term's raw (unweighted) contribution
+        (``bm25_<field>:<term>``).
         """
         with ctx.span(spans.STAGE_FULLTEXT, n=n) as span:
             field_results: list[
@@ -131,37 +130,30 @@ class FullTextSearch:
                 touched[ids] = True
             candidates = np.nonzero(touched)[0]
             ranked = np.lexsort((candidates, -combined[candidates]))
-            selected: list[tuple[int, float]] = []
-            for position in ranked:
-                internal = int(candidates[position])
-                if not self._index.is_live(internal):
-                    continue
-                if not self._index.matches_filters(internal, filters):
-                    continue
-                selected.append((internal, float(combined[internal])))
-                if len(selected) == n:
-                    break
-            per_field: dict[int, dict[str, float]] = {}
-            if ctx.explain:
-                selected_ids = np.array([internal for internal, _ in selected], dtype=np.int64)
-                chosen = np.zeros(max_internal + 1, dtype=bool)
-                chosen[selected_ids] = True
-                for field_name, _, ids, scores, scorer in field_results:
-                    key = f"bm25_{field_name}"  # one string per field, shared by every breakdown
-                    mask = chosen[ids]
-                    terms, statistics = plan[field_name]
-                    per_term = scorer.term_contributions(terms, selected_ids, statistics)
-                    for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
-                        breakdown = per_field.setdefault(internal, {})
-                        breakdown[key] = score
-                        for term, contribution in per_term[internal].items():
-                            breakdown[f"{key}:{term}"] = contribution
+            selected: list[int] = []
+            for internal in map(int, candidates[ranked]):
+                if self._index.is_live(internal) and self._index.matches_filters(internal, filters):
+                    selected.append(internal)
+                    if len(selected) == n:
+                        break
             span.set("results", len(selected))
-        return [
-            RetrievedChunk(
-                record=self._index.record(internal),
-                score=score,
-                components=per_field.get(internal, {}),
-            )
-            for internal, score in selected
-        ]
+        ids = np.array(selected, dtype=np.int64)
+
+        def provenance(keys: list[int]) -> dict[int, dict[str, float]]:
+            asked = np.array(keys, dtype=np.int64)
+            chosen = np.zeros(max_internal + 1, dtype=bool)
+            chosen[asked] = True
+            per_field: dict[int, dict[str, float]] = {key: {} for key in keys}
+            for field_name, _, ids, scores, scorer in field_results:
+                key = f"bm25_{field_name}"  # one string per field, shared by every breakdown
+                mask = chosen[ids]
+                terms, statistics = plan[field_name]
+                per_term = scorer.term_contributions(terms, asked, statistics)
+                for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
+                    breakdown = per_field[internal]
+                    breakdown[key] = score
+                    for term, contribution in per_term[internal].items():
+                        breakdown[f"{key}:{term}"] = contribution
+            return per_field
+
+        return Heads(ids, combined[ids], self._index, explain=provenance if ctx.explain else None)

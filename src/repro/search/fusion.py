@@ -9,70 +9,69 @@ document's fused score is the sum of its contributions across rankings.
 
 from __future__ import annotations
 
-from repro.search.results import RetrievedChunk
+import numpy as np
+
+from repro.search.results import Heads
 
 DEFAULT_RRF_CONSTANT = 60.0
 
 
 def reciprocal_rank_fusion(
-    rankings: dict[str, list[RetrievedChunk]],
+    rankings: dict[str, Heads],
     c: float = DEFAULT_RRF_CONSTANT,
     top_n: int | None = None,
     explain: bool = False,
-) -> list[RetrievedChunk]:
-    """Fuse named *rankings* into a single ranking by RRF.
+) -> Heads:
+    """Fuse named *rankings* (heads over one key space) into one ranking by RRF.
 
     Args:
-        rankings: mapping from a ranking name (e.g. ``"text"``,
-            ``"vector_content"``) to an ordered result list.
+        rankings: ranking name (e.g. ``"text"``, ``"vector_content"``) → ranking.
         c: the RRF smoothing constant (≥ 0; Azure default 60).
         top_n: truncate the fused ranking (None keeps everything).
-        explain: build the fused results' components; without it they
-            carry none.
+        explain: give the fused ranking provenance.
 
-    With *explain*, the fused :class:`RetrievedChunk` keeps a per-ranking
+    Each key's contributions are added in ranking order, starting from
+    0.0; equal fused scores break on the chunk id, so the result carries
+    its records.  With *explain*, a fetched chunk keeps a per-ranking
     component breakdown (``rrf_<name>``) so the explain report can see
-    where a result came from.  Source-leg components
-    (``bm25_*`` per-field/per-term scores, ``cosine_*`` similarities, shard
-    attribution) are merged into the fused breakdown too, first-seen wins —
-    so explain reports retain full provenance.  Components belonging to a
-    *previous* fusion/rerank tier (``rrf_*`` keys of an inner fusion, its
+    where a result came from.  Source-leg components (``bm25_*``
+    per-field/per-term scores, ``cosine_*`` similarities, shard attribution)
+    are merged into the fused breakdown too, first-seen wins — so explain
+    reports retain full provenance.  Components belonging to a *previous*
+    fusion/rerank tier (``rrf_*`` keys of an inner fusion, its
     ``rerank_adjust``) are deliberately dropped: keeping them would make
     "sum of ``rrf_*`` == fused score" ambiguous for nested fusions such as
     multi-query expansion.
     """
     if c < 0:
         raise ValueError("c must be non-negative")
+    source = next(iter(rankings.values())).source if rankings else None
+    fused_scores: dict[int, float] = {}
+    for ranking in rankings.values():
+        for position, key in enumerate(ranking.ids.tolist(), start=1):
+            fused_scores[key] = fused_scores.get(key, 0.0) + 1.0 / (position + c)
+    records = {key: source.record(key) for key in fused_scores}
+    ordered = sorted(fused_scores.items(), key=lambda pair: (-pair[1], records[pair[0]].chunk_id))
+    keys = [key for key, _ in ordered[:top_n]]
 
-    fused_scores: dict[str, float] = {}
-    components: dict[str, dict[str, float]] = {}
-    payload: dict[str, RetrievedChunk] = {}
+    def provenance(asked: list[int]) -> dict[int, dict[str, float]]:
+        components: dict[int, dict[str, float]] = {key: {} for key in asked}
+        for name, ranking in rankings.items():
+            ids = ranking.ids.tolist()
+            positions = {key: at for at, key in enumerate(ids, 1) if key in components}
+            inner = ranking.explain(list(positions)) if ranking.explain and positions else {}
+            for key, position in positions.items():
+                merged = components[key]
+                for component, value in inner.get(key, {}).items():
+                    if not component.startswith("rrf_") and component != "rerank_adjust":
+                        merged.setdefault(component, value)
+                merged[f"rrf_{name}"] = 1.0 / (position + c)
+        return components
 
-    for name, ranking in rankings.items():
-        rrf_key = f"rrf_{name}"
-        for position, result in enumerate(ranking, start=1):
-            chunk_id = result.record.chunk_id
-            contribution = 1.0 / (position + c)
-            fused_scores[chunk_id] = fused_scores.get(chunk_id, 0.0) + contribution
-            # Keep the first payload seen; records are identical across rankings.
-            payload.setdefault(chunk_id, result)
-            if not explain:
-                continue
-            merged = components.setdefault(chunk_id, {})
-            for key, value in result.components.items():
-                if key.startswith("rrf_") or key == "rerank_adjust":
-                    continue
-                merged.setdefault(key, value)
-            merged[rrf_key] = contribution
-
-    ordered = sorted(fused_scores.items(), key=lambda pair: (-pair[1], pair[0]))
-    if top_n is not None:
-        ordered = ordered[:top_n]
-    return [
-        RetrievedChunk(
-            record=payload[chunk_id].record,
-            score=score,
-            components=components.get(chunk_id, {}),
-        )
-        for chunk_id, score in ordered
-    ]
+    return Heads(
+        np.array(keys, dtype=np.int64),
+        np.array([score for _, score in ordered[:top_n]], dtype=np.float64),
+        source,
+        tuple(records[key] for key in keys),
+        provenance if explain else None,
+    )

@@ -25,7 +25,7 @@ from repro.search.fulltext import FullTextSearch, ScoringProfile
 from repro.search.fusion import DEFAULT_RRF_CONSTANT, reciprocal_rank_fusion
 from repro.search.index import SearchIndex
 from repro.search.reranker import SemanticReranker
-from repro.search.results import RetrievedChunk
+from repro.search.results import Heads, RetrievedChunk
 from repro.search.vector import VectorSearch
 
 #: Retrieval modes: production hybrid plus the Table 2 ablations.
@@ -86,10 +86,14 @@ class HybridSemanticSearch:
         ctx: RequestContext = NULL_CONTEXT,
     ) -> list[RetrievedChunk]:
         """Retrieve the final ranking of chunks for *query*."""
+        return self._ranking(query, filters, ctx).fetch()
+
+    def _ranking(self, query: str, filters: dict[str, str] | None, ctx: RequestContext) -> Heads:
+        """:meth:`search`'s final ranking, not fetched."""
         self.index.schema.check_filters(filters)
         config = self.config
         self._m_searches.labels(config.mode).inc()
-        rankings: dict[str, list[RetrievedChunk]] = {}
+        rankings: dict[str, Heads] = {}
 
         if config.mode in ("hybrid", "text"):
             rankings["text"] = self._fulltext.search(
@@ -101,7 +105,7 @@ class HybridSemanticSearch:
             ).items():
                 rankings[f"vector_{field_name}"] = ranking
 
-        return self._retrieve(query, rankings, ctx)
+        return self._fuse_and_rerank(query, rankings, ctx)
 
     def search_degraded(
         self,
@@ -119,10 +123,8 @@ class HybridSemanticSearch:
         """
         self.index.schema.check_filters(filters)
         self._m_searches.labels("degraded").inc()
-        ranking = self._fulltext.search(
-            query, n=self.config.text_n, filters=filters, ctx=ctx
-        )
-        return ranking[: self.config.final_n]
+        ranking = self._fulltext.search(query, n=self.config.text_n, filters=filters, ctx=ctx)
+        return ranking.head(self.config.final_n).fetch()
 
     def search_fused_vector(
         self,
@@ -140,14 +142,14 @@ class HybridSemanticSearch:
         """
         self.index.schema.check_filters(filters)
         config = self.config
-        rankings: dict[str, list[RetrievedChunk]] = {
+        rankings: dict[str, Heads] = {
             "text": self._fulltext.search(query_text, n=config.text_n, filters=filters, ctx=ctx)
         }
         for field_name, ranking in self._vector.search_by_vector(
             query_vector, k=config.vector_k, filters=filters, ctx=ctx
         ).items():
             rankings[f"vector_{field_name}"] = ranking
-        return self._retrieve(query_text, rankings, ctx)
+        return self._fuse_and_rerank(query_text, rankings, ctx).fetch()
 
     def search_multi(
         self,
@@ -157,8 +159,8 @@ class HybridSemanticSearch:
     ) -> list[RetrievedChunk]:
         """Multi-query hybrid search (the MQ1 expansion variant).
 
-        Runs a full hybrid search per query and fuses the per-query result
-        lists with RRF.  Duplicate sub-queries (the LLM frequently
+        Runs a full hybrid search per query and fuses the per-query
+        rankings with RRF.  Duplicate sub-queries (the LLM frequently
         regenerates the original question) reuse the ranking already
         computed for this request instead of re-running retrieval and the
         reranker; the trace records a ``subquery`` span per input with a
@@ -166,39 +168,29 @@ class HybridSemanticSearch:
         """
         if not queries:
             return []
-        trace = ctx.trace
+        trace, config = ctx.trace, self.config
         filter_key = tuple(sorted(filters.items())) if filters else None
-        cached_rankings: dict[tuple, list[RetrievedChunk]] = {}
-        per_query: dict[str, list[RetrievedChunk]] = {}
+        cached_rankings: dict[tuple, Heads] = {}
+        per_query: dict[str, Heads] = {}
         for i, query in enumerate(queries):
             key = (query, filter_key)
             cached = key in cached_rankings
             with trace.span(spans.STAGE_SUBQUERY, index=i, cached=cached) as span:
                 if not cached:
-                    cached_rankings[key] = self.search(query, filters=filters, ctx=ctx)
+                    cached_rankings[key] = self._ranking(query, filters, ctx)
                 span.set("results", len(cached_rankings[key]))
             per_query[f"q{i}"] = cached_rankings[key]
         with trace.span(
             spans.STAGE_FUSION, sources=len(per_query), multi_query=True
         ) as span:
-            fused = reciprocal_rank_fusion(
-                per_query,
-                c=self.config.rrf_c,
-                top_n=self.config.final_n,
-                explain=ctx.explain,
-            )
+            fused = reciprocal_rank_fusion(per_query, config.rrf_c, config.final_n, ctx.explain)
             span.set("results", len(fused))
-        return fused
+        return fused.fetch()
 
-    def _retrieve(
-        self,
-        rerank_query: str,
-        rankings: dict[str, list[RetrievedChunk]],
-        ctx: RequestContext,
-    ) -> list[RetrievedChunk]:
+    def _fuse_and_rerank(self, query: str, rankings: dict[str, Heads], ctx) -> Heads:
         """Observe the fusion input, then run the shared tail."""
         self._m_fused.observe(float(sum(len(ranking) for ranking in rankings.values())))
-        return fuse_and_rerank(rerank_query, rankings, self.config, self._reranker, ctx)
+        return fuse_and_rerank(query, rankings, self.config, self._reranker, ctx)
 
     # -- the searcher contract, single-index half (see ClusterSearcher) ------
 
@@ -211,25 +203,21 @@ class HybridSemanticSearch:
 
 def fuse_and_rerank(
     query: str,
-    rankings: dict[str, list[RetrievedChunk]],
+    rankings: dict[str, Heads],
     config: HybridSearchConfig,
     reranker: SemanticReranker | None,
     ctx: RequestContext,
-) -> list[RetrievedChunk]:
+) -> Heads:
     """The fuse → rerank → truncate tail of every hybrid retrieval.
 
     A function, not a base-class method: both searchers end here and
-    neither inherits ``search`` from the other.
+    neither inherits ``search`` from the other.  The result is the final
+    ranking, not yet fetched.
     """
-    with ctx.trace.span(
-        spans.STAGE_FUSION,
-        sources=len(rankings),
-        candidates=sum(len(ranking) for ranking in rankings.values()),
-    ) as span:
-        fused = reciprocal_rank_fusion(
-            rankings, c=config.rrf_c, top_n=config.final_n, explain=ctx.explain
-        )
+    candidates = sum(len(ranking) for ranking in rankings.values())
+    with ctx.trace.span(spans.STAGE_FUSION, sources=len(rankings), candidates=candidates) as span:
+        fused = reciprocal_rank_fusion(rankings, config.rrf_c, config.final_n, ctx.explain)
         span.set("results", len(fused))
     if config.use_reranker and reranker is not None:
         fused = reranker.rerank(query, fused, ctx=ctx)
-    return fused[: config.final_n]
+    return fused.head(config.final_n)

@@ -5,11 +5,11 @@ compares the answer with each context chunk; both need facts about the
 chunk that change only when its text does.  :func:`read_chunk` derives them
 — :meth:`SearchIndex.add_chunk <repro.search.index.SearchIndex.add_chunk>`
 calls it when the chunk is written — and memoises the result *on the
-record*, so the reading travels wherever the record does (shard merge,
-retrieval cache, :class:`~repro.search.results.RetrievedChunk`) and dies
-with it.  It is not a dataclass field (``ChunkRecord._reading``): ``==``,
-``hash``, ``dataclasses.asdict`` and ``dataclasses.replace`` never see it,
-so an edited copy of a record starts unread.
+record*, so the reading travels wherever the record does (into every
+fetched :class:`~repro.search.results.RetrievedChunk`) and dies with it.  It
+is not a dataclass field (``ChunkRecord._reading``): ``==``, ``hash``,
+``dataclasses.asdict`` and ``replace`` never see it, so an edited copy of a
+record starts unread.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon
+import numpy as np
+
+from repro.embeddings.concepts import ConceptLexicon, fingerprint_of
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 from repro.text.similarity import rouge_tokens
@@ -29,18 +31,24 @@ from repro.text.tokenizer import count_tokens
 class ChunkReading:
     """What scoring needs of one chunk version.
 
-    The meaning half (fingerprints and distinct terms) is current for the
+    The meaning half (concept weights and distinct terms) is current for the
     ``lexicon`` at ``version`` and the ``analyzer`` it was read under;
     ``rouge_tokens`` and ``token_count`` depend on the content alone and are
     filled on first use, because only the few chunks that reach an LLM
     context need them.
+    The reranker's concept weights are two aligned arrays — lexicon
+    positions and weights — of the title's fingerprint (the first
+    ``title_concepts`` entries), then the content's, and each part's norm.
     """
 
     lexicon: ConceptLexicon | None = None  # None: no meaning read yet
     version: int = -1
     analyzer: ItalianAnalyzer = FULL_ANALYZER
-    title_fingerprint: ConceptFingerprint | None = None
-    content_fingerprint: ConceptFingerprint | None = None
+    concepts: np.ndarray | None = None  # int32
+    weights: np.ndarray | None = None  # float64
+    title_concepts: int = 0
+    title_norm: float = 0.0
+    content_norm: float = 0.0
     content_terms: dict[str, None] | None = None  # keys: distinct, first-seen order
     rouge_tokens: list[str] | None = None
     token_count: int | None = None
@@ -77,8 +85,12 @@ def read_chunk(
         return reading
     if content_terms is None:
         content_terms = analyzer.analyze(record.content)
-    reading.title_fingerprint = lexicon.fingerprint(record.title)
-    reading.content_fingerprint = lexicon.fingerprint(record.content)
+    title = lexicon.concepts_in_text(record.title)
+    content = lexicon.concepts_in_text(record.content)
+    reading.concepts = np.array([lexicon.positions[c] for c in (*title, *content)], dtype=np.int32)
+    reading.weights = np.array([*title.values(), *content.values()], dtype=np.float64)
+    reading.title_concepts, reading.title_norm = len(title), fingerprint_of(title).norm
+    reading.content_norm = fingerprint_of(content).norm
     # The distinct terms as the keys of a dict: an insertion-ordered set at
     # 18-38 bytes a term where a set's hash table takes 35-100, probed by the
     # few query terms (``query_terms & terms.keys()``).  Interned, so chunks

@@ -19,33 +19,51 @@ states.
 Each text is analyzed once: the query's fingerprint and term set once per
 :meth:`SemanticReranker.rerank`, a chunk's once per chunk *version* — its
 reading (:mod:`repro.search.reading`) is made when the chunk is written and
-rides on the record, so the reranker analyzes no chunk text at all.
+rides on the record, so no chunk text is analyzed; one array pass scores all.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import Sequence
 
-from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon, fingerprint_cosine
+import numpy as np
+
+from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon
 from repro.obs import spans
 from repro.obs.trace import NULL_CONTEXT, RequestContext
-from repro.search.reading import read_chunk
-from repro.search.results import RetrievedChunk
+from repro.search.reading import ChunkReading, read_chunk
+from repro.search.results import Heads, RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 
 
-def _hash_noise(query: str, chunk_id: str) -> float:
-    """Deterministic pseudo-noise in [-1, 1) keyed on the (query, chunk) pair."""
-    digest = hashlib.blake2b(f"{query}\x00{chunk_id}".encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2**63 - 1.0
-
-
-@dataclass(frozen=True, slots=True)
-class _QueryFeatures:
-    fingerprint: ConceptFingerprint
-    terms: set[str]
+def _agreements(
+    lexicon: ConceptLexicon, query: ConceptFingerprint, readings: list[ChunkReading]
+) -> np.ndarray:
+    """``fingerprint_cosine`` of *query* with each reading's title (row
+    ``2i``) and content (row ``2i + 1``), its additions in its order: one
+    column per query concept, where a text without it adds +0.0."""
+    rows = 2 * len(readings)
+    cosines, dot = np.zeros(rows), np.zeros(rows)
+    if not query.weights or not rows:
+        return cosines
+    lengths, norms = [], []
+    for reading in readings:
+        lengths += (reading.title_concepts, len(reading.concepts) - reading.title_concepts)
+        norms += (reading.title_norm, reading.content_norm)
+    concepts = np.concatenate([reading.concepts for reading in readings])
+    weights = np.concatenate([reading.weights for reading in readings])
+    column_of = np.full(len(lexicon), -1, dtype=np.intp)
+    column_of[[lexicon.positions[cid] for cid in query.weights]] = np.arange(len(query.weights))
+    columns = column_of[concepts]
+    shared = np.flatnonzero(columns >= 0)
+    matrix = np.zeros((len(query.weights), rows))  # a text without a concept: weight 0.0
+    matrix[columns[shared], np.repeat(np.arange(rows), lengths)[shared]] = weights[shared]
+    for weight, column in zip(query.weights.values(), matrix):
+        dot += weight * column
+    norms = np.array(norms)  # the query's is not 0: its weights are positive
+    return np.divide(dot, query.norm * norms, out=cosines, where=norms != 0.0)
 
 
 class SemanticReranker:
@@ -86,64 +104,61 @@ class SemanticReranker:
 
     def score(self, query: str, result: RetrievedChunk) -> float:
         """Semantic relevance of *result* to *query* in [0, max_score]."""
-        return self._score(query, self._query_features(query), result.record)
+        return float(self._scores(query, [result.record])[0])
 
-    def _score(self, query: str, features: _QueryFeatures, record: ChunkRecord) -> float:
-        chunk = read_chunk(record, self._lexicon, self._analyzer)
-        title_agreement = fingerprint_cosine(features.fingerprint, chunk.title_fingerprint)
-        content_agreement = fingerprint_cosine(features.fingerprint, chunk.content_fingerprint)
-        if features.terms:
-            lexical = len(features.terms & chunk.content_terms.keys()) / len(features.terms)
-        else:
-            lexical = 0.0
+    def _scores(self, query: str, records: Sequence[ChunkRecord]) -> np.ndarray:
+        """Each record's score: the formula's blend, clamp (``max``/``min``'s
+        pick: a bound only when strictly beyond) and noise, elementwise."""
+        lexicon, analyzer = self._lexicon, self._analyzer
+        readings = [read_chunk(record, lexicon, analyzer) for record in records]
+        agreements = _agreements(lexicon, lexicon.fingerprint(query), readings)
+        terms = analyzer.analyze_unique(query)  # no terms: every share is 0 / 1
+        shared = [len(terms & reading.content_terms.keys()) for reading in readings]
+        lexical = np.array(shared, dtype=np.float64) / max(len(terms), 1)
         blended = (
-            self._title_weight * title_agreement
-            + self._content_weight * content_agreement
+            self._title_weight * agreements[0::2]
+            + self._content_weight * agreements[1::2]
             + self._lexical_weight * lexical
         )
-        score = self._max_score * min(max(blended, 0.0), 1.0)
-        return max(0.0, score + self._noise * _hash_noise(query, record.chunk_id))
-
-    def _query_features(self, query: str) -> _QueryFeatures:
-        return _QueryFeatures(
-            self._lexicon.fingerprint(query), self._analyzer.analyze_unique(query)
-        )
+        blended = np.where(0.0 > blended, 0.0, blended)
+        score = self._max_score * np.where(1.0 < blended, 1.0, blended)
+        # blake2b of "query\0chunk_id": the query's prefix, copied per chunk.
+        prefix = hashlib.blake2b(f"{query}\x00".encode("utf-8"), digest_size=8)
+        noise = []
+        for record in records:
+            digest = prefix.copy()
+            digest.update(record.chunk_id.encode("utf-8"))
+            noise.append(int.from_bytes(digest.digest(), "little") / 2**63 - 1.0)
+        score = score + self._noise * np.array(noise, dtype=np.float64)
+        return np.where(score > 0.0, score, 0.0)
 
     def rerank(
         self,
         query: str,
-        results: list[RetrievedChunk],
+        candidates: Heads,
         ctx: RequestContext = NULL_CONTEXT,
-    ) -> list[RetrievedChunk]:
-        """Add the reranker score to each fused result and re-sort.
+    ) -> Heads:
+        """Add the reranker score to each fused candidate and re-sort.
 
         The input scores are assumed to be RRF sums; the output score is
-        ``rrf + reranker`` per the paper's hybrid ranking definition.  On an
-        explain request (``ctx.explain``) the pre-rerank component breakdown
-        is preserved and the reranker's delta recorded as ``rerank_adjust``,
-        so score provenance survives all the way to the answer layer; a
-        plain request's results carry no components.
+        ``rrf + reranker`` per the paper's hybrid ranking definition, ties
+        broken on the chunk id.  On an explain request (``ctx.explain``)
+        the fetch keeps the pre-rerank components and records the
+        reranker's delta as ``rerank_adjust``.
         """
-        with ctx.trace.span(spans.STAGE_RERANK, candidates=len(results)):
-            return self._rerank(query, results, ctx.explain)
+        with ctx.trace.span(spans.STAGE_RERANK, candidates=len(candidates)):
+            records = candidates.chunk_records()
+            adjust = self._scores(query, records)
+            final = candidates.scores + adjust
+            scores = final.tolist()
+            order = sorted(range(len(records)), key=lambda i: (-scores[i], records[i].chunk_id))
+        explain, inner = None, candidates.explain
+        if ctx.explain:
+            adjust_of = dict(zip(candidates.ids.tolist(), adjust.tolist()))
 
-    def _rerank(
-        self, query: str, results: list[RetrievedChunk], explain: bool
-    ) -> list[RetrievedChunk]:
-        features = self._query_features(query)
-        rescored = []
-        for result in results:
-            reranker_score = self._score(query, features, result.record)
-            components = {}
-            if explain:
-                components = dict(result.components)
-                components["rerank_adjust"] = reranker_score
-            rescored.append(
-                RetrievedChunk(
-                    record=result.record,
-                    score=result.score + reranker_score,
-                    components=components,
-                )
-            )
-        rescored.sort(key=lambda r: (-r.score, r.record.chunk_id))
-        return rescored
+            def explain(keys: list[int]) -> dict[int, dict[str, float]]:
+                components = inner(keys) if inner else dict.fromkeys(keys, {})
+                return {key: {**components[key], "rerank_adjust": adjust_of[key]} for key in keys}
+
+        records = tuple(records[i] for i in order)
+        return Heads(candidates.ids[order], final[order], candidates.source, records, explain)

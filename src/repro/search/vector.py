@@ -9,10 +9,12 @@ AI Search's multi-vector hybrid behaviour.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.obs import spans
 from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.index import SearchIndex
-from repro.search.results import RetrievedChunk
+from repro.search.results import Heads
 
 
 class VectorSearch:
@@ -28,13 +30,13 @@ class VectorSearch:
         k: int = 15,
         filters: dict[str, str] | None = None,
         ctx: RequestContext = NULL_CONTEXT,
-    ) -> dict[str, list[RetrievedChunk]]:
-        """Per-field rankings of the *k* nearest chunks to *query*.
+    ) -> dict[str, Heads]:
+        """Per-field rankings (heads) of the *k* nearest chunks to *query*.
 
         Returns a mapping ``vector_field -> ranking``; similarity is
         ``1 - cosine distance`` so that larger scores are better, consistent
-        with the BM25 ranking direction.  Only an explain request's chunks
-        carry it as a component too (``cosine_<field>``).
+        with the BM25 ranking direction.  Only an explain request's fetch
+        gets it as a component too (``cosine_<field>``).
         """
         with ctx.trace.span(spans.STAGE_EMBED_QUERY, query_chars=len(query)):
             query_vector = self._index.embedder.embed(query)
@@ -46,13 +48,13 @@ class VectorSearch:
         k: int = 15,
         filters: dict[str, str] | None = None,
         ctx: RequestContext = NULL_CONTEXT,
-    ) -> dict[str, list[RetrievedChunk]]:
+    ) -> dict[str, Heads]:
         """Same as :meth:`search` but with a pre-computed query embedding.
 
         Used by the MQ2 query-expansion variant (Table 3), which averages
         the embeddings of several generated queries.
         """
-        rankings: dict[str, list[RetrievedChunk]] = {}
+        rankings: dict[str, Heads] = {}
         for field_name in self._fields:
             with ctx.span(spans.vector_stage(field_name), k=k) as span:
                 ranking = self._search_field(field_name, query_vector, k, filters, ctx)
@@ -67,23 +69,22 @@ class VectorSearch:
         k: int,
         filters: dict[str, str] | None,
         ctx: RequestContext,
-    ) -> list[RetrievedChunk]:
+    ) -> Heads:
         # Oversample so that post-hoc filtering can still fill k results.
         fetch = k if not filters else 4 * k
         hits = self._index.vector_search(field_name, query_vector, fetch, work=ctx.work)
-        key = f"cosine_{field_name}"
-        ranking: list[RetrievedChunk] = []
+        ids: list[int] = []
+        similarities: list[float] = []
         for internal, distance in hits:
-            if not self._index.matches_filters(internal, filters):
-                continue
-            similarity = 1.0 - distance
-            ranking.append(
-                RetrievedChunk(
-                    record=self._index.record(internal),
-                    score=similarity,
-                    components={key: similarity} if ctx.explain else {},
-                )
-            )
-            if len(ranking) >= k:
-                break
-        return ranking
+            if self._index.matches_filters(internal, filters):
+                ids.append(internal)
+                similarities.append(1.0 - distance)
+                if len(ids) >= k:
+                    break
+
+        def provenance(keys: list[int]) -> dict[int, dict[str, float]]:
+            key, by_id = f"cosine_{field_name}", dict(zip(ids, similarities))
+            return {internal: {key: by_id[internal]} for internal in keys}
+
+        ids_array, explain = np.array(ids, dtype=np.int64), provenance if ctx.explain else None
+        return Heads(ids_array, np.array(similarities), self._index, None, explain)

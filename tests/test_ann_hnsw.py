@@ -8,7 +8,7 @@ import pytest
 from repro.ann.exact import ExactKnnIndex
 from repro.ann import store as store_module
 from repro.ann.distance import ZERO_NORM
-from repro.ann.hnsw import SCAN_BEAMS, HnswIndex
+from repro.ann.hnsw import LATE_LINK_ROWS, SCAN_BEAMS, HnswIndex
 from repro.obs.work import WORK_ANN_DISTANCE_EVALS, WorkCounters
 from tests import reference_hnsw as reference_module
 
@@ -316,28 +316,30 @@ class TestHnswWork:
         index.search(vectors[2], 9, ef=9)
         assert passes == [300] and index._linked == 301
 
-    def test_adds_link_two_rows_each_from_half_the_bound(self):
-        """No add below half of ``SCAN_BEAMS`` beams of ``ef_search`` rows
-        links a row, none from there on links more than two, and the graph
-        is linked when it reaches the bound; a narrower beam's search still
-        links every pending row before it walks."""
-        beam = 4
+    def test_adds_link_late_link_rows_each_late_in_the_bound(self):
+        """No add below ``1 - 1 / LATE_LINK_ROWS`` of ``SCAN_BEAMS`` beams of
+        ``ef_search`` rows links a row, none from there on links more than
+        ``LATE_LINK_ROWS``, and the graph is linked when it reaches the
+        bound; a narrower beam's search still links every pending row
+        before it walks."""
+        beam, rows = 4, LATE_LINK_ROWS
         bound = SCAN_BEAMS * beam
+        start = (rows - 1) * bound // rows
         vectors = _unit_rows(bound + 40, 8, seed=16)
         index = HnswIndex(dim=8, m=4, ef_construction=8, ef_search=beam, seed=3)
         for row, vector in enumerate(vectors):
             before = index._linked
             index.add(row, vector)
             linked = index._linked - before
-            assert linked == 0 if 2 * row < bound else linked <= 2, row
+            assert linked == 0 if row < start else linked <= rows, row
             if row + 1 >= bound:
                 assert index._linked == row + 1, row
 
         narrow = HnswIndex(dim=8, m=4, ef_construction=8, ef_search=beam, seed=3)
-        for row, vector in enumerate(vectors[: bound // 2 + 10]):
+        for row, vector in enumerate(vectors[: start + 2]):
             narrow.add(row, vector)
-        assert narrow._linked == 2 * 10
-        narrow.search(vectors[0], 1, ef=1)  # 74 rows > SCAN_BEAMS beams of 1: walks
+        assert narrow._linked == 2 * rows
+        narrow.search(vectors[0], 1, ef=1)  # start + 2 rows > SCAN_BEAMS beams of 1: walks
         assert narrow._linked == len(narrow)
 
     def test_removed_nodes_cost_a_walk_through_not_an_over_fetch(self):

@@ -239,10 +239,10 @@ class TestSingleIndexEquivalence:
             fulltext = FullTextSearch(view)
             for query in human_queries[:4]:
                 for ctx in (RequestContext(), RequestContext(explain=True)):
-                    own = fulltext.search(query.text, ctx=ctx)
+                    own = fulltext.search(query.text, ctx=ctx).fetch()
                     handed = fulltext.search(
                         query.text, ctx=ctx, plan=FullTextSearch(view).plan(query.text)
-                    )
+                    ).fetch()
                     assert own
                     assert [
                         (r.record.chunk_id, r.score.hex(), list(r.components.items()))

@@ -84,11 +84,11 @@ class TestScoringProfileEdgeCases:
 
     def test_zero_weight_silences_field(self, system):
         silenced = FullTextSearch(system.index, profile=ScoringProfile(weights={"title": 0.0, "summary": 0.0, "content": 0.0}))
-        assert silenced.search("carta di credito") == []
+        assert silenced.search("carta di credito").fetch() == []
 
     def test_search_fields_subset(self, system):
         title_only = FullTextSearch(system.index, search_fields=("title",))
-        results = title_only.search("licenza software", ctx=RequestContext(explain=True))
+        results = title_only.search("licenza software", ctx=RequestContext(explain=True)).fetch()
         assert results
         for result in results:
             assert "bm25_title" in result.components

@@ -145,8 +145,8 @@ class TestExplainBitExactness:
         titles = [system.index.record(i).title for i in system.index.live_internals()[::6]]
         hits = 0
         for question in (*QUESTIONS, *titles):
-            served = search.search(question, n=20)
-            explained = search.search(question, n=20, ctx=RequestContext(explain=True))
+            served = search.search(question, n=20).fetch()
+            explained = search.search(question, n=20, ctx=RequestContext(explain=True)).fetch()
             hits += len(served)
             assert [(c.record.chunk_id, c.score) for c in explained] == [
                 (c.record.chunk_id, c.score) for c in served

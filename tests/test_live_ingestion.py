@@ -72,7 +72,7 @@ class TestDirectWrites:
 
         index.add_chunk(_record("fresh", "sblocco immediato della carta smarrita"))
         search = FullTextSearch(index)
-        assert "fresh" in _doc_ids(search.search("sblocco carta smarrita", n=5))
+        assert "fresh" in _doc_ids(search.search("sblocco carta smarrita", n=5).fetch())
         # Visibility came from the write buffer alone: every sealed
         # segment's (id, epoch) component is untouched, nothing rebuilt.
         assert index.segment_count == segments_before
@@ -86,7 +86,7 @@ class TestDirectWrites:
         assert index.segment_count == 1
         index.add_chunk(_record("a", "nuova procedura aggiornata per il bonifico"))
         search = FullTextSearch(index)
-        hits = search.search("procedura bonifico", n=5)
+        hits = search.search("procedura bonifico", n=5).fetch()
         contents = {r.record.content for r in hits if r.record.doc_id == "a"}
         assert contents == {"nuova procedura aggiornata per il bonifico"}
 
@@ -96,13 +96,13 @@ class TestDirectWrites:
             index.add_chunk(_record(f"d{i}", f"istruzioni per il prelievo {i}"))
         assert index.segment_count == 2
         search = FullTextSearch(index)
-        assert "d1" in _doc_ids(search.search("istruzioni prelievo", n=10))
+        assert "d1" in _doc_ids(search.search("istruzioni prelievo", n=10).fetch())
 
         index.delete_document("d1")
         # Still two segments, tombstone not yet reclaimed — but invisible.
         assert index.segment_count == 2
         assert index.tombstone_ratio > 0.0
-        assert "d1" not in _doc_ids(search.search("istruzioni prelievo", n=10))
+        assert "d1" not in _doc_ids(search.search("istruzioni prelievo", n=10).fetch())
 
 
 class TestPipelineFreshness:
@@ -137,7 +137,7 @@ class TestPipelineFreshness:
         report = ingestion.poll_now()
         assert report.upserts == 1
         indexing.drain()
-        assert "p9" in _doc_ids(search.search("commissione bonifico estero", n=5))
+        assert "p9" in _doc_ids(search.search("commissione bonifico estero", n=5).fetch())
 
     def test_kb_delete_reaches_queries_in_one_cycle(self, build_index):
         store, _, clock, index, ingestion, indexing = self._wire(build_index)
@@ -146,14 +146,14 @@ class TestPipelineFreshness:
         ingestion.poll_now()
         indexing.drain()
         search = FullTextSearch(index)
-        assert "p1" in _doc_ids(search.search("limiti prelievo bancomat", n=5))
+        assert "p1" in _doc_ids(search.search("limiti prelievo bancomat", n=5).fetch())
 
         clock.advance(60.0)
         store.delete("p1", deleted_at=clock.now())
         report = ingestion.poll_now()
         assert report.deletes == 1
         indexing.drain()
-        assert "p1" not in _doc_ids(search.search("limiti prelievo bancomat", n=5))
+        assert "p1" not in _doc_ids(search.search("limiti prelievo bancomat", n=5).fetch())
 
     def test_drain_runs_clocked_maintenance(self, build_index):
         store, _, clock, index, ingestion, indexing = self._wire(build_index)

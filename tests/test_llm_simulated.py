@@ -375,10 +375,11 @@ class TestSinglePassReader:
             assert relevance.hex() == reference._passage_relevance(
                 reading, f"{title} {content}"
             ).hex()
-            assert [text for text, _ in passage.sentences] == sentence_split(content)
+            assert [text for text, *_ in passage.sentences] == sentence_split(content)
             sentence_identifiers = passage.sentence_identifiers or [None] * len(passage.sentences)
-            for (text, concepts), identifiers in zip(passage.sentences, sentence_identifiers):
+            for (text, concepts, norm), identifiers in zip(passage.sentences, sentence_identifiers):
                 fingerprint = fingerprint_of(accumulate_concepts({}, concepts))
+                assert fingerprint.norm == norm
                 assert llm._relevance(reading, fingerprint, identifiers).hex() == (
                     reference._passage_relevance(reading, text).hex()
                 )

@@ -10,10 +10,9 @@ from repro.ann.exact import ExactKnnIndex
 from repro.ann.hnsw import HnswIndex
 from repro.eval.metrics import hit_rate_at, precision_at, recall_at, reciprocal_rank
 from repro.search.fusion import reciprocal_rank_fusion
-from repro.search.results import RetrievedChunk
-from repro.search.schema import ChunkRecord
 from repro.text.similarity import lcs_length, rouge_l
 from repro.text.tokenizer import TokenCounter, word_tokenize
+from tests.reference_pipeline import RecordList
 
 # -- strategies ----------------------------------------------------------------
 
@@ -105,20 +104,11 @@ class TestMetricProperties:
 # -- fusion -------------------------------------------------------------------------
 
 
-def _ranking(names: list[str]) -> list[RetrievedChunk]:
-    return [
-        RetrievedChunk(
-            record=ChunkRecord(chunk_id=f"{n}#0", doc_id=n, title=n, content=n), score=1.0
-        )
-        for n in names
-    ]
-
-
 class TestFusionProperties:
     @given(st.lists(st.text(alphabet="xyzw", min_size=1, max_size=4), unique=True, max_size=12))
     @settings(max_examples=60)
     def test_single_ranking_identity_order(self, names):
-        fused = reciprocal_rank_fusion({"only": _ranking(names)})
+        fused = reciprocal_rank_fusion({"only": RecordList().heads(names)}).fetch()
         assert [r.doc_id for r in fused] == names
 
     @given(
@@ -127,7 +117,8 @@ class TestFusionProperties:
     )
     @settings(max_examples=60)
     def test_fused_scores_descending_and_complete(self, a, b):
-        fused = reciprocal_rank_fusion({"a": _ranking(a), "b": _ranking(b)})
+        space = RecordList()
+        fused = reciprocal_rank_fusion({"a": space.heads(a), "b": space.heads(b)}).fetch()
         scores = [r.score for r in fused]
         assert scores == sorted(scores, reverse=True)
         assert {r.doc_id for r in fused} == set(a) | set(b)

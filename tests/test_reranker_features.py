@@ -19,6 +19,7 @@ tests pin the three things that design must not break:
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -27,6 +28,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,8 +46,8 @@ from repro.obs.trace import RequestContext
 from repro.search.index import SearchIndex
 from repro.search.persistence import load_index, save_index
 from repro.search.reading import ChunkReading, read_chunk, unread_chunk
-from repro.search.reranker import SemanticReranker, _hash_noise
-from repro.search.results import RetrievedChunk
+from repro.search.reranker import SemanticReranker
+from repro.search.results import Heads, RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER
 from repro.text.similarity import rouge_l_score
@@ -56,6 +58,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # The constructor defaults of SemanticReranker, restated so the oracle does
 # not read them back from the object under test.
 MAX_SCORE, TITLE_W, CONTENT_W, LEXICAL_W, NOISE = 4.0, 0.35, 0.45, 0.30, 0.35
+
+
+def _hash_noise(query: str, chunk_id: str) -> float:
+    """Deterministic pseudo-noise in [-1, 1) keyed on the (query, chunk) pair."""
+    digest = hashlib.blake2b(f"{query}\x00{chunk_id}".encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") / 2**63 - 1.0
 
 
 def _naive_cosine(lexicon: ConceptLexicon, a: str, b: str) -> float:
@@ -94,6 +102,12 @@ def _result(record: ChunkRecord) -> RetrievedChunk:
     return RetrievedChunk(record=record, score=0.0)
 
 
+def _candidates(records: list[ChunkRecord]) -> Heads:
+    """*records* as a fused ranking of zero scores, already fetched."""
+    n = len(records)
+    return Heads(np.arange(n, dtype=np.int64), np.zeros(n), None, tuple(records))
+
+
 @pytest.fixture(scope="module")
 def kb_records(system) -> list[ChunkRecord]:
     return [system.index.record(internal) for internal in system.index.live_internals()]
@@ -125,11 +139,11 @@ class TestScoreOracle:
 
     def test_rerank_adds_the_same_scores_score_returns(self, lexicon, kb_records, questions):
         reranker = SemanticReranker(lexicon)
-        candidates = [_result(record) for record in kb_records[:30]]
+        candidates = _candidates(kb_records[:30])
         for question in questions[:10]:
             reranked = reranker.rerank(question, candidates, ctx=RequestContext(explain=True))
-            assert {r.record.chunk_id: r.components["rerank_adjust"] for r in reranked} == {
-                c.record.chunk_id: naive_score(lexicon, question, c.record) for c in candidates
+            assert {r.record.chunk_id: r.components["rerank_adjust"] for r in reranked.fetch()} == {
+                record.chunk_id: naive_score(lexicon, question, record) for record in kb_records[:30]
             }
 
     @pytest.mark.parametrize(

@@ -50,17 +50,17 @@ def toy_index(toy_lexicon) -> SearchIndex:
 
 class TestFullTextSearch:
     def test_exact_terms_rank_target_first(self, toy_index):
-        results = FullTextSearch(toy_index).search("bloccare carta di credito")
+        results = FullTextSearch(toy_index).search("bloccare carta di credito").fetch()
         assert results[0].doc_id == "doc-carta"
 
     def test_synonym_query_misses_lexically(self, toy_index):
         """Text search alone cannot bridge the synonym gap (Table 2's point)."""
-        results = FullTextSearch(toy_index).search("sospendere la carta revolving")
+        results = FullTextSearch(toy_index).search("sospendere la carta revolving").fetch()
         assert not results or results[0].doc_id != "doc-carta"
 
     def test_title_boost_profile(self, toy_index):
         boosted = FullTextSearch(toy_index, profile=ScoringProfile.title_boost(50.0))
-        results = boosted.search("attivare carta di credito", ctx=EXPLAIN)
+        results = boosted.search("attivare carta di credito", ctx=EXPLAIN).fetch()
         assert results[0].doc_id == "doc-carta-att"
         assert results[0].components["bm25_title"] > 0
 
@@ -68,10 +68,10 @@ class TestFullTextSearch:
         assert len(FullTextSearch(toy_index).search("attivare", n=1)) == 1
 
     def test_empty_query(self, toy_index):
-        assert FullTextSearch(toy_index).search("il lo la") == []
+        assert FullTextSearch(toy_index).search("il lo la").fetch() == []
 
     def test_components_contain_field_scores(self, toy_index):
-        results = FullTextSearch(toy_index).search("bonifico", ctx=EXPLAIN)
+        results = FullTextSearch(toy_index).search("bonifico", ctx=EXPLAIN).fetch()
         assert any(key.startswith("bm25_") for key in results[0].components)
 
 
@@ -84,19 +84,19 @@ class TestVectorSearch:
     def test_synonym_query_finds_target(self, toy_index):
         """Vector search bridges the synonym gap text search cannot."""
         rankings = VectorSearch(toy_index).search("sospendere la carta revolving", k=2)
-        top_docs = {ranking[0].doc_id for ranking in rankings.values() if ranking}
+        top_docs = {ranking.fetch()[0].doc_id for ranking in rankings.values() if len(ranking)}
         assert "doc-carta" in top_docs
 
     def test_scores_descending(self, toy_index):
         for ranking in VectorSearch(toy_index).search("attivare token", k=4).values():
-            scores = [r.score for r in ranking]
+            scores = ranking.scores.tolist()
             assert scores == sorted(scores, reverse=True)
 
 
 class TestSemanticReranker:
     def test_relevant_chunk_scores_higher(self, toy_index, toy_lexicon):
         reranker = SemanticReranker(toy_lexicon, noise=0.0)
-        results = FullTextSearch(toy_index).search("attivare bonifico")
+        results = FullTextSearch(toy_index).search("attivare bonifico").fetch()
         relevant = next(r for r in results if r.doc_id == "doc-bonifico")
         scores = {r.doc_id: reranker.score("attivare bonifico", r) for r in results}
         assert scores["doc-bonifico"] == max(scores.values())
@@ -105,14 +105,14 @@ class TestSemanticReranker:
     def test_rerank_adds_component_and_resorts(self, toy_lexicon, toy_index):
         reranker = SemanticReranker(toy_lexicon, noise=0.0)
         results = FullTextSearch(toy_index).search("attivare carta di credito")
-        reranked = reranker.rerank("attivare carta di credito", results, ctx=EXPLAIN)
+        reranked = reranker.rerank("attivare carta di credito", results, ctx=EXPLAIN).fetch()
         assert all("rerank_adjust" in r.components for r in reranked)
         scores = [r.score for r in reranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_noise_is_deterministic(self, toy_lexicon, toy_index):
         reranker = SemanticReranker(toy_lexicon, noise=0.5)
-        results = FullTextSearch(toy_index).search("bonifico")
+        results = FullTextSearch(toy_index).search("bonifico").fetch()
         a = reranker.score("bonifico", results[0])
         b = reranker.score("bonifico", results[0])
         assert a == b

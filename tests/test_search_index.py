@@ -242,7 +242,7 @@ class TestReads:
     def test_deleted_chunks_not_in_fulltext(self, index):
         index.add_chunks([_record("a"), _record("b")])
         index.delete_document("a")
-        hits = FullTextSearch(index).search("contenuto documento")
+        hits = FullTextSearch(index).search("contenuto documento").fetch()
         assert {hit.record.doc_id for hit in hits} == {"b"}
 
     def test_deleted_chunks_not_in_vector_results(self, index):

@@ -107,7 +107,7 @@ def build_search_index(seed: int, docs: int = 80) -> SearchIndex:
 
 
 def ranking(search: FullTextSearch, query: str, n: int, explain: bool = False):
-    hits = search.search(query, n=n, ctx=RequestContext(explain=explain))
+    hits = search.search(query, n=n, ctx=RequestContext(explain=explain)).fetch()
     return [(hit.record.chunk_id, hit.score) for hit in hits]
 
 
@@ -129,8 +129,8 @@ class TestTopN:
 
     def test_nonpositive_n(self):
         search = FullTextSearch(build_search_index(seed=1, docs=5))
-        assert search.search("carta", n=0) == []
-        assert search.search("carta", n=-1) == []
+        assert search.search("carta", n=0).fetch() == []
+        assert search.search("carta", n=-1).fetch() == []
 
     def test_custom_parameters(self):
         index = build_search_index(seed=17)
@@ -264,7 +264,9 @@ def served_explain(search_indexes, query: str):
     """The same mapping from explain requests against each index or shard view."""
     served = {}
     for search_index in search_indexes:
-        hits = FullTextSearch(search_index).search(query, n=1000, ctx=RequestContext(explain=True))
+        hits = FullTextSearch(search_index).search(
+            query, n=1000, ctx=RequestContext(explain=True)
+        ).fetch()
         for hit in hits:
             assert hit.record.chunk_id not in served
             served[hit.record.chunk_id] = (

@@ -71,7 +71,7 @@ class TestPersistence:
     def test_fulltext_works_after_reload(self, populated, embedder, tmp_path):
         save_index(populated, tmp_path / "idx")
         loaded = load_index(tmp_path / "idx", embedder, seed=9)
-        results = FullTextSearch(loaded).search("quadratura cassa")
+        results = FullTextSearch(loaded).search("quadratura cassa").fetch()
         assert results and results[0].doc_id == "c"
 
     def test_save_drops_tombstones(self, populated, embedder, tmp_path):
@@ -367,7 +367,10 @@ class TestAnalyzerRoundTrip:
         content = index.inverted_index("content")
         return {
             word: (
-                [(hit.record.chunk_id, hit.score) for hit in FullTextSearch(index).search(word)],
+                [
+                    (hit.record.chunk_id, hit.score)
+                    for hit in FullTextSearch(index).search(word).fetch()
+                ],
                 [content.document_frequency(term) for term in content.analyze_query(word)],
             )
             for word in TestAnalyzerRoundTrip.WORDS

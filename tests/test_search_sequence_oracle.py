@@ -113,10 +113,10 @@ def test_served_ranking_equals_rebuilt_reference_after_every_step(sequence):
             now = apply(index, live, step, now)
         plains = rebuild(index, live)
         for query in QUERIES:
-            served = search.search(query, n=TOP_N)
+            served = search.search(query, n=TOP_N).fetch()
             got = [(live[c.record.chunk_id], c.score.hex()) for c in served]
             assert got == reference_ranking(plains, query), (step, query)
-            explained = search.search(query, n=TOP_N, ctx=RequestContext(explain=True))
+            explained = search.search(query, n=TOP_N, ctx=RequestContext(explain=True)).fetch()
             assert [(live[c.record.chunk_id], c.score.hex()) for c in explained] == got
 
 
