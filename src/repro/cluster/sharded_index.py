@@ -111,6 +111,7 @@ class _ShardSearchView:
         self._shard = cluster.shard_index(shard_id)
         self.schema = self._shard.schema
         self.embedder = self._shard.embedder
+        self.record = self._shard.record  # a shard leg's heads resolve on the shard
 
     def inverted_index(self, field_name: str) -> _GlobalStatsInverted:
         return _GlobalStatsInverted(
@@ -122,9 +123,6 @@ class _ShardSearchView:
 
     def matches_filters(self, internal: int, filters: dict[str, str] | None) -> bool:
         return self._shard.matches_filters(internal, filters)
-
-    def record(self, internal: int) -> ChunkRecord:
-        return self._shard.record(internal)
 
 
 class ShardedSearchIndex:
