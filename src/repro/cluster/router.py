@@ -58,23 +58,19 @@ def _ranked(
     legs: list[tuple[int, Heads]], limit: int, router: ClusterSearcher, explain: bool
 ) -> Heads:
     """The top *limit* of the shard legs' heads — ``(shard position, heads)``
-    in shard order — as cluster keys, by ``(-score, ordinal)``: only a tied
-    score has its ordinal looked up, and full ties keep shard order.  With
+    in shard order — as cluster keys, by ``(-score, ordinal)``: one gather
+    of each leg's stored ordinals and one sort, no record looked up.  With
     *explain*, a key's components are its leg's, tagged with its shard."""
-    shard_ids = router.index.shard_ids
+    index = router.index
+    shard_ids = index.shard_ids
     if not legs:
         return Heads(np.zeros(0, dtype=np.int64), np.zeros(0), router, ())
     ids = np.concatenate([heads.ids * len(shard_ids) + position for position, heads in legs])
     scores = np.concatenate([heads.scores for _, heads in legs])
-    order = np.argsort(-scores, kind="stable")
-    equal = scores[order][1:] == scores[order][:-1]
-    tied = np.append(equal, False) | np.insert(equal, 0, False)
-    if tied.any():
-        ordinals = np.zeros(len(ids), dtype=np.int64)
-        for entry in order[tied].tolist():
-            ordinals[entry] = router.index.ordinal(router.record(int(ids[entry])).chunk_id)
-        order = np.lexsort((ordinals, -scores))
-    order = order[:limit]
+    ordinals = np.concatenate(
+        [index.shard_ordinals[shard_ids[position]][heads.ids] for position, heads in legs]
+    )
+    order = np.lexsort((ordinals, -scores))[:limit]
     by_position = dict(legs)
 
     def provenance(keys: list[int]) -> dict[int, dict[str, float]]:

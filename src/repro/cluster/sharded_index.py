@@ -26,9 +26,10 @@ Two pieces make scatter-gather retrieval rank *exactly* like one big index:
   where the single index would put it.  Across shards the facade assigns
   every chunk a monotonically increasing *ordinal* at ``add_chunk`` time —
   a chunk that ``replace_document`` leaves alone keeps its ordinal as it
-  keeps its internal id, a chunk it rewrites gets a fresh one — and the
-  router merges per-shard rankings with ``(-score, ordinal)``, reading it
-  through :meth:`ShardedSearchIndex.ordinal`.
+  keeps its internal id, a chunk it rewrites gets a fresh one.  Each
+  shard's ordinals are an int64 array indexed by internal id
+  (:attr:`ShardedSearchIndex.shard_ordinals`), so the router merges
+  per-shard rankings with ``(-score, ordinal)`` by one gather per leg.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class _GlobalStatsInverted:
     """One shard's postings scored against cluster-wide BM25 statistics.
 
     Postings arrays and query analysis are local to the shard;
-    ``len()``, ``document_frequency`` and ``average_length`` aggregate over
+    ``len()``, ``document_frequencies`` and ``average_length`` aggregate over
     every shard, which is exactly the split a distributed BM25 needs: term
     walks stay shard-local, collection statistics are global.
     """
@@ -71,8 +72,9 @@ class _GlobalStatsInverted:
     def __len__(self) -> int:
         return sum(len(index) for index in self._field_indexes())
 
-    def document_frequency(self, term: str) -> int:
-        return sum(index.document_frequency(term) for index in self._field_indexes())
+    def document_frequencies(self, terms: list[str]) -> list[int]:
+        per_shard = [index.document_frequencies(terms) for index in self._field_indexes()]
+        return [sum(dfs) for dfs in zip(*per_shard)]
 
     @property
     def average_length(self) -> float:
@@ -91,7 +93,7 @@ class _GlobalStatsInverted:
         """The shard-local kernel views.
 
         Postings arrays stay shard-local while the scorer reads ``len()``
-        / ``document_frequency`` / ``average_length`` from this wrapper,
+        / ``document_frequencies`` / ``average_length`` from this wrapper,
         i.e. globally — so kernel scores are bit-identical to single-index
         scores here too.
         """
@@ -112,17 +114,13 @@ class _ShardSearchView:
         self.schema = self._shard.schema
         self.embedder = self._shard.embedder
         self.record = self._shard.record  # a shard leg's heads resolve on the shard
+        self.live_mask = self._shard.live_mask
+        self.matches_filters = self._shard.matches_filters
 
     def inverted_index(self, field_name: str) -> _GlobalStatsInverted:
         return _GlobalStatsInverted(
             self._cluster, field_name, self._shard.inverted_index(field_name)
         )
-
-    def is_live(self, internal: int) -> bool:
-        return self._shard.is_live(internal)
-
-    def matches_filters(self, internal: int, filters: dict[str, str] | None) -> bool:
-        return self._shard.matches_filters(internal, filters)
 
 
 class ShardedSearchIndex:
@@ -178,8 +176,9 @@ class ShardedSearchIndex:
             raise ValueError("shard_indexes must be keyed 0..n-1")
         self._shards = dict(shard_indexes)
 
-        #: ``chunk_id -> ordinal`` of exactly the live chunks.
-        self._ordinals: dict[str, int] = {}
+        #: ``shard_id -> global insertion ordinals`` by the shard's internal
+        #: id (an entry is meaningful while its chunk is live).
+        self.shard_ordinals = {shard_id: np.zeros(0, dtype=np.int64) for shard_id in self._shards}
         self._next_ordinal = 0
         self._generation = 0
 
@@ -250,9 +249,9 @@ class ShardedSearchIndex:
         stamps a fresh one, mirroring the fresh internal id a single index
         would assign).
         """
-        shard = self._shards[self._planner.assign(record.doc_id)]
-        internal = shard.add_chunk(record, vectors=vectors)
-        self._stamp(record.chunk_id)
+        shard_id = self._planner.assign(record.doc_id)
+        internal = self._shards[shard_id].add_chunk(record, vectors=vectors)
+        self._stamp(shard_id, internal)
         self._generation += 1
         return internal
 
@@ -268,27 +267,19 @@ class ShardedSearchIndex:
         a replace that changed nothing leaves the :attr:`generation` alone.
         Returns the shard-local internal ids written.
         """
-        records = list(records)
-        shard = self._shards[self._planner.assign(doc_id)]
+        shard_id = self._planner.assign(doc_id)
+        shard = self._shards[shard_id]
         before = shard.generation
-        previous = shard.chunk_ids(doc_id)
         written = shard.replace_document(doc_id, records)
-        kept = {record.chunk_id for record in records}
-        for chunk_id in previous:
-            if chunk_id not in kept:
-                self._ordinals.pop(chunk_id, None)
         for internal in written:
-            self._stamp(shard.record(internal).chunk_id)
+            self._stamp(shard_id, internal)
         if shard.generation != before:
             self._generation += 1
         return written
 
     def delete_document(self, doc_id: str) -> int:
         """Tombstone every chunk of *doc_id* on its shard."""
-        shard = self._shards[self._planner.assign(doc_id)]
-        for chunk_id in shard.chunk_ids(doc_id):
-            self._ordinals.pop(chunk_id, None)
-        removed = shard.delete_document(doc_id)
+        removed = self._shards[self._planner.assign(doc_id)].delete_document(doc_id)
         if removed:
             self._generation += 1
         return removed
@@ -326,18 +317,26 @@ class ShardedSearchIndex:
 
     # -- global ordering ---------------------------------------------------
 
-    def _stamp(self, chunk_id: str) -> None:
-        """Give the chunk just written as *chunk_id* the next ordinal."""
-        self._ordinals[chunk_id] = self._next_ordinal
+    def _stamp(self, shard_id: int, internal: int) -> None:
+        """Give *shard_id*'s chunk just written as *internal* the next ordinal."""
+        ordinals = self.shard_ordinals[shard_id]
+        if internal >= ordinals.size:
+            grown = np.concatenate([ordinals, np.zeros(internal + 1, dtype=np.int64)])
+            ordinals = self.shard_ordinals[shard_id] = grown
+        ordinals[internal] = self._next_ordinal
         self._next_ordinal += 1
 
     def ordinal(self, chunk_id: str) -> int:
-        """Global insertion ordinal of live chunk *chunk_id*."""
-        return self._ordinals[chunk_id]
+        """Global insertion ordinal of live chunk *chunk_id* (by a scan)."""
+        return self.live_ordinals()[chunk_id]
 
     def live_ordinals(self) -> dict[str, int]:
-        """``chunk_id -> ordinal`` for every live chunk (persistence)."""
-        return dict(self._ordinals)
+        """``chunk_id -> ordinal`` for every live chunk, in ordinal order."""
+        pairs = sorted(
+            (int(self.shard_ordinals[shard_id][i]), shard.record(i).chunk_id)
+            for shard_id, shard in self._shards.items() for i in shard.live_internals()
+        )
+        return {chunk_id: ordinal for ordinal, chunk_id in pairs}
 
     @property
     def next_ordinal(self) -> int:
@@ -347,5 +346,8 @@ class ShardedSearchIndex:
     def restore_ordinals(self, ordinals: dict[str, int], next_ordinal: int) -> None:
         """Adopt *ordinals*, which name every live chunk, and *next_ordinal*
         (the persistence load path, which checks them first)."""
-        self._ordinals = dict(ordinals)
+        for shard_id, shard in self._shards.items():
+            internals = shard.live_internals()
+            restored = self.shard_ordinals[shard_id] = np.zeros(len(shard.live_mask()), np.int64)
+            restored[internals] = [ordinals[shard.record(i).chunk_id] for i in internals]
         self._next_ordinal = next_ordinal

@@ -14,9 +14,9 @@ short window proves it is still happening (so the alert resolves quickly
 once the system recovers).  The default window pairs are the SRE-workbook
 values (5 m/1 h at 14.4× critical, 30 m/6 h at 6× warning).
 
-Events are ``(timestamp, good)`` samples; the service layer adapts its
-query log (availability: not failed; latency: served under the objective
-threshold; guardrail rate: answer not invalidated) in
+Events are timestamps with parallel bad flags; the service layer classifies
+its query log (availability: not failed; latency: served under the
+objective threshold; guardrail rate: answer not invalidated) in
 :mod:`repro.service.alerting`.
 
 The one alert vocabulary lives here too — :class:`Alert` and the two
@@ -28,8 +28,10 @@ threshold rules (:mod:`repro.service.alerting`) each return an
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 __all__ = [
     "Alert",
@@ -38,7 +40,6 @@ __all__ = [
     "SEVERITY_CRITICAL",
     "SEVERITY_WARNING",
     "SLO",
-    "SloSample",
     "burn_rate",
     "evaluate_burn_rates",
 ]
@@ -114,48 +115,48 @@ DEFAULT_BURN_WINDOWS = (
 )
 
 
-@dataclass(frozen=True)
-class SloSample:
-    """One classified event: when it happened and whether it was good."""
-
-    timestamp: float
-    good: bool
-
-
 def burn_rate(
-    samples: Iterable[SloSample], window_seconds: float, now: float, error_budget: float
+    timestamps: Sequence[float],
+    bad_before: Sequence[int],
+    window_seconds: float,
+    now: float,
+    error_budget: float,
 ) -> float:
-    """The budget burn over ``[now - window, now]`` (0.0 with no samples)."""
+    """The budget burn over ``[now - window, now]`` (0.0 with no events).
+
+    *timestamps* are the events' times, ascending, and ``bad_before[i]`` is
+    the number of bad events among the first ``i``: a window's counts are
+    two bisections and a difference.
+    """
     if error_budget <= 0:
         raise ValueError("error_budget must be positive")
-    start = now - window_seconds
-    total = 0
-    bad = 0
-    for sample in samples:
-        if start <= sample.timestamp <= now:
-            total += 1
-            if not sample.good:
-                bad += 1
-    if total == 0:
+    first = bisect_left(timestamps, now - window_seconds)
+    last = bisect_right(timestamps, now)
+    if last <= first:
         return 0.0
-    return (bad / total) / error_budget
+    return ((bad_before[last] - bad_before[first]) / (last - first)) / error_budget
 
 
 def evaluate_burn_rates(
     slo: SLO,
-    samples: list[SloSample],
+    timestamps: Sequence[float],
+    bad: Iterable[bool],
     now: float,
     windows: tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS,
 ) -> list[Alert]:
     """Fire every window rule whose short AND long burns exceed its threshold.
 
-    Rules are checked in order; at most one alert (``slo_<name>``) fires
-    per SLO — the first (most severe) window pair that trips — because a
-    fast burn already implies the slow-burn condition operationally.
+    *timestamps* are the classified events' times, ascending, and *bad*
+    their parallel bad flags, summed once into the prefix :func:`burn_rate`
+    bisects.  Rules are checked in order; at most one alert
+    (``slo_<name>``) fires per SLO — the first (most severe) window pair
+    that trips — because a fast burn already implies the slow-burn
+    condition operationally.
     """
+    bad_before = [0, *accumulate(bad)]
     for window in windows:
-        short = burn_rate(samples, window.short_seconds, now, slo.error_budget)
-        long_ = burn_rate(samples, window.long_seconds, now, slo.error_budget)
+        short = burn_rate(timestamps, bad_before, window.short_seconds, now, slo.error_budget)
+        long_ = burn_rate(timestamps, bad_before, window.long_seconds, now, slo.error_budget)
         if short > window.max_burn_rate and long_ > window.max_burn_rate:
             return [
                 Alert(

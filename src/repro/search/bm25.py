@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.obs.work import WORK_DOCS_SCORED, WORK_SEGMENTS_TOUCHED
 from repro.search.inverted import InvertedIndex
-from repro.search.kernels import KernelView, bm25_scores
+from repro.search.kernels import bm25_scores
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,16 @@ class Bm25Statistics:
 
 
 class Bm25Scorer:
-    """Scores an analyzed query against one field's postings.
+    """Reads one field's collection statistics and explains its scores.
 
-    :meth:`score_arrays` ranks: contiguous postings arrays
-    (:mod:`repro.search.kernels`) of every view scored in one vectorized
-    pass.  :meth:`term_contributions` explains: it re-evaluates the same
-    arrays for a handful of already-ranked documents, term by term.
+    Ranking is :func:`score_fields`, every field of a request in one
+    kernel pass; :meth:`term_contributions` re-evaluates the same arrays
+    for a handful of already-ranked documents, term by term.
 
     *index* may be a plain :class:`~repro.search.inverted.InvertedIndex`,
     a segmented field view, or a cluster view with global statistics —
     anything exposing the reader surface (``__len__`` /
-    ``document_frequency`` / ``average_length`` / ``kernel_views`` /
+    ``document_frequencies`` / ``average_length`` / ``kernel_views`` /
     ``analyze_query``).
     """
 
@@ -80,51 +80,23 @@ class Bm25Scorer:
         self._index = index
         self._parameters = parameters or Bm25Parameters()
 
-    def idf(self, term: str) -> float:
-        """Lucene-style lower-bounded inverse document frequency of *term*."""
-        return self.statistics([term]).term_idfs[0][1]
-
     def statistics(self, query_terms: list[str]) -> Bm25Statistics:
         """The collection statistics *query_terms* score against.
 
-        The only reader of ``len(index)``, ``document_frequency`` and
-        ``average_length``: each is read once per call (per distinct term
-        for the document frequency) — on a cluster view every one of them
-        is a sum over every shard's segments.
+        The only reader of ``len(index)``, ``document_frequencies`` (every
+        distinct term in one call) and ``average_length``, each read once —
+        on a cluster view every one of them is a sum over every shard.
         """
         n = len(self._index)
         idfs = dict.fromkeys(query_terms, 0.0)  # an empty collection scores nothing
         if n:
-            for term in idfs:
-                df = self._index.document_frequency(term)
+            terms = list(idfs)
+            for term, df in zip(terms, self._index.document_frequencies(terms)):
                 idfs[term] = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         return Bm25Statistics(
             term_idfs=tuple((term, idfs[term]) for term in query_terms),
             average_length=self._index.average_length or 1.0,
         )
-
-    def score_arrays(
-        self, query_terms: list[str], work=None, statistics: Bm25Statistics | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """BM25 scores of every live document matching a query term.
-
-        Returns parallel ``(doc_ids, scores)`` arrays from one
-        :func:`~repro.search.kernels.bm25_scores` pass over every view,
-        bit-identical to ``tests/reference_bm25.py``.
-
-        *statistics* are :meth:`statistics` of *query_terms* when the
-        caller already holds them; the index's statistics are then not
-        read.  *work* is an optional :class:`~repro.obs.work.WorkCounters`.
-        """
-        views: list[KernelView] = self._index.kernel_views()
-        if work is not None and views:
-            work.add(WORK_SEGMENTS_TOUCHED, len(views))
-        if statistics is None:
-            statistics = self.statistics(query_terms)
-        ids, scores = self._scores(views, statistics.term_idfs, statistics.average_length, work)
-        if work is not None and ids.size:
-            work.add(WORK_DOCS_SCORED, ids.size)
-        return ids, scores
 
     def term_contributions(
         self,
@@ -136,11 +108,11 @@ class Bm25Scorer:
 
         ``result[doc_id][term]`` is the summed BM25 contribution of *term*
         to that (live) document, terms keyed in query order of their first
-        match.  Each distinct term is scored alone by the pass
-        :meth:`score_arrays` ranks with, once per occurrence in the query,
+        match.  Each distinct term is its own group of the kernel pass
+        :func:`score_fields` ranks with, once per occurrence in the query,
         so a repeated term accumulates by repeated addition and the
         per-term values sum to the score up to float reassociation.
-        *statistics* as in :meth:`score_arrays`: handed the value the
+        *statistics* as in :func:`score_fields`: handed the value the
         ranking was scored with, the explanation cannot disagree with it.
         Books no work: explaining a request must not change what it cost.
         """
@@ -148,15 +120,42 @@ class Bm25Scorer:
             statistics = self.statistics(query_terms)
         views = self._index.kernel_views()
         occurrences = Counter(term for term, _ in statistics.term_idfs)
+        distinct = dict(statistics.term_idfs)
+        groups = [
+            (views, [(term, idf)] * occurrences[term], statistics.average_length)
+            for term, idf in distinct.items()
+        ]
+        scored = bm25_scores(groups, self._parameters.k1, self._parameters.b)
         per_term: dict[int, dict[str, float]] = {}
-        for term, idf in dict(statistics.term_idfs).items():
-            repeats = [(term, idf)] * occurrences[term]
-            ids, scores = self._scores(views, repeats, statistics.average_length)
+        for term, (ids, scores) in zip(distinct, scored):
             keep = np.isin(ids, doc_ids)
             for doc_id, value in zip(ids[keep].tolist(), scores[keep].tolist()):
                 per_term.setdefault(doc_id, {})[term] = value
         return per_term
 
-    def _scores(self, views, term_idfs, average_length: float, work=None):
-        k1, b = self._parameters.k1, self._parameters.b
-        return bm25_scores(views, term_idfs, k1, b, average_length, work)
+
+def score_fields(
+    fields: Sequence[tuple[InvertedIndex, Bm25Statistics]],
+    parameters: Bm25Parameters | None = None,
+    work=None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """BM25 scores of every live document matching a query term, per field.
+
+    *fields* pairs each field's reader with the :meth:`Bm25Scorer
+    .statistics` its query scores against; one
+    :func:`~repro.search.kernels.bm25_scores` pass returns each field's
+    ``(doc_ids, scores)``, bit-identical to ``tests/reference_bm25.py`` on
+    that field alone.  *work* (an optional
+    :class:`~repro.obs.work.WorkCounters`) is booked ``segments_touched``,
+    ``postings_scanned`` and ``docs_scored``, summed over the fields.
+    """
+    parameters = parameters or Bm25Parameters()
+    groups = [(reader.kernel_views(), s.term_idfs, s.average_length) for reader, s in fields]
+    segments = sum(len(views) for views, _, _ in groups)
+    if work is not None and segments:
+        work.add(WORK_SEGMENTS_TOUCHED, segments)
+    results = bm25_scores(groups, parameters.k1, parameters.b, work)
+    scored = sum(ids.size for ids, _ in results)
+    if work is not None and scored:
+        work.add(WORK_DOCS_SCORED, scored)
+    return results

@@ -9,13 +9,14 @@ Table 3 (T ∈ {5, 50, 500}).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs import spans
 from repro.obs.trace import NULL_CONTEXT, RequestContext
-from repro.search.bm25 import Bm25Parameters, Bm25Scorer, Bm25Statistics
+from repro.search.bm25 import Bm25Parameters, Bm25Scorer, Bm25Statistics, score_fields
 from repro.search.index import SearchIndex
 from repro.search.results import Heads
 
@@ -95,12 +96,12 @@ class FullTextSearch:
 
         *plan* is :meth:`plan` of *query* when the caller already holds it.
 
-        Per-field kernel scores land in a dense accumulator indexed by
-        internal id, added field-by-field — each document's combined score
-        is one fixed sequence of ``+= weight * score`` additions.
-        Liveness/filter checks come *after* combination (scores of distinct
-        documents are independent, so late masking changes nothing), which
-        keeps the hot loop free of per-document Python calls.
+        One kernel pass scores every field; the per-field scores land in a
+        dense accumulator indexed by internal id, added field-by-field —
+        each document's combined score is one fixed sequence of
+        ``+= weight * score`` additions.  Liveness (one array cut) and
+        filters (a per-candidate check, filtered requests only) come after
+        combination: scores of distinct documents are independent.
 
         Only an explain request (``ctx.explain``) gets provenance: for the
         ids a fetch asks for, the per-field BM25 score (``bm25_<field>``)
@@ -108,46 +109,41 @@ class FullTextSearch:
         (``bm25_<field>:<term>``).
         """
         with ctx.span(spans.STAGE_FULLTEXT, n=n) as span:
-            field_results: list[
-                tuple[str, float, np.ndarray, np.ndarray, Bm25Scorer]
-            ] = []
-            max_internal = -1
             if n <= 0:
                 plan = {}  # scores nothing
             elif plan is None:
                 plan = self.plan(query)
-            for field_name, (terms, statistics) in plan.items():
-                scorer = Bm25Scorer(self._index.inverted_index(field_name), self._parameters)
-                ids, scores = scorer.score_arrays(terms, work=ctx.work, statistics=statistics)
-                if ids.size:
-                    weight = self._profile.weight(field_name)
-                    field_results.append((field_name, weight, ids, scores, scorer))
-                    max_internal = max(max_internal, int(ids.max()))
+            readers = {name: self._index.inverted_index(name) for name in plan}
+            fields = [(readers[name], statistics) for name, (_, statistics) in plan.items()]
+            field_results = [
+                (name, self._profile.weight(name), ids, scores)
+                for name, (ids, scores) in zip(plan, score_fields(fields, self._parameters, ctx.work))
+                if ids.size
+            ]
+            max_internal = max((int(ids.max()) for _, _, ids, _ in field_results), default=-1)
             combined = np.zeros(max_internal + 1, dtype=np.float64)
             touched = np.zeros(max_internal + 1, dtype=bool)
-            for _, weight, ids, scores, _ in field_results:
+            for _, weight, ids, scores in field_results:
                 combined[ids] += weight * scores
                 touched[ids] = True
-            candidates = np.nonzero(touched)[0]
-            ranked = np.lexsort((candidates, -combined[candidates]))
-            selected: list[int] = []
-            for internal in map(int, candidates[ranked]):
-                if self._index.is_live(internal) and self._index.matches_filters(internal, filters):
-                    selected.append(internal)
-                    if len(selected) == n:
-                        break
-            span.set("results", len(selected))
-        ids = np.array(selected, dtype=np.int64)
+            candidates = np.flatnonzero(touched & self._index.live_mask()[: max_internal + 1])
+            ranked = candidates[np.lexsort((candidates, -combined[candidates]))]
+            if filters:
+                matching = (i for i in ranked.tolist() if self._index.matches_filters(i, filters))
+                ranked = np.fromiter(itertools.islice(matching, n), dtype=np.int64)
+            ids = ranked[:n]
+            span.set("results", len(ids))
 
         def provenance(keys: list[int]) -> dict[int, dict[str, float]]:
             asked = np.array(keys, dtype=np.int64)
             chosen = np.zeros(max_internal + 1, dtype=bool)
             chosen[asked] = True
             per_field: dict[int, dict[str, float]] = {key: {} for key in keys}
-            for field_name, _, ids, scores, scorer in field_results:
+            for field_name, _, ids, scores in field_results:
                 key = f"bm25_{field_name}"  # one string per field, shared by every breakdown
                 mask = chosen[ids]
                 terms, statistics = plan[field_name]
+                scorer = Bm25Scorer(readers[field_name], self._parameters)
                 per_term = scorer.term_contributions(terms, asked, statistics)
                 for internal, score in zip(ids[mask].tolist(), scores[mask].tolist()):
                     breakdown = per_field[internal]

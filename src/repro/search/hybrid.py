@@ -90,22 +90,29 @@ class HybridSemanticSearch:
 
     def _ranking(self, query: str, filters: dict[str, str] | None, ctx: RequestContext) -> Heads:
         """:meth:`search`'s final ranking, not fetched."""
+        return self._fuse_and_rerank(query, self._legs(query, None, filters, ctx), ctx)
+
+    def _legs(
+        self, query: str, query_vector, filters: dict[str, str] | None, ctx: RequestContext
+    ) -> dict[str, Heads]:
+        """The legs ``config.mode`` asks for, booked on ``uniask_searches_total``:
+        text on *query*, vector on *query_vector* (*query*'s own when None)."""
         self.index.schema.check_filters(filters)
         config = self.config
         self._m_searches.labels(config.mode).inc()
         rankings: dict[str, Heads] = {}
-
         if config.mode in ("hybrid", "text"):
             rankings["text"] = self._fulltext.search(
                 query, n=config.text_n, filters=filters, ctx=ctx
             )
         if config.mode in ("hybrid", "vector"):
-            for field_name, ranking in self._vector.search(
-                query, k=config.vector_k, filters=filters, ctx=ctx
-            ).items():
+            k, vector = config.vector_k, self._vector
+            legs = vector.search(query, k, filters, ctx) if query_vector is None else (
+                vector.search_by_vector(query_vector, k, filters, ctx)
+            )
+            for field_name, ranking in legs.items():
                 rankings[f"vector_{field_name}"] = ranking
-
-        return self._fuse_and_rerank(query, rankings, ctx)
+        return rankings
 
     def search_degraded(
         self,
@@ -136,20 +143,13 @@ class HybridSemanticSearch:
         """Hybrid search with an externally supplied query embedding.
 
         The text ranking uses *query_text*; the vector rankings use
-        *query_vector*.  This is the entry point for the MQ2 expansion
+        *query_vector*; ``config.mode`` picks the legs, as for
+        :meth:`search`.  This is the entry point for the MQ2 expansion
         variant, which concatenates generated query texts and averages their
         embeddings.
         """
-        self.index.schema.check_filters(filters)
-        config = self.config
-        rankings: dict[str, Heads] = {
-            "text": self._fulltext.search(query_text, n=config.text_n, filters=filters, ctx=ctx)
-        }
-        for field_name, ranking in self._vector.search_by_vector(
-            query_vector, k=config.vector_k, filters=filters, ctx=ctx
-        ).items():
-            rankings[f"vector_{field_name}"] = ranking
-        return self._fuse_and_rerank(query_text, rankings, ctx).fetch()
+        legs = self._legs(query_text, query_vector, filters, ctx)
+        return self._fuse_and_rerank(query_text, legs, ctx).fetch()
 
     def search_multi(
         self,

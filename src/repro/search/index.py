@@ -98,7 +98,8 @@ class SearchIndex:
         self._internal_by_chunk: dict[str, int] = {}
         self._internals_by_doc: dict[str, list[int]] = {}
         self._next_internal = 0
-        self._deleted: set[int] = set()
+        #: Liveness by internal id, kept by every write (grown by doubling).
+        self._live = np.zeros(64, dtype=bool)
         self._generation = 0
 
         self.analyzer = analyzer if analyzer is not None else FULL_ANALYZER
@@ -115,7 +116,7 @@ class SearchIndex:
     # -- sizing ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records) - len(self._deleted)
+        return int(np.count_nonzero(self._live))
 
     @property
     def document_count(self) -> int:
@@ -123,7 +124,7 @@ class SearchIndex:
         return sum(
             1
             for internals in self._internals_by_doc.values()
-            if any(i not in self._deleted for i in internals)
+            if self._live[internals].any()
         )
 
     @property
@@ -161,7 +162,7 @@ class SearchIndex:
         """Fraction of stored chunks that are deleted but not vacuumed."""
         if not self._records:
             return 0.0
-        return len(self._deleted) / len(self._records)
+        return (len(self._records) - len(self)) / len(self._records)
 
     # -- writes --------------------------------------------------------------
 
@@ -188,6 +189,9 @@ class SearchIndex:
         internal = self._next_internal
         self._next_internal += 1
         self._records[internal] = record
+        if internal == self._live.size:
+            self._live = np.concatenate([self._live, np.zeros(internal, dtype=bool)])
+        self._live[internal] = True
         self._internal_by_chunk[record.chunk_id] = internal
         self._internals_by_doc.setdefault(record.doc_id, []).append(internal)
 
@@ -251,7 +255,7 @@ class SearchIndex:
                 )
         dropped = False
         for internal in self._internals_by_doc.get(doc_id, ()):
-            if internal not in self._deleted and self._records[internal].chunk_id not in chunk_ids:
+            if self._live[internal] and self._records[internal].chunk_id not in chunk_ids:
                 self._tombstone(internal)
                 dropped = True
         if dropped:
@@ -268,7 +272,7 @@ class SearchIndex:
         internals = self._internals_by_doc.get(doc_id, [])
         removed = 0
         for internal in internals:
-            if internal not in self._deleted:
+            if self._live[internal]:
                 self._tombstone(internal)
                 removed += 1
         if removed:
@@ -312,14 +316,14 @@ class SearchIndex:
         """
         if self.tombstone_ratio <= max_tombstone_ratio:
             return False
-        with ctx.trace.span(spans.STAGE_VACUUM, tombstones=len(self._deleted)):
+        with ctx.trace.span(spans.STAGE_VACUUM, tombstones=len(self._records) - len(self)):
             self._vacuum_rebuild()
         self._maintenance_counter.labels("vacuum").inc()
         return True
 
     def _vacuum_rebuild(self) -> None:
         self._generation += 1
-        live = {i: r for i, r in self._records.items() if i not in self._deleted}
+        live = {i: r for i, r in self._records.items() if self._live[i]}
         stored = self._vectors
         self._vectors = {name: self._new_ann_index() for name in self.schema.vector_fields}
         for internal in live:
@@ -327,15 +331,13 @@ class SearchIndex:
                 ann.add(internal, stored[name].vector(internal))
         self._store.compact_all()
         self._drain_maintenance_ops()
-        for internal in list(self._deleted):
-            self._records.pop(internal, None)
+        self._records = live
         for doc_id in list(self._internals_by_doc):
             kept = [i for i in self._internals_by_doc[doc_id] if i in live]
             if kept:
                 self._internals_by_doc[doc_id] = kept
             else:
                 del self._internals_by_doc[doc_id]
-        self._deleted.clear()
 
     # -- reads ---------------------------------------------------------------
 
@@ -345,18 +347,22 @@ class SearchIndex:
 
     def is_live(self, internal: int) -> bool:
         """False when the chunk has been tombstoned."""
-        return internal in self._records and internal not in self._deleted
+        return internal in self._records and bool(self._live[internal])
+
+    def live_mask(self) -> np.ndarray:
+        """Liveness by internal id, over every id written so far and more."""
+        return self._live
 
     def live_internals(self) -> list[int]:
         """All live internal ids."""
-        return [i for i in self._records if i not in self._deleted]
+        return np.flatnonzero(self._live).tolist()
 
     def chunk_ids(self, doc_id: str) -> list[str]:
         """The chunk ids of *doc_id*'s live chunks, in internal-id order."""
         return [
             self._records[i].chunk_id
             for i in self._internals_by_doc.get(doc_id, ())
-            if i not in self._deleted
+            if self._live[i]
         ]
 
     def inverted_index(self, field_name: str):
@@ -396,7 +402,7 @@ class SearchIndex:
     def _tombstone_text(self, internal: int) -> None:
         """Everything of a tombstone but the vectors, whose fate the caller
         decides per field (:meth:`add_chunk` may hand them to the successor)."""
-        self._deleted.add(internal)
+        self._live[internal] = False
         record = self._records[internal]
         self._internal_by_chunk.pop(record.chunk_id, None)
         content_terms = unread_chunk(record, self.analyzer)

@@ -99,9 +99,9 @@ class InvertedIndex:
         """The ``doc_id -> tf`` map of *term* (empty dict when unseen)."""
         return self._postings.get(term, {})
 
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing *term*."""
-        return len(self._postings.get(term, ()))
+    def document_frequencies(self, terms: list[str]) -> list[int]:
+        """Number of documents containing each of *terms*."""
+        return [len(self._postings.get(term, ())) for term in terms]
 
     def document_length(self, doc_id: int) -> int:
         """Analyzed length of *doc_id* (0 when absent)."""

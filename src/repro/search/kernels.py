@@ -3,9 +3,9 @@
 A pure-Python scorer walks postings doc-at-a-time — one dict lookup and a
 handful of float operations per (term, document) pair, all interpreted;
 that loop is kept as the test oracle (``tests/reference_bm25.py``).  This
-module stores the same postings as contiguous numpy arrays and scores a
-field in one vectorized pass over every view (sealed segments plus the
-write buffer) — the one scoring path queries are served from.
+module stores the same postings as contiguous numpy arrays and scores
+every field of a request in one vectorized pass over every view (sealed
+segments plus the write buffer) — the one scoring path of every query.
 
 **Bit-exactness contract.**  The kernel is not "approximately equal" to
 the reference loop — it is gated *byte-identical* (scores and tie-breaks)
@@ -20,13 +20,13 @@ is reproduced elementwise with the same operator order and the same
 IEEE-754 double rounding (numpy elementwise arithmetic is correctly
 rounded exactly like CPython floats; a per-posting ``idf`` array carries
 the same scalar the loop multiplies by), and the per-document accumulation
-order is preserved: :func:`bm25_scores` concatenates the postings view by
-view and, within a view, term by term in query order, and ``np.bincount``
-adds its weights into a zeroed array strictly in array order — so each
-document receives its contributions in query-term order, one addition per
-matched term, starting from ``0.0 + first``.  ``idf`` stays a scalar
-computed with :func:`math.log` (``np.log`` is *not* guaranteed to round
-identically to libm).
+order is preserved: :func:`bm25_scores` concatenates the postings field
+by field, view by view and, within a view, term by term in query order,
+and ``np.bincount`` adds its weights into a zeroed array strictly in array
+order — so each (field, document) accumulator receives its contributions
+in query-term order, one addition per matched term, starting from
+``0.0 + first``.  ``idf`` stays a scalar computed with :func:`math.log`
+(``np.log`` is *not* guaranteed to round identically to libm).
 
 A :class:`KernelPostings` is immutable once built: that is the data-layout
 contract that makes sealed index segments (:mod:`repro.search.segment`)
@@ -173,41 +173,42 @@ class KernelView:
 
 
 def bm25_scores(
-    views: Sequence[KernelView], term_idfs: Sequence[tuple[str, float]],
-    k1: float, b: float, average_length: float, work=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """BM25 scores of every live document of *views* a query term matches.
+    groups: Sequence[tuple[Sequence[KernelView], Sequence[tuple[str, float]], float]],
+    k1: float, b: float, work=None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """BM25 scores of every live document a query term matches, per group.
 
-    One pass: the views' slots are numbered end to end and the postings of
-    every (view, term) pair concatenated in the order the module docstring
-    states.  *work* is an optional :class:`~repro.obs.work.WorkCounters`;
-    this kernel books ``postings_scanned``, one unit per posting scored.
-    Returns parallel ``(doc_ids, scores)`` arrays, views in order and slots
-    ascending within a view.
+    A group is one field of a request, ``(views, term_idfs,
+    average_length)``.  One pass over every (group, view, term) in the
+    order the module docstring states; a posting divides by its group's
+    average length repeated per posting, the operands of a scalar divisor.
+    *work* (optional) is booked ``postings_scanned``, one unit per posting.
+    Returns one ``(doc_ids, scores)`` pair per group, views in order and
+    slots ascending within a view.
     """
-    slot_parts: list[np.ndarray] = []
-    tf_parts: list[np.ndarray] = []
-    part_offsets: list[int] = []
-    part_idfs: list[float] = []
+    parts: list[tuple] = []  # (slots, tfs, slot offset, idf, average length)
+    views: list[KernelView] = []
+    bounds = [0]
     offset = 0
-    for view in views:
-        for term, idf in term_idfs:
-            arrays = view.kernel.term_arrays(term)
-            if arrays is not None:
-                slot_parts.append(arrays[0])
-                tf_parts.append(arrays[1])
-                part_offsets.append(offset)
-                part_idfs.append(idf)
-        offset += view.kernel.doc_ids.size
-    if not slot_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    for group_views, term_idfs, average_length in groups:
+        for view in group_views:
+            for term, idf in term_idfs:
+                arrays = view.kernel.term_arrays(term)
+                if arrays is not None:
+                    parts.append((*arrays, offset, idf, average_length))
+            offset += view.kernel.doc_ids.size
+        views.extend(group_views)
+        bounds.append(offset)
+    if not parts:
+        return [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))] * len(groups)
+    slot_parts, tf_parts, offsets, idfs, average_lengths = zip(*parts)
     sizes = [part.size for part in slot_parts]
-    slots = np.concatenate(slot_parts)
-    slots += np.repeat(part_offsets, sizes)
+    slots = np.concatenate(slot_parts) + np.repeat(offsets, sizes)
     tfs = np.concatenate(tf_parts)
-    ratio = np.concatenate([view.kernel.lengths for view in views])[slots] / average_length
+    lengths = np.concatenate([view.kernel.lengths for view in views])[slots]
+    ratio = lengths / np.repeat(average_lengths, sizes)
     length_norm = 1.0 - b + b * ratio
-    contribution = np.repeat(part_idfs, sizes) * tfs * (k1 + 1.0) / (tfs + k1 * length_norm)
+    contribution = np.repeat(idfs, sizes) * tfs * (k1 + 1.0) / (tfs + k1 * length_norm)
     acc = np.bincount(slots, weights=contribution, minlength=offset)
     touched = np.zeros(offset, dtype=bool)
     touched[slots] = True
@@ -219,4 +220,6 @@ def bm25_scores(
     hits = np.flatnonzero(touched)
     if work is not None:
         work.add(WORK_POSTINGS_SCANNED, slots.size)
-    return np.concatenate([view.kernel.doc_ids for view in views])[hits], acc[hits]
+    ids, scores = np.concatenate([view.kernel.doc_ids for view in views])[hits], acc[hits]
+    cuts = np.searchsorted(hits, bounds).tolist()
+    return [(ids[lo:hi], scores[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]

@@ -76,13 +76,6 @@ class SegmentField:
         """Exact summed analyzed length of the live member documents."""
         return self.kernel.total_length - self.deleted_total_length
 
-    def live_document_frequency(self, term: str) -> int:
-        """Exact number of live member documents containing *term*."""
-        df = self.kernel.document_frequency(term)
-        if not df:
-            return 0
-        return df - self.deleted_df.get(term, 0)
-
 
 class SealedSegment:
     """An immutable generation of documents with a shared live mask.
@@ -366,8 +359,9 @@ class SegmentedFieldView:
     """One field's reader surface over segments + buffer.
 
     Implements the reader surface the BM25 scorer and the cluster's
-    global-statistics wrapper consume (``__len__`` / ``document_frequency``
-    / ``average_length`` / ``kernel_views`` / ``analyze_query``).
+    global-statistics wrapper consume (``__len__`` /
+    ``document_frequencies`` / ``average_length`` / ``kernel_views`` /
+    ``analyze_query``).
     Statistics are exact integers aggregated across segments and buffer.
     """
 
@@ -407,12 +401,14 @@ class SegmentedFieldView:
             return 0.0
         return self.total_length / documents
 
-    def document_frequency(self, term: str) -> int:
-        """Number of live documents containing *term*."""
-        df = self._buffer().document_frequency(term)
+    def document_frequencies(self, terms: list[str]) -> list[int]:
+        """Number of live documents containing each of *terms*: one walk
+        over the segments, whatever the number of terms."""
+        dfs = self._buffer().document_frequencies(terms)
         for _, field in self._segment_fields():
-            df += field.live_document_frequency(term)
-        return df
+            live = (field.kernel.document_frequency(t) - field.deleted_df.get(t, 0) for t in terms)
+            dfs = [df + segment_df for df, segment_df in zip(dfs, live)]
+        return dfs
 
     def analyze_query(self, query: str) -> list[str]:
         """Analyze a query string with this field's analyzer."""

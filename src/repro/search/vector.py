@@ -73,18 +73,15 @@ class VectorSearch:
         # Oversample so that post-hoc filtering can still fill k results.
         fetch = k if not filters else 4 * k
         hits = self._index.vector_search(field_name, query_vector, fetch, work=ctx.work)
-        ids: list[int] = []
-        similarities: list[float] = []
-        for internal, distance in hits:
-            if self._index.matches_filters(internal, filters):
-                ids.append(internal)
-                similarities.append(1.0 - distance)
-                if len(ids) >= k:
-                    break
+        internals, distances = tuple(zip(*hits)) or ((), ())
+        ids = np.array(internals, dtype=np.int64)
+        similarities = 1.0 - np.array(distances, dtype=np.float64)
+        if filters:
+            keep = np.array([self._index.matches_filters(i, filters) for i in ids.tolist()], bool)
+            ids, similarities = ids[keep][:k], similarities[keep][:k]
 
         def provenance(keys: list[int]) -> dict[int, dict[str, float]]:
-            key, by_id = f"cosine_{field_name}", dict(zip(ids, similarities))
+            key, by_id = f"cosine_{field_name}", dict(zip(ids.tolist(), similarities.tolist()))
             return {internal: {key: by_id[internal]} for internal in keys}
 
-        ids_array, explain = np.array(ids, dtype=np.int64), provenance if ctx.explain else None
-        return Heads(ids_array, np.array(similarities), self._index, None, explain)
+        return Heads(ids, similarities, self._index, None, provenance if ctx.explain else None)

@@ -23,6 +23,7 @@ the ``metrics`` CLI gate, CI and the incident page check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from repro.obs.slo import (
@@ -32,7 +33,6 @@ from repro.obs.slo import (
     SLO,
     Alert,
     BurnWindow,
-    SloSample,
     evaluate_burn_rates,
 )
 from repro.service.monitoring import DashboardSnapshot, QueryEvent
@@ -175,12 +175,12 @@ def evaluate_slo_alerts(
     slos: list[ServiceSlo] | None = None,
     windows: tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS,
 ) -> list[Alert]:
-    """Run the multi-window burn-rate check of every SLO over the query log."""
+    """Run the multi-window burn-rate check of every SLO over the query log:
+    the events are ordered once, and each SLO classifies each event once."""
+    events = sorted(events, key=attrgetter("timestamp"))
+    timestamps = [event.timestamp for event in events]
     fired: list[Alert] = []
     for service_slo in slos if slos is not None else default_slos():
-        samples = [
-            SloSample(timestamp=event.timestamp, good=service_slo.good(event))
-            for event in events
-        ]
-        fired.extend(evaluate_burn_rates(service_slo.slo, samples, now, windows))
+        bad = [not service_slo.good(event) for event in events]
+        fired.extend(evaluate_burn_rates(service_slo.slo, timestamps, bad, now, windows))
     return fired

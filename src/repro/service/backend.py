@@ -594,7 +594,7 @@ class BackendService:
         horizon = now - max(window.long_seconds for window in windows)
         events = self.metrics.events_since(horizon)
         alerts = evaluate_slo_alerts(events, now=now, windows=windows)
-        alerts.extend(evaluate_alerts(self.metrics.snapshot()))
+        alerts.extend(evaluate_alerts(self.metrics.headline()))
         return alerts
 
     def _incident_capture(self, now: float) -> dict:

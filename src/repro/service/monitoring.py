@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from repro.core.answer import OUTCOME_ANSWERED, OUTCOME_GENERATION_ERROR
@@ -385,8 +385,8 @@ class MetricsCollector:
         recent = [event for slot in self._tail[first:] if slot for event in slot]
         return recent[bisect_left(recent, horizon, key=_TIMESTAMP):]
 
-    def snapshot(self) -> DashboardSnapshot:
-        """Aggregate everything logged so far into one dashboard page."""
+    def headline(self) -> DashboardSnapshot:
+        """The headline counters the threshold rules read, series left empty."""
         outcome_breakdown = {
             labels[0]: int(child.value)
             for labels, child in self._m_queries.children.items()
@@ -397,8 +397,18 @@ class MetricsCollector:
             if outcome.startswith("guardrail_")
         )
         served = self._m_response.count
-        average_rt = self._m_response.sum / served if served else 0.0
+        return DashboardSnapshot(
+            users=int(self._m_users.value),
+            queries=int(self._m_queries.total()),
+            feedbacks=int(self._m_feedback.value),
+            average_response_time=self._m_response.sum / served if served else 0.0,
+            failed_requests=int(self._m_failed.value),
+            guardrails_triggered=guardrails,
+            outcome_breakdown=outcome_breakdown,
+        )
 
+    def snapshot(self) -> DashboardSnapshot:
+        """Aggregate everything logged so far into one dashboard page."""
         # Series exist only once a sample was appended, so the percentiles
         # never see an empty window (which would raise); the dashboard
         # formatter in turn only renders stages present here.
@@ -417,14 +427,8 @@ class MetricsCollector:
                 if labels
             }
 
-        return DashboardSnapshot(
-            users=int(self._m_users.value),
-            queries=int(self._m_queries.total()),
-            feedbacks=int(self._m_feedback.value),
-            average_response_time=average_rt,
-            failed_requests=int(self._m_failed.value),
-            guardrails_triggered=guardrails,
-            outcome_breakdown=outcome_breakdown,
+        return replace(
+            self.headline(),
             queries_per_bucket=list(self._queries_per_bucket),
             failures_per_bucket=list(self._failures_per_bucket),
             response_time_per_bucket=[

@@ -5,12 +5,14 @@ Test oracle only: :mod:`tests.test_search_kernels`,
 :mod:`tests.test_search_sequence_oracle` build a plain
 :class:`~repro.search.inverted.InvertedIndex` over the live documents, score
 it with this class, and require the serving
-:class:`~repro.search.bm25.Bm25Scorer` (``score_arrays`` for the ranking,
-``term_contributions`` for explain) to return the same ids, the same float
-bits and the same per-term key order.  The bodies are the parent commit's
-``Bm25Scorer.idf`` / ``_score_loop`` / ``score_all`` / ``score_all_explained``
-unchanged: doc-at-a-time, one dict lookup and a handful of interpreted float
-operations per (term, document) pair.  Do not optimise this file.
+:mod:`repro.search.bm25` (``score_fields`` for the ranking,
+``Bm25Scorer.term_contributions`` for explain) to return the same ids, the
+same float bits and the same per-term key order.  The bodies are the parent
+commit's ``Bm25Scorer.idf`` / ``_score_loop`` / ``score_all`` /
+``score_all_explained`` unchanged but for reading a document frequency
+through ``document_frequencies``: doc-at-a-time, one dict lookup and a
+handful of interpreted float operations per (term, document) pair.  Do not
+optimise this file.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class ReferenceBm25Scorer:
         n = len(self._index)
         if n == 0:
             return 0.0
-        df = self._index.document_frequency(term)
+        [df] = self._index.document_frequencies([term])
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
     def _score_loop(

@@ -21,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.search.bm25 import Bm25Parameters, Bm25Scorer
+from repro.search.bm25 import Bm25Parameters, Bm25Scorer, score_fields
 from repro.search.fulltext import FullTextSearch, ScoringProfile
 from repro.search.results import Heads, RetrievedChunk
 from repro.search.schema import ChunkRecord
@@ -71,7 +71,7 @@ def text_leg(
         plan = FullTextSearch(index, profile=profile).plan(query)
     for field_name, (terms, statistics) in plan.items():
         scorer = Bm25Scorer(index.inverted_index(field_name), parameters)
-        ids, scores = scorer.score_arrays(terms, statistics=statistics)
+        ids, scores = score_fields([(index.inverted_index(field_name), statistics)], parameters)[0]
         if ids.size:
             weight = profile.weight(field_name)
             field_results.append((field_name, weight, ids, scores, scorer))
@@ -86,7 +86,7 @@ def text_leg(
     selected: list[tuple[int, float]] = []
     for position in ranked:
         internal = int(candidates[position])
-        if not index.is_live(internal):
+        if not index.live_mask()[internal]:
             continue
         if not index.matches_filters(internal, filters):
             continue
@@ -267,13 +267,9 @@ def hybrid_search(searcher, query: str, filters=None, explain: bool = False):
 def fused_vector_search(searcher, query_text: str, query_vector, filters=None, explain=False):
     """``HybridSemanticSearch.search_fused_vector`` as a list pipeline."""
     index, config = searcher.index, searcher.config
-    rankings = {"text": text_leg(
-        index, query_text, config.text_n, filters, explain, profile=searcher._fulltext._profile
-    )}
-    for field_name, ranking in vector_legs(
-        index, query_vector, config.vector_k, filters, explain
-    ).items():
-        rankings[f"vector_{field_name}"] = ranking
+    rankings = _legs(
+        index, query_text, query_vector, config, filters, explain, searcher._fulltext._profile
+    )
     return tail(query_text, rankings, config, searcher._reranker, explain)
 
 

@@ -21,7 +21,7 @@ from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
 from repro.obs.incident import CHECK_INTERVAL, PAGE_BURN_WINDOWS, IncidentConfig, IncidentManager
 from repro.obs.quality import CanaryReport, CanaryRunner, CanarySuite
-from repro.obs.slo import SLO, Alert, SloSample, evaluate_burn_rates
+from repro.obs.slo import SLO, Alert, evaluate_burn_rates
 from repro.service.alerting import evaluate_alerts, evaluate_slo_alerts
 from repro.service.backend import ROLE_OPS, BackendService
 from repro.service.monitoring import (
@@ -94,9 +94,9 @@ class TestShapeCensus:
     def test_every_producer_returns_the_one_alert_class(self, tiny_kb, banking_lexicon):
         produced: dict[str, list] = {}
 
-        sustained = [SloSample(timestamp=float(t), good=False) for t in range(0, 21600, 10)]
+        sustained = [float(t) for t in range(0, 21600, 10)]
         produced["evaluate_burn_rates"] = evaluate_burn_rates(
-            SLO("availability", 0.99), sustained, now=21600.0
+            SLO("availability", 0.99), sustained, [True] * len(sustained), now=21600.0
         )
 
         collector = MetricsCollector()
@@ -156,9 +156,10 @@ class TestShapeCensus:
 
 
 class TestPageCheckCost:
-    def test_the_page_check_takes_one_snapshot_per_check(
-        self, tiny_kb, banking_lexicon, monkeypatch
-    ):
+    def test_the_page_check_takes_no_snapshot(self, tiny_kb, banking_lexicon, monkeypatch):
+        """The page check reads the headline counters, never the dashboard:
+        a check (and the ops ``slo`` route, the same alerts) takes no
+        snapshot; ``ops("dashboard")`` and a page's capture take one each."""
         calls = {"snapshot": 0, "check": 0}
         snapshot, check = MetricsCollector.snapshot, IncidentManager.check
 
@@ -182,19 +183,18 @@ class TestPageCheckCost:
                 backend.serve(token, question)
             system.clock.advance(CHECK_INTERVAL)
         assert calls["check"] >= 4, "the page check must have run"
-        assert calls["snapshot"] == calls["check"]  # one per check, none per request
-        taken = calls["snapshot"]
+        assert calls["snapshot"] == 0  # none per check, none per request
 
         ops_token = backend.login("sre", role=ROLE_OPS)
         backend.ops("slo", ops_token)
-        assert calls["snapshot"] == taken + 1
+        assert calls["snapshot"] == 0
         backend.ops("dashboard", ops_token)
-        assert calls["snapshot"] == taken + 2
+        assert calls["snapshot"] == 1
         # A page freezes the dashboard into its capture bundle: one more.
         page = Alert(rule="slo_latency", severity="critical", message="budget burning")
         incident = backend.incidents.check(system.clock.now(), [page])
         assert "dashboard" in incident.capture
-        assert calls["snapshot"] == taken + 3
+        assert calls["snapshot"] == 2
 
     def test_the_page_check_reads_the_window_not_the_whole_log(
         self, tiny_kb, banking_lexicon, monkeypatch

@@ -46,14 +46,22 @@ def _count_global_statistics_reads(monkeypatch) -> dict[str, list]:
     """Record every global-statistics read and every shard-view query analysis.
 
     ``__len__`` / ``average_length`` / ``analyze_query`` append the field
-    read, ``document_frequency`` the ``(field, term)`` pair.
+    read, ``document_frequencies`` the ``(field, terms)`` pair, and a
+    shard's own ``document_frequencies`` (``"shard document_frequencies"``)
+    the ``(field, shard store, terms)`` triple.
     """
     from repro.cluster.sharded_index import _GlobalStatsInverted
+    from repro.search.segment import SegmentedFieldView
 
     calls: dict[str, list] = {
-        "__len__": [], "average_length": [], "document_frequency": [], "analyze_query": [],
+        "__len__": [], "average_length": [], "document_frequencies": [], "analyze_query": [],
+        "shard document_frequencies": [],
     }
-    originals = {name: getattr(_GlobalStatsInverted, name) for name in calls}
+    originals = {
+        name: getattr(_GlobalStatsInverted, name)
+        for name in ("__len__", "average_length", "document_frequencies", "analyze_query")
+    }
+    shard_frequencies = SegmentedFieldView.document_frequencies
 
     def counted_len(view):
         calls["__len__"].append(view._field_name)
@@ -63,9 +71,13 @@ def _count_global_statistics_reads(monkeypatch) -> dict[str, list]:
         calls["average_length"].append(view._field_name)
         return originals["average_length"].fget(view)
 
-    def counted_document_frequency(view, term):
-        calls["document_frequency"].append((view._field_name, term))
-        return originals["document_frequency"](view, term)
+    def counted_document_frequencies(view, terms):
+        calls["document_frequencies"].append((view._field_name, tuple(terms)))
+        return originals["document_frequencies"](view, terms)
+
+    def counted_shard_frequencies(view, terms):
+        calls["shard document_frequencies"].append((view._field_name, id(view._store), tuple(terms)))
+        return shard_frequencies(view, terms)
 
     def counted_analyze_query(view, query):
         calls["analyze_query"].append(view._field_name)
@@ -73,7 +85,8 @@ def _count_global_statistics_reads(monkeypatch) -> dict[str, list]:
 
     monkeypatch.setattr(_GlobalStatsInverted, "__len__", counted_len)
     monkeypatch.setattr(_GlobalStatsInverted, "average_length", property(counted_average_length))
-    monkeypatch.setattr(_GlobalStatsInverted, "document_frequency", counted_document_frequency)
+    monkeypatch.setattr(_GlobalStatsInverted, "document_frequencies", counted_document_frequencies)
+    monkeypatch.setattr(SegmentedFieldView, "document_frequencies", counted_shard_frequencies)
     monkeypatch.setattr(_GlobalStatsInverted, "analyze_query", counted_analyze_query)
     return calls
 
@@ -180,17 +193,20 @@ class TestSingleIndexEquivalence:
         """Every global statistic is a sum over every shard's segments: the
         router gathers them once per request and field, however many shard
         legs score against them, and analyzes the question once per request
-        (every field shares one analyzer); explain adds none."""
+        (every field shares one analyzer); explain adds none.  The document
+        frequencies of a field's distinct terms are one
+        ``document_frequencies`` call per request, which reads each shard
+        once: one call per (request, field, shard)."""
         searcher = exact_sharded.searcher
         query = human_queries[0].text
         assert len(set(FULL_ANALYZER.analyze(query))) > 1
         view = exact_sharded.index.search_view(exact_sharded.index.shard_ids[0])
         fields = exact_sharded.index.schema.searchable_fields
-        distinct_terms = sorted(
-            (name, term)
+        distinct_terms = {
+            name: tuple(dict.fromkeys(view.inverted_index(name).analyze_query(query)))
             for name in fields
-            for term in set(view.inverted_index(name).analyze_query(query))
-        )
+        }
+        shards = exact_sharded.index.num_shards
         calls = _count_global_statistics_reads(monkeypatch)
         for search in (searcher.search, searcher.search_degraded):
             for ctx in (RequestContext(), RequestContext(explain=True)):
@@ -201,7 +217,11 @@ class TestSingleIndexEquivalence:
                 for name in ("__len__", "average_length"):
                     assert sorted(calls[name]) == sorted(fields), (search, ctx.explain, name)
                 assert calls["analyze_query"] == [fields[0]], (search, ctx.explain)
-                assert sorted(calls["document_frequency"]) == distinct_terms
+                assert sorted(calls["document_frequencies"]) == sorted(distinct_terms.items())
+                shard_reads = calls["shard document_frequencies"]
+                assert len(shard_reads) == len(fields) * shards
+                assert len({(name, store) for name, store, _ in shard_reads}) == len(shard_reads)
+                assert all(terms == distinct_terms[name] for name, _, terms in shard_reads)
 
     def test_cached_and_dead_legs_read_no_statistics(self, lexicon, monkeypatch):
         """The plan is taken by the first leg that has to score: a request

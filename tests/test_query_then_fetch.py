@@ -18,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import CacheConfig, ClusterConfig, UniAskConfig
+from repro.cluster import ClusterSearcher, ShardedSearchIndex
 from repro.core.factory import build_uniask_system
 from repro.embeddings.concepts import Concept, ConceptLexicon, fingerprint_cosine, fingerprint_of
+from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.obs.trace import RequestContext
+from repro.search.hybrid import HybridSearchConfig
 from repro.search.reranker import SemanticReranker
 from repro.search.results import Heads, RetrievedChunk
 from repro.search.schema import ChunkRecord
@@ -240,3 +243,67 @@ def _sequential(values) -> float:
     for value in values:
         total += value
     return total
+
+
+# -- the shard merge on stored ordinals, where ties are the rule ------------
+
+_TITLES = ("Bloccare la carta di credito", "Bonifico estero", "Token di sicurezza")
+
+
+@pytest.fixture(scope="module")
+def tied_cluster():
+    """Three shards over 36 documents that share three titles and two
+    contents: most chunks tie on every leg, on a shard and across shards.
+    Rewrites and deletes leave the ordinals out of step with any one
+    shard's internal ids being global."""
+    model = SyntheticAdaEmbedder(_LEXICON, dim=16, seed=1)
+    index = ShardedSearchIndex(model, num_shards=3, ann_backend="exact")
+
+    def record(n: int, variant: int) -> ChunkRecord:
+        content = ("carta bloccare token", "bonifico giroconto carta")[(n + variant) % 2]
+        return ChunkRecord(f"d{n}#0", f"d{n}", title=_TITLES[n % 3], content=content)
+
+    for n in range(36):
+        index.add_chunk(record(n, 0))
+    for n in range(0, 36, 5):
+        index.replace_document(f"d{n}", [record(n, 1)])
+    for n in range(3, 36, 7):
+        index.delete_document(f"d{n}")
+    config = HybridSearchConfig(text_n=8, vector_k=4, final_n=8)
+    return ClusterSearcher(index, reranker=SemanticReranker(_LEXICON), config=config)
+
+
+class TestTieHeavyMerge:
+    QUERIES = ("bloccare la carta", "bonifico estero", "token di sicurezza carta", "giroconto")
+
+    @pytest.mark.parametrize("ctx", [PLAIN, EXPLAIN], ids=["plain", "explain"])
+    def test_the_merge_equals_the_list_reference(self, tied_cluster, ctx):
+        answered = set(tied_cluster.index.shard_ids)
+        for query in self.QUERIES:
+            expected = reference.cluster_search(tied_cluster, query, answered, explain=ctx.explain)
+            _same(tied_cluster.search(query, ctx=ctx), expected, ctx.explain)
+
+    def test_every_cut_falls_inside_a_tie(self, tied_cluster):
+        """The case is tie-heavy where it matters: each query's merged text
+        leg has a score shared across shards at its cut."""
+        index = tied_cluster.index
+        for query in self.QUERIES:
+            legs = []
+            for shard_id in index.shard_ids:
+                legs += reference.text_leg(index.search_view(shard_id), query, 8)
+            merged = reference.ranked(legs, 8, index.ordinal)
+            cut = merged[-1].score
+            holders = {index.planner.assign(r.record.doc_id) for r in legs if r.score == cut}
+            assert len(holders) > 1 and sum(r.score == cut for r in legs) > 1, query
+
+    def test_the_merge_looks_up_no_record(self, tied_cluster, monkeypatch):
+        looked_up = []
+        record = ClusterSearcher.record
+        monkeypatch.setattr(
+            ClusterSearcher, "record", lambda self, key: looked_up.append(key) or record(self, key)
+        )
+        for ctx in (PLAIN, EXPLAIN):
+            for query in self.QUERIES:
+                rankings, _ = tied_cluster._scatter(query, None, ctx)
+                assert all(len(ranking) for ranking in rankings.values())
+        assert looked_up == []

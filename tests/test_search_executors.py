@@ -6,6 +6,7 @@ import pytest
 
 from repro.embeddings.concepts import Concept, ConceptLexicon
 from repro.embeddings.model import SyntheticAdaEmbedder
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import RequestContext
 from repro.search.fulltext import FullTextSearch, ScoringProfile
 from repro.search.hybrid import HybridSearchConfig, HybridSemanticSearch
@@ -144,6 +145,28 @@ class TestHybridSemanticSearch:
         assert results and all(
             any(key.startswith("rrf_vector") for key in r.components) for r in results
         )
+
+    @pytest.mark.parametrize("mode", ["text", "vector"])
+    def test_fused_vector_search_honours_the_mode(self, toy_index, toy_lexicon, mode):
+        """MQ2's entry point runs only the legs the mode asks for, and books
+        the search under that mode: with the question's own embedding it is
+        the mode's plain search."""
+        registry = MetricsRegistry()
+        config = HybridSearchConfig(mode=mode, use_reranker=False)
+        hybrid = HybridSemanticSearch(toy_index, config=config, registry=registry)
+        question = "bloccare carta di credito"
+        vector = toy_index.embedder.embed(question)
+        fused = hybrid.search_fused_vector(question, vector, ctx=EXPLAIN)
+        plain = hybrid.search(question, ctx=EXPLAIN)
+        assert fused and [(r.record.chunk_id, r.score, r.components) for r in fused] == [
+            (r.record.chunk_id, r.score, r.components) for r in plain
+        ]
+        legs = {key.split(":")[0] for r in fused for key in r.components if key.startswith("rrf_")}
+        assert legs == ({"rrf_text"} if mode == "text" else {"rrf_vector_title", "rrf_vector_content"})
+        searches = registry.counter("uniask_searches_total", "", ("mode",))
+        assert {labels: child.value for labels, child in searches.children.items() if labels} == {
+            (mode,): 2.0
+        }
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.search.bm25 import Bm25Parameters, Bm25Scorer
+from repro.search.bm25 import Bm25Parameters, Bm25Scorer, score_fields
 from repro.search.inverted import InvertedIndex
 from tests.reference_bm25 import ReferenceBm25Scorer
 
@@ -37,11 +37,11 @@ class TestInvertedIndex:
 
     def test_document_frequency(self, index):
         term = index.analyze_query("carta")[0]
-        assert index.document_frequency(term) == 2
+        assert index.document_frequencies([term]) == [2]
 
     def test_unknown_term_empty(self, index):
         assert index.postings("zzz") == {}
-        assert index.document_frequency("zzz") == 0
+        assert index.document_frequencies(["zzz"]) == [0]
 
     def test_average_length_tracks_adds(self):
         idx = InvertedIndex()
@@ -75,9 +75,14 @@ class TestInvertedIndex:
         assert index.postings("il") == {}
 
 
+def idf(scorer: Bm25Scorer, term: str) -> float:
+    """The Lucene-style lower-bounded idf *scorer* gives *term*."""
+    return scorer.statistics([term]).term_idfs[0][1]
+
+
 def score_all(index: InvertedIndex, terms: list[str]) -> dict[int, float]:
     """The served scores as a dict, held bit-equal to the reference loop's."""
-    ids, scores = Bm25Scorer(index).score_arrays(terms)
+    ids, scores = score_fields([(index, Bm25Scorer(index).statistics(terms))])[0]
     served = dict(zip(ids.tolist(), scores.tolist()))
     assert served == ReferenceBm25Scorer(index).score_all(terms)
     return served
@@ -88,12 +93,12 @@ class TestBm25:
         scorer = Bm25Scorer(index)
         common = index.analyze_query("carta")[0]
         rare = index.analyze_query("bonifico")[0]
-        assert scorer.idf(rare) > scorer.idf(common)
+        assert idf(scorer, rare) > idf(scorer, common)
 
     def test_idf_nonnegative(self, index):
         scorer = Bm25Scorer(index)
         for term in ("carta", "credito", "bonifico"):
-            assert scorer.idf(index.analyze_query(term)[0]) >= 0.0
+            assert idf(scorer, index.analyze_query(term)[0]) >= 0.0
 
     def test_matching_doc_ranks_first(self, index):
         scores = score_all(index, index.analyze_query("bonifico estero"))
@@ -137,9 +142,9 @@ class TestBm25:
         scorer = Bm25Scorer(index)
         term = index.analyze_query("bonifico")[0]
         expected = math.log(1.0 + (3 - 1 + 0.5) / (1 + 0.5))
-        assert scorer.idf(term) == pytest.approx(expected)
+        assert idf(scorer, term) == pytest.approx(expected)
 
     def test_empty_index(self):
         index = InvertedIndex()
-        assert Bm25Scorer(index).idf("x") == 0.0
+        assert idf(Bm25Scorer(index), "x") == 0.0
         assert score_all(index, ["x"]) == {}

@@ -2,7 +2,7 @@
 
 The kernel path (:mod:`repro.search.kernels`) is not gated "approximately
 equal" to the reference loop (:mod:`tests.reference_bm25`) — the contract is
-**byte identity**: every score :meth:`Bm25Scorer.score_arrays` returns and
+**byte identity**: every score :func:`score_fields` returns and
 every per-term contribution :meth:`Bm25Scorer.term_contributions` returns
 carries the same float bits as the loop's.  Every comparison here is ``==``,
 never ``approx``.
@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.cluster.sharded_index import ShardedSearchIndex
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.obs.trace import RequestContext
-from repro.search.bm25 import Bm25Parameters, Bm25Scorer
+from repro.obs.work import WorkCounters
+from repro.search.bm25 import Bm25Parameters, Bm25Scorer, score_fields
 from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
 from repro.search.inverted import InvertedIndex
@@ -55,8 +56,13 @@ def build_index(seed: int, docs: int = 80) -> InvertedIndex:
     return index
 
 
-def arrays_as_dict(scorer: Bm25Scorer, terms: list[str]) -> dict[int, float]:
-    ids, scores = scorer.score_arrays(terms)
+def score_arrays(index, terms: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The served scores of *terms* on one field: a one-field kernel pass."""
+    return score_fields([(index, Bm25Scorer(index).statistics(terms))])[0]
+
+
+def arrays_as_dict(index, terms: list[str]) -> dict[int, float]:
+    ids, scores = score_arrays(index, terms)
     return {int(i): float(s) for i, s in zip(ids, scores)}
 
 
@@ -72,26 +78,24 @@ def random_query_terms(rng: random.Random, index: InvertedIndex) -> list[str]:
 class TestScoreArrays:
     def test_bitwise_matches_loop_scorer(self):
         index = build_index(seed=11)
-        scorer = Bm25Scorer(index)
         reference = ReferenceBm25Scorer(index)
         rng = random.Random(7)
         non_trivial = 0
         for _ in range(50):
             terms = random_query_terms(rng, index)
             expected = reference.score_all(terms)
-            assert arrays_as_dict(scorer, terms) == expected  # bit-exact, not approx
+            assert arrays_as_dict(index, terms) == expected  # bit-exact, not approx
             non_trivial += bool(expected)
         assert non_trivial > 40
 
     def test_empty_query_and_unknown_terms(self):
-        scorer = Bm25Scorer(build_index(seed=3, docs=10))
+        index = build_index(seed=3, docs=10)
         for terms in ([], ["zzz"], ["zzz", "qqq"]):
-            ids, scores = scorer.score_arrays(terms)
+            ids, scores = score_arrays(index, terms)
             assert ids.size == 0 and scores.size == 0
 
     def test_empty_index(self):
-        scorer = Bm25Scorer(InvertedIndex(FULL_ANALYZER))
-        ids, scores = scorer.score_arrays(["carta"])
+        ids, scores = score_arrays(InvertedIndex(FULL_ANALYZER), ["carta"])
         assert ids.size == 0 and scores.size == 0
 
 
@@ -171,7 +175,7 @@ class TestSegmentedViews:
         for _ in range(40):
             terms = random_query_terms(rng, monolith)
             expected, per_term = loop_scorer.score_all_explained(terms)
-            assert arrays_as_dict(kernel_scorer, terms) == expected
+            assert arrays_as_dict(view, terms) == expected
             # Asked about every id ever added: tombstoned ones get no entry.
             assert kernel_scorer.term_contributions(terms, np.arange(90)) == per_term
 
@@ -181,7 +185,46 @@ class TestSegmentedViews:
         assert view.total_length == monolith.total_length
         assert view.average_length == monolith.average_length  # same int operands
         for term in ("cart", "bonif", "prelev", "inesistente"):
-            assert view.document_frequency(term) == monolith.document_frequency(term)
+            assert view.document_frequencies([term]) == monolith.document_frequencies([term])
+
+
+class TestFieldGroups:
+    """Every field of a request in one kernel call, each against the loop."""
+
+    @pytest.mark.parametrize("seed", [5, 19, 31])
+    def test_one_call_equals_the_loop_per_field(self, seed):
+        """Sealed segments with tombstones plus a partial buffer, two fields
+        with different lengths and statistics: each field's slice of the one
+        call equals the loop over a plain index of that field's live
+        documents, bit for bit, and the call books the work one call per
+        field would."""
+        rng = random.Random(seed)
+        index = SearchIndex(embedder=SyntheticAdaEmbedder(None, dim=8, seed=1), ann_backend="exact")
+        with mock.patch.object(segment, "FLUSH_THRESHOLD", 8):
+            for i in range(60):
+                title, content = random_text(rng, 1, 4), random_text(rng)
+                index.add_chunk(ChunkRecord(f"d{i}#0", f"d{i}", title=title, content=content))
+            for i in rng.sample(range(60), 18):
+                index.delete_document(f"d{i}")
+        fields = index.schema.searchable_fields
+        views = {name: index.inverted_index(name) for name in fields}
+        assert all(len(view.kernel_views()) > 2 for view in views.values())
+        assert index.buffered_count and index.tombstone_ratio > 0
+        plains = {name: InvertedIndex(FULL_ANALYZER) for name in fields}
+        for internal in sorted(index.live_internals()):
+            for name, plain in plains.items():
+                plain.add(internal, index.record(internal).value(name))
+        for _ in range(30):
+            terms = random_query_terms(rng, plains["content"])
+            groups = [(views[name], Bm25Scorer(views[name]).statistics(terms)) for name in fields]
+            grouped_work, single_work = WorkCounters(), WorkCounters()
+            results = score_fields(groups, work=grouped_work)
+            for name, (ids, scores) in zip(fields, results):
+                served = dict(zip(ids.tolist(), scores.tolist()))
+                assert served == ReferenceBm25Scorer(plains[name]).score_all(terms), name
+            for group in groups:
+                score_fields([group], work=single_work)
+            assert grouped_work.counts == single_work.counts
 
 
 class TestKernelPostings:

@@ -371,7 +371,7 @@ class TestAnalyzerRoundTrip:
                     (hit.record.chunk_id, hit.score)
                     for hit in FullTextSearch(index).search(word).fetch()
                 ],
-                [content.document_frequency(term) for term in content.analyze_query(word)],
+                content.document_frequencies(content.analyze_query(word)),
             )
             for word in TestAnalyzerRoundTrip.WORDS
         }

@@ -242,5 +242,5 @@ class TestExactStatistics:
         assert seg_view.average_length == mono_view.average_length
         terms = mono_view.analyze_query("carta bonifico documento")
         for term in terms:
-            assert seg_view.document_frequency(term) == mono_view.document_frequency(term)
+            assert seg_view.document_frequencies([term]) == mono_view.document_frequencies([term])
             assert _live_postings(seg_view, term) == _live_postings(mono_view, term)

@@ -42,6 +42,7 @@ import tempfile
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,13 +183,19 @@ class Walk:
 def assert_ties_follow_internal_ids(cluster: ShardedSearchIndex) -> None:
     """What lets a shard cut its ties on its own internal ids: in every
     shard the live chunks' ordinals ascend strictly with internal id, and
-    the cluster keeps an ordinal for exactly its live chunks."""
+    the cluster keeps an ordinal for exactly its live chunks.  What the
+    merge and the legs read in their place: each shard's ordinal array at
+    every live internal id is that chunk's ordinal, and its live mask is
+    true at exactly the live internal ids."""
     live = []
     for shard_id in cluster.shard_ids:
         shard = cluster.shard_index(shard_id)
-        chunk_ids = [shard.record(internal).chunk_id for internal in sorted(shard.live_internals())]
+        internals = sorted(shard.live_internals())
+        chunk_ids = [shard.record(internal).chunk_id for internal in internals]
         ordinals = [cluster.ordinal(chunk_id) for chunk_id in chunk_ids]
         assert ordinals == sorted(set(ordinals)), (shard_id, ordinals)
+        assert cluster.shard_ordinals[shard_id][internals].tolist() == ordinals, shard_id
+        assert np.flatnonzero(shard.live_mask()).tolist() == internals, shard_id
         live += chunk_ids
     assert sorted(cluster.live_ordinals()) == sorted(live)
 
