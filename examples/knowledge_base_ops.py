@@ -12,7 +12,13 @@ Run:  python examples/knowledge_base_ops.py
 
 from __future__ import annotations
 
-from repro import KbGenerator, KbGeneratorConfig, build_banking_lexicon, build_uniask_system
+from repro import (
+    AskRequest,
+    KbGenerator,
+    KbGeneratorConfig,
+    build_banking_lexicon,
+    build_uniask_system,
+)
 from repro.pipeline.store import KbDocument
 
 PAGE = """<html>
@@ -27,9 +33,10 @@ PAGE = """<html>
 QUESTION = "Come posso richiedere la chiavetta OTP per un collega?"
 
 
-def ask(system) -> None:
-    answer = system.engine.answer(QUESTION).answer
-    print(f"  Q: {QUESTION}")
+def ask(system, filters: dict[str, str] | None = None) -> None:
+    answer = system.engine.answer(AskRequest.of(QUESTION, filters=filters)).answer
+    scope = f" (filters {filters})" if filters else ""
+    print(f"  Q: {QUESTION}{scope}")
     print(f"  A: [{answer.outcome}] {answer.answer_text}\n")
 
 
@@ -61,6 +68,8 @@ def main() -> None:
     system.clock.advance(15 * 60)
     system.refresh()
     ask(system)
+    print("  A desk that searches only its own domain finds the new page too:")
+    ask(system, filters={"domain": "technical_topics"})
 
     print("11:30 — the editor corrects the page (the procedure moved to FirmaWeb):")
     system.clock.advance(2 * 3600)

@@ -357,14 +357,6 @@ class SearchIndex:
         """All live internal ids."""
         return np.flatnonzero(self._live).tolist()
 
-    def chunk_ids(self, doc_id: str) -> list[str]:
-        """The chunk ids of *doc_id*'s live chunks, in internal-id order."""
-        return [
-            self._records[i].chunk_id
-            for i in self._internals_by_doc.get(doc_id, ())
-            if self._live[i]
-        ]
-
     def inverted_index(self, field_name: str):
         """The postings reader of searchable field *field_name*."""
         return self._store.view(field_name)
