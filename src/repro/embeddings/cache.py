@@ -1,9 +1,15 @@
-"""Embedding cache.
+"""Embedding cache: the vectors of recent query texts.
 
-Embedding calls are the expensive step of indexing (in the paper they are
-remote Azure OpenAI calls billed per token).  The indexing service wraps its
-model in a :class:`CachingEmbedder` so that re-ingesting an unchanged
-document — which happens every 15-minute polling cycle — never re-embeds it.
+A question is embedded once per request by the vector leg, again by the
+answer cache's semantic tier and by multi-query expansion, and a repeated
+question is embedded again on every repeat.  :class:`CachingEmbedder`
+serves those repeats from a small LRU bound (``CACHE_CAPACITY`` texts).
+Document vectors are not its job: the row store keeps one copy of each
+indexed title and content, and re-ingesting an unchanged page embeds
+nothing because :meth:`~repro.search.index.SearchIndex.replace_document`
+leaves an equal chunk alone and relabels an unchanged field's stored
+vector.  The stored vectors are read-only: every hit returns the same
+array, so a write into one would corrupt every later hit.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.embeddings.model import EmbeddingModel
+
+#: Distinct texts kept: a query-scale bound, not one entry per indexed field.
+CACHE_CAPACITY = 256
 
 
 class CachingEmbedder:
@@ -29,7 +38,7 @@ class CachingEmbedder:
     was embedded under: the cache is dropped when the version moves.
     """
 
-    def __init__(self, inner: EmbeddingModel, capacity: int = 100_000) -> None:
+    def __init__(self, inner: EmbeddingModel, capacity: int = CACHE_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._inner = inner
@@ -50,7 +59,7 @@ class CachingEmbedder:
         return getattr(self._inner, "lexicon", None)
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed *text*, serving repeated texts from the cache."""
+        """Embed *text*, serving repeated texts from the cache (read-only)."""
         lexicon = self.lexicon
         version = lexicon.version if lexicon is not None else 0
         if version != self._cache_version:
@@ -63,6 +72,7 @@ class CachingEmbedder:
             return cached
         self.misses += 1
         vector = self._inner.embed(text)
+        vector.flags.writeable = False
         self._cache[text] = vector
         if len(self._cache) > self._capacity:
             self._cache.popitem(last=False)

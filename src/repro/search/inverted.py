@@ -120,8 +120,8 @@ class InvertedIndex:
     def to_kernel(self, doc_ids=None) -> KernelPostings:
         """Freeze the current postings into contiguous arrays.
 
-        ``doc_ids`` optionally fixes the slot order (used when several
-        fields of one segment must share slot alignment).
+        ``doc_ids`` optionally passes the ascending member ids, one array
+        shared by every field of a segment (and so one slot order).
         """
         return KernelPostings.build(self._doc_lengths, self._postings, doc_ids=doc_ids)
 

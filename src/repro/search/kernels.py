@@ -36,7 +36,8 @@ go through a mutable write buffer instead of patching arrays in place.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -46,32 +47,38 @@ from repro.obs.work import WORK_POSTINGS_SCANNED
 class KernelPostings:
     """Contiguous postings of one field over one immutable document set.
 
-    Layout:
+    Layout (CSR: four arrays, one dict and one list, whatever the
+    vocabulary):
 
     * ``doc_ids`` — the member document ids, ascending (``int64``);
     * ``lengths`` — analyzed field length per slot (``float64``, aligned
       with ``doc_ids``);
-    * per term: a ``slots`` array (positions into ``doc_ids``) and a
-      parallel ``tfs`` array (``float64`` term frequencies).
+    * ``rows`` — ``term -> row``, rows numbered in insertion order;
+    * ``starts`` — row offsets: row ``r`` holds postings
+      ``starts[r]:starts[r + 1]`` (a list: a lookup reads two ints);
+    * ``slots`` (``int32`` positions into ``doc_ids``, ascending within a
+      row) and the parallel ``tfs`` (``float64`` term frequencies).
 
     Documents are addressed by *slot* during scoring so the length
     normalization is one gather; ids are materialized only on output.
     """
 
-    __slots__ = ("doc_ids", "lengths", "total_length", "_slots", "_tfs")
+    __slots__ = ("doc_ids", "lengths", "total_length", "rows", "starts", "slots", "tfs")
 
-    def __init__(
-        self,
-        doc_ids: np.ndarray,
-        lengths: np.ndarray,
-        slots_by_term: dict[str, np.ndarray],
-        tfs_by_term: dict[str, np.ndarray],
-    ) -> None:
+    def __init__(self, doc_ids: np.ndarray, lengths: np.ndarray, terms: list[str],
+                 rows: np.ndarray, slots: np.ndarray, tfs: np.ndarray) -> None:
+        """Freeze per-posting ``(row, slot, tf)`` arrays: one sort by (row,
+        slot); a row of *terms* with no posting gets no row."""
         self.doc_ids = doc_ids
         self.lengths = lengths
         self.total_length = int(lengths.sum()) if lengths.size else 0
-        self._slots = slots_by_term
-        self._tfs = tfs_by_term
+        counts = np.bincount(rows, minlength=len(terms))
+        held = np.flatnonzero(counts).tolist()
+        self.rows = {terms[row]: number for number, row in enumerate(held)}
+        self.starts = [0, *np.cumsum(counts[held]).tolist()]
+        order = np.lexsort((slots, rows))
+        self.slots = slots[order].astype(np.int32)
+        self.tfs = tfs[order]
 
     # -- construction ------------------------------------------------------
 
@@ -80,79 +87,62 @@ class KernelPostings:
         cls,
         doc_lengths: dict[int, int],
         postings: dict[str, dict[int, int]],
-        doc_ids: Sequence[int] | None = None,
+        doc_ids: np.ndarray | None = None,
     ) -> "KernelPostings":
-        """Freeze dict-shaped postings into contiguous arrays.
+        """Freeze dict-shaped postings (a write buffer) into CSR arrays.
 
-        ``doc_ids`` optionally fixes the slot order (ascending ids when
-        omitted); it must cover exactly the keys of *doc_lengths*.
+        ``doc_ids`` optionally passes the ascending member ids (a sealed
+        segment's fields share the one array); it must cover exactly the
+        keys of *doc_lengths*.
         """
-        if doc_ids is None:
-            ids = np.array(sorted(doc_lengths), dtype=np.int64)
-        else:
-            ids = np.asarray(doc_ids, dtype=np.int64)
-        lengths = np.array([float(doc_lengths[int(i)]) for i in ids], dtype=np.float64)
-        slot_of = {int(doc): slot for slot, doc in enumerate(ids)}
-        slots_by_term: dict[str, np.ndarray] = {}
-        tfs_by_term: dict[str, np.ndarray] = {}
-        for term, term_postings in postings.items():
-            if not term_postings:
-                continue
-            pairs = sorted((slot_of[doc], tf) for doc, tf in term_postings.items())
-            slots_by_term[term] = np.array([slot for slot, _ in pairs], dtype=np.int64)
-            tfs_by_term[term] = np.array([float(tf) for _, tf in pairs], dtype=np.float64)
-        return cls(ids, lengths, slots_by_term, tfs_by_term)
+        ids = np.array(sorted(doc_lengths), dtype=np.int64) if doc_ids is None else doc_ids
+        lengths = np.array([doc_lengths[doc] for doc in ids.tolist()], dtype=np.float64)
+        counts = [len(term_postings) for term_postings in postings.values()]
+        docs = np.fromiter(chain.from_iterable(postings.values()), np.int64, sum(counts))
+        tfs = np.fromiter(
+            chain.from_iterable(map(dict.values, postings.values())), np.float64, sum(counts)
+        )
+        rows = np.repeat(np.arange(len(counts)), counts)
+        return cls(ids, lengths, list(postings), rows, np.searchsorted(ids, docs), tfs)
+
+    @classmethod
+    def merge(
+        cls, parts: Sequence[tuple["KernelPostings", np.ndarray]], doc_ids: np.ndarray
+    ) -> "KernelPostings":
+        """Fold ``(kernel, live mask)`` parts over the ascending *doc_ids*
+        (their live members) as array passes: each part masked by its live
+        mask, slots remapped by one ``searchsorted``, one sort by (row,
+        slot).  Terms take rows in order of first appearance over the parts,
+        so the arrays do not depend on the string hash seed."""
+        rows_of: dict[str, int] = {}
+        pieces = []
+        lengths = np.empty(doc_ids.size, dtype=np.float64)
+        for kernel, live in parts:
+            lengths[np.searchsorted(doc_ids, kernel.doc_ids[live])] = kernel.lengths[live]
+            row_map = [rows_of.setdefault(term, len(rows_of)) for term in kernel.rows]
+            keep = live[kernel.slots]
+            rows = np.repeat(np.array(row_map, dtype=np.int64), np.diff(kernel.starts))
+            pieces.append((rows[keep], kernel.doc_ids[kernel.slots[keep]], kernel.tfs[keep]))
+        rows, docs, tfs = (np.concatenate(arrays) for arrays in zip(*pieces))
+        return cls(doc_ids, lengths, list(rows_of), rows, np.searchsorted(doc_ids, docs), tfs)
 
     # -- sizing / lookup ---------------------------------------------------
 
     def __len__(self) -> int:
         return int(self.doc_ids.size)
 
-    def terms(self) -> Iterable[str]:
-        """The indexed terms (arbitrary order)."""
-        return self._slots.keys()
-
     def document_frequency(self, term: str) -> int:
         """Number of member documents containing *term*."""
-        slots = self._slots.get(term)
-        return int(slots.size) if slots is not None else 0
+        row = self.rows.get(term)
+        return 0 if row is None else self.starts[row + 1] - self.starts[row]
 
     def term_arrays(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """The ``(slots, tfs)`` arrays of *term* (None when unseen)."""
-        slots = self._slots.get(term)
-        if slots is None:
+        """The ``(slots, tfs)`` slices of *term* (None when unseen)."""
+        row = self.rows.get(term)
+        if row is None:
             return None
-        return slots, self._tfs[term]
-
-    def postings_dict(self, term: str, live: np.ndarray | None = None) -> dict[int, int]:
-        """The ``doc_id -> tf`` dict of *term*, masked by *live* slots."""
-        arrays = self.term_arrays(term)
-        if arrays is None:
-            return {}
-        slots, tfs = arrays
-        if live is not None:
-            keep = live[slots]
-            slots, tfs = slots[keep], tfs[keep]
-        ids = self.doc_ids[slots]
-        return {int(doc): int(tf) for doc, tf in zip(ids, tfs)}
-
-    def to_dicts(
-        self, live: np.ndarray | None = None
-    ) -> tuple[dict[int, int], dict[str, dict[int, int]]]:
-        """Thaw back into ``(doc_lengths, postings)`` dicts (merge path)."""
-        if live is None:
-            keep_slots = np.arange(self.doc_ids.size)
-        else:
-            keep_slots = np.nonzero(live)[0]
-        doc_lengths = {
-            int(self.doc_ids[slot]): int(self.lengths[slot]) for slot in keep_slots
-        }
-        postings: dict[str, dict[int, int]] = {}
-        for term in self._slots:
-            term_postings = self.postings_dict(term, live)
-            if term_postings:
-                postings[term] = term_postings
-        return doc_lengths, postings
+        start, stop = self.starts[row], self.starts[row + 1]
+        return self.slots[start:stop], self.tfs[start:stop]
 
 
 class KernelView:

@@ -128,10 +128,6 @@ class SealedSegment:
                 field.deleted_df[term] = field.deleted_df.get(term, 0) + 1
         return True
 
-    def live_internal_ids(self) -> list[int]:
-        """The live member document ids, ascending."""
-        return [int(i) for i in self.doc_ids[self.live]]
-
 
 def seal_buffer(segment_id: int, buffers: dict[str, InvertedIndex]) -> SealedSegment | None:
     """Freeze the write buffer into a sealed segment (None when empty).
@@ -152,26 +148,22 @@ def seal_buffer(segment_id: int, buffers: dict[str, InvertedIndex]) -> SealedSeg
 
 
 def merge_segments(segment_id: int, segments: list[SealedSegment]) -> SealedSegment | None:
-    """Fold several segments into one, dropping tombstoned documents."""
+    """Fold several segments into one, dropping tombstoned documents.
+
+    Array passes per field (:meth:`KernelPostings.merge`); no posting is
+    thawed into a dict.
+    """
     if not segments:
         return None
-    field_names = list(segments[0].fields)
-    merged_ids: list[int] = []
-    for segment in segments:
-        merged_ids.extend(segment.live_internal_ids())
-    if not merged_ids:
+    doc_ids = np.sort(np.concatenate([segment.doc_ids[segment.live] for segment in segments]))
+    if not doc_ids.size:
         return None
-    doc_ids = np.array(sorted(merged_ids), dtype=np.int64)
-    fields: dict[str, SegmentField] = {}
-    for name in field_names:
-        doc_lengths: dict[int, int] = {}
-        postings: dict[str, dict[int, int]] = {}
-        for segment in segments:
-            seg_lengths, seg_postings = segment.fields[name].kernel.to_dicts(segment.live)
-            doc_lengths.update(seg_lengths)
-            for term, term_postings in seg_postings.items():
-                postings.setdefault(term, {}).update(term_postings)
-        fields[name] = SegmentField(KernelPostings.build(doc_lengths, postings, doc_ids=doc_ids))
+    fields = {
+        name: SegmentField(KernelPostings.merge(
+            [(segment.fields[name].kernel, segment.live) for segment in segments], doc_ids
+        ))
+        for name in segments[0].fields
+    }
     return SealedSegment(segment_id, doc_ids, fields)
 
 

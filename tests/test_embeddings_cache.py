@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.embeddings.cache import CachingEmbedder
+from repro.core.factory import build_uniask_system
+from repro.corpus.generator import KbGenerator, KbGeneratorConfig
+from repro.embeddings.cache import CACHE_CAPACITY, CachingEmbedder
 from repro.embeddings.concepts import Concept, ConceptLexicon
 from repro.embeddings.model import SyntheticAdaEmbedder
 
@@ -56,12 +58,28 @@ class TestCachingEmbedder:
         assert batch.shape == (3, 32)
         assert cached.hits == 1
 
+    def test_a_write_into_a_returned_vector_raises(self, cached):
+        miss = cached.embed("carta")
+        with pytest.raises(ValueError):
+            miss[0] = 1.0
+        hit = cached.embed("carta")
+        with pytest.raises(ValueError):
+            hit *= 2.0
+        fresh = SyntheticAdaEmbedder(None, dim=32, seed=1).embed("carta")
+        np.testing.assert_array_equal(cached.embed("carta"), fresh)
+
+    def test_the_default_bound_is_query_scale(self):
+        cache = CachingEmbedder(SyntheticAdaEmbedder(None, dim=8, seed=1))
+        for number in range(CACHE_CAPACITY + 10):
+            cache.embed(f"domanda {number}")
+        assert len(cache._cache) == CACHE_CAPACITY
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             CachingEmbedder(SyntheticAdaEmbedder(None, dim=8), capacity=0)
 
     def test_reingestion_scenario_hits_cache(self):
-        """Unchanged documents re-embedded on the next polling cycle are free."""
+        """Texts embedded again within the bound are served, not re-embedded."""
         inner = SyntheticAdaEmbedder(None, dim=16, seed=2)
         cache = CachingEmbedder(inner, capacity=100)
         documents = [f"documento numero {i}" for i in range(20)]
@@ -113,3 +131,36 @@ class TestLexiconVersion:
     def test_a_model_without_a_lexicon_is_cached_as_before(self, cached):
         assert cached.lexicon is None
         assert cached.embed("carta") is cached.embed("carta")
+
+
+class TestReingestion:
+    """Re-ingesting is cheap because the index relabels, not because of the cache.
+
+    A 60-topic system holds more titles and contents than the cache's bound,
+    so the cache cannot be what keeps an unchanged page from re-embedding:
+    ``SearchIndex.replace_document`` leaves an equal chunk alone and
+    relabels an unchanged field's stored vector.
+    """
+
+    def test_an_unchanged_page_embeds_nothing_and_a_content_edit_once(self, lexicon):
+        kb = KbGenerator(KbGeneratorConfig(num_topics=60, error_families=6, seed=5)).generate()
+        system = build_uniask_system(kb.store(), lexicon, seed=5, ann_backend="exact")
+        store, inner = system.store, system.embedder._inner
+        assert len(system.embedder._cache) <= CACHE_CAPACITY < 2 * len(system.index)
+
+        def ingest(doc_id: str, html: str) -> int:
+            """Wrapped-model embed calls of one poll-and-drain of *doc_id*."""
+            system.clock.advance(1.0)
+            store.update_html(doc_id, html, system.clock.now())
+            calls = inner.calls
+            system.ingestion.poll_now()
+            assert system.indexing.drain().documents_indexed == 1
+            return inner.calls - calls
+
+        doc_id = sorted(document.doc_id for document in store.all_documents())[0]
+        html = store.get(doc_id).html
+        system.embedder._cache.clear()  # nothing of the page can be served from the cache
+        assert "<p>In caso di dubbi" in html
+        assert ingest(doc_id, html) == 0
+        edited = html.replace("<p>In caso di dubbi", "<p>In caso di dubbi urgenti")
+        assert ingest(doc_id, edited) == 1

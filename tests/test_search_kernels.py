@@ -31,6 +31,7 @@ from repro.search import segment
 from repro.search.segment import SegmentedTextStore
 from repro.text.analyzer import FULL_ANALYZER
 from tests.reference_bm25 import ReferenceBm25Scorer
+from tests.reference_kernels import thaw
 
 #: Words that survive the Italian analyzer, skewed so random corpora get a
 #: realistic df spread (common terms, mid-frequency terms, rare terms).
@@ -231,9 +232,9 @@ class TestKernelPostings:
     def test_build_roundtrips_through_to_dicts(self):
         loop = build_index(seed=23, docs=20)
         kernel = loop.to_kernel()
-        lengths, postings = kernel.to_dicts()
+        lengths, postings = thaw(kernel)
         assert lengths == {i: loop.document_length(i) for i in loop.doc_ids()}
-        for term in kernel.terms():
+        for term in kernel.rows:
             assert postings[term] == loop.postings(term)
 
     def test_live_mask_filters_postings(self):
@@ -241,11 +242,11 @@ class TestKernelPostings:
         kernel = loop.to_kernel()
         live = np.ones(len(kernel), dtype=bool)
         live[0] = live[5] = False
-        for term in kernel.terms():
-            masked = kernel.postings_dict(term, live)
-            assert 0 not in masked and 5 not in masked
-            full = kernel.postings_dict(term)
-            assert masked == {d: tf for d, tf in full.items() if d not in (0, 5)}
+        masked, full = thaw(kernel, live)[1], thaw(kernel)[1]
+        for term in kernel.rows:
+            assert 0 not in masked.get(term, {}) and 5 not in masked.get(term, {})
+            expected = {d: tf for d, tf in full[term].items() if d not in (0, 5)}
+            assert masked.get(term, {}) == expected
 
 
 # -- served explain vs the reference loop ----------------------------------

@@ -16,6 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.search.fulltext import FullTextSearch
 from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord
+from tests.reference_kernels import thaw
 
 #: A flush threshold no test corpus reaches: the write buffer is the whole
 #: index, i.e. one plain ``InvertedIndex`` per field — the monolithic layout.
@@ -219,7 +220,7 @@ def _live_postings(view, term: str) -> dict[int, int]:
     """The live ``doc_id -> tf`` map of *term*, read off the kernel views."""
     merged: dict[int, int] = {}
     for kernel_view in view.kernel_views():
-        merged.update(kernel_view.kernel.postings_dict(term, kernel_view.live))
+        merged.update(thaw(kernel_view.kernel, kernel_view.live)[1].get(term, {}))
     return merged
 
 
