@@ -96,4 +96,10 @@ def test_hnsw_vs_exact_knn(benchmark, bench_kb, bench_lexicon, human_split, monk
     hnsw = results["hnsw"].metrics
     exact = results["exact"].metrics
     assert abs(hnsw.mrr - exact.mrr) < 0.05
+    # The walked graphs' bits, as the per-node graph the row arrays replaced printed them.
+    assert [f"{value:.4f}" for value in (hnsw.hit_at_4, hnsw.hit_at_50, hnsw.mrr)] == [
+        "0.6667",
+        "0.8667",
+        "0.5729",
+    ]
     assert abs(hnsw.hit_at_50 - exact.hit_at_50) < 0.05
