@@ -21,11 +21,11 @@ site operand for operand as :func:`repro.ann.distance.cosine_distance`, so
 the two agree to the last bit (DESIGN.md §17).  Vectors are the rows of one
 :class:`~repro.ann.store.RowStore`, whose labels are the ids searches report
 (``-1`` once removed: the node stays as a route, hnswlib's ``markDelete``).
-A graph of at most :data:`SCAN_BEAMS` beams of rows is searched, and
-inserted into, through one store pass instead of a walk; its rows are linked
+A node is its store row; the graph is arrays beside the store (:class:`_Layer`).
+A graph of at most :data:`SCAN_BEAMS` beams of rows is searched, and inserted
+into, through one store pass instead of a walk; its rows are linked
 :data:`LATE_LINK_ROWS` per add over the last ``1 / LATE_LINK_ROWS`` of that
-bound, all before a search walks.  A neighbour list keeps its distances and
-Algorithm 4's verdicts: an edge is measured once.
+bound, all before a search walks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from array import array
 
 import numpy as np
 
@@ -54,38 +53,45 @@ SCAN_BEAMS = 32
 LATE_LINK_ROWS = 8
 
 
-class _Node:
-    """One element of the graph: its store row, norm, per-layer adjacency.
+class _Layer:
+    """One layer's neighbour lists as arrays, a slot per linked row on it.
 
-    Searches report a node under its row's label (``-1`` once removed); the
-    graph itself (``HnswIndex._nodes``, the neighbour lists) keeps naming the
-    node by the id it was added under.
-
-    Beside the neighbour ids an adjacency list keeps what the inserts that
-    made it already paid for (DESIGN.md §17): the distance to each neighbour,
-    and how far Algorithm 4 has judged the list.  The first ``kept[layer]``
-    entries passed it and the entries up to ``judged[layer]`` failed it and
-    were re-admitted by its fall-back, each run in ``(distance, id)`` order;
-    the entries after that were appended by :meth:`HnswIndex._link` since and
-    are unjudged.
+    A slot holds up to ``width`` neighbour rows, each edge's distance, and
+    how far Algorithm 4 has judged the list (DESIGN.md §17): the first
+    ``kept`` entries passed it and those up to ``judged`` failed it and were
+    re-admitted by its fall-back, each run in ``(distance, id)`` order; later
+    entries were appended since and are unjudged.  Layer 0's slot is the
+    row; an upper layer maps its rows to slots in ``slots``.
     """
 
-    __slots__ = ("row", "vector", "norm", "neighbors", "distances", "kept", "judged")
+    __slots__ = ("neighbors", "distances", "degree", "kept", "judged", "slots")
 
-    def __init__(self, row: int, vector: np.ndarray, norm: float, level: int) -> None:
-        self.row = row
-        self.vector = vector  # a view of the store's row, re-pointed when the store grows
-        self.norm = norm
-        # neighbors[layer] -> list of item ids
-        self.neighbors: list[list[int]] = [[] for _ in range(level + 1)]
-        # distances[layer][i] -> distance from this node to neighbors[layer][i]
-        self.distances = [array("d") for _ in range(level + 1)]
-        self.kept = [0] * (level + 1)
-        self.judged = [0] * (level + 1)
+    def __init__(self, width: int, slots: dict[int, int] | None) -> None:
+        self.neighbors = np.empty((0, width), dtype=np.int32)
+        self.distances = np.empty((0, width), dtype=np.float64)
+        self.degree = np.empty(0, dtype=np.int32)
+        self.kept = np.empty(0, dtype=np.int8)
+        self.judged = np.empty(0, dtype=np.int8)
+        self.slots = slots
 
-    @property
-    def level(self) -> int:
-        return len(self.neighbors) - 1
+    def slot(self, row: int) -> int:
+        return row if self.slots is None else self.slots[row]
+
+    def open(self, slot: int) -> None:
+        """Make *slot* an empty list, growing the arrays by half when full."""
+        if slot == len(self.degree):
+            for name in self.__slots__[:-1]:
+                old = getattr(self, name)
+                grown = np.empty((max(16, slot + slot // 2), *old.shape[1:]), dtype=old.dtype)
+                grown[:slot] = old
+                setattr(self, name, grown)
+        self.degree[slot] = self.kept[slot] = self.judged[slot] = 0
+
+    def write(self, slot: int, distances: list[float], rows: list[int], kept: int) -> None:
+        """Make *slot*'s list the judged *rows* at *distances*, *kept* kept."""
+        count = len(rows)
+        self.neighbors[slot, :count], self.distances[slot, :count] = rows, distances
+        self.degree[slot], self.kept[slot], self.judged[slot] = count, kept, count
 
 
 class HnswIndex:
@@ -93,7 +99,8 @@ class HnswIndex:
 
     Args:
         dim: vector dimensionality.
-        m: max neighbours per node per layer (layer 0 allows ``2*m``).
+        m: max neighbours per node per layer (layer 0 allows ``2*m``); at
+            most 63, so a list's verdict counts fit an int8.
         ef_construction: candidate-list width during insertion.
         ef_search: default candidate-list width during queries (raise for
             better recall, lower for speed); can be overridden per query.
@@ -110,42 +117,45 @@ class HnswIndex:
     ) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        self._dim = dim
-        self._m = m
-        self._max_m0 = 2 * m
+        if not 2 <= m <= 63:
+            raise ValueError("m must be between 2 and 63")
+        self._dim, self._m = dim, m
         self._ef_construction = max(ef_construction, m)
         self.ef_search = ef_search
         self._level_mult = 1.0 / math.log(m)
         self._rng = random.Random(seed)
-        # Keyed by the id a node was added under, for the life of the graph,
-        # and in row order: the n-th node added holds the store's n-th row.
-        self._nodes: dict[int, _Node] = {}
         self._store = RowStore(dim)
-        # Beside each store row, the id its node was added under and its top layer.
+        # Beside each store row, the id it was added under (the graph's tie
+        # key for the life of the graph) and its top layer.
         self._ids = np.empty_like(self._store.labels)
         self._levels = np.empty_like(self._store.labels)
-        self._entry_point: int | None = None
+        self._retired: set[int] = set()  # added, then removed or relabelled away
+        self._layers = [_Layer(2 * m, None)]
+        # Per linked row, the number of the last walk that met it.
+        self._visited, self._walks = np.zeros(0, dtype=np.int32), 0
+        self._entry_point: int | None = None  # a row
         self._linked = 0  # rows [0, _linked) are in the graph, the rest wait
         self._removed = 0
 
     def __len__(self) -> int:
         """Stored nodes, removed ones included: they still route."""
-        return len(self._nodes)
+        return self._store.count
 
     def __contains__(self, item_id: int) -> bool:
         """True when a live node answers to *item_id*."""
         return item_id in self._store
 
     def vector(self, item_id: int) -> np.ndarray:
-        """The vector of live item *item_id* (the index's own row)."""
-        return self._nodes[int(self._ids[self._store.row(item_id)])].vector
+        """The vector of live item *item_id*: a read-only view of its row."""
+        view = self._store.rows[self._store.row(item_id)]
+        view.flags.writeable = False
+        return view
 
     def remove(self, item_id: int) -> None:
         """Take live item *item_id* out of every later result (``KeyError``
         when none answers to it); its node stays in the graph as a route
         until the owner rebuilds it."""
+        self._retired.add(int(self._ids[self._store.row(item_id)]))
         self._store.remove(item_id)
         self._removed += 1
 
@@ -155,9 +165,10 @@ class HnswIndex:
         ``ValueError`` when *item_id* is not live or *new_id* is taken — by a
         live item or, as for :meth:`add`, by a node that was added under it.
         """
-        if new_id in self._nodes:
+        if new_id in self._retired:
             raise ValueError(f"item id in use: {new_id}")
         self._store.relabel(item_id, new_id)
+        self._retired.add(int(self._ids[self._store.row(new_id)]))
 
     def add(self, item_id: int, vector: np.ndarray) -> None:
         """Store *vector* under *item_id* (values finite); it is linked into
@@ -171,7 +182,7 @@ class HnswIndex:
         """
         if vector.shape != (self._dim,):
             raise ValueError(f"expected shape ({self._dim},), got {vector.shape}")
-        if item_id in self._nodes or item_id in self._store:
+        if item_id in self._store or item_id in self._retired:
             raise ValueError(f"duplicate item id: {item_id}")
 
         vector = np.asarray(vector, dtype=np.float64)
@@ -179,15 +190,11 @@ class HnswIndex:
         if not math.isfinite(norm):
             raise ValueError(f"vector of item {item_id} is not finite (norm {norm})")
         level, store = self._draw_level(), self._store
-        block = store.rows
         row = store.append(vector, norm, item_id)
-        if store.rows is not block:
-            for node, moved in zip(self._nodes.values(), store.rows):
-                node.vector = moved
-            grown = len(store.rows)
+        if row == len(self._ids):
+            grown = len(store.labels)
             self._ids, self._levels = np.resize(self._ids, grown), np.resize(self._levels, grown)
         self._ids[row], self._levels[row] = item_id, level
-        self._nodes[item_id] = _Node(row, store.rows[row], norm, level)
         if LATE_LINK_ROWS * row >= (LATE_LINK_ROWS - 1) * SCAN_BEAMS * self.ef_search:
             self._link_pending(LATE_LINK_ROWS)
 
@@ -207,7 +214,8 @@ class HnswIndex:
         search is the source of truth for ``ann_distance_evals`` (one unit
         per distance computation, descent and base layer alike).
         """
-        if k <= 0 or not self._nodes:
+        rows = self._store.count
+        if k <= 0 or not rows:
             return []
         ef = max(ef if ef is not None else self.ef_search, k)
         query = np.asarray(query, dtype=np.float64)
@@ -215,22 +223,21 @@ class HnswIndex:
         if not math.isfinite(query_norm):
             raise ValueError(f"query vector is not finite (norm {query_norm})")
 
-        rows = len(self._nodes)
         if rows <= SCAN_BEAMS * ef:
             if work is not None:
                 work.add(WORK_ANN_DISTANCE_EVALS, rows)
             return self._store.nearest(query, query_norm, k)
         self._link_pending()
         evals, current = 0, self._entry_point
-        for layer in range(self._nodes[current].level, 0, -1):
+        for layer in range(int(self._levels[current]), 0, -1):
             current, walked = self._greedy_closest(query, query_norm, current, layer)
             evals += walked
         live = bool(self._removed)
         candidates, walked = self._search_layer(query, query_norm, current, ef, 0, live=live)
         evals += walked
-        # Results answer to their row's current label, not the id the node was added under.
-        nodes, labels = self._nodes, self._store.labels
-        candidates = sorted((distance, int(labels[nodes[key].row])) for distance, key in candidates)
+        # Results answer to their row's current label, not the id it was added under.
+        labels = self._store.labels
+        candidates = sorted((distance, int(labels[row])) for distance, _, row in candidates)
         if work is not None:
             work.add(WORK_ANN_DISTANCE_EVALS, evals)
         return [(item_id, distance) for distance, item_id in candidates[:k]]
@@ -240,20 +247,31 @@ class HnswIndex:
     def _draw_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._level_mult)
 
+    def _distance(self, query: np.ndarray, query_norm: float, row: int) -> float:
+        norm = query_norm * float(self._store.norms[row])
+        return 1.0 if norm < ZERO_NORM else 1.0 - float(np.dot(query, self._store.rows[row])) / norm
+
     def _link_pending(self, limit: int | None = None) -> None:
         """Insert the rows not linked yet, at most *limit* of them, in row
         order: :data:`LATE_LINK_ROWS` per :meth:`add` late in the search
         bound, and all of them before a :meth:`search` walks.  An
         insert reads no label and not the removed count, so a late link
         builds the graph an insert at each add would have (DESIGN.md §17)."""
-        store, ids, levels = self._store, self._ids, self._levels
-        nodes, ef = self._nodes, self._ef_construction
-        end = len(nodes) if limit is None else min(len(nodes), self._linked + limit)
+        store, ids, levels, layers = self._store, self._ids, self._levels, self._layers
+        ef = self._ef_construction
+        end = store.count if limit is None else min(store.count, self._linked + limit)
+        if end > len(self._visited):
+            self._visited, self._walks = np.zeros(len(store.labels), dtype=np.int32), 0
         for row in range(self._linked, end):
-            item_id = int(ids[row])
-            node = nodes[item_id]
-            vector, norm, level = node.vector, node.norm, node.level
-            top = -1 if self._entry_point is None else nodes[self._entry_point].level
+            vector, norm, level = store.rows[row], float(store.norms[row]), int(levels[row])
+            top = -1 if self._entry_point is None else int(levels[self._entry_point])
+            layers[0].open(row)
+            for layer in range(1, level + 1):
+                if layer == len(layers):
+                    layers.append(_Layer(self._m, {}))
+                slots = layers[layer].slots
+                slots[row] = len(slots)
+                layers[layer].open(slots[row])
             if row <= SCAN_BEAMS * ef:
                 # No wider than SCAN_BEAMS beams: every row's distance from one
                 # store pass, in (distance, id) order; removed rows are candidates.
@@ -269,46 +287,38 @@ class HnswIndex:
             for layer in range(min(level, top), -1, -1):
                 if scanned is None:
                     candidates, _ = self._search_layer(vector, norm, current, ef, layer)
-                    current = min(candidates)[1]
-                    distances, neighbors = zip(*candidates)
+                    current = min(candidates)[2]
+                    distances, _, neighbors = map(list, zip(*candidates))
                 else:
                     nearest = order[tops >= layer][:ef]
-                    distances, neighbors = scanned[nearest].tolist(), ids[nearest].tolist()
-                # The candidates are an adjacency list with nothing judged.
-                node.distances[layer] = array("d", distances)
-                node.neighbors[layer] = list(neighbors)
-                self._select_neighbors_heuristic(node, layer, self._m)
+                    distances, neighbors = scanned[nearest].tolist(), nearest.tolist()
+                # The candidates are a list with nothing judged.
+                picked = self._select_neighbors_heuristic(distances, neighbors, 0, 0, self._m)
+                layers[layer].write(layers[layer].slot(row), *picked)
                 # d(new, neighbour) is d(neighbour, new) to the bit: the products
                 # commute and the dot sums them in index order either way.
-                max_degree = self._max_m0 if layer == 0 else self._m
-                for distance, neighbor_id in zip(node.distances[layer], node.neighbors[layer]):
-                    self._link(neighbor_id, item_id, layer, max_degree, distance)
+                for distance, neighbor in zip(*picked[:2]):
+                    self._link(neighbor, row, layer, distance)
             if level > top:
-                self._entry_point = item_id
+                self._entry_point = row
         self._linked = end
 
     def _greedy_closest(
         self, query: np.ndarray, query_norm: float, start: int, layer: int
     ) -> tuple[int, int]:
         """Greedy ef=1 descent on one layer along improving edges: returns
-        the closest node reached and the distances evaluated."""
-        nodes = self._nodes
-        dot = np.dot
-        current, node = start, nodes[start]
-        norm = query_norm * node.norm
-        current_distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
-        evals = 1
+        the closest row reached and the distances evaluated."""
+        graph = self._layers[layer]
+        current, current_distance, evals = start, self._distance(query, query_norm, start), 1
         improved = True
         while improved:
             improved = False
-            for neighbor_id in nodes[current].neighbors[layer]:
-                node = nodes[neighbor_id]
-                norm = query_norm * node.norm
-                distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+            slot = graph.slot(current)
+            for row in graph.neighbors[slot, : graph.degree[slot]].tolist():
+                distance = self._distance(query, query_norm, row)
                 evals += 1
                 if distance < current_distance:
-                    current, current_distance = neighbor_id, distance
-                    improved = True
+                    current, current_distance, improved = row, distance, True
         return current, evals
 
     def _search_layer(
@@ -319,131 +329,121 @@ class HnswIndex:
         ef: int,
         layer: int,
         live: bool = False,
-    ) -> tuple[list[tuple[float, int]], int]:
-        """Algorithm 2: best-first search from *entry* with dynamic list of
-        width *ef*.
+    ) -> tuple[list[tuple[float, int, int]], int]:
+        """Algorithm 2: best-first search from row *entry* with dynamic list
+        of width *ef*; heaps order on ``(distance, id added under)``.
 
-        Returns the ``(distance, id)`` results, unordered, and the distances
-        evaluated.  With *live*, a removed node is expanded like any other —
-        its edges may be the only way to the live nodes behind it — and never
-        enters the results, so *ef* bounds live results and the walk ends
-        once the nearest unexpanded node is farther than the worst of *ef*
-        live ones.  Inserts link to removed nodes, so they search without.
+        Returns the ``(distance, id, row)`` results, unordered, and the
+        distances evaluated.  With *live*, a removed node is expanded like
+        any other — its edges may be the only way to the live nodes behind
+        it — and never enters the results, so *ef* bounds live results and
+        the walk ends once the nearest unexpanded node is farther than the
+        worst of *ef* live ones.  Inserts link to removed nodes, so they
+        search without.
         """
-        nodes = self._nodes
-        dot = np.dot
+        graph, store = self._layers[layer], self._store
+        neighbors, degree, slots = graph.neighbors, graph.degree, graph.slots
+        # Read through memoryviews, a column's entries come out as Python numbers.
+        ids, labels = memoryview(self._ids), memoryview(store.labels)
+        norms, vectors, dot = memoryview(store.norms), store.rows, np.dot
         heappush, heappop = heapq.heappush, heapq.heappop
-        node = nodes[entry]
-        norm = query_norm * node.norm
-        distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
+        if self._walks == np.iinfo(np.int32).max:
+            self._visited[:], self._walks = 0, 0
+        self._walks += 1
+        visited, stamp = memoryview(self._visited), self._walks
+        visited[entry] = stamp
+        distance, key = self._distance(query, query_norm, entry), ids[entry]
         evals = 1
-        visited = {entry}
-        candidates = [(distance, entry)]  # min-heap by distance
+        candidates = [(distance, key, entry)]  # min-heap by distance
         # max-heap via negated distance
-        labels = self._store.labels
-        results = [] if live and labels[node.row] < 0 else [(-distance, entry)]
+        results = [] if live and labels[entry] < 0 else [(-distance, key, entry)]
 
         while candidates:
-            distance, point = heappop(candidates)
+            distance, _, point = heappop(candidates)
             if len(results) >= ef and distance > -results[0][0]:
                 break
-            for neighbor_id in nodes[point].neighbors[layer]:
-                if neighbor_id in visited:
+            slot = point if slots is None else slots[point]
+            for row in neighbors[slot, : degree[slot]].tolist():
+                if visited[row] == stamp:
                     continue
-                visited.add(neighbor_id)
-                node = nodes[neighbor_id]
-                norm = query_norm * node.norm
-                neighbor_distance = (
-                    1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, node.vector)) / norm
-                )
+                visited[row] = stamp
                 evals += 1
-                if len(results) < ef or neighbor_distance < -results[0][0]:
-                    heappush(candidates, (neighbor_distance, neighbor_id))
-                    if not live or labels[node.row] >= 0:
-                        heappush(results, (-neighbor_distance, neighbor_id))
+                norm = query_norm * norms[row]
+                distance = 1.0 if norm < ZERO_NORM else 1.0 - float(dot(query, vectors[row])) / norm
+                if len(results) < ef or distance < -results[0][0]:
+                    heappush(candidates, (distance, ids[row], row))
+                    if not live or labels[row] >= 0:
+                        heappush(results, (-distance, ids[row], row))
                         if len(results) > ef:
                             heappop(results)
-        return [(-negated, key) for negated, key in results], evals
+        return [(-negated, key, row) for negated, key, row in results], evals
 
-    def _select_neighbors_heuristic(self, node: _Node, layer: int, m: int) -> None:
-        """Algorithm 4: cut *node*'s adjacency list on *layer* down to *m*.
+    def _select_neighbors_heuristic(
+        self, distances: list[float], rows: list[int], kept: int, judged: int, m: int
+    ) -> tuple[list[float], list[int], int]:
+        """Algorithm 4: cut the list of *rows* at *distances* down to *m*;
+        returns the cut list's distances, rows and kept count.
 
-        Diversity-preserving selection: walking the list in ``(distance,
-        id)`` order, an entry is kept unless an entry kept before it is
-        closer to it than *node* is; if fewer than *m* pass, the nearest of
-        the failed fill up.  An entry's verdict depends only on the kept
-        entries that sort before it, so the verdicts the list carries
-        (:class:`_Node`) stand in for most of the comparisons:
-
-        * a formerly kept entry passed against every formerly kept entry
-          before it: it is compared only with the entries kept now that were
-          not kept then;
-        * a formerly failed entry fails again as long as every formerly kept
-          entry before it has been kept again — the one it failed against is
-          among them;
-        * an unjudged entry, and a formerly failed one once a formerly kept
-          entry has failed, is compared with everything kept so far.
-
-        The insert's own selection over its search results is the same walk
-        with nothing judged.
+        Walking the list in ``(distance, id)`` order, an entry is kept unless
+        an entry kept before it is closer to it than the list's node is; if
+        fewer than *m* pass, the nearest failed ones fill up.  A verdict
+        depends only on the kept entries sorting before it, so the list's
+        *kept* / *judged* counts (:class:`_Layer`) spare comparisons: a
+        formerly kept entry is compared only with entries kept now that were
+        not kept then; a formerly failed one fails again while every formerly
+        kept entry so far is kept again; an unjudged entry, or a formerly
+        failed one after that, is compared with everything kept so far.  An
+        insert's own selection is the same walk with nothing judged.
         """
-        nodes = self._nodes
-        dot = np.dot
-        neighbors = node.neighbors[layer]
-        kept, judged = node.kept[layer], node.judged[layer]
-        ordered = sorted(zip(node.distances[layer], neighbors, range(len(neighbors))))
+        vectors, norms, dot = self._store.rows, self._store.norms[rows].tolist(), np.dot
+        ordered = sorted(zip(distances, self._ids[rows].tolist(), range(len(rows))))
         selected: list[tuple[float, int, int]] = []
-        selected_nodes: list[_Node] = []
-        fresh_nodes: list[_Node] = []  # kept now, not kept before
+        chosen: list[tuple[np.ndarray, float]] = []  # kept rows' vectors and norms
+        fresh: list[tuple[np.ndarray, float]] = []  # kept now, not kept before
         failed: list[tuple[float, int, int]] = []
         verdicts_hold = True  # every formerly kept entry so far is kept again
         for entry in ordered:
             if len(selected) >= m:
                 break
-            distance, candidate_id, position = entry
+            distance, _, position = entry
             if position < kept:
-                others = fresh_nodes
+                others = fresh
             elif position < judged and verdicts_hold:
                 failed.append(entry)
                 continue
             else:
-                others = selected_nodes
-            candidate = nodes[candidate_id]
+                others = chosen
+            vector, norm = vectors[rows[position]], norms[position]
             # Keep the candidate unless an already selected neighbour is
             # closer to it than the point is; stop at the first such one.
-            for other in others:
-                norm = candidate.norm * other.norm
-                between = (
-                    1.0
-                    if norm < ZERO_NORM
-                    else 1.0 - float(dot(candidate.vector, other.vector)) / norm
-                )
+            for other, other_norm in others:
+                product = norm * other_norm
+                between = 1.0 if product < ZERO_NORM else 1.0 - float(dot(vector, other)) / product
                 if between < distance:
                     failed.append(entry)
-                    if position < kept:
-                        verdicts_hold = False
+                    verdicts_hold = verdicts_hold and position >= kept
                     break
             else:
                 selected.append(entry)
-                selected_nodes.append(candidate)
+                chosen.append((vector, norm))
                 if position >= kept:
-                    fresh_nodes.append(candidate)
-        node.kept[layer] = len(selected)
+                    fresh.append((vector, norm))
+        kept = len(selected)
         # Fall back to plain nearest if the heuristic was too aggressive.
-        if len(selected) < m:
-            selected += failed[: m - len(selected)]
-        node.judged[layer] = len(selected)
-        node.distances[layer] = array("d", [distance for distance, _, _ in selected])
-        node.neighbors[layer] = [neighbor_id for _, neighbor_id, _ in selected]
+        selected += failed[: m - len(selected)]
+        return [entry[0] for entry in selected], [rows[entry[2]] for entry in selected], kept
 
-    def _link(self, from_id: int, to_id: int, layer: int, max_degree: int, distance: float) -> None:
+    def _link(self, from_row: int, to_row: int, layer: int, distance: float) -> None:
         """Add edge from→to of length *distance* on *layer*, re-pruning if
-        the degree bound breaks."""
-        node = self._nodes[from_id]
-        neighbors = node.neighbors[layer]
-        if to_id in neighbors:
+        the list is full (``2M`` entries on layer 0, ``M`` above)."""
+        graph = self._layers[layer]
+        slot, width = graph.slot(from_row), graph.neighbors.shape[1]
+        degree = int(graph.degree[slot])
+        if degree < width:
+            graph.neighbors[slot, degree], graph.distances[slot, degree] = to_row, distance
+            graph.degree[slot] = degree + 1
             return
-        neighbors.append(to_id)
-        node.distances[layer].append(distance)
-        if len(neighbors) > max_degree:
-            self._select_neighbors_heuristic(node, layer, max_degree)
+        rows = graph.neighbors[slot].tolist() + [to_row]
+        distances = graph.distances[slot].tolist() + [distance]
+        kept, judged = int(graph.kept[slot]), int(graph.judged[slot])
+        graph.write(slot, *self._select_neighbors_heuristic(distances, rows, kept, judged, width))

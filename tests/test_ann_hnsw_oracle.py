@@ -37,6 +37,8 @@ every ``add``, whether or not a later insert happens to lean on them.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -45,13 +47,19 @@ from hypothesis import strategies as st
 from repro.ann.distance import cosine_distance
 from repro.ann.hnsw import SCAN_BEAMS, HnswIndex
 from repro.obs.work import WORK_ANN_DISTANCE_EVALS, WorkCounters
+from tests.hnsw_graph import adjacency, entry_id, node_lists, node_vectors
 from tests.reference_hnsw import HnswIndex as ReferenceHnswIndex
 
 
 def _graph(index) -> tuple[int | None, dict[int, list[list[int]]]]:
-    """Entry point and every node's per-layer neighbour lists."""
-    return index._entry_point, {
-        item_id: node.neighbors for item_id, node in index._nodes.items()
+    """Entry point and every node's per-layer neighbour lists, by the ids
+    the nodes were added under."""
+    if isinstance(index, ReferenceHnswIndex):
+        return index._entry_point, {
+            item_id: node.neighbors for item_id, node in index._nodes.items()
+        }
+    return entry_id(index), {
+        item_id: [ids for ids, _, _, _ in lists] for item_id, lists in node_lists(index).items()
     }
 
 
@@ -127,14 +135,12 @@ def test_graphs_searches_and_work_equal_the_reference(
 def _state(index) -> tuple:
     """The whole graph: entry point and, per node, its lists with their
     distance bits and verdict counts."""
-    return index._entry_point, {
-        item_id: (
-            node.neighbors,
-            [[d.hex() for d in distances] for distances in node.distances],
-            node.kept,
-            node.judged,
-        )
-        for item_id, node in index._nodes.items()
+    return entry_id(index), {
+        item_id: [
+            (ids, [d.hex() for d in distances], kept, judged)
+            for ids, distances, kept, judged in lists
+        ]
+        for item_id, lists in node_lists(index).items()
     }
 
 
@@ -200,34 +206,31 @@ def test_a_graph_linked_late_is_the_graph_linked_at_once(seed, ef_construction):
 def _memo(index) -> dict[tuple[int, int], tuple]:
     """Every adjacency list with what the index remembers about it."""
     return {
-        (item_id, layer): (
-            tuple(node.neighbors[layer]),
-            tuple(node.distances[layer]),
-            node.kept[layer],
-            node.judged[layer],
-        )
-        for item_id, node in index._nodes.items()
-        for layer in range(node.level + 1)
+        (item_id, layer): (tuple(ids), tuple(distances), kept, judged)
+        for item_id, lists in node_lists(index).items()
+        for layer, (ids, distances, kept, judged) in enumerate(lists)
     }
 
 
 def _judge_of(index, dim: int) -> ReferenceHnswIndex:
-    """A reference index looking at the serving index's nodes: its
+    """A reference index looking at the serving index's vectors: its
     ``_select_neighbors_heuristic`` is Algorithm 4 from scratch over them."""
     judge = ReferenceHnswIndex(dim)
-    judge._nodes = index._nodes
+    judge._nodes = {
+        item_id: SimpleNamespace(vector=vector) for item_id, vector in node_vectors(index).items()
+    }
     return judge
 
 
 def _algorithm_4(index, pairs: list[tuple[float, int]]) -> tuple[list, list]:
     """The kept and the failed run of *pairs*, from scratch and without a
     degree bound, every pair through ``cosine_distance``."""
+    vectors = node_vectors(index)
     kept: list[tuple[float, int]] = []
     failed: list[tuple[float, int]] = []
     for distance, candidate in sorted(pairs):
-        vector = index._nodes[candidate].vector
         closer_to_kept = any(
-            cosine_distance(vector, index._nodes[other].vector) < distance for _, other in kept
+            cosine_distance(vectors[candidate], vectors[other]) < distance for _, other in kept
         )
         (failed if closer_to_kept else kept).append((distance, candidate))
     return kept, failed
@@ -235,15 +238,16 @@ def _algorithm_4(index, pairs: list[tuple[float, int]]) -> tuple[list, list]:
 
 def _check_list(index, item_id: int, layer: int, judge=None) -> None:
     """One adjacency list's memo against computation from scratch."""
-    node = index._nodes[item_id]
-    ids, kept, judged = node.neighbors[layer], node.kept[layer], node.judged[layer]
-    assert len(node.distances[layer]) == len(ids)
-    assert 0 <= kept <= judged <= len(ids)
+    row = int(np.flatnonzero(index._ids[: len(index)] == item_id)[0])
+    rows, distances, kept, judged = adjacency(index, row, layer)
+    vectors = index._store.rows
+    assert len(distances) == len(rows)
+    assert 0 <= kept <= judged <= len(rows)
     pairs = [
-        (cosine_distance(node.vector, index._nodes[neighbor_id].vector), neighbor_id)
-        for neighbor_id in ids
+        (cosine_distance(vectors[row], vectors[neighbor]), int(index._ids[neighbor]))
+        for neighbor in rows
     ]
-    assert [d.hex() for d in node.distances[layer]] == [d.hex() for d, _ in pairs]
+    assert [d.hex() for d in distances] == [d.hex() for d, _ in pairs]
     # The verdicts are about the judged entries among themselves; entries
     # appended since belong to the next re-prune.
     kept_run, failed_run = _algorithm_4(index, pairs[:judged])
@@ -254,7 +258,7 @@ def _check_list(index, item_id: int, layer: int, judge=None) -> None:
     # the split.  (Twice the pairs, so only the closing sweep asks it.)
     if judge is not None:
         assert kept_run + failed_run == judge._select_neighbors_heuristic(
-            node.vector, pairs[:judged], judged
+            vectors[row], pairs[:judged], judged
         )
 
 

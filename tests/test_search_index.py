@@ -127,18 +127,28 @@ class TestReplaceDocument:
 
     def test_an_unchanged_field_keeps_its_vector(self, index):
         """A content-only edit hands the title vector to the new internal id:
-        the very array, neither re-embedded nor re-inserted."""
+        the very row of the store, neither re-embedded nor re-inserted."""
         (old,) = index.replace_document("a", [_record("a")])
         title_vector = index.chunk_vector(old, "title")
         (new,) = index.replace_document("a", [_record("a", content="altro contenuto")])
         assert new != old
-        assert index.chunk_vector(new, "title") is title_vector
+        assert np.shares_memory(index.chunk_vector(new, "title"), title_vector)
+        assert index._vectors["title"]._store.count == 1  # no row appended
         assert np.array_equal(
             index.chunk_vector(new, "content"), index.embedder.embed("altro contenuto")
         )
         with pytest.raises(KeyError):
             index.chunk_vector(old, "title")  # the replaced chunk has no vectors
         assert len(index._vectors["title"]) == 1 and len(index._vectors["content"]) == 2
+
+    def test_a_chunk_vector_is_read_only(self, index):
+        """A stored vector is the index's own row: writing into it raises
+        instead of moving every later search of the chunk."""
+        (internal,) = index.replace_document("a", [_record("a")])
+        vector = index.chunk_vector(internal, "content")
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+        assert np.array_equal(index.chunk_vector(internal, "content"), vector)
 
     def test_supplied_vectors_are_always_inserted(self, index):
         """``load_index`` and shard migration hand vectors in: they are stored
