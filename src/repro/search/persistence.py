@@ -4,8 +4,8 @@ A production deployment does not rebuild its index on restart: records and
 embeddings are persisted and reloaded.  This module saves a
 :class:`~repro.search.index.SearchIndex` to a directory —
 
-* ``vectors.npz``  — one embedding matrix per vector field, row-aligned
-  with the records;
+* ``vectors.npz``  — one float32 matrix per vector field, the rows as the
+  ANN store holds them, row-aligned with the records;
 * ``records.json`` — every live chunk record plus the schema, the
   embedding width, the analyzer's fingerprint and ``vectors.npz``'s byte
   length and sha256;
@@ -13,7 +13,7 @@ embeddings are persisted and reloaded.  This module saves a
 — each through a temporary name renamed into place, ``records.json`` last,
 so an interrupted save leaves the old pair or a pair whose digest does not
 match — and loads it back without re-embedding anything (the ANN graphs are
-rebuilt deterministically from the stored vectors).
+rebuilt from the stored vectors; saving them again writes the same bytes).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.search.index import SearchIndex
 from repro.search.schema import ChunkRecord, FieldDefinition, IndexSchema
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 def replace_file(path: Path, data: bytes) -> None:
@@ -58,7 +58,7 @@ def save_index(index: SearchIndex, directory: str | Path) -> Path:
     matrices: dict[str, np.ndarray] = {}
     for field_name in vector_fields:
         rows = [index.chunk_vector(internal, field_name) for internal in internals]
-        matrices[field_name] = np.stack(rows) if rows else np.zeros((0, index.embedder.dim))
+        matrices[field_name] = np.array(rows, np.float32).reshape(-1, index.embedder.dim)
 
     archive = io.BytesIO()
     np.savez_compressed(archive, **matrices)
@@ -81,12 +81,12 @@ def _read_vectors(
 ) -> dict[str, np.ndarray]:
     """The matrices of *path*, checked; ``ValueError`` names what is wrong.
 
-    A vector file that does not hold exactly one finite ``(rows, dim)``
-    matrix per vector field of the *manifest*'s records must not load: a
-    missing field would be re-embedded behind the caller's back and a
-    surplus row ignored.  Nor must one of another byte length or sha256
-    than the manifest's: vectors of another save, or with a bit flipped
-    inside an archive that still unzips.
+    A vector file that does not hold exactly one finite float32 ``(rows,
+    dim)`` matrix per vector field of the *manifest*'s records must not load
+    (no other dtype is read): a missing field would be re-embedded behind
+    the caller's back and a surplus row ignored.  Nor must one of another
+    byte length or sha256 than the manifest's: vectors of another save, or
+    with a bit flipped inside an archive that still unzips.
     """
     rows = len(manifest["records"])
     # Imported where numpy itself first needs them: a process that only
@@ -106,10 +106,10 @@ def _read_vectors(
             f"the schema's vector fields are {sorted(fields)}"
         )
     for name, matrix in matrices.items():
-        if matrix.shape != (rows, dim) or not np.issubdtype(matrix.dtype, np.floating):
+        if matrix.shape != (rows, dim) or matrix.dtype != np.float32:
             raise ValueError(
                 f"{path.name} field {name!r} is {matrix.dtype}{matrix.shape}, "
-                f"expected one float row of width {dim} for each of the {rows} records"
+                f"expected one float32 row of width {dim} for each of the {rows} records"
             )
         damaged = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
         if len(damaged):

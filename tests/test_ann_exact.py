@@ -5,15 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ann.distance import batch_cosine_distance, cosine_distance
+from repro.ann.distance import cosine_distance, cosine_distances, float32_row
 from repro.ann.exact import ExactKnnIndex
 from repro.ann.hnsw import HnswIndex
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's norm as the store takes it."""
+    return np.array([float32_row(row, "row")[1] for row in rows])
+
+
 class TestDistances:
     def test_cosine_identical(self):
+        """Zero to the float32 dot's precision: the norms are float64."""
         v = np.array([0.3, 0.4])
-        assert cosine_distance(v, v) == pytest.approx(0.0)
+        assert cosine_distance(v, v) == pytest.approx(0.0, abs=1e-6)
 
     def test_cosine_opposite(self):
         assert cosine_distance(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(2.0)
@@ -22,15 +28,17 @@ class TestDistances:
         assert cosine_distance(np.zeros(2), np.ones(2)) == 1.0
 
     def test_batch_matches_scalar(self):
+        """The kernel over ten rows and the pair form agree to the bit."""
         generator = np.random.default_rng(0)
-        matrix = generator.standard_normal((10, 6))
-        query = generator.standard_normal(6)
-        batch = batch_cosine_distance(query, matrix)
+        matrix = generator.standard_normal((10, 6)).astype(np.float32)
+        query = generator.standard_normal(6).astype(np.float32)
+        batch = cosine_distances(query, row_norms(query[None, :])[0], matrix, row_norms(matrix))
         for i in range(10):
-            assert batch[i] == pytest.approx(cosine_distance(query, matrix[i]))
+            assert batch[i] == cosine_distance(query, matrix[i])
 
     def test_batch_empty(self):
-        assert batch_cosine_distance(np.ones(3), np.zeros((0, 3))).shape == (0,)
+        rows, query = np.zeros((0, 3), dtype=np.float32), np.ones(3, np.float32)
+        assert cosine_distances(query, 3**0.5, rows, row_norms(rows)).shape == (0,)
 
     @pytest.mark.parametrize("scale", (1e-12, 5e-13, 2e-12))
     def test_the_zero_norm_boundary_is_one_rule_on_both_backends(self, scale):
@@ -39,7 +47,7 @@ class TestDistances:
         stored, query = np.array([1.0, 0.0]), np.array([scale, 0.0])
         expected = cosine_distance(query, stored)
         assert expected == (1.0 if scale < 1e-12 else 0.0)
-        assert batch_cosine_distance(query, stored[None, :]).tolist() == [expected]
+        assert cosine_distance(stored, query) == expected
         for index in (ExactKnnIndex(dim=2), HnswIndex(dim=2)):
             index.add(0, stored)
             assert index.search(query, 1) == [(0, expected)]
@@ -67,8 +75,10 @@ class TestExactKnn:
         with pytest.raises(ValueError):
             index.add(0, np.ones(3))
 
-    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 1e39, -4e38))
     def test_non_finite_vector_never_enters_the_matrix(self, bad):
+        """A value beyond float32's range is as non-finite as NaN: the row
+        would be stored as an infinity."""
         index = ExactKnnIndex(dim=2)
         index.add(0, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="not finite"):
@@ -77,15 +87,17 @@ class TestExactKnn:
         assert len(index) == 2 and index._store.labels[: len(index)].tolist() == [0, 2]
         assert index.search(np.array([0.0, 1.0]), 5) == [(2, 0.0), (0, 1.0)]
 
-    def test_non_finite_query_rejected(self):
+    @pytest.mark.parametrize("bad", (np.nan, 1e39))
+    def test_non_finite_query_rejected(self, bad):
         index = ExactKnnIndex(dim=2)
         index.add(0, np.ones(2))
         with pytest.raises(ValueError, match="not finite"):
-            index.search(np.array([np.nan, 1.0]), 1)
+            index.search(np.array([bad, 1.0]), 1)
 
     def test_vector_is_the_one_stored(self):
-        """Also across a growth of the matrix (initial capacity 16)."""
-        rows = np.random.default_rng(3).standard_normal((40, 3))
+        """Also across a growth of the matrix (initial capacity 16): the
+        float32 row."""
+        rows = np.random.default_rng(3).standard_normal((40, 3)).astype(np.float32)
         index = ExactKnnIndex(dim=3)
         for i, row in enumerate(rows):
             index.add(100 + i, row)
@@ -107,7 +119,7 @@ class TestExactKnn:
     @pytest.mark.parametrize("dim", [1, 3, 8, 64, 129])
     def test_stored_norms_reproduce_the_reference_distances(self, dim):
         """``search`` reads row norms kept since ``add``; the distances must be
-        ``==`` to what ``batch_cosine_distance`` computes from the rows alone,
+        ``==`` to what ``cosine_distances`` computes from the rows alone,
         across matrix growth, for a zero row and for a zero query."""
         generator = np.random.default_rng(dim)
         rows = generator.standard_normal((70, dim)) * generator.uniform(1e-3, 1e3, (70, 1))
@@ -116,7 +128,11 @@ class TestExactKnn:
         for item_id, row in enumerate(rows):
             index.add(item_id, row)
         for query in (generator.standard_normal(dim), rows[3], np.zeros(dim)):
-            reference = batch_cosine_distance(query, index._store.rows[: len(index)])
+            stored = index._store.rows[: len(index)]
+            query32 = query.astype(np.float32)
+            reference = cosine_distances(
+                query32, row_norms(query32[None, :])[0], stored, row_norms(stored)
+            )
             found = dict(index.search(query, len(rows)))
             assert [found[item_id] for item_id in range(len(rows))] == reference.tolist()
         assert dict(index.search(rows[3], len(rows)))[17] == 1.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -103,10 +104,30 @@ class TestPersistence:
         assert loaded.record(hits[0][0]).doc_id == "d"
 
     def test_vectors_actually_stored(self, populated, tmp_path):
+        """As the float32 rows the ANN index holds, bit for bit."""
         path = save_index(populated, tmp_path / "idx")
         with np.load(path / "vectors.npz") as archive:
             assert set(archive.files) == {"title", "content"}
             assert archive["content"].shape == (3, 32)
+            assert archive["content"].dtype == np.float32
+            internals = sorted(populated.live_internals())
+            stored = [populated.chunk_vector(i, "content") for i in internals]
+            assert np.array_equal(archive["content"], np.stack(stored))
+
+    @pytest.mark.parametrize("ann_backend", ("hnsw", "exact"))
+    def test_save_load_save_writes_the_same_bytes(
+        self, embedder, ann_backend, tmp_path, monkeypatch
+    ):
+        """A save of a loaded index is the save it was loaded from, byte for
+        byte, an hour later too: the archive carries no time of saving and
+        the rows go out as they came in."""
+        first = save_index(_twelve(embedder, ann_backend), tmp_path / "first")
+        loaded = load_index(first, embedder, ann_backend=ann_backend, seed=9)
+        now = time.time
+        monkeypatch.setattr(time, "time", lambda: now() + 3600)
+        second = save_index(loaded, tmp_path / "second")
+        for name in ("vectors.npz", "records.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestNoLinkBelowTheBound:
@@ -212,14 +233,25 @@ class TestDamagedVectors:
         [
             (lambda m: {"title": m["title"]}, "holds the fields"),
             (lambda m: {**m, "summary": m["title"]}, "holds the fields"),
-            (lambda m: {**m, "content": m["content"][:-1]}, "'content' is float64\\(11, 32\\)"),
+            (lambda m: {**m, "content": m["content"][:-1]}, "'content' is float32\\(11, 32\\)"),
             (lambda m: {**m, "title": np.vstack([m["title"], m["title"][:2]])}, "\\(14, 32\\)"),
             (lambda m: {**m, "title": m["title"][:, :31]}, "\\(12, 31\\)"),
             (lambda m: {**m, "title": m["title"].astype(np.int64)}, "int64"),
+            (
+                lambda m: {**m, "title": m["title"].astype(np.float64)},
+                "vectors.npz field 'title' is float64\\(12, 32\\), expected one float32 row",
+            ),
+            (
+                lambda m: {**m, "title": _with(m["title"].astype(np.float64), 2, 1e39)},
+                "'title' is float64",
+            ),
             (lambda m: {**m, "content": _with(m["content"], 4, np.nan)}, "non-finite rows \\[4\\]"),
             (lambda m: {**m, "content": _with(m["content"], 0, -np.inf)}, "non-finite rows \\[0\\]"),
         ],
-        ids=["missing-field", "surplus-field", "short", "long", "narrow", "integers", "nan", "inf"],
+        ids=[
+            "missing-field", "surplus-field", "short", "long", "narrow", "integers", "float64",
+            "past-float32", "nan", "inf",
+        ],
     )
     def test_damaged_matrices_are_named(self, saved, embedder, damage, message):
         np.savez_compressed(saved / "vectors.npz", **damage(_matrices(saved)))
