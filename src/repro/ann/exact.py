@@ -46,9 +46,9 @@ class ExactKnnIndex:
         ``ValueError`` when *item_id* is not stored or *new_id* is in use."""
         self._store.relabel(item_id, new_id)
 
-    def add(self, item_id: int, vector: np.ndarray) -> None:
-        """Insert *vector* (``dim`` values finite in float32) under *item_id*."""
-        self._store.append(vector, item_id)
+    def add(self, item_id: int, vector: np.ndarray, norm: float | None = None) -> None:
+        """Insert *vector* under *item_id*, as :meth:`RowStore.append` does."""
+        self._store.append(vector, item_id, norm)
 
     def search(self, query: np.ndarray, k: int, work=None) -> list[tuple[int, float]]:
         """Return the *k* nearest stored items to *query* by cosine distance.

@@ -170,8 +170,9 @@ class HnswIndex:
         self._store.relabel(item_id, new_id)
         self._retired.add(int(self._ids[self._store.row(new_id)]))
 
-    def add(self, item_id: int, vector: np.ndarray) -> None:
-        """Store *vector* under *item_id* (values finite in float32); it is
+    def add(self, item_id: int, vector: np.ndarray, norm: float | None = None) -> None:
+        """Store *vector* under *item_id* (values finite in float32; a *norm*
+        marks it a checked row, :meth:`RowStore.append`); it is
         linked into the graph before a search walks it (:meth:`_link_pending`).
         Over the last ``1 / LATE_LINK_ROWS`` of :data:`SCAN_BEAMS` beams of
         ``ef_search`` rows each add also links that many pending rows, so
@@ -184,7 +185,7 @@ class HnswIndex:
             raise ValueError(f"duplicate item id: {item_id}")
         # The store refuses a misshapen or non-finite vector before the level draw.
         store = self._store
-        row, level = store.append(vector, item_id), self._draw_level()
+        row, level = store.append(vector, item_id, norm), self._draw_level()
         if row == len(self._ids):
             grown = len(store.labels)
             self._ids, self._levels = np.resize(self._ids, grown), np.resize(self._levels, grown)

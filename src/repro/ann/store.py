@@ -37,17 +37,19 @@ class RowStore:
         """The row *label* answers to; ``KeyError`` when no live row does."""
         return self._row_of[label]
 
-    def append(self, vector: np.ndarray, label: int) -> int:
+    def append(self, vector: np.ndarray, label: int, norm: float | None = None) -> int:
         """Store *vector* as a float32 row under *label*; returns its row.
 
         ``ValueError``, storing nothing, when it is not a row of the store's
-        width or a value is not finite in float32.  A full store grows by
+        width or a value is not finite in float32 (a *vector* with its *norm*
+        is a row ``float32_row`` checked, stored as it is).  A full store grows by
         half first, so :attr:`rows` is then a new array and views of the old
         one no longer see later writes.  (Half, not double: while the rows
         are copied both blocks are resident, and that moment set
         ``peak_rss_mb`` on the benchmarks.)
         """
-        vector, norm = float32_row(vector, f"vector of item {label}", self.rows.shape[1])
+        if norm is None:
+            vector, norm = float32_row(vector, f"vector of item {label}", self.rows.shape[1])
         row = self.count
         if row == len(self.rows):
             for name in ("rows", "norms", "labels"):

@@ -12,9 +12,7 @@ from repro.embeddings.concepts import (
     Concept,
     ConceptFingerprint,
     ConceptLexicon,
-    ConceptOverlap,
-    concept_overlap,
-    fingerprint_cosine,
+    part_cosines,
 )
 from repro.embeddings.model import EmbeddingModel, SyntheticAdaEmbedder
 
@@ -28,9 +26,7 @@ __all__ = [
     "Concept",
     "ConceptFingerprint",
     "ConceptLexicon",
-    "ConceptOverlap",
-    "concept_overlap",
-    "fingerprint_cosine",
+    "part_cosines",
     "EmbeddingModel",
     "SyntheticAdaEmbedder",
 ]

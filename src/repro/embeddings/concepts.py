@@ -14,7 +14,9 @@ the benchmarks is built in :mod:`repro.corpus.vocabulary`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.text.analyzer import ItalianAnalyzer, remember_word
 from repro.text.stemmer import stem
@@ -26,7 +28,7 @@ class ConceptFingerprint:
 
     Attributes:
         weights: concept_id → accumulated weight, in first-seen order (the
-            order :func:`fingerprint_cosine` sums in).
+            order :func:`part_cosines` sums a query's products in).
         norm: Euclidean norm of the weights.
     """
 
@@ -184,37 +186,32 @@ def fingerprint_of(weights: dict[str, float]) -> ConceptFingerprint:
     return ConceptFingerprint(weights, total ** 0.5)
 
 
-@dataclass(frozen=True)
-class ConceptOverlap:
-    """Shared-meaning summary between two texts."""
+def part_cosines(
+    lexicon: ConceptLexicon, query: ConceptFingerprint, positions: np.ndarray,
+    weights: np.ndarray, lengths, norms: np.ndarray,
+) -> np.ndarray:
+    """The cosine of *query* with each part of texts read as arrays (0.0
+    where either is empty): part ``i`` is the next ``lengths[i]`` of
+    *positions* (int32 :attr:`ConceptLexicon.positions`, distinct within a
+    part) and *weights*, its norm ``norms[i]``.
 
-    shared: dict[str, float] = field(default_factory=dict)
-    score: float = 0.0
-
-
-def fingerprint_cosine(a: ConceptFingerprint, b: ConceptFingerprint) -> float:
-    """Cosine of two concept fingerprints; 0.0 when either is empty.
-
-    The products are added one by one in *a*'s first-seen concept order: the
-    same float under any hash seed (a set would iterate in hash order) and
-    any Python (``sum()`` is compensated from 3.12 on).
+    The products are added one by one in the query's first-seen concept
+    order, a part without the concept adding +0.0: the same float under any
+    hash seed (a set would iterate in hash order) and any Python (``sum()``
+    is compensated from 3.12 on).
     """
-    weights_b = b.weights
-    if not a.weights or not weights_b:
-        return 0.0
-    dot = 0.0
-    for cid, w in a.weights.items():
-        if cid in weights_b:
-            dot += w * weights_b[cid]
-    return dot / (a.norm * b.norm) if a.norm and b.norm else 0.0
+    parts = len(norms)
+    cosines, dot = np.zeros(parts), np.zeros(parts)
+    if not query.weights or not parts:
+        return cosines
+    column_of = np.full(len(lexicon), -1, dtype=np.intp)
+    column_of[[lexicon.positions[cid] for cid in query.weights]] = np.arange(len(query.weights))
+    columns = column_of[positions]
+    shared = np.flatnonzero(columns >= 0)
+    matrix = np.zeros((len(query.weights), parts))  # a part without a concept: weight 0.0
+    matrix[columns[shared], np.repeat(np.arange(parts), lengths)[shared]] = weights[shared]
+    for weight, column in zip(query.weights.values(), matrix):
+        dot += weight * column
+    # The query's norm is not 0: its weights are positive.
+    return np.divide(dot, query.norm * norms, out=cosines, where=norms != 0.0)
 
-
-def concept_overlap(lexicon: ConceptLexicon, a: str, b: str) -> ConceptOverlap:
-    """Cosine-style overlap of the concept fingerprints of *a* and *b*."""
-    fingerprint_a = lexicon.fingerprint(a)
-    fingerprint_b = lexicon.fingerprint(b)
-    weights_b = fingerprint_b.weights
-    shared = {
-        cid: min(w, weights_b[cid]) for cid, w in fingerprint_a.weights.items() if cid in weights_b
-    }
-    return ConceptOverlap(shared=shared, score=fingerprint_cosine(fingerprint_a, fingerprint_b))

@@ -155,9 +155,9 @@ class SyntheticAdaEmbedder:
         concept_entries = self._lexicon.concepts_for_stem(stemmed) if self._lexicon else []
         if concept_entries:
             vector = np.zeros(self._dim)
+            noise = _seeded_vector(f"form:{stemmed}", self._seed, self._dim)
             for concept_id, weight in concept_entries:
                 base = _seeded_vector(f"concept:{concept_id}", self._seed, self._dim)
-                noise = _seeded_vector(f"form:{stemmed}", self._seed, self._dim)
                 vector += weight * (base + self._form_noise * noise)
         else:
             vector = self._oov_weight * _seeded_vector(f"oov:{stemmed}", self._seed, self._dim)

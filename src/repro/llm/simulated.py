@@ -32,15 +32,16 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.embeddings.concepts import (
     ConceptFingerprint,
     ConceptLexicon,
     accumulate_concepts,
-    fingerprint_cosine,
     fingerprint_of,
+    part_cosines,
 )
 from repro.llm.base import (
     RESPONSE_KIND_ANSWER,
@@ -78,10 +79,6 @@ _CONTEXT_RE = re.compile(
 #: §16): a harness deployment reads 206-301 distinct ones (seed 11).
 PASSAGE_TABLE_CAP = 1024
 
-#: The kept identifiers of a text that has none: one shared empty set, not
-#: 216 bytes a sentence.
-_NO_IDENTIFIERS: frozenset[str] = frozenset()
-
 
 def _identifier_tokens(text: str) -> set[str]:
     """Jargon identifiers in *text*: codes and product names.
@@ -106,14 +103,23 @@ class _QuestionReading(NamedTuple):
 
 @dataclass(slots=True, eq=False)
 class _PassageReading:
-    """What reading one context passage derives: its fingerprint and its
-    sentences as ``(text, concept_stream, norm)``; the passage's identifiers
-    and each sentence's are None until an identifier question needs them."""
+    """What reading one context passage derives, in two arrays: ``ints``
+    (int32), each sentence's ``(start, end)`` in the content, then each
+    part's concept count, then their lexicon positions; ``floats``, each
+    part's norm, then the weights.  The parts are the passage, then each of
+    its ``sentences``.  The passage's identifiers and each sentence's are
+    None until an identifier question needs them."""
 
-    fingerprint: ConceptFingerprint
-    sentences: list[tuple[str, list[tuple[str, float]], float]]
+    sentences: int
+    ints: np.ndarray
+    floats: np.ndarray
     identifiers: set[str] | None = None
-    sentence_identifiers: list[set[str] | frozenset[str]] | None = None
+    sentence_identifiers: list[tuple[str, ...]] | None = None
+
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Positions, weights, concept counts and norms, for ``part_cosines``."""
+        n, ints, floats = self.sentences, self.ints, self.floats
+        return ints[3 * n + 1 :], floats[n + 1 :], ints[2 * n : 3 * n + 1], floats[: n + 1]
 
 
 #: Per-language text resources; "it" is the deployment language, "en"
@@ -231,16 +237,17 @@ class SimulatedChatLLM:
         self.calls += 1
         system_text = "\n".join(m.content for m in messages if m.role == "system")
         user_text = "\n".join(m.content for m in messages if m.role == "user")
-        rng = self._rng_for(system_text + "\x00" + user_text, temperature)
 
         kind = RESPONSE_KIND_ANSWER
         if TASK_ANSWER in system_text:
+            rng = self._rng_for(system_text + "\x00" + user_text, temperature)
             content, kind = self._rag_answer(user_text, temperature, rng)
         elif TASK_SUMMARY in system_text:
             content = self._summarize(user_text)
         elif TASK_KEYWORDS in system_text:
             content = self._keywords(user_text)
         elif TASK_BLIND_ANSWER in system_text:
+            rng = self._rng_for(system_text + "\x00" + user_text, temperature)
             content = self._blind_answer(user_text, rng)
         elif TASK_RELATED_QUERIES in system_text:
             content = self._related_queries(system_text, user_text)
@@ -281,25 +288,27 @@ class SimulatedChatLLM:
             self._lexicon.fingerprint(question), _identifier_tokens(question)
         )
 
-        scored = []
-        for document in documents:
-            passage = self._read_passage(document, bool(reading.identifiers))
-            relevance = self._relevance(reading, passage.fingerprint, passage.identifiers)
-            scored.append((relevance, document, passage))
-        scored.sort(key=lambda triple: -triple[0])
-
-        supporting = [entry for entry in scored if entry[0] >= self._relevance_threshold]
+        contents = [f"{document.get('content', '')}" for document in documents]
+        passages = [
+            self._read_passage(f"{document.get('title', '')}", content, bool(reading.identifiers))
+            for document, content in zip(documents, contents)
+        ]
+        scored = sorted(
+            zip(self._relevances(reading, passages), documents, contents, passages),
+            key=lambda entry: -entry[0][0],
+        )
+        supporting = [entry for entry in scored if entry[0][0] >= self._relevance_threshold]
         failure_scale = 1.0 + self._temperature_scale * temperature
 
         if not supporting:
             # A weakly related context sometimes seduces the model into a
             # fluent, ungrounded answer instead of an honest refusal.
-            best = scored[0][0] if scored else 0.0
+            best = scored[0][0][0] if scored else 0.0
             if best > self._relevance_threshold / 2 and rng.random() < 0.25:
                 return self._hallucinate(question, rng), RESPONSE_KIND_ANSWER
             return self._pack["refusal"], RESPONSE_KIND_REFUSAL
 
-        answer = self._compose_grounded_answer(reading, supporting, rng)
+        answer = self._compose_grounded_answer(supporting, rng)
 
         if rng.random() < self._p_off_context * failure_scale:
             return self._hallucinate(question, rng), RESPONSE_KIND_ANSWER
@@ -309,76 +318,87 @@ class SimulatedChatLLM:
             return answer + self._pack["clarification"], RESPONSE_KIND_CLARIFICATION
         return answer, RESPONSE_KIND_ANSWER
 
-    def _read_passage(self, document: dict, identifiers: bool) -> _PassageReading:
+    def _read_passage(self, title: str, content: str, identifiers: bool) -> _PassageReading:
         """The reading of the passage ``"{title} {content}"``, made once per text.
 
         The model sees only the prompt, so it reads the text itself; it keeps
         the reading under ``(title, content)`` until the lexicon grows or the
-        table is cleared at :data:`PASSAGE_TABLE_CAP`.  The fingerprint adds
-        the title's concept stream, then each sentence's: one pass over the
-        passage, as sentences split at whitespace; each sentence keeps its
-        fingerprint's norm.  Identifiers are tokenised when *identifiers*
+        table is cleared at :data:`PASSAGE_TABLE_CAP`.  One pass sums the title's
+        concept stream, then each sentence's, into the passage's weights and
+        each sentence's own.  Identifiers are tokenised when *identifiers*
         first asks for them.
         """
         if self._passages_version != self._lexicon.version:  # the lexicon grew
             self._passages, self._passages_version = {}, self._lexicon.version
-        title, content = f"{document.get('title', '')}", f"{document.get('content', '')}"
         passage = self._passages.get((title, content))
         if passage is None:
-            weights = accumulate_concepts({}, self._lexicon.concept_stream(title))
-            sentences = []
+            lexicon = self._lexicon
+            parts = [accumulate_concepts({}, lexicon.concept_stream(title))]
+            spans, end = [], 0
             for text in sentence_split(content):
-                stream = self._lexicon.concept_stream(text)
-                accumulate_concepts(weights, stream)
-                sentences.append((text, stream, fingerprint_of(accumulate_concepts({}, stream)).norm))
-            passage = _PassageReading(fingerprint_of(weights), sentences)
+                start = content.index(text, end)  # only whitespace lies between two
+                end = start + len(text)
+                spans += (start, end)
+                stream = lexicon.concept_stream(text)
+                accumulate_concepts(parts[0], stream)
+                parts.append(accumulate_concepts({}, stream))
+            ints = [*spans, *map(len, parts)]
+            ints += (lexicon.positions[cid] for part in parts for cid in part)
+            floats = [fingerprint_of(part).norm for part in parts]
+            floats += (weight for part in parts for weight in part.values())
+            passage = _PassageReading(len(parts) - 1, np.array(ints, np.int32), np.array(floats))
             if len(self._passages) >= PASSAGE_TABLE_CAP:
                 self._passages.clear()
             self._passages[title, content] = passage
         if identifiers and passage.identifiers is None:
-            passage.sentence_identifiers = [
-                _identifier_tokens(text) or _NO_IDENTIFIERS for text, *_ in passage.sentences
+            passage.sentence_identifiers = [  # tuples: a set of one takes 216 bytes
+                tuple(_identifier_tokens(text)) for text in sentence_split(content)
             ]
             passage.identifiers = _identifier_tokens(title).union(*passage.sentence_identifiers)
         return passage
 
-    @staticmethod
-    def _relevance(
-        reading: _QuestionReading, fingerprint: ConceptFingerprint, identifiers: set[str] | None
-    ) -> float:
-        """How strongly a text with this reading supports the question.
+    def _relevances(
+        self, reading: _QuestionReading, passages: list[_PassageReading]
+    ) -> list[list[float]]:
+        """How strongly each passage, then each of its sentences, supports the question.
 
         Blends concept-level agreement (paraphrase understanding) with
         identifier overlap — an LLM reading the context trivially matches
         literal tokens like error codes ("ERR-1003") and application names
         ("CreditFlow") that the concept lexicon does not cover.  Ordinary
         words do not count here, or any shared boilerplate would look like
-        support.
+        support.  Every cosine comes from one kernel call.
         """
-        conceptual = fingerprint_cosine(reading.fingerprint, fingerprint)
-        question_ids = reading.identifiers
-        if not question_ids:
-            return conceptual
-        return max(conceptual, len(question_ids & identifiers) / len(question_ids))
+        if not passages:
+            return []
+        parts = map(np.concatenate, zip(*(passage.parts() for passage in passages)))
+        cosines = part_cosines(self._lexicon, reading.fingerprint, *parts).tolist()
+        relevances, first, question_ids = [], 0, reading.identifiers
+        for passage in passages:
+            conceptual = cosines[first : first + passage.sentences + 1]
+            first += passage.sentences + 1
+            if question_ids:
+                part_ids = (passage.identifiers, *passage.sentence_identifiers)
+                conceptual = [
+                    max(cosine, len(question_ids.intersection(ids)) / len(question_ids))
+                    for cosine, ids in zip(conceptual, part_ids)
+                ]
+            relevances.append(conceptual)
+        return relevances
 
     def _compose_grounded_answer(
         self,
-        reading: _QuestionReading,
-        supporting: list[tuple[float, dict, _PassageReading]],
+        supporting: list[tuple[list[float], dict, str, _PassageReading]],
         rng: random.Random,
     ) -> str:
         """Extract the most question-relevant sentences, citing their sources."""
         candidate_sentences: list[tuple[float, str, str]] = []
-        question = reading.fingerprint.weights
-        for relevance, document, passage in supporting[:3]:
+        for (relevance, *sentences), document, content, passage in supporting[:3]:
             key = document.get("key", "doc1")
-            sentence_identifiers = passage.sentence_identifiers or repeat(None)
-            for (text, concepts, norm), identifiers in zip(passage.sentences, sentence_identifiers):
-                # The question's concepts alone, with the sentence's norm: the same cosine.
-                shared = [entry for entry in concepts if entry[0] in question]
-                fingerprint = ConceptFingerprint(accumulate_concepts({}, shared), norm)
-                sentence_relevance = self._relevance(reading, fingerprint, identifiers)
-                candidate_sentences.append((sentence_relevance + 0.25 * relevance, text, key))
+            spans = passage.ints[: 2 * passage.sentences].tolist()
+            for start, end, sentence_relevance in zip(spans[0::2], spans[1::2], sentences):
+                sentence = content[start:end]
+                candidate_sentences.append((sentence_relevance + 0.25 * relevance, sentence, key))
         candidate_sentences.sort(key=lambda triple: -triple[0])
 
         picked = candidate_sentences[:3]

@@ -190,8 +190,10 @@ class SearchIndex:
                 fresh[name] = vectors[name]
             elif replaced is None or replaced.value(name) != record.value(name):
                 fresh[name] = self.embedder.embed(record.value(name))
-        for name, vector in fresh.items():
-            float32_row(vector, f"{name} vector of {record.chunk_id!r}", self.embedder.dim)
+        checked = {  # the float32 row and the norm its store keeps
+            name: float32_row(vector, f"{name} vector of {record.chunk_id!r}", self.embedder.dim)
+            for name, vector in fresh.items()
+        }
         if previous is not None:
             self._tombstone_text(previous)
 
@@ -218,7 +220,7 @@ class SearchIndex:
             if name not in fresh:
                 ann.relabel(previous, internal)
                 continue
-            ann.add(internal, fresh[name])
+            ann.add(internal, *checked[name])
             if replaced is not None:
                 ann.remove(previous)
         return internal

@@ -29,41 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.embeddings.concepts import ConceptFingerprint, ConceptLexicon
+from repro.embeddings.concepts import part_cosines
 from repro.obs import spans
 from repro.obs.trace import NULL_CONTEXT, RequestContext
 from repro.search.reading import ChunkReading, read_chunk
 from repro.search.results import Heads, RetrievedChunk
 from repro.search.schema import ChunkRecord
 from repro.text.analyzer import FULL_ANALYZER, ItalianAnalyzer
-
-
-def _agreements(
-    lexicon: ConceptLexicon, query: ConceptFingerprint, readings: list[ChunkReading]
-) -> np.ndarray:
-    """``fingerprint_cosine`` of *query* with each reading's title (row
-    ``2i``) and content (row ``2i + 1``), its additions in its order: one
-    column per query concept, where a text without it adds +0.0."""
-    rows = 2 * len(readings)
-    cosines, dot = np.zeros(rows), np.zeros(rows)
-    if not query.weights or not rows:
-        return cosines
-    lengths, norms = [], []
-    for reading in readings:
-        lengths += (reading.title_concepts, len(reading.concepts) - reading.title_concepts)
-        norms += (reading.title_norm, reading.content_norm)
-    concepts = np.concatenate([reading.concepts for reading in readings])
-    weights = np.concatenate([reading.weights for reading in readings])
-    column_of = np.full(len(lexicon), -1, dtype=np.intp)
-    column_of[[lexicon.positions[cid] for cid in query.weights]] = np.arange(len(query.weights))
-    columns = column_of[concepts]
-    shared = np.flatnonzero(columns >= 0)
-    matrix = np.zeros((len(query.weights), rows))  # a text without a concept: weight 0.0
-    matrix[columns[shared], np.repeat(np.arange(rows), lengths)[shared]] = weights[shared]
-    for weight, column in zip(query.weights.values(), matrix):
-        dot += weight * column
-    norms = np.array(norms)  # the query's is not 0: its weights are positive
-    return np.divide(dot, query.norm * norms, out=cosines, where=norms != 0.0)
 
 
 class SemanticReranker:
@@ -109,9 +81,17 @@ class SemanticReranker:
     def _scores(self, query: str, records: Sequence[ChunkRecord]) -> np.ndarray:
         """Each record's score: the formula's blend, clamp (``max``/``min``'s
         pick: a bound only when strictly beyond) and noise, elementwise."""
+        if not records:
+            return np.zeros(0)
         lexicon, analyzer = self._lexicon, self._analyzer
         readings = [read_chunk(record, lexicon, analyzer) for record in records]
-        agreements = _agreements(lexicon, lexicon.fingerprint(query), readings)
+        # The cosine with each reading's title (part 2i) and content (2i + 1).
+        lengths = [n for r in readings for n in (r.title_concepts, r.concepts.size - r.title_concepts)]
+        norms = np.array([norm for r in readings for norm in (r.title_norm, r.content_norm)])
+        concepts = np.concatenate([reading.concepts for reading in readings])
+        weights = np.concatenate([reading.weights for reading in readings])
+        fingerprint = lexicon.fingerprint(query)
+        agreements = part_cosines(lexicon, fingerprint, concepts, weights, lengths, norms)
         terms = analyzer.analyze_unique(query)  # no terms: every share is 0 / 1
         shared = [len(terms & reading.content_terms.keys()) for reading in readings]
         lexical = np.array(shared, dtype=np.float64) / max(len(terms), 1)

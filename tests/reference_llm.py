@@ -10,6 +10,9 @@ is analyzed whole (``"{title} {content}"``) for relevance, and the
 supporting ones a second time, sentence by sentence, to compose.
 Everything else — the RNG, token accounting, hallucinations, truncation —
 is inherited, so a difference can only come from the reader.
+:func:`fingerprint_cosine` is the cosine ``src/`` carried until the reader
+and the reranker shared one array kernel
+(:func:`~repro.embeddings.concepts.part_cosines`), unchanged.
 Do not optimise this file.
 """
 
@@ -19,7 +22,7 @@ import json
 import random
 import re
 
-from repro.embeddings.concepts import fingerprint_cosine
+from repro.embeddings.concepts import ConceptFingerprint
 from repro.llm.base import (
     RESPONSE_KIND_ANSWER,
     RESPONSE_KIND_CLARIFICATION,
@@ -32,6 +35,23 @@ from repro.llm.simulated import (
     _QuestionReading,
 )
 from repro.text.tokenizer import sentence_split
+
+
+def fingerprint_cosine(a: ConceptFingerprint, b: ConceptFingerprint) -> float:
+    """Cosine of two concept fingerprints; 0.0 when either is empty.
+
+    The products are added one by one in *a*'s first-seen concept order: the
+    same float under any hash seed (a set would iterate in hash order) and
+    any Python (``sum()`` is compensated from 3.12 on).
+    """
+    weights_b = b.weights
+    if not a.weights or not weights_b:
+        return 0.0
+    dot = 0.0
+    for cid, w in a.weights.items():
+        if cid in weights_b:
+            dot += w * weights_b[cid]
+    return dot / (a.norm * b.norm) if a.norm and b.norm else 0.0
 
 
 class ReferenceChatLLM(SimulatedChatLLM):

@@ -13,6 +13,7 @@ from repro.api import AskRequest
 from repro.core.factory import build_uniask_system
 from repro.embeddings.concepts import (
     Concept,
+    ConceptFingerprint,
     ConceptLexicon,
     accumulate_concepts,
     fingerprint_of,
@@ -37,6 +38,13 @@ from repro.llm.simulated import (
 )
 from repro.text.tokenizer import sentence_split
 from tests.reference_llm import ReferenceChatLLM
+
+
+def _passage_fingerprint(lexicon: ConceptLexicon, passage) -> ConceptFingerprint:
+    """The passage part of a table entry (its first) as a fingerprint."""
+    positions, weights, lengths, norms = passage.parts()
+    ids = [lexicon.concepts[position].concept_id for position in positions[: lengths[0]].tolist()]
+    return ConceptFingerprint(dict(zip(ids, weights[: len(ids)].tolist())), float(norms[0]))
 
 
 @pytest.fixture(scope="module")
@@ -266,15 +274,16 @@ class TestSinglePassReader:
         prompts = [build_answer_prompt(question, _four_passages()) for question in QUESTIONS]
         for prompt in prompts:
             llm.complete(prompt)
-        before = {key: passage.fingerprint for key, passage in llm._passages.items()}
+        before = {key: _passage_fingerprint(lexicon, passage) for key, passage in llm._passages.items()}
         assert len(before) == 4
         lexicon.add(Concept("conferma", "conferma", ("modulo firmato",)))
         fresh = ReferenceChatLLM(lexicon, seed=3)
         for prompt in prompts:
             assert llm.complete(prompt) == fresh.complete(prompt)
-        for (title, content), passage in llm._passages.items():
-            assert passage.fingerprint == lexicon.fingerprint(f"{title} {content}")
-        moved = [key for key in before if llm._passages[key].fingerprint != before[key]]
+        after = {key: _passage_fingerprint(lexicon, passage) for key, passage in llm._passages.items()}
+        for (title, content), fingerprint in after.items():
+            assert fingerprint == lexicon.fingerprint(f"{title} {content}")
+        moved = [key for key in before if after[key] != before[key]]
         assert [title for title, _ in moved] == ["Guida GestCarte", "Carta revolving"]
 
     def test_answers_from_the_table_follow_reseed(self):
@@ -362,27 +371,24 @@ class TestSinglePassReader:
         assert llm.complete(prompt, temperature) == reference.complete(prompt, temperature)
 
         # The same ChatResponse could hide a moved last bit: every relevance
-        # the reader takes — here from the passages the answer left in the
-        # table — is the reference's float.
+        # the reader takes — a passage's, then each of its sentences', here
+        # from the passages the answer left in the table — is the
+        # reference's float.
         reading = _QuestionReading(
             self.inexact.fingerprint(question), _identifier_tokens(question)
         )
-        for title, content in documents:
-            passage = llm._read_passage(
-                {"title": title, "content": content}, bool(reading.identifiers)
-            )
-            relevance = llm._relevance(reading, passage.fingerprint, passage.identifiers)
-            assert relevance.hex() == reference._passage_relevance(
-                reading, f"{title} {content}"
-            ).hex()
-            assert [text for text, *_ in passage.sentences] == sentence_split(content)
-            sentence_identifiers = passage.sentence_identifiers or [None] * len(passage.sentences)
-            for (text, concepts, norm), identifiers in zip(passage.sentences, sentence_identifiers):
-                fingerprint = fingerprint_of(accumulate_concepts({}, concepts))
-                assert fingerprint.norm == norm
-                assert llm._relevance(reading, fingerprint, identifiers).hex() == (
-                    reference._passage_relevance(reading, text).hex()
-                )
+        passages = [
+            llm._read_passage(title, content, bool(reading.identifiers))
+            for title, content in documents
+        ]
+        relevances = llm._relevances(reading, passages)
+        for (title, content), passage, relevance in zip(documents, passages, relevances):
+            spans = passage.ints[: 2 * passage.sentences].tolist()
+            sentences = [content[start:end] for start, end in zip(spans[0::2], spans[1::2])]
+            assert sentences == sentence_split(content)
+            texts = [f"{title} {content}", *sentences]
+            expected = [reference._passage_relevance(reading, text) for text in texts]
+            assert [value.hex() for value in relevance] == [value.hex() for value in expected]
 
     def test_concept_stream_is_what_concepts_in_text_accumulates(self, lexicon, small_kb):
         for generated in small_kb.documents[:40]:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.api import CacheConfig, ClusterConfig, UniAskConfig
 from repro.cluster import ClusterSearcher, ShardedSearchIndex
 from repro.core.factory import build_uniask_system
-from repro.embeddings.concepts import Concept, ConceptLexicon, fingerprint_cosine, fingerprint_of
+from repro.embeddings.concepts import Concept, ConceptLexicon, fingerprint_of, part_cosines
 from repro.embeddings.model import SyntheticAdaEmbedder
 from repro.obs.trace import RequestContext
 from repro.search.hybrid import HybridSearchConfig
@@ -233,7 +233,10 @@ def test_fingerprint_sums_are_sequential_whatever_sum_does():
     assert _compensated(squares) != _sequential(squares)
     assert chunk.norm.hex() == "0x1.8000000000001p+0"
     assert chunk.norm == _sequential(squares) ** 0.5
-    cosine = fingerprint_cosine(query, chunk)
+    lexicon = ConceptLexicon([Concept(cid, cid) for cid in "abcdef"])
+    positions = np.array([lexicon.positions[cid] for cid in chunk.weights], dtype=np.int32)
+    weights = np.array([*chunk.weights.values()])
+    cosine = float(part_cosines(lexicon, query, positions, weights, [6], np.array([chunk.norm]))[0])
     assert cosine.hex() == "0x1.6e57762340ac1p-1"
     assert cosine == _sequential(products) / (query.norm * chunk.norm)
 

@@ -416,9 +416,9 @@ _SCORE_MATRIX_SCRIPT = """
 from repro.corpus.generator import KbGenerator, KbGeneratorConfig
 from repro.corpus.queries import HumanDatasetConfig, generate_human_dataset
 from repro.corpus.vocabulary import build_banking_lexicon
-from repro.embeddings.concepts import concept_overlap
 from repro.htmlproc.chunking import HtmlParagraphChunker
 from repro.htmlproc.parser import parse_html
+from repro.llm.simulated import SimulatedChatLLM, _identifier_tokens, _QuestionReading
 from repro.search.reranker import SemanticReranker
 from repro.search.results import RetrievedChunk
 from repro.search.schema import ChunkRecord
@@ -434,9 +434,17 @@ for generated in kb.documents:
 records = records[:60]
 questions = [q.text for q in generate_human_dataset(kb, HumanDatasetConfig(num_questions=40, seed=5))]
 reranker = SemanticReranker(lexicon)
+llm = SimulatedChatLLM(lexicon)
+
+def passage_relevances(q):
+    # The stand-in's relevance of each chunk as a passage, then of its sentences.
+    reading = _QuestionReading(lexicon.fingerprint(q), _identifier_tokens(q))
+    passages = [llm._read_passage(r.title, r.content, bool(reading.identifiers)) for r in records]
+    return llm._relevances(reading, passages)
+
 print(repr([
-    [(reranker.score(q, RetrievedChunk(r, 0.0)), concept_overlap(lexicon, q, r.content).score)
-     for r in records]
+    [(reranker.score(q, RetrievedChunk(r, 0.0)), relevances)
+     for r, relevances in zip(records, passage_relevances(q))]
     for q in questions
 ]))
 """

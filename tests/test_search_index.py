@@ -74,6 +74,31 @@ class TestWrites:
             assert _write_state(index) == before
         assert index.record(index.live_internals()[0]) == _record("a")
 
+    def test_each_stored_vector_is_converted_once(self, index, monkeypatch):
+        """``add_chunk`` checks each vector as the float32 row and norm its
+        store keeps, and hands both on: one ``float32_row`` per stored
+        vector, none for a field whose text did not change."""
+        from repro.ann import distance as distance_module
+        from repro.search import index as index_module
+
+        calls = []
+        convert = distance_module.float32_row
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return convert(*args, **kwargs)
+
+        for module in (index_module, store_module):
+            monkeypatch.setattr(module, "float32_row", counted)
+        index.add_chunks([_record("a"), _record("b")])
+        assert len(calls) == 4  # two chunks, two vector fields
+        index.add_chunk(_record("a", content="nuovo contenuto"))
+        assert len(calls) == 5  # the title kept its vector
+        internal = index.add_chunk(_record("c"), vectors={"title": np.ones(32), "content": np.ones(32)})
+        assert len(calls) == 7
+        stored = index.chunk_vector(internal, "content")
+        assert stored.dtype == np.float32 and np.array_equal(stored, np.ones(32))
+
     def test_delete_document_tombstones_all_chunks(self, index):
         index.add_chunks([_record("a", 0), _record("a", 1), _record("b")])
         removed = index.delete_document("a")
