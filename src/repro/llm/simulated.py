@@ -351,8 +351,10 @@ class SimulatedChatLLM:
                 self._passages.clear()
             self._passages[title, content] = passage
         if identifiers and passage.identifiers is None:
+            spans = passage.ints[: 2 * passage.sentences].tolist()
             passage.sentence_identifiers = [  # tuples: a set of one takes 216 bytes
-                tuple(_identifier_tokens(text)) for text in sentence_split(content)
+                tuple(_identifier_tokens(content[start:end]))
+                for start, end in zip(spans[0::2], spans[1::2])
             ]
             passage.identifiers = _identifier_tokens(title).union(*passage.sentence_identifiers)
         return passage
