@@ -15,7 +15,7 @@ from repro.service.backend import (
     QueryRecord,
 )
 from repro.service.feedback import FeedbackStore, GranularFeedback
-from repro.service.frontend import FeedbackForm, FrontendSession, render_answer_page
+from repro.service.frontend import render_answer_page
 from repro.service.tickets import (
     TicketPropensity,
     TicketReport,
@@ -65,8 +65,6 @@ __all__ = [
     "ROLE_EMPLOYEE",
     "ROLE_OPS",
     "AuthorizationError",
-    "FeedbackForm",
-    "FrontendSession",
     "render_answer_page",
     "TicketPropensity",
     "TicketReport",

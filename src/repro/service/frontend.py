@@ -4,20 +4,15 @@ Section 3: "The FrontEnd service provides an interface users can interact
 with.  It exposes a search box to query the engine and a feedback form
 where the user can provide information about the answer quality."
 
-The in-process equivalent renders the result page as text (answer block
-with resolved citations, the retrieved document list that stays visible
-even when a guardrail fires, and the granular feedback modal of Section 8)
-and forwards submitted forms to the backend.
+The in-process equivalent renders the result page as text: the answer
+with resolved citations and the retrieved document list, which stays
+visible when a guardrail fires.  Section 8's feedback form is a
+``GranularFeedback`` sent to ``BackendService.feedback``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.api.types import AskRequest
 from repro.core.answer import UniAskAnswer
-from repro.service.backend import BackendService, QueryRecord
-from repro.service.feedback import GranularFeedback
 from repro.text.analyzer import FULL_ANALYZER
 from repro.text.tokenizer import sentence_split, word_tokenize
 
@@ -59,33 +54,6 @@ def highlight_snippet(query: str, content: str, max_length: int = 160) -> str:
     return snippet
 
 
-@dataclass(frozen=True)
-class FeedbackForm:
-    """The granular feedback modal, pre-bound to a served query."""
-
-    query_id: str
-    user_id: str
-
-    def submit(
-        self,
-        helpful: bool,
-        retrieved_relevant: bool,
-        rating: int,
-        links: tuple[str, ...] = (),
-        comments: str = "",
-    ) -> GranularFeedback:
-        """Build the feedback payload from the form fields."""
-        return GranularFeedback(
-            query_id=self.query_id,
-            user_id=self.user_id,
-            helpful=helpful,
-            retrieved_relevant=retrieved_relevant,
-            rating=rating,
-            links=links,
-            comments=comments,
-        )
-
-
 def render_answer_page(answer: UniAskAnswer) -> str:
     """Render one result page as the frontend displays it."""
     lines = [f"❓ {answer.question}", ""]
@@ -108,33 +76,3 @@ def render_answer_page(answer: UniAskAnswer) -> str:
                 snippet = highlight_snippet(answer.question, chunk.record.content)
                 lines.append(f"      {snippet}")
     return "\n".join(lines)
-
-
-class FrontendSession:
-    """One logged-in user's view of UniAsk."""
-
-    def __init__(self, backend: BackendService, user_id: str) -> None:
-        self._backend = backend
-        self._user_id = user_id
-        self._token = backend.login(user_id)
-        self._last_record: QueryRecord | None = None
-
-    def search(self, question: str) -> str:
-        """Type *question* into the search box; returns the rendered page."""
-        self._last_record = self._backend.serve(self._token, AskRequest.of(question))
-        return render_answer_page(self._last_record.answer)
-
-    @property
-    def last_answer(self) -> UniAskAnswer | None:
-        """The raw answer behind the last rendered page."""
-        return self._last_record.answer if self._last_record else None
-
-    def feedback_form(self) -> FeedbackForm:
-        """Open the feedback modal for the last answer."""
-        if self._last_record is None:
-            raise RuntimeError("no query has been made in this session")
-        return FeedbackForm(query_id=self._last_record.query_id, user_id=self._user_id)
-
-    def submit_feedback(self, form_payload: GranularFeedback) -> None:
-        """Send a filled feedback form to the backend."""
-        self._backend.feedback(self._token, form_payload)

@@ -2,7 +2,7 @@
 README's observability table names the ops routes that exist.
 
 ROADMAP: "net-negative diffs are the expectation", target ``src/repro``
-≤ 21k lines.  The sibling rule ("no new config field without deleting
+≤ 19.5k lines.  The sibling rule ("no new config field without deleting
 one") is held by ``test_config_census.py``; this one holds the diet by
 count — the same figure as
 ``find src/repro -name '*.py' | xargs cat | wc -l``.
@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
 
 #: Total lines of ``src/repro/**/*.py`` at the last PR that moved it.
-CEILING = 19898
+CEILING = 19493
 
 
 def test_source_lines_stay_under_the_ceiling():
