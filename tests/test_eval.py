@@ -103,6 +103,18 @@ class TestSplits:
         with pytest.raises(ValueError):
             split_dataset(self._dataset(10), validation_fraction=1.0)
 
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_fraction_outside_the_open_interval_rejected(self, fraction):
+        with pytest.raises(ValueError):
+            split_dataset(self._dataset(10), validation_fraction=fraction)
+
+    def test_seed_changes_the_partition(self):
+        dataset = self._dataset(50)
+        a = split_dataset(dataset, seed=9)
+        b = split_dataset(dataset, seed=10)
+        assert [q.query_id for q in a.test] != [q.query_id for q in b.test]
+        assert len(a.test) == len(b.test)
+
 
 class TestHarness:
     def _dataset(self):

@@ -122,6 +122,18 @@ class TestClarificationGuardrail:
     def test_empty_answer_passes(self, context):
         assert ClarificationGuardrail().check("q", "", context).passed
 
+    @pytest.mark.parametrize(
+        "request_",
+        ["Quale carta intendi?", "Puoi specificare il tipo di carta?", "PUOI PRECISARE il conto?"],
+    )
+    def test_other_detail_requests_fire(self, context, request_):
+        verdict = ClarificationGuardrail().check("q", f"{GROUNDED} {request_}", context)
+        assert not verdict.passed
+
+    def test_detail_phrase_without_question_mark_passes(self, context):
+        answer = GROUNDED + " Servono maggiori dettagli."
+        assert ClarificationGuardrail().check("q", answer, context).passed
+
 
 class TestGuardrailPipeline:
     def test_all_pass(self, context):
